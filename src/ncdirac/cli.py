@@ -8,10 +8,12 @@ Exit codes: 0 = all checks pass, 1 = a physics/verification check failed,
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import hashlib
 import json
 import sys
+import typing
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -57,10 +59,16 @@ class RunConfig:
     emit: str = "csv,json"
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, (float, complex)) and not cmath.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.dt <= 0:
             raise ConfigError("dt must be positive")
         if self.t1 <= self.t0:
             raise ConfigError("t1 must exceed t0")
+        if self.dt > self.t1 - self.t0:
+            raise ConfigError("dt exceeds the interval t1 - t0")
         if self.fock_N < 2:
             raise ConfigError("fock_N must be at least 2")
         if self.grid_points < 2:
@@ -73,20 +81,9 @@ class RunConfig:
         return {s.strip() for s in self.emit.split(",") if s.strip()}
 
     def params(self) -> ncmodel.NCParams:
+        shared = {f.name: getattr(self, f.name) for f in fields(ncmodel.NCParams)}
         try:
-            return ncmodel.NCParams(
-                theta=self.theta,
-                eta=self.eta,
-                gamma=self.gamma,
-                B=self.B,
-                e=self.e,
-                m=self.m,
-                hbar=self.hbar,
-                kappa=self.kappa,
-                q1=self.q1,
-                q2=self.q2,
-                unit_mode=self.unit_mode,
-            )
+            return ncmodel.NCParams(**shared)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -114,13 +111,15 @@ _CONVERTERS = {
     str: lambda raw: raw,
 }
 
+
+def _unwrap_optional(kind):
+    """``float | None`` -> ``float``; other annotations pass through."""
+    args = [a for a in typing.get_args(kind) if a is not type(None)]
+    return args[0] if args else kind
+
+
 _FIELD_TYPES = {
-    "theta": float, "eta": float, "gamma": float, "B": float, "e": float,
-    "m": float, "hbar": float, "kappa": float, "q1": float, "q2": float,
-    "unit_mode": str, "t0": float, "t1": float, "dt": float,
-    "grid_points": int, "fock_N": int, "xi3_0": complex, "xi4_0": complex,
-    "a1": float, "a3": float, "b1": float, "b3": float, "c1": float,
-    "output_dir": str, "emit": str,
+    key: _unwrap_optional(kind) for key, kind in typing.get_type_hints(RunConfig).items()
 }
 
 
@@ -355,7 +354,7 @@ def cmd_evolve(cfg: RunConfig) -> int:
     evolved = fockevolve.evolve(h, rep, psi0, times, track_energy=True)
 
     ans = invariant.constant_invariant(cfg.a1, cfg.a3, cfg.b1, cfg.b3, cfg.c1)
-    i_mat = fockevolve.represent(ans.to_phasepoly(0.0), rep)
+    i_mat = fockevolve.represent(ans.at(0.0), rep)
     drift = fockevolve.invariant_drift(i_mat, evolved)
     res_norm = max(
         residual_norm(invariant.invariance_residual(ans, h, form, float(t)))

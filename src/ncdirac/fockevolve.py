@@ -19,9 +19,7 @@ import numpy as np
 
 from .errors import DimError, GridError, SizeError
 from .mat2 import ID2, Mat2
-from .phasepoly import Coord, PhasePoly, TimePhasePoly, hermitian_defect
-
-_COORDS = (Coord.X, Coord.Y, Coord.PX, Coord.PY)
+from .phasepoly import COORDS, AffineOp, Coord, PhasePoly, hermitian_defect
 
 
 def _ladder(n: int) -> np.ndarray:
@@ -86,12 +84,12 @@ def represent(p: PhasePoly, rep: FockRep) -> np.ndarray:
     matrices (up to the truncation defect)."""
     n2 = rep.N * rep.N
     out = np.kron(np.eye(n2, dtype=complex), p.const_term)
-    for c in _COORDS:
+    for c in COORDS:
         m = p.linear_term(c)
         if np.any(m != 0):
             out += np.kron(rep.mode_ops[c], m)
-    for i_pos, i in enumerate(_COORDS):
-        for j in _COORDS[i_pos:]:
+    for i_pos, i in enumerate(COORDS):
+        for j in COORDS[i_pos:]:
             m = p.quad_term(i, j)
             if np.any(m != 0):
                 zi = rep.mode_ops[i]
@@ -150,7 +148,7 @@ def _check_uniform(t_grid: np.ndarray) -> float:
 
 
 def evolve(
-    h: TimePhasePoly,
+    h: AffineOp,
     rep: FockRep,
     psi0: np.ndarray,
     t_grid: Sequence[float],
@@ -160,8 +158,9 @@ def evolve(
 
     Each step generator is diagonalized exactly (Hermitian eigendecomposition),
     so every step is unitary to machine precision; dt controls only the
-    time-ordering error. Identical consecutive generators reuse the previous
-    decomposition, which collapses the cost for time-constant Hamiltonians.
+    time-ordering error. The step propagator and the energy tracker share one
+    decomposition, rebuilt only when the coefficients of H change, which
+    collapses the cost for time-constant Hamiltonians.
     """
     ts = np.asarray(t_grid, dtype=float)
     dt = _check_uniform(ts)
@@ -177,21 +176,22 @@ def evolve(
     states[0] = psi
     energy = np.zeros(n_t) if track_energy else None
 
-    # rebuild matrices/decompositions only when the polynomial actually changes
-    prev_slots: np.ndarray | None = None
-    prev_u: np.ndarray | None = None
-    prev_track_slots: np.ndarray | None = None
-    prev_track_w: np.ndarray | None = None
-    prev_track_v: np.ndarray | None = None
+    # the last generator's coefficients, its decomposition, and its step propagator
+    last_coeffs, last_eig, last_u = None, None, None
+
+    def decomposition(t: float) -> tuple[np.ndarray, np.ndarray]:
+        nonlocal last_coeffs, last_eig, last_u
+        coeffs = tuple(h.value(t))
+        if coeffs != last_coeffs:
+            last_eig = np.linalg.eigh(represent(h.combine(coeffs), rep))
+            last_coeffs, last_u = coeffs, None
+        return last_eig
+
     e_prev = 0.0
 
     def tracked_energy(t: float, psi_now: np.ndarray, first: bool) -> float:
-        nonlocal prev_track_slots, prev_track_w, prev_track_v, e_prev
-        poly = h.value(t)
-        if prev_track_slots is None or not np.array_equal(poly.slots, prev_track_slots):
-            w, v = np.linalg.eigh(represent(poly, rep))
-            prev_track_slots, prev_track_w, prev_track_v = poly.slots, w, v
-        w, v = prev_track_w, prev_track_v
+        nonlocal e_prev
+        w, v = decomposition(t)
         if first:
             overlaps = np.abs(v.conj().T @ psi_now) ** 2
             e_prev = float(w[int(np.argmax(overlaps))])
@@ -203,13 +203,10 @@ def evolve(
         energy[0] = tracked_energy(float(ts[0]), psi, first=True)
 
     for k in range(n_t - 1):
-        t_mid = float(ts[k]) + 0.5 * dt
-        poly = h.value(t_mid)
-        if prev_slots is None or not np.array_equal(poly.slots, prev_slots):
-            w, v = np.linalg.eigh(represent(poly, rep))
-            prev_u = (v * np.exp(-1j * w * dt)) @ v.conj().T
-            prev_slots = poly.slots
-        psi = prev_u @ psi
+        w, v = decomposition(float(ts[k]) + 0.5 * dt)
+        if last_u is None:
+            last_u = (v * np.exp(-1j * w * dt)) @ v.conj().T
+        psi = last_u @ psi
         states[k + 1] = psi
         if track_energy:
             energy[k + 1] = tracked_energy(float(ts[k + 1]), psi, first=False)
@@ -235,37 +232,32 @@ class DriftSeries:
 
 
 def invariant_drift(
-    i_op: TimePhasePoly | PhasePoly | np.ndarray,
+    i_op: AffineOp | np.ndarray,
     evolved: EvolvedState,
     rep: FockRep | None = None,
     projection_target: float | None = None,
 ) -> DriftSeries:
     """Measure <I>(t) - <I>(0) along the evolution.
 
-    Accepts a represented matrix, a fixed polynomial, or a time-dependent
-    polynomial (re-represented per sample, with identical-slot caching).
-    With projection_target set, also records the weight of the state inside
-    the eigenspace of I(t0) with eigenvalues within 1e-8 of the target.
+    Accepts a represented matrix or a time-dependent operator, represented
+    again only at samples where its coefficients change. With
+    projection_target set, also records the weight of the state inside the
+    eigenspace of I(t0) with eigenvalues within 1e-8 of the target.
     """
     times = evolved.times
     if isinstance(i_op, np.ndarray):
         mats = [i_op] * times.size
-    elif isinstance(i_op, PhasePoly):
-        if rep is None:
-            raise ValueError("rep is required to represent a polynomial")
-        mats = [represent(i_op, rep)] * times.size
     else:
         if rep is None:
-            raise ValueError("rep is required to represent a polynomial")
+            raise ValueError("rep is required to represent an operator")
         mats = []
-        prev_slots = None
-        prev_mat = None
+        last_coeffs = None
         for t in times:
-            poly = i_op.value(float(t))
-            if prev_slots is None or not np.array_equal(poly.slots, prev_slots):
-                prev_mat = represent(poly, rep)
-                prev_slots = poly.slots
-            mats.append(prev_mat)
+            coeffs = tuple(i_op.value(float(t)))
+            if coeffs != last_coeffs:
+                last_mat = represent(i_op.combine(coeffs), rep)
+                last_coeffs = coeffs
+            mats.append(last_mat)
 
     values = np.array(
         [expectation(m, s) for m, s in zip(mats, evolved.states)], dtype=complex
@@ -339,22 +331,6 @@ def uncertainty_check(
         if defect > herm_tol:
             raise ValueError(f"observable {name} is not Hermitian (defect {defect:.3e})")
     return uncertainty_check_matrices(psi, represent(a, rep), represent(b, rep))
-
-
-def spectrum_constancy(
-    i_op: TimePhasePoly, rep: FockRep, ts: Sequence[float]
-) -> float:
-    """Max eigenvalue displacement of the represented operator across the
-    sampled times (0 for genuinely constant operators)."""
-    base = None
-    worst = 0.0
-    for t in ts:
-        w = np.linalg.eigvalsh(represent(i_op.value(float(t)), rep))
-        if base is None:
-            base = w
-        else:
-            worst = max(worst, float(np.max(np.abs(w - base))))
-    return worst
 
 
 def write_evolution_csv(

@@ -10,19 +10,19 @@ rank-revealing SVD of the scalar constraints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import mat2
-from .errors import GridError
-from .mat2 import ALPHA1, ALPHA2, BETA, ID2, Mat2, ZERO2
+from .errors import DegreeError, GridError
+from .mat2 import ALPHA1, ALPHA2, BETA, ID2, Mat2
 from .ncmodel import NCParams, f_eta, f_theta
 from .phasepoly import (
+    AffineOp,
     Coord,
     PhasePoly,
     SymplecticForm,
-    TimePhasePoly,
     commutator as ps_commutator,
     hermitian_defect,
 )
@@ -30,71 +30,26 @@ from .phasepoly import (
 CONSTRAINT_LABELS = tuple(f"25{c}" for c in "abcdefghijklmno")
 
 
-@dataclass(frozen=True)
-class TimeMat2:
-    """Time-dependent 2x2 coefficient with an analytic derivative evaluator."""
-
-    value: Callable[[float], Mat2]
-    derivative: Callable[[float], Mat2]
-
-    @staticmethod
-    def constant(m: Mat2) -> "TimeMat2":
-        m = np.asarray(m, dtype=complex)
-        return TimeMat2(value=lambda t: m, derivative=lambda t: ZERO2)
-
-
-@dataclass(frozen=True)
-class InvariantAnsatz:
-    """Five coefficient functions: A's multiply momenta, B's positions, C is constant."""
-
-    A1: TimeMat2
-    B1: TimeMat2
-    A2: TimeMat2
-    B2: TimeMat2
-    C: TimeMat2
-
-    def to_phasepoly(self, t: float) -> PhasePoly:
-        return (
-            PhasePoly.monomial(self.A1.value(t), Coord.PX)
-            + PhasePoly.monomial(self.B1.value(t), Coord.X)
-            + PhasePoly.monomial(self.A2.value(t), Coord.PY)
-            + PhasePoly.monomial(self.B2.value(t), Coord.Y)
-            + PhasePoly.constant(self.C.value(t))
-        )
-
-    def derivative_phasepoly(self, t: float) -> PhasePoly:
-        return (
-            PhasePoly.monomial(self.A1.derivative(t), Coord.PX)
-            + PhasePoly.monomial(self.B1.derivative(t), Coord.X)
-            + PhasePoly.monomial(self.A2.derivative(t), Coord.PY)
-            + PhasePoly.monomial(self.B2.derivative(t), Coord.Y)
-            + PhasePoly.constant(self.C.derivative(t))
-        )
-
-    def as_time_phasepoly(self) -> TimePhasePoly:
-        return TimePhasePoly(value=self.to_phasepoly, derivative=self.derivative_phasepoly)
-
-
 def constant_invariant(
     a1: float, a3: float, b1: float, b3: float, c1: float
-) -> InvariantAnsatz:
+) -> AffineOp:
     """Scalar-constant ansatz I = a1 px + b1 x + a3 py + b3 y + c1, all
     coefficients proportional to the identity (no spin structure)."""
-    return InvariantAnsatz(
-        A1=TimeMat2.constant(a1 * ID2),
-        B1=TimeMat2.constant(b1 * ID2),
-        A2=TimeMat2.constant(a3 * ID2),
-        B2=TimeMat2.constant(b3 * ID2),
-        C=TimeMat2.constant(c1 * ID2),
+    return AffineOp.time_constant(
+        PhasePoly.monomial(a1 * ID2, Coord.PX)
+        + PhasePoly.monomial(b1 * ID2, Coord.X)
+        + PhasePoly.monomial(a3 * ID2, Coord.PY)
+        + PhasePoly.monomial(b3 * ID2, Coord.Y)
+        + PhasePoly.constant(c1 * ID2)
     )
 
 
 def invariance_residual(
-    ans: InvariantAnsatz, h: TimePhasePoly, form: SymplecticForm, t: float
+    ans: AffineOp, h: AffineOp, form: SymplecticForm, t: float
 ) -> PhasePoly:
     """Residual polynomial [I, H] + i dI/dt at time t; the zero polynomial
     certifies I as a dynamical invariant there."""
-    return ps_commutator(ans.to_phasepoly(t), h.value(t), form) + 1j * ans.derivative_phasepoly(t)
+    return ps_commutator(ans.at(t), h.at(t), form) + 1j * ans.rate(t)
 
 
 def scalar_residual_closed_form(
@@ -126,8 +81,9 @@ class ConstraintResidualSet:
         return mat2.fro(self.residuals[label])
 
 
-def constraint_residuals(ans: InvariantAnsatz, p: NCParams, t: float) -> ConstraintResidualSet:
-    """Evaluate the fifteen bracket relations that a linear ansatz must satisfy.
+def constraint_residuals(ans: AffineOp, p: NCParams, t: float) -> ConstraintResidualSet:
+    """Evaluate the fifteen bracket relations that a linear ansatz
+    I = A1 px + B1 x + A2 py + B2 y + C must satisfy.
 
     Relations a-d kill the diagonal quadratic slots, e-h the linear slots,
     i-n the mixed quadratic slots, and o closes the constant slot.
@@ -135,18 +91,23 @@ def constraint_residuals(ans: InvariantAnsatz, p: NCParams, t: float) -> Constra
     ft = f_theta(p, t)
     fe = f_eta(p, t)
     m = p.m
-    A1, B1, A2, B2, C = (ans.A1, ans.B1, ans.A2, ans.B2, ans.C)
-    a1v, b1v, a2v, b2v, cv = (f.value(t) for f in (A1, B1, A2, B2, C))
+    poly, rate = ans.at(t), ans.rate(t)
+    if poly.degree() > 1:
+        raise DegreeError("the invariant ansatz must have degree <= 1")
+    linear = (Coord.PX, Coord.X, Coord.PY, Coord.Y)
+    a1v, b1v, a2v, b2v = (poly.linear_term(c) for c in linear)
+    da1, db1, da2, db2 = (rate.linear_term(c) for c in linear)
+    cv, dc = poly.const_term, rate.const_term
     comm = mat2.commutator
     res = {
         "25a": ft * comm(a1v, ALPHA1),
         "25b": ft * comm(a2v, ALPHA2),
         "25c": fe * comm(b1v, ALPHA2),
         "25d": fe * comm(b2v, ALPHA1),
-        "25e": m * comm(a1v, BETA) + ft * comm(cv, ALPHA1) + 1j * A1.derivative(t),
-        "25f": m * comm(a2v, BETA) + ft * comm(cv, ALPHA2) + 1j * A2.derivative(t),
-        "25g": m * comm(b1v, BETA) - fe * comm(cv, ALPHA2) + 1j * B1.derivative(t),
-        "25h": m * comm(b2v, BETA) + fe * comm(cv, ALPHA1) + 1j * B2.derivative(t),
+        "25e": m * comm(a1v, BETA) + ft * comm(cv, ALPHA1) + 1j * da1,
+        "25f": m * comm(a2v, BETA) + ft * comm(cv, ALPHA2) + 1j * da2,
+        "25g": m * comm(b1v, BETA) - fe * comm(cv, ALPHA2) + 1j * db1,
+        "25h": m * comm(b2v, BETA) + fe * comm(cv, ALPHA1) + 1j * db2,
         "25i": ft * comm(a1v, ALPHA2) + ft * comm(a2v, ALPHA1),
         "25j": ft * comm(b1v, ALPHA1) - fe * comm(a1v, ALPHA2),
         "25k": ft * comm(b1v, ALPHA2) - fe * comm(a2v, ALPHA2),
@@ -160,7 +121,7 @@ def constraint_residuals(ans: InvariantAnsatz, p: NCParams, t: float) -> Constra
             + 1j * ft * (b2v @ ALPHA2)
             - 1j * (ft * comm(b1v, ALPHA1) + ft * comm(b2v, ALPHA2))
             + m * comm(cv, BETA)
-            + 1j * C.derivative(t)
+            + 1j * dc
         ),
     }
     return ConstraintResidualSet(t=float(t), residuals=res)
@@ -251,15 +212,15 @@ def solve_constant_invariant(
     )
 
 
-def hermiticity_defect(ans: InvariantAnsatz, t: float) -> float:
+def hermiticity_defect(ans: AffineOp, t: float) -> float:
     """Assembled-polynomial Hermiticity defect at time t."""
-    return hermitian_defect(ans.to_phasepoly(t))
+    return hermitian_defect(ans.at(t))
 
 
-def spin_independence_defect(ans: InvariantAnsatz, t: float) -> float:
+def spin_independence_defect(ans: AffineOp, t: float) -> float:
     """Largest Pauli component across slots; 0 means the ansatz is a pure
     identity-proportional (spin-independent) operator."""
-    poly = ans.to_phasepoly(t)
+    poly = ans.at(t)
     worst = 0.0
     for _, slot in poly.labeled_slots():
         c = mat2.pauli_decompose(slot)

@@ -16,10 +16,10 @@ from typing import Callable, Sequence
 from .errors import UnitModeError
 from .mat2 import ALPHA1, ALPHA2, BETA, ID2
 from .phasepoly import (
+    AffineOp,
     Coord,
     PhasePoly,
     SymplecticForm,
-    TimePhasePoly,
     commutator as ps_commutator,
     left_mul,
     linear_combine,
@@ -217,7 +217,7 @@ def verify_nc_algebra(
     return DeformedAlgebraReport(checks=tuple(checks))
 
 
-def build_h_commutative(p: NCParams) -> TimePhasePoly:
+def build_h_commutative(p: NCParams) -> AffineOp:
     """Dirac Hamiltonian in the symmetric gauge with commutative coordinates.
 
     H = c a1 px + c a2 py + e a1 (B/2) y - e a2 (B/2) x + beta m c^2. The
@@ -230,18 +230,18 @@ def build_h_commutative(p: NCParams) -> TimePhasePoly:
         + PhasePoly.monomial(-0.5 * p.e * p.B * ALPHA2, Coord.X)
         + PhasePoly.constant(p.m * BETA)
     )
-    return TimePhasePoly.time_constant(h)
+    return AffineOp.time_constant(h)
 
 
-def _h_nc_direct(p: NCParams, t: float) -> PhasePoly:
-    ft = f_theta(p, t)
-    fe = f_eta(p, t)
-    return (
-        PhasePoly.monomial(ft * ALPHA1, Coord.PX)
-        + PhasePoly.monomial(-fe * ALPHA2, Coord.X)
-        + PhasePoly.monomial(ft * ALPHA2, Coord.PY)
-        + PhasePoly.monomial(fe * ALPHA1, Coord.Y)
-        + PhasePoly.constant(p.m * BETA)
+def _h_nc(p: NCParams) -> AffineOp:
+    """H(t) = f_theta(t) K + f_eta(t) L + m beta with K = a1 px + a2 py and
+    L = a1 y - a2 x."""
+    k_op = PhasePoly.monomial(ALPHA1, Coord.PX) + PhasePoly.monomial(ALPHA2, Coord.PY)
+    l_op = PhasePoly.monomial(ALPHA1, Coord.Y) + PhasePoly.monomial(-ALPHA2, Coord.X)
+    return AffineOp(
+        (k_op, l_op, PhasePoly.constant(p.m * BETA)),
+        value=lambda t: (f_theta(p, t), f_eta(p, t), 1.0),
+        derivative=lambda t: (df_theta_dt(p, t), df_eta_dt(p, t), 0.0),
     )
 
 
@@ -263,18 +263,19 @@ def h_nc_via_bopp(p: NCParams, t: float, bopp: BoppBuilder = bopp_shift) -> Phas
 def dual_path_deviation(
     p: NCParams, ts: Sequence[float] = (0.0, 0.5, 1.0, 2.0)
 ) -> float:
-    """Max slot deviation between the direct deformed Hamiltonian and the
+    """Max slot deviation between the affine deformed Hamiltonian and the
     substitution route over the sampled times."""
-    return max(residual_norm(_h_nc_direct(p, t) - h_nc_via_bopp(p, t)) for t in ts)
+    h = _h_nc(p)
+    return max(residual_norm(h.at(t) - h_nc_via_bopp(p, t)) for t in ts)
 
 
-def build_h_nc(p: NCParams) -> TimePhasePoly:
+def build_h_nc(p: NCParams) -> AffineOp:
     """Time-dependent deformed Dirac Hamiltonian (natural units only).
 
     H(t) = a1 f_theta(t) px - a2 f_eta(t) x + a2 f_theta(t) py
            + a1 f_eta(t) y + beta m.
 
-    Construction cross-checks the direct coefficient form against the
+    Construction cross-checks the affine coefficient form against the
     substitution of the shifted operators and refuses to hand back an
     inconsistent operator.
     """
@@ -283,15 +284,4 @@ def build_h_nc(p: NCParams) -> TimePhasePoly:
     dev = dual_path_deviation(p)
     if dev > 1e-13:
         raise RuntimeError(f"Hamiltonian construction paths disagree: {dev:.3e}")
-
-    def deriv(t: float) -> PhasePoly:
-        dft = df_theta_dt(p, t)
-        dfe = df_eta_dt(p, t)
-        return (
-            PhasePoly.monomial(dft * ALPHA1, Coord.PX)
-            + PhasePoly.monomial(-dfe * ALPHA2, Coord.X)
-            + PhasePoly.monomial(dft * ALPHA2, Coord.PY)
-            + PhasePoly.monomial(dfe * ALPHA1, Coord.Y)
-        )
-
-    return TimePhasePoly(value=lambda t: _h_nc_direct(p, t), derivative=deriv)
+    return _h_nc(p)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,16 +30,16 @@ class Coord(IntEnum):
 
 COORD_NAMES = {Coord.X: "x", Coord.Y: "y", Coord.PX: "px", Coord.PY: "py"}
 
-_COORDS = (Coord.X, Coord.Y, Coord.PX, Coord.PY)
+COORDS = (Coord.X, Coord.Y, Coord.PX, Coord.PY)
 _QUAD_KEYS = tuple(
-    (a, b) for i, a in enumerate(_COORDS) for b in _COORDS[i:]
+    (a, b) for i, a in enumerate(COORDS) for b in COORDS[i:]
 )  # 10 ordered pairs
 _QUAD_INDEX = {key: 5 + k for k, key in enumerate(_QUAD_KEYS)}
 
 #: labels for the 15 coefficient slots, in storage order
 SLOT_LABELS = (
     ("1",)
-    + tuple(COORD_NAMES[c] for c in _COORDS)
+    + tuple(COORD_NAMES[c] for c in COORDS)
     + tuple(f"{COORD_NAMES[a]}*{COORD_NAMES[b]}" for a, b in _QUAD_KEYS)
 )
 
@@ -209,18 +209,18 @@ def commutator(p: PhasePoly, q: PhasePoly, form: SymplecticForm) -> PhasePoly:
     m0 = p.const_term
     n0 = q.const_term
     out[0] = _mm(m0, n0) - _mm(n0, m0)
-    for i in _COORDS:
+    for i in COORDS:
         mi = p.linear_term(i)
         if np.any(mi != 0):
             out[1 + int(i)] += _mm(mi, n0) - _mm(n0, mi)
         nj = q.linear_term(i)
         if np.any(nj != 0):
             out[1 + int(i)] += _mm(m0, nj) - _mm(nj, m0)
-    for i in _COORDS:
+    for i in COORDS:
         mi = p.linear_term(i)
         if not np.any(mi != 0):
             continue
-        for j in _COORDS:
+        for j in COORDS:
             nj = q.linear_term(j)
             if not np.any(nj != 0):
                 continue
@@ -232,21 +232,26 @@ def commutator(p: PhasePoly, q: PhasePoly, form: SymplecticForm) -> PhasePoly:
 
 
 @dataclass(frozen=True)
-class TimePhasePoly:
-    """Time-dependent polynomial: a value evaluator plus its analytic t-derivative."""
+class AffineOp:
+    """Time-dependent operator sum_k c_k(t) P_k: fixed polynomials ``polys``
+    times scalar profiles. ``value(t)`` returns the coefficient tuple c(t) and
+    ``derivative(t)`` its analytic t-derivative c'(t)."""
 
-    value: Callable[[float], PhasePoly]
-    derivative: Callable[[float], PhasePoly]
+    polys: tuple[PhasePoly, ...]
+    value: Callable[[float], Sequence[complex]]
+    derivative: Callable[[float], Sequence[complex]]
 
     @staticmethod
-    def time_constant(p: PhasePoly) -> "TimePhasePoly":
-        zero = PhasePoly.zero()
-        return TimePhasePoly(value=lambda t: p, derivative=lambda t: zero)
+    def time_constant(p: PhasePoly) -> "AffineOp":
+        return AffineOp((p,), value=lambda t: (1.0,), derivative=lambda t: (0.0,))
 
+    def combine(self, coeffs: Sequence[complex]) -> PhasePoly:
+        """The operator with coefficient tuple ``coeffs``."""
+        return linear_combine(zip(coeffs, self.polys))
 
-def derivative_fd_defect(tp: TimePhasePoly, t: float, h: float = 1e-5) -> float:
-    """Relative deviation of the analytic derivative from an O(h^2) central difference."""
-    fd = (tp.value(t + h) - tp.value(t - h)) * (0.5 / h)
-    an = tp.derivative(t)
-    scale = max(residual_norm(an), residual_norm(fd), 1.0)
-    return residual_norm(an - fd) / scale
+    def at(self, t: float) -> PhasePoly:
+        return self.combine(self.value(t))
+
+    def rate(self, t: float) -> PhasePoly:
+        """Analytic d/dt of the operator at time t."""
+        return self.combine(self.derivative(t))

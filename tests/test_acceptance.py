@@ -158,7 +158,7 @@ def test_criterion_09_invariant_drift(commutative_run):
     ans = constant_invariant(1.0, 0.0, 0.0, -0.5, 0.0)
 
     drift16 = fockevolve.invariant_drift(
-        fockevolve.represent(ans.to_phasepoly(0.0), rep16), evolved16
+        fockevolve.represent(ans.at(0.0), rep16), evolved16
     )
     assert drift16.relative_max <= 1e-6
 
@@ -171,7 +171,7 @@ def test_criterion_09_invariant_drift(commutative_run):
         psi0 = fockevolve.coherent_state(rep, alpha_x=1.0)
         ev = fockevolve.evolve(h, rep, psi0, EVOLVE_TIMES)
         d = fockevolve.invariant_drift(
-            fockevolve.represent(ans.to_phasepoly(0.0), rep), ev
+            fockevolve.represent(ans.at(0.0), rep), ev
         )
         drifts.append(d.relative_max)
     for large, small in zip(drifts[:-1], drifts[1:]):
@@ -183,7 +183,7 @@ def test_criterion_09_invariant_drift(commutative_run):
     ev = fockevolve.evolve(h, rep, psi0, EVOLVE_TIMES)
     ans_u = constant_invariant(1.0, 0.0, 0.0, 0.0, 0.0)
     measured = fockevolve.invariant_drift(
-        fockevolve.represent(ans_u.to_phasepoly(0.0), rep), ev
+        fockevolve.represent(ans_u.at(0.0), rep), ev
     ).drift.real
     res_poly = invariant.invariance_residual(
         ans_u, h, ncmodel.symplectic_form(COMMUTATIVE), 0.0
@@ -237,7 +237,7 @@ def test_criterion_11_hermiticity(commutative_run):
     for _ in range(10):
         ans = constant_invariant(*rng.standard_normal(5))
         assert invariant.hermiticity_defect(ans, 0.4) == 0.0
-        m = fockevolve.represent(ans.to_phasepoly(0.0), rep)
+        m = fockevolve.represent(ans.at(0.0), rep)
         dev = float(np.max(np.abs(m - m.conj().T)))
         worst = max(worst, dev)
         assert dev <= 1e-13

@@ -202,6 +202,21 @@ def test_bad_values_exit_2(tmp_path):
     assert main(["frobnicate"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("xi", "--dt=2", "--t1=1"),  # dt longer than the interval
+        ("verify-algebra", "--theta=nan"),
+        ("invariant", "--theta=nan", "--gamma=0.2"),
+        ("evolve", "--t1=nan"),
+        ("xi", "--eta=inf"),
+    ],
+)
+def test_non_finite_or_oversized_step_exits_2(tmp_path, argv):
+    assert run(tmp_path, *argv) == 2
+    assert not list(tmp_path.iterdir())
+
+
 def test_emit_filter(tmp_path):
     assert run(tmp_path, "xi", "--emit", "json") == 0
     assert not (tmp_path / "xi_trajectory.csv").exists()

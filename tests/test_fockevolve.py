@@ -16,13 +16,12 @@ from ncdirac.fockevolve import (
     expectation,
     invariant_drift,
     represent,
-    spectrum_constancy,
     uncertainty_check,
     uncertainty_check_matrices,
 )
 from ncdirac.mat2 import ID2, SIGMA2
 from ncdirac.ncmodel import NCParams
-from ncdirac.phasepoly import Coord, PhasePoly, SymplecticForm, TimePhasePoly, commutator
+from ncdirac.phasepoly import AffineOp, Coord, PhasePoly, SymplecticForm, commutator
 
 COMMUTATIVE = NCParams()
 
@@ -93,7 +92,7 @@ def test_represent_tensor_structure():
 def test_represent_hermitian_invariant():
     rep = build_fock_rep(6, 1.0)
     ans = invariant.constant_invariant(1.0, 0.3, -0.2, 0.7, 0.1)
-    m = represent(ans.to_phasepoly(0.0), rep)
+    m = represent(ans.at(0.0), rep)
     assert np.max(np.abs(m - m.conj().T)) <= 1e-13
 
 
@@ -120,7 +119,7 @@ def test_represent_quadratic_weyl_slot():
 def test_evolve_stationary_state():
     rep = build_fock_rep(6, 1.0)
     h = ncmodel.build_h_nc(COMMUTATIVE)
-    g = represent(h.value(0.0), rep)
+    g = represent(h.at(0.0), rep)
     w, v = np.linalg.eigh(g)
     psi0 = v[:, 3]
     times = np.linspace(0.0, 1.0, 201)
@@ -133,7 +132,7 @@ def test_evolve_zero_momentum_rest_phase():
     # B -> 0 with a huge oscillator scale emulates a zero-momentum spinor:
     # the up component should rotate as e^{-i m t}
     p = NCParams(B=1.0)
-    h_free = TimePhasePoly.time_constant(
+    h_free = AffineOp.time_constant(
         PhasePoly.monomial(np.array([[0, 1], [1, 0]], complex), Coord.PX)
         + PhasePoly.monomial(np.array([[0, -1j], [1j, 0]], complex), Coord.PY)
         + PhasePoly.constant(np.array([[1, 0], [0, -1]], complex) * p.m)
@@ -145,6 +144,22 @@ def test_evolve_zero_momentum_rest_phase():
     for k, t in enumerate(times):
         amp = np.vdot(psi0, ev.states[k])
         assert abs(amp - cmath.exp(-1j * p.m * t)) <= 1e-8
+
+
+def test_time_constant_generator_is_diagonalized_once(monkeypatch):
+    # propagator and energy tracker share one decomposition per coefficient tuple
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(m):
+        calls.append(m.shape)
+        return eigh(m)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    rep = build_fock_rep(4, 1.0)
+    h = ncmodel.build_h_commutative(COMMUTATIVE)
+    evolve(h, rep, coherent_state(rep), np.linspace(0.0, 0.5, 51), track_energy=True)
+    assert len(calls) == 1
 
 
 def test_evolve_norm_preservation():
@@ -197,7 +212,7 @@ def test_invariant_drift_constrained_small():
     psi0 = coherent_state(rep)
     ev = evolve(h, rep, psi0, np.linspace(0.0, 1.0, 501))
     ans = invariant.constant_invariant(1.0, 0.0, 0.0, -0.5, 0.0)
-    d = invariant_drift(ans.as_time_phasepoly(), ev, rep)
+    d = invariant_drift(ans, ev, rep)
     assert d.relative_max <= 1e-6
 
 
@@ -221,7 +236,7 @@ def test_unconstrained_drift_matches_ehrenfest_rate():
     times = np.linspace(0.0, 1.0, 501)
     ev = evolve(h, rep, psi0, times)
     ans = invariant.constant_invariant(1.0, 0.0, 0.0, 0.0, 0.0)
-    i_mat = represent(ans.to_phasepoly(0.0), rep)
+    i_mat = represent(ans.at(0.0), rep)
     measured = invariant_drift(i_mat, ev).drift.real
     res_poly = invariant.invariance_residual(ans, h, form, 0.0)
     predicted = cumulative_trapezoid(
@@ -279,13 +294,6 @@ def test_uncertainty_bopp_pair_bound_matches_hbar_eff():
         assert r.margin >= -1e-9
 
 
-def test_spectrum_constancy_for_constant_invariant():
-    rep = build_fock_rep(6, 1.0)
-    ans = invariant.constant_invariant(0.8, -0.1, 0.2, 0.5, 1.0)
-    dev = spectrum_constancy(ans.as_time_phasepoly(), rep, np.linspace(0.0, 2.0, 5))
-    assert dev <= 1e-13
-
-
 def test_truncation_scaling_of_constrained_drift():
     h = ncmodel.build_h_nc(COMMUTATIVE)
     ans = invariant.constant_invariant(1.0, 0.0, 0.0, -0.5, 0.0)
@@ -294,7 +302,7 @@ def test_truncation_scaling_of_constrained_drift():
         rep = build_fock_rep(n, 1.0)
         psi0 = coherent_state(rep)
         ev = evolve(h, rep, psi0, np.linspace(0.0, 1.0, 251))
-        d = invariant_drift(represent(ans.to_phasepoly(0.0), rep), ev)
+        d = invariant_drift(represent(ans.at(0.0), rep), ev)
         drifts.append(d.relative_max)
     for small, large in zip(drifts[1:], drifts[:-1]):
         assert small <= max(1.1 * large, 1e-12)

@@ -5,11 +5,9 @@ import numpy as np
 import pytest
 
 from ncdirac import invariant, mat2, ncmodel
-from ncdirac.errors import GridError
+from ncdirac.errors import DegreeError, GridError
 from ncdirac.invariant import (
     CONSTRAINT_LABELS,
-    InvariantAnsatz,
-    TimeMat2,
     constant_invariant,
     constraint_residuals,
     invariance_residual,
@@ -18,7 +16,7 @@ from ncdirac.invariant import (
 )
 from ncdirac.mat2 import ALPHA1, ID2, SIGMA2
 from ncdirac.ncmodel import NCParams
-from ncdirac.phasepoly import Coord, PhasePoly, residual_norm
+from ncdirac.phasepoly import AffineOp, Coord, PhasePoly, residual_norm
 
 RNG = np.random.default_rng(7)
 
@@ -31,7 +29,7 @@ TS = np.linspace(0.0, 2.0, 9)
 
 def test_constant_invariant_structure():
     ans = constant_invariant(1.0, 0.0, 0.0, 0.0, 0.0)
-    assert residual_norm(ans.to_phasepoly(0.3) - PhasePoly.monomial(ID2, Coord.PX)) == 0.0
+    assert residual_norm(ans.at(0.3) - PhasePoly.monomial(ID2, Coord.PX)) == 0.0
     assert invariant.hermiticity_defect(ans, 1.0) == 0.0
     assert invariant.spin_independence_defect(ans, 1.0) == 0.0
 
@@ -95,19 +93,19 @@ def test_constraint_residuals_scalar_ansatz():
 
 def test_constraint_residuals_alpha_branch():
     # A1 proportional to alpha_1 keeps 25a zero but breaks 25e via [alpha1, beta]m
-    ans = InvariantAnsatz(
-        A1=TimeMat2.constant(0.7 * ALPHA1),
-        B1=TimeMat2.constant(np.zeros((2, 2))),
-        A2=TimeMat2.constant(np.zeros((2, 2))),
-        B2=TimeMat2.constant(np.zeros((2, 2))),
-        C=TimeMat2.constant(np.zeros((2, 2))),
-    )
+    ans = AffineOp.time_constant(PhasePoly.monomial(0.7 * ALPHA1, Coord.PX))
     p = COMMUTATIVE
     rset = constraint_residuals(ans, p, 0.0)
     assert rset.norm("25a") == 0.0
     expected_25e = p.m * mat2.commutator(0.7 * ALPHA1, mat2.BETA)
     assert mat2.fro(rset.residuals["25e"] - expected_25e) <= 1e-15
     assert rset.norm("25e") == pytest.approx(0.7 * 2.0 * np.sqrt(2.0), abs=1e-14)
+
+
+def test_constraint_residuals_reject_quadratic_ansatz():
+    ans = AffineOp.time_constant(PhasePoly.monomial(ID2, Coord.X, Coord.PX))
+    with pytest.raises(DegreeError):
+        constraint_residuals(ans, COMMUTATIVE, 0.0)
 
 
 def test_constraint_labels_fixed():

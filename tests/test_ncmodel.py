@@ -162,13 +162,13 @@ def test_f_theta_f_eta():
 
 def test_h_commutative_slots():
     p = NCParams()
-    h = ncmodel.build_h_commutative(p).value(0.0)
+    h = ncmodel.build_h_commutative(p).at(0.0)
     assert np.array_equal(h.linear_term(Coord.PX), ALPHA1)
     assert np.allclose(h.linear_term(Coord.X), -0.5 * ALPHA2, atol=0)
     assert np.allclose(h.linear_term(Coord.Y), 0.5 * ALPHA1, atol=0)
     assert np.array_equal(h.const_term, BETA)
 
-    h_free = ncmodel.build_h_commutative(NCParams(B=0.0)).value(0.0)
+    h_free = ncmodel.build_h_commutative(NCParams(B=0.0)).at(0.0)
     assert residual_norm(
         h_free
         - PhasePoly.monomial(ALPHA1, Coord.PX)
@@ -182,12 +182,12 @@ def test_h_nc_matches_commutative_limit():
     h_nc = ncmodel.build_h_nc(p)
     h_c = ncmodel.build_h_commutative(p)
     for t in GRID:
-        assert residual_norm(h_nc.value(t) - h_c.value(t)) == 0.0
+        assert residual_norm(h_nc.at(t) - h_c.at(t)) == 0.0
 
 
 def test_h_nc_slot_values():
     p = NCParams(theta=0.1, eta=0.05, gamma=0.2)
-    h = ncmodel.build_h_nc(p).value(0.0)
+    h = ncmodel.build_h_nc(p).at(0.0)
     assert np.allclose(h.linear_term(Coord.PX), 1.025 * ALPHA1, atol=1e-15)
     assert np.allclose(h.linear_term(Coord.X), -0.525 * ALPHA2, atol=1e-15)
 

@@ -10,12 +10,11 @@ from ncdirac import ncmodel
 from ncdirac.errors import DegreeError
 from ncdirac.mat2 import ALPHA1, ALPHA2, ID2, SIGMA1, SIGMA2, SIGMA3
 from ncdirac.phasepoly import (
+    AffineOp,
     Coord,
     PhasePoly,
     SymplecticForm,
-    TimePhasePoly,
     commutator,
-    derivative_fd_defect,
     hermitian_defect,
     left_mul,
     linear_combine,
@@ -139,18 +138,26 @@ def test_symplectic_form_antisymmetry_enforced():
     assert form.pair(Coord.X, Coord.Y) == 0.0
 
 
-def test_time_phasepoly_derivative_matches_finite_differences():
+def test_affine_op_rate_matches_finite_differences():
+    # O(h^2) central difference of H(t) is the oracle for df_theta_dt / df_eta_dt
     p = ncmodel.NCParams(theta=0.1, eta=0.05, gamma=0.3)
     h = ncmodel.build_h_nc(p)
+    step = 1e-5
     for t in (0.0, 0.4, 1.3):
-        assert derivative_fd_defect(h, t, h=1e-5) <= 1e-8
+        fd = (h.at(t + step) - h.at(t - step)) * (0.5 / step)
+        an = h.rate(t)
+        assert residual_norm(an) > 1e-3
+        assert residual_norm(an - fd) <= 1e-8 * residual_norm(an)
 
 
 def test_time_constant_wrapper():
     p = PhasePoly.monomial(SIGMA2, Coord.Y)
-    tp = TimePhasePoly.time_constant(p)
-    assert residual_norm(tp.value(3.0) - p) == 0.0
-    assert residual_norm(tp.derivative(3.0)) == 0.0
+    op = AffineOp.time_constant(p)
+    for t in (0.0, 3.0):
+        assert residual_norm(op.at(t) - p) == 0.0
+        assert residual_norm(op.rate(t)) == 0.0
+    assert op.polys == (p,)
+    assert tuple(op.value(3.0)) == tuple(op.value(-1.0))
 
 
 def test_degree_classification():
