@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import functools
 import hashlib
 import json
 import sys
@@ -23,7 +24,7 @@ import numpy as np
 from . import __version__, fockevolve, invariant, lrsolve, mat2, ncmodel
 from .errors import SingularParameterError, UnitModeError
 from .mat2 import ID2
-from .phasepoly import Coord, PhasePoly, residual_norm
+from .phasepoly import PhasePoly, residual_norm
 
 
 class ConfigError(ValueError):
@@ -362,30 +363,11 @@ def cmd_evolve(cfg: RunConfig) -> int:
     )
     constrained = res_norm <= 1e-10
 
-    xm = rep.coordinate_matrix(Coord.X)
-    ym = rep.coordinate_matrix(Coord.Y)
-    pxm = rep.coordinate_matrix(Coord.PX)
-    pym = rep.coordinate_matrix(Coord.PY)
-
-    n_t = times.size
-    dxdpx = np.zeros(n_t)
-    bound_x = np.zeros(n_t)
-    margins = np.zeros((n_t, 3))
-    nc_bound_dev = 0.0
-    heff = ncmodel.hbar_eff(p)
-    for k in range(n_t):
-        s = evolved.states[k]
-        t = float(times[k])
-        r_xp = fockevolve.uncertainty_check_matrices(s, xm, pxm)
-        r_yp = fockevolve.uncertainty_check_matrices(s, ym, pym)
-        st = 0.5 * ncmodel.theta_of_t(p, t) / p.hbar
-        se = 0.5 * ncmodel.eta_of_t(p, t) / p.hbar
-        r_nc = fockevolve.uncertainty_check_matrices(s, xm - st * pym, pxm + se * ym)
-        dxdpx[k] = r_xp.product
-        bound_x[k] = r_xp.bound
-        margins[k] = (r_xp.margin, r_yp.margin, r_nc.margin)
-        nc_bound_dev = max(nc_bound_dev, abs(r_nc.bound - 0.5 * heff))
-
+    r_xp, r_yp, r_nc = fockevolve.uncertainty_pairs(
+        rep, evolved, functools.partial(ncmodel.bopp_scales, p)
+    )
+    margins = np.min([r_xp.margin, r_yp.margin, r_nc.margin], axis=0)
+    nc_bound_dev = float(np.max(np.abs(r_nc.bound - 0.5 * ncmodel.hbar_eff(p))))
     min_margin = float(margins.min())
     ok = evolved.norm_drift <= 1e-10 and min_margin >= -1e-9
     truncation_warning = False
@@ -399,9 +381,9 @@ def cmd_evolve(cfg: RunConfig) -> int:
             times,
             drift.values,
             drift.drift,
-            dxdpx,
-            bound_x,
-            margins.min(axis=1),
+            r_xp.product,
+            r_xp.bound,
+            margins,
             evolved.energy,
         )
 
@@ -523,18 +505,24 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        if args.command == "verify-algebra":
-            return cmd_verify_algebra(cfg, flip_bopp_sign=args.debug_flip_bopp_sign)
-        if args.command == "invariant":
-            return cmd_invariant(cfg)
-        if args.command == "xi":
-            return cmd_xi(cfg)
-        if args.command == "evolve":
-            return cmd_evolve(cfg)
-        if args.command == "report":
-            return cmd_report(cfg)
+        # numpy overflow and inf - inf raise, like math.exp does, instead of
+        # writing inf or NaN into the outputs
+        with np.errstate(over="raise", invalid="raise"):
+            if args.command == "verify-algebra":
+                return cmd_verify_algebra(cfg, flip_bopp_sign=args.debug_flip_bopp_sign)
+            if args.command == "invariant":
+                return cmd_invariant(cfg)
+            if args.command == "xi":
+                return cmd_xi(cfg)
+            if args.command == "evolve":
+                return cmd_evolve(cfg)
+            if args.command == "report":
+                return cmd_report(cfg)
     except (UnitModeError, SingularParameterError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except (OverflowError, FloatingPointError) as exc:
+        print(f"config error: the parameters leave the float range ({exc})", file=sys.stderr)
         return 2
     raise AssertionError(f"unhandled command {args.command}")
 

@@ -13,13 +13,15 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DimError, GridError, SizeError
-from .mat2 import ID2, Mat2
-from .phasepoly import COORDS, AffineOp, Coord, PhasePoly, hermitian_defect
+from .phasepoly import COORDS, AffineOp, Coord, PhasePoly
+
+#: rows of the state history processed at once by the observables passes
+BLOCK_ROWS = 64
 
 
 def _ladder(n: int) -> np.ndarray:
@@ -38,13 +40,6 @@ class FockRep:
     hbar: float
     mode_ops: dict  # Coord -> (N^2, N^2) complex array
     dim: int
-
-    def coordinate_matrix(self, c: Coord) -> np.ndarray:
-        """Full-space matrix of a canonical coordinate (spinor identity)."""
-        return np.kron(self.mode_ops[c], ID2)
-
-    def spinor_matrix(self, m: Mat2) -> np.ndarray:
-        return np.kron(np.eye(self.N * self.N, dtype=complex), np.asarray(m, dtype=complex))
 
     def interior_projector(self) -> np.ndarray:
         """Projector onto states with n_x < N-1 and n_y < N-1 (both modes below
@@ -120,11 +115,26 @@ def coherent_state(
     return full / np.linalg.norm(full)
 
 
+def _check_acts_on(m: np.ndarray, size: int) -> None:
+    if m.shape != (size, size):
+        raise DimError(f"operator {m.shape} does not act on a state of size {size}")
+
+
 def expectation(m: np.ndarray, psi: np.ndarray) -> complex:
     """<psi| m |psi>."""
-    if m.shape != (psi.size, psi.size):
-        raise DimError(f"operator {m.shape} does not act on a state of size {psi.size}")
+    _check_acts_on(m, psi.size)
     return complex(np.vdot(psi, m @ psi))
+
+
+def _blocks(states: np.ndarray) -> Iterator[slice]:
+    for lo in range(0, len(states), BLOCK_ROWS):
+        yield slice(lo, lo + BLOCK_ROWS)
+
+
+def _expectations(m: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """<psi_k| m |psi_k> for every row psi_k of ``states``."""
+    _check_acts_on(m, states.shape[1])
+    return np.concatenate([np.vecdot(states[b], states[b] @ m.T) for b in _blocks(states)])
 
 
 @dataclass(frozen=True)
@@ -228,62 +238,20 @@ class DriftSeries:
     values: np.ndarray  # <I>(t), complex
     drift: np.ndarray  # <I>(t) - <I>(0)
     relative_max: float  # max |drift| / (|<I>(0)| + 1)
-    projection_overlap: np.ndarray | None
 
 
-def invariant_drift(
-    i_op: AffineOp | np.ndarray,
-    evolved: EvolvedState,
-    rep: FockRep | None = None,
-    projection_target: float | None = None,
-) -> DriftSeries:
-    """Measure <I>(t) - <I>(0) along the evolution.
-
-    Accepts a represented matrix or a time-dependent operator, represented
-    again only at samples where its coefficients change. With
-    projection_target set, also records the weight of the state inside the
-    eigenspace of I(t0) with eigenvalues within 1e-8 of the target.
-    """
-    times = evolved.times
-    if isinstance(i_op, np.ndarray):
-        mats = [i_op] * times.size
-    else:
-        if rep is None:
-            raise ValueError("rep is required to represent an operator")
-        mats = []
-        last_coeffs = None
-        for t in times:
-            coeffs = tuple(i_op.value(float(t)))
-            if coeffs != last_coeffs:
-                last_mat = represent(i_op.combine(coeffs), rep)
-                last_coeffs = coeffs
-            mats.append(last_mat)
-
-    values = np.array(
-        [expectation(m, s) for m, s in zip(mats, evolved.states)], dtype=complex
-    )
+def invariant_drift(i_mat: np.ndarray, evolved: EvolvedState) -> DriftSeries:
+    """Measure <I>(t) - <I>(0) along the evolution for a represented invariant."""
+    values = _expectations(i_mat, evolved.states)
     drift = values - values[0]
     rel = float(np.max(np.abs(drift)) / (abs(values[0]) + 1.0))
-
-    overlap = None
-    if projection_target is not None:
-        w, v = np.linalg.eigh(mats[0])
-        sel = np.abs(w - projection_target) <= 1e-8 * max(1.0, abs(projection_target))
-        basis = v[:, sel]
-        overlap = np.array(
-            [float(np.sum(np.abs(basis.conj().T @ s) ** 2)) for s in evolved.states]
-        )
-    return DriftSeries(
-        times=times, values=values, drift=drift, relative_max=rel, projection_overlap=overlap
-    )
+    return DriftSeries(times=evolved.times, values=values, drift=drift, relative_max=rel)
 
 
 def ehrenfest_rate_series(r_mat: np.ndarray, evolved: EvolvedState) -> np.ndarray:
     """Predicted d<I>/dt from the residual operator R = [I,H] + i dI/dt:
     the rate is -i <R> along the evolution (real for Hermitian I)."""
-    return np.array(
-        [(-1j * expectation(r_mat, s)).real for s in evolved.states]
-    )
+    return (-1j * _expectations(r_mat, evolved.states)).real
 
 
 def cumulative_trapezoid(times: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -295,42 +263,54 @@ def cumulative_trapezoid(times: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class UncertaintyResult:
-    product: float  # dA * dB
-    bound: float  # |<[A,B]>| / 2
-    margin: float  # product - bound
+class UncertaintyResult(NamedTuple):
+    """Robertson data dA*dB >= |<[A,B]>|/2, one entry per state."""
+
+    product: np.ndarray  # dA * dB
+    bound: np.ndarray  # |<[A,B]>| / 2
+    margin: np.ndarray  # product - bound
 
 
-def uncertainty_check_matrices(
-    psi: np.ndarray, a_mat: np.ndarray, b_mat: np.ndarray
-) -> UncertaintyResult:
-    """Robertson inequality data for two Hermitian matrices on one state."""
-    a_psi = a_mat @ psi
-    b_psi = b_mat @ psi
-    ea = np.vdot(psi, a_psi).real
-    eb = np.vdot(psi, b_psi).real
-    var_a = max(float(np.vdot(a_psi, a_psi).real - ea * ea), 0.0)
-    var_b = max(float(np.vdot(b_psi, b_psi).real - eb * eb), 0.0)
-    comm_exp = np.vdot(a_psi, b_psi) - np.vdot(b_psi, a_psi)
-    product = math.sqrt(var_a) * math.sqrt(var_b)
-    bound = 0.5 * abs(comm_exp)
-    return UncertaintyResult(product=product, bound=bound, margin=product - bound)
+def robertson(states: np.ndarray, a_psi: np.ndarray, b_psi: np.ndarray) -> UncertaintyResult:
+    """Robertson data of two Hermitian observables from their images A psi and
+    B psi, row by row. For Hermitian A and B, <[A,B]> = 2i Im<A psi|B psi>, so
+    the bound is |Im<A psi|B psi>| exactly."""
+    ea = np.vecdot(states, a_psi).real
+    eb = np.vecdot(states, b_psi).real
+    var_a = np.maximum(np.vecdot(a_psi, a_psi).real - ea * ea, 0.0)
+    var_b = np.maximum(np.vecdot(b_psi, b_psi).real - eb * eb, 0.0)
+    product = np.sqrt(var_a) * np.sqrt(var_b)
+    bound = np.abs(np.vecdot(a_psi, b_psi).imag)
+    return UncertaintyResult(product, bound, product - bound)
 
 
-def uncertainty_check(
-    psi: np.ndarray,
-    a: PhasePoly,
-    b: PhasePoly,
+def uncertainty_pairs(
     rep: FockRep,
-    herm_tol: float = 1e-10,
-) -> UncertaintyResult:
-    """Robertson inequality data for two Hermitian polynomial observables."""
-    for name, poly in (("A", a), ("B", b)):
-        defect = hermitian_defect(poly)
-        if defect > herm_tol:
-            raise ValueError(f"observable {name} is not Hermitian (defect {defect:.3e})")
-    return uncertainty_check_matrices(psi, represent(a, rep), represent(b, rep))
+    evolved: EvolvedState,
+    bopp_scales: Callable[[float], tuple[float, float]],
+) -> tuple[UncertaintyResult, UncertaintyResult, UncertaintyResult]:
+    """Robertson data of (x, px), (y, py) and the Bopp pair
+    (x - s_theta(t) py, px + s_eta(t) y) at every stored state, where
+    ``bopp_scales(t)`` gives (s_theta, s_eta).
+
+    Each block of rows is viewed as (rows, N^2, 2), so a mode operator acts on
+    the mode index directly; the coordinate images Z_c psi are computed once
+    per block and shared by the three pairs.
+    """
+    parts = []
+    for b in _blocks(evolved.states):
+        block = evolved.states[b]
+        rows = block.reshape(len(block), -1, 2)
+        z = {c: (op @ rows).reshape(block.shape) for c, op in rep.mode_ops.items()}
+        st, se = np.array([bopp_scales(float(t)) for t in evolved.times[b]]).T[..., None]
+        parts.append((
+            robertson(block, z[Coord.X], z[Coord.PX]),
+            robertson(block, z[Coord.Y], z[Coord.PY]),
+            robertson(block, z[Coord.X] - st * z[Coord.PY], z[Coord.PX] + se * z[Coord.Y]),
+        ))
+    return tuple(
+        UncertaintyResult(*map(np.concatenate, zip(*pair))) for pair in zip(*parts)
+    )
 
 
 def write_evolution_csv(

@@ -128,11 +128,6 @@ def closed_state(p: NCParams, t: float, xi3: complex = 0.0, xi4: complex = 0.0) 
     return np.array([x1, x2, complex(xi3), complex(xi4), g1, g2], dtype=complex)
 
 
-def xi_ode_rhs(p: NCParams, t: float) -> np.ndarray:
-    """System derivatives evaluated along the closed-form trajectory."""
-    return flow_rhs(p, t, closed_state(p, t))
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """RK4 trajectory with the closed-form values and deviations alongside."""
@@ -283,21 +278,6 @@ def assemble_solution(env: SpinorEnvelope, xi: XiFunctions):
         return np.stack(
             [env.F1(t) * phase, env.F2(t) * phase], axis=0
         )
-
-    return psi
-
-
-def superpose(evaluators: Sequence, coeffs: Sequence[complex]):
-    """Linear combination of spinor field evaluators with fixed coefficients."""
-    if len(evaluators) != len(coeffs):
-        raise ValueError("need one coefficient per evaluator")
-
-    def psi(x, y, t: float) -> np.ndarray:
-        acc = None
-        for c, f in zip(coeffs, evaluators):
-            term = c * f(x, y, t)
-            acc = term if acc is None else acc + term
-        return acc
 
     return psi
 

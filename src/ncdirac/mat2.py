@@ -24,15 +24,6 @@ for _m in (ID2, ZERO2, SIGMA1, SIGMA2, SIGMA3):
     _m.setflags(write=False)
 
 
-def mat(entries) -> Mat2:
-    """Coerce to an immutable 2x2 complex array."""
-    m = np.array(entries, dtype=complex)
-    if m.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    m.setflags(write=False)
-    return m
-
-
 def dagger(m: Mat2) -> Mat2:
     return m.conj().T
 
@@ -48,11 +39,6 @@ def commutator(a: Mat2, b: Mat2) -> Mat2:
 
 def anticommutator(a: Mat2, b: Mat2) -> Mat2:
     return a @ b + b @ a
-
-
-def herm_defect(m: Mat2) -> float:
-    """Frobenius distance from m to its conjugate transpose; 0 iff Hermitian."""
-    return fro(m - dagger(m))
 
 
 class PauliCoeffs(NamedTuple):
@@ -72,10 +58,6 @@ def pauli_decompose(m: Mat2) -> PauliCoeffs:
         c_2=complex(np.trace(SIGMA2 @ m)) / 2.0,
         c_3=complex(np.trace(SIGMA3 @ m)) / 2.0,
     )
-
-
-def pauli_compose(c: PauliCoeffs) -> Mat2:
-    return c.c_I * ID2 + c.c_1 * SIGMA1 + c.c_2 * SIGMA2 + c.c_3 * SIGMA3
 
 
 @dataclass(frozen=True)

@@ -130,14 +130,21 @@ def symplectic_form(p: NCParams) -> SymplecticForm:
 BoppBuilder = Callable[[NCParams, Coord, float], PhasePoly]
 
 
+def bopp_scales(p: NCParams, t: float) -> tuple[float, float]:
+    """Mixing coefficients (s_theta, s_eta) = (theta(t)/2hbar, eta(t)/2hbar)
+    of the Bopp shift at time t."""
+    return 0.5 * theta_of_t(p, t) / p.hbar, 0.5 * eta_of_t(p, t) / p.hbar
+
+
 def bopp_shift(p: NCParams, which: Coord, t: float) -> PhasePoly:
     """Deformed coordinate/momentum as a linear polynomial in the canonical ones.
 
-    x_nc  = x  - (theta*e^{gamma t}/2hbar) py      px_nc = px + (eta*e^{-gamma t}/2hbar) y
-    y_nc  = y  + (theta*e^{gamma t}/2hbar) px      py_nc = py - (eta*e^{-gamma t}/2hbar) x
+    x_nc  = x  - s_theta(t) py      px_nc = px + s_eta(t) y
+    y_nc  = y  + s_theta(t) px      py_nc = py - s_eta(t) x
+
+    with (s_theta, s_eta) from ``bopp_scales``.
     """
-    st = 0.5 * theta_of_t(p, t) / p.hbar
-    se = 0.5 * eta_of_t(p, t) / p.hbar
+    st, se = bopp_scales(p, t)
     shift = {
         Coord.X: (Coord.PY, -st),
         Coord.Y: (Coord.PX, +st),

@@ -5,6 +5,7 @@ Shared evolutions are session-cached fixtures so the suite stays desk-scale.
 """
 
 import cmath
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ import pytest
 from ncdirac import fockevolve, invariant, lrsolve, mat2, ncmodel
 from ncdirac.invariant import constant_invariant
 from ncdirac.ncmodel import NCParams
-from ncdirac.phasepoly import Coord
 
 COMMUTATIVE = NCParams()
 NC_STATIC = NCParams(theta=0.1, eta=0.05, gamma=0.0)
@@ -205,25 +205,13 @@ def test_criterion_10_uncertainty_inequality(commutative_run, nc_run):
     worst_margin = np.inf
     worst_bound_dev = 0.0
     for (rep, _, evolved), p in ((commutative_run, COMMUTATIVE), (nc_run, NC_DYNAMIC)):
-        heff = ncmodel.hbar_eff(p)
-        xm = rep.coordinate_matrix(Coord.X)
-        ym = rep.coordinate_matrix(Coord.Y)
-        pxm = rep.coordinate_matrix(Coord.PX)
-        pym = rep.coordinate_matrix(Coord.PY)
-        for k, t in enumerate(evolved.times):
-            s = evolved.states[k]
-            st = 0.5 * ncmodel.theta_of_t(p, float(t)) / p.hbar
-            se = 0.5 * ncmodel.eta_of_t(p, float(t)) / p.hbar
-            checks = (
-                fockevolve.uncertainty_check_matrices(s, xm, pxm),
-                fockevolve.uncertainty_check_matrices(s, ym, pym),
-                fockevolve.uncertainty_check_matrices(s, xm - st * pym, pxm + se * ym),
-            )
-            for r in checks:
-                worst_margin = min(worst_margin, r.margin)
-                assert r.margin >= -1e-9
-            assert abs(checks[2].bound - 0.5 * heff) <= 1e-6
-            worst_bound_dev = max(worst_bound_dev, abs(checks[2].bound - 0.5 * heff))
+        pairs = fockevolve.uncertainty_pairs(rep, evolved, partial(ncmodel.bopp_scales, p))
+        for r in pairs:
+            worst_margin = min(worst_margin, float(r.margin.min()))
+            assert np.all(r.margin >= -1e-9)
+        bound_dev = float(np.max(np.abs(pairs[2].bound - 0.5 * ncmodel.hbar_eff(p))))
+        assert bound_dev <= 1e-6
+        worst_bound_dev = max(worst_bound_dev, bound_dev)
     _report(
         "10 uncertainty",
         f"min margin {worst_margin:.2e}, nc bound within {worst_bound_dev:.2e} of hbar_eff/2",

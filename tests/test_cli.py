@@ -210,6 +210,12 @@ def test_bad_values_exit_2(tmp_path):
         ("invariant", "--theta=nan", "--gamma=0.2"),
         ("evolve", "--t1=nan"),
         ("xi", "--eta=inf"),
+        # a time profile or kappa = exp(q2 - q1) beyond the float range
+        ("invariant", "--gamma=800", "--theta=0.1", "--eta=0.05"),
+        ("evolve", "--gamma=800", "--theta=0.1", "--eta=0.05"),
+        ("verify-algebra", "--gamma=30", "--t1=30", "--theta=0.1", "--eta=0.05"),
+        ("xi", "--q2=800"),
+        ("xi", "--q1=-800"),
     ],
 )
 def test_non_finite_or_oversized_step_exits_2(tmp_path, argv):

@@ -1,6 +1,8 @@
 """Truncated representation, unitary evolution, drift and uncertainty checks."""
 
 import cmath
+import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,14 +18,18 @@ from ncdirac.fockevolve import (
     expectation,
     invariant_drift,
     represent,
-    uncertainty_check,
-    uncertainty_check_matrices,
+    robertson,
+    uncertainty_pairs,
 )
-from ncdirac.mat2 import ID2, SIGMA2
+from ncdirac.mat2 import ID2
 from ncdirac.ncmodel import NCParams
 from ncdirac.phasepoly import AffineOp, Coord, PhasePoly, SymplecticForm, commutator
 
 COMMUTATIVE = NCParams()
+
+
+def coordinate(c, rep):
+    return represent(PhasePoly.monomial(ID2, c), rep)
 
 
 def test_build_rep_validation():
@@ -51,19 +57,19 @@ def test_tracked_energy_feeds_phase_integral():
 def test_coordinate_matrices_hermitian():
     rep = build_fock_rep(5, 0.7, 1.3)
     for c in Coord:
-        m = rep.coordinate_matrix(c)
+        m = coordinate(c, rep)
         assert np.max(np.abs(m - m.conj().T)) <= 1e-15
 
 
 def test_vacuum_moments():
     rep = build_fock_rep(6, 0.7)
     vac = coherent_state(rep)
-    x_mat = rep.coordinate_matrix(Coord.X)
+    x_mat = coordinate(Coord.X, rep)
     assert abs(expectation(x_mat, vac)) <= 1e-15
     # <0|x^2|0> = ell^2 / 2, ladder-algebra oracle
     assert expectation(x_mat @ x_mat, vac).real == pytest.approx(0.7**2 / 2.0, abs=1e-14)
     # diagonal of px vanishes in the number basis
-    px_mat = rep.coordinate_matrix(Coord.PX)
+    px_mat = coordinate(Coord.PX, rep)
     assert np.max(np.abs(np.diag(px_mat))) == 0.0
 
 
@@ -212,19 +218,16 @@ def test_invariant_drift_constrained_small():
     psi0 = coherent_state(rep)
     ev = evolve(h, rep, psi0, np.linspace(0.0, 1.0, 501))
     ans = invariant.constant_invariant(1.0, 0.0, 0.0, -0.5, 0.0)
-    d = invariant_drift(ans, ev, rep)
+    d = invariant_drift(represent(ans.at(0.0), rep), ev)
     assert d.relative_max <= 1e-6
 
 
-def test_invariant_drift_projection_overlap():
-    rep = build_fock_rep(5, 1.0)
+def test_invariant_drift_checks_dimension():
+    rep = build_fock_rep(3, 1.0)
     h = ncmodel.build_h_nc(COMMUTATIVE)
-    i_mat = np.eye(rep.dim)
-    psi0 = coherent_state(rep)
-    ev = evolve(h, rep, psi0, np.linspace(0.0, 0.2, 21))
-    d = invariant_drift(i_mat, ev, projection_target=1.0)
-    assert d.projection_overlap is not None
-    assert np.allclose(d.projection_overlap, 1.0, atol=1e-10)
+    ev = evolve(h, rep, coherent_state(rep), np.linspace(0.0, 0.1, 11))
+    with pytest.raises(DimError):
+        invariant_drift(np.eye(rep.dim + 2), ev)
 
 
 def test_unconstrained_drift_matches_ehrenfest_rate():
@@ -251,9 +254,7 @@ def test_unconstrained_drift_matches_ehrenfest_rate():
 def test_uncertainty_ground_state_saturation():
     rep = build_fock_rep(8, 1.3)
     vac = coherent_state(rep)
-    r = uncertainty_check(
-        vac, PhasePoly.monomial(ID2, Coord.X), PhasePoly.monomial(ID2, Coord.PX), rep
-    )
+    r = robertson(vac, coordinate(Coord.X, rep) @ vac, coordinate(Coord.PX, rep) @ vac)
     assert r.product == pytest.approx(0.5, abs=1e-12)
     assert r.bound == pytest.approx(0.5, abs=1e-12)
     assert abs(r.margin) <= 1e-12
@@ -262,36 +263,48 @@ def test_uncertainty_ground_state_saturation():
 def test_uncertainty_commuting_pair():
     rep = build_fock_rep(6, 1.0)
     psi = coherent_state(rep, alpha_x=0.3, alpha_y=0.4)
-    r = uncertainty_check(
-        psi, PhasePoly.monomial(ID2, Coord.X), PhasePoly.monomial(ID2, Coord.Y), rep
-    )
+    r = robertson(psi, coordinate(Coord.X, rep) @ psi, coordinate(Coord.Y, rep) @ psi)
     assert r.bound <= 1e-13
     assert r.margin >= -1e-13
 
 
-def test_uncertainty_rejects_non_hermitian():
-    rep = build_fock_rep(4, 1.0)
-    vac = coherent_state(rep)
-    bad = PhasePoly.monomial(1j * SIGMA2 + ID2, Coord.X)
-    with pytest.raises(ValueError):
-        uncertainty_check(vac, bad, PhasePoly.monomial(ID2, Coord.PX), rep)
+def dense_robertson(psi, a, b):
+    """Robertson data straight from the matrices: (product, bound) from the
+    variances <A^2> - <A>^2 and the commutator matrix AB - BA."""
+    var_a = expectation(a @ a, psi).real - expectation(a, psi).real ** 2
+    var_b = expectation(b @ b, psi).real - expectation(b, psi).real ** 2
+    product = math.sqrt(max(var_a, 0.0)) * math.sqrt(max(var_b, 0.0))
+    return product, 0.5 * abs(expectation(a @ b - b @ a, psi))
 
 
 def test_uncertainty_bopp_pair_bound_matches_hbar_eff():
+    # the blocked image pass against the dense route, which shares no code
+    # with it: represent each shifted operator on its own and take moments
     p = NCParams(theta=0.1, eta=0.05, gamma=0.2)
     rep = build_fock_rep(10, lrsolve.magnetic_length(p))
     h = ncmodel.build_h_nc(p)
     psi0 = coherent_state(rep)
     times = np.linspace(0.0, 1.0, 101)
     ev = evolve(h, rep, psi0, times)
+    pairs = uncertainty_pairs(rep, ev, partial(ncmodel.bopp_scales, p))
     heff = ncmodel.hbar_eff(p)
-    for k in range(0, times.size, 20):
+    for k in (0, 20, 40, 63, 64, 80, 100):  # both sides of the first block edge
         t = float(times[k])
-        a = represent(ncmodel.bopp_shift(p, Coord.X, t), rep)
-        b = represent(ncmodel.bopp_shift(p, Coord.PX, t), rep)
-        r = uncertainty_check_matrices(ev.states[k], a, b)
-        assert r.bound == pytest.approx(0.5 * heff, abs=1e-6)
-        assert r.margin >= -1e-9
+        s = ev.states[k]
+        dense_pairs = (
+            (coordinate(Coord.X, rep), coordinate(Coord.PX, rep)),
+            (coordinate(Coord.Y, rep), coordinate(Coord.PY, rep)),
+            (
+                represent(ncmodel.bopp_shift(p, Coord.X, t), rep),
+                represent(ncmodel.bopp_shift(p, Coord.PX, t), rep),
+            ),
+        )
+        for got, (a, b) in zip(pairs, dense_pairs):
+            product, bound = dense_robertson(s, a, b)
+            assert abs(got.bound[k] - bound) <= 1e-12
+            assert abs(got.margin[k] - (product - bound)) <= 1e-12
+        assert pairs[2].bound[k] == pytest.approx(0.5 * heff, abs=1e-6)
+        assert pairs[2].margin[k] >= -1e-9
 
 
 def test_truncation_scaling_of_constrained_drift():

@@ -18,11 +18,9 @@ from ncdirac.lrsolve import (
     flow_rhs,
     integrate_rk4,
     lr_phase,
-    superpose,
     theta_phase,
     trial_residual,
     xi_closed,
-    xi_ode_rhs,
 )
 from ncdirac.ncmodel import NCParams
 
@@ -80,12 +78,12 @@ def test_xi_closed_requires_mass():
 
 
 def test_xi_ode_rhs_values():
-    rhs = xi_ode_rhs(COMMUTATIVE, 0.0)
+    rhs = flow_rhs(COMMUTATIVE, 0.0, closed_state(COMMUTATIVE, 0.0))
     assert rhs[0] == pytest.approx(-0.5j, abs=1e-15)  # d xi1/dt
     assert rhs[2] == 0.0 and rhs[3] == 0.0  # d xi3, d xi4
     for p in ALL_PARAMS:
         for t in (0.0, 0.7, 2.1):
-            r = xi_ode_rhs(p, t)
+            r = flow_rhs(p, t, closed_state(p, t))
             assert abs(r[0] - 1j * r[1]) <= 1e-14 * max(1.0, abs(r[0]))
 
 
@@ -95,7 +93,7 @@ def test_closed_form_satisfies_ode():
     for p in ALL_PARAMS:
         for t in (0.05, 0.5, 1.5, 3.0):
             fd = (closed_state(p, t + h) - closed_state(p, t - h)) / (2.0 * h)
-            an = xi_ode_rhs(p, t)
+            an = flow_rhs(p, t, closed_state(p, t))
             scale = np.maximum(np.abs(an), 1.0)
             assert np.max(np.abs(fd - an) / scale) <= 1e-6
 
@@ -214,15 +212,6 @@ def test_component_modulus_ratio_constant():
             v = psi(x, y, t)
             ratio = abs(v[0]) ** 2 / abs(v[1]) ** 2
             assert ratio == pytest.approx(expected, rel=1e-12)
-
-
-def test_superpose_linearity():
-    p = COMMUTATIVE
-    psi = assemble_solution(envelope(p), closed_xi(p))
-    combo = superpose([psi, psi], [0.25, 0.75])
-    v = psi(0.3, 0.4, 0.5)
-    w = combo(0.3, 0.4, 0.5)
-    assert np.allclose(w, v, atol=1e-15)
 
 
 def _fd_residual(p, env, xi, x, y, t, h=1e-6):

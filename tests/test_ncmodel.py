@@ -85,6 +85,15 @@ def test_bopp_shift_values():
     assert residual_norm(px_nc - expected2) <= 1e-16
 
 
+def test_bopp_scales_values():
+    # closed forms: theta e^{gamma t} / 2 hbar and eta e^{-gamma t} / 2 hbar
+    p = NCParams(theta=0.1, eta=0.05, gamma=0.2, hbar=2.0)
+    s_theta, s_eta = ncmodel.bopp_scales(p, 1.5)
+    assert s_theta == pytest.approx(0.1 * math.exp(0.3) / 4.0, rel=1e-15)
+    assert s_eta == pytest.approx(0.05 * math.exp(-0.3) / 4.0, rel=1e-15)
+    assert ncmodel.bopp_scales(NCParams(), 3.0) == (0.0, 0.0)
+
+
 def test_verify_nc_algebra_values():
     p = NCParams(theta=0.1, eta=0.05, gamma=0.2)
     report = ncmodel.verify_nc_algebra(p, [1.0])
