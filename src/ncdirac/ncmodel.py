@@ -169,10 +169,13 @@ class DeformedAlgebraReport:
 
     @property
     def max_deviation(self) -> float:
-        return max(c.deviation for c in self.checks)
+        """Largest deviation; NaN when any deviation is NaN."""
+        devs = [c.deviation for c in self.checks]
+        return math.nan if any(map(math.isnan, devs)) else max(devs)
 
     def passed(self, tol: float = 1e-13) -> bool:
-        return self.max_deviation <= tol
+        """True when every deviation is finite and at most ``tol``."""
+        return math.isfinite(self.max_deviation) and self.max_deviation <= tol
 
     def as_dict(self) -> dict:
         return {

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from ncdirac import fockevolve, ncmodel
 from ncdirac.cli import main
 
 FAST = [
@@ -51,6 +52,21 @@ def test_verify_algebra_corrupted_bopp_fails(tmp_path):
     assert report["pass"] is False
     assert report["worst_commutator"]["deviation"] > 1e-12
     assert report["worst_commutator"]["pair"].startswith("[")
+
+
+def test_verify_algebra_nan_deviation_fails(tmp_path, monkeypatch):
+    real = ncmodel.verify_nc_algebra
+
+    def with_nan(*args, **kwargs):
+        checks = list(real(*args, **kwargs).checks)
+        checks[3] = ncmodel.CommutatorCheck(checks[3].t, checks[3].pair, 0j, float("nan"))
+        return ncmodel.DeformedAlgebraReport(checks=tuple(checks))
+
+    monkeypatch.setattr(ncmodel, "verify_nc_algebra", with_nan)
+    assert run(tmp_path, "verify-algebra") == 1
+    report = json.loads((tmp_path / "algebra_report.json").read_text())
+    assert report["pass"] is False
+    assert report["worst_commutator"]["pair"] == "[y_nc,py_nc]"
 
 
 def test_invariant_commutative(tmp_path):
@@ -220,6 +236,30 @@ def test_bad_values_exit_2(tmp_path):
 )
 def test_non_finite_or_oversized_step_exits_2(tmp_path, argv):
     assert run(tmp_path, *argv) == 2
+    assert not list(tmp_path.iterdir())
+
+
+def test_dense_bytes_estimate():
+    # 7 complex matrices of dimension 2 N^2 plus the stored states
+    assert fockevolve.dense_bytes(16, 5) == 16 * 512 * (7 * 512 + 5)
+    assert fockevolve.dense_bytes(16, 1001) - fockevolve.dense_bytes(16, 1) == 16 * 512 * 1000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--fock_N=20000",),  # one generator matrix alone is about 9e18 bytes
+        ("--fock_N=8", "--t1=1e9", "--dt=1e-3"),  # 1e12 stored states
+    ],
+)
+def test_evolve_beyond_physical_memory_exits_2(tmp_path, monkeypatch, capsys, argv):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("evolve allocated before checking its memory")
+
+    monkeypatch.setattr(fockevolve, "build_fock_rep", no_allocation)
+    monkeypatch.setattr(np, "arange", no_allocation)
+    assert run(tmp_path, "evolve", *argv) == 2
+    assert "config error:" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

@@ -17,6 +17,7 @@ from ncdirac.fockevolve import (
     evolve,
     expectation,
     invariant_drift,
+    krylov_step,
     represent,
     robertson,
     uncertainty_pairs,
@@ -166,6 +167,70 @@ def test_time_constant_generator_is_diagonalized_once(monkeypatch):
     h = ncmodel.build_h_commutative(COMMUTATIVE)
     evolve(h, rep, coherent_state(rep), np.linspace(0.0, 0.5, 51), track_energy=True)
     assert len(calls) == 1
+
+
+def dense_matrix(poly, rep):
+    """The represented matrix of a degree-<=1 polynomial from one kron per
+    term, sharing no code with ``represent``."""
+    out = np.kron(np.eye(rep.N * rep.N), poly.const_term)
+    for c in Coord:
+        out = out + np.kron(rep.mode_ops[c], poly.linear_term(c))
+    return out
+
+
+def dense_exponential(g, psi, dt):
+    w, v = np.linalg.eigh(g)
+    return v @ (np.exp(-1j * w * dt) * (v.conj().T @ psi))
+
+
+def td_generator():
+    p = NCParams(theta=0.1, eta=0.05, gamma=0.2)
+    rep = build_fock_rep(8, lrsolve.magnetic_length(p))
+    return dense_matrix(ncmodel.build_h_nc(p).at(0.37), rep), coherent_state(rep, alpha_x=1.0)
+
+
+def random_hermitian():
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=(120, 120)) + 1j * rng.normal(size=(120, 120))
+    psi = rng.normal(size=120) + 1j * rng.normal(size=120)
+    return a + a.conj().T, psi / np.linalg.norm(psi)
+
+
+@pytest.mark.parametrize(
+    "case, norm_dt",
+    [(td_generator, 1e-2), (random_hermitian, 100.0)],
+)
+def test_krylov_step_matches_dense_exponential(case, norm_dt):
+    # the second case needs far more than KRYLOV_MAX vectors in one step,
+    # so it exercises the sub-stepping
+    g, psi = case()
+    dt = norm_dt / np.linalg.norm(g, 2)
+    got = krylov_step(g, psi, dt)
+    assert np.max(np.abs(got - dense_exponential(g, psi, dt))) <= 1e-12
+    assert abs(np.linalg.norm(got) - 1.0) <= 1e-13
+
+
+def test_time_dependent_evolve_matches_dense_reference():
+    # oracle: dense V exp(-i w dt) V^dag at every midpoint and the
+    # nearest-eigenvalue rule on full decompositions, written out here
+    p = NCParams(theta=0.1, eta=0.05, gamma=0.2)
+    rep = build_fock_rep(8, lrsolve.magnetic_length(p))
+    h = ncmodel.build_h_nc(p)
+    psi = coherent_state(rep, alpha_x=1.0)
+    times = np.linspace(0.0, 1.0, 21)
+    dt = times[1] - times[0]
+    ev = evolve(h, rep, psi, times, track_energy=True)
+
+    w, v = np.linalg.eigh(dense_matrix(h.at(0.0), rep))
+    energy = [w[np.argmax(np.abs(v.conj().T @ psi) ** 2)]]
+    states = [psi]
+    for t in times[:-1]:
+        psi = dense_exponential(dense_matrix(h.at(t + 0.5 * dt), rep), psi, dt)
+        states.append(psi)
+        w = np.linalg.eigh(dense_matrix(h.at(t + dt), rep))[0]
+        energy.append(w[np.argmin(np.abs(w - energy[-1]))])
+    assert np.max(np.abs(ev.states - np.array(states))) <= 1e-12
+    assert np.max(np.abs(ev.energy - np.array(energy))) <= 1e-12
 
 
 def test_evolve_norm_preservation():

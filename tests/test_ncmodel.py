@@ -94,6 +94,18 @@ def test_bopp_scales_values():
     assert ncmodel.bopp_scales(NCParams(), 3.0) == (0.0, 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_algebra_report_fails_on_non_finite_deviation(bad):
+    # the non-finite deviation is not the first check, where max() would drop a NaN
+    checks = tuple(
+        ncmodel.CommutatorCheck(t=0.0, pair=pair, expected=0j, deviation=dev)
+        for pair, dev in (("[x_nc,y_nc]", 1e-16), ("[x_nc,px_nc]", bad), ("[y_nc,py_nc]", 0.0))
+    )
+    report = ncmodel.DeformedAlgebraReport(checks=checks)
+    assert not report.passed()
+    assert not report.max_deviation <= 1e-13
+
+
 def test_verify_nc_algebra_values():
     p = NCParams(theta=0.1, eta=0.05, gamma=0.2)
     report = ncmodel.verify_nc_algebra(p, [1.0])
