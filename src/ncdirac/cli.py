@@ -177,13 +177,27 @@ def _out_dir(cfg: RunConfig) -> Path:
     return d
 
 
-def _write_json(cfg: RunConfig, name: str, payload: dict) -> None:
-    if "json" not in cfg.emit_formats():
-        return
-    path = _out_dir(cfg) / name
+def _finite_or_null(value):
+    """``value`` with every non-finite float replaced by None (JSON null)."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
+def _dump_json(path: Path, payload: dict) -> None:
+    """Strict JSON: a NaN or infinity is written as null, never as a bare token."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_finite_or_null(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
+
+
+def _write_json(cfg: RunConfig, name: str, payload: dict) -> None:
+    if "json" in cfg.emit_formats():
+        _dump_json(_out_dir(cfg) / name, payload)
 
 
 # -- verify-algebra ------------------------------------------------------------
@@ -467,9 +481,7 @@ def cmd_report(cfg: RunConfig) -> int:
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "sections": sections,
     }
-    with open(out / "run_summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _dump_json(out / "run_summary.json", summary)
     print(f"run summary written with {len(sections)} sections")
     return 0
 

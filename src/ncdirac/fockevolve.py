@@ -146,12 +146,6 @@ def _check_acts_on(m: np.ndarray, size: int) -> None:
         raise DimError(f"operator {m.shape} does not act on a state of size {size}")
 
 
-def expectation(m: np.ndarray, psi: np.ndarray) -> complex:
-    """<psi| m |psi>."""
-    _check_acts_on(m, psi.size)
-    return complex(np.vdot(psi, m @ psi))
-
-
 def _blocks(states: np.ndarray) -> Iterator[slice]:
     for lo in range(0, len(states), BLOCK_ROWS):
         yield slice(lo, lo + BLOCK_ROWS)
@@ -248,12 +242,14 @@ def evolve(
     """Midpoint-sampled exponential stepping psi_{k+1} = exp(-i H(t_mid) dt) psi_k.
 
     Every step is unitary to machine precision; dt controls only the
-    time-ordering error. A generator whose coefficients repeat those of the
-    held decomposition or of the previous step is diagonalized once
-    (Hermitian eigendecomposition) and its dense step propagator reused; any
-    other step is a Krylov step (``krylov_step``). The energy tracker
-    shares the held decomposition; at a sample with other coefficients it
-    needs eigenvalues only.
+    time-ordering error. The choice of propagator is made once per run, from
+    the coefficients of H at every sample and every midpoint: a generator
+    that is constant over the grid is diagonalized once (Hermitian
+    eigendecomposition) and its dense step propagator reused; a changing one
+    takes a Krylov step (``krylov_step``) at every midpoint. The energy
+    tracker starts from the eigenvalue of largest overlap at t0; after that
+    it follows the nearest eigenvalue, which for a changing generator needs
+    eigenvalues only.
     """
     ts = np.asarray(t_grid, dtype=float)
     dt = _check_uniform(ts)
@@ -268,51 +264,26 @@ def evolve(
     states = np.zeros((n_t, rep.dim), dtype=complex)
     states[0] = psi
     energy = np.zeros(n_t) if track_energy else None
+    samples = [tuple(h.value(float(t))) for t in ts]
+    mids = [tuple(h.value(float(t) + 0.5 * dt)) for t in ts[:-1]]
+    constant = all(c == samples[0] for c in samples + mids)
 
-    def generator(coeffs: tuple) -> np.ndarray:
-        return represent(h.combine(coeffs), rep)
-
-    # the held decomposition's coefficients, the decomposition, its step propagator
-    held_coeffs, held_eig, held_u = None, None, None
-
-    def decomposition(coeffs: tuple) -> tuple[np.ndarray, np.ndarray]:
-        nonlocal held_coeffs, held_eig, held_u
-        if coeffs != held_coeffs:
-            held_eig = np.linalg.eigh(generator(coeffs))
-            held_coeffs, held_u = coeffs, None
-        return held_eig
-
-    e_prev = 0.0
-
-    def tracked_energy(t: float) -> float:
-        nonlocal e_prev
-        coeffs = tuple(h.value(t))
-        if coeffs == held_coeffs:
-            w = held_eig[0]
-        else:
-            w = np.linalg.eigvalsh(generator(coeffs))
-        e_prev = float(w[int(np.argmin(np.abs(w - e_prev)))])
-        return e_prev
-
+    if constant or track_energy:
+        w, v = np.linalg.eigh(represent(h.combine(samples[0]), rep))
     if track_energy:
-        w, v = decomposition(tuple(h.value(float(ts[0]))))
-        overlaps = np.abs(v.conj().T @ psi) ** 2
-        e_prev = energy[0] = float(w[int(np.argmax(overlaps))])
-
-    prev_coeffs = None
+        energy[0] = w[int(np.argmax(np.abs(v.conj().T @ psi) ** 2))]
+    if constant:
+        u = (v * np.exp(-1j * w * dt)) @ v.conj().T
     for k in range(n_t - 1):
-        coeffs = tuple(h.value(float(ts[k]) + 0.5 * dt))
-        if coeffs in (held_coeffs, prev_coeffs):
-            w, v = decomposition(coeffs)
-            if held_u is None:
-                held_u = (v * np.exp(-1j * w * dt)) @ v.conj().T
-            psi = held_u @ psi
+        if constant:
+            psi = u @ psi
         else:
-            psi = krylov_step(generator(coeffs), psi, dt)
-        prev_coeffs = coeffs
+            psi = krylov_step(represent(h.combine(mids[k]), rep), psi, dt)
         states[k + 1] = psi
         if track_energy:
-            energy[k + 1] = tracked_energy(float(ts[k + 1]))
+            if not constant:
+                w = np.linalg.eigvalsh(represent(h.combine(samples[k + 1]), rep))
+            energy[k + 1] = w[int(np.argmin(np.abs(w - energy[k])))]
 
     norms = np.linalg.norm(states, axis=1)
     return EvolvedState(

@@ -24,7 +24,6 @@ from .phasepoly import (
     PhasePoly,
     SymplecticForm,
     commutator as ps_commutator,
-    hermitian_defect,
 )
 
 CONSTRAINT_LABELS = tuple(f"25{c}" for c in "abcdefghijklmno")
@@ -72,10 +71,6 @@ class ConstraintResidualSet:
     def __post_init__(self):
         if tuple(self.residuals.keys()) != CONSTRAINT_LABELS:
             raise ValueError("constraint residual labels must be exactly 25a..25o")
-
-    @property
-    def max_norm(self) -> float:
-        return max(mat2.fro(m) for m in self.residuals.values())
 
     def norm(self, label: str) -> float:
         return mat2.fro(self.residuals[label])
@@ -210,11 +205,6 @@ def solve_constant_invariant(
         nullspace=null_basis,
         note=note,
     )
-
-
-def hermiticity_defect(ans: AffineOp, t: float) -> float:
-    """Assembled-polynomial Hermiticity defect at time t."""
-    return hermitian_defect(ans.at(t))
 
 
 def spin_independence_defect(ans: AffineOp, t: float) -> float:

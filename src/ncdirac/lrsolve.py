@@ -14,7 +14,7 @@ import cmath
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,30 +30,11 @@ def magnetic_length(p: NCParams) -> float:
     return 1.0 / math.sqrt(eb)
 
 
-@dataclass(frozen=True)
-class SpinorEnvelope:
-    """Two-component envelope with constant moduli e^{q1}, e^{q2}."""
-
-    F1: Callable[[float], complex]
-    F2: Callable[[float], complex]
-    q1: float
-    q2: float
-
-
 def f_closed(p: NCParams, t: float) -> tuple[complex, complex]:
     """Envelope components F1 = e^{-i m t + q1}, F2 = e^{+i m t + q2}."""
     return (
         cmath.exp(complex(p.q1, -p.m * t)),
         cmath.exp(complex(p.q2, p.m * t)),
-    )
-
-
-def envelope(p: NCParams) -> SpinorEnvelope:
-    return SpinorEnvelope(
-        F1=lambda t: f_closed(p, t)[0],
-        F2=lambda t: f_closed(p, t)[1],
-        q1=p.q1,
-        q2=p.q2,
     )
 
 
@@ -73,26 +54,6 @@ def xi_closed(p: NCParams, t: float) -> tuple[complex, complex]:
     )
     xi1 = -1j * (term_b + term_eta)
     return xi1, xi1 / 1j
-
-
-@dataclass(frozen=True)
-class XiFunctions:
-    """Phase-exponent coefficients: xi1, xi2 as functions of t; xi3, xi4 constant."""
-
-    xi1: Callable[[float], complex]
-    xi2: Callable[[float], complex]
-    xi3: complex
-    xi4: complex
-
-
-def closed_xi(p: NCParams, xi3: complex = 0.0, xi4: complex = 0.0) -> XiFunctions:
-    xi_closed(p, 0.0)  # surfaces SingularParameterError early
-    return XiFunctions(
-        xi1=lambda t: xi_closed(p, t)[0],
-        xi2=lambda t: xi_closed(p, t)[1],
-        xi3=complex(xi3),
-        xi4=complex(xi4),
-    )
 
 
 # -- ODE system ---------------------------------------------------------------
@@ -136,10 +97,6 @@ class Trajectory:
     states: np.ndarray  # (n, 6) complex, integrated
     closed: np.ndarray  # (n, 6) complex, closed forms
     max_deviation: dict[str, float]
-
-    def deviation(self, name: str) -> np.ndarray:
-        k = _IDX[name]
-        return np.abs(self.states[:, k] - self.closed[:, k])
 
 
 def integrate_rk4(
@@ -206,15 +163,14 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 # -- phases and assembled solution --------------------------------------------
 
 
-def theta_phase(xi: XiFunctions, x: float, y: float, t: float) -> complex:
+def theta_phase(p: NCParams, x: float, y: float, t: float) -> complex:
     """Coordinate part of the accumulated phase:
     (xi1(0)-xi1(t)) x + (xi2(0)-xi2(t)) y + (xi3(0)-xi3(t)) x^2 + (xi4(0)-xi4(t)) y^2.
 
     The quadratic differences vanish identically because xi3, xi4 are constant.
     """
-    d1 = xi.xi1(0.0) - xi.xi1(t)
-    d2 = xi.xi2(0.0) - xi.xi2(t)
-    return d1 * x + d2 * y  # xi3, xi4 constant -> quadratic terms cancel
+    (a1, a2), (b1, b2) = xi_closed(p, 0.0), xi_closed(p, t)
+    return (a1 - b1) * x + (a2 - b2) * y  # xi3, xi4 constant -> quadratic terms cancel
 
 
 def energy_integral(
@@ -258,32 +214,26 @@ def lr_phase(
     return theta - integral
 
 
-def assemble_solution(env: SpinorEnvelope, xi: XiFunctions):
+def assemble_solution(p: NCParams, xi3: complex = 0.0, xi4: complex = 0.0):
     """Spinor field evaluator
-    psi(x, y, t) = (F1(t), F2(t))^T * exp[i(xi1 x + xi2 y + xi3 x^2 + xi4 y^2)].
+    psi(x, y, t) = (F1(t), F2(t))^T * exp[i(xi1 x + xi2 y + xi3 x^2 + xi4 y^2)]
+    from the closed forms, with constant xi3, xi4.
 
     x and y may be arrays; the result broadcasts to shape (2,) + shape(x).
     """
 
     def psi(x, y, t: float) -> np.ndarray:
-        phase = np.exp(
-            1j
-            * (
-                xi.xi1(t) * np.asarray(x)
-                + xi.xi2(t) * np.asarray(y)
-                + xi.xi3 * np.asarray(x) ** 2
-                + xi.xi4 * np.asarray(y) ** 2
-            )
-        )
-        return np.stack(
-            [env.F1(t) * phase, env.F2(t) * phase], axis=0
-        )
+        x, y = np.asarray(x), np.asarray(y)
+        xi1, xi2 = xi_closed(p, t)
+        phase = np.exp(1j * (xi1 * x + xi2 * y + xi3 * x**2 + xi4 * y**2))
+        f1, f2 = f_closed(p, t)
+        return np.stack([f1 * phase, f2 * phase], axis=0)
 
     return psi
 
 
 def trial_residual(
-    p: NCParams, env: SpinorEnvelope, xi: XiFunctions, x: float, y: float, t: float
+    p: NCParams, x: float, y: float, t: float, xi3: complex = 0.0, xi4: complex = 0.0
 ) -> np.ndarray:
     """Diagnostic: pointwise i d(psi)/dt - H psi for the assembled solution.
 
@@ -291,15 +241,14 @@ def trial_residual(
     The value is reported, not asserted; the first component vanishes
     identically when xi3 = xi4 = 0, the second generally does not.
     """
-    x1 = xi.xi1(t)
-    x2 = xi.xi2(t)
-    g1, g2 = env.F1(t), env.F2(t)
+    x1, x2 = xi_closed(p, t)
+    g1, g2 = f_closed(p, t)
     fe = f_eta(p, t)
     ft = f_theta(p, t)
-    phase = cmath.exp(1j * (x1 * x + x2 * y + xi.xi3 * x * x + xi.xi4 * y * y))
+    phase = cmath.exp(1j * (x1 * x + x2 * y + xi3 * x * x + xi4 * y * y))
     # momenta applied to the exponential
-    px_val = x1 + 2.0 * xi.xi3 * x
-    py_val = x2 + 2.0 * xi.xi4 * y
+    px_val = x1 + 2.0 * xi3 * x
+    py_val = x2 + 2.0 * xi4 * y
     u = ft * px_val + fe * y
     v = ft * py_val - fe * x
     h_psi = np.array(

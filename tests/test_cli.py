@@ -64,9 +64,15 @@ def test_verify_algebra_nan_deviation_fails(tmp_path, monkeypatch):
 
     monkeypatch.setattr(ncmodel, "verify_nc_algebra", with_nan)
     assert run(tmp_path, "verify-algebra") == 1
-    report = json.loads((tmp_path / "algebra_report.json").read_text())
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    text = (tmp_path / "algebra_report.json").read_text()
+    report = json.loads(text, parse_constant=reject)
     assert report["pass"] is False
     assert report["worst_commutator"]["pair"] == "[y_nc,py_nc]"
+    assert report["deformed_algebra"]["checks"][3]["deviation"] is None
 
 
 def test_invariant_commutative(tmp_path):

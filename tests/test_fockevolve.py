@@ -7,7 +7,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from ncdirac import invariant, lrsolve, ncmodel
+from ncdirac import fockevolve, invariant, lrsolve, ncmodel
 from ncdirac.errors import DimError, GridError, SizeError
 from ncdirac.fockevolve import (
     build_fock_rep,
@@ -15,7 +15,6 @@ from ncdirac.fockevolve import (
     cumulative_trapezoid,
     ehrenfest_rate_series,
     evolve,
-    expectation,
     invariant_drift,
     krylov_step,
     represent,
@@ -48,8 +47,7 @@ def test_tracked_energy_feeds_phase_integral():
     psi0 = coherent_state(rep)
     times = np.linspace(0.0, 1.0, 101)
     ev = evolve(h, rep, psi0, times, track_energy=True)
-    xi = lrsolve.closed_xi(COMMUTATIVE)
-    theta = lrsolve.theta_phase(xi, 0.5, -0.5, 1.0)
+    theta = lrsolve.theta_phase(COMMUTATIVE, 0.5, -0.5, 1.0)
     alpha = lrsolve.lr_phase(theta, ev.times, ev.energy, 1.0)
     # constant tracked energy integrates exactly
     assert alpha == pytest.approx(theta - ev.energy[0] * 1.0, abs=1e-10)
@@ -66,9 +64,9 @@ def test_vacuum_moments():
     rep = build_fock_rep(6, 0.7)
     vac = coherent_state(rep)
     x_mat = coordinate(Coord.X, rep)
-    assert abs(expectation(x_mat, vac)) <= 1e-15
+    assert abs(np.vdot(vac, x_mat @ vac)) <= 1e-15
     # <0|x^2|0> = ell^2 / 2, ladder-algebra oracle
-    assert expectation(x_mat @ x_mat, vac).real == pytest.approx(0.7**2 / 2.0, abs=1e-14)
+    assert np.vdot(vac, x_mat @ x_mat @ vac).real == pytest.approx(0.7**2 / 2.0, abs=1e-14)
     # diagonal of px vanishes in the number basis
     px_mat = coordinate(Coord.PX, rep)
     assert np.max(np.abs(np.diag(px_mat))) == 0.0
@@ -153,20 +151,47 @@ def test_evolve_zero_momentum_rest_phase():
         assert abs(amp - cmath.exp(-1j * p.m * t)) <= 1e-8
 
 
-def test_time_constant_generator_is_diagonalized_once(monkeypatch):
-    # propagator and energy tracker share one decomposition per coefficient tuple
-    calls = []
-    eigh = np.linalg.eigh
+def count_calls(monkeypatch, rep):
+    """Record evolve's full-size eigh calls and its krylov_step calls."""
+    full_eigh, steps = [], []
+    eigh, step = np.linalg.eigh, fockevolve.krylov_step
 
     def counting_eigh(m):
-        calls.append(m.shape)
+        if m.shape == (rep.dim, rep.dim):
+            full_eigh.append(m.shape)
         return eigh(m)
 
+    def counting_step(g, psi, dt):
+        steps.append(dt)
+        return step(g, psi, dt)
+
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    rep = build_fock_rep(4, 1.0)
-    h = ncmodel.build_h_commutative(COMMUTATIVE)
+    monkeypatch.setattr(fockevolve, "krylov_step", counting_step)
+    return full_eigh, steps
+
+
+@pytest.mark.parametrize("track_energy", [True, False])
+@pytest.mark.parametrize(
+    "h",
+    [ncmodel.build_h_commutative(COMMUTATIVE), ncmodel.build_h_nc(NCParams(theta=0.1, eta=0.05))],
+    ids=["commutative", "stationary"],
+)
+def test_time_constant_generator_is_diagonalized_once(monkeypatch, h, track_energy):
+    # the propagator is chosen once per run: one decomposition, no Krylov step
+    rep = build_fock_rep(6, 1.0)
+    full_eigh, steps = count_calls(monkeypatch, rep)
+    evolve(h, rep, coherent_state(rep), np.linspace(0.0, 0.5, 51), track_energy=track_energy)
+    assert len(full_eigh) == 1
+    assert steps == []
+
+
+def test_changing_generator_takes_one_krylov_step_per_step(monkeypatch):
+    rep = build_fock_rep(6, 1.0)
+    full_eigh, steps = count_calls(monkeypatch, rep)
+    h = ncmodel.build_h_nc(NCParams(theta=0.1, eta=0.05, gamma=0.2))
     evolve(h, rep, coherent_state(rep), np.linspace(0.0, 0.5, 51), track_energy=True)
-    assert len(calls) == 1
+    assert len(full_eigh) == 1
+    assert len(steps) == 50
 
 
 def dense_matrix(poly, rep):
@@ -258,16 +283,6 @@ def test_evolve_grid_and_state_validation():
         evolve(h, rep, 2.0 * psi0, [0.0, 0.1])
 
 
-def test_expectation_basics():
-    rep = build_fock_rep(4, 1.0)
-    vac = coherent_state(rep)
-    assert expectation(np.eye(rep.dim), vac) == pytest.approx(1.0)
-    herm = represent(PhasePoly.monomial(ID2, Coord.Y), rep)
-    assert abs(expectation(herm, vac).imag) <= 1e-13
-    with pytest.raises(DimError):
-        expectation(np.eye(3), vac)
-
-
 def test_invariant_drift_identity_is_zero():
     rep = build_fock_rep(4, 1.0)
     h = ncmodel.build_h_nc(COMMUTATIVE)
@@ -336,10 +351,10 @@ def test_uncertainty_commuting_pair():
 def dense_robertson(psi, a, b):
     """Robertson data straight from the matrices: (product, bound) from the
     variances <A^2> - <A>^2 and the commutator matrix AB - BA."""
-    var_a = expectation(a @ a, psi).real - expectation(a, psi).real ** 2
-    var_b = expectation(b @ b, psi).real - expectation(b, psi).real ** 2
+    var_a = np.vdot(psi, a @ a @ psi).real - np.vdot(psi, a @ psi).real ** 2
+    var_b = np.vdot(psi, b @ b @ psi).real - np.vdot(psi, b @ psi).real ** 2
     product = math.sqrt(max(var_a, 0.0)) * math.sqrt(max(var_b, 0.0))
-    return product, 0.5 * abs(expectation(a @ b - b @ a, psi))
+    return product, 0.5 * abs(np.vdot(psi, (a @ b - b @ a) @ psi))
 
 
 def test_uncertainty_bopp_pair_bound_matches_hbar_eff():

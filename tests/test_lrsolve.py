@@ -11,9 +11,7 @@ from ncdirac.errors import CoverageError, SingularParameterError, StepError
 from ncdirac.lrsolve import (
     assemble_solution,
     closed_state,
-    closed_xi,
     energy_integral,
-    envelope,
     f_closed,
     flow_rhs,
     integrate_rk4,
@@ -138,14 +136,10 @@ def test_flow_rhs_rejects_vanishing_envelope():
 
 
 def test_theta_phase():
-    xi = closed_xi(COMMUTATIVE)
     for x, y in ((0.0, 0.0), (1.0, -2.0), (0.3, 0.7)):
-        assert theta_phase(xi, x, y, 0.0) == 0.0
-    val = theta_phase(xi, 1.0, 0.0, math.pi / 2.0)
+        assert theta_phase(COMMUTATIVE, x, y, 0.0) == 0.0
+    val = theta_phase(COMMUTATIVE, 1.0, 0.0, math.pi / 2.0)
     assert val == pytest.approx(-0.5, abs=1e-12)
-    # constant xi3, xi4 never contribute
-    xi_q = closed_xi(COMMUTATIVE, xi3=0.7 + 0.1j, xi4=-0.2)
-    assert theta_phase(xi_q, 2.0, 3.0, 1.0) == theta_phase(xi, 2.0, 3.0, 1.0)
 
 
 def test_lr_phase_cases():
@@ -185,7 +179,7 @@ def test_lr_phase_coverage_error():
 
 def test_assemble_solution_at_origin():
     p = NCParams(q1=0.2, q2=-0.4)
-    psi = assemble_solution(envelope(p), closed_xi(p))
+    psi = assemble_solution(p)
     v = psi(0.0, 0.0, 0.0)
     assert v[0] == pytest.approx(math.exp(0.2))
     assert v[1] == pytest.approx(math.exp(-0.4))
@@ -193,7 +187,7 @@ def test_assemble_solution_at_origin():
 
 def test_assembled_envelope_matches_commutative_closed_form():
     # with xi1 = i*xi2 the planar exponent collapses to exp[i*xi1*(x - i y)]
-    psi = assemble_solution(envelope(COMMUTATIVE), closed_xi(COMMUTATIVE))
+    psi = assemble_solution(COMMUTATIVE)
     for t in (0.0, 0.4, 1.1):
         x1 = xi_closed(COMMUTATIVE, t)[0]
         for x, y in ((0.5, -0.3), (1.0, 2.0)):
@@ -205,7 +199,7 @@ def test_assembled_envelope_matches_commutative_closed_form():
 
 def test_component_modulus_ratio_constant():
     p = NCParams(q1=0.3, q2=-0.1, theta=0.1, eta=0.05, gamma=0.2)
-    psi = assemble_solution(envelope(p), closed_xi(p))
+    psi = assemble_solution(p)
     expected = math.exp(2.0 * (0.3 - (-0.1)))
     for t in (0.0, 0.8, 2.0):
         for x, y in ((0.0, 0.0), (1.2, -0.7)):
@@ -214,9 +208,9 @@ def test_component_modulus_ratio_constant():
             assert ratio == pytest.approx(expected, rel=1e-12)
 
 
-def _fd_residual(p, env, xi, x, y, t, h=1e-6):
+def _fd_residual(p, x, y, t, h=1e-6):
     """Independent residual oracle: all derivatives by central differences."""
-    psi = assemble_solution(env, xi)
+    psi = assemble_solution(p)
 
     def h_apply(xx, yy, tt):
         v = psi(xx, yy, tt)
@@ -239,23 +233,19 @@ def _fd_residual(p, env, xi, x, y, t, h=1e-6):
 
 def test_trial_residual_against_finite_differences():
     for p in (COMMUTATIVE, NC_DYNAMIC):
-        env = envelope(p)
-        xi = closed_xi(p)
         for x, y, t in ((0.4, -0.2, 0.3), (1.0, 0.5, 1.2)):
-            analytic = trial_residual(p, env, xi, x, y, t)
-            fd = _fd_residual(p, env, xi, x, y, t)
+            analytic = trial_residual(p, x, y, t)
+            fd = _fd_residual(p, x, y, t)
             assert np.max(np.abs(analytic - fd)) <= 1e-6
 
 
 def test_trial_residual_first_component_vanishes():
     for p in ALL_PARAMS:
-        env = envelope(p)
-        xi = closed_xi(p)
         for x, y, t in ((0.0, 0.0, 0.0), (1.3, -0.8, 0.9), (2.0, 2.0, 2.0)):
-            r = trial_residual(p, env, xi, x, y, t)
+            r = trial_residual(p, x, y, t)
             assert abs(r[0]) <= 1e-12
     # the second component is generically nonzero and merely reported
-    r = trial_residual(COMMUTATIVE, envelope(COMMUTATIVE), closed_xi(COMMUTATIVE), 1.0, 0.0, 0.0)
+    r = trial_residual(COMMUTATIVE, 1.0, 0.0, 0.0)
     assert abs(r[1]) == pytest.approx(abs(1j * 1.0 + 0.5), abs=1e-12)
 
 
