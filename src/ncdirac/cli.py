@@ -25,8 +25,7 @@ import numpy as np
 
 from . import __version__, fockevolve, invariant, lrsolve, mat2, ncmodel
 from .errors import SingularParameterError, UnitModeError
-from .mat2 import ID2
-from .phasepoly import PhasePoly, residual_norm
+from .phasepoly import residual_norm
 
 
 class ConfigError(ValueError):
@@ -203,17 +202,12 @@ def _write_json(cfg: RunConfig, name: str, payload: dict) -> None:
 # -- verify-algebra ------------------------------------------------------------
 
 
-def cmd_verify_algebra(cfg: RunConfig, flip_bopp_sign: bool = False) -> int:
+def cmd_verify_algebra(cfg: RunConfig) -> int:
     p = cfg.params()
     t_grid = np.linspace(cfg.t0, cfg.t1, cfg.grid_points)
 
-    bopp = ncmodel.bopp_shift
-    if flip_bopp_sign:
-        def bopp(pp, which, t):  # deformation terms with the wrong sign
-            return 2.0 * PhasePoly.monomial(ID2, which) - ncmodel.bopp_shift(pp, which, t)
-
     dirac = mat2.verify_dirac_algebra()
-    deformed = ncmodel.verify_nc_algebra(p, t_grid, bopp=bopp)
+    deformed = ncmodel.verify_nc_algebra(p, t_grid)
     dual_dev = None
     if p.natural:
         dual_dev = ncmodel.dual_path_deviation(p)
@@ -382,11 +376,10 @@ def cmd_evolve(cfg: RunConfig) -> int:
     # displaced by one oscillator length: a centered vacuum is a near-stationary
     # state that never probes the truncation edge, so its drift measures nothing
     psi0 = fockevolve.coherent_state(rep, alpha_x=1.0)
-    evolved = fockevolve.evolve(h, rep, psi0, times, track_energy=True)
+    evolved = fockevolve.evolve(h, rep, psi0, times)
 
     ans = invariant.constant_invariant(cfg.a1, cfg.a3, cfg.b1, cfg.b3, cfg.c1)
-    i_mat = fockevolve.represent(ans.at(0.0), rep)
-    drift = fockevolve.invariant_drift(i_mat, evolved)
+    drift = fockevolve.invariant_drift(ans.at(0.0), rep, evolved)
     res_norm = max(
         residual_norm(invariant.invariance_residual(ans, h, form, float(t)))
         for t in np.linspace(cfg.t0, cfg.t1, 8)
@@ -511,19 +504,25 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=None, help="output directory (overrides output_dir)")
         for key in _FIELD_TYPES:
             sp.add_argument(f"--{key}", default=None, metavar="V")
-        if name == "verify-algebra":
-            sp.add_argument(
-                "--debug-flip-bopp-sign",
-                action="store_true",
-                help=argparse.SUPPRESS,
-            )
     return ap
+
+
+def _join_values(argv: list[str]) -> list[str]:
+    """``--key value`` -> ``--key=value`` for every option that takes a value,
+    so a value such as -1e-3, which argparse reads as an option, stays one."""
+    takes_value = {"--config", "--out", *(f"--{key}" for key in _FIELD_TYPES)}
+    out = []
+    tokens = iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token in takes_value else None
+        out.append(token if value is None else f"{token}={value}")
+    return out
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_values(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         code = exc.code
         return 0 if code in (0, None) else 2
@@ -537,7 +536,7 @@ def main(argv=None) -> int:
         # writing inf or NaN into the outputs
         with np.errstate(over="raise", invalid="raise"):
             if args.command == "verify-algebra":
-                return cmd_verify_algebra(cfg, flip_bopp_sign=args.debug_flip_bopp_sign)
+                return cmd_verify_algebra(cfg)
             if args.command == "invariant":
                 return cmd_invariant(cfg)
             if args.command == "xi":
@@ -549,8 +548,11 @@ def main(argv=None) -> int:
     except (UnitModeError, SingularParameterError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (OverflowError, FloatingPointError) as exc:
+    except ArithmeticError as exc:  # overflow, or a divisor that underflowed to 0
         print(f"config error: the parameters leave the float range ({exc})", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"config error: the run does not fit in memory ({exc})", file=sys.stderr)
         return 2
     raise AssertionError(f"unhandled command {args.command}")
 

@@ -1,10 +1,11 @@
-"""Truncated two-mode oscillator (x) spinor matrix representation of the
+"""Truncated two-mode oscillator (x) spinor representation of the degree-<=1
 polynomial operators, unitary time evolution, and the derived measurements:
 invariant drift, tracked instantaneous energy, and uncertainty products.
 
-Full-space convention: matrices act on mode_x (x) mode_y (x) spinor, i.e.
-kron(mode_matrix, spinor_matrix) with mode space of dimension N^2 and total
-dimension 2*N^2. The canonical pair defect of the truncation is confined to
+Full-space convention: states live on mode_x (x) mode_y (x) spinor, of
+dimension 2*N^2, and are viewed as (rows, N, N, 2) arrays when an operator
+is applied: a single-mode matrix acts on axis 1 or 2, a 2x2 coefficient on
+the spinor axis. The canonical pair defect of the truncation is confined to
 the top oscillator level n = N-1 of each mode.
 """
 
@@ -13,11 +14,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimError, GridError, SizeError
+from .errors import DegreeError, DimError, GridError, SizeError
 from .phasepoly import COORDS, AffineOp, Coord, PhasePoly
 
 #: rows of the state history processed at once by the observables passes
@@ -27,34 +29,21 @@ KRYLOV_MAX = 40
 #: error estimate, relative to |psi|, at which a Krylov step stops
 KRYLOV_TOL = 1e-14
 #: generator-sized dense matrices alive at once in an evolve run (the peak
-#: RSS of a fock_N=24 run sits about 6.4 of them above the interpreter's)
+#: RSS of a fock_N=24 run sits about 5.3 of them above the interpreter's)
 DENSE_MATRICES = 7
-
-
-def _ladder(n: int) -> np.ndarray:
-    a = np.zeros((n, n), dtype=complex)
-    for k in range(1, n):
-        a[k - 1, k] = math.sqrt(k)
-    return a
 
 
 @dataclass(frozen=True)
 class FockRep:
-    """Truncated representation: N levels per mode, oscillator scale ell."""
+    """Truncated representation: N levels per mode, oscillator scale ell, and
+    the single-mode (N, N) matrices of the coordinate x and the momentum p."""
 
     N: int
     ell: float
     hbar: float
-    mode_ops: dict  # Coord -> (N^2, N^2) complex array
+    x: np.ndarray
+    p: np.ndarray
     dim: int
-
-    def interior_projector(self) -> np.ndarray:
-        """Projector onto states with n_x < N-1 and n_y < N-1 (both modes below
-        the truncation edge), spinor untouched."""
-        keep = np.ones(self.N)
-        keep[self.N - 1] = 0.0
-        d = np.kron(np.kron(keep, keep), np.ones(2))
-        return np.diag(d.astype(complex))
 
 
 def dense_bytes(N: int, n_t: int) -> int:
@@ -66,7 +55,7 @@ def dense_bytes(N: int, n_t: int) -> int:
 
 
 def build_fock_rep(N: int, ell: float, hbar: float = 1.0) -> FockRep:
-    """Build ladder-operator matrices for two modes.
+    """Build the single-mode ladder-operator matrices.
 
     Per mode: x = ell (a + a^dag)/sqrt(2), p = i hbar (a^dag - a)/(sqrt(2) ell).
     """
@@ -74,48 +63,69 @@ def build_fock_rep(N: int, ell: float, hbar: float = 1.0) -> FockRep:
         raise SizeError("per-mode truncation must satisfy N >= 2")
     if ell <= 0:
         raise SizeError("oscillator scale ell must be positive")
-    a = _ladder(N)
+    a = np.diag(np.sqrt(np.arange(1.0, N)), 1).astype(complex)
     ad = a.conj().T
-    x1 = ell * (a + ad) / math.sqrt(2.0)
-    p1 = 1j * hbar * (ad - a) / (math.sqrt(2.0) * ell)
-    eye = np.eye(N, dtype=complex)
-    mode_ops = {
-        Coord.X: np.kron(x1, eye),
-        Coord.Y: np.kron(eye, x1),
-        Coord.PX: np.kron(p1, eye),
-        Coord.PY: np.kron(eye, p1),
-    }
-    return FockRep(N=N, ell=ell, hbar=hbar, mode_ops=mode_ops, dim=2 * N * N)
+    x = ell * (a + ad) / math.sqrt(2.0)
+    p = 1j * hbar * (ad - a) / (math.sqrt(2.0) * ell)
+    return FockRep(N=N, ell=ell, hbar=hbar, x=x, p=p, dim=2 * N * N)
+
+
+def _image(rep: FockRep, c: Coord, rows: np.ndarray) -> np.ndarray:
+    """Z_c applied to states viewed as (rows, N, N, 2), spinor untouched: the
+    single-mode matrix acts on axis 1 for x and px, on axis 2 for y and py."""
+    m = rep.x if c in (Coord.X, Coord.Y) else rep.p
+    if c in (Coord.X, Coord.PX):
+        return (m @ rows.reshape(len(rows), rep.N, -1)).reshape(rows.shape)
+    return m @ rows  # a matrix product over the trailing (N, 2) axes
+
+
+def apply(poly: PhasePoly, rep: FockRep, states: np.ndarray) -> np.ndarray:
+    """P psi for a degree-<=1 polynomial P and one state (dim,) or a block of
+    states (rows, dim), with no full-space matrix: each linear term is the
+    coordinate image of ``_image`` times its 2x2 coefficient on the spinor
+    axis."""
+    if poly.degree() > 1:
+        raise DegreeError("only polynomials of degree <= 1 are applied")
+    psi = np.asarray(states)
+    if psi.shape[-1] != rep.dim:
+        raise DimError(f"state size {psi.shape[-1]} does not match representation dim {rep.dim}")
+    rows = psi.reshape(-1, rep.N, rep.N, 2)
+    out = rows.reshape(-1, 2) @ poly.const_term.T
+    for c in COORDS:
+        m = poly.linear_term(c)
+        if np.any(m != 0):
+            out += _image(rep, c, rows).reshape(-1, 2) @ m.T
+    return out.reshape(psi.shape)
 
 
 def represent(p: PhasePoly, rep: FockRep) -> np.ndarray:
-    """Matrix of a polynomial operator; Weyl-ordered quadratics map to
-    symmetrized matrix products, so Hermitian polynomials give Hermitian
-    matrices (up to the truncation defect).
+    """Dense matrix of a degree-<=1 polynomial, for the eigendecompositions
+    that need one; everything else applies the polynomial with ``apply``.
 
     Every term is kron(mode matrix, 2x2 coefficient); it is added entry by
     entry of the coefficient into a (N^2, 2, N^2, 2) view of the output, so no
     full-size kron product is allocated per term.
     """
+    if p.degree() > 1:
+        raise DegreeError("only polynomials of degree <= 1 are represented")
     n2 = rep.N * rep.N
     out = np.zeros((rep.dim, rep.dim), dtype=complex)
     blocks = out.reshape(n2, 2, n2, 2)
     diag = np.arange(n2)
     blocks[diag, :, diag, :] = p.const_term
-
-    def add(mode: np.ndarray, m: np.ndarray) -> None:
-        for a, b in zip(*np.nonzero(m)):
-            blocks[:, a, :, b] += m[a, b] * mode
-
+    eye = np.eye(rep.N)
+    modes = {
+        Coord.X: (rep.x, eye),
+        Coord.Y: (eye, rep.x),
+        Coord.PX: (rep.p, eye),
+        Coord.PY: (eye, rep.p),
+    }
     for c in COORDS:
-        add(rep.mode_ops[c], p.linear_term(c))
-    for i_pos, i in enumerate(COORDS):
-        for j in COORDS[i_pos:]:
-            m = p.quad_term(i, j)
-            if np.any(m != 0):
-                zi = rep.mode_ops[i]
-                zj = rep.mode_ops[j]
-                add(0.5 * (zi @ zj + zj @ zi), m)
+        m = p.linear_term(c)
+        if np.any(m != 0):
+            mode = np.kron(*modes[c])
+            for a, b in zip(*np.nonzero(m)):
+                blocks[:, a, :, b] += m[a, b] * mode
     return out
 
 
@@ -141,20 +151,9 @@ def coherent_state(
     return full / np.linalg.norm(full)
 
 
-def _check_acts_on(m: np.ndarray, size: int) -> None:
-    if m.shape != (size, size):
-        raise DimError(f"operator {m.shape} does not act on a state of size {size}")
-
-
 def _blocks(states: np.ndarray) -> Iterator[slice]:
     for lo in range(0, len(states), BLOCK_ROWS):
         yield slice(lo, lo + BLOCK_ROWS)
-
-
-def _expectations(m: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """<psi_k| m |psi_k> for every row psi_k of ``states``."""
-    _check_acts_on(m, states.shape[1])
-    return np.concatenate([np.vecdot(states[b], states[b] @ m.T) for b in _blocks(states)])
 
 
 @dataclass(frozen=True)
@@ -164,7 +163,7 @@ class EvolvedState:
     times: np.ndarray
     states: np.ndarray  # (n_t, dim) complex
     norm_drift: float
-    energy: np.ndarray | None  # tracked instantaneous eigenvalue, or None
+    energy: np.ndarray  # tracked instantaneous eigenvalue
 
 
 def _check_uniform(t_grid: np.ndarray) -> float:
@@ -177,9 +176,12 @@ def _check_uniform(t_grid: np.ndarray) -> float:
     return float(dt)
 
 
-def _lanczos_expm(g: np.ndarray, psi: np.ndarray, tau: float) -> np.ndarray | None:
-    """exp(-i g tau) psi from a Krylov space of at most KRYLOV_MAX vectors, or
-    None when the error estimate has not reached KRYLOV_TOL by then.
+def _lanczos_expm(
+    g: Callable[[np.ndarray], np.ndarray], psi: np.ndarray, tau: float
+) -> np.ndarray | None:
+    """exp(-i G tau) psi, G given by its action g, from a Krylov space of at
+    most KRYLOV_MAX vectors, or None when the error estimate has not reached
+    KRYLOV_TOL by then.
 
     The basis is kept orthonormal by full reorthogonalization (two classical
     Gram-Schmidt passes), so the projected tridiagonal T stays faithful and the
@@ -194,7 +196,7 @@ def _lanczos_expm(g: np.ndarray, psi: np.ndarray, tau: float) -> np.ndarray | No
     t = np.zeros((KRYLOV_MAX + 1, KRYLOV_MAX + 1))
     for j in range(KRYLOV_MAX):
         v = basis[: j + 1]
-        w = g @ basis[j]
+        w = g(basis[j])
         for _ in range(2):
             overlap = v.conj() @ w
             w -= overlap @ v
@@ -211,9 +213,11 @@ def _lanczos_expm(g: np.ndarray, psi: np.ndarray, tau: float) -> np.ndarray | No
     return None
 
 
-def krylov_step(g: np.ndarray, psi: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i g dt) psi for a Hermitian matrix g, by Lanczos (Park & Light,
-    J. Chem. Phys. 85, 5870 (1986)).
+def krylov_step(
+    g: Callable[[np.ndarray], np.ndarray], psi: np.ndarray, dt: float
+) -> np.ndarray:
+    """exp(-i G dt) psi for a Hermitian generator given as its action
+    g: v -> G v, by Lanczos (Park & Light, J. Chem. Phys. 85, 5870 (1986)).
 
     A step whose Krylov space would exceed KRYLOV_MAX vectors is split into
     equal sub-steps of the same generator, halving until each converges, so
@@ -237,7 +241,6 @@ def evolve(
     rep: FockRep,
     psi0: np.ndarray,
     t_grid: Sequence[float],
-    track_energy: bool = False,
 ) -> EvolvedState:
     """Midpoint-sampled exponential stepping psi_{k+1} = exp(-i H(t_mid) dt) psi_k.
 
@@ -246,10 +249,10 @@ def evolve(
     the coefficients of H at every sample and every midpoint: a generator
     that is constant over the grid is diagonalized once (Hermitian
     eigendecomposition) and its dense step propagator reused; a changing one
-    takes a Krylov step (``krylov_step``) at every midpoint. The energy
-    tracker starts from the eigenvalue of largest overlap at t0; after that
-    it follows the nearest eigenvalue, which for a changing generator needs
-    eigenvalues only.
+    takes a Krylov step (``krylov_step``) at every midpoint, applying H with
+    ``apply``. The energy tracker starts from the eigenvalue of largest
+    overlap at t0; after that it follows the nearest eigenvalue, which for a
+    changing generator needs eigenvalues only.
     """
     ts = np.asarray(t_grid, dtype=float)
     dt = _check_uniform(ts)
@@ -263,27 +266,23 @@ def evolve(
     n_t = ts.size
     states = np.zeros((n_t, rep.dim), dtype=complex)
     states[0] = psi
-    energy = np.zeros(n_t) if track_energy else None
+    energy = np.zeros(n_t)
     samples = [tuple(h.value(float(t))) for t in ts]
     mids = [tuple(h.value(float(t) + 0.5 * dt)) for t in ts[:-1]]
     constant = all(c == samples[0] for c in samples + mids)
 
-    if constant or track_energy:
-        w, v = np.linalg.eigh(represent(h.combine(samples[0]), rep))
-    if track_energy:
-        energy[0] = w[int(np.argmax(np.abs(v.conj().T @ psi) ** 2))]
+    w, v = np.linalg.eigh(represent(h.combine(samples[0]), rep))
+    energy[0] = w[int(np.argmax(np.abs(v.conj().T @ psi) ** 2))]
     if constant:
         u = (v * np.exp(-1j * w * dt)) @ v.conj().T
     for k in range(n_t - 1):
         if constant:
             psi = u @ psi
         else:
-            psi = krylov_step(represent(h.combine(mids[k]), rep), psi, dt)
+            psi = krylov_step(partial(apply, h.combine(mids[k]), rep), psi, dt)
+            w = np.linalg.eigvalsh(represent(h.combine(samples[k + 1]), rep))
         states[k + 1] = psi
-        if track_energy:
-            if not constant:
-                w = np.linalg.eigvalsh(represent(h.combine(samples[k + 1]), rep))
-            energy[k + 1] = w[int(np.argmin(np.abs(w - energy[k])))]
+        energy[k + 1] = w[int(np.argmin(np.abs(w - energy[k])))]
 
     norms = np.linalg.norm(states, axis=1)
     return EvolvedState(
@@ -304,18 +303,20 @@ class DriftSeries:
     relative_max: float  # max |drift| / (|<I>(0)| + 1)
 
 
-def invariant_drift(i_mat: np.ndarray, evolved: EvolvedState) -> DriftSeries:
-    """Measure <I>(t) - <I>(0) along the evolution for a represented invariant."""
-    values = _expectations(i_mat, evolved.states)
+def invariant_drift(i_op: PhasePoly, rep: FockRep, evolved: EvolvedState) -> DriftSeries:
+    """Measure <I>(t) - <I>(0) along the evolution for a degree-<=1 invariant,
+    a block of stored states at a time."""
+    s = evolved.states
+    values = np.concatenate([np.vecdot(s[b], apply(i_op, rep, s[b])) for b in _blocks(s)])
     drift = values - values[0]
     rel = float(np.max(np.abs(drift)) / (abs(values[0]) + 1.0))
     return DriftSeries(times=evolved.times, values=values, drift=drift, relative_max=rel)
 
 
-def ehrenfest_rate_series(r_mat: np.ndarray, evolved: EvolvedState) -> np.ndarray:
+def ehrenfest_rate_series(r_op: PhasePoly, rep: FockRep, evolved: EvolvedState) -> np.ndarray:
     """Predicted d<I>/dt from the residual operator R = [I,H] + i dI/dt:
     the rate is -i <R> along the evolution (real for Hermitian I)."""
-    return (-1j * _expectations(r_mat, evolved.states)).real
+    return (-1j * invariant_drift(r_op, rep, evolved).values).real
 
 
 def cumulative_trapezoid(times: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -357,15 +358,14 @@ def uncertainty_pairs(
     (x - s_theta(t) py, px + s_eta(t) y) at every stored state, where
     ``bopp_scales(t)`` gives (s_theta, s_eta).
 
-    Each block of rows is viewed as (rows, N^2, 2), so a mode operator acts on
-    the mode index directly; the coordinate images Z_c psi are computed once
-    per block and shared by the three pairs.
+    The coordinate images Z_c psi come from ``_image``, once per block of
+    rows, and are shared by the three pairs.
     """
     parts = []
     for b in _blocks(evolved.states):
         block = evolved.states[b]
-        rows = block.reshape(len(block), -1, 2)
-        z = {c: (op @ rows).reshape(block.shape) for c, op in rep.mode_ops.items()}
+        rows = block.reshape(len(block), rep.N, rep.N, 2)
+        z = {c: _image(rep, c, rows).reshape(block.shape) for c in COORDS}
         st, se = np.array([bopp_scales(float(t)) for t in evolved.times[b]]).T[..., None]
         parts.append((
             robertson(block, z[Coord.X], z[Coord.PX]),
@@ -385,7 +385,7 @@ def write_evolution_csv(
     dxdpx: np.ndarray,
     bound: np.ndarray,
     margin: np.ndarray,
-    e_tracked: np.ndarray | None,
+    e_tracked: np.ndarray,
 ) -> None:
     """CSV export: t, Re<I>, drift, dx*dpx, bound, margin, E_tracked."""
     with open(path, "w", newline="") as fh:
@@ -399,6 +399,6 @@ def write_evolution_csv(
                 format(float(dxdpx[k]), ".17g"),
                 format(float(bound[k]), ".17g"),
                 format(float(margin[k]), ".17g"),
-                format(float(e_tracked[k]), ".17g") if e_tracked is not None else "",
+                format(float(e_tracked[k]), ".17g"),
             ]
             w.writerow(row)

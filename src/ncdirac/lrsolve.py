@@ -27,6 +27,8 @@ def magnetic_length(p: NCParams) -> float:
     eb = p.e * p.B
     if eb <= 0:
         raise SingularParameterError("magnetic length requires e*B > 0")
+    if eb == math.inf:
+        raise OverflowError("e*B leaves the float range")
     return 1.0 / math.sqrt(eb)
 
 
@@ -53,6 +55,8 @@ def xi_closed(p: NCParams, t: float) -> tuple[complex, complex]:
         (-p.gamma + 2j * p.m) * t
     )
     xi1 = -1j * (term_b + term_eta)
+    if not cmath.isfinite(xi1):  # complex arithmetic overflows to inf or nan silently
+        raise OverflowError(f"closed-form xi1 at t={t} leaves the float range")
     return xi1, xi1 / 1j
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import UnitModeError
 from .mat2 import ALPHA1, ALPHA2, BETA, ID2
@@ -127,9 +127,6 @@ def symplectic_form(p: NCParams) -> SymplecticForm:
     return SymplecticForm.canonical(p.hbar)
 
 
-BoppBuilder = Callable[[NCParams, Coord, float], PhasePoly]
-
-
 def bopp_scales(p: NCParams, t: float) -> tuple[float, float]:
     """Mixing coefficients (s_theta, s_eta) = (theta(t)/2hbar, eta(t)/2hbar)
     of the Bopp shift at time t."""
@@ -193,17 +190,11 @@ class DeformedAlgebraReport:
         }
 
 
-def verify_nc_algebra(
-    p: NCParams,
-    t_grid: Sequence[float],
-    bopp: BoppBuilder = bopp_shift,
-) -> DeformedAlgebraReport:
+def verify_nc_algebra(p: NCParams, t_grid: Sequence[float]) -> DeformedAlgebraReport:
     """Check the six deformed commutators of the Bopp-shifted operators.
 
     At each grid time the commutators are computed through the polynomial
     algebra and compared against i*theta(t), i*eta(t), i*hbar_eff and 0.
-    The ``bopp`` builder is injectable so a corrupted variant can be checked
-    to produce a visible failure.
     """
     if len(t_grid) == 0:
         raise ValueError("t_grid must be nonempty")
@@ -211,7 +202,7 @@ def verify_nc_algebra(
     heff = hbar_eff(p)
     checks: list[CommutatorCheck] = []
     for t in t_grid:
-        ops = {c: bopp(p, c, t) for c in Coord}
+        ops = {c: bopp_shift(p, c, t) for c in Coord}
         cases = [
             ("[x_nc,y_nc]", Coord.X, Coord.Y, 1j * theta_of_t(p, t)),
             ("[px_nc,py_nc]", Coord.PX, Coord.PY, 1j * eta_of_t(p, t)),
@@ -255,10 +246,10 @@ def _h_nc(p: NCParams) -> AffineOp:
     )
 
 
-def h_nc_via_bopp(p: NCParams, t: float, bopp: BoppBuilder = bopp_shift) -> PhasePoly:
+def h_nc_via_bopp(p: NCParams, t: float) -> PhasePoly:
     """Deformed Hamiltonian built by substituting the shifted operators into
     the commutative-form Hamiltonian (hbar = c = 1)."""
-    ops = {c: bopp(p, c, t) for c in Coord}
+    ops = {c: bopp_shift(p, c, t) for c in Coord}
     return linear_combine(
         [
             (1.0, left_mul(ALPHA1, ops[Coord.PX])),
@@ -289,8 +280,9 @@ def build_h_nc(p: NCParams) -> AffineOp:
     substitution of the shifted operators and refuses to hand back an
     inconsistent operator.
     """
-    if not p.natural:
-        raise UnitModeError("the deformed Hamiltonian is defined in natural units")
+    # the Bopp shift scales by 1/hbar, the dressings f_theta, f_eta do not
+    if not p.natural or (p.hbar != 1.0 and (p.theta != 0.0 or p.eta != 0.0)):
+        raise UnitModeError("the deformed Hamiltonian is defined in natural units, hbar = 1")
     dev = dual_path_deviation(p)
     if dev > 1e-13:
         raise RuntimeError(f"Hamiltonian construction paths disagree: {dev:.3e}")

@@ -2,12 +2,18 @@
 
 import csv
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ncdirac import fockevolve, ncmodel
 from ncdirac.cli import main
+from ncdirac.mat2 import ID2
+from ncdirac.phasepoly import PhasePoly
 
 FAST = [
     "--fock_N", "16",
@@ -40,12 +46,15 @@ def test_verify_algebra_nc_mode_label(tmp_path):
     assert report["dual_path_deviation"] <= 1e-13
 
 
-def test_verify_algebra_corrupted_bopp_fails(tmp_path):
+def test_verify_algebra_corrupted_bopp_fails(tmp_path, monkeypatch):
+    real = ncmodel.bopp_shift
+
+    def flipped(p, which, t):  # deformation terms with the wrong sign
+        return 2.0 * PhasePoly.monomial(ID2, which) - real(p, which, t)
+
+    monkeypatch.setattr(ncmodel, "bopp_shift", flipped)
     code = run(
-        tmp_path,
-        "verify-algebra",
-        "--theta", "0.1", "--eta", "0.05", "--gamma", "0.2",
-        "--debug-flip-bopp-sign",
+        tmp_path, "verify-algebra", "--theta", "0.1", "--eta", "0.05", "--gamma", "0.2"
     )
     assert code == 1
     report = json.loads((tmp_path / "algebra_report.json").read_text())
@@ -238,11 +247,61 @@ def test_bad_values_exit_2(tmp_path):
         ("verify-algebra", "--gamma=30", "--t1=30", "--theta=0.1", "--eta=0.05"),
         ("xi", "--q2=800"),
         ("xi", "--q1=-800"),
+        ("verify-algebra", "--hbar=1e-200"),  # hbar**2 underflows to a zero divisor
+        ("xi", "--eta=8", "--m=1.1125369292536007e-308"),  # closed form overflows to nan
+        ("evolve", "--e=1e200", "--B=1e200"),  # e*B overflows to inf
+        # arrays beyond any address space: the allocation fails before it starts
+        ("xi", "--dt=1e-15"),
+        ("verify-algebra", "--grid_points=1000000000000000000"),
     ],
 )
-def test_non_finite_or_oversized_step_exits_2(tmp_path, argv):
+def test_non_finite_or_oversized_step_exits_2(tmp_path, capsys, argv):
     assert run(tmp_path, *argv) == 2
+    assert "config error:" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_negative_scientific_notation_value(tmp_path):
+    spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+    assert main(["xi", "--t0", "-1e-3", "--t1", "0.01", "--out", str(spaced)]) == 0
+    assert main(["xi", "--t0=-1e-3", "--t1=0.01", "--out", str(joined)]) == 0
+    csv_name = "xi_trajectory.csv"
+    assert (spaced / csv_name).read_bytes() == (joined / csv_name).read_bytes()
+    assert main(["xi", "--xi3_0", "-1,0", "--t1", "0.01", "--out", str(spaced)]) == 0
+
+
+def reject_constant(token):
+    raise ValueError(f"non-finite JSON token {token}")
+
+
+def assert_finite_files(out_dir: Path) -> None:
+    """Every JSON file parses strictly and every CSV field is a finite float."""
+    for path in out_dir.iterdir():
+        if path.suffix == ".json":
+            json.loads(path.read_text(), parse_constant=reject_constant)
+        else:
+            rows = list(csv.reader(path.read_text().splitlines()))
+            for row in rows[1:]:
+                assert all(math.isfinite(float(v)) for v in row), (path.name, row)
+
+
+MODEL_KEYS = ("theta", "eta", "gamma", "B", "e", "m", "hbar", "q1", "q2")
+SMALL_RUN = ("--fock_N=4", "--t1=0.05", "--dt=0.01", "--grid_points=4")
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.dictionaries(st.sampled_from(MODEL_KEYS), st.floats()))
+@example({"hbar": 1e-200})
+@example({"eta": 8.0, "m": 1.1125369292536007e-308})
+@example({"theta": 0.1, "eta": 0.05, "gamma": 0.2})
+@example({"theta": 0.0, "hbar": 2.0, "eta": 1.0})
+def test_any_model_parameters_end_in_a_contract_exit_code(values):
+    # every run exits 0, 1 or 2 and writes only finite numbers
+    args = [f"--{key}={value!r}" for key, value in values.items()]
+    for command in ("verify-algebra", "invariant", "xi", "evolve"):
+        with tempfile.TemporaryDirectory() as out:
+            assert main([command, *SMALL_RUN, *args, "--out", out]) in (0, 1, 2)
+            assert_finite_files(Path(out))
 
 
 def test_dense_bytes_estimate():

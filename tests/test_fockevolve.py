@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from ncdirac import fockevolve, invariant, lrsolve, ncmodel
-from ncdirac.errors import DimError, GridError, SizeError
+from ncdirac.errors import DegreeError, DimError, GridError, SizeError
 from ncdirac.fockevolve import (
+    apply,
     build_fock_rep,
     coherent_state,
     cumulative_trapezoid,
@@ -46,7 +47,7 @@ def test_tracked_energy_feeds_phase_integral():
     h = ncmodel.build_h_nc(COMMUTATIVE)
     psi0 = coherent_state(rep)
     times = np.linspace(0.0, 1.0, 101)
-    ev = evolve(h, rep, psi0, times, track_energy=True)
+    ev = evolve(h, rep, psi0, times)
     theta = lrsolve.theta_phase(COMMUTATIVE, 0.5, -0.5, 1.0)
     alpha = lrsolve.lr_phase(theta, ev.times, ev.energy, 1.0)
     # constant tracked energy integrates exactly
@@ -75,11 +76,11 @@ def test_vacuum_moments():
 def test_canonical_defect_confined_to_top_level():
     n = 5
     rep = build_fock_rep(n, 1.0, 1.0)
-    x_mat = rep.mode_ops[Coord.X]
-    px_mat = rep.mode_ops[Coord.PX]
-    defect = x_mat @ px_mat - px_mat @ x_mat - 1j * np.eye(n * n)
+    x_mat = coordinate(Coord.X, rep)
+    px_mat = coordinate(Coord.PX, rep)
+    defect = x_mat @ px_mat - px_mat @ x_mat - 1j * np.eye(rep.dim)
     # nonzero rows/cols only where n_x = N-1
-    nx = np.repeat(np.arange(n), n)
+    nx = np.repeat(np.arange(n), 2 * n)
     bad = np.argwhere(np.abs(defect) > 1e-13)
     assert bad.size > 0
     for i, j in bad:
@@ -89,7 +90,7 @@ def test_canonical_defect_confined_to_top_level():
 def test_represent_tensor_structure():
     rep = build_fock_rep(4, 1.0)
     got = represent(PhasePoly.monomial(ID2, Coord.X), rep)
-    assert np.array_equal(got, np.kron(rep.mode_ops[Coord.X], ID2))
+    assert np.array_equal(got, np.kron(np.kron(rep.x, np.eye(rep.N)), ID2))
     const = represent(PhasePoly.constant(2.5 * ID2), rep)
     assert np.array_equal(const, 2.5 * np.eye(rep.dim))
 
@@ -108,17 +109,77 @@ def test_represent_is_homomorphism_on_interior():
     q = PhasePoly.monomial(ID2, Coord.PX)
     poly_comm = represent(commutator(p, q, form), rep)
     mat_comm = represent(p, rep) @ represent(q, rep) - represent(q, rep) @ represent(p, rep)
-    pi = rep.interior_projector()
+    pi = interior_projector(rep)
     assert np.max(np.abs(pi @ (poly_comm - mat_comm) @ pi)) <= 1e-13
 
 
-def test_represent_quadratic_weyl_slot():
-    rep = build_fock_rep(5, 1.0)
-    poly = PhasePoly.monomial(ID2, Coord.X, Coord.PX)
-    got = represent(poly, rep)
-    xm = rep.mode_ops[Coord.X]
-    pxm = rep.mode_ops[Coord.PX]
-    assert np.allclose(got, np.kron(0.5 * (xm @ pxm + pxm @ xm), ID2), atol=1e-14)
+def interior_projector(rep):
+    """Projector onto states with n_x < N-1 and n_y < N-1 (both modes below
+    the truncation edge), spinor untouched."""
+    keep = np.ones(rep.N)
+    keep[-1] = 0.0
+    return np.diag(np.kron(np.kron(keep, keep), np.ones(2)).astype(complex))
+
+
+def ladder_modes(n, ell, hbar):
+    """The four full-mode-space coordinate matrices, built here from the
+    ladder matrix a, sharing no code with ``build_fock_rep``."""
+    a = np.diag(np.sqrt(np.arange(1.0, n)), 1)
+    x = ell * (a + a.T) / math.sqrt(2.0)
+    p = 1j * hbar * (a.T - a) / (math.sqrt(2.0) * ell)
+    eye = np.eye(n)
+    return {
+        Coord.X: np.kron(x, eye),
+        Coord.Y: np.kron(eye, x),
+        Coord.PX: np.kron(p, eye),
+        Coord.PY: np.kron(eye, p),
+    }
+
+
+def dense_matrix(poly, rep):
+    """The matrix of a degree-<=1 polynomial from one kron per term, sharing
+    no code with ``represent`` or ``apply``."""
+    modes = ladder_modes(rep.N, rep.ell, rep.hbar)
+    out = np.kron(np.eye(rep.N * rep.N), poly.const_term)
+    for c in Coord:
+        out = out + np.kron(modes[c], poly.linear_term(c))
+    return out
+
+
+def random_linear_poly(rng):
+    """A degree-1 polynomial with random non-Hermitian 2x2 slots."""
+    slots = np.zeros((15, 2, 2), dtype=complex)
+    slots[:5] = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
+    return PhasePoly(slots)
+
+
+@pytest.mark.parametrize("rows", [None, 7], ids=["one-state", "block"])
+@pytest.mark.parametrize("n", [2, 5])
+def test_apply_matches_dense_oracle(n, rows):
+    rng = np.random.default_rng(11 * n)
+    rep = build_fock_rep(n, 0.8, 1.3)
+    shape = (rep.dim,) if rows is None else (rows, rep.dim)
+    states = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    for _ in range(3):
+        poly = random_linear_poly(rng)
+        want = states @ dense_matrix(poly, rep).T
+        got = apply(poly, rep, states)
+        assert got.shape == shape
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def test_apply_rejects_quadratic_slot_and_wrong_size():
+    rep = build_fock_rep(3, 1.0)
+    quadratic = PhasePoly.monomial(ID2, Coord.X, Coord.PX)
+    with pytest.raises(DegreeError):
+        apply(quadratic, rep, coherent_state(rep))
+    with pytest.raises(DegreeError):
+        represent(quadratic, rep)
+    poly = PhasePoly.monomial(ID2, Coord.X)
+    with pytest.raises(DimError):
+        apply(poly, rep, np.ones(rep.dim + 2))
+    with pytest.raises(DimError):
+        apply(poly, rep, np.ones((4, rep.dim - 2)))
 
 
 def test_evolve_stationary_state():
@@ -152,9 +213,10 @@ def test_evolve_zero_momentum_rest_phase():
 
 
 def count_calls(monkeypatch, rep):
-    """Record evolve's full-size eigh calls and its krylov_step calls."""
-    full_eigh, steps = [], []
-    eigh, step = np.linalg.eigh, fockevolve.krylov_step
+    """Record evolve's full-size eigh calls, its krylov_step calls and its
+    represent calls."""
+    full_eigh, steps, dense = [], [], []
+    eigh, step, represent_ = np.linalg.eigh, fockevolve.krylov_step, fockevolve.represent
 
     def counting_eigh(m):
         if m.shape == (rep.dim, rep.dim):
@@ -165,42 +227,42 @@ def count_calls(monkeypatch, rep):
         steps.append(dt)
         return step(g, psi, dt)
 
+    def counting_represent(p, r):
+        dense.append(p)
+        return represent_(p, r)
+
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     monkeypatch.setattr(fockevolve, "krylov_step", counting_step)
-    return full_eigh, steps
+    monkeypatch.setattr(fockevolve, "represent", counting_represent)
+    return full_eigh, steps, dense
 
 
-@pytest.mark.parametrize("track_energy", [True, False])
 @pytest.mark.parametrize(
     "h",
     [ncmodel.build_h_commutative(COMMUTATIVE), ncmodel.build_h_nc(NCParams(theta=0.1, eta=0.05))],
     ids=["commutative", "stationary"],
 )
-def test_time_constant_generator_is_diagonalized_once(monkeypatch, h, track_energy):
-    # the propagator is chosen once per run: one decomposition, no Krylov step
+def test_time_constant_generator_is_diagonalized_once(monkeypatch, h):
+    # the propagator is chosen once per run: one dense matrix, one
+    # decomposition, no Krylov step
     rep = build_fock_rep(6, 1.0)
-    full_eigh, steps = count_calls(monkeypatch, rep)
-    evolve(h, rep, coherent_state(rep), np.linspace(0.0, 0.5, 51), track_energy=track_energy)
+    full_eigh, steps, dense = count_calls(monkeypatch, rep)
+    evolve(h, rep, coherent_state(rep), np.linspace(0.0, 0.5, 51))
     assert len(full_eigh) == 1
     assert steps == []
+    assert len(dense) == 1
 
 
 def test_changing_generator_takes_one_krylov_step_per_step(monkeypatch):
+    # H is applied matrix-free in the steps: a dense matrix only for the
+    # t0 eigh and for the tracker's eigvalsh at each later sample
     rep = build_fock_rep(6, 1.0)
-    full_eigh, steps = count_calls(monkeypatch, rep)
+    full_eigh, steps, dense = count_calls(monkeypatch, rep)
     h = ncmodel.build_h_nc(NCParams(theta=0.1, eta=0.05, gamma=0.2))
-    evolve(h, rep, coherent_state(rep), np.linspace(0.0, 0.5, 51), track_energy=True)
+    evolve(h, rep, coherent_state(rep), np.linspace(0.0, 0.5, 51))
     assert len(full_eigh) == 1
     assert len(steps) == 50
-
-
-def dense_matrix(poly, rep):
-    """The represented matrix of a degree-<=1 polynomial from one kron per
-    term, sharing no code with ``represent``."""
-    out = np.kron(np.eye(rep.N * rep.N), poly.const_term)
-    for c in Coord:
-        out = out + np.kron(rep.mode_ops[c], poly.linear_term(c))
-    return out
+    assert len(dense) == 51
 
 
 def dense_exponential(g, psi, dt):
@@ -230,7 +292,7 @@ def test_krylov_step_matches_dense_exponential(case, norm_dt):
     # so it exercises the sub-stepping
     g, psi = case()
     dt = norm_dt / np.linalg.norm(g, 2)
-    got = krylov_step(g, psi, dt)
+    got = krylov_step(partial(np.matmul, g), psi, dt)
     assert np.max(np.abs(got - dense_exponential(g, psi, dt))) <= 1e-12
     assert abs(np.linalg.norm(got) - 1.0) <= 1e-13
 
@@ -244,7 +306,7 @@ def test_time_dependent_evolve_matches_dense_reference():
     psi = coherent_state(rep, alpha_x=1.0)
     times = np.linspace(0.0, 1.0, 21)
     dt = times[1] - times[0]
-    ev = evolve(h, rep, psi, times, track_energy=True)
+    ev = evolve(h, rep, psi, times)
 
     w, v = np.linalg.eigh(dense_matrix(h.at(0.0), rep))
     energy = [w[np.argmax(np.abs(v.conj().T @ psi) ** 2)]]
@@ -288,7 +350,7 @@ def test_invariant_drift_identity_is_zero():
     h = ncmodel.build_h_nc(COMMUTATIVE)
     psi0 = coherent_state(rep)
     ev = evolve(h, rep, psi0, np.linspace(0.0, 0.5, 51))
-    d = invariant_drift(np.eye(rep.dim), ev)
+    d = invariant_drift(PhasePoly.constant(ID2), rep, ev)
     assert np.max(np.abs(d.drift)) <= 1e-12
 
 
@@ -298,7 +360,7 @@ def test_invariant_drift_constrained_small():
     psi0 = coherent_state(rep)
     ev = evolve(h, rep, psi0, np.linspace(0.0, 1.0, 501))
     ans = invariant.constant_invariant(1.0, 0.0, 0.0, -0.5, 0.0)
-    d = invariant_drift(represent(ans.at(0.0), rep), ev)
+    d = invariant_drift(ans.at(0.0), rep, ev)
     assert d.relative_max <= 1e-6
 
 
@@ -307,7 +369,7 @@ def test_invariant_drift_checks_dimension():
     h = ncmodel.build_h_nc(COMMUTATIVE)
     ev = evolve(h, rep, coherent_state(rep), np.linspace(0.0, 0.1, 11))
     with pytest.raises(DimError):
-        invariant_drift(np.eye(rep.dim + 2), ev)
+        invariant_drift(PhasePoly.constant(ID2), build_fock_rep(4, 1.0), ev)
 
 
 def test_unconstrained_drift_matches_ehrenfest_rate():
@@ -319,12 +381,9 @@ def test_unconstrained_drift_matches_ehrenfest_rate():
     times = np.linspace(0.0, 1.0, 501)
     ev = evolve(h, rep, psi0, times)
     ans = invariant.constant_invariant(1.0, 0.0, 0.0, 0.0, 0.0)
-    i_mat = represent(ans.at(0.0), rep)
-    measured = invariant_drift(i_mat, ev).drift.real
+    measured = invariant_drift(ans.at(0.0), rep, ev).drift.real
     res_poly = invariant.invariance_residual(ans, h, form, 0.0)
-    predicted = cumulative_trapezoid(
-        times, ehrenfest_rate_series(represent(res_poly, rep), ev)
-    )
+    predicted = cumulative_trapezoid(times, ehrenfest_rate_series(res_poly, rep, ev))
     m_max = np.max(np.abs(measured))
     p_max = np.max(np.abs(predicted))
     assert m_max > 1e-4
@@ -395,7 +454,7 @@ def test_truncation_scaling_of_constrained_drift():
         rep = build_fock_rep(n, 1.0)
         psi0 = coherent_state(rep)
         ev = evolve(h, rep, psi0, np.linspace(0.0, 1.0, 251))
-        d = invariant_drift(represent(ans.at(0.0), rep), ev)
+        d = invariant_drift(ans.at(0.0), rep, ev)
         drifts.append(d.relative_max)
     for small, large in zip(drifts[1:], drifts[:-1]):
         assert small <= max(1.1 * large, 1e-12)

@@ -224,6 +224,16 @@ def test_h_nc_rejects_si_mode():
         ncmodel.build_h_nc(p)
 
 
+def test_h_nc_requires_hbar_one_when_deformed():
+    # the Bopp shift divides by hbar and the dressings f_theta, f_eta do not,
+    # so the two construction paths agree only at hbar = 1
+    with pytest.raises(UnitModeError):
+        ncmodel.build_h_nc(NCParams(eta=1.0, hbar=2.0))
+    commutative = NCParams(hbar=2.0)
+    assert ncmodel.dual_path_deviation(commutative) == 0.0
+    ncmodel.build_h_nc(commutative)
+
+
 def test_f_limits_in_commutative_reduction():
     for gamma in (0.0, 0.3):
         p = NCParams(theta=0.0, eta=0.0, gamma=gamma)
