@@ -237,20 +237,24 @@ def count_calls(monkeypatch, rep):
     return full_eigh, steps, dense
 
 
+@pytest.mark.parametrize("negative_t0", [True, False])
 @pytest.mark.parametrize(
     "h",
     [ncmodel.build_h_commutative(COMMUTATIVE), ncmodel.build_h_nc(NCParams(theta=0.1, eta=0.05))],
     ids=["commutative", "stationary"],
 )
-def test_time_constant_generator_is_diagonalized_once(monkeypatch, h):
-    # the propagator is chosen once per run: one dense matrix, one
-    # decomposition, no Krylov step
+def test_time_constant_generator_is_diagonalized_once(monkeypatch, h, negative_t0):
+    # the propagator is chosen once per run, wherever the grid starts: one
+    # dense matrix, one decomposition, no Krylov step, and the tracked
+    # energy stays on the t0 eigenvalue
     rep = build_fock_rep(6, 1.0)
     full_eigh, steps, dense = count_calls(monkeypatch, rep)
-    evolve(h, rep, coherent_state(rep), np.linspace(0.0, 0.5, 51))
+    t0 = -0.25 if negative_t0 else 0.0
+    ev = evolve(h, rep, coherent_state(rep), np.linspace(t0, t0 + 0.5, 51))
     assert len(full_eigh) == 1
     assert steps == []
     assert len(dense) == 1
+    assert np.all(ev.energy == ev.energy[0])
 
 
 def test_changing_generator_takes_one_krylov_step_per_step(monkeypatch):
