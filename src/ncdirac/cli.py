@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__, fockevolve, invariant, lrsolve, mat2, ncmodel
 from .errors import SingularParameterError, UnitModeError
-from .phasepoly import residual_norm
+from .phasepoly import AffineOp, residual_norm
 
 
 class ConfigError(ValueError):
@@ -210,6 +210,7 @@ def cmd_verify_algebra(cfg: RunConfig) -> int:
     deformed = ncmodel.verify_nc_algebra(p, t_grid)
     dual_dev = None
     if p.natural:
+        ncmodel.require_h_nc_units(p)
         dual_dev = ncmodel.dual_path_deviation(p)
 
     if p.theta == 0.0 and p.eta == 0.0:
@@ -225,9 +226,17 @@ def cmd_verify_algebra(cfg: RunConfig) -> int:
         deformed.checks,
         key=lambda c: c.deviation if math.isfinite(c.deviation) else math.inf,
     )
-    ok = dirac.max_deviation <= tol and deformed.passed(tol)
-    if dual_dev is not None:
-        ok = ok and dual_dev <= tol
+    failures = []
+    if not dirac.passed(tol):
+        bad = max(dirac.checks, key=lambda c: c.deviation)
+        failures.append(f"Dirac identity {bad.name} deviates by {bad.deviation:.3e}")
+    if not deformed.passed(tol):
+        failures.append(
+            f"worst commutator {worst.pair} at t={worst.t} deviates by {worst.deviation:.3e}"
+        )
+    if dual_dev is not None and not dual_dev <= tol:
+        failures.append(f"dual-path Hamiltonian deviates by {dual_dev:.3e}")
+    ok = not failures
     payload = {
         "mode": mode,
         "dirac_algebra": dirac.as_dict(),
@@ -240,11 +249,7 @@ def cmd_verify_algebra(cfg: RunConfig) -> int:
     }
     _write_json(cfg, "algebra_report.json", payload)
     if not ok:
-        print(
-            f"algebra check failed: worst commutator {worst.pair} at t={worst.t} "
-            f"deviates by {worst.deviation:.3e}",
-            file=sys.stderr,
-        )
+        print(f"algebra check failed: {'; '.join(failures)}", file=sys.stderr)
         return 1
     print(f"algebra checks passed ({mode}); max deviation {max(dirac.max_deviation, deformed.max_deviation):.3e}")
     return 0
@@ -364,6 +369,54 @@ def _check_memory(fock_N: int, n_t: int) -> None:
         )
 
 
+class LevelTrack(typing.NamedTuple):
+    """The Dirac-Landau level an evolution follows, and how far the truncated
+    generator's Ritz values sit from it at the two ends of the run."""
+
+    n: int
+    sign: int
+    energy: np.ndarray  # E_n(t) at every sample
+    error: tuple[float, float]  # |Ritz - E_n| at t0 and t1
+    residual: tuple[float, float]  # Ritz residuals of those two Ritz values
+
+
+def track_level(
+    p: ncmodel.NCParams, h: AffineOp, rep: fockevolve.FockRep, evolved: fockevolve.EvolvedState
+) -> LevelTrack:
+    """Follow the closed-form level that holds the largest share of the
+    initial state.
+
+    One Lanczos run from psi(t0) under H(t0) gives Ritz values and weights;
+    the weights are summed by the nearest closed-form level (n, sign) and the
+    largest sum names the level. Levels of different n do not cross while
+    f_theta f_eta keeps its sign, so E_n(t) is the tracked energy at every
+    sample. The truncation diagnostic is the distance from E_n to the nearest
+    Ritz value, with that value's residual, from this run and from one
+    Lanczos run from psi(t1) under H(t1).
+    """
+    ends = (0, len(evolved.times) - 1)
+    spectra = [
+        fockevolve.spectral_weights(
+            functools.partial(fockevolve.apply, h.at(float(evolved.times[k])), rep),
+            evolved.states[k],
+        )
+        for k in ends
+    ]
+    t0 = float(evolved.times[0])
+    shares: dict[tuple[int, int], float] = {}
+    for ritz, weight in zip(spectra[0].ritz, spectra[0].weight):
+        level = ncmodel.nearest_landau_level(p, t0, float(ritz))
+        shares[level] = shares.get(level, 0.0) + float(weight)
+    n, sign = max(shares, key=shares.get)
+    energy = np.array([ncmodel.landau_level(p, n, sign, float(t)) for t in evolved.times])
+    error, residual = [], []
+    for k, spectrum in zip(ends, spectra):
+        i = int(np.argmin(np.abs(spectrum.ritz - energy[k])))
+        error.append(float(abs(spectrum.ritz[i] - energy[k])))
+        residual.append(float(spectrum.residual[i]))
+    return LevelTrack(n, sign, energy, tuple(error), tuple(residual))
+
+
 def cmd_evolve(cfg: RunConfig) -> int:
     p = cfg.params()
     n_steps = max(1, int(round((cfg.t1 - cfg.t0) / cfg.dt)))
@@ -377,6 +430,8 @@ def cmd_evolve(cfg: RunConfig) -> int:
     # state that never probes the truncation edge, so its drift measures nothing
     psi0 = fockevolve.coherent_state(rep, alpha_x=1.0)
     evolved = fockevolve.evolve(h, rep, psi0, times)
+    track = track_level(p, h, rep, evolved)
+    edge = fockevolve.edge_weight(rep, evolved.states)
 
     ans = invariant.constant_invariant(cfg.a1, cfg.a3, cfg.b1, cfg.b3, cfg.c1)
     drift = fockevolve.invariant_drift(ans.at(0.0), rep, evolved)
@@ -407,15 +462,26 @@ def cmd_evolve(cfg: RunConfig) -> int:
             r_xp.product,
             r_xp.bound,
             margins,
-            evolved.energy,
+            track.energy,
         )
 
     print(
         f"relative invariant drift {drift.relative_max:.3e} "
         f"({'constrained' if constrained else 'unconstrained'} constants, "
         f"residual norm {res_norm:.3e}); min uncertainty margin {min_margin:.3e}; "
-        f"nc-pair bound within {nc_bound_dev:.3e} of hbar_eff/2"
+        f"nc-pair bound within {nc_bound_dev:.3e} of hbar_eff/2; "
+        f"E_tracked on Landau level n={track.n} ({'+' if track.sign > 0 else '-'}): "
+        f"Ritz error {track.error[0]:.3e} (residual {track.residual[0]:.1e}) at t0, "
+        f"{track.error[1]:.3e} (residual {track.residual[1]:.1e}) at t1; "
+        f"max top-level weight {edge:.3e}"
     )
+    gaps = [ncmodel.landau_gap(p, float(t)) for t in times]
+    if min(gaps) <= 0.0 <= max(gaps):
+        print(
+            "f_theta*f_eta changes sign on the time grid: the Landau levels close, "
+            f"so the level n={track.n} picked at t0 need not be the one the state follows",
+            file=sys.stderr,
+        )
     if truncation_warning:
         print(
             f"invariant drift {drift.relative_max:.3e} exceeds 1e-6 for an "

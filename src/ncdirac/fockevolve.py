@@ -1,6 +1,7 @@
 """Truncated two-mode oscillator (x) spinor representation of the degree-<=1
 polynomial operators, unitary time evolution, and the derived measurements:
-invariant drift, tracked instantaneous energy, and uncertainty products.
+invariant drift, uncertainty products, the spectral weights of a state
+(Lanczos), and the weight the truncation edge reaches.
 
 Full-space convention: states live on mode_x (x) mode_y (x) spinor, of
 dimension 2*N^2, and are viewed as (rows, N, N, 2) arrays when an operator
@@ -163,7 +164,6 @@ class EvolvedState:
     times: np.ndarray
     states: np.ndarray  # (n_t, dim) complex
     norm_drift: float
-    energy: np.ndarray  # tracked instantaneous eigenvalue
 
 
 def _check_uniform(t_grid: np.ndarray) -> float:
@@ -176,40 +176,57 @@ def _check_uniform(t_grid: np.ndarray) -> float:
     return float(dt)
 
 
-def _lanczos_expm(
-    g: Callable[[np.ndarray], np.ndarray], psi: np.ndarray, tau: float
-) -> np.ndarray | None:
-    """exp(-i G tau) psi, G given by its action g, from a Krylov space of at
-    most KRYLOV_MAX vectors, or None when the error estimate has not reached
-    KRYLOV_TOL by then.
+def _lanczos(
+    g: Callable[[np.ndarray], np.ndarray], psi: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray, float]]:
+    """Lanczos recurrence of the Hermitian G, given by its action g, from psi.
 
-    The basis is kept orthonormal by full reorthogonalization (two classical
-    Gram-Schmidt passes), so the projected tridiagonal T stays faithful and the
-    result has the norm of psi to rounding. The stopping test is the leading
-    term of the Krylov error, tau * beta_m * |e_m^T phi1(-i tau T) e_1| with
-    phi1(z) = (e^z - 1)/z, relative to |psi| (Saad, SIAM J. Numer. Anal. 29,
-    209 (1992); Hochbruck & Lubich, SIAM J. Numer. Anal. 34, 1911 (1997)).
+    After step j it yields the orthonormal basis v_0..v_j (rows), the
+    projected tridiagonal T = V^dag G V of size j + 1, and the norm beta of
+    the next residual vector. The basis is kept orthonormal by full
+    reorthogonalization (two classical Gram-Schmidt passes), so T stays
+    faithful. The recurrence stops after KRYLOV_MAX vectors, after psi.size
+    vectors, or when the residual keeps less than KRYLOV_TOL of the norm of
+    G v_j: the space is then invariant under G.
     """
-    beta0 = np.linalg.norm(psi)
     basis = np.empty((KRYLOV_MAX + 1, psi.size), dtype=complex)
-    basis[0] = psi / beta0
+    basis[0] = psi / np.linalg.norm(psi)
     t = np.zeros((KRYLOV_MAX + 1, KRYLOV_MAX + 1))
-    for j in range(KRYLOV_MAX):
+    for j in range(min(KRYLOV_MAX, psi.size)):
         v = basis[: j + 1]
         w = g(basis[j])
+        image = np.linalg.norm(w)
         for _ in range(2):
             overlap = v.conj() @ w
             w -= overlap @ v
             t[j, j] += overlap[j].real
         beta = np.linalg.norm(w)
-        lam, s = np.linalg.eigh(t[: j + 1, : j + 1])
+        yield v, t[: j + 1, : j + 1], beta
+        if beta <= KRYLOV_TOL * image:
+            return
+        basis[j + 1] = w / beta
+        t[j, j + 1] = t[j + 1, j] = beta
+
+
+def _lanczos_expm(
+    g: Callable[[np.ndarray], np.ndarray], psi: np.ndarray, tau: float
+) -> np.ndarray | None:
+    """exp(-i G tau) psi from the Lanczos space of psi, or None when the
+    error estimate has not reached KRYLOV_TOL by the end of the recurrence.
+
+    The result has the norm of psi to rounding. The stopping test is the
+    leading term of the Krylov error, tau * beta_m * |e_m^T phi1(-i tau T) e_1|
+    with phi1(z) = (e^z - 1)/z, relative to |psi| (Saad, SIAM J. Numer. Anal.
+    29, 209 (1992); Hochbruck & Lubich, SIAM J. Numer. Anal. 34, 1911 (1997)).
+    """
+    beta0 = np.linalg.norm(psi)
+    for v, t, beta in _lanczos(g, psi):
+        lam, s = np.linalg.eigh(t)
         z = -1j * tau * lam
         nonzero = np.where(z == 0, 1.0, z)
         phi1 = np.where(z == 0, 1.0, np.expm1(nonzero) / nonzero)
-        if tau * beta * abs(s[j] @ (phi1 * s[0])) <= KRYLOV_TOL:
+        if tau * beta * abs(s[-1] @ (phi1 * s[0])) <= KRYLOV_TOL:
             return beta0 * ((s @ (np.exp(z) * s[0])) @ v)
-        basis[j + 1] = w / beta
-        t[j, j + 1] = t[j + 1, j] = beta
     return None
 
 
@@ -236,6 +253,29 @@ def krylov_step(
     return psi
 
 
+class Spectrum(NamedTuple):
+    """Ritz data of a Hermitian generator on the Lanczos space of a state."""
+
+    ritz: np.ndarray  # Ritz values theta_i, ascending
+    weight: np.ndarray  # |s_0i|^2, the share of the state on each Ritz vector
+    residual: np.ndarray  # beta |s_ki| = |G y_i - theta_i y_i| for Ritz vector y_i
+
+
+def spectral_weights(g: Callable[[np.ndarray], np.ndarray], psi: np.ndarray) -> Spectrum:
+    """Ritz values of the Hermitian G, given by its action g, on the Lanczos
+    space of psi, with their weights and residuals.
+
+    The weights sum to 1: they are the Gauss quadrature of the spectral
+    measure of psi, so an eigenvalue cluster the space does not resolve is
+    carried by one Ritz value near its weighted mean. G has an eigenvalue
+    within ``residual[i]`` of every ``ritz[i]``.
+    """
+    for _, t, beta in _lanczos(g, psi):
+        pass
+    lam, s = np.linalg.eigh(t)
+    return Spectrum(lam, np.abs(s[0]) ** 2, beta * np.abs(s[-1]))
+
+
 def evolve(
     h: AffineOp,
     rep: FockRep,
@@ -248,11 +288,11 @@ def evolve(
     time-ordering error. The choice of propagator is made once per run, from
     the coefficients of H at every sample and every midpoint: a generator
     that is constant over the grid is diagonalized once (Hermitian
-    eigendecomposition) and its dense step propagator reused; a changing one
-    takes a Krylov step (``krylov_step``) at every midpoint, applying H with
-    ``apply``. The energy tracker starts from the eigenvalue of largest
-    overlap at t0; after that it follows the nearest eigenvalue, which for a
-    changing generator needs eigenvalues only.
+    eigendecomposition of its dense matrix) and its step propagator reused; a
+    changing one takes a Krylov step (``krylov_step``) at every midpoint,
+    applying H with ``apply``, and so builds no generator-sized matrix and
+    decomposes none. Energy tracking is not done here: the caller reads the
+    spectral weights of any stored state with ``spectral_weights``.
     """
     ts = np.asarray(t_grid, dtype=float)
     dt = _check_uniform(ts)
@@ -266,31 +306,38 @@ def evolve(
     n_t = ts.size
     states = np.zeros((n_t, rep.dim), dtype=complex)
     states[0] = psi
-    energy = np.zeros(n_t)
     samples = [tuple(h.value(float(t))) for t in ts]
     mids = [tuple(h.value(float(t) + 0.5 * dt)) for t in ts[:-1]]
     constant = all(c == samples[0] for c in samples + mids)
 
-    w, v = np.linalg.eigh(represent(h.combine(samples[0]), rep))
-    energy[0] = w[int(np.argmax(np.abs(v.conj().T @ psi) ** 2))]
     if constant:
+        w, v = np.linalg.eigh(represent(h.combine(samples[0]), rep))
         u = (v * np.exp(-1j * w * dt)) @ v.conj().T
     for k in range(n_t - 1):
         if constant:
             psi = u @ psi
         else:
             psi = krylov_step(partial(apply, h.combine(mids[k]), rep), psi, dt)
-            w = np.linalg.eigvalsh(represent(h.combine(samples[k + 1]), rep))
         states[k + 1] = psi
-        energy[k + 1] = w[int(np.argmin(np.abs(w - energy[k])))]
 
     norms = np.linalg.norm(states, axis=1)
     return EvolvedState(
         times=ts,
         states=states,
         norm_drift=float(np.max(np.abs(norms - 1.0))),
-        energy=energy,
     )
+
+
+def edge_weight(rep: FockRep, states: np.ndarray) -> float:
+    """Largest weight any of the states (rows, dim) has on the top oscillator
+    level n = N-1 of either mode, where the truncation defect lives; computed
+    from the amplitudes, a block of rows at a time."""
+    worst = 0.0
+    for b in _blocks(states):
+        prob = np.abs(states[b].reshape(-1, rep.N, rep.N, 2)) ** 2
+        edge = prob[:, -1].sum(axis=(1, 2)) + prob[:, :-1, -1].sum(axis=(1, 2))
+        worst = max(worst, float(edge.max()))
+    return worst
 
 
 @dataclass(frozen=True)

@@ -23,13 +23,15 @@ from .ncmodel import NCParams, f_eta, f_theta
 
 
 def magnetic_length(p: NCParams) -> float:
-    """l_B with 1/l_B = sqrt(e*B), the natural length scale of the problem."""
+    """Landau length l_B = sqrt(hbar/(e*B)), the natural length scale of the
+    problem: the oscillator scale whose ground state is a lowest-level state."""
     eb = p.e * p.B
     if eb <= 0:
         raise SingularParameterError("magnetic length requires e*B > 0")
-    if eb == math.inf:
-        raise OverflowError("e*B leaves the float range")
-    return 1.0 / math.sqrt(eb)
+    ell = math.sqrt(p.hbar / eb)
+    if not 0.0 < ell < math.inf:
+        raise OverflowError("the magnetic length sqrt(hbar/(e*B)) leaves the float range")
+    return ell
 
 
 def f_closed(p: NCParams, t: float) -> tuple[complex, complex]:

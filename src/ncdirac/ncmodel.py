@@ -270,6 +270,14 @@ def dual_path_deviation(
     return max(residual_norm(h.at(t) - h_nc_via_bopp(p, t)) for t in ts)
 
 
+def require_h_nc_units(p: NCParams) -> None:
+    """Raise UnitModeError unless the deformed Hamiltonian is defined for p:
+    natural units, and hbar = 1 when theta or eta is nonzero, because the Bopp
+    shift scales by 1/hbar while the dressings f_theta, f_eta do not."""
+    if not p.natural or (p.hbar != 1.0 and (p.theta != 0.0 or p.eta != 0.0)):
+        raise UnitModeError("the deformed Hamiltonian is defined in natural units, hbar = 1")
+
+
 def build_h_nc(p: NCParams) -> AffineOp:
     """Time-dependent deformed Dirac Hamiltonian (natural units only).
 
@@ -280,10 +288,40 @@ def build_h_nc(p: NCParams) -> AffineOp:
     substitution of the shifted operators and refuses to hand back an
     inconsistent operator.
     """
-    # the Bopp shift scales by 1/hbar, the dressings f_theta, f_eta do not
-    if not p.natural or (p.hbar != 1.0 and (p.theta != 0.0 or p.eta != 0.0)):
-        raise UnitModeError("the deformed Hamiltonian is defined in natural units, hbar = 1")
+    require_h_nc_units(p)
     dev = dual_path_deviation(p)
     if dev > 1e-13:
         raise RuntimeError(f"Hamiltonian construction paths disagree: {dev:.3e}")
     return _h_nc(p)
+
+
+# -- Dirac-Landau levels ---------------------------------------------------------
+
+
+def landau_gap(p: NCParams, t: float) -> float:
+    """4 hbar f_theta(t) f_eta(t): twice the commutator scale of the kinetic
+    momenta, |[Pi_x, Pi_y]| = 2 hbar |f_theta f_eta| (Nair & Polychronakos,
+    Phys. Lett. B 505, 267 (2001)). Its sign is that of the effective field."""
+    return 4.0 * p.hbar * f_theta(p, t) * f_eta(p, t)
+
+
+def landau_level(p: NCParams, n: int, sign: int, t: float) -> float:
+    """Closed-form level sign * sqrt(m^2 + 4 n hbar |f_theta f_eta|) of the
+    untruncated H(t) at time t, n = 0, 1, 2, ..."""
+    level = sign * math.sqrt(p.m * p.m + n * abs(landau_gap(p, t)))
+    if not math.isfinite(level):
+        raise OverflowError(f"Landau level n={n} at t={t} leaves the float range")
+    return level
+
+
+def nearest_landau_level(p: NCParams, t: float, energy: float) -> tuple[int, int]:
+    """(n, sign) of the closed-form level nearest ``energy`` at time t; n = 0
+    when the levels have closed (f_theta f_eta = 0)."""
+    sign = 1 if energy >= 0.0 else -1
+    gap = abs(landau_gap(p, t))
+    if gap == 0.0:
+        return 0, sign
+    # nearest in energy squared, then the nearest of it and its neighbours
+    guess = max(0, round((energy * energy - p.m * p.m) / gap))
+    candidates = range(max(0, guess - 1), guess + 2)
+    return min(candidates, key=lambda n: abs(abs(energy) - math.sqrt(p.m * p.m + n * gap))), sign

@@ -1,8 +1,10 @@
 """CLI exit codes, report files, determinism, and the config surface."""
 
 import csv
+import dataclasses
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ncdirac import fockevolve, ncmodel
+from ncdirac import fockevolve, mat2, ncmodel
 from ncdirac.cli import main
 from ncdirac.mat2 import ID2
 from ncdirac.phasepoly import PhasePoly
@@ -61,6 +63,41 @@ def test_verify_algebra_corrupted_bopp_fails(tmp_path, monkeypatch):
     assert report["pass"] is False
     assert report["worst_commutator"]["deviation"] > 1e-12
     assert report["worst_commutator"]["pair"].startswith("[")
+
+
+@pytest.mark.parametrize("command", ["verify-algebra", "invariant", "evolve"])
+def test_deformation_with_hbar_not_one_exits_2(tmp_path, capsys, command):
+    # the Bopp shift divides by hbar and f_theta, f_eta do not: every command
+    # that builds the deformed Hamiltonian refuses the config alike
+    assert run(tmp_path, command, "--eta=1", "--hbar=2", "--fock_N=4", "--t1=0.05") == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "target, name",
+    [
+        ("mat2.verify_dirac_algebra", "Dirac identity"),
+        ("ncmodel.verify_nc_algebra", "worst commutator"),
+        ("ncmodel.dual_path_deviation", "dual-path Hamiltonian"),
+    ],
+)
+def test_verify_algebra_failure_names_the_failing_check(tmp_path, monkeypatch, capsys, target, name):
+    module, attr = target.split(".")
+    owner = {"mat2": mat2, "ncmodel": ncmodel}[module]
+    real = getattr(owner, attr)
+    broken = {
+        "verify_dirac_algebra": lambda: real(beta=2.0 * mat2.BETA),
+        "verify_nc_algebra": lambda p, ts: ncmodel.DeformedAlgebraReport(
+            tuple(dataclasses.replace(c, deviation=1e-6 * c.t) for c in real(p, ts).checks)
+        ),
+        "dual_path_deviation": lambda p: 1e-6,
+    }[attr]
+    monkeypatch.setattr(owner, attr, broken)
+    assert run(tmp_path, "verify-algebra", "--theta=0.1", "--eta=0.05", "--gamma=0.2") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"algebra check failed: {name}")
+    assert err.count(";") == 0
 
 
 def test_verify_algebra_nan_deviation_fails(tmp_path, monkeypatch):
@@ -150,6 +187,46 @@ def test_evolve_constrained_passes(tmp_path):
     assert data[:, 2].max() <= 1e-6  # drift column
     assert data[:, 5].min() >= -1e-9  # margin column
     assert np.all(data[:, 6] != 0.0)  # tracked energy present
+
+
+LEVEL_LINE = re.compile(
+    r"E_tracked on Landau level n=(\d+) \(([+-])\): Ritz error (\S+) \(residual (\S+)\) at t0, "
+    r"(\S+) \(residual (\S+)\) at t1; max top-level weight (\S+)$"
+)
+
+
+def level_diagnostics(stdout):
+    """(n, sign, t0 error, t0 residual, t1 error, t1 residual, edge weight)
+    from evolve's stdout line."""
+    match = LEVEL_LINE.search(stdout.strip())
+    assert match, stdout
+    n, sign, *figures = match.groups()
+    return (int(n), sign, *map(float, figures))
+
+
+def test_evolve_landau_scale_carries_hbar(tmp_path, capsys):
+    # with the oscillator scale sqrt(hbar/(e B)) the commutative hbar = 2 run
+    # sits on the closed-form n = 0 level to the Krylov resolution of its
+    # Ritz value; the scale 1/sqrt(e B) left it 2.2e-3 away
+    code = run(tmp_path, "evolve", "--hbar=2", "--fock_N=16", "--t1=0.01", "--dt=1e-3")
+    assert code == 0
+    n, sign, err0, res0, err1, res1, edge = level_diagnostics(capsys.readouterr().out)
+    assert (n, sign) == (0, "+")
+    assert err0 <= 1e-5 and err1 <= 1e-5
+    assert res0 <= 1e-2 and res1 <= 1e-2
+    assert edge <= 1e-12
+    rows = list(csv.reader((tmp_path / "evolution.csv").open()))
+    assert all(float(row[-1]) == 1.0 for row in rows[1:])  # E_0 = m
+
+
+def test_evolve_warns_when_the_landau_levels_close(tmp_path, capsys):
+    # f_eta = (1 - 1.5 e^{-t})/2 changes sign at t = ln 1.5 inside the window
+    argv = ("--eta=-1.5", "--gamma=1", "--fock_N=6", "--t1=0.5", "--dt=0.05")
+    code = run(tmp_path, "evolve", *argv)
+    assert code in (0, 1)
+    assert "changes sign" in capsys.readouterr().err
+    assert run(tmp_path, "evolve", "--eta=-0.5", "--gamma=1", *argv[2:]) == code
+    assert "changes sign" not in capsys.readouterr().err
 
 
 def test_evolve_truncation_too_small_fails(tmp_path):

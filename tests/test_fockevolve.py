@@ -8,18 +8,21 @@ import numpy as np
 import pytest
 
 from ncdirac import fockevolve, invariant, lrsolve, ncmodel
+from ncdirac.cli import track_level
 from ncdirac.errors import DegreeError, DimError, GridError, SizeError
 from ncdirac.fockevolve import (
     apply,
     build_fock_rep,
     coherent_state,
     cumulative_trapezoid,
+    edge_weight,
     ehrenfest_rate_series,
     evolve,
     invariant_drift,
     krylov_step,
     represent,
     robertson,
+    spectral_weights,
     uncertainty_pairs,
 )
 from ncdirac.mat2 import ID2
@@ -42,16 +45,18 @@ def test_build_rep_validation():
 
 
 def test_tracked_energy_feeds_phase_integral():
-    # tracked instantaneous eigenvalue plugs straight into the phase formula
+    # the tracked level plugs straight into the phase formula
     rep = build_fock_rep(6, 1.0)
     h = ncmodel.build_h_nc(COMMUTATIVE)
     psi0 = coherent_state(rep)
     times = np.linspace(0.0, 1.0, 101)
     ev = evolve(h, rep, psi0, times)
+    energy = track_level(COMMUTATIVE, h, rep, ev).energy
     theta = lrsolve.theta_phase(COMMUTATIVE, 0.5, -0.5, 1.0)
-    alpha = lrsolve.lr_phase(theta, ev.times, ev.energy, 1.0)
-    # constant tracked energy integrates exactly
-    assert alpha == pytest.approx(theta - ev.energy[0] * 1.0, abs=1e-10)
+    alpha = lrsolve.lr_phase(theta, ev.times, energy, 1.0)
+    # the spin-up vacuum sits on the n = 0 level E = m, constant in time
+    assert np.all(energy == COMMUTATIVE.m)
+    assert alpha == pytest.approx(theta - COMMUTATIVE.m * 1.0, abs=1e-10)
 
 
 def test_coordinate_matrices_hermitian():
@@ -213,15 +218,19 @@ def test_evolve_zero_momentum_rest_phase():
 
 
 def count_calls(monkeypatch, rep):
-    """Record evolve's full-size eigh calls, its krylov_step calls and its
-    represent calls."""
+    """Record the full-size eigh and eigvalsh calls, evolve's krylov_step
+    calls and the represent calls."""
     full_eigh, steps, dense = [], [], []
-    eigh, step, represent_ = np.linalg.eigh, fockevolve.krylov_step, fockevolve.represent
+    eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+    step, represent_ = fockevolve.krylov_step, fockevolve.represent
 
-    def counting_eigh(m):
-        if m.shape == (rep.dim, rep.dim):
-            full_eigh.append(m.shape)
-        return eigh(m)
+    def counting(decompose):
+        def wrapped(m):
+            if m.shape == (rep.dim, rep.dim):
+                full_eigh.append(decompose.__name__)
+            return decompose(m)
+
+        return wrapped
 
     def counting_step(g, psi, dt):
         steps.append(dt)
@@ -231,7 +240,8 @@ def count_calls(monkeypatch, rep):
         dense.append(p)
         return represent_(p, r)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(np.linalg, "eigh", counting(eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting(eigvalsh))
     monkeypatch.setattr(fockevolve, "krylov_step", counting_step)
     monkeypatch.setattr(fockevolve, "represent", counting_represent)
     return full_eigh, steps, dense
@@ -245,28 +255,28 @@ def count_calls(monkeypatch, rep):
 )
 def test_time_constant_generator_is_diagonalized_once(monkeypatch, h, negative_t0):
     # the propagator is chosen once per run, wherever the grid starts: one
-    # dense matrix, one decomposition, no Krylov step, and the tracked
-    # energy stays on the t0 eigenvalue
+    # dense matrix, one decomposition, no Krylov step
     rep = build_fock_rep(6, 1.0)
     full_eigh, steps, dense = count_calls(monkeypatch, rep)
     t0 = -0.25 if negative_t0 else 0.0
-    ev = evolve(h, rep, coherent_state(rep), np.linspace(t0, t0 + 0.5, 51))
-    assert len(full_eigh) == 1
+    evolve(h, rep, coherent_state(rep), np.linspace(t0, t0 + 0.5, 51))
+    assert full_eigh == ["eigh"]
     assert steps == []
     assert len(dense) == 1
-    assert np.all(ev.energy == ev.energy[0])
 
 
 def test_changing_generator_takes_one_krylov_step_per_step(monkeypatch):
-    # H is applied matrix-free in the steps: a dense matrix only for the
-    # t0 eigh and for the tracker's eigvalsh at each later sample
+    # H is applied matrix-free in the steps and in the level tracker: no
+    # dense matrix and no decomposition of generator size in the whole run
+    p = NCParams(theta=0.1, eta=0.05, gamma=0.2)
     rep = build_fock_rep(6, 1.0)
     full_eigh, steps, dense = count_calls(monkeypatch, rep)
-    h = ncmodel.build_h_nc(NCParams(theta=0.1, eta=0.05, gamma=0.2))
-    evolve(h, rep, coherent_state(rep), np.linspace(0.0, 0.5, 51))
-    assert len(full_eigh) == 1
+    h = ncmodel.build_h_nc(p)
+    ev = evolve(h, rep, coherent_state(rep), np.linspace(0.0, 0.5, 51))
+    track_level(p, h, rep, ev)
+    assert full_eigh == []
     assert len(steps) == 50
-    assert len(dense) == 51
+    assert dense == []
 
 
 def dense_exponential(g, psi, dt):
@@ -301,6 +311,90 @@ def test_krylov_step_matches_dense_exponential(case, norm_dt):
     assert abs(np.linalg.norm(got) - 1.0) <= 1e-13
 
 
+def test_spectral_weights_match_dense_decomposition():
+    # fewer dimensions than KRYLOV_MAX: the Lanczos space exhausts the
+    # generator, so Ritz pairs are eigenpairs and the weights are exact
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(24, 24)) + 1j * rng.normal(size=(24, 24))
+    g = a + a.conj().T
+    psi = rng.normal(size=24) + 1j * rng.normal(size=24)
+    psi /= np.linalg.norm(psi)
+    spectrum = spectral_weights(partial(np.matmul, g), psi)
+    w, v = np.linalg.eigh(g)
+    assert np.max(np.abs(spectrum.ritz - w)) <= 1e-12
+    assert np.max(np.abs(spectrum.weight - np.abs(v.conj().T @ psi) ** 2)) <= 1e-12
+    assert np.max(spectrum.residual) <= 1e-12
+
+
+def test_spectral_weights_residual_bounds_distance_to_spectrum():
+    # a truncated generator larger than the Krylov space: every Ritz value
+    # lies within its residual of an eigenvalue, and the weights sum to 1
+    g, psi = td_generator()
+    spectrum = spectral_weights(partial(np.matmul, g), psi)
+    w = np.linalg.eigvalsh(g)
+    assert len(spectrum.ritz) == fockevolve.KRYLOV_MAX
+    assert abs(spectrum.weight.sum() - 1.0) <= 1e-13
+    for ritz, residual in zip(spectrum.ritz, spectrum.residual):
+        assert np.min(np.abs(w - ritz)) <= residual + 1e-12
+
+
+def test_edge_weight_matches_interior_projector():
+    rep = build_fock_rep(5, 1.0)
+    pi = interior_projector(rep)
+    states = np.array([
+        coherent_state(rep, alpha_x=a, alpha_y=0.5j * a, spinor=(1.0, a))
+        for a in (0.1, 0.8, 1.5)
+    ])
+    want = max(1.0 - np.vdot(s, pi @ s).real for s in states)
+    assert abs(edge_weight(rep, states) - want) <= 1e-14
+    assert edge_weight(rep, states[:1]) < want
+
+
+def test_landau_length_puts_truncated_level_on_closed_form():
+    # commutative, hbar = 2: with the oscillator scale sqrt(hbar/(e B)) the
+    # truncated H has an eigenvalue on E_0 = m to 1e-9 at fock_N=16; the
+    # scale 1/sqrt(e B) left the nearest one 5.9e-5 away
+    p = NCParams(hbar=2.0)
+    rep = build_fock_rep(16, lrsolve.magnetic_length(p), p.hbar)
+    w = np.linalg.eigvalsh(dense_matrix(ncmodel.build_h_nc(p).at(0.0), rep))
+    assert np.min(np.abs(w - p.m)) <= 1e-9
+
+
+def dense_level_pick(p, rep, h, psi):
+    """(n, sign) of the closed-form level nearest the eigenvalue of largest
+    overlap with psi, from a full decomposition and a brute-force search."""
+    w, v = np.linalg.eigh(dense_matrix(h.at(0.0), rep))
+    e = w[np.argmax(np.abs(v.conj().T @ psi) ** 2)]
+    gap = 4.0 * p.hbar * abs(ncmodel.f_theta(p, 0.0) * ncmodel.f_eta(p, 0.0))
+    levels = [(n, s) for n in range(4 * rep.N) for s in (1, -1)]
+    return min(levels, key=lambda ns: abs(e - ns[1] * math.sqrt(p.m**2 + ns[0] * gap)))
+
+
+README = NCParams(theta=0.1, eta=0.05, gamma=0.2)
+
+
+@pytest.mark.parametrize("n", [8, 10, 12])
+@pytest.mark.parametrize(
+    "p, alpha, spinor, want",
+    [
+        (README, 1.0, (1.0, 0.0), (0, 1)),
+        (COMMUTATIVE, 1.0, (1.0, 0.0), (0, 1)),
+        (NCParams(theta=0.1, eta=0.05, gamma=-0.3), 1.0, (1.0, 0.0), (0, 1)),
+        (README, 0.3, (1.0, 0.0), (0, 1)),
+        (README, 1.0, (0.0, 1.0), (1, -1)),
+        (NCParams(hbar=2.0), 1.0, (1.0, 0.0), (0, 1)),
+    ],
+    ids=["readme", "commutative", "gamma-0.3", "displacement-0.3", "spin-down", "hbar-2"],
+)
+def test_level_pick_matches_dense_overlap_rule(p, alpha, spinor, want, n):
+    rep = build_fock_rep(n, lrsolve.magnetic_length(p), p.hbar)
+    h = ncmodel.build_h_nc(p)
+    psi = coherent_state(rep, alpha_x=alpha, spinor=spinor)
+    ev = evolve(h, rep, psi, [0.0, 1e-3])
+    track = track_level(p, h, rep, ev)
+    assert (track.n, track.sign) == dense_level_pick(p, rep, h, psi) == want
+
+
 def test_time_dependent_evolve_matches_dense_reference():
     # oracle: dense V exp(-i w dt) V^dag at every midpoint and the
     # nearest-eigenvalue rule on full decompositions, written out here
@@ -321,7 +415,15 @@ def test_time_dependent_evolve_matches_dense_reference():
         w = np.linalg.eigh(dense_matrix(h.at(t + dt), rep))[0]
         energy.append(w[np.argmin(np.abs(w - energy[-1]))])
     assert np.max(np.abs(ev.states - np.array(states))) <= 1e-12
-    assert np.max(np.abs(ev.energy - np.array(energy))) <= 1e-12
+
+    # the reported level error at t0 and t1 is the dense tracked eigenvalue's
+    # distance from E_n, up to the Ritz residual that bounds the Ritz value's
+    # distance from that eigenvalue
+    track = track_level(p, h, rep, ev)
+    for k, error, residual in zip((0, -1), track.error, track.residual):
+        dense_error = abs(energy[k] - track.energy[k])
+        assert abs(error - dense_error) <= residual
+        assert dense_error <= 1e-3 and residual <= 1e-2
 
 
 def test_evolve_norm_preservation():

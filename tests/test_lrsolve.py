@@ -252,5 +252,9 @@ def test_trial_residual_first_component_vanishes():
 def test_magnetic_length():
     assert lrsolve.magnetic_length(COMMUTATIVE) == 1.0
     assert lrsolve.magnetic_length(NCParams(B=4.0)) == 0.5
+    # the Landau length sqrt(hbar/(e B)) carries hbar
+    assert lrsolve.magnetic_length(NCParams(hbar=2.0, B=0.5)) == 2.0
+    with pytest.raises(OverflowError):
+        lrsolve.magnetic_length(NCParams(hbar=1e-150, B=1e300))
     with pytest.raises(SingularParameterError):
         lrsolve.magnetic_length(NCParams(B=-1.0))

@@ -240,3 +240,29 @@ def test_f_limits_in_commutative_reduction():
         for t in GRID:
             assert ncmodel.f_theta(p, t) == 1.0
             assert ncmodel.f_eta(p, t) == 0.5 * p.e * p.B
+
+
+def test_landau_levels_commutative_closed_form():
+    # relativistic Landau levels +-sqrt(m^2 + 2 n hbar e B) of the commutative
+    # Dirac Hamiltonian (c = 1)
+    p = NCParams(hbar=2.0, B=1.5, m=0.7)
+    for n in range(6):
+        want = math.sqrt(0.7**2 + 2.0 * n * 2.0 * 1.5)
+        for sign in (1, -1):
+            assert ncmodel.landau_level(p, n, sign, 0.3) == pytest.approx(sign * want, rel=1e-15)
+            assert ncmodel.nearest_landau_level(p, 0.3, sign * want * (1.0 + 1e-3)) == (n, sign)
+
+
+def test_landau_levels_deformed_and_closed():
+    p = NCParams(theta=0.1, eta=0.05, gamma=0.2)
+    t = 0.7
+    gap = 4.0 * ncmodel.f_theta(p, t) * ncmodel.f_eta(p, t)
+    assert ncmodel.landau_gap(p, t) == pytest.approx(gap, rel=1e-15)
+    assert ncmodel.landau_level(p, 3, -1, t) == pytest.approx(-math.sqrt(1.0 + 3 * gap), rel=1e-15)
+    # nearer level 2 in energy although nearer level 1 in energy squared
+    wide = NCParams(hbar=2.0, B=1.5, m=0.7)
+    assert ncmodel.nearest_landau_level(wide, 0.0, 3.06) == (2, 1)
+    # f_eta = 0: the levels close onto +-m, and the gap carries the field's sign
+    assert ncmodel.nearest_landau_level(NCParams(eta=-1.0), 0.0, 2.0) == (0, 1)
+    assert ncmodel.landau_gap(NCParams(eta=-2.0), 0.0) == -2.0
+    assert ncmodel.landau_level(NCParams(eta=-2.0), 1, 1, 0.0) == math.sqrt(3.0)
