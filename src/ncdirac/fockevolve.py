@@ -1,7 +1,8 @@
 """Truncated two-mode oscillator (x) spinor representation of the degree-<=1
-polynomial operators, unitary time evolution, and the derived measurements:
-invariant drift, uncertainty products, the spectral weights of a state
-(Lanczos), and the weight the truncation edge reaches.
+polynomial operators, unitary time evolution by Lanczos exponentials, and the
+derived measurements: invariant drift, uncertainty products, the spectral
+weights of a state (Lanczos), and the weight the truncation edge reaches.
+Operators are only applied, never built as dense generator-sized matrices.
 
 Full-space convention: states live on mode_x (x) mode_y (x) spinor, of
 dimension 2*N^2, and are viewed as (rows, N, N, 2) arrays when an operator
@@ -16,6 +17,7 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import groupby
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -25,13 +27,15 @@ from .phasepoly import COORDS, AffineOp, Coord, PhasePoly
 
 #: rows of the state history processed at once by the observables passes
 BLOCK_ROWS = 64
-#: largest Krylov space of one step; a step needing more is sub-stepped
+#: block-sized arrays alive at once in the observables passes (the four
+#: coordinate images of ``uncertainty_pairs``, its two Bopp-pair images and
+#: their temporaries)
+BLOCK_IMAGES = 8
+#: largest Lanczos space; a run needing more restarts, a step needing more is
+#: sub-stepped
 KRYLOV_MAX = 40
-#: error estimate, relative to |psi|, at which a Krylov step stops
+#: error estimate, relative to |psi|, within which a Krylov sample is written
 KRYLOV_TOL = 1e-14
-#: generator-sized dense matrices alive at once in an evolve run (the peak
-#: RSS of a fock_N=24 run sits about 5.3 of them above the interpreter's)
-DENSE_MATRICES = 7
 
 
 @dataclass(frozen=True)
@@ -48,11 +52,11 @@ class FockRep:
 
 
 def dense_bytes(N: int, n_t: int) -> int:
-    """Estimated dense storage of an evolution on the N-level truncation
-    (dimension 2 N^2) over n_t samples: DENSE_MATRICES complex generator-sized
-    matrices plus the stored states."""
-    dim = 2 * N * N
-    return 16 * dim * (DENSE_MATRICES * dim + n_t)
+    """Estimated storage of the complex arrays an evolve run on the N-level
+    truncation (dimension 2 N^2) over n_t samples holds at its peak: the
+    stored states, the KRYLOV_MAX + 1 Lanczos basis vectors and BLOCK_IMAGES
+    images of a block of BLOCK_ROWS states in the observables passes."""
+    return 16 * 2 * N * N * (n_t + KRYLOV_MAX + 1 + BLOCK_IMAGES * BLOCK_ROWS)
 
 
 def build_fock_rep(N: int, ell: float, hbar: float = 1.0) -> FockRep:
@@ -97,37 +101,6 @@ def apply(poly: PhasePoly, rep: FockRep, states: np.ndarray) -> np.ndarray:
         if np.any(m != 0):
             out += _image(rep, c, rows).reshape(-1, 2) @ m.T
     return out.reshape(psi.shape)
-
-
-def represent(p: PhasePoly, rep: FockRep) -> np.ndarray:
-    """Dense matrix of a degree-<=1 polynomial, for the eigendecompositions
-    that need one; everything else applies the polynomial with ``apply``.
-
-    Every term is kron(mode matrix, 2x2 coefficient); it is added entry by
-    entry of the coefficient into a (N^2, 2, N^2, 2) view of the output, so no
-    full-size kron product is allocated per term.
-    """
-    if p.degree() > 1:
-        raise DegreeError("only polynomials of degree <= 1 are represented")
-    n2 = rep.N * rep.N
-    out = np.zeros((rep.dim, rep.dim), dtype=complex)
-    blocks = out.reshape(n2, 2, n2, 2)
-    diag = np.arange(n2)
-    blocks[diag, :, diag, :] = p.const_term
-    eye = np.eye(rep.N)
-    modes = {
-        Coord.X: (rep.x, eye),
-        Coord.Y: (eye, rep.x),
-        Coord.PX: (rep.p, eye),
-        Coord.PY: (eye, rep.p),
-    }
-    for c in COORDS:
-        m = p.linear_term(c)
-        if np.any(m != 0):
-            mode = np.kron(*modes[c])
-            for a, b in zip(*np.nonzero(m)):
-                blocks[:, a, :, b] += m[a, b] * mode
-    return out
 
 
 def coherent_state(
@@ -208,49 +181,77 @@ def _lanczos(
         t[j, j + 1] = t[j + 1, j] = beta
 
 
-def _lanczos_expm(
-    g: Callable[[np.ndarray], np.ndarray], psi: np.ndarray, tau: float
-) -> np.ndarray | None:
-    """exp(-i G tau) psi from the Lanczos space of psi, or None when the
-    error estimate has not reached KRYLOV_TOL by the end of the recurrence.
-
-    The result has the norm of psi to rounding. The stopping test is the
-    leading term of the Krylov error, tau * beta_m * |e_m^T phi1(-i tau T) e_1|
-    with phi1(z) = (e^z - 1)/z, relative to |psi| (Saad, SIAM J. Numer. Anal.
-    29, 209 (1992); Hochbruck & Lubich, SIAM J. Numer. Anal. 34, 1911 (1997)).
-    """
-    beta0 = np.linalg.norm(psi)
-    for v, t, beta in _lanczos(g, psi):
-        lam, s = np.linalg.eigh(t)
-        z = -1j * tau * lam
+def _resolved(tau: float, lo: int, hi: int, lam: np.ndarray, s: np.ndarray, beta: float) -> int:
+    """How many leading samples k tau, k = lo+1..hi, of exp(-i G k tau) psi
+    the Lanczos space with T = s diag(lam) s^T resolves: those whose error
+    estimate k tau beta |e_m^T phi1(-i k tau T) e_1|, phi1(z) = (e^z - 1)/z,
+    relative to |psi|, is within KRYLOV_TOL (Saad, SIAM J. Numer. Anal. 29,
+    209 (1992); Hochbruck & Lubich, SIAM J. Numer. Anal. 34, 1911 (1997)).
+    The samples are scanned BLOCK_ROWS at a time."""
+    for a in range(lo, hi, BLOCK_ROWS):
+        tk = tau * np.arange(a + 1, min(a + BLOCK_ROWS, hi) + 1)
+        z = -1j * np.multiply.outer(tk, lam)
         nonzero = np.where(z == 0, 1.0, z)
         phi1 = np.where(z == 0, 1.0, np.expm1(nonzero) / nonzero)
-        if tau * beta * abs(s[-1] @ (phi1 * s[0])) <= KRYLOV_TOL:
-            return beta0 * ((s @ (np.exp(z) * s[0])) @ v)
-    return None
+        bad = np.flatnonzero(~(tk * beta * np.abs(phi1 @ (s[-1] * s[0])) <= KRYLOV_TOL))
+        if bad.size:
+            return a - lo + int(bad[0])
+    return hi - lo
+
+
+def _krylov_run(
+    g: Callable[[np.ndarray], np.ndarray], psi: np.ndarray, tau: float, out: np.ndarray
+) -> int:
+    """Write exp(-i G k tau) psi, k = 1, 2, ..., into the leading rows of out
+    from one Lanczos space of psi, and return how many rows it wrote.
+
+    The space grows until it resolves the last row and every row before it;
+    a space that ends first writes the rows up to the first it leaves
+    unresolved, so 0 when not even the first. The rows keep the norm of psi.
+    """
+    n = len(out)
+    for v, t, beta in _lanczos(g, psi):
+        lam, s = np.linalg.eigh(t)
+        if _resolved(tau, n - 1, n, lam, s, beta):
+            resolved = _resolved(tau, 0, n - 1, lam, s, beta) + 1
+            if resolved == n:
+                break
+    else:
+        resolved = _resolved(tau, 0, n - 1, lam, s, beta)
+    beta0 = np.linalg.norm(psi)
+    for lo in range(0, resolved, BLOCK_ROWS):
+        hi = min(lo + BLOCK_ROWS, resolved)
+        phase = np.exp(-1j * tau * np.multiply.outer(np.arange(lo + 1, hi + 1), lam))
+        np.matmul((beta0 * phase * s[0]) @ s.T, v, out=out[lo:hi])
+    return resolved
 
 
 def krylov_step(
-    g: Callable[[np.ndarray], np.ndarray], psi: np.ndarray, dt: float
-) -> np.ndarray:
-    """exp(-i G dt) psi for a Hermitian generator given as its action
-    g: v -> G v, by Lanczos (Park & Light, J. Chem. Phys. 85, 5870 (1986)).
-
-    A step whose Krylov space would exceed KRYLOV_MAX vectors is split into
-    equal sub-steps of the same generator, halving until each converges, so
-    any dt is reached; the error stays near machine precision per sub-step.
+    g: Callable[[np.ndarray], np.ndarray], psi: np.ndarray, dt: float, out: np.ndarray
+) -> None:
+    """Write exp(-i G k dt) psi, k = 1..n, into the rows of out (n, dim) for a
+    Hermitian generator given as its action g: v -> G v, by Lanczos (Park &
+    Light, J. Chem. Phys. 85, 5870 (1986)). Each Lanczos space serves every
+    sample it resolves and the next starts from the last of them. A step that
+    no space of KRYLOV_MAX vectors resolves is split into equal sub-steps,
+    halving until each converges, so any dt is reached.
     """
-    remaining, tau = dt, dt
-    while remaining > 0.0:
-        tau = min(tau, remaining)
-        out = _lanczos_expm(g, psi, tau)
-        if out is not None:
-            psi, remaining = out, remaining - tau
-        elif tau > dt * 2.0**-60:  # bounded, so a NaN estimate cannot loop forever
-            tau *= 0.5
-        else:
-            raise FloatingPointError("Krylov step found no convergent sub-step")
-    return psi
+    done = 0
+    while done < len(out):
+        got = _krylov_run(g, psi, dt, out[done:])
+        if not got:
+            row, remaining, tau = out[done], dt, dt
+            while remaining > 0.0:
+                tau = min(tau, remaining)
+                if _krylov_run(g, psi, tau, row[None]):
+                    psi, remaining = row, remaining - tau
+                elif tau > dt * 2.0**-60:  # bounded, so a NaN estimate cannot loop forever
+                    tau *= 0.5
+                else:
+                    raise FloatingPointError("Krylov step found no convergent sub-step")
+            got = 1
+        done += got
+        psi = out[done - 1]
 
 
 class Spectrum(NamedTuple):
@@ -285,14 +286,12 @@ def evolve(
     """Midpoint-sampled exponential stepping psi_{k+1} = exp(-i H(t_mid) dt) psi_k.
 
     Every step is unitary to machine precision; dt controls only the
-    time-ordering error. The choice of propagator is made once per run, from
-    the coefficients of H at every sample and every midpoint: a generator
-    that is constant over the grid is diagonalized once (Hermitian
-    eigendecomposition of its dense matrix) and its step propagator reused; a
-    changing one takes a Krylov step (``krylov_step``) at every midpoint,
-    applying H with ``apply``, and so builds no generator-sized matrix and
-    decomposes none. Energy tracking is not done here: the caller reads the
-    spectral weights of any stored state with ``spectral_weights``.
+    time-ordering error. Consecutive steps with equal midpoint coefficients
+    of H form a run of one generator, which ``krylov_step`` propagates from
+    the run's first state straight into the history: a constant generator is
+    one run over the grid, a changing one a run per step. H is applied with
+    ``apply``; no generator-sized matrix is built or decomposed. The caller
+    reads the spectral weights of any stored state with ``spectral_weights``.
     """
     ts = np.asarray(t_grid, dtype=float)
     dt = _check_uniform(ts)
@@ -303,24 +302,16 @@ def evolve(
     if abs(nrm - 1.0) > 1e-10:
         raise ValueError(f"initial state must be unit norm, got {nrm}")
 
-    n_t = ts.size
-    states = np.zeros((n_t, rep.dim), dtype=complex)
+    states = np.empty((ts.size, rep.dim), dtype=complex)
     states[0] = psi
-    samples = [tuple(h.value(float(t))) for t in ts]
-    mids = [tuple(h.value(float(t) + 0.5 * dt)) for t in ts[:-1]]
-    constant = all(c == samples[0] for c in samples + mids)
+    k = 0
+    for coeffs, run in groupby(tuple(h.value(float(t) + 0.5 * dt)) for t in ts[:-1]):
+        n = sum(1 for _ in run)
+        g = partial(apply, h.combine(coeffs), rep)
+        krylov_step(g, states[k], dt, states[k + 1 : k + 1 + n])
+        k += n
 
-    if constant:
-        w, v = np.linalg.eigh(represent(h.combine(samples[0]), rep))
-        u = (v * np.exp(-1j * w * dt)) @ v.conj().T
-    for k in range(n_t - 1):
-        if constant:
-            psi = u @ psi
-        else:
-            psi = krylov_step(partial(apply, h.combine(mids[k]), rep), psi, dt)
-        states[k + 1] = psi
-
-    norms = np.linalg.norm(states, axis=1)
+    norms = np.sqrt(np.vecdot(states, states).real)
     return EvolvedState(
         times=ts,
         states=states,

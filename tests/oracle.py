@@ -1,5 +1,10 @@
 """Independent oracles used by the tests.
 
+``represent`` is the dense matrix of a degree-<=1 polynomial on a truncated
+Fock representation, one kron product per term of ladder-operator matrices
+built here; the package itself applies polynomials matrix-free and builds no
+such matrix.
+
 The commutator oracle expands products of degree-<=1 polynomials into
 monomial strings and normal-orders them one swap at a time using
 [z_i, z_j] = i*Omega_ij, then converts the sorted two-letter strings to the
@@ -9,11 +14,41 @@ the package.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from ncdirac.errors import DegreeError
 from ncdirac.phasepoly import Coord, PhasePoly, SymplecticForm
 
 _COORDS = (Coord.X, Coord.Y, Coord.PX, Coord.PY)
+
+
+def ladder_modes(n: int, ell: float, hbar: float) -> dict[Coord, np.ndarray]:
+    """The four two-mode coordinate matrices (n^2, n^2), built from the ladder
+    matrix a: x = ell (a + a^dag)/sqrt(2), p = i hbar (a^dag - a)/(sqrt(2) ell)."""
+    a = np.diag(np.sqrt(np.arange(1.0, n)), 1)
+    x = ell * (a + a.T) / math.sqrt(2.0)
+    p = 1j * hbar * (a.T - a) / (math.sqrt(2.0) * ell)
+    eye = np.eye(n)
+    return {
+        Coord.X: np.kron(x, eye),
+        Coord.Y: np.kron(eye, x),
+        Coord.PX: np.kron(p, eye),
+        Coord.PY: np.kron(eye, p),
+    }
+
+
+def represent(poly: PhasePoly, rep) -> np.ndarray:
+    """Dense (dim, dim) matrix of a degree-<=1 polynomial on the truncation
+    ``rep`` (its N, ell and hbar), ordered mode_x (x) mode_y (x) spinor."""
+    if poly.degree() > 1:
+        raise DegreeError("only polynomials of degree <= 1 are represented")
+    modes = ladder_modes(rep.N, rep.ell, rep.hbar)
+    out = np.kron(np.eye(rep.N * rep.N), poly.const_term)
+    for c in _COORDS:
+        out = out + np.kron(modes[c], poly.linear_term(c))
+    return out
 
 
 def _poly_to_terms(p: PhasePoly) -> list[tuple[np.ndarray, tuple[Coord, ...]]]:

