@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__, fockevolve, invariant, lrsolve, mat2, ncmodel
 from .errors import SingularParameterError, UnitModeError
-from .phasepoly import AffineOp, residual_norm
+from .phasepoly import AffineOp, residual_norms
 
 
 class ConfigError(ValueError):
@@ -266,26 +266,16 @@ def cmd_invariant(cfg: RunConfig) -> int:
     form = ncmodel.symplectic_form(p)
 
     self_check_tol = 1e-13
-    machine_ok = True
-    rows = []
-    user_residuals = []
-    for t in grid:
-        res_set = invariant.constraint_residuals(ans, p, float(t))
-        for label in invariant.CONSTRAINT_LABELS[:-1]:
-            if res_set.norm(label) > self_check_tol:
-                machine_ok = False
-        closing = res_set.residuals["25o"] - invariant.scalar_residual_closed_form(
-            p, cfg.a1, cfg.a3, cfg.b1, cfg.b3, float(t)
-        )
-        if mat2.fro(closing) > self_check_tol:
-            machine_ok = False
-        user_res = residual_norm(invariant.invariance_residual(ans, h, form, float(t)))
-        user_residuals.append(user_res)
-        rows.append(
-            [float(t)]
-            + [res_set.norm(label) for label in invariant.CONSTRAINT_LABELS]
-            + [user_res]
-        )
+    res_set = invariant.constraint_residuals(ans, p, grid)
+    norms = np.column_stack([res_set.norm(label) for label in invariant.CONSTRAINT_LABELS])
+    closing = res_set.residuals["25o"] - invariant.scalar_residual_closed_form(
+        p, cfg.a1, cfg.a3, cfg.b1, cfg.b3, grid
+    )
+    machine_ok = not (
+        np.any(norms[:, :-1] > self_check_tol) or np.any(mat2.fro(closing) > self_check_tol)
+    )
+    user_residuals = residual_norms(invariant.invariance_residual(ans, h, form, grid)).tolist()
+    rows = np.column_stack([grid, norms, user_residuals]).tolist()
 
     report = invariant.solve_constant_invariant(p, grid)
     ortho_defect = float(
@@ -435,9 +425,9 @@ def cmd_evolve(cfg: RunConfig) -> int:
 
     ans = invariant.constant_invariant(cfg.a1, cfg.a3, cfg.b1, cfg.b3, cfg.c1)
     drift = fockevolve.invariant_drift(ans.at(0.0), rep, evolved)
-    res_norm = max(
-        residual_norm(invariant.invariance_residual(ans, h, form, float(t)))
-        for t in np.linspace(cfg.t0, cfg.t1, 8)
+    check_grid = np.linspace(cfg.t0, cfg.t1, 8)
+    res_norm = float(
+        np.max(residual_norms(invariant.invariance_residual(ans, h, form, check_grid)))
     )
     constrained = res_norm <= 1e-10
 
@@ -548,7 +538,10 @@ def cmd_report(cfg: RunConfig) -> int:
 # -- entry point --------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args keeps no
+    state between calls."""
     ap = argparse.ArgumentParser(
         prog="ncdirac",
         description=(

@@ -170,7 +170,7 @@ def _lanczos(
         w = g(basis[j])
         image = np.linalg.norm(w)
         for _ in range(2):
-            overlap = v.conj() @ w
+            overlap = (w.conj() @ v.T).conj()  # v^dag w, without a conjugated copy of v
             w -= overlap @ v
             t[j, j] += overlap[j].real
         beta = np.linalg.norm(w)

@@ -16,9 +16,11 @@ import numpy as np
 
 from . import mat2
 from .errors import DegreeError, GridError
-from .mat2 import ALPHA1, ALPHA2, BETA, ID2, Mat2
+from .mat2 import ALPHA1, ALPHA2, BETA, ID2
 from .ncmodel import NCParams, f_eta, f_theta
 from .phasepoly import (
+    GRID_BLOCK,
+    N_SLOTS,
     AffineOp,
     Coord,
     PhasePoly,
@@ -44,55 +46,72 @@ def constant_invariant(
 
 
 def invariance_residual(
-    ans: AffineOp, h: AffineOp, form: SymplecticForm, t: float
-) -> PhasePoly:
-    """Residual polynomial [I, H] + i dI/dt at time t; the zero polynomial
-    certifies I as a dynamical invariant there."""
-    return ps_commutator(ans.at(t), h.at(t), form) + 1j * ans.rate(t)
+    ans: AffineOp, h: AffineOp, form: SymplecticForm, ts: Sequence[float]
+) -> np.ndarray:
+    """Residual slots [I, H] + i dI/dt at each time of ts, (len(ts), 15, 2, 2);
+    a zero row certifies I as a dynamical invariant at that time. One
+    commutator call takes GRID_BLOCK grid times."""
+    ts = [float(t) for t in ts]
+    out = np.empty((len(ts), N_SLOTS, 2, 2), dtype=complex)
+    for lo in range(0, len(ts), GRID_BLOCK):
+        block = ts[lo : lo + GRID_BLOCK]
+        comm = ps_commutator(
+            ans.stack([ans.value(t) for t in block]), h.stack([h.value(t) for t in block]), form
+        )
+        out[lo : lo + len(block)] = comm + 1j * ans.stack([ans.derivative(t) for t in block])
+    return out
+
+
+def _profiles(p: NCParams, ts: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """f_theta and f_eta at each time, as (len(ts), 1, 1) columns."""
+    ft = np.array([f_theta(p, t) for t in ts])[:, None, None]
+    fe = np.array([f_eta(p, t) for t in ts])[:, None, None]
+    return ft, fe
 
 
 def scalar_residual_closed_form(
-    p: NCParams, a1: float, a3: float, b1: float, b3: float, t: float
-) -> Mat2:
-    """Constant-slot residual of the scalar ansatz:
-    i*(a1 f_eta + b3 f_theta) alpha_2 + i*(b1 f_theta - a3 f_eta) alpha_1."""
-    fe = f_eta(p, t)
-    ft = f_theta(p, t)
+    p: NCParams, a1: float, a3: float, b1: float, b3: float, ts: Sequence[float]
+) -> np.ndarray:
+    """Constant-slot residual of the scalar ansatz at each time of ts,
+    (len(ts), 2, 2): i*(a1 f_eta + b3 f_theta) alpha_2 + i*(b1 f_theta - a3 f_eta) alpha_1."""
+    ft, fe = _profiles(p, [float(t) for t in ts])
     return 1j * (a1 * fe + b3 * ft) * ALPHA2 + 1j * (b1 * ft - a3 * fe) * ALPHA1
 
 
 @dataclass(frozen=True)
 class ConstraintResidualSet:
-    """The fifteen labeled bracket residuals at one time."""
+    """The fifteen labeled bracket residuals, each a (len(times), 2, 2) stack."""
 
-    t: float
-    residuals: dict[str, Mat2]
+    times: np.ndarray
+    residuals: dict[str, np.ndarray]
 
     def __post_init__(self):
         if tuple(self.residuals.keys()) != CONSTRAINT_LABELS:
             raise ValueError("constraint residual labels must be exactly 25a..25o")
 
-    def norm(self, label: str) -> float:
+    def norm(self, label: str) -> np.ndarray:
+        """Frobenius norm of the residual at each time."""
         return mat2.fro(self.residuals[label])
 
 
-def constraint_residuals(ans: AffineOp, p: NCParams, t: float) -> ConstraintResidualSet:
-    """Evaluate the fifteen bracket relations that a linear ansatz
-    I = A1 px + B1 x + A2 py + B2 y + C must satisfy.
+def constraint_residuals(ans: AffineOp, p: NCParams, ts: Sequence[float]) -> ConstraintResidualSet:
+    """Evaluate, at each time of ts, the fifteen bracket relations that a
+    linear ansatz I = A1 px + B1 x + A2 py + B2 y + C must satisfy.
 
     Relations a-d kill the diagonal quadratic slots, e-h the linear slots,
     i-n the mixed quadratic slots, and o closes the constant slot.
     """
-    ft = f_theta(p, t)
-    fe = f_eta(p, t)
+    ts = [float(t) for t in ts]
+    ft, fe = _profiles(p, ts)
     m = p.m
-    poly, rate = ans.at(t), ans.rate(t)
-    if poly.degree() > 1:
+    poly = ans.stack([ans.value(t) for t in ts])
+    rate = ans.stack([ans.derivative(t) for t in ts])
+    if np.any(poly[:, 5:] != 0):
         raise DegreeError("the invariant ansatz must have degree <= 1")
-    linear = (Coord.PX, Coord.X, Coord.PY, Coord.Y)
-    a1v, b1v, a2v, b2v = (poly.linear_term(c) for c in linear)
-    da1, db1, da2, db2 = (rate.linear_term(c) for c in linear)
-    cv, dc = poly.const_term, rate.const_term
+    linear = [1 + c for c in (Coord.PX, Coord.X, Coord.PY, Coord.Y)]
+    a1v, b1v, a2v, b2v = (poly[:, k] for k in linear)
+    da1, db1, da2, db2 = (rate[:, k] for k in linear)
+    cv, dc = poly[:, 0], rate[:, 0]
     comm = mat2.commutator
     res = {
         "25a": ft * comm(a1v, ALPHA1),
@@ -119,7 +138,7 @@ def constraint_residuals(ans: AffineOp, p: NCParams, t: float) -> ConstraintResi
             + 1j * dc
         ),
     }
-    return ConstraintResidualSet(t=float(t), residuals=res)
+    return ConstraintResidualSet(times=np.asarray(ts), residuals=res)
 
 
 def default_constraint_grid(p: NCParams, n: int = 16) -> np.ndarray:
@@ -176,7 +195,8 @@ def solve_constant_invariant(
         rows.append([fe, 0.0, 0.0, ft])
         rows.append([0.0, -fe, ft, 0.0])
     a = np.asarray(rows)
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    # the 4x4 V holds the nullspace; full_matrices=True would also build a (2T)x(2T) U
+    _, s, vh = np.linalg.svd(a, full_matrices=False)
     tol = tol_factor * s[0] if s.size else 0.0
     rank = int(np.sum(s > tol))
     null_basis = vh[rank:].T.conj()

@@ -28,9 +28,11 @@ def dagger(m: Mat2) -> Mat2:
     return m.conj().T
 
 
-def fro(m: Mat2) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(m))
+def fro(m: Mat2):
+    """Frobenius norm: a float for one matrix, an array for a stack (..., 2, 2)."""
+    flat = m.reshape(m.shape[:-2] + (-1,))
+    norm = np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
+    return float(norm) if norm.ndim == 0 else norm
 
 
 def commutator(a: Mat2, b: Mat2) -> Mat2:

@@ -13,9 +13,13 @@ import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import UnitModeError
 from .mat2 import ALPHA1, ALPHA2, BETA, ID2
 from .phasepoly import (
+    GRID_BLOCK,
+    N_SLOTS,
     AffineOp,
     Coord,
     PhasePoly,
@@ -24,6 +28,7 @@ from .phasepoly import (
     left_mul,
     linear_combine,
     residual_norm,
+    residual_norms,
 )
 
 NATURAL = "natural"
@@ -133,23 +138,37 @@ def bopp_scales(p: NCParams, t: float) -> tuple[float, float]:
     return 0.5 * theta_of_t(p, t) / p.hbar, 0.5 * eta_of_t(p, t) / p.hbar
 
 
-def bopp_shift(p: NCParams, which: Coord, t: float) -> PhasePoly:
-    """Deformed coordinate/momentum as a linear polynomial in the canonical ones.
+# shifted coordinate -> (partner, sign, which of the two Bopp scales)
+_BOPP = {
+    Coord.X: (Coord.PY, -1.0, 0),
+    Coord.Y: (Coord.PX, +1.0, 0),
+    Coord.PX: (Coord.Y, +1.0, 1),
+    Coord.PY: (Coord.X, -1.0, 1),
+}
+
+
+def bopp_slots(p: NCParams, ts: Sequence[float]) -> np.ndarray:
+    """Slot arrays (len(ts), 4, 15, 2, 2) of the four shifted operators, in
+    the Coord order, at each time of ts:
 
     x_nc  = x  - s_theta(t) py      px_nc = px + s_eta(t) y
     y_nc  = y  + s_theta(t) px      py_nc = py - s_eta(t) x
 
     with (s_theta, s_eta) from ``bopp_scales``.
     """
-    st, se = bopp_scales(p, t)
-    shift = {
-        Coord.X: (Coord.PY, -st),
-        Coord.Y: (Coord.PX, +st),
-        Coord.PX: (Coord.Y, +se),
-        Coord.PY: (Coord.X, -se),
-    }
-    partner, coeff = shift[which]
-    return PhasePoly.monomial(ID2, which) + coeff * PhasePoly.monomial(ID2, partner)
+    scales = np.array([bopp_scales(p, float(t)) for t in ts]).reshape(-1, 2)
+    out = np.zeros((len(ts), 4, N_SLOTS, 2, 2), dtype=complex)
+    for c, (partner, sign, which) in _BOPP.items():
+        for d in (0, 1):
+            out[:, c, 1 + c, d, d] = 1.0
+            out[:, c, 1 + partner, d, d] = sign * scales[:, which]
+    return out
+
+
+def bopp_shift(p: NCParams, which: Coord, t: float) -> PhasePoly:
+    """Deformed coordinate/momentum at time t as a linear polynomial in the
+    canonical ones (see ``bopp_slots``)."""
+    return PhasePoly(bopp_slots(p, [t])[0, which])
 
 
 @dataclass(frozen=True)
@@ -190,31 +209,45 @@ class DeformedAlgebraReport:
         }
 
 
+# the six deformed commutators: label and the two shifted operators
+_ALGEBRA_PAIRS = (
+    ("[x_nc,y_nc]", Coord.X, Coord.Y),
+    ("[px_nc,py_nc]", Coord.PX, Coord.PY),
+    ("[x_nc,px_nc]", Coord.X, Coord.PX),
+    ("[y_nc,py_nc]", Coord.Y, Coord.PY),
+    ("[x_nc,py_nc]", Coord.X, Coord.PY),
+    ("[y_nc,px_nc]", Coord.Y, Coord.PX),
+)
+
+
 def verify_nc_algebra(p: NCParams, t_grid: Sequence[float]) -> DeformedAlgebraReport:
     """Check the six deformed commutators of the Bopp-shifted operators.
 
     At each grid time the commutators are computed through the polynomial
-    algebra and compared against i*theta(t), i*eta(t), i*hbar_eff and 0.
+    algebra and compared against i*theta(t), i*eta(t), i*hbar_eff and 0. One
+    commutator call takes all six pairs at GRID_BLOCK grid times.
     """
     if len(t_grid) == 0:
         raise ValueError("t_grid must be nonempty")
     form = symplectic_form(p)
     heff = hbar_eff(p)
+    labels, left, right = zip(*_ALGEBRA_PAIRS)
     checks: list[CommutatorCheck] = []
-    for t in t_grid:
-        ops = {c: bopp_shift(p, c, t) for c in Coord}
-        cases = [
-            ("[x_nc,y_nc]", Coord.X, Coord.Y, 1j * theta_of_t(p, t)),
-            ("[px_nc,py_nc]", Coord.PX, Coord.PY, 1j * eta_of_t(p, t)),
-            ("[x_nc,px_nc]", Coord.X, Coord.PX, 1j * heff),
-            ("[y_nc,py_nc]", Coord.Y, Coord.PY, 1j * heff),
-            ("[x_nc,py_nc]", Coord.X, Coord.PY, 0.0j),
-            ("[y_nc,px_nc]", Coord.Y, Coord.PX, 0.0j),
+    for lo in range(0, len(t_grid), GRID_BLOCK):
+        ts = [float(t) for t in t_grid[lo : lo + GRID_BLOCK]]
+        ops = bopp_slots(p, ts)
+        measured = ps_commutator(ops[:, left], ops[:, right], form)
+        expected = [
+            (1j * theta_of_t(p, t), 1j * eta_of_t(p, t), 1j * heff, 1j * heff, 0.0j, 0.0j)
+            for t in ts
         ]
-        for label, a, b, expected in cases:
-            measured = ps_commutator(ops[a], ops[b], form)
-            dev = residual_norm(measured - PhasePoly.constant(expected * ID2))
-            checks.append(CommutatorCheck(t=float(t), pair=label, expected=expected, deviation=dev))
+        measured[..., 0, :, :] -= np.asarray(expected)[..., None, None] * ID2
+        deviations = residual_norms(measured).tolist()
+        for t, row, devs in zip(ts, expected, deviations):
+            checks.extend(
+                CommutatorCheck(t=t, pair=label, expected=e, deviation=dev)
+                for label, e, dev in zip(labels, row, devs)
+            )
     return DeformedAlgebraReport(checks=tuple(checks))
 
 

@@ -145,9 +145,14 @@ def left_mul(m: Mat2, p: PhasePoly) -> PhasePoly:
     return PhasePoly(np.einsum("ab,kbc->kac", np.asarray(m, dtype=complex), p.slots))
 
 
+def residual_norms(slots: np.ndarray) -> np.ndarray:
+    """``residual_norm`` of every polynomial of a (..., 15, 2, 2) slot stack."""
+    return np.max(np.linalg.norm(slots, axis=(-2, -1)), axis=-1)
+
+
 def residual_norm(p: PhasePoly) -> float:
     """Max Frobenius norm over the 15 coefficient slots; 0 iff p is the zero operator."""
-    return float(np.max(np.linalg.norm(p.slots, axis=(1, 2))))
+    return float(residual_norms(p.slots))
 
 
 def hermitian_defect(p: PhasePoly) -> float:
@@ -183,16 +188,47 @@ class SymplecticForm:
         om[Coord.PY, Coord.Y] = -hbar
         return cls(om)
 
-    def pair(self, i: Coord, j: Coord) -> float:
-        return float(self.omega[int(i), int(j)])
+
+#: grid times per commutator call of a grid pass: the kernel's temporaries
+#: then do not grow with the grid
+GRID_BLOCK = 16
+
+# the coordinate pair (i, j), i <= j, of each quadratic slot, in storage order
+_QI = np.array([int(i) for i, _ in _QUAD_KEYS])
+_QJ = np.array([int(j) for _, j in _QUAD_KEYS])
+_QOFF = np.flatnonzero(_QI != _QJ)
 
 
-def _mm(a: Mat2, b: Mat2) -> Mat2:
-    # fixed-order scalar arithmetic: [cI, M] cancels exactly, unlike BLAS matmul
-    return np.einsum("ik,kj->ij", a, b)
+def commutator_slots(p: np.ndarray, q: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """Commutator kernel on stacks of degree-<=1 slot arrays.
+
+    ``p`` and ``q`` are (..., 5, 2, 2) arrays (constant and linear slots) whose
+    leading axes broadcast; the result is the (..., 15, 2, 2) slot array of
+    [P, Q] for every leading index. The matrix products are unoptimized
+    einsum sums (no BLAS), so [cI, M] cancels to exactly 0.
+    """
+    batch = np.broadcast_shapes(p.shape[:-3], q.shape[:-3])
+
+    def batch_last(a):
+        # einsum runs its inner loop over the last, contiguous axis
+        return np.moveaxis(np.broadcast_to(a, batch + (5, 2, 2)).reshape(-1, 5, 2, 2), 0, -1).copy()
+
+    m, n = batch_last(p), batch_last(q)
+    mn = np.einsum("iabz,jbcz->ijacz", m, n)  # M_i N_j
+    nm = np.einsum("jabz,ibcz->ijacz", n, m)  # N_j M_i
+    comm = mn - nm
+    out = np.empty((N_SLOTS,) + comm.shape[2:], dtype=complex)
+    out[0] = comm[0, 0]
+    out[1:5] = comm[1:, 0] + comm[0, 1:]
+    out[5:] = comm[1 + _QI, 1 + _QJ]
+    out[5 + _QOFF] += comm[1 + _QJ[_QOFF], 1 + _QI[_QOFF]]
+    # (i/2) Omega_ij {M_i, N_j}, added one nonzero Omega_ij at a time in row order
+    for i, j in zip(*np.nonzero(omega)):
+        out[0] += (0.5j * omega[i, j]) * (mn[1 + i, 1 + j] + nm[1 + i, 1 + j])
+    return np.moveaxis(out, -1, 0).reshape(batch + (N_SLOTS, 2, 2))
 
 
-def commutator(p: PhasePoly, q: PhasePoly, form: SymplecticForm) -> PhasePoly:
+def commutator(p, q, form: SymplecticForm):
     """Exact operator commutator of two degree-<=1 polynomials.
 
     For P = sum_i M_i z_i + M_0 and Q = sum_j N_j z_j + N_0,
@@ -200,35 +236,18 @@ def commutator(p: PhasePoly, q: PhasePoly, form: SymplecticForm) -> PhasePoly:
         [P, Q] = sum_ij ( [M_i, N_j] * S(z_i z_j) + (i/2) Omega_ij {M_i, N_j} )
                  + sum_i [M_i, N_0] z_i + sum_j [M_0, N_j] z_j + [M_0, N_0],
 
-    where S is the Weyl-symmetrized monomial. Raises DegreeError when either
-    input carries a nonzero quadratic slot (the result would leave degree 2).
+    where S is the Weyl-symmetrized monomial. ``p`` and ``q`` are PhasePolys,
+    giving a PhasePoly, or slot arrays (..., 15, 2, 2) with broadcasting
+    leading axes, giving the slot array of every commutator. Raises
+    DegreeError when any input carries a nonzero quadratic slot (the result
+    would leave degree 2).
     """
-    if p.degree() > 1 or q.degree() > 1:
+    ps = p.slots if isinstance(p, PhasePoly) else p
+    qs = q.slots if isinstance(q, PhasePoly) else q
+    if np.any(ps[..., 5:, :, :] != 0) or np.any(qs[..., 5:, :, :] != 0):
         raise DegreeError("commutator arguments must have degree <= 1")
-    out = np.zeros((N_SLOTS, 2, 2), dtype=complex)
-    m0 = p.const_term
-    n0 = q.const_term
-    out[0] = _mm(m0, n0) - _mm(n0, m0)
-    for i in COORDS:
-        mi = p.linear_term(i)
-        if np.any(mi != 0):
-            out[1 + int(i)] += _mm(mi, n0) - _mm(n0, mi)
-        nj = q.linear_term(i)
-        if np.any(nj != 0):
-            out[1 + int(i)] += _mm(m0, nj) - _mm(nj, m0)
-    for i in COORDS:
-        mi = p.linear_term(i)
-        if not np.any(mi != 0):
-            continue
-        for j in COORDS:
-            nj = q.linear_term(j)
-            if not np.any(nj != 0):
-                continue
-            out[_QUAD_INDEX[_quad_key(i, j)]] += _mm(mi, nj) - _mm(nj, mi)
-            w = form.pair(i, j)
-            if w != 0.0:
-                out[0] += (0.5j * w) * (_mm(mi, nj) + _mm(nj, mi))
-    return PhasePoly(out)
+    out = commutator_slots(ps[..., :5, :, :], qs[..., :5, :, :], form.omega)
+    return PhasePoly(out) if isinstance(p, PhasePoly) and isinstance(q, PhasePoly) else out
 
 
 @dataclass(frozen=True)
@@ -245,9 +264,18 @@ class AffineOp:
     def time_constant(p: PhasePoly) -> "AffineOp":
         return AffineOp((p,), value=lambda t: (1.0,), derivative=lambda t: (0.0,))
 
+    def stack(self, rows: Sequence[Sequence[complex]]) -> np.ndarray:
+        """Slot arrays (len(rows), 15, 2, 2) of the operators with the
+        coefficient tuples ``rows``."""
+        c = np.asarray(rows)
+        acc = np.zeros((len(c), N_SLOTS, 2, 2), dtype=complex)
+        for k, poly in enumerate(self.polys):
+            acc += c[:, k, None, None, None] * poly.slots
+        return acc
+
     def combine(self, coeffs: Sequence[complex]) -> PhasePoly:
         """The operator with coefficient tuple ``coeffs``."""
-        return linear_combine(zip(coeffs, self.polys))
+        return PhasePoly(self.stack([coeffs])[0])
 
     def at(self, t: float) -> PhasePoly:
         return self.combine(self.value(t))

@@ -70,7 +70,7 @@ def _normal_order(coeff: np.ndarray, string: tuple[Coord, ...], form: Symplectic
         # z_a z_b = z_b z_a + i*Omega_ab for a > b
         a, b = s
         stack.append((c, (b, a)))
-        w = form.pair(a, b)
+        w = float(form.omega[a, b])
         if w != 0.0:
             stack.append((1j * w * c, ()))
     return out
@@ -96,7 +96,7 @@ def string_commutator(p: PhasePoly, q: PhasePoly, form: SymplecticForm) -> Phase
             # sorted product: z_a z_b = S(z_a z_b) + (i/2)*Omega_ab
             a, b = s
             result = result + PhasePoly.monomial(c, a, b)
-            w = form.pair(a, b)
+            w = float(form.omega[a, b])
             if w != 0.0:
                 result = result + PhasePoly.constant(0.5j * w * c)
     return result

@@ -12,10 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ncdirac import fockevolve, mat2, ncmodel
+from ncdirac import cli, fockevolve, mat2, ncmodel
 from ncdirac.cli import main
-from ncdirac.mat2 import ID2
-from ncdirac.phasepoly import PhasePoly
 
 FAST = [
     "--fock_N", "16",
@@ -49,12 +47,12 @@ def test_verify_algebra_nc_mode_label(tmp_path):
 
 
 def test_verify_algebra_corrupted_bopp_fails(tmp_path, monkeypatch):
-    real = ncmodel.bopp_shift
+    real = ncmodel.bopp_slots
 
-    def flipped(p, which, t):  # deformation terms with the wrong sign
-        return 2.0 * PhasePoly.monomial(ID2, which) - real(p, which, t)
+    def flipped(p, ts):  # deformation terms with the wrong sign
+        return 2.0 * real(dataclasses.replace(p, theta=0.0, eta=0.0), ts) - real(p, ts)
 
-    monkeypatch.setattr(ncmodel, "bopp_shift", flipped)
+    monkeypatch.setattr(ncmodel, "bopp_slots", flipped)
     code = run(
         tmp_path, "verify-algebra", "--theta", "0.1", "--eta", "0.05", "--gamma", "0.2"
     )
@@ -308,6 +306,24 @@ def test_bad_values_exit_2(tmp_path):
     assert run(tmp_path, "verify-algebra", "--kappa", "3.0") == 2  # exp(q2-q1) = 1
     assert run(tmp_path, "xi", "--xi3_0", "1.0") == 2  # needs re,im
     assert main(["frobnicate"]) == 2
+
+
+def test_consecutive_calls_share_the_parser_but_no_state(tmp_path):
+    # one parser per process; each call parses its own options afresh
+    assert cli.build_parser() is cli.build_parser()
+    a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
+    deformed = ["--theta=0.1", "--eta=0.05", "--gamma=0.2", "--grid_points=4"]
+    assert main(["verify-algebra", *deformed, "--out", str(a)]) == 0
+    assert main(["invariant", "--dt=-1", "--a1=0", "--out", str(b)]) == 2  # config error
+    assert not b.exists()
+    assert main(["invariant", "--out", str(b)]) == 0
+    assert main(["verify-algebra", "--out", str(c)]) == 0
+    invariant_report = json.loads((b / "nullspace_report.json").read_text())
+    assert invariant_report["constants"]["a1"] == 1.0  # the default, not the rejected 0
+    assert len(invariant_report["times"]) == 16
+    algebra = json.loads((c / "algebra_report.json").read_text())
+    assert algebra["mode"] == "commutative"
+    assert len(algebra["deformed_algebra"]["checks"]) == 6 * 16
 
 
 @pytest.mark.parametrize(

@@ -503,7 +503,7 @@ def test_unconstrained_drift_matches_ehrenfest_rate():
     ev = evolve(h, rep, psi0, times)
     ans = invariant.constant_invariant(1.0, 0.0, 0.0, 0.0, 0.0)
     measured = invariant_drift(ans.at(0.0), rep, ev).drift.real
-    res_poly = invariant.invariance_residual(ans, h, form, 0.0)
+    res_poly = PhasePoly(invariant.invariance_residual(ans, h, form, [0.0])[0])
     predicted = cumulative_trapezoid(times, ehrenfest_rate_series(res_poly, rep, ev))
     m_max = np.max(np.abs(measured))
     p_max = np.max(np.abs(predicted))

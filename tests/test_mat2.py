@@ -1,6 +1,7 @@
 """2x2 algebra: basis properties, decomposition round trips, algebra report."""
 
 import numpy as np
+import pytest
 
 from ncdirac import mat2
 from ncdirac.mat2 import ALPHA1, ALPHA2, BETA, ID2, SIGMA1, SIGMA2, SIGMA3
@@ -100,3 +101,12 @@ def test_dirac_algebra_beta_squared():
     beta_sq = [c for c in rep.checks if c.name == "beta^2"]
     assert len(beta_sq) == 1 and beta_sq[0].deviation == 0.0
 
+
+
+def test_fro_of_a_stack_equals_fro_of_each_matrix():
+    stack = RNG.standard_normal((5, 3, 2, 2)) + 1j * RNG.standard_normal((5, 3, 2, 2))
+    norms = mat2.fro(stack)
+    assert norms.shape == (5, 3)
+    for k in np.ndindex(5, 3):
+        assert norms[k] == mat2.fro(stack[k])
+        assert norms[k] == pytest.approx(float(np.linalg.norm(stack[k])), rel=1e-15)

@@ -6,19 +6,22 @@ import pytest
 
 from oracle import random_linear_poly, random_mat2, string_commutator
 
-from ncdirac import ncmodel
+from ncdirac import invariant, ncmodel, phasepoly
 from ncdirac.errors import DegreeError
 from ncdirac.mat2 import ALPHA1, ALPHA2, ID2, SIGMA1, SIGMA2, SIGMA3
 from ncdirac.phasepoly import (
+    GRID_BLOCK,
     AffineOp,
     Coord,
     PhasePoly,
     SymplecticForm,
     commutator,
+    commutator_slots,
     hermitian_defect,
     left_mul,
     linear_combine,
     residual_norm,
+    residual_norms,
 )
 
 RNG = np.random.default_rng(42)
@@ -101,6 +104,96 @@ def test_jacobi_identity_scalar_coefficients():
         assert residual_norm(total) <= 1e-12
 
 
+def random_slots(shape):
+    """Degree-<=1 slot stack (*shape, 5, 2, 2) with random matrix coefficients."""
+    return RNG.standard_normal((*shape, 5, 2, 2)) + 1j * RNG.standard_normal((*shape, 5, 2, 2))
+
+
+def full(slots):
+    """(..., 5, 2, 2) -> (..., 15, 2, 2) with zero quadratic slots."""
+    out = np.zeros(slots.shape[:-3] + (15, 2, 2), dtype=complex)
+    out[..., :5, :, :] = slots
+    return out
+
+
+@pytest.mark.parametrize("hbar", [1.0, 0.7])
+def test_commutator_kernel_matches_string_oracle_on_a_stack(hbar):
+    form = SymplecticForm.canonical(hbar)
+    p, q = random_slots((7, 3)), random_slots((7, 3))
+    got = commutator_slots(p, q, form.omega)
+    assert got.shape == (7, 3, 15, 2, 2)
+    for k in np.ndindex(7, 3):
+        oracle = string_commutator(PhasePoly(full(p[k])), PhasePoly(full(q[k])), form)
+        assert residual_norm(PhasePoly(got[k]) - oracle) <= 1e-12
+
+
+def test_commutator_kernel_broadcasts_its_leading_axes():
+    p, q = random_slots((7, 1)), random_slots((3,))
+    got = commutator_slots(p, q, FORM.omega)
+    assert got.shape == (7, 3, 15, 2, 2)
+    for i, j in np.ndindex(7, 3):
+        oracle = string_commutator(PhasePoly(full(p[i, 0])), PhasePoly(full(q[j])), FORM)
+        assert residual_norm(PhasePoly(got[i, j]) - oracle) <= 1e-12
+
+
+def test_identity_coefficient_commutes_exactly_inside_a_batch():
+    p, q = random_slots((4,)), random_slots((4,))
+    p[2] = 0.0
+    p[2, 0] = (0.3 - 1.7j) * ID2  # c I commutes with every Q
+    got = commutator_slots(p, q, FORM.omega)
+    assert np.all(got[2] == 0.0)
+    assert np.all(residual_norms(got[[0, 1, 3]]) > 0.1)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_quadratic_slot_in_any_batch_element_raises(side):
+    lin = full(random_slots((5,)))
+    quad = lin.copy()
+    quad[3, 7] = ID2  # one quadratic slot, in one batch element
+    args = (quad, lin) if side == "left" else (lin, quad)
+    with pytest.raises(DegreeError):
+        commutator(*args, FORM)
+    assert commutator(lin, lin, FORM).shape == (5, 15, 2, 2)
+
+
+def test_grid_passes_call_the_kernel_one_block_at_a_time(monkeypatch):
+    seen = []
+    real = phasepoly.commutator_slots
+
+    def counted(p, q, omega):
+        seen.append(np.broadcast_shapes(p.shape[:-3], q.shape[:-3])[0])
+        return real(p, q, omega)
+
+    monkeypatch.setattr(phasepoly, "commutator_slots", counted)
+    p = ncmodel.NCParams(theta=0.1, eta=0.05, gamma=0.2)
+    grid = np.linspace(0.0, 1.0, 4096)
+    report = ncmodel.verify_nc_algebra(p, grid)
+    assert len(report.checks) == 6 * 4096 and report.passed()
+    assert max(seen) <= GRID_BLOCK and sum(seen) == 4096 and len(seen) == 4096 // GRID_BLOCK
+    seen.clear()
+    ans = invariant.constant_invariant(1.0, 0.0, 0.0, -0.5, 0.0)
+    h = ncmodel.build_h_nc(p)
+    res = invariant.invariance_residual(ans, h, ncmodel.symplectic_form(p), grid[:100])
+    assert res.shape == (100, 15, 2, 2)
+    assert max(seen) <= GRID_BLOCK and sum(seen) == 100
+
+
+def test_residual_norms_equal_residual_norm_of_each_poly():
+    slots = full(random_slots((6, 2)))
+    norms = residual_norms(slots)
+    assert norms.shape == (6, 2)
+    for k in np.ndindex(6, 2):
+        assert norms[k] == residual_norm(PhasePoly(slots[k]))
+
+
+def test_affine_op_stack_matches_combine():
+    h = ncmodel.build_h_nc(ncmodel.NCParams(theta=0.1, eta=0.05, gamma=0.3))
+    ts = (0.0, 0.4, 1.3)
+    stacked = h.stack([h.value(t) for t in ts])
+    for t, slots in zip(ts, stacked):
+        assert np.array_equal(slots, h.at(t).slots)
+
+
 def test_residual_norm_examples():
     assert residual_norm(PhasePoly.zero()) == 0.0
     assert residual_norm(PhasePoly.constant(1j * ID2)) == pytest.approx(np.sqrt(2.0))
@@ -133,9 +226,9 @@ def test_symplectic_form_antisymmetry_enforced():
     with pytest.raises(ValueError):
         SymplecticForm(np.eye(4))
     form = SymplecticForm.canonical(2.0)
-    assert form.pair(Coord.X, Coord.PX) == 2.0
-    assert form.pair(Coord.PX, Coord.X) == -2.0
-    assert form.pair(Coord.X, Coord.Y) == 0.0
+    assert form.omega[Coord.X, Coord.PX] == 2.0
+    assert form.omega[Coord.PX, Coord.X] == -2.0
+    assert form.omega[Coord.X, Coord.Y] == 0.0
 
 
 def test_affine_op_rate_matches_finite_differences():
