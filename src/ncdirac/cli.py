@@ -421,19 +421,17 @@ def cmd_evolve(cfg: RunConfig) -> int:
     psi0 = fockevolve.coherent_state(rep, alpha_x=1.0)
     evolved = fockevolve.evolve(h, rep, psi0, times)
     track = track_level(p, h, rep, evolved)
-    edge = fockevolve.edge_weight(rep, evolved.states)
 
     ans = invariant.constant_invariant(cfg.a1, cfg.a3, cfg.b1, cfg.b3, cfg.c1)
-    drift = fockevolve.invariant_drift(ans.at(0.0), rep, evolved)
+    drift, r_xp, r_yp, r_nc, edge = fockevolve.measure(
+        ans.at(0.0), rep, evolved, functools.partial(ncmodel.bopp_scales, p)
+    )
     check_grid = np.linspace(cfg.t0, cfg.t1, 8)
     res_norm = float(
         np.max(residual_norms(invariant.invariance_residual(ans, h, form, check_grid)))
     )
     constrained = res_norm <= 1e-10
 
-    r_xp, r_yp, r_nc = fockevolve.uncertainty_pairs(
-        rep, evolved, functools.partial(ncmodel.bopp_scales, p)
-    )
     margins = np.min([r_xp.margin, r_yp.margin, r_nc.margin], axis=0)
     nc_bound_dev = float(np.max(np.abs(r_nc.bound - 0.5 * ncmodel.hbar_eff(p))))
     min_margin = float(margins.min())

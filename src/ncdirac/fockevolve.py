@@ -1,7 +1,8 @@
 """Truncated two-mode oscillator (x) spinor representation of the degree-<=1
-polynomial operators, unitary time evolution by Lanczos exponentials, and the
-derived measurements: invariant drift, uncertainty products, the spectral
-weights of a state (Lanczos), and the weight the truncation edge reaches.
+polynomial operators, unitary time evolution by Lanczos exponentials, the
+spectral weights of a state (Lanczos), and one pass over the stored states
+that measures invariant drift, uncertainty products and the weight the
+truncation edge reaches.
 Operators are only applied, never built as dense generator-sized matrices.
 
 Full-space convention: states live on mode_x (x) mode_y (x) spinor, of
@@ -25,11 +26,12 @@ import numpy as np
 from .errors import DegreeError, DimError, GridError, SizeError
 from .phasepoly import COORDS, AffineOp, Coord, PhasePoly
 
-#: rows of the state history processed at once by the observables passes
+#: rows of the state history processed at once by the observables pass
 BLOCK_ROWS = 64
-#: block-sized arrays alive at once in the observables passes (the four
-#: coordinate images of ``uncertainty_pairs``, its two Bopp-pair images and
-#: their temporaries)
+#: block-sized arrays alive at once in the observables pass ``measure``: the
+#: four coordinate images, then either the I image and its temporary or the
+#: two Bopp-pair images and their temporary, and the previous block's real
+#: edge weights (half a block): at most 7.5 (traced numpy peak 6.9)
 BLOCK_IMAGES = 8
 #: largest Lanczos space; a run needing more restarts, a step needing more is
 #: sub-stepped
@@ -55,7 +57,7 @@ def dense_bytes(N: int, n_t: int) -> int:
     """Estimated storage of the complex arrays an evolve run on the N-level
     truncation (dimension 2 N^2) over n_t samples holds at its peak: the
     stored states, the KRYLOV_MAX + 1 Lanczos basis vectors and BLOCK_IMAGES
-    images of a block of BLOCK_ROWS states in the observables passes."""
+    arrays the size of a block of BLOCK_ROWS states in the observables pass."""
     return 16 * 2 * N * N * (n_t + KRYLOV_MAX + 1 + BLOCK_IMAGES * BLOCK_ROWS)
 
 
@@ -84,23 +86,36 @@ def _image(rep: FockRep, c: Coord, rows: np.ndarray) -> np.ndarray:
     return m @ rows  # a matrix product over the trailing (N, 2) axes
 
 
+def _check_applicable(poly: PhasePoly, rep: FockRep, size: int) -> None:
+    if poly.degree() > 1:
+        raise DegreeError("only polynomials of degree <= 1 are applied")
+    if size != rep.dim:
+        raise DimError(f"state size {size} does not match representation dim {rep.dim}")
+
+
+def _spinor_sum(
+    poly: PhasePoly, rows: np.ndarray, image: Callable[[Coord], np.ndarray]
+) -> np.ndarray:
+    """P psi as a (rows * N * N, 2) array: the constant coefficient on the
+    spinor axis of rows, plus each nonzero linear coefficient on the spinor
+    axis of the coordinate image ``image(c)``."""
+    out = rows.reshape(-1, 2) @ poly.const_term.T
+    for c in COORDS:
+        m = poly.linear_term(c)
+        if np.any(m != 0):
+            out += image(c).reshape(-1, 2) @ m.T
+    return out
+
+
 def apply(poly: PhasePoly, rep: FockRep, states: np.ndarray) -> np.ndarray:
     """P psi for a degree-<=1 polynomial P and one state (dim,) or a block of
     states (rows, dim), with no full-space matrix: each linear term is the
     coordinate image of ``_image`` times its 2x2 coefficient on the spinor
     axis."""
-    if poly.degree() > 1:
-        raise DegreeError("only polynomials of degree <= 1 are applied")
     psi = np.asarray(states)
-    if psi.shape[-1] != rep.dim:
-        raise DimError(f"state size {psi.shape[-1]} does not match representation dim {rep.dim}")
+    _check_applicable(poly, rep, psi.shape[-1])
     rows = psi.reshape(-1, rep.N, rep.N, 2)
-    out = rows.reshape(-1, 2) @ poly.const_term.T
-    for c in COORDS:
-        m = poly.linear_term(c)
-        if np.any(m != 0):
-            out += _image(rep, c, rows).reshape(-1, 2) @ m.T
-    return out.reshape(psi.shape)
+    return _spinor_sum(poly, rows, lambda c: _image(rep, c, rows)).reshape(psi.shape)
 
 
 def coherent_state(
@@ -123,11 +138,6 @@ def coherent_state(
     s = s / np.linalg.norm(s)
     full = np.kron(np.kron(mode_vec(alpha_x), mode_vec(alpha_y)), s)
     return full / np.linalg.norm(full)
-
-
-def _blocks(states: np.ndarray) -> Iterator[slice]:
-    for lo in range(0, len(states), BLOCK_ROWS):
-        yield slice(lo, lo + BLOCK_ROWS)
 
 
 @dataclass(frozen=True)
@@ -319,18 +329,6 @@ def evolve(
     )
 
 
-def edge_weight(rep: FockRep, states: np.ndarray) -> float:
-    """Largest weight any of the states (rows, dim) has on the top oscillator
-    level n = N-1 of either mode, where the truncation defect lives; computed
-    from the amplitudes, a block of rows at a time."""
-    worst = 0.0
-    for b in _blocks(states):
-        prob = np.abs(states[b].reshape(-1, rep.N, rep.N, 2)) ** 2
-        edge = prob[:, -1].sum(axis=(1, 2)) + prob[:, :-1, -1].sum(axis=(1, 2))
-        worst = max(worst, float(edge.max()))
-    return worst
-
-
 @dataclass(frozen=True)
 class DriftSeries:
     """Expectation history of a candidate invariant along an evolution."""
@@ -339,31 +337,6 @@ class DriftSeries:
     values: np.ndarray  # <I>(t), complex
     drift: np.ndarray  # <I>(t) - <I>(0)
     relative_max: float  # max |drift| / (|<I>(0)| + 1)
-
-
-def invariant_drift(i_op: PhasePoly, rep: FockRep, evolved: EvolvedState) -> DriftSeries:
-    """Measure <I>(t) - <I>(0) along the evolution for a degree-<=1 invariant,
-    a block of stored states at a time."""
-    s = evolved.states
-    values = np.concatenate([np.vecdot(s[b], apply(i_op, rep, s[b])) for b in _blocks(s)])
-    drift = values - values[0]
-    rel = float(np.max(np.abs(drift)) / (abs(values[0]) + 1.0))
-    return DriftSeries(times=evolved.times, values=values, drift=drift, relative_max=rel)
-
-
-def ehrenfest_rate_series(r_op: PhasePoly, rep: FockRep, evolved: EvolvedState) -> np.ndarray:
-    """Predicted d<I>/dt from the residual operator R = [I,H] + i dI/dt:
-    the rate is -i <R> along the evolution (real for Hermitian I)."""
-    return (-1j * invariant_drift(r_op, rep, evolved).values).real
-
-
-def cumulative_trapezoid(times: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Running trapezoid integral, same length as the input, starting at 0."""
-    out = np.zeros(len(values), dtype=np.result_type(values, float))
-    if len(values) > 1:
-        h = np.diff(times)
-        out[1:] = np.cumsum(0.5 * h * (values[1:] + values[:-1]))
-    return out
 
 
 class UncertaintyResult(NamedTuple):
@@ -387,32 +360,55 @@ def robertson(states: np.ndarray, a_psi: np.ndarray, b_psi: np.ndarray) -> Uncer
     return UncertaintyResult(product, bound, product - bound)
 
 
-def uncertainty_pairs(
+class Observables(NamedTuple):
+    """What ``measure`` reads off the stored states of an evolution."""
+
+    drift: DriftSeries  # <I>(t) of the invariant and its drift
+    xp: UncertaintyResult  # (x, px)
+    yp: UncertaintyResult  # (y, py)
+    bopp: UncertaintyResult  # (x - s_theta py, px + s_eta y)
+    edge: float  # largest weight of any state on the top level of either mode
+
+
+def measure(
+    i_op: PhasePoly,
     rep: FockRep,
     evolved: EvolvedState,
     bopp_scales: Callable[[float], tuple[float, float]],
-) -> tuple[UncertaintyResult, UncertaintyResult, UncertaintyResult]:
-    """Robertson data of (x, px), (y, py) and the Bopp pair
-    (x - s_theta(t) py, px + s_eta(t) y) at every stored state, where
-    ``bopp_scales(t)`` gives (s_theta, s_eta).
+) -> Observables:
+    """Measure the stored states in one pass, BLOCK_ROWS rows at a time.
 
-    The coordinate images Z_c psi come from ``_image``, once per block of
-    rows, and are shared by the three pairs.
+    The four coordinate images Z_c psi of a block come from ``_image`` once
+    and give I psi for the degree-<=1 invariant I, hence <I>(t) and its
+    drift, and the Robertson data of (x, px), (y, py) and the Bopp pair
+    (x - s_theta(t) py, px + s_eta(t) y), where ``bopp_scales(t)`` gives
+    (s_theta, s_eta). The amplitudes give the largest weight any state has
+    on the top oscillator level n = N-1 of either mode, where the truncation
+    defect lives.
     """
-    parts = []
-    for b in _blocks(evolved.states):
-        block = evolved.states[b]
+    s = evolved.states
+    _check_applicable(i_op, rep, s.shape[-1])
+    values, parts, edge = [], [], 0.0
+    for lo in range(0, len(s), BLOCK_ROWS):
+        block, times = s[lo : lo + BLOCK_ROWS], evolved.times[lo : lo + BLOCK_ROWS]
         rows = block.reshape(len(block), rep.N, rep.N, 2)
         z = {c: _image(rep, c, rows).reshape(block.shape) for c in COORDS}
-        st, se = np.array([bopp_scales(float(t)) for t in evolved.times[b]]).T[..., None]
+        values.append(np.vecdot(block, _spinor_sum(i_op, rows, z.get).reshape(block.shape)))
+        st, se = np.array([bopp_scales(float(t)) for t in times]).T[..., None]
         parts.append((
             robertson(block, z[Coord.X], z[Coord.PX]),
             robertson(block, z[Coord.Y], z[Coord.PY]),
             robertson(block, z[Coord.X] - st * z[Coord.PY], z[Coord.PX] + se * z[Coord.Y]),
         ))
-    return tuple(
-        UncertaintyResult(*map(np.concatenate, zip(*pair))) for pair in zip(*parts)
-    )
+        del z  # so the next block's images are not built beside these
+        prob = np.abs(rows) ** 2
+        top = prob[:, -1].sum(axis=(1, 2)) + prob[:, :-1, -1].sum(axis=(1, 2))
+        edge = max(edge, float(top.max()))
+    values = np.concatenate(values)
+    drift = values - values[0]
+    rel = float(np.max(np.abs(drift)) / (abs(values[0]) + 1.0))
+    pairs = (UncertaintyResult(*map(np.concatenate, zip(*pair))) for pair in zip(*parts))
+    return Observables(DriftSeries(evolved.times, values, drift, rel), *pairs, edge)
 
 
 def write_evolution_csv(

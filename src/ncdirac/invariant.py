@@ -226,13 +226,3 @@ def solve_constant_invariant(
         note=note,
     )
 
-
-def spin_independence_defect(ans: AffineOp, t: float) -> float:
-    """Largest Pauli component across slots; 0 means the ansatz is a pure
-    identity-proportional (spin-independent) operator."""
-    poly = ans.at(t)
-    worst = 0.0
-    for _, slot in poly.labeled_slots():
-        c = mat2.pauli_decompose(slot)
-        worst = max(worst, abs(c.c_1), abs(c.c_2), abs(c.c_3))
-    return worst

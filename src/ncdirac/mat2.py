@@ -1,9 +1,8 @@
-"""Complex 2x2 matrix algebra: Pauli basis, decomposition, Dirac-algebra checks."""
+"""Complex 2x2 matrix algebra: Pauli basis, Dirac-algebra checks."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -24,10 +23,6 @@ for _m in (ID2, ZERO2, SIGMA1, SIGMA2, SIGMA3):
     _m.setflags(write=False)
 
 
-def dagger(m: Mat2) -> Mat2:
-    return m.conj().T
-
-
 def fro(m: Mat2):
     """Frobenius norm: a float for one matrix, an array for a stack (..., 2, 2)."""
     flat = m.reshape(m.shape[:-2] + (-1,))
@@ -41,25 +36,6 @@ def commutator(a: Mat2, b: Mat2) -> Mat2:
 
 def anticommutator(a: Mat2, b: Mat2) -> Mat2:
     return a @ b + b @ a
-
-
-class PauliCoeffs(NamedTuple):
-    """Coefficients of M = c_I*I + c_1*sigma_1 + c_2*sigma_2 + c_3*sigma_3."""
-
-    c_I: complex
-    c_1: complex
-    c_2: complex
-    c_3: complex
-
-
-def pauli_decompose(m: Mat2) -> PauliCoeffs:
-    """Expand a 2x2 matrix on {I, sigma_1, sigma_2, sigma_3} via trace formulas."""
-    return PauliCoeffs(
-        c_I=complex(np.trace(m)) / 2.0,
-        c_1=complex(np.trace(SIGMA1 @ m)) / 2.0,
-        c_2=complex(np.trace(SIGMA2 @ m)) / 2.0,
-        c_3=complex(np.trace(SIGMA3 @ m)) / 2.0,
-    )
 
 
 @dataclass(frozen=True)

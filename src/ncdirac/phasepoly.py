@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -28,20 +28,11 @@ class Coord(IntEnum):
     PY = 3
 
 
-COORD_NAMES = {Coord.X: "x", Coord.Y: "y", Coord.PX: "px", Coord.PY: "py"}
-
 COORDS = (Coord.X, Coord.Y, Coord.PX, Coord.PY)
 _QUAD_KEYS = tuple(
     (a, b) for i, a in enumerate(COORDS) for b in COORDS[i:]
 )  # 10 ordered pairs
 _QUAD_INDEX = {key: 5 + k for k, key in enumerate(_QUAD_KEYS)}
-
-#: labels for the 15 coefficient slots, in storage order
-SLOT_LABELS = (
-    ("1",)
-    + tuple(COORD_NAMES[c] for c in COORDS)
-    + tuple(f"{COORD_NAMES[a]}*{COORD_NAMES[b]}" for a, b in _QUAD_KEYS)
-)
 
 N_SLOTS = 15
 
@@ -71,10 +62,6 @@ class PhasePoly:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero() -> "PhasePoly":
-        return PhasePoly(np.zeros((N_SLOTS, 2, 2), dtype=complex))
-
-    @staticmethod
     def constant(m: Mat2) -> "PhasePoly":
         return PhasePoly.monomial(m)
 
@@ -100,13 +87,6 @@ class PhasePoly:
 
     def linear_term(self, c: Coord) -> Mat2:
         return self.slots[1 + int(c)]
-
-    def quad_term(self, i: Coord, j: Coord) -> Mat2:
-        return self.slots[_QUAD_INDEX[_quad_key(i, j)]]
-
-    def labeled_slots(self) -> Iterator[tuple[str, Mat2]]:
-        for label, m in zip(SLOT_LABELS, self.slots):
-            yield label, m
 
     def degree(self) -> int:
         if np.any(self.slots[5:] != 0):

@@ -3,7 +3,8 @@
 ``represent`` is the dense matrix of a degree-<=1 polynomial on a truncated
 Fock representation, one kron product per term of ladder-operator matrices
 built here; the package itself applies polynomials matrix-free and builds no
-such matrix.
+such matrix. ``ehrenfest_drift`` predicts an invariant's drift from that
+matrix.
 
 The commutator oracle expands products of degree-<=1 polynomials into
 monomial strings and normal-orders them one swap at a time using
@@ -19,7 +20,7 @@ import math
 import numpy as np
 
 from ncdirac.errors import DegreeError
-from ncdirac.phasepoly import Coord, PhasePoly, SymplecticForm
+from ncdirac.phasepoly import N_SLOTS, Coord, PhasePoly, SymplecticForm
 
 _COORDS = (Coord.X, Coord.Y, Coord.PX, Coord.PY)
 
@@ -49,6 +50,16 @@ def represent(poly: PhasePoly, rep) -> np.ndarray:
     for c in _COORDS:
         out = out + np.kron(modes[c], poly.linear_term(c))
     return out
+
+
+def ehrenfest_drift(residual: PhasePoly, rep, times: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """<I>(t) - <I>(t0) that Ehrenfest's theorem predicts from the residual
+    R = [I, H] + i dI/dt of a Hermitian I: the running trapezoid integral of
+    the rate -i<R>, with <R> taken from the dense matrix of R at every
+    stored state (rows of ``states``)."""
+    rate = (-1j * np.vecdot(states, states @ represent(residual, rep).T)).real
+    steps = 0.5 * np.diff(times) * (rate[1:] + rate[:-1])
+    return np.concatenate([[0.0], np.cumsum(steps)])
 
 
 def _poly_to_terms(p: PhasePoly) -> list[tuple[np.ndarray, tuple[Coord, ...]]]:
@@ -86,7 +97,7 @@ def string_commutator(p: PhasePoly, q: PhasePoly, form: SymplecticForm) -> Phase
     ordered: list[tuple[np.ndarray, tuple[Coord, ...]]] = []
     for c, s in raw:
         ordered.extend(_normal_order(c, s, form))
-    result = PhasePoly.zero()
+    result = PhasePoly(np.zeros((N_SLOTS, 2, 2)))
     for c, s in ordered:
         if len(s) == 0:
             result = result + PhasePoly.constant(c)
@@ -108,7 +119,7 @@ def random_mat2(rng: np.random.Generator) -> np.ndarray:
 
 def random_linear_poly(rng: np.random.Generator, scalar_coeffs: bool = False) -> PhasePoly:
     """Random degree-<=1 polynomial; scalar_coeffs restricts to identity-proportional."""
-    poly = PhasePoly.zero()
+    poly = PhasePoly(np.zeros((N_SLOTS, 2, 2)))
     for c in _COORDS:
         m = (rng.standard_normal() + 1j * rng.standard_normal()) * np.eye(2) \
             if scalar_coeffs else random_mat2(rng)

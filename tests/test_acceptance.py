@@ -14,7 +14,7 @@ from ncdirac import fockevolve, invariant, lrsolve, mat2, ncmodel
 from ncdirac.invariant import constant_invariant
 from ncdirac.ncmodel import NCParams
 from ncdirac.phasepoly import PhasePoly, hermitian_defect
-from oracle import represent
+from oracle import ehrenfest_drift, represent
 
 COMMUTATIVE = NCParams()
 NC_STATIC = NCParams(theta=0.1, eta=0.05, gamma=0.0)
@@ -26,6 +26,11 @@ EVOLVE_TIMES = np.linspace(0.0, 1.0, 1001)  # t in [0,1], dt = 1e-3
 
 def _report(criterion: str, detail: str) -> None:
     print(f"ACCEPTANCE {criterion}: PASS ({detail})")
+
+
+def measure(i_op, rep, evolved, p):
+    """The observables pass with the Bopp scales of p."""
+    return fockevolve.measure(i_op, rep, evolved, partial(ncmodel.bopp_scales, p))
 
 
 @pytest.fixture(scope="module")
@@ -160,7 +165,7 @@ def test_criterion_09_invariant_drift(commutative_run):
     rep16, h, evolved16 = commutative_run
     ans = constant_invariant(1.0, 0.0, 0.0, -0.5, 0.0)
 
-    drift16 = fockevolve.invariant_drift(ans.at(0.0), rep16, evolved16)
+    drift16 = measure(ans.at(0.0), rep16, evolved16, COMMUTATIVE).drift
     assert drift16.relative_max <= 1e-6
 
     drifts = []
@@ -171,7 +176,7 @@ def test_criterion_09_invariant_drift(commutative_run):
         rep = fockevolve.build_fock_rep(n, 1.0)
         psi0 = fockevolve.coherent_state(rep, alpha_x=1.0)
         ev = fockevolve.evolve(h, rep, psi0, EVOLVE_TIMES)
-        d = fockevolve.invariant_drift(ans.at(0.0), rep, ev)
+        d = measure(ans.at(0.0), rep, ev, COMMUTATIVE).drift
         drifts.append(d.relative_max)
     for large, small in zip(drifts[:-1], drifts[1:]):
         assert small <= max(1.1 * large, 1e-12)  # decreasing, floor at rounding noise
@@ -181,12 +186,11 @@ def test_criterion_09_invariant_drift(commutative_run):
     psi0 = fockevolve.coherent_state(rep, alpha_x=1.0, spinor=(1.0, 1.0j))
     ev = fockevolve.evolve(h, rep, psi0, EVOLVE_TIMES)
     ans_u = constant_invariant(1.0, 0.0, 0.0, 0.0, 0.0)
-    measured = fockevolve.invariant_drift(ans_u.at(0.0), rep, ev).drift.real
+    measured = measure(ans_u.at(0.0), rep, ev, COMMUTATIVE).drift.drift.real
     res_poly = PhasePoly(
         invariant.invariance_residual(ans_u, h, ncmodel.symplectic_form(COMMUTATIVE), [0.0])[0]
     )
-    rate = fockevolve.ehrenfest_rate_series(res_poly, rep, ev)
-    predicted = fockevolve.cumulative_trapezoid(EVOLVE_TIMES, rate)
+    predicted = ehrenfest_drift(res_poly, rep, EVOLVE_TIMES, ev.states)
     m_max = float(np.max(np.abs(measured)))
     p_max = float(np.max(np.abs(predicted)))
     assert m_max > 1e-4  # measurable
@@ -202,7 +206,8 @@ def test_criterion_10_uncertainty_inequality(commutative_run, nc_run):
     worst_margin = np.inf
     worst_bound_dev = 0.0
     for (rep, _, evolved), p in ((commutative_run, COMMUTATIVE), (nc_run, NC_DYNAMIC)):
-        pairs = fockevolve.uncertainty_pairs(rep, evolved, partial(ncmodel.bopp_scales, p))
+        obs = measure(PhasePoly.constant(mat2.ID2), rep, evolved, p)
+        pairs = (obs.xp, obs.yp, obs.bopp)
         for r in pairs:
             worst_margin = min(worst_margin, float(r.margin.min()))
             assert np.all(r.margin >= -1e-9)

@@ -399,7 +399,9 @@ def test_any_model_parameters_end_in_a_contract_exit_code(values):
 
 def test_dense_bytes_estimate():
     # the stored states, the KRYLOV_MAX + 1 Lanczos vectors and BLOCK_IMAGES
-    # blocks of BLOCK_ROWS images, complex, of dimension 2 N^2
+    # block-sized arrays of the observables pass (the four coordinate images,
+    # the I or the two Bopp-pair images, temporaries), each block BLOCK_ROWS
+    # complex states of dimension 2 N^2
     assert fockevolve.dense_bytes(16, 5) == 16 * 512 * (5 + 41 + 8 * 64)
     assert fockevolve.dense_bytes(16, 1001) - fockevolve.dense_bytes(16, 1) == 16 * 512 * 1000
     # a commutative fock_N=48 run over 500 steps peaks near 143 MB of RSS

@@ -1,4 +1,4 @@
-"""Truncated representation, unitary evolution, drift and uncertainty checks."""
+"""Truncated representation, unitary evolution, and the observables pass."""
 
 import cmath
 import math
@@ -11,29 +11,32 @@ from ncdirac import fockevolve, invariant, lrsolve, ncmodel
 from ncdirac.cli import track_level
 from ncdirac.errors import DegreeError, DimError, GridError, SizeError
 from ncdirac.fockevolve import (
+    BLOCK_ROWS,
+    EvolvedState,
     apply,
     build_fock_rep,
     coherent_state,
-    cumulative_trapezoid,
-    edge_weight,
-    ehrenfest_rate_series,
     evolve,
-    invariant_drift,
     krylov_step,
+    measure,
     robertson,
     spectral_weights,
-    uncertainty_pairs,
 )
 from ncdirac.mat2 import ID2
 from ncdirac.ncmodel import NCParams
 from ncdirac.phasepoly import AffineOp, Coord, PhasePoly, SymplecticForm, commutator
-from oracle import represent
+from oracle import ehrenfest_drift, represent
 
 COMMUTATIVE = NCParams()
 
 
 def coordinate(c, rep):
     return represent(PhasePoly.monomial(ID2, c), rep)
+
+
+def observe(rep, ev, i_op=PhasePoly.constant(ID2), p=COMMUTATIVE):
+    """The observables pass with the Bopp scales of p."""
+    return measure(i_op, rep, ev, partial(ncmodel.bopp_scales, p))
 
 
 def test_build_rep_validation():
@@ -361,8 +364,8 @@ def test_edge_weight_matches_interior_projector():
         for a in (0.1, 0.8, 1.5)
     ])
     want = max(1.0 - np.vdot(s, pi @ s).real for s in states)
-    assert abs(edge_weight(rep, states) - want) <= 1e-14
-    assert edge_weight(rep, states[:1]) < want
+    assert abs(observe(rep, EvolvedState(np.arange(3.0), states, 0.0)).edge - want) <= 1e-14
+    assert observe(rep, EvolvedState(np.zeros(1), states[:1], 0.0)).edge < want
 
 
 def test_landau_length_puts_truncated_level_on_closed_form():
@@ -471,7 +474,7 @@ def test_invariant_drift_identity_is_zero():
     h = ncmodel.build_h_nc(COMMUTATIVE)
     psi0 = coherent_state(rep)
     ev = evolve(h, rep, psi0, np.linspace(0.0, 0.5, 51))
-    d = invariant_drift(PhasePoly.constant(ID2), rep, ev)
+    d = observe(rep, ev).drift
     assert np.max(np.abs(d.drift)) <= 1e-12
 
 
@@ -481,7 +484,7 @@ def test_invariant_drift_constrained_small():
     psi0 = coherent_state(rep)
     ev = evolve(h, rep, psi0, np.linspace(0.0, 1.0, 501))
     ans = invariant.constant_invariant(1.0, 0.0, 0.0, -0.5, 0.0)
-    d = invariant_drift(ans.at(0.0), rep, ev)
+    d = observe(rep, ev, ans.at(0.0)).drift
     assert d.relative_max <= 1e-6
 
 
@@ -490,7 +493,14 @@ def test_invariant_drift_checks_dimension():
     h = ncmodel.build_h_nc(COMMUTATIVE)
     ev = evolve(h, rep, coherent_state(rep), np.linspace(0.0, 0.1, 11))
     with pytest.raises(DimError):
-        invariant_drift(PhasePoly.constant(ID2), build_fock_rep(4, 1.0), ev)
+        observe(build_fock_rep(4, 1.0), ev)
+
+
+def test_measure_rejects_quadratic_invariant():
+    rep = build_fock_rep(3, 1.0)
+    ev = EvolvedState(np.zeros(1), coherent_state(rep)[None], 0.0)
+    with pytest.raises(DegreeError):
+        observe(rep, ev, PhasePoly.monomial(ID2, Coord.X, Coord.PX))
 
 
 def test_unconstrained_drift_matches_ehrenfest_rate():
@@ -502,9 +512,9 @@ def test_unconstrained_drift_matches_ehrenfest_rate():
     times = np.linspace(0.0, 1.0, 501)
     ev = evolve(h, rep, psi0, times)
     ans = invariant.constant_invariant(1.0, 0.0, 0.0, 0.0, 0.0)
-    measured = invariant_drift(ans.at(0.0), rep, ev).drift.real
+    measured = observe(rep, ev, ans.at(0.0)).drift.drift.real
     res_poly = PhasePoly(invariant.invariance_residual(ans, h, form, [0.0])[0])
-    predicted = cumulative_trapezoid(times, ehrenfest_rate_series(res_poly, rep, ev))
+    predicted = ehrenfest_drift(res_poly, rep, times, ev.states)
     m_max = np.max(np.abs(measured))
     p_max = np.max(np.abs(predicted))
     assert m_max > 1e-4
@@ -546,7 +556,8 @@ def test_uncertainty_bopp_pair_bound_matches_hbar_eff():
     psi0 = coherent_state(rep)
     times = np.linspace(0.0, 1.0, 101)
     ev = evolve(h, rep, psi0, times)
-    pairs = uncertainty_pairs(rep, ev, partial(ncmodel.bopp_scales, p))
+    obs = observe(rep, ev, p=p)
+    pairs = (obs.xp, obs.yp, obs.bopp)
     heff = ncmodel.hbar_eff(p)
     for k in (0, 20, 40, 63, 64, 80, 100):  # both sides of the first block edge
         t = float(times[k])
@@ -575,7 +586,77 @@ def test_truncation_scaling_of_constrained_drift():
         rep = build_fock_rep(n, 1.0)
         psi0 = coherent_state(rep)
         ev = evolve(h, rep, psi0, np.linspace(0.0, 1.0, 251))
-        d = invariant_drift(ans.at(0.0), rep, ev)
+        d = observe(rep, ev, ans.at(0.0)).drift
         drifts.append(d.relative_max)
     for small, large in zip(drifts[1:], drifts[:-1]):
         assert small <= max(1.1 * large, 1e-12)
+
+
+def random_hermitian_invariant(rng):
+    """A spinful Hermitian degree-1 I: a random Hermitian 2x2 coefficient,
+    sigma parts included, on the constant slot and on each linear slot."""
+    a = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
+    slots = np.zeros((15, 2, 2), dtype=complex)
+    slots[:5] = a + a.conj().transpose(0, 2, 1)
+    return PhasePoly(slots)
+
+
+def test_measure_matches_dense_oracle():
+    # the one pass against dense matrices that share no code with it, over
+    # BLOCK_ROWS + 1 samples, so the last sample sits in a second block
+    p = NCParams(theta=0.1, eta=0.05, gamma=0.2)
+    rep = build_fock_rep(5, lrsolve.magnetic_length(p))
+    h = ncmodel.build_h_nc(p)
+    psi0 = coherent_state(rep, alpha_x=0.8, alpha_y=0.3j, spinor=(1.0, 0.5j))
+    times = np.linspace(0.0, 0.5, BLOCK_ROWS + 1)
+    ev = evolve(h, rep, psi0, times)
+    i_op = random_hermitian_invariant(np.random.default_rng(5))
+    obs = observe(rep, ev, i_op, p)
+
+    values = np.array([np.vdot(s, represent(i_op, rep) @ s) for s in ev.states])
+    drift = values - values[0]
+    assert np.max(np.abs(obs.drift.values - values)) <= 1e-12
+    assert np.max(np.abs(obs.drift.drift - drift)) <= 1e-12
+    assert np.max(np.abs(drift)) > 1e-3  # I is no invariant of H: the drift is seen
+    relative = np.max(np.abs(drift)) / (abs(values[0]) + 1.0)
+    assert obs.drift.relative_max == pytest.approx(relative, abs=1e-12)
+    assert np.array_equal(obs.drift.times, times)
+
+    pi = interior_projector(rep)
+    edge = max(1.0 - np.vdot(s, pi @ s).real for s in ev.states)
+    assert edge > 1e-3
+    assert abs(obs.edge - edge) <= 1e-14
+
+    for k, (s, t) in enumerate(zip(ev.states, times)):
+        dense_pairs = (
+            (coordinate(Coord.X, rep), coordinate(Coord.PX, rep)),
+            (coordinate(Coord.Y, rep), coordinate(Coord.PY, rep)),
+            (
+                represent(ncmodel.bopp_shift(p, Coord.X, t), rep),
+                represent(ncmodel.bopp_shift(p, Coord.PX, t), rep),
+            ),
+        )
+        for got, (a, b) in zip((obs.xp, obs.yp, obs.bopp), dense_pairs):
+            product, bound = dense_robertson(s, a, b)
+            assert abs(got.product[k] - product) <= 1e-12
+            assert abs(got.bound[k] - bound) <= 1e-12
+            assert abs(got.margin[k] - (product - bound)) <= 1e-12
+
+
+def test_measure_images_each_block_once(monkeypatch):
+    # the I image and the three pairs share the four coordinate images of
+    # a block, even for an I with every linear slot nonzero
+    sizes = []
+    image = fockevolve._image
+
+    def counted(rep, c, rows):
+        sizes.append(len(rows))
+        return image(rep, c, rows)
+
+    monkeypatch.setattr(fockevolve, "_image", counted)
+    rep = build_fock_rep(4, 1.0)
+    n_t = 2 * BLOCK_ROWS + 1
+    states = np.tile(coherent_state(rep, alpha_x=0.5), (n_t, 1))
+    observe(rep, EvolvedState(np.linspace(0.0, 1.0, n_t), states, 0.0),
+            random_hermitian_invariant(np.random.default_rng(1)))
+    assert sizes == [BLOCK_ROWS] * 8 + [1] * 4

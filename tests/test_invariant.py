@@ -38,7 +38,10 @@ def test_constant_invariant_structure():
     ans = constant_invariant(1.0, 0.0, 0.0, 0.0, 0.0)
     assert residual_norm(ans.at(0.3) - PhasePoly.monomial(ID2, Coord.PX)) == 0.0
     assert hermitian_defect(ans.at(1.0)) == 0.0
-    assert invariant.spin_independence_defect(ans, 1.0) == 0.0
+    # spin-independent: every slot is a multiple of the identity
+    slots = ans.at(1.0).slots
+    assert np.all(slots[:, 0, 1] == 0.0) and np.all(slots[:, 1, 0] == 0.0)
+    assert np.all(slots[:, 0, 0] == slots[:, 1, 1])
 
 
 def test_constant_only_invariant_commutes_with_any_h():

@@ -8,9 +8,9 @@ import pytest
 
 from oracle import string_commutator
 
-from ncdirac import mat2, ncmodel
+from ncdirac import ncmodel
 from ncdirac.errors import UnitModeError
-from ncdirac.mat2 import ALPHA1, ALPHA2, BETA, ID2
+from ncdirac.mat2 import ALPHA1, ALPHA2, BETA, ID2, SIGMA1, SIGMA2, SIGMA3
 from ncdirac.ncmodel import NCParams
 from ncdirac.phasepoly import Coord, PhasePoly, residual_norm
 
@@ -164,11 +164,10 @@ def test_all_deformed_commutators_identity_proportional():
         for a in Coord:
             for b in Coord:
                 res = commutator(ops[a], ops[b], form)
-                for _, slot in res.labeled_slots():
-                    coeffs = mat2.pauli_decompose(slot)
-                    assert abs(coeffs.c_1) <= 1e-15
-                    assert abs(coeffs.c_2) <= 1e-15
-                    assert abs(coeffs.c_3) <= 1e-15
+                for slot in res.slots:
+                    # the sigma_k component of a 2x2 matrix is tr(sigma_k M)/2
+                    for sigma in (SIGMA1, SIGMA2, SIGMA3):
+                        assert abs(np.trace(sigma @ slot) / 2.0) <= 1e-15
 
 
 def test_f_theta_f_eta():
