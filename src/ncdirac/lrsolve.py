@@ -23,8 +23,11 @@ from .ncmodel import NCParams, f_eta, f_theta
 
 
 def magnetic_length(p: NCParams) -> float:
-    """Landau length l_B = sqrt(hbar/(e*B)), the natural length scale of the
-    problem: the oscillator scale whose ground state is a lowest-level state."""
+    """Landau length l_B = sqrt(hbar/(e*B)), the oscillator length evolve
+    builds its Fock basis on. It is not the chiral-ladder scale: the kinetic
+    momenta hold a single ladder at sqrt(hbar |f_theta/f_eta|), which is
+    sqrt(2) l_B undeformed, so a lowest-level state is not this oscillator's
+    ground state."""
     eb = p.e * p.B
     if eb <= 0:
         raise SingularParameterError("magnetic length requires e*B > 0")

@@ -30,10 +30,6 @@ def fro(m: Mat2):
     return float(norm) if norm.ndim == 0 else norm
 
 
-def commutator(a: Mat2, b: Mat2) -> Mat2:
-    return a @ b - b @ a
-
-
 def anticommutator(a: Mat2, b: Mat2) -> Mat2:
     return a @ b + b @ a
 

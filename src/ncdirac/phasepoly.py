@@ -259,7 +259,3 @@ class AffineOp:
 
     def at(self, t: float) -> PhasePoly:
         return self.combine(self.value(t))
-
-    def rate(self, t: float) -> PhasePoly:
-        """Analytic d/dt of the operator at time t."""
-        return self.combine(self.derivative(t))

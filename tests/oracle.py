@@ -11,6 +11,12 @@ monomial strings and normal-orders them one swap at a time using
 [z_i, z_j] = i*Omega_ij, then converts the sorted two-letter strings to the
 Weyl-symmetrized basis. It shares no code path with the slot-wise formula in
 the package.
+
+``constraint_residuals`` is the paper's hand transcription of the fifteen
+bracket relations 25a-25o that a linear invariant ansatz must satisfy, with
+its own 2x2 commutator; the package reads the same relations off the slots of
+``invariance_residual`` (``CONSTRAINT_SLOTS``). ``scalar_residual_closed_form``
+is the constant slot of a scalar ansatz written out by hand.
 """
 
 from __future__ import annotations
@@ -20,7 +26,10 @@ import math
 import numpy as np
 
 from ncdirac.errors import DegreeError
-from ncdirac.phasepoly import N_SLOTS, Coord, PhasePoly, SymplecticForm
+from ncdirac.invariant import CONSTRAINT_LABELS
+from ncdirac.mat2 import ALPHA1, ALPHA2, BETA
+from ncdirac.ncmodel import f_eta, f_theta
+from ncdirac.phasepoly import N_SLOTS, AffineOp, Coord, PhasePoly, SymplecticForm
 
 _COORDS = (Coord.X, Coord.Y, Coord.PX, Coord.PY)
 
@@ -127,3 +136,68 @@ def random_linear_poly(rng: np.random.Generator, scalar_coeffs: bool = False) ->
     m0 = (rng.standard_normal() + 1j * rng.standard_normal()) * np.eye(2) \
         if scalar_coeffs else random_mat2(rng)
     return poly + PhasePoly.constant(m0)
+
+
+def mat_commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[a, b] of 2x2 matrices, or of stacks (..., 2, 2)."""
+    return a @ b - b @ a
+
+
+def _profiles(p, ts) -> tuple[np.ndarray, np.ndarray]:
+    """f_theta and f_eta at each time, as (len(ts), 1, 1) columns."""
+    ft = np.array([f_theta(p, t) for t in ts])[:, None, None]
+    fe = np.array([f_eta(p, t) for t in ts])[:, None, None]
+    return ft, fe
+
+
+def scalar_residual_closed_form(p, a1, a3, b1, b3, ts) -> np.ndarray:
+    """Constant-slot residual of the scalar ansatz at each time of ts,
+    (len(ts), 2, 2): i*(a1 f_eta + b3 f_theta) alpha_2 + i*(b1 f_theta - a3 f_eta) alpha_1."""
+    ft, fe = _profiles(p, [float(t) for t in ts])
+    return 1j * (a1 * fe + b3 * ft) * ALPHA2 + 1j * (b1 * ft - a3 * fe) * ALPHA1
+
+
+def constraint_residuals(ans: AffineOp, p, ts) -> dict[str, np.ndarray]:
+    """Label -> (len(ts), 2, 2) stack: the fifteen bracket relations that a
+    linear ansatz I = A1 px + B1 x + A2 py + B2 y + C must satisfy, at each
+    time of ts, as the paper writes them.
+
+    Relations a-d kill the diagonal quadratic slots, e-h the linear slots,
+    i-n the mixed quadratic slots, and o closes the constant slot.
+    """
+    ts = [float(t) for t in ts]
+    ft, fe = _profiles(p, ts)
+    m = p.m
+    poly = ans.stack([ans.value(t) for t in ts])
+    rate = ans.stack([ans.derivative(t) for t in ts])
+    if np.any(poly[:, 5:] != 0):
+        raise DegreeError("the invariant ansatz must have degree <= 1")
+    linear = [1 + c for c in (Coord.PX, Coord.X, Coord.PY, Coord.Y)]
+    a1v, b1v, a2v, b2v = (poly[:, k] for k in linear)
+    da1, db1, da2, db2 = (rate[:, k] for k in linear)
+    cv, dc = poly[:, 0], rate[:, 0]
+    comm = mat_commutator
+    res = (
+        ft * comm(a1v, ALPHA1),
+        ft * comm(a2v, ALPHA2),
+        fe * comm(b1v, ALPHA2),
+        fe * comm(b2v, ALPHA1),
+        m * comm(a1v, BETA) + ft * comm(cv, ALPHA1) + 1j * da1,
+        m * comm(a2v, BETA) + ft * comm(cv, ALPHA2) + 1j * da2,
+        m * comm(b1v, BETA) - fe * comm(cv, ALPHA2) + 1j * db1,
+        m * comm(b2v, BETA) + fe * comm(cv, ALPHA1) + 1j * db2,
+        ft * comm(a1v, ALPHA2) + ft * comm(a2v, ALPHA1),
+        ft * comm(b1v, ALPHA1) - fe * comm(a1v, ALPHA2),
+        ft * comm(b1v, ALPHA2) - fe * comm(a2v, ALPHA2),
+        fe * comm(b1v, ALPHA1) - fe * comm(b2v, ALPHA2),
+        ft * comm(b2v, ALPHA1) + fe * comm(a1v, ALPHA1),
+        fe * comm(a2v, ALPHA1) + ft * comm(b2v, ALPHA2),
+        1j * fe * (a1v @ ALPHA2)
+        + 1j * ft * (b1v @ ALPHA1)
+        - 1j * fe * (a2v @ ALPHA1)
+        + 1j * ft * (b2v @ ALPHA2)
+        - 1j * (ft * comm(b1v, ALPHA1) + ft * comm(b2v, ALPHA2))
+        + m * comm(cv, BETA)
+        + 1j * dc,
+    )
+    return dict(zip(CONSTRAINT_LABELS, res))

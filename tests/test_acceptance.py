@@ -14,7 +14,12 @@ from ncdirac import fockevolve, invariant, lrsolve, mat2, ncmodel
 from ncdirac.invariant import constant_invariant
 from ncdirac.ncmodel import NCParams
 from ncdirac.phasepoly import PhasePoly, hermitian_defect
-from oracle import ehrenfest_drift, represent
+from oracle import (
+    constraint_residuals,
+    ehrenfest_drift,
+    represent,
+    scalar_residual_closed_form,
+)
 
 COMMUTATIVE = NCParams()
 NC_STATIC = NCParams(theta=0.1, eta=0.05, gamma=0.0)
@@ -96,14 +101,16 @@ def test_criterion_05_constraint_system():
         for _ in range(5):
             a1, a3, b1, b3, c1 = rng.standard_normal(5)
             ans = constant_invariant(a1, a3, b1, b3, c1)
-            rset = invariant.constraint_residuals(ans, p, GRID8)
-            for label in invariant.CONSTRAINT_LABELS[:-1]:
-                assert np.all(rset.norm(label) <= 1e-13)
-            gap = np.max(
-                mat2.fro(
-                    rset.residuals["25o"]
-                    - invariant.scalar_residual_closed_form(p, a1, a3, b1, b3, GRID8)
-                )
+            res = invariant.invariance_residual(
+                ans, ncmodel.build_h_nc(p), ncmodel.symplectic_form(p), GRID8
+            )
+            rset = constraint_residuals(ans, p, GRID8)
+            for label, k in zip(invariant.CONSTRAINT_LABELS[:-1], invariant.CONSTRAINT_SLOTS):
+                assert np.all(mat2.fro(res[:, k]) <= 1e-13)
+                assert np.all(mat2.fro(rset[label]) <= 1e-13)
+            gap = max(
+                np.max(mat2.fro(res[:, 0] - rset["25o"])),
+                np.max(mat2.fro(res[:, 0] - scalar_residual_closed_form(p, a1, a3, b1, b3, GRID8))),
             )
             worst = max(worst, gap)
             assert gap <= 1e-13

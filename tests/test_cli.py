@@ -152,6 +152,26 @@ def test_invariant_constant_only(tmp_path):
     assert report["constants_max_invariance_residual"] <= 1e-15
 
 
+def test_invariant_vanishing_f_theta(tmp_path):
+    # at e = B = 1, theta = -4 sets f_theta = 1 + e B theta / 4 = 0: a1 = a3 = 0,
+    # b1 and b3 free
+    assert run(tmp_path, "invariant", "--theta", "-4", "--eta", "0.01") == 0
+    report = json.loads((tmp_path / "nullspace_report.json").read_text())
+    assert report["dimension"] == 2
+    assert "f_theta vanishes" in report["note"]
+
+
+def test_invariant_vanishing_f_theta_and_f_eta(tmp_path):
+    # f_theta = f_eta = 0 leaves H = m beta, which every scalar ansatz commutes with
+    with pytest.warns(ncmodel.ConsistencyWarning):
+        code = run(tmp_path, "invariant", "--theta", "-4", "--eta", "-1")
+    assert code == 0
+    report = json.loads((tmp_path / "nullspace_report.json").read_text())
+    assert report["dimension"] == 4
+    assert report["constants_in_nullspace"] is True
+    assert report["note"].startswith("nullspace dimension 4: f_theta and f_eta vanish")
+
+
 def test_xi_commutative(tmp_path):
     assert run(tmp_path, "xi", "--t1", "5.0") == 0
     rows = list(csv.reader((tmp_path / "xi_trajectory.csv").open()))

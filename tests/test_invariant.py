@@ -1,4 +1,5 @@
-"""Invariance residual, the fifteen bracket relations, and the
+"""Invariance residual, the fifteen bracket relations read off its slots
+(checked against the paper's transcription in oracle.py), and the
 constant-coefficient nullspace analysis."""
 
 import numpy as np
@@ -8,13 +9,12 @@ from ncdirac import invariant, mat2, ncmodel
 from ncdirac.errors import DegreeError, GridError
 from ncdirac.invariant import (
     CONSTRAINT_LABELS,
+    CONSTRAINT_SLOTS,
     constant_invariant,
-    constraint_residuals,
     invariance_residual,
-    scalar_residual_closed_form,
     solve_constant_invariant,
 )
-from ncdirac.mat2 import ALPHA1, ID2, SIGMA2
+from ncdirac.mat2 import ALPHA1, ID2, SIGMA2, SIGMA3
 from ncdirac.ncmodel import NCParams
 from ncdirac.phasepoly import (
     AffineOp,
@@ -24,6 +24,12 @@ from ncdirac.phasepoly import (
     residual_norm,
     residual_norms,
 )
+from oracle import (
+    constraint_residuals,
+    mat_commutator,
+    random_linear_poly,
+    scalar_residual_closed_form,
+)
 
 RNG = np.random.default_rng(7)
 
@@ -32,6 +38,18 @@ NC_STATIC = NCParams(theta=0.1, eta=0.05, gamma=0.0)
 NC_DYNAMIC = NCParams(theta=0.1, eta=0.05, gamma=0.2)
 ALL_PARAMS = (COMMUTATIVE, NC_STATIC, NC_DYNAMIC)
 TS = np.linspace(0.0, 2.0, 9)
+#: relation 25c is the negative of its slot, every other relation equals its slot
+SLOT_SIGNS = (1, 1, -1) + (1,) * 12
+
+
+def relations(ans, p, ts):
+    """Label -> (len(ts), 2, 2): the relations as the package reads them off
+    the residual slots, with the sign of the paper's transcription."""
+    res = invariance_residual(ans, ncmodel.build_h_nc(p), ncmodel.symplectic_form(p), ts)
+    return {
+        label: sign * res[:, k]
+        for label, k, sign in zip(CONSTRAINT_LABELS, CONSTRAINT_SLOTS, SLOT_SIGNS)
+    }
 
 
 def test_constant_invariant_structure():
@@ -94,40 +112,72 @@ def test_scalar_residual_matches_closed_form_for_random_constants():
 
 
 def test_constraint_residuals_scalar_ansatz():
+    # all fifteen slots, 25o included, match the transcription on a scalar ansatz
     for p in ALL_PARAMS:
         for _ in range(5):
             a1, a3, b1, b3, c1 = RNG.standard_normal(5)
             ans = constant_invariant(a1, a3, b1, b3, c1)
-            rset = constraint_residuals(ans, p, TS[::3])
+            got = relations(ans, p, TS[::3])
+            want = constraint_residuals(ans, p, TS[::3])
             for label in CONSTRAINT_LABELS[:-1]:
-                assert np.all(rset.norm(label) <= 1e-13), label
-            closing = rset.residuals["25o"] - scalar_residual_closed_form(
-                p, a1, a3, b1, b3, TS[::3]
-            )
+                assert np.all(mat2.fro(got[label]) <= 1e-13), label
+                assert np.all(mat2.fro(want[label]) <= 1e-13), label
+            assert np.all(mat2.fro(got["25o"] - want["25o"]) <= 1e-13)
+            closing = got["25o"] - scalar_residual_closed_form(p, a1, a3, b1, b3, TS[::3])
             assert np.all(mat2.fro(closing) <= 1e-13)
+
+
+def test_slot_map_on_random_spinful_ansatz():
+    # 25a-25n are the slots CONSTRAINT_SLOTS names, for any spin structure and
+    # with a time-dependent part that feeds the i dI/dt terms of 25e-25h
+    for p in ALL_PARAMS:
+        for _ in range(4):
+            fixed, moving = random_linear_poly(RNG), random_linear_poly(RNG)
+            ans = AffineOp(
+                (fixed, moving), value=lambda t: (1.0, t * t), derivative=lambda t: (0.0, 2.0 * t)
+            )
+            got = relations(ans, p, TS[::2])
+            want = constraint_residuals(ans, p, TS[::2])
+            for label in CONSTRAINT_LABELS[:-1]:
+                assert np.all(mat2.fro(got[label] - want[label]) <= 1e-13), label
+
+
+def test_relation_25o_scope_as_transcribed():
+    # 25o equals the constant slot when the coefficients commute with alpha_1
+    # and alpha_2; sigma_3 on x does not, and the transcription misses by 1.45
+    p = NC_STATIC
+    scalar = constant_invariant(0.4, -1.1, 0.3, 0.9, 2.0)
+    assert np.all(
+        mat2.fro(relations(scalar, p, TS)["25o"] - constraint_residuals(scalar, p, TS)["25o"])
+        <= 1e-13
+    )
+    spinful = AffineOp.time_constant(PhasePoly.monomial(SIGMA3, Coord.X))
+    got, want = relations(spinful, p, [0.0]), constraint_residuals(spinful, p, [0.0])
+    assert mat2.fro(got["25o"] - want["25o"])[0] == pytest.approx(1.4496, abs=1e-4)
 
 
 def test_constraint_residuals_alpha_branch():
     # A1 proportional to alpha_1 keeps 25a zero but breaks 25e via [alpha1, beta]m
     ans = AffineOp.time_constant(PhasePoly.monomial(0.7 * ALPHA1, Coord.PX))
     p = COMMUTATIVE
-    rset = constraint_residuals(ans, p, [0.0])
-    assert rset.norm("25a")[0] == 0.0
-    expected_25e = p.m * mat2.commutator(0.7 * ALPHA1, mat2.BETA)
-    assert mat2.fro(rset.residuals["25e"][0] - expected_25e) <= 1e-15
-    assert rset.norm("25e")[0] == pytest.approx(0.7 * 2.0 * np.sqrt(2.0), abs=1e-14)
+    expected_25e = p.m * mat_commutator(0.7 * ALPHA1, mat2.BETA)
+    for rset in (relations(ans, p, [0.0]), constraint_residuals(ans, p, [0.0])):
+        assert mat2.fro(rset["25a"])[0] == 0.0
+        assert mat2.fro(rset["25e"][0] - expected_25e) <= 1e-15
+        assert mat2.fro(rset["25e"])[0] == pytest.approx(0.7 * 2.0 * np.sqrt(2.0), abs=1e-14)
 
 
 def test_constraint_residuals_reject_quadratic_ansatz():
     ans = AffineOp.time_constant(PhasePoly.monomial(ID2, Coord.X, Coord.PX))
     with pytest.raises(DegreeError):
-        constraint_residuals(ans, COMMUTATIVE, [0.0])
+        relations(ans, COMMUTATIVE, [0.0])
 
 
 def test_constraint_labels_fixed():
+    assert CONSTRAINT_LABELS == tuple(f"25{c}" for c in "abcdefghijklmno")
+    assert sorted(CONSTRAINT_SLOTS) == list(range(15))
     ans = constant_invariant(1.0, 0.0, 0.0, 0.0, 0.0)
-    rset = constraint_residuals(ans, COMMUTATIVE, [0.0])
-    assert tuple(rset.residuals.keys()) == CONSTRAINT_LABELS
+    assert tuple(constraint_residuals(ans, COMMUTATIVE, [0.0])) == CONSTRAINT_LABELS
 
 
 def test_nullspace_commutative():
@@ -183,8 +233,7 @@ def test_nullspace_members_zero_residual_25o():
     coeffs = report.nullspace[:, 0] + report.nullspace[:, 1]
     a1, a3, b1, b3 = coeffs
     ans = constant_invariant(a1, a3, b1, b3, 0.3)
-    rset = constraint_residuals(ans, NC_STATIC, TS)
-    assert np.all(rset.norm("25o") <= 1e-13)
+    assert np.all(mat2.fro(relations(ans, NC_STATIC, TS)["25o"]) <= 1e-13)
 
 
 def test_combined_generator_invariance():

@@ -31,14 +31,23 @@ def _functions(tree):
 
 def unreferenced() -> dict[str, str]:
     """Name -> module of every function that no Name or Attribute anywhere in
-    the package refers to, outside the function's own body."""
+    the package refers to, outside the function's own body. A Name bound by
+    ``from ... import f as g`` refers to f."""
     functions, refs = [], {}
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         functions += [(path.name, *f) for f in _functions(tree)]
+        aliases = {
+            a.asname: a.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for a in node.names
+            if a.asname
+        }
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                refs.setdefault(node.id, []).append((path.name, node.lineno))
+                name = aliases.get(node.id, node.id)
+                refs.setdefault(name, []).append((path.name, node.lineno))
             elif isinstance(node, ast.Attribute):
                 refs.setdefault(node.attr, []).append((path.name, node.lineno))
     return {
