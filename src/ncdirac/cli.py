@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, fockevolve, invariant, lrsolve, mat2, ncmodel
+from .csvout import write_csv
 from .errors import SingularParameterError, UnitModeError
 from .phasepoly import AffineOp, residual_norms
 
@@ -275,8 +276,7 @@ def cmd_invariant(cfg: RunConfig) -> int:
     machine_ok = not (
         np.any(norms[:, :-1] > self_check_tol) or np.any(mat2.fro(closing) > self_check_tol)
     )
-    user_residuals = residual_norms(res).tolist()
-    rows = np.column_stack([grid, norms, user_residuals]).tolist()
+    user_residuals = residual_norms(res)
 
     ortho_defect = float(
         np.max(np.abs(report.nullspace.T @ report.nullspace - np.eye(report.dimension)))
@@ -294,20 +294,18 @@ def cmd_invariant(cfg: RunConfig) -> int:
         in_null = bool(np.linalg.norm(vec) == 0.0)
 
     if "csv" in cfg.emit_formats():
-        with open(_out_dir(cfg) / "residuals.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(
-                ["t"] + list(invariant.CONSTRAINT_LABELS) + ["invariance_residual"]
-            )
-            for row in rows:
-                w.writerow([format(v, ".17g") for v in row])
+        write_csv(
+            _out_dir(cfg) / "residuals.csv",
+            ["t", *invariant.CONSTRAINT_LABELS, "invariance_residual"],
+            [grid, *norms.T, user_residuals],
+        )
 
     payload = report.as_dict()
     payload.update(
         {
             "constants": {"a1": cfg.a1, "a3": cfg.a3, "b1": cfg.b1, "b3": cfg.b3, "c1": cfg.c1},
             "constants_in_nullspace": in_null,
-            "constants_max_invariance_residual": float(max(user_residuals)),
+            "constants_max_invariance_residual": float(user_residuals.max()),
             "machine_checks_pass": bool(machine_ok),
         }
     )
@@ -316,7 +314,7 @@ def cmd_invariant(cfg: RunConfig) -> int:
     print(
         f"nullspace dimension {report.dimension}; configured constants "
         f"{'lie in' if in_null else 'lie outside'} the admissible family "
-        f"(max invariance residual {max(user_residuals):.3e})"
+        f"(max invariance residual {user_residuals.max():.3e})"
     )
     print(report.note)
     if not machine_ok:
@@ -334,6 +332,8 @@ def cmd_xi(cfg: RunConfig) -> int:
             "m = 0: the closed-form xi coefficients involve 1/m; choose m != 0"
         )
     p = cfg.params()
+    n_steps = max(1, int(round((cfg.t1 - cfg.t0) / cfg.dt)))
+    _check_memory(lrsolve.ROW_BYTES * (n_steps + 1), f"xi over {n_steps} steps")
     traj = lrsolve.integrate_rk4(p, cfg.t0, cfg.t1, cfg.dt, cfg.xi3_0, cfg.xi4_0)
     if "csv" in cfg.emit_formats():
         lrsolve.write_trajectory_csv(traj, _out_dir(cfg) / "xi_trajectory.csv")
@@ -348,14 +348,13 @@ def cmd_xi(cfg: RunConfig) -> int:
 # -- evolve -----------------------------------------------------------------------
 
 
-def _check_memory(fock_N: int, n_t: int) -> None:
-    need = fockevolve.dense_bytes(fock_N, n_t)
+def _check_memory(need: int, run: str) -> None:
+    """Refuse a run whose arrays (``need`` bytes) exceed physical memory."""
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ConfigError(
-            f"evolve at fock_N={fock_N} over {n_t - 1} steps needs about "
-            f"{need / 2**30:.3g} GiB of dense storage, more than the "
-            f"{have / 2**30:.3g} GiB of physical memory"
+            f"{run} needs about {need / 2**30:.3g} GiB of dense storage, "
+            f"more than the {have / 2**30:.3g} GiB of physical memory"
         )
 
 
@@ -410,7 +409,8 @@ def track_level(
 def cmd_evolve(cfg: RunConfig) -> int:
     p = cfg.params()
     n_steps = max(1, int(round((cfg.t1 - cfg.t0) / cfg.dt)))
-    _check_memory(cfg.fock_N, n_steps + 1)
+    need = fockevolve.dense_bytes(cfg.fock_N, n_steps + 1)
+    _check_memory(need, f"evolve at fock_N={cfg.fock_N} over {n_steps} steps")
     rep = fockevolve.build_fock_rep(cfg.fock_N, lrsolve.magnetic_length(p), p.hbar)
     h = ncmodel.build_h_nc(p)
     form = ncmodel.symplectic_form(p)
@@ -443,14 +443,7 @@ def cmd_evolve(cfg: RunConfig) -> int:
 
     if "csv" in cfg.emit_formats():
         fockevolve.write_evolution_csv(
-            _out_dir(cfg) / "evolution.csv",
-            times,
-            drift.values,
-            drift.drift,
-            r_xp.product,
-            r_xp.bound,
-            margins,
-            track.energy,
+            _out_dir(cfg) / "evolution.csv", drift, r_xp, margins, track.energy
         )
 
     print(

@@ -14,7 +14,6 @@ the top oscillator level n = N-1 of each mode.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -23,6 +22,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from .csvout import write_csv
 from .errors import DegreeError, DimError, GridError, SizeError
 from .phasepoly import COORDS, AffineOp, Coord, PhasePoly
 
@@ -412,27 +412,11 @@ def measure(
 
 
 def write_evolution_csv(
-    path,
-    times: np.ndarray,
-    exp_i: np.ndarray,
-    drift: np.ndarray,
-    dxdpx: np.ndarray,
-    bound: np.ndarray,
-    margin: np.ndarray,
-    e_tracked: np.ndarray,
+    path, drift: DriftSeries, xp: UncertaintyResult, margin: np.ndarray, e_tracked: np.ndarray
 ) -> None:
     """CSV export: t, Re<I>, drift, dx*dpx, bound, margin, E_tracked."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "re_I", "drift", "dx_dpx", "bound", "margin", "E_tracked"])
-        for k, t in enumerate(times):
-            row = [
-                format(float(t), ".17g"),
-                format(float(exp_i[k].real), ".17g"),
-                format(float(np.abs(drift[k])), ".17g"),
-                format(float(dxdpx[k]), ".17g"),
-                format(float(bound[k]), ".17g"),
-                format(float(margin[k]), ".17g"),
-                format(float(e_tracked[k]), ".17g"),
-            ]
-            w.writerow(row)
+    write_csv(
+        path,
+        ["t", "re_I", "drift", "dx_dpx", "bound", "margin", "E_tracked"],
+        [drift.times, drift.values.real, abs(drift.drift), xp.product, xp.bound, margin, e_tracked],
+    )

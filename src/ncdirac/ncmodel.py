@@ -106,8 +106,9 @@ def theta_of_t(p: NCParams, t: float) -> float:
     return p.theta * math.exp(p.gamma * t)
 
 
-def eta_of_t(p: NCParams, t: float) -> float:
-    return p.eta * math.exp(-p.gamma * t)
+def eta_of_t(p: NCParams, t):
+    """eta e^{-gamma t}; an array of times gives an array, a float a float."""
+    return p.eta * (np.exp if isinstance(t, np.ndarray) else math.exp)(-p.gamma * t)
 
 
 def f_theta(p: NCParams, t: float) -> float:
@@ -115,7 +116,7 @@ def f_theta(p: NCParams, t: float) -> float:
     return 1.0 + 0.25 * p.e * p.B * theta_of_t(p, t)
 
 
-def f_eta(p: NCParams, t: float) -> float:
+def f_eta(p: NCParams, t):
     """Position-slot dressing e*B/2 + (eta/2)*e^{-gamma t} of the deformed Hamiltonian."""
     return 0.5 * p.e * p.B + 0.5 * eta_of_t(p, t)
 

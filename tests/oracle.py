@@ -12,6 +12,12 @@ monomial strings and normal-orders them one swap at a time using
 Weyl-symmetrized basis. It shares no code path with the slot-wise formula in
 the package.
 
+``rk4_reference`` is the step-by-step classical RK4 on the six-component
+phase/envelope state, one right-hand side call per stage and step, seeded by
+``closed_state_scalar``, the paper's closed forms evaluated with ``cmath`` at
+one time. The package steps the envelope alone and evaluates each stage over
+all steps at once.
+
 ``constraint_residuals`` is the paper's hand transcription of the fifteen
 bracket relations 25a-25o that a linear invariant ansatz must satisfy, with
 its own 2x2 commutator; the package reads the same relations off the slots of
@@ -21,6 +27,7 @@ is the constant slot of a scalar ansatz written out by hand.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -201,3 +208,41 @@ def constraint_residuals(ans: AffineOp, p, ts) -> dict[str, np.ndarray]:
         + 1j * dc,
     )
     return dict(zip(CONSTRAINT_LABELS, res))
+
+
+def closed_state_scalar(p, t: float, xi3: complex = 0j, xi4: complex = 0j) -> np.ndarray:
+    """(xi1, xi2, xi3, xi4, F1, F2) of the closed forms at one time:
+    xi1 = -i [kappa e B/(4 i m) e^{2imt} + eta kappa/(4 i m - 2 gamma) e^{(-gamma+2im)t}],
+    xi2 = xi1/i, F1 = e^{q1 - imt}, F2 = e^{q2 + imt}."""
+    xi1 = -1j * (
+        (p.kappa * p.e * p.B) / (4j * p.m) * cmath.exp(2j * p.m * t)
+        + (p.eta * p.kappa) / (4j * p.m - 2.0 * p.gamma) * cmath.exp((-p.gamma + 2j * p.m) * t)
+    )
+    f1, f2 = cmath.exp(complex(p.q1, -p.m * t)), cmath.exp(complex(p.q2, p.m * t))
+    return np.array([xi1, xi1 / 1j, xi3, xi4, f1, f2], dtype=complex)
+
+
+def _rk4_rhs(p, t: float, y: np.ndarray) -> np.ndarray:
+    """dxi1 = -i f_eta F2/F1, dxi2 = -f_eta F2/F1, dxi3 = dxi4 = 0,
+    dF1 = -i m F1, dF2 = i m F2 at one time."""
+    ratio = y[5] / y[4]
+    fe = f_eta(p, t)
+    return np.array([-1j * fe * ratio, -fe * ratio, 0, 0, -1j * p.m * y[4], 1j * p.m * y[5]])
+
+
+def rk4_reference(p, t0: float, t1: float, dt: float, xi3: complex = 0j, xi4: complex = 0j):
+    """(times, states (n + 1, 6)) of classical RK4 taken one step at a time."""
+    n_steps = max(1, int(round((t1 - t0) / dt)))
+    h = (t1 - t0) / n_steps
+    times = t0 + h * np.arange(n_steps + 1)
+    states = np.zeros((n_steps + 1, 6), dtype=complex)
+    y = states[0] = closed_state_scalar(p, t0, xi3, xi4)
+    for k in range(n_steps):
+        t = times[k]
+        k1 = _rk4_rhs(p, t, y)
+        k2 = _rk4_rhs(p, t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = _rk4_rhs(p, t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = _rk4_rhs(p, t + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states[k + 1] = y
+    return times, states

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import re
 import tempfile
 from pathlib import Path
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ncdirac import cli, fockevolve, mat2, ncmodel
+from ncdirac import cli, fockevolve, lrsolve, mat2, ncmodel
 from ncdirac.cli import main
 
 FAST = [
@@ -363,9 +364,12 @@ def test_consecutive_calls_share_the_parser_but_no_state(tmp_path):
         ("verify-algebra", "--hbar=1e-200"),  # hbar**2 underflows to a zero divisor
         ("xi", "--eta=8", "--m=1.1125369292536007e-308"),  # closed form overflows to nan
         ("evolve", "--e=1e200", "--B=1e200"),  # e*B overflows to inf
-        # arrays beyond any address space: the allocation fails before it starts
+        # arrays beyond any address space: xi's storage guard or numpy refuses them
         ("xi", "--dt=1e-15"),
         ("verify-algebra", "--grid_points=1000000000000000000"),
+        ("xi", "--gamma=-800"),
+        ("xi", "--m=1e300"),  # the RK4 envelope overflows
+        ("xi", "--B=1e308", "--e=10"),
     ],
 )
 def test_non_finite_or_oversized_step_exits_2(tmp_path, capsys, argv):
@@ -442,6 +446,21 @@ def test_evolve_beyond_physical_memory_exits_2(tmp_path, monkeypatch, capsys, ar
     monkeypatch.setattr(fockevolve, "build_fock_rep", no_allocation)
     monkeypatch.setattr(np, "arange", no_allocation)
     assert run(tmp_path, "evolve", *argv) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_xi_beyond_physical_memory_exits_2(tmp_path, monkeypatch, capsys):
+    # twice as many samples as physical memory holds at ROW_BYTES each
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    dt = lrsolve.ROW_BYTES / (2.0 * memory)
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("xi allocated before checking its memory")
+
+    monkeypatch.setattr(lrsolve, "integrate_rk4", no_allocation)
+    monkeypatch.setattr(np, "arange", no_allocation)
+    assert run(tmp_path, "xi", f"--dt={dt!r}") == 2
     assert "config error:" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 

@@ -1,7 +1,10 @@
 """Envelope/phase closed forms, RK4 cross-checks, phases, assembled solution."""
 
 import cmath
+import collections
+import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,9 +21,11 @@ from ncdirac.lrsolve import (
     lr_phase,
     theta_phase,
     trial_residual,
+    write_trajectory_csv,
     xi_closed,
 )
 from ncdirac.ncmodel import NCParams
+from oracle import closed_state_scalar, rk4_reference
 
 COMMUTATIVE = NCParams()
 NC_STATIC = NCParams(theta=0.1, eta=0.05, gamma=0.0)
@@ -118,6 +123,84 @@ def test_rk4_nc_parameters():
     traj = integrate_rk4(NC_DYNAMIC, 0.0, 5.0, 1e-3)
     assert traj.max_deviation["xi1"] <= 1e-6
     assert traj.max_deviation["F1"] <= 1e-8
+
+
+def test_rk4_matches_step_by_step_reference():
+    # 20 000 steps with a decaying eta profile and nonzero q1, q2, xi3, xi4
+    p = NCParams(theta=0.1, eta=0.05, gamma=0.2, q1=0.3, q2=-0.2)
+    traj = integrate_rk4(p, 0.0, 20.0, 1e-3, 0.1 + 0.2j, -0.3j)
+    times, states = rk4_reference(p, 0.0, 20.0, 1e-3, 0.1 + 0.2j, -0.3j)
+    np.testing.assert_array_equal(traj.times, times)
+    assert traj.states.shape == (6, 20001)
+    assert np.max(np.abs(traj.states - states.T)) <= 2e-15
+    closed = np.array([closed_state_scalar(p, t, 0.1 + 0.2j, -0.3j) for t in times])
+    reference = np.abs(states - closed).max(axis=0)
+    for name, k in lrsolve._IDX.items():
+        assert abs(traj.max_deviation[name] - reference[k]) <= 1e-15
+
+
+def test_rk4_evaluates_each_stage_once(monkeypatch):
+    calls = collections.Counter()
+    for name in ("flow_rhs", "closed_state"):
+        fn = getattr(lrsolve, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(lrsolve, name, counted)
+    integrate_rk4(NC_DYNAMIC, 0.0, 1.0, 1e-3)
+    assert calls == {"flow_rhs": 4, "closed_state": 1}
+
+
+def test_row_bytes_bounds_the_traced_peak():
+    # the xi storage guard charges ROW_BYTES per sample; numpy reports its
+    # allocations to tracemalloc
+    tracemalloc.start()
+    try:
+        integrate_rk4(NC_DYNAMIC, 0.0, 2.0, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    charged = lrsolve.ROW_BYTES * 2001
+    assert 0.9 * charged <= peak <= charged + 2**16
+
+
+def test_deviation_columns_reach_max_deviation_exactly(tmp_path):
+    # the dev_* columns and max_deviation, which gates the exit code, are one array
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        p = NCParams(
+            theta=rng.uniform(0.0, 0.2), eta=rng.uniform(0.0, 0.2), gamma=rng.uniform(-0.5, 0.5),
+            B=rng.uniform(0.5, 2.0), m=rng.uniform(0.5, 2.0),
+            q1=rng.uniform(-0.5, 0.5), q2=rng.uniform(-0.5, 0.5),
+        )
+        traj = integrate_rk4(p, 0.0, rng.uniform(0.5, 1.5), 2e-3)
+        write_trajectory_csv(traj, tmp_path / "xi.csv")
+        with open(tmp_path / "xi.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for name in ("xi1", "xi2", "F1", "F2"):
+            assert max(float(r[f"dev_{name}"]) for r in rows) == traj.max_deviation[name]
+
+
+@pytest.mark.parametrize("p", ALL_PARAMS + (NCParams(gamma=-0.3, eta=0.05, B=1.7, m=0.6, q1=0.3),))
+def test_closed_forms_over_times_match_cmath(p):
+    ts = np.linspace(-1.0, 5.0, 601)
+    got = closed_state(p, ts, 0.5j, -1.0)
+    want = np.array([closed_state_scalar(p, t, 0.5j, -1.0) for t in ts]).T
+    assert got.shape == (6, 601)
+    assert np.max(np.abs(got - want)) <= 1e-15
+
+
+def test_flow_rhs_over_times_matches_single_times():
+    rng = np.random.default_rng(3)
+    ts = np.linspace(-1.0, 4.0, 64)
+    ys = rng.standard_normal((6, 64)) + 1j * rng.standard_normal((6, 64))
+    for p in ALL_PARAMS:
+        got = flow_rhs(p, ts, ys)
+        want = np.stack([flow_rhs(p, float(t), ys[:, k]) for k, t in enumerate(ts)], axis=1)
+        assert got.shape == (6, 64)
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
 
 
 def test_rk4_step_errors():
