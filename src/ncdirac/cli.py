@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import csv
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -173,7 +173,10 @@ def load_config(args: argparse.Namespace) -> RunConfig:
 
 def _out_dir(cfg: RunConfig) -> Path:
     d = Path(cfg.output_dir)
-    d.mkdir(parents=True, exist_ok=True)
+    try:
+        d.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file stands at d or above it
+        raise ConfigError(f"cannot use output directory {d}: {exc}") from exc
     return d
 
 
@@ -264,15 +267,14 @@ def cmd_invariant(cfg: RunConfig) -> int:
     grid = invariant.default_constraint_grid(p, cfg.grid_points)
     ans = invariant.constant_invariant(cfg.a1, cfg.a3, cfg.b1, cfg.b3, cfg.c1)
     h = ncmodel.build_h_nc(p)
-    form = ncmodel.symplectic_form(p)
 
     self_check_tol = 1e-13
     report = invariant.solve_constant_invariant(p, grid)
-    res = invariant.invariance_residual(ans, h, form, grid)
+    res = invariant.invariance_residual(ans, h, p.hbar, grid)
     norms = mat2.fro(res[:, invariant.CONSTRAINT_SLOTS])
-    # the constant slot of a scalar ansatz is i*(row 2k) alpha_2 + i*(row 2k+1) alpha_1
+    # the constant slot of a scalar ansatz is i*hbar*((row 2k) alpha_2 + (row 2k+1) alpha_1)
     r = (report.matrix @ np.array([cfg.a1, cfg.a3, cfg.b1, cfg.b3]))[:, None, None]
-    closing = res[:, 0] - (1j * r[0::2] * mat2.ALPHA2 + 1j * r[1::2] * mat2.ALPHA1)
+    closing = res[:, 0] - p.hbar * (1j * r[0::2] * mat2.ALPHA2 + 1j * r[1::2] * mat2.ALPHA1)
     machine_ok = not (
         np.any(norms[:, :-1] > self_check_tol) or np.any(mat2.fro(closing) > self_check_tol)
     )
@@ -413,7 +415,6 @@ def cmd_evolve(cfg: RunConfig) -> int:
     _check_memory(need, f"evolve at fock_N={cfg.fock_N} over {n_steps} steps")
     rep = fockevolve.build_fock_rep(cfg.fock_N, lrsolve.magnetic_length(p), p.hbar)
     h = ncmodel.build_h_nc(p)
-    form = ncmodel.symplectic_form(p)
 
     times = cfg.t0 + (cfg.t1 - cfg.t0) * np.arange(n_steps + 1) / n_steps
     # displaced by one oscillator length: a centered vacuum is a near-stationary
@@ -428,7 +429,7 @@ def cmd_evolve(cfg: RunConfig) -> int:
     )
     check_grid = np.linspace(cfg.t0, cfg.t1, 8)
     res_norm = float(
-        np.max(residual_norms(invariant.invariance_residual(ans, h, form, check_grid)))
+        np.max(residual_norms(invariant.invariance_residual(ans, h, p.hbar, check_grid)))
     )
     constrained = res_norm <= 1e-10
 
@@ -477,22 +478,21 @@ def cmd_evolve(cfg: RunConfig) -> int:
 # -- report -----------------------------------------------------------------------
 
 
-def _csv_summary(path: Path) -> dict:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
-    out = {"rows": len(rows), "columns": header}
-    if rows:
-        data = np.array(rows, dtype=object)
-        for j, name in enumerate(header):
-            try:
-                col = np.array([float(v) for v in data[:, j] if v != ""])
-            except ValueError:
-                continue
-            if col.size and name != "t":
-                out[f"max_{name}"] = float(np.max(col))
-                out[f"min_{name}"] = float(np.min(col))
+def _csv_summary(fh) -> dict:
+    """Row count, header and the extremes of every column but t; one numpy
+    call parses the rows."""
+    header = fh.readline().rstrip("\r\n").split(",")
+    first = fh.readline()  # a header-only file is not parsed: loadtxt warns on no rows
+    data = np.empty((0, len(header)))
+    if first:
+        data = np.loadtxt(itertools.chain([first], fh), delimiter=",", ndmin=2)
+    if not header[0] or data.shape[1] != len(header):
+        raise ValueError(f"{data.shape[1]} columns of numbers under the header {header}")
+    out = {"rows": len(data), "columns": header}
+    for name, col in zip(header, data.T):
+        if name != "t" and col.size:
+            out[f"max_{name}"] = float(np.max(col))
+            out[f"min_{name}"] = float(np.min(col))
     return out
 
 
@@ -509,12 +509,13 @@ def cmd_report(cfg: RunConfig) -> int:
         print(f"missing inputs for report: {', '.join(missing)}", file=sys.stderr)
         return 2
     sections = {}
-    with open(needed["algebra"]) as fh:
-        sections["algebra"] = json.load(fh)
-    with open(needed["invariant"]) as fh:
-        sections["invariant"] = json.load(fh)
-    sections["xi"] = _csv_summary(needed["xi"])
-    sections["evolution"] = _csv_summary(needed["evolution"])
+    for name, path in needed.items():
+        try:
+            with open(path, encoding="utf-8", newline="") as fh:
+                sections[name] = json.load(fh) if path.suffix == ".json" else _csv_summary(fh)
+        except (OSError, ValueError) as exc:  # ValueError covers bad JSON, UTF-8 and numbers
+            print(f"unreadable input for report: {path}: {exc}", file=sys.stderr)
+            return 2
     summary = {
         "version": __version__,
         "config_hash": cfg.canonical_hash(),

@@ -27,7 +27,6 @@ from .phasepoly import (
     AffineOp,
     Coord,
     PhasePoly,
-    SymplecticForm,
     commutator as ps_commutator,
 )
 
@@ -53,17 +52,18 @@ def constant_invariant(
 
 
 def invariance_residual(
-    ans: AffineOp, h: AffineOp, form: SymplecticForm, ts: Sequence[float]
+    ans: AffineOp, h: AffineOp, hbar: float, ts: Sequence[float]
 ) -> np.ndarray:
-    """Residual slots [I, H] + i dI/dt at each time of ts, (len(ts), 15, 2, 2);
-    a zero row certifies I as a dynamical invariant at that time. One
-    commutator call takes GRID_BLOCK grid times."""
+    """Residual slots [I, H] + i dI/dt at each time of ts, (len(ts), 15, 2, 2),
+    with the canonical commutator at ``hbar``; a zero row certifies I as a
+    dynamical invariant at that time. One commutator call takes GRID_BLOCK
+    grid times."""
     ts = [float(t) for t in ts]
     out = np.empty((len(ts), N_SLOTS, 2, 2), dtype=complex)
     for lo in range(0, len(ts), GRID_BLOCK):
         block = ts[lo : lo + GRID_BLOCK]
         comm = ps_commutator(
-            ans.stack([ans.value(t) for t in block]), h.stack([h.value(t) for t in block]), form
+            ans.stack([ans.value(t) for t in block]), h.stack([h.value(t) for t in block]), hbar
         )
         out[lo : lo + len(block)] = comm + 1j * ans.stack([ans.derivative(t) for t in block])
     return out

@@ -23,11 +23,7 @@ from .phasepoly import (
     AffineOp,
     Coord,
     PhasePoly,
-    SymplecticForm,
     commutator as ps_commutator,
-    left_mul,
-    linear_combine,
-    residual_norm,
     residual_norms,
 )
 
@@ -129,10 +125,6 @@ def df_eta_dt(p: NCParams, t: float) -> float:
     return -0.5 * p.gamma * eta_of_t(p, t)
 
 
-def symplectic_form(p: NCParams) -> SymplecticForm:
-    return SymplecticForm.canonical(p.hbar)
-
-
 def bopp_scales(p: NCParams, t: float) -> tuple[float, float]:
     """Mixing coefficients (s_theta, s_eta) = (theta(t)/2hbar, eta(t)/2hbar)
     of the Bopp shift at time t."""
@@ -164,12 +156,6 @@ def bopp_slots(p: NCParams, ts: Sequence[float]) -> np.ndarray:
             out[:, c, 1 + c, d, d] = 1.0
             out[:, c, 1 + partner, d, d] = sign * scales[:, which]
     return out
-
-
-def bopp_shift(p: NCParams, which: Coord, t: float) -> PhasePoly:
-    """Deformed coordinate/momentum at time t as a linear polynomial in the
-    canonical ones (see ``bopp_slots``)."""
-    return PhasePoly(bopp_slots(p, [t])[0, which])
 
 
 @dataclass(frozen=True)
@@ -230,14 +216,13 @@ def verify_nc_algebra(p: NCParams, t_grid: Sequence[float]) -> DeformedAlgebraRe
     """
     if len(t_grid) == 0:
         raise ValueError("t_grid must be nonempty")
-    form = symplectic_form(p)
     heff = hbar_eff(p)
     labels, left, right = zip(*_ALGEBRA_PAIRS)
     checks: list[CommutatorCheck] = []
     for lo in range(0, len(t_grid), GRID_BLOCK):
         ts = [float(t) for t in t_grid[lo : lo + GRID_BLOCK]]
         ops = bopp_slots(p, ts)
-        measured = ps_commutator(ops[:, left], ops[:, right], form)
+        measured = ps_commutator(ops[:, left], ops[:, right], p.hbar)
         expected = [
             (1j * theta_of_t(p, t), 1j * eta_of_t(p, t), 1j * heff, 1j * heff, 0.0j, 0.0j)
             for t in ts
@@ -280,28 +265,27 @@ def _h_nc(p: NCParams) -> AffineOp:
     )
 
 
-def h_nc_via_bopp(p: NCParams, t: float) -> PhasePoly:
-    """Deformed Hamiltonian built by substituting the shifted operators into
-    the commutative-form Hamiltonian (hbar = c = 1)."""
-    ops = {c: bopp_shift(p, c, t) for c in Coord}
-    return linear_combine(
-        [
-            (1.0, left_mul(ALPHA1, ops[Coord.PX])),
-            (1.0, left_mul(ALPHA2, ops[Coord.PY])),
-            (-0.5 * p.e * p.B, left_mul(ALPHA2, ops[Coord.X])),
-            (0.5 * p.e * p.B, left_mul(ALPHA1, ops[Coord.Y])),
-            (1.0, PhasePoly.constant(p.m * BETA)),
-        ]
-    )
+def h_nc_via_bopp(p: NCParams, ts: Sequence[float]) -> np.ndarray:
+    """Slot arrays (len(ts), 15, 2, 2) of the deformed Hamiltonian built by
+    substituting the shifted operators into the commutative-form Hamiltonian
+    (hbar = c = 1) at each time of ts."""
+    ops = bopp_slots(p, ts)
+    half_eb = 0.5 * p.e * p.B
+    acc = np.zeros((len(ts), N_SLOTS, 2, 2), dtype=complex)
+    terms = ((1.0, ALPHA1, Coord.PX), (1.0, ALPHA2, Coord.PY),
+             (-half_eb, ALPHA2, Coord.X), (half_eb, ALPHA1, Coord.Y))
+    for coeff, alpha, c in terms:
+        acc += coeff * (alpha @ ops[:, c])
+    acc[:, 0] += p.m * BETA
+    return acc
 
 
-def dual_path_deviation(
-    p: NCParams, ts: Sequence[float] = (0.0, 0.5, 1.0, 2.0)
-) -> float:
+def dual_path_deviation(p: NCParams, ts: Sequence[float] = (0.0, 0.5, 1.0, 2.0)) -> float:
     """Max slot deviation between the affine deformed Hamiltonian and the
     substitution route over the sampled times."""
     h = _h_nc(p)
-    return max(residual_norm(h.at(t) - h_nc_via_bopp(p, t)) for t in ts)
+    diff = h.stack([h.value(t) for t in ts]) - h_nc_via_bopp(p, ts)
+    return float(np.max(residual_norms(diff)))
 
 
 def require_h_nc_units(p: NCParams) -> None:

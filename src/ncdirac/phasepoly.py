@@ -1,6 +1,8 @@
 """Degree-<=2 polynomials in the canonical coordinates (x, y, px, py) with 2x2
-matrix coefficients, and the operator commutator induced by the canonical
-commutation relations.
+matrix coefficients, and their operator commutator under the canonical
+relations [x, px] = [y, py] = i*hbar. A deformed (noncommutative) operator is
+a linear combination of these coordinates, so the commutator needs no other
+pairing.
 
 Quadratic monomials are stored Weyl-ordered: the slot keyed by (z_i, z_j)
 stands for (z_i z_j + z_j z_i)/2, which makes the 15-slot representation
@@ -11,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -112,27 +114,10 @@ class PhasePoly:
     __rmul__ = __mul__
 
 
-def linear_combine(terms: Iterable[tuple[complex, PhasePoly]]) -> PhasePoly:
-    """Slot-wise linear combination sum_k c_k * P_k."""
-    acc = np.zeros((N_SLOTS, 2, 2), dtype=complex)
-    for coeff, poly in terms:
-        acc += coeff * poly.slots
-    return PhasePoly(acc)
-
-
-def left_mul(m: Mat2, p: PhasePoly) -> PhasePoly:
-    """Multiply every coefficient by the spinor-space matrix m on the left."""
-    return PhasePoly(np.einsum("ab,kbc->kac", np.asarray(m, dtype=complex), p.slots))
-
-
 def residual_norms(slots: np.ndarray) -> np.ndarray:
-    """``residual_norm`` of every polynomial of a (..., 15, 2, 2) slot stack."""
+    """Max Frobenius norm over the 15 coefficient slots of every polynomial of a
+    (..., 15, 2, 2) slot stack; 0 iff that polynomial is the zero operator."""
     return np.max(np.linalg.norm(slots, axis=(-2, -1)), axis=-1)
-
-
-def residual_norm(p: PhasePoly) -> float:
-    """Max Frobenius norm over the 15 coefficient slots; 0 iff p is the zero operator."""
-    return float(residual_norms(p.slots))
 
 
 def hermitian_defect(p: PhasePoly) -> float:
@@ -140,33 +125,6 @@ def hermitian_defect(p: PhasePoly) -> float:
     return float(
         np.max(np.linalg.norm(p.slots - p.slots.conj().transpose(0, 2, 1), axis=(1, 2)))
     )
-
-
-@dataclass(frozen=True)
-class SymplecticForm:
-    """Antisymmetric pairing Omega_ij = [z_i, z_j]/i on the four coordinates."""
-
-    omega: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.omega, dtype=float)
-        if arr.shape != (4, 4):
-            raise ValueError("symplectic form must be 4x4")
-        if np.max(np.abs(arr + arr.T)) > 1e-15 * max(1.0, np.max(np.abs(arr))):
-            raise ValueError("symplectic form must be antisymmetric")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "omega", arr)
-
-    @classmethod
-    def canonical(cls, hbar: float = 1.0) -> "SymplecticForm":
-        """[x, px] = [y, py] = i*hbar, all other pairs commute."""
-        om = np.zeros((4, 4))
-        om[Coord.X, Coord.PX] = hbar
-        om[Coord.PX, Coord.X] = -hbar
-        om[Coord.Y, Coord.PY] = hbar
-        om[Coord.PY, Coord.Y] = -hbar
-        return cls(om)
 
 
 #: grid times per commutator call of a grid pass: the kernel's temporaries
@@ -179,7 +137,13 @@ _QJ = np.array([int(j) for _, j in _QUAD_KEYS])
 _QOFF = np.flatnonzero(_QI != _QJ)
 
 
-def commutator_slots(p: np.ndarray, q: np.ndarray, omega: np.ndarray) -> np.ndarray:
+# each canonical pair (z_i, z_j) and the sign s of [z_i, z_j] = i s hbar; the
+# order fixes the rounding of the constant slot
+_CANONICAL = ((Coord.X, Coord.PX, 1.0), (Coord.Y, Coord.PY, 1.0),
+              (Coord.PX, Coord.X, -1.0), (Coord.PY, Coord.Y, -1.0))
+
+
+def commutator_slots(p: np.ndarray, q: np.ndarray, hbar: float) -> np.ndarray:
     """Commutator kernel on stacks of degree-<=1 slot arrays.
 
     ``p`` and ``q`` are (..., 5, 2, 2) arrays (constant and linear slots) whose
@@ -202,32 +166,30 @@ def commutator_slots(p: np.ndarray, q: np.ndarray, omega: np.ndarray) -> np.ndar
     out[1:5] = comm[1:, 0] + comm[0, 1:]
     out[5:] = comm[1 + _QI, 1 + _QJ]
     out[5 + _QOFF] += comm[1 + _QJ[_QOFF], 1 + _QI[_QOFF]]
-    # (i/2) Omega_ij {M_i, N_j}, added one nonzero Omega_ij at a time in row order
-    for i, j in zip(*np.nonzero(omega)):
-        out[0] += (0.5j * omega[i, j]) * (mn[1 + i, 1 + j] + nm[1 + i, 1 + j])
+    # (i/2) [z_i, z_j]/i {M_i, N_j}, added one canonical pair at a time
+    for i, j, sign in _CANONICAL:
+        out[0] += (0.5j * (sign * hbar)) * (mn[1 + i, 1 + j] + nm[1 + i, 1 + j])
     return np.moveaxis(out, -1, 0).reshape(batch + (N_SLOTS, 2, 2))
 
 
-def commutator(p, q, form: SymplecticForm):
-    """Exact operator commutator of two degree-<=1 polynomials.
+def commutator(ps: np.ndarray, qs: np.ndarray, hbar: float) -> np.ndarray:
+    """Exact operator commutator of degree-<=1 polynomials under the canonical
+    relations [x, px] = [y, py] = i*hbar, all other pairs commuting.
 
     For P = sum_i M_i z_i + M_0 and Q = sum_j N_j z_j + N_0,
 
-        [P, Q] = sum_ij ( [M_i, N_j] * S(z_i z_j) + (i/2) Omega_ij {M_i, N_j} )
-                 + sum_i [M_i, N_0] z_i + sum_j [M_0, N_j] z_j + [M_0, N_0],
+        [P, Q] = sum_ij [M_i, N_j] * S(z_i z_j) + sum_i [M_i, N_0] z_i
+                 + sum_j [M_0, N_j] z_j + [M_0, N_0]
+                 + (i hbar/2) ({M_x, N_px} - {M_px, N_x} + {M_y, N_py} - {M_py, N_y}),
 
-    where S is the Weyl-symmetrized monomial. ``p`` and ``q`` are PhasePolys,
-    giving a PhasePoly, or slot arrays (..., 15, 2, 2) with broadcasting
-    leading axes, giving the slot array of every commutator. Raises
-    DegreeError when any input carries a nonzero quadratic slot (the result
-    would leave degree 2).
+    where S is the Weyl-symmetrized monomial. ``ps`` and ``qs`` are slot arrays
+    (..., 15, 2, 2) with broadcasting leading axes; the result is the slot
+    array of every commutator. Raises DegreeError when any input carries a
+    nonzero quadratic slot (the result would leave degree 2).
     """
-    ps = p.slots if isinstance(p, PhasePoly) else p
-    qs = q.slots if isinstance(q, PhasePoly) else q
     if np.any(ps[..., 5:, :, :] != 0) or np.any(qs[..., 5:, :, :] != 0):
         raise DegreeError("commutator arguments must have degree <= 1")
-    out = commutator_slots(ps[..., :5, :, :], qs[..., :5, :, :], form.omega)
-    return PhasePoly(out) if isinstance(p, PhasePoly) and isinstance(q, PhasePoly) else out
+    return commutator_slots(ps[..., :5, :, :], qs[..., :5, :, :], hbar)
 
 
 @dataclass(frozen=True)

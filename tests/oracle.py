@@ -8,9 +8,10 @@ matrix.
 
 The commutator oracle expands products of degree-<=1 polynomials into
 monomial strings and normal-orders them one swap at a time using
-[z_i, z_j] = i*Omega_ij, then converts the sorted two-letter strings to the
-Weyl-symmetrized basis. It shares no code path with the slot-wise formula in
-the package.
+[z_i, z_j] = i*Omega_ij, with its own canonical pairing Omega at hbar, then
+converts the sorted two-letter strings to the Weyl-symmetrized basis. It
+shares no code path with the slot-wise formula in the package. ``slot_norm``
+is the largest Frobenius norm over a polynomial's slots, summed entry by entry.
 
 ``rk4_reference`` is the step-by-step classical RK4 on the six-component
 phase/envelope state, one right-hand side call per stage and step, seeded by
@@ -36,7 +37,7 @@ from ncdirac.errors import DegreeError
 from ncdirac.invariant import CONSTRAINT_LABELS
 from ncdirac.mat2 import ALPHA1, ALPHA2, BETA
 from ncdirac.ncmodel import f_eta, f_theta
-from ncdirac.phasepoly import N_SLOTS, AffineOp, Coord, PhasePoly, SymplecticForm
+from ncdirac.phasepoly import N_SLOTS, AffineOp, Coord, PhasePoly
 
 _COORDS = (Coord.X, Coord.Y, Coord.PX, Coord.PY)
 
@@ -85,7 +86,20 @@ def _poly_to_terms(p: PhasePoly) -> list[tuple[np.ndarray, tuple[Coord, ...]]]:
     return [(m, s) for m, s in terms if np.any(m != 0)]
 
 
-def _normal_order(coeff: np.ndarray, string: tuple[Coord, ...], form: SymplecticForm):
+def slot_norm(p: PhasePoly) -> float:
+    """Max over the 15 slots of the Frobenius norm; 0 iff p is the zero operator."""
+    return max(math.sqrt(sum(abs(z) ** 2 for z in m.flat)) for m in p.slots)
+
+
+def _canonical_omega(hbar: float) -> np.ndarray:
+    """Omega_ij = [z_i, z_j]/i: [x, px] = [y, py] = i*hbar, all other pairs commute."""
+    om = np.zeros((4, 4))
+    om[Coord.X, Coord.PX] = om[Coord.Y, Coord.PY] = hbar
+    om[Coord.PX, Coord.X] = om[Coord.PY, Coord.Y] = -hbar
+    return om
+
+
+def _normal_order(coeff: np.ndarray, string: tuple[Coord, ...], omega: np.ndarray):
     """Rewrite one monomial string into sorted strings via single swaps."""
     out = []
     stack = [(coeff, string)]
@@ -97,14 +111,16 @@ def _normal_order(coeff: np.ndarray, string: tuple[Coord, ...], form: Symplectic
         # z_a z_b = z_b z_a + i*Omega_ab for a > b
         a, b = s
         stack.append((c, (b, a)))
-        w = float(form.omega[a, b])
+        w = float(omega[a, b])
         if w != 0.0:
             stack.append((1j * w * c, ()))
     return out
 
 
-def string_commutator(p: PhasePoly, q: PhasePoly, form: SymplecticForm) -> PhasePoly:
-    """Brute-force [P, Q] for degree-<=1 inputs via monomial-string rewriting."""
+def string_commutator(p: PhasePoly, q: PhasePoly, hbar: float) -> PhasePoly:
+    """Brute-force [P, Q] for degree-<=1 inputs via monomial-string rewriting
+    under the canonical relations at hbar."""
+    omega = _canonical_omega(hbar)
     raw: list[tuple[np.ndarray, tuple[Coord, ...]]] = []
     for mp, sp in _poly_to_terms(p):
         for mq, sq in _poly_to_terms(q):
@@ -112,7 +128,7 @@ def string_commutator(p: PhasePoly, q: PhasePoly, form: SymplecticForm) -> Phase
             raw.append((-(mq @ mp), sq + sp))
     ordered: list[tuple[np.ndarray, tuple[Coord, ...]]] = []
     for c, s in raw:
-        ordered.extend(_normal_order(c, s, form))
+        ordered.extend(_normal_order(c, s, omega))
     result = PhasePoly(np.zeros((N_SLOTS, 2, 2)))
     for c, s in ordered:
         if len(s) == 0:
@@ -123,7 +139,7 @@ def string_commutator(p: PhasePoly, q: PhasePoly, form: SymplecticForm) -> Phase
             # sorted product: z_a z_b = S(z_a z_b) + (i/2)*Omega_ab
             a, b = s
             result = result + PhasePoly.monomial(c, a, b)
-            w = float(form.omega[a, b])
+            w = float(omega[a, b])
             if w != 0.0:
                 result = result + PhasePoly.constant(0.5j * w * c)
     return result

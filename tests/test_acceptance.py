@@ -101,9 +101,7 @@ def test_criterion_05_constraint_system():
         for _ in range(5):
             a1, a3, b1, b3, c1 = rng.standard_normal(5)
             ans = constant_invariant(a1, a3, b1, b3, c1)
-            res = invariant.invariance_residual(
-                ans, ncmodel.build_h_nc(p), ncmodel.symplectic_form(p), GRID8
-            )
+            res = invariant.invariance_residual(ans, ncmodel.build_h_nc(p), p.hbar, GRID8)
             rset = constraint_residuals(ans, p, GRID8)
             for label, k in zip(invariant.CONSTRAINT_LABELS[:-1], invariant.CONSTRAINT_SLOTS):
                 assert np.all(mat2.fro(res[:, k]) <= 1e-13)
@@ -194,9 +192,7 @@ def test_criterion_09_invariant_drift(commutative_run):
     ev = fockevolve.evolve(h, rep, psi0, EVOLVE_TIMES)
     ans_u = constant_invariant(1.0, 0.0, 0.0, 0.0, 0.0)
     measured = measure(ans_u.at(0.0), rep, ev, COMMUTATIVE).drift.drift.real
-    res_poly = PhasePoly(
-        invariant.invariance_residual(ans_u, h, ncmodel.symplectic_form(COMMUTATIVE), [0.0])[0]
-    )
+    res_poly = PhasePoly(invariant.invariance_residual(ans_u, h, COMMUTATIVE.hbar, [0.0])[0])
     predicted = ehrenfest_drift(res_poly, rep, EVOLVE_TIMES, ev.states)
     m_max = float(np.max(np.abs(measured)))
     p_max = float(np.max(np.abs(predicted)))

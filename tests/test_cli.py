@@ -7,6 +7,7 @@ import math
 import os
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -173,6 +174,15 @@ def test_invariant_vanishing_f_theta_and_f_eta(tmp_path):
     assert report["note"].startswith("nullspace dimension 4: f_theta and f_eta vanish")
 
 
+@pytest.mark.parametrize("hbar", ["0.5", "2.5"])
+def test_invariant_machine_checks_pass_at_hbar_not_one(tmp_path, hbar):
+    # the closing check scales the rows by hbar, as the commutator's constant slot does
+    assert run(tmp_path, "invariant", "--hbar", hbar, "--B", "0.7") == 0
+    report = json.loads((tmp_path / "nullspace_report.json").read_text())
+    assert report["machine_checks_pass"] is True
+    assert report["dimension"] == 2
+
+
 def test_xi_commutative(tmp_path):
     assert run(tmp_path, "xi", "--t1", "5.0") == 0
     rows = list(csv.reader((tmp_path / "xi_trajectory.csv").open()))
@@ -265,6 +275,73 @@ def test_evolve_si_mode_exits_2(tmp_path):
 
 def test_report_requires_all_inputs(tmp_path):
     assert run(tmp_path, "report") == 2
+
+
+def write_report_inputs(d):
+    """Small well-formed inputs for ``report``."""
+    for name in ("algebra_report.json", "nullspace_report.json"):
+        (d / name).write_text('{"pass": true}\n')
+    for name in ("xi_trajectory.csv", "evolution.csv"):
+        (d / name).write_text("t,a,b\r\n0,1,2\r\n0.5,-1,3\r\n")
+
+
+def test_report_summarizes_each_csv(tmp_path):
+    write_report_inputs(tmp_path)
+    (tmp_path / "evolution.csv").write_text("t,a\r\n")  # a header and no rows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(tmp_path, "report") == 0
+    sections = json.loads((tmp_path / "run_summary.json").read_text())["sections"]
+    assert sections["xi"] == {
+        "rows": 2, "columns": ["t", "a", "b"], "max_a": 1.0, "min_a": -1.0, "max_b": 3.0, "min_b": 2.0,
+    }
+    assert sections["evolution"] == {"rows": 0, "columns": ["t", "a"]}
+    assert sections["algebra"] == {"pass": True}
+
+
+def _replace_with_directory(path):
+    path.unlink()
+    path.mkdir()
+
+
+@pytest.mark.parametrize(
+    "name, spoil",
+    [
+        ("algebra_report.json", lambda p: p.write_text('{"pass": tr')),  # truncated
+        ("xi_trajectory.csv", lambda p: p.write_text("t,a,b\r\n0,1,2\r\n0.5,-1\r\n")),
+        ("xi_trajectory.csv", lambda p: p.write_text("t,a,b\r\n0,1\r\n")),  # every row short
+        ("evolution.csv", lambda p: p.write_text("")),
+        ("evolution.csv", lambda p: p.write_bytes(b"t,a,b\r\n0,1,\xff\r\n")),  # not UTF-8
+        ("evolution.csv", lambda p: p.write_text("t,a,b\r\n0,1,x\r\n")),
+        ("nullspace_report.json", lambda p: p.write_bytes(b'{"note": "\xff"}')),
+        ("evolution.csv", _replace_with_directory),
+    ],
+    ids=[
+        "truncated-json", "short-row", "short-rows", "empty-csv", "non-utf8-csv",
+        "non-numeric-csv", "non-utf8-json", "directory-for-csv",
+    ],
+)
+def test_unreadable_report_input_exits_2(tmp_path, capsys, name, spoil):
+    write_report_inputs(tmp_path)
+    spoil(tmp_path / name)
+    assert run(tmp_path, "report") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"unreadable input for report: {tmp_path / name}: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "run_summary.json").exists()
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+@pytest.mark.parametrize("command", ["verify-algebra", "invariant", "xi", "evolve", "report"])
+def test_out_path_at_or_below_a_file_exits_2(tmp_path, capsys, command, below):
+    blocker = tmp_path / "taken"
+    blocker.write_text("a file, not a directory\n")
+    out = blocker / "sub" if below else blocker
+    assert main([command, *(FAST if command == "evolve" else []), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot use output directory {out}: ")
+    assert err.count("\n") == 1
+    assert blocker.read_text() == "a file, not a directory\n"
 
 
 def test_full_pipeline_and_report_determinism(tmp_path):

@@ -24,7 +24,7 @@ from ncdirac.fockevolve import (
 )
 from ncdirac.mat2 import ID2
 from ncdirac.ncmodel import NCParams
-from ncdirac.phasepoly import AffineOp, Coord, PhasePoly, SymplecticForm, commutator
+from ncdirac.phasepoly import AffineOp, Coord, PhasePoly, commutator
 from oracle import ehrenfest_drift, represent
 
 COMMUTATIVE = NCParams()
@@ -32,6 +32,11 @@ COMMUTATIVE = NCParams()
 
 def coordinate(c, rep):
     return represent(PhasePoly.monomial(ID2, c), rep)
+
+
+def bopp_op(p, c, t):
+    """The shifted coordinate c at time t, a PhasePoly from ``bopp_slots``."""
+    return PhasePoly(ncmodel.bopp_slots(p, [t])[0, c])
 
 
 def observe(rep, ev, i_op=PhasePoly.constant(ID2), p=COMMUTATIVE):
@@ -112,10 +117,9 @@ def test_represent_hermitian_invariant():
 
 def test_represent_is_homomorphism_on_interior():
     rep = build_fock_rep(6, 1.0)
-    form = SymplecticForm.canonical(1.0)
     p = PhasePoly.monomial(ID2, Coord.X)
     q = PhasePoly.monomial(ID2, Coord.PX)
-    poly_comm = represent(commutator(p, q, form), rep)
+    poly_comm = represent(PhasePoly(commutator(p.slots, q.slots, 1.0)), rep)
     mat_comm = represent(p, rep) @ represent(q, rep) - represent(q, rep) @ represent(p, rep)
     pi = interior_projector(rep)
     assert np.max(np.abs(pi @ (poly_comm - mat_comm) @ pi)) <= 1e-13
@@ -507,13 +511,12 @@ def test_unconstrained_drift_matches_ehrenfest_rate():
     p = COMMUTATIVE
     rep = build_fock_rep(12, 1.0)
     h = ncmodel.build_h_nc(p)
-    form = ncmodel.symplectic_form(p)
     psi0 = coherent_state(rep, alpha_x=1.0, spinor=(1.0, 1.0j))
     times = np.linspace(0.0, 1.0, 501)
     ev = evolve(h, rep, psi0, times)
     ans = invariant.constant_invariant(1.0, 0.0, 0.0, 0.0, 0.0)
     measured = observe(rep, ev, ans.at(0.0)).drift.drift.real
-    res_poly = PhasePoly(invariant.invariance_residual(ans, h, form, [0.0])[0])
+    res_poly = PhasePoly(invariant.invariance_residual(ans, h, p.hbar, [0.0])[0])
     predicted = ehrenfest_drift(res_poly, rep, times, ev.states)
     m_max = np.max(np.abs(measured))
     p_max = np.max(np.abs(predicted))
@@ -566,8 +569,8 @@ def test_uncertainty_bopp_pair_bound_matches_hbar_eff():
             (coordinate(Coord.X, rep), coordinate(Coord.PX, rep)),
             (coordinate(Coord.Y, rep), coordinate(Coord.PY, rep)),
             (
-                represent(ncmodel.bopp_shift(p, Coord.X, t), rep),
-                represent(ncmodel.bopp_shift(p, Coord.PX, t), rep),
+                represent(bopp_op(p, Coord.X, t), rep),
+                represent(bopp_op(p, Coord.PX, t), rep),
             ),
         )
         for got, (a, b) in zip(pairs, dense_pairs):
@@ -632,8 +635,8 @@ def test_measure_matches_dense_oracle():
             (coordinate(Coord.X, rep), coordinate(Coord.PX, rep)),
             (coordinate(Coord.Y, rep), coordinate(Coord.PY, rep)),
             (
-                represent(ncmodel.bopp_shift(p, Coord.X, t), rep),
-                represent(ncmodel.bopp_shift(p, Coord.PX, t), rep),
+                represent(bopp_op(p, Coord.X, t), rep),
+                represent(bopp_op(p, Coord.PX, t), rep),
             ),
         )
         for got, (a, b) in zip((obs.xp, obs.yp, obs.bopp), dense_pairs):

@@ -6,15 +6,20 @@ import warnings
 import numpy as np
 import pytest
 
-from oracle import string_commutator
+from oracle import slot_norm, string_commutator
 
 from ncdirac import ncmodel
 from ncdirac.errors import UnitModeError
 from ncdirac.mat2 import ALPHA1, ALPHA2, BETA, ID2, SIGMA1, SIGMA2, SIGMA3
 from ncdirac.ncmodel import NCParams
-from ncdirac.phasepoly import Coord, PhasePoly, residual_norm
+from ncdirac.phasepoly import Coord, PhasePoly, commutator
 
 GRID = np.linspace(0.0, 2.0, 8)
+
+
+def shifted(p, t):
+    """Coord -> the shifted operator at time t, a PhasePoly from ``bopp_slots``."""
+    return {c: PhasePoly(ncmodel.bopp_slots(p, [t])[0, c]) for c in Coord}
 
 
 def test_param_validation():
@@ -67,22 +72,23 @@ def test_time_profiles():
 
 def test_bopp_shift_commutative_limit():
     p = NCParams(theta=0.0, eta=0.0)
+    ops = shifted(p, 1.3)
     for c in Coord:
-        assert residual_norm(ncmodel.bopp_shift(p, c, 1.3) - PhasePoly.monomial(ID2, c)) == 0.0
+        assert slot_norm(ops[c] - PhasePoly.monomial(ID2, c)) == 0.0
 
 
 def test_bopp_shift_values():
     p = NCParams(theta=0.1, gamma=0.0)
-    x_nc = ncmodel.bopp_shift(p, Coord.X, 7.0)
+    x_nc = shifted(p, 7.0)[Coord.X]
     expected = PhasePoly.monomial(ID2, Coord.X) - 0.05 * PhasePoly.monomial(ID2, Coord.PY)
-    assert residual_norm(x_nc - expected) == 0.0
+    assert slot_norm(x_nc - expected) == 0.0
 
     p2 = NCParams(eta=0.05, gamma=0.2)
-    px_nc = ncmodel.bopp_shift(p2, Coord.PX, 1.0)
+    px_nc = shifted(p2, 1.0)[Coord.PX]
     coeff = 0.5 * 0.05 * math.exp(-0.2)
     assert coeff == pytest.approx(0.0204683, abs=1e-7)
     expected2 = PhasePoly.monomial(ID2, Coord.PX) + coeff * PhasePoly.monomial(ID2, Coord.Y)
-    assert residual_norm(px_nc - expected2) <= 1e-16
+    assert slot_norm(px_nc - expected2) <= 1e-16
 
 
 def test_bopp_scales_values():
@@ -118,9 +124,8 @@ def test_verify_nc_algebra_values():
 
 def test_verify_nc_algebra_against_string_oracle():
     p = NCParams(theta=0.1, eta=0.05, gamma=0.2)
-    form = ncmodel.symplectic_form(p)
     for t in (0.0, 0.7, 2.0):
-        ops = {c: ncmodel.bopp_shift(p, c, t) for c in Coord}
+        ops = shifted(p, t)
         heff = ncmodel.hbar_eff(p)
         cases = [
             (Coord.X, Coord.Y, 1j * ncmodel.theta_of_t(p, t)),
@@ -131,8 +136,8 @@ def test_verify_nc_algebra_against_string_oracle():
             (Coord.Y, Coord.PX, 0.0),
         ]
         for a, b, expected in cases:
-            brute = string_commutator(ops[a], ops[b], form)
-            assert residual_norm(brute - PhasePoly.constant(expected * ID2)) <= 1e-14
+            brute = string_commutator(ops[a], ops[b], p.hbar)
+            assert slot_norm(brute - PhasePoly.constant(expected * ID2)) <= 1e-14
 
 
 def test_nc_commutator_time_independent_for_xp_pair():
@@ -156,18 +161,14 @@ def test_commutative_limit_recovers_canonical_relations():
 
 def test_all_deformed_commutators_identity_proportional():
     p = NCParams(theta=0.1, eta=0.05, gamma=0.2)
-    form = ncmodel.symplectic_form(p)
-    from ncdirac.phasepoly import commutator
-
-    for t in (0.0, 1.0):
-        ops = {c: ncmodel.bopp_shift(p, c, t) for c in Coord}
-        for a in Coord:
-            for b in Coord:
-                res = commutator(ops[a], ops[b], form)
-                for slot in res.slots:
-                    # the sigma_k component of a 2x2 matrix is tr(sigma_k M)/2
-                    for sigma in (SIGMA1, SIGMA2, SIGMA3):
-                        assert abs(np.trace(sigma @ slot) / 2.0) <= 1e-15
+    ops = ncmodel.bopp_slots(p, (0.0, 1.0))
+    # every pair (a, b) at both times in one call: (2, 4, 4, 15, 2, 2)
+    res = commutator(ops[:, :, None], ops[:, None, :], p.hbar)
+    assert res.shape == (2, 4, 4, 15, 2, 2)
+    for slot in res.reshape(-1, 2, 2):
+        # the sigma_k component of a 2x2 matrix is tr(sigma_k M)/2
+        for sigma in (SIGMA1, SIGMA2, SIGMA3):
+            assert abs(np.trace(sigma @ slot) / 2.0) <= 1e-15
 
 
 def test_f_theta_f_eta():
@@ -189,7 +190,7 @@ def test_h_commutative_slots():
     assert np.array_equal(h.const_term, BETA)
 
     h_free = ncmodel.build_h_commutative(NCParams(B=0.0)).at(0.0)
-    assert residual_norm(
+    assert slot_norm(
         h_free
         - PhasePoly.monomial(ALPHA1, Coord.PX)
         - PhasePoly.monomial(ALPHA2, Coord.PY)
@@ -202,7 +203,7 @@ def test_h_nc_matches_commutative_limit():
     h_nc = ncmodel.build_h_nc(p)
     h_c = ncmodel.build_h_commutative(p)
     for t in GRID:
-        assert residual_norm(h_nc.at(t) - h_c.at(t)) == 0.0
+        assert slot_norm(h_nc.at(t) - h_c.at(t)) == 0.0
 
 
 def test_h_nc_slot_values():

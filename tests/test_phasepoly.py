@@ -1,82 +1,89 @@
-"""Polynomial algebra: linear combinations, the induced commutator against the
+"""Polynomial algebra: linear combinations, the canonical commutator against the
 string-rewriting oracle, norms, Hermiticity, and time-dependent wrappers."""
 
 import numpy as np
 import pytest
 
-from oracle import random_linear_poly, random_mat2, string_commutator
+from oracle import random_linear_poly, slot_norm, string_commutator
 
 from ncdirac import invariant, ncmodel, phasepoly
 from ncdirac.errors import DegreeError
-from ncdirac.mat2 import ALPHA1, ALPHA2, ID2, SIGMA1, SIGMA2, SIGMA3
+from ncdirac.mat2 import ALPHA1, ALPHA2, BETA, ID2, SIGMA1, SIGMA2, SIGMA3
 from ncdirac.phasepoly import (
     GRID_BLOCK,
     AffineOp,
     Coord,
     PhasePoly,
-    SymplecticForm,
     commutator,
     commutator_slots,
     hermitian_defect,
-    left_mul,
-    linear_combine,
-    residual_norm,
     residual_norms,
 )
 
 RNG = np.random.default_rng(42)
-FORM = SymplecticForm.canonical(1.0)
+
+
+def comm(p, q, hbar=1.0):
+    """[P, Q] of two PhasePolys through the slot-stack commutator."""
+    return PhasePoly(commutator(p.slots, q.slots, hbar))
+
+
+def combine(polys, coeffs):
+    """sum_k c_k P_k through AffineOp.stack, the package's slot-wise linear
+    combination."""
+    op = AffineOp(tuple(polys), value=lambda t: coeffs, derivative=lambda t: coeffs)
+    return op.at(0.0)
 
 
 def test_linear_combine_identity_and_cancellation():
     p = random_linear_poly(RNG)
     q = random_linear_poly(RNG)
-    assert residual_norm(linear_combine([(1.0, p), (0.0, q)]) - p) == 0.0
-    assert residual_norm(linear_combine([(1.0, p), (-1.0, p)])) == 0.0
+    assert slot_norm(combine([p, q], (1.0, 0.0)) - p) == 0.0
+    assert slot_norm(combine([p, p], (1.0, -1.0))) == 0.0
     x_term = PhasePoly.monomial(ID2, Coord.X)
-    five_x = linear_combine([(2.0, x_term), (3.0, x_term)])
-    assert residual_norm(five_x - 5.0 * x_term) == 0.0
+    five_x = combine([x_term, x_term], (2.0, 3.0))
+    assert slot_norm(five_x - 5.0 * x_term) == 0.0
 
 
 def test_commutator_canonical_pair():
     p = PhasePoly.monomial(ID2, Coord.X)
     q = PhasePoly.monomial(ID2, Coord.PX)
-    c = commutator(p, q, FORM)
-    assert residual_norm(c - PhasePoly.constant(1j * ID2)) == 0.0
+    c = comm(p, q)
+    assert slot_norm(c - PhasePoly.constant(1j * ID2)) == 0.0
     assert c.degree() == 0
 
 
 def test_commutator_matrix_coefficients():
     p = PhasePoly.monomial(ALPHA1, Coord.PX)
     q = PhasePoly.monomial(ALPHA2, Coord.PY)
-    c = commutator(p, q, FORM)
+    c = comm(p, q)
     expected = PhasePoly.monomial(2j * SIGMA3, Coord.PX, Coord.PY)
-    assert residual_norm(c - expected) <= 1e-15
+    assert slot_norm(c - expected) <= 1e-15
     # oracle agreement
-    assert residual_norm(c - string_commutator(p, q, FORM)) <= 1e-14
+    assert slot_norm(c - string_commutator(p, q, 1.0)) <= 1e-14
 
 
 def test_commutator_self_is_zero():
     p = PhasePoly.monomial(ID2, Coord.X)
-    assert residual_norm(commutator(p, p, FORM)) == 0.0
+    assert slot_norm(comm(p, p)) == 0.0
 
 
 def test_commutator_rejects_quadratic_input():
     quad = PhasePoly.monomial(ID2, Coord.X, Coord.X)
     lin = PhasePoly.monomial(ID2, Coord.PX)
     with pytest.raises(DegreeError):
-        commutator(quad, lin, FORM)
+        comm(quad, lin)
     with pytest.raises(DegreeError):
-        commutator(lin, quad, FORM)
+        comm(lin, quad)
 
 
 def test_commutator_matches_string_oracle_on_random_pairs():
     for _ in range(200):
         p = random_linear_poly(RNG)
         q = random_linear_poly(RNG)
-        direct = commutator(p, q, FORM)
-        brute = string_commutator(p, q, FORM)
-        assert residual_norm(direct - brute) <= 1e-12
+        direct = comm(p, q)
+        brute = string_commutator(p, q, 1.0)
+        assert slot_norm(direct - brute) <= 1e-12
 
 
 def test_commutator_antisymmetry_and_bilinearity():
@@ -84,11 +91,11 @@ def test_commutator_antisymmetry_and_bilinearity():
         p = random_linear_poly(RNG)
         q = random_linear_poly(RNG)
         r = random_linear_poly(RNG)
-        assert residual_norm(commutator(p, q, FORM) + commutator(q, p, FORM)) <= 1e-12
+        assert slot_norm(comm(p, q) + comm(q, p)) <= 1e-12
         a = complex(RNG.standard_normal(), RNG.standard_normal())
-        lhs = commutator(a * p + q, r, FORM)
-        rhs = a * commutator(p, r, FORM) + commutator(q, r, FORM)
-        assert residual_norm(lhs - rhs) <= 1e-12
+        lhs = comm(a * p + q, r)
+        rhs = a * comm(p, r) + comm(q, r)
+        assert slot_norm(lhs - rhs) <= 1e-12
 
 
 def test_jacobi_identity_scalar_coefficients():
@@ -97,11 +104,11 @@ def test_jacobi_identity_scalar_coefficients():
         q = random_linear_poly(RNG, scalar_coeffs=True)
         r = random_linear_poly(RNG, scalar_coeffs=True)
         total = (
-            commutator(p, commutator(q, r, FORM), FORM)
-            + commutator(q, commutator(r, p, FORM), FORM)
-            + commutator(r, commutator(p, q, FORM), FORM)
+            comm(p, comm(q, r))
+            + comm(q, comm(r, p))
+            + comm(r, comm(p, q))
         )
-        assert residual_norm(total) <= 1e-12
+        assert slot_norm(total) <= 1e-12
 
 
 def random_slots(shape):
@@ -118,29 +125,28 @@ def full(slots):
 
 @pytest.mark.parametrize("hbar", [1.0, 0.7])
 def test_commutator_kernel_matches_string_oracle_on_a_stack(hbar):
-    form = SymplecticForm.canonical(hbar)
     p, q = random_slots((7, 3)), random_slots((7, 3))
-    got = commutator_slots(p, q, form.omega)
+    got = commutator_slots(p, q, hbar)
     assert got.shape == (7, 3, 15, 2, 2)
     for k in np.ndindex(7, 3):
-        oracle = string_commutator(PhasePoly(full(p[k])), PhasePoly(full(q[k])), form)
-        assert residual_norm(PhasePoly(got[k]) - oracle) <= 1e-12
+        oracle = string_commutator(PhasePoly(full(p[k])), PhasePoly(full(q[k])), hbar)
+        assert slot_norm(PhasePoly(got[k]) - oracle) <= 1e-12
 
 
 def test_commutator_kernel_broadcasts_its_leading_axes():
     p, q = random_slots((7, 1)), random_slots((3,))
-    got = commutator_slots(p, q, FORM.omega)
+    got = commutator_slots(p, q, 1.0)
     assert got.shape == (7, 3, 15, 2, 2)
     for i, j in np.ndindex(7, 3):
-        oracle = string_commutator(PhasePoly(full(p[i, 0])), PhasePoly(full(q[j])), FORM)
-        assert residual_norm(PhasePoly(got[i, j]) - oracle) <= 1e-12
+        oracle = string_commutator(PhasePoly(full(p[i, 0])), PhasePoly(full(q[j])), 1.0)
+        assert slot_norm(PhasePoly(got[i, j]) - oracle) <= 1e-12
 
 
 def test_identity_coefficient_commutes_exactly_inside_a_batch():
     p, q = random_slots((4,)), random_slots((4,))
     p[2] = 0.0
     p[2, 0] = (0.3 - 1.7j) * ID2  # c I commutes with every Q
-    got = commutator_slots(p, q, FORM.omega)
+    got = commutator_slots(p, q, 1.0)
     assert np.all(got[2] == 0.0)
     assert np.all(residual_norms(got[[0, 1, 3]]) > 0.1)
 
@@ -152,17 +158,17 @@ def test_quadratic_slot_in_any_batch_element_raises(side):
     quad[3, 7] = ID2  # one quadratic slot, in one batch element
     args = (quad, lin) if side == "left" else (lin, quad)
     with pytest.raises(DegreeError):
-        commutator(*args, FORM)
-    assert commutator(lin, lin, FORM).shape == (5, 15, 2, 2)
+        commutator(*args, 1.0)
+    assert commutator(lin, lin, 1.0).shape == (5, 15, 2, 2)
 
 
 def test_grid_passes_call_the_kernel_one_block_at_a_time(monkeypatch):
     seen = []
     real = phasepoly.commutator_slots
 
-    def counted(p, q, omega):
+    def counted(p, q, hbar):
         seen.append(np.broadcast_shapes(p.shape[:-3], q.shape[:-3])[0])
-        return real(p, q, omega)
+        return real(p, q, hbar)
 
     monkeypatch.setattr(phasepoly, "commutator_slots", counted)
     p = ncmodel.NCParams(theta=0.1, eta=0.05, gamma=0.2)
@@ -173,7 +179,7 @@ def test_grid_passes_call_the_kernel_one_block_at_a_time(monkeypatch):
     seen.clear()
     ans = invariant.constant_invariant(1.0, 0.0, 0.0, -0.5, 0.0)
     h = ncmodel.build_h_nc(p)
-    res = invariant.invariance_residual(ans, h, ncmodel.symplectic_form(p), grid[:100])
+    res = invariant.invariance_residual(ans, h, p.hbar, grid[:100])
     assert res.shape == (100, 15, 2, 2)
     assert max(seen) <= GRID_BLOCK and sum(seen) == 100
 
@@ -183,7 +189,7 @@ def test_residual_norms_equal_residual_norm_of_each_poly():
     norms = residual_norms(slots)
     assert norms.shape == (6, 2)
     for k in np.ndindex(6, 2):
-        assert norms[k] == residual_norm(PhasePoly(slots[k]))
+        assert norms[k] == pytest.approx(slot_norm(PhasePoly(slots[k])), rel=1e-15)
 
 
 def test_affine_op_stack_matches_combine():
@@ -195,9 +201,9 @@ def test_affine_op_stack_matches_combine():
 
 
 def test_residual_norm_examples():
-    assert residual_norm(PhasePoly(np.zeros((15, 2, 2)))) == 0.0
-    assert residual_norm(PhasePoly.constant(1j * ID2)) == pytest.approx(np.sqrt(2.0))
-    assert residual_norm(PhasePoly.monomial(SIGMA1, Coord.X)) == pytest.approx(np.sqrt(2.0))
+    assert residual_norms(np.zeros((15, 2, 2))) == 0.0
+    assert residual_norms(PhasePoly.constant(1j * ID2).slots) == pytest.approx(np.sqrt(2.0))
+    assert residual_norms(PhasePoly.monomial(SIGMA1, Coord.X).slots) == pytest.approx(np.sqrt(2.0))
 
 
 def test_hermitian_check_examples():
@@ -209,26 +215,24 @@ def test_hermitian_check_examples():
 
 
 def test_left_mul_scales_all_slots():
-    p = random_linear_poly(RNG)
-    m = random_mat2(RNG)
-    scaled = left_mul(m, p)
-    for a, b in zip(p.slots, scaled.slots):
-        assert np.allclose(b, m @ a, atol=1e-14)
+    # at B = 0 the substitution route is alpha_1 px_nc + alpha_2 py_nc + m beta:
+    # each alpha multiplies every slot of its shifted operator on the left
+    p = ncmodel.NCParams(theta=0.1, eta=0.05, gamma=0.2, B=0.0, m=0.7)
+    ts = (0.0, 0.4, 1.3)
+    ops = ncmodel.bopp_slots(p, ts)
+    got = ncmodel.h_nc_via_bopp(p, ts)
+    for k, slot in np.ndindex(len(ts), 15):
+        want = ALPHA1 @ ops[k, Coord.PX, slot] + ALPHA2 @ ops[k, Coord.PY, slot]
+        if slot == 0:
+            want = want + 0.7 * BETA
+        assert np.allclose(got[k, slot], want, atol=1e-15)
+    assert np.any(got[:, 1 + Coord.Y] != 0.0)  # the Bopp shift of px reaches y
 
 
 def test_slots_are_immutable():
     p = PhasePoly.monomial(ID2, Coord.X)
     with pytest.raises(ValueError):
         p.slots[0, 0, 0] = 1.0
-
-
-def test_symplectic_form_antisymmetry_enforced():
-    with pytest.raises(ValueError):
-        SymplecticForm(np.eye(4))
-    form = SymplecticForm.canonical(2.0)
-    assert form.omega[Coord.X, Coord.PX] == 2.0
-    assert form.omega[Coord.PX, Coord.X] == -2.0
-    assert form.omega[Coord.X, Coord.Y] == 0.0
 
 
 def test_affine_op_rate_matches_finite_differences():
@@ -239,16 +243,16 @@ def test_affine_op_rate_matches_finite_differences():
     for t in (0.0, 0.4, 1.3):
         fd = (h.at(t + step) - h.at(t - step)) * (0.5 / step)
         an = h.combine(h.derivative(t))
-        assert residual_norm(an) > 1e-3
-        assert residual_norm(an - fd) <= 1e-8 * residual_norm(an)
+        assert slot_norm(an) > 1e-3
+        assert slot_norm(an - fd) <= 1e-8 * slot_norm(an)
 
 
 def test_time_constant_wrapper():
     p = PhasePoly.monomial(SIGMA2, Coord.Y)
     op = AffineOp.time_constant(p)
     for t in (0.0, 3.0):
-        assert residual_norm(op.at(t) - p) == 0.0
-        assert residual_norm(op.combine(op.derivative(t))) == 0.0
+        assert slot_norm(op.at(t) - p) == 0.0
+        assert slot_norm(op.combine(op.derivative(t))) == 0.0
     assert op.polys == (p,)
     assert tuple(op.value(3.0)) == tuple(op.value(-1.0))
 
