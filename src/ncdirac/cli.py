@@ -193,9 +193,9 @@ def _finite_or_null(value):
 
 def _dump_json(path: Path, payload: dict) -> None:
     """Strict JSON: a NaN or infinity is written as null, never as a bare token."""
+    text = json.dumps(_finite_or_null(payload), indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(_finite_or_null(payload), fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")  # one write: json.dump issues one per token
 
 
 def _write_json(cfg: RunConfig, name: str, payload: dict) -> None:
@@ -388,8 +388,7 @@ def track_level(
     ends = (0, len(evolved.times) - 1)
     spectra = [
         fockevolve.spectral_weights(
-            functools.partial(fockevolve.apply, h.at(float(evolved.times[k])), rep),
-            evolved.states[k],
+            fockevolve.operator(h.at(float(evolved.times[k])), rep), evolved.states[k]
         )
         for k in ends
     ]
@@ -399,7 +398,7 @@ def track_level(
         level = ncmodel.nearest_landau_level(p, t0, float(ritz))
         shares[level] = shares.get(level, 0.0) + float(weight)
     n, sign = max(shares, key=shares.get)
-    energy = np.array([ncmodel.landau_level(p, n, sign, float(t)) for t in evolved.times])
+    energy = ncmodel.landau_level(p, n, sign, evolved.times)
     error, residual = [], []
     for k, spectrum in zip(ends, spectra):
         i = int(np.argmin(np.abs(spectrum.ritz - energy[k])))
@@ -457,8 +456,8 @@ def cmd_evolve(cfg: RunConfig) -> int:
         f"{track.error[1]:.3e} (residual {track.residual[1]:.1e}) at t1; "
         f"max top-level weight {edge:.3e}"
     )
-    gaps = [ncmodel.landau_gap(p, float(t)) for t in times]
-    if min(gaps) <= 0.0 <= max(gaps):
+    gaps = ncmodel.landau_gap(p, times)
+    if gaps.min() <= 0.0 <= gaps.max():
         print(
             "f_theta*f_eta changes sign on the time grid: the Landau levels close, "
             f"so the level n={track.n} picked at t0 need not be the one the state follows",

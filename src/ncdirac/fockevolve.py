@@ -6,17 +6,16 @@ truncation edge reaches.
 Operators are only applied, never built as dense generator-sized matrices.
 
 Full-space convention: states live on mode_x (x) mode_y (x) spinor, of
-dimension 2*N^2, and are viewed as (rows, N, N, 2) arrays when an operator
-is applied: a single-mode matrix acts on axis 1 or 2, a 2x2 coefficient on
-the spinor axis. The canonical pair defect of the truncation is confined to
-the top oscillator level n = N-1 of each mode.
+dimension 2*N^2, viewed as (rows, N, N, 2) arrays. A degree-<=1 operator is
+compiled once into one (2N, 2N) block per mode, on (mode, spinor), so every
+application is two per-mode block products. The canonical pair defect of the
+truncation is confined to the top oscillator level n = N-1 of each mode.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from itertools import groupby
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -24,14 +23,15 @@ import numpy as np
 
 from .csvout import write_csv
 from .errors import DegreeError, DimError, GridError, SizeError
-from .phasepoly import COORDS, AffineOp, Coord, PhasePoly
+from .mat2 import ID2
+from .phasepoly import AffineOp, Coord, PhasePoly
 
 #: rows of the state history processed at once by the observables pass
 BLOCK_ROWS = 64
 #: block-sized arrays alive at once in the observables pass ``measure``: the
-#: four coordinate images, then either the I image and its temporary or the
-#: two Bopp-pair images and their temporary, and the previous block's real
-#: edge weights (half a block): at most 7.5 (traced numpy peak 6.9)
+#: four coordinate images, the two Bopp-pair images and a temporary, and the
+#: previous block's real edge weights (half a block): at most 7.5 (traced
+#: numpy peak 6.9 at fock_N=16, 6.7 at fock_N=32)
 BLOCK_IMAGES = 8
 #: largest Lanczos space; a run needing more restarts, a step needing more is
 #: sub-stepped
@@ -77,45 +77,44 @@ def build_fock_rep(N: int, ell: float, hbar: float = 1.0) -> FockRep:
     return FockRep(N=N, ell=ell, hbar=hbar, x=x, p=p, dim=2 * N * N)
 
 
-def _image(rep: FockRep, c: Coord, rows: np.ndarray) -> np.ndarray:
-    """Z_c applied to states viewed as (rows, N, N, 2), spinor untouched: the
-    single-mode matrix acts on axis 1 for x and px, on axis 2 for y and py."""
-    m = rep.x if c in (Coord.X, Coord.Y) else rep.p
-    if c in (Coord.X, Coord.PX):
-        return (m @ rows.reshape(len(rows), rep.N, -1)).reshape(rows.shape)
-    return m @ rows  # a matrix product over the trailing (N, 2) axes
-
-
-def _check_applicable(poly: PhasePoly, rep: FockRep, size: int) -> None:
-    if poly.degree() > 1:
+def _mode_blocks(polys: Sequence[PhasePoly], rep: FockRep) -> np.ndarray:
+    """The per-mode blocks (len(polys), 2, 2N, 2N) of degree-<=1 polynomials
+    with constant coefficient M_0 and linear coefficients M_c: on (mode x,
+    spinor) kron(x, M_x) + kron(p, M_px), on (mode y, spinor) kron(x, M_y) +
+    kron(p, M_py) + kron(1, M_0). They are linear in the coefficients."""
+    if any(poly.degree() > 1 for poly in polys):
         raise DegreeError("only polynomials of degree <= 1 are applied")
-    if size != rep.dim:
-        raise DimError(f"state size {size} does not match representation dim {rep.dim}")
+    # the slot of each factor x, p, 1 per block; quadratic slot 5 is 0 here
+    slots = [[1 + Coord.X, 1 + Coord.PX, 5], [1 + Coord.Y, 1 + Coord.PY, 0]]
+    coeffs = np.stack([poly.slots for poly in polys])[:, slots]
+    blocks = np.einsum("mij,kbmst->kbisjt", np.stack([rep.x, rep.p, np.eye(rep.N)]), coeffs)
+    return blocks.reshape(len(polys), 2, 2 * rep.N, 2 * rep.N)
 
 
-def _spinor_sum(
-    poly: PhasePoly, rows: np.ndarray, image: Callable[[Coord], np.ndarray]
-) -> np.ndarray:
-    """P psi as a (rows * N * N, 2) array: the constant coefficient on the
-    spinor axis of rows, plus each nonzero linear coefficient on the spinor
-    axis of the coordinate image ``image(c)``."""
-    out = rows.reshape(-1, 2) @ poly.const_term.T
-    for c in COORDS:
-        m = poly.linear_term(c)
-        if np.any(m != 0):
-            out += image(c).reshape(-1, 2) @ m.T
-    return out
+def _block_action(blocks: np.ndarray, rep: FockRep) -> Callable[[np.ndarray], np.ndarray]:
+    """v -> G v on one state (dim,) or a block (rows, dim) for the G with
+    per-mode blocks (2, 2N, 2N): one product on the rows as stored (mode y)
+    and one on the rows with the mode axes swapped (mode x)."""
+    n, n2 = rep.N, 2 * rep.N
+    right_x, right_y = blocks[0].T, blocks[1].T
+
+    def g(psi: np.ndarray) -> np.ndarray:
+        if psi.shape[-1] != rep.dim:
+            raise DimError(f"state size {psi.shape[-1]} does not match dim {rep.dim}")
+        rows = psi.reshape(-1, n, n, 2)
+        out = (psi.reshape(-1, n2) @ right_y).reshape(rows.shape)
+        swapped = rows.transpose(0, 2, 1, 3).reshape(-1, n2) @ right_x
+        out += swapped.reshape(rows.shape).transpose(0, 2, 1, 3)
+        return out.reshape(psi.shape)
+
+    return g
 
 
-def apply(poly: PhasePoly, rep: FockRep, states: np.ndarray) -> np.ndarray:
-    """P psi for a degree-<=1 polynomial P and one state (dim,) or a block of
-    states (rows, dim), with no full-space matrix: each linear term is the
-    coordinate image of ``_image`` times its 2x2 coefficient on the spinor
-    axis."""
-    psi = np.asarray(states)
-    _check_applicable(poly, rep, psi.shape[-1])
-    rows = psi.reshape(-1, rep.N, rep.N, 2)
-    return _spinor_sum(poly, rows, lambda c: _image(rep, c, rows)).reshape(psi.shape)
+def operator(poly: PhasePoly, rep: FockRep) -> Callable[[np.ndarray], np.ndarray]:
+    """v -> P v for a degree-<=1 polynomial P, compiled once into its two
+    per-mode blocks (DegreeError here on a higher degree; the action raises
+    DimError on a state of another size)."""
+    return _block_action(_mode_blocks([poly], rep)[0], rep)
 
 
 def coherent_state(
@@ -299,9 +298,10 @@ def evolve(
     time-ordering error. Consecutive steps with equal midpoint coefficients
     of H form a run of one generator, which ``krylov_step`` propagates from
     the run's first state straight into the history: a constant generator is
-    one run over the grid, a changing one a run per step. H is applied with
-    ``apply``; no generator-sized matrix is built or decomposed. The caller
-    reads the spectral weights of any stored state with ``spectral_weights``.
+    one run over the grid, a changing one a run per step. The per-mode blocks
+    of H's fixed parts are built once and combined per run; no generator-sized
+    matrix is built or decomposed. The caller reads the spectral weights of
+    any stored state with ``spectral_weights``.
     """
     ts = np.asarray(t_grid, dtype=float)
     dt = _check_uniform(ts)
@@ -312,21 +312,18 @@ def evolve(
     if abs(nrm - 1.0) > 1e-10:
         raise ValueError(f"initial state must be unit norm, got {nrm}")
 
+    parts = _mode_blocks(h.polys, rep)
     states = np.empty((ts.size, rep.dim), dtype=complex)
     states[0] = psi
     k = 0
     for coeffs, run in groupby(tuple(h.value(float(t) + 0.5 * dt)) for t in ts[:-1]):
         n = sum(1 for _ in run)
-        g = partial(apply, h.combine(coeffs), rep)
+        g = _block_action(np.tensordot(coeffs, parts, 1), rep)
         krylov_step(g, states[k], dt, states[k + 1 : k + 1 + n])
         k += n
 
     norms = np.sqrt(np.vecdot(states, states).real)
-    return EvolvedState(
-        times=ts,
-        states=states,
-        norm_drift=float(np.max(np.abs(norms - 1.0))),
-    )
+    return EvolvedState(ts, states, norm_drift=float(np.max(np.abs(norms - 1.0))))
 
 
 @dataclass(frozen=True)
@@ -370,37 +367,50 @@ class Observables(NamedTuple):
     edge: float  # largest weight of any state on the top level of either mode
 
 
+def _pair_images(pair: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The images z psi and p_z psi of the mode on axis 2 of states viewed as
+    (rows, N, N, 2), from one matrix product with ``pair``, the (2N, 4N) right
+    factor of kron([x; p], 1_2); stacked as (2, rows, N, N, 2)."""
+    n, m = rows.shape[:2]
+    images = rows.reshape(-1, pair.shape[0]) @ pair
+    return images.reshape(n, m, 2, -1, 2).transpose(2, 0, 1, 3, 4)
+
+
 def measure(
     i_op: PhasePoly,
     rep: FockRep,
     evolved: EvolvedState,
-    bopp_scales: Callable[[float], tuple[float, float]],
+    bopp_scales: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
 ) -> Observables:
     """Measure the stored states in one pass, BLOCK_ROWS rows at a time.
 
-    The four coordinate images Z_c psi of a block come from ``_image`` once
-    and give I psi for the degree-<=1 invariant I, hence <I>(t) and its
-    drift, and the Robertson data of (x, px), (y, py) and the Bopp pair
-    (x - s_theta(t) py, px + s_eta(t) y), where ``bopp_scales(t)`` gives
-    (s_theta, s_eta). The amplitudes give the largest weight any state has
-    on the top oscillator level n = N-1 of either mode, where the truncation
-    defect lives.
+    I psi for the degree-<=1 invariant I comes from ``operator`` and gives
+    <I>(t) and its drift. The four coordinate images of a block come from one
+    ``_pair_images`` product per mode and give the Robertson data of (x, px),
+    (y, py) and the Bopp pair (x - s_theta(t) py, px + s_eta(t) y), where
+    ``bopp_scales(times)`` gives (s_theta, s_eta) at the block's times. The
+    amplitudes give the largest weight any state has on the top oscillator
+    level n = N-1 of either mode, where the truncation defect lives.
     """
     s = evolved.states
-    _check_applicable(i_op, rep, s.shape[-1])
+    i_psi = operator(i_op, rep)
+    factor = np.vstack([np.kron(rep.x, ID2), np.kron(rep.p, ID2)]).T
     values, parts, edge = [], [], 0.0
     for lo in range(0, len(s), BLOCK_ROWS):
         block, times = s[lo : lo + BLOCK_ROWS], evolved.times[lo : lo + BLOCK_ROWS]
-        rows = block.reshape(len(block), rep.N, rep.N, 2)
-        z = {c: _image(rep, c, rows).reshape(block.shape) for c in COORDS}
-        values.append(np.vecdot(block, _spinor_sum(i_op, rows, z.get).reshape(block.shape)))
-        st, se = np.array([bopp_scales(float(t)) for t in times]).T[..., None]
+        values.append(np.vecdot(block, i_psi(block)))
+        n = len(block)
+        rows = block.reshape(n, rep.N, rep.N, 2)
+        swapped = rows.transpose(0, 2, 1, 3)  # mode x on axis 2, its images transposed back
+        x, px = _pair_images(factor, swapped).transpose(0, 1, 3, 2, 4).reshape(2, n, -1)
+        y, py = _pair_images(factor, rows).reshape(2, n, -1)
+        st, se = (scale[:, None] for scale in bopp_scales(times))
         parts.append((
-            robertson(block, z[Coord.X], z[Coord.PX]),
-            robertson(block, z[Coord.Y], z[Coord.PY]),
-            robertson(block, z[Coord.X] - st * z[Coord.PY], z[Coord.PX] + se * z[Coord.Y]),
+            robertson(block, x, px),
+            robertson(block, y, py),
+            robertson(block, x - st * py, px + se * y),
         ))
-        del z  # so the next block's images are not built beside these
+        del x, px, y, py  # so the next block's images are not built beside these
         prob = np.abs(rows) ** 2
         top = prob[:, -1].sum(axis=(1, 2)) + prob[:, :-1, -1].sum(axis=(1, 2))
         edge = max(edge, float(top.max()))

@@ -98,8 +98,9 @@ def hbar_eff(p: NCParams) -> float:
     return p.hbar * (1.0 + p.theta * p.eta / (4.0 * p.hbar**2))
 
 
-def theta_of_t(p: NCParams, t: float) -> float:
-    return p.theta * math.exp(p.gamma * t)
+def theta_of_t(p: NCParams, t):
+    """theta e^{gamma t}; an array of times gives an array, a float a float."""
+    return p.theta * (np.exp if isinstance(t, np.ndarray) else math.exp)(p.gamma * t)
 
 
 def eta_of_t(p: NCParams, t):
@@ -107,7 +108,7 @@ def eta_of_t(p: NCParams, t):
     return p.eta * (np.exp if isinstance(t, np.ndarray) else math.exp)(-p.gamma * t)
 
 
-def f_theta(p: NCParams, t: float) -> float:
+def f_theta(p: NCParams, t):
     """Momentum-slot dressing 1 + (e*B/4)*theta*e^{gamma t} of the deformed Hamiltonian."""
     return 1.0 + 0.25 * p.e * p.B * theta_of_t(p, t)
 
@@ -125,9 +126,9 @@ def df_eta_dt(p: NCParams, t: float) -> float:
     return -0.5 * p.gamma * eta_of_t(p, t)
 
 
-def bopp_scales(p: NCParams, t: float) -> tuple[float, float]:
+def bopp_scales(p: NCParams, t):
     """Mixing coefficients (s_theta, s_eta) = (theta(t)/2hbar, eta(t)/2hbar)
-    of the Bopp shift at time t."""
+    of the Bopp shift at time t, or two arrays at an array of times."""
     return 0.5 * theta_of_t(p, t) / p.hbar, 0.5 * eta_of_t(p, t) / p.hbar
 
 
@@ -316,19 +317,20 @@ def build_h_nc(p: NCParams) -> AffineOp:
 # -- Dirac-Landau levels ---------------------------------------------------------
 
 
-def landau_gap(p: NCParams, t: float) -> float:
+def landau_gap(p: NCParams, t):
     """4 hbar f_theta(t) f_eta(t): twice the commutator scale of the kinetic
     momenta, |[Pi_x, Pi_y]| = 2 hbar |f_theta f_eta| (Nair & Polychronakos,
     Phys. Lett. B 505, 267 (2001)). Its sign is that of the effective field."""
     return 4.0 * p.hbar * f_theta(p, t) * f_eta(p, t)
 
 
-def landau_level(p: NCParams, n: int, sign: int, t: float) -> float:
+def landau_level(p: NCParams, n: int, sign: int, t):
     """Closed-form level sign * sqrt(m^2 + 4 n hbar |f_theta f_eta|) of the
-    untruncated H(t) at time t, n = 0, 1, 2, ..."""
-    level = sign * math.sqrt(p.m * p.m + n * abs(landau_gap(p, t)))
-    if not math.isfinite(level):
-        raise OverflowError(f"Landau level n={n} at t={t} leaves the float range")
+    untruncated H(t), n = 0, 1, 2, ..., at time t or at each time of an array."""
+    with np.errstate(over="ignore"):  # an infinite level raises OverflowError below
+        level = sign * np.sqrt(p.m * p.m + n * np.abs(landau_gap(p, t)))
+    if not np.all(np.isfinite(level)):
+        raise OverflowError(f"Landau level n={n} leaves the float range")
     return level
 
 

@@ -83,13 +83,6 @@ class PhasePoly:
 
     # -- slot access -------------------------------------------------------
 
-    @property
-    def const_term(self) -> Mat2:
-        return self.slots[0]
-
-    def linear_term(self, c: Coord) -> Mat2:
-        return self.slots[1 + int(c)]
-
     def degree(self) -> int:
         if np.any(self.slots[5:] != 0):
             return 2
@@ -215,9 +208,5 @@ class AffineOp:
             acc += c[:, k, None, None, None] * poly.slots
         return acc
 
-    def combine(self, coeffs: Sequence[complex]) -> PhasePoly:
-        """The operator with coefficient tuple ``coeffs``."""
-        return PhasePoly(self.stack([coeffs])[0])
-
     def at(self, t: float) -> PhasePoly:
-        return self.combine(self.value(t))
+        return PhasePoly(self.stack([self.value(t)])[0])

@@ -63,9 +63,9 @@ def represent(poly: PhasePoly, rep) -> np.ndarray:
     if poly.degree() > 1:
         raise DegreeError("only polynomials of degree <= 1 are represented")
     modes = ladder_modes(rep.N, rep.ell, rep.hbar)
-    out = np.kron(np.eye(rep.N * rep.N), poly.const_term)
+    out = np.kron(np.eye(rep.N * rep.N), poly.slots[0])
     for c in _COORDS:
-        out = out + np.kron(modes[c], poly.linear_term(c))
+        out = out + np.kron(modes[c], poly.slots[1 + c])
     return out
 
 
@@ -80,9 +80,9 @@ def ehrenfest_drift(residual: PhasePoly, rep, times: np.ndarray, states: np.ndar
 
 
 def _poly_to_terms(p: PhasePoly) -> list[tuple[np.ndarray, tuple[Coord, ...]]]:
-    terms = [(np.array(p.const_term), ())]
+    terms = [(np.array(p.slots[0]), ())]
     for c in _COORDS:
-        terms.append((np.array(p.linear_term(c)), (c,)))
+        terms.append((np.array(p.slots[1 + c]), (c,)))
     return [(m, s) for m, s in terms if np.any(m != 0)]
 
 

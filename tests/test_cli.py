@@ -121,6 +121,23 @@ def test_verify_algebra_nan_deviation_fails(tmp_path, monkeypatch):
     assert report["deformed_algebra"]["checks"][3]["deviation"] is None
 
 
+def test_json_report_bytes_match_json_dump(tmp_path):
+    # the one-write dump gives the bytes of json.dump's token-by-token writes,
+    # on a 192-check report whose NaN deviation becomes null
+    p = ncmodel.NCParams(theta=0.1, eta=0.05, gamma=0.2)
+    payload = ncmodel.verify_nc_algebra(p, np.linspace(0.0, 1.0, 32)).as_dict()
+    payload["checks"][5]["deviation"] = float("nan")
+    payload["max_deviation"] = float("nan")
+    payload["extra"] = {"inf": -math.inf, "pass": False, "empty": [], "text": "aé"}
+    cli._dump_json(tmp_path / "one_write.json", payload)
+    with open(tmp_path / "json_dump.json", "w") as fh:
+        json.dump(cli._finite_or_null(payload), fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
+    got = (tmp_path / "one_write.json").read_bytes()
+    assert got == (tmp_path / "json_dump.json").read_bytes()
+    assert json.loads(got)["checks"][5]["deviation"] is None
+
+
 def test_invariant_commutative(tmp_path):
     assert run(tmp_path, "invariant") == 0
     report = json.loads((tmp_path / "nullspace_report.json").read_text())

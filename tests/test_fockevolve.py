@@ -13,12 +13,12 @@ from ncdirac.errors import DegreeError, DimError, GridError, SizeError
 from ncdirac.fockevolve import (
     BLOCK_ROWS,
     EvolvedState,
-    apply,
     build_fock_rep,
     coherent_state,
     evolve,
     krylov_step,
     measure,
+    operator,
     robertson,
     spectral_weights,
 )
@@ -150,23 +150,24 @@ def test_apply_matches_dense_oracle(n, rows):
     for _ in range(3):
         poly = random_linear_poly(rng)
         want = states @ represent(poly, rep).T
-        got = apply(poly, rep, states)
+        got = operator(poly, rep)(states)
         assert got.shape == shape
         assert np.max(np.abs(got - want)) <= 1e-13
 
 
 def test_apply_rejects_quadratic_slot_and_wrong_size():
+    # the degree is checked when the blocks are built, the size on every call
     rep = build_fock_rep(3, 1.0)
     quadratic = PhasePoly.monomial(ID2, Coord.X, Coord.PX)
     with pytest.raises(DegreeError):
-        apply(quadratic, rep, coherent_state(rep))
+        operator(quadratic, rep)
     with pytest.raises(DegreeError):
         represent(quadratic, rep)
-    poly = PhasePoly.monomial(ID2, Coord.X)
+    g = operator(PhasePoly.monomial(ID2, Coord.X), rep)
     with pytest.raises(DimError):
-        apply(poly, rep, np.ones(rep.dim + 2))
+        g(np.ones(rep.dim + 2))
     with pytest.raises(DimError):
-        apply(poly, rep, np.ones((4, rep.dim - 2)))
+        g(np.ones((4, rep.dim - 2)))
 
 
 def test_evolve_stationary_state():
@@ -292,7 +293,7 @@ def test_piecewise_constant_generator_restarts_at_the_switch(monkeypatch):
     times = np.linspace(0.0, 2.0, 41)
     _, runs, _ = count_calls(monkeypatch, rep)
     ev = evolve(h, rep, psi, times)
-    g1, g2 = represent(h_nc.combine(before), rep), represent(h_nc.combine(after), rep)
+    g1, g2 = (represent(PhasePoly(h_nc.stack([c])[0]), rep) for c in (before, after))
     switch = dense_exponential(g1, psi, 1.0)
     want = [dense_exponential(g1, psi, t) for t in times[:21]]
     want += [dense_exponential(g2, switch, t - 1.0) for t in times[21:]]
@@ -647,19 +648,43 @@ def test_measure_matches_dense_oracle():
 
 
 def test_measure_images_each_block_once(monkeypatch):
-    # the I image and the three pairs share the four coordinate images of
-    # a block, even for an I with every linear slot nonzero
+    # the three pairs share the four coordinate images of a block, which
+    # come from one product per mode: the x mode, then the y mode
     sizes = []
-    image = fockevolve._image
+    images = fockevolve._pair_images
 
-    def counted(rep, c, rows):
+    def counted(pair, rows):
         sizes.append(len(rows))
-        return image(rep, c, rows)
+        return images(pair, rows)
 
-    monkeypatch.setattr(fockevolve, "_image", counted)
+    monkeypatch.setattr(fockevolve, "_pair_images", counted)
     rep = build_fock_rep(4, 1.0)
     n_t = 2 * BLOCK_ROWS + 1
     states = np.tile(coherent_state(rep, alpha_x=0.5), (n_t, 1))
     observe(rep, EvolvedState(np.linspace(0.0, 1.0, n_t), states, 0.0),
             random_hermitian_invariant(np.random.default_rng(1)))
-    assert sizes == [BLOCK_ROWS] * 8 + [1] * 4
+    assert sizes == [BLOCK_ROWS] * 4 + [1] * 2
+
+
+@pytest.mark.parametrize(
+    "h",
+    [ncmodel.build_h_nc(README), ncmodel.build_h_commutative(COMMUTATIVE)],
+    ids=["changing", "constant"],
+)
+def test_evolve_builds_the_mode_blocks_once_per_run(monkeypatch, h):
+    # the per-mode blocks of H's fixed parts are built in one call per
+    # evolve, however many steps or runs of one generator it takes
+    built = []
+    blocks = fockevolve._mode_blocks
+
+    def counted(polys, rep):
+        built.append(len(polys))
+        return blocks(polys, rep)
+
+    monkeypatch.setattr(fockevolve, "_mode_blocks", counted)
+    rep = build_fock_rep(5, 1.0)
+    ev = evolve(h, rep, coherent_state(rep, alpha_x=0.5), np.linspace(0.0, 0.5, 51))
+    assert built == [len(h.polys)]
+    # and each run's combination acts as the dense H at its midpoint
+    want = dense_exponential(represent(h.at(0.005), rep), ev.states[0], 0.01)
+    assert np.max(np.abs(ev.states[1] - want)) <= 1e-13

@@ -184,10 +184,10 @@ def test_f_theta_f_eta():
 def test_h_commutative_slots():
     p = NCParams()
     h = ncmodel.build_h_commutative(p).at(0.0)
-    assert np.array_equal(h.linear_term(Coord.PX), ALPHA1)
-    assert np.allclose(h.linear_term(Coord.X), -0.5 * ALPHA2, atol=0)
-    assert np.allclose(h.linear_term(Coord.Y), 0.5 * ALPHA1, atol=0)
-    assert np.array_equal(h.const_term, BETA)
+    assert np.array_equal(h.slots[1 + Coord.PX], ALPHA1)
+    assert np.allclose(h.slots[1 + Coord.X], -0.5 * ALPHA2, atol=0)
+    assert np.allclose(h.slots[1 + Coord.Y], 0.5 * ALPHA1, atol=0)
+    assert np.array_equal(h.slots[0], BETA)
 
     h_free = ncmodel.build_h_commutative(NCParams(B=0.0)).at(0.0)
     assert slot_norm(
@@ -209,8 +209,8 @@ def test_h_nc_matches_commutative_limit():
 def test_h_nc_slot_values():
     p = NCParams(theta=0.1, eta=0.05, gamma=0.2)
     h = ncmodel.build_h_nc(p).at(0.0)
-    assert np.allclose(h.linear_term(Coord.PX), 1.025 * ALPHA1, atol=1e-15)
-    assert np.allclose(h.linear_term(Coord.X), -0.525 * ALPHA2, atol=1e-15)
+    assert np.allclose(h.slots[1 + Coord.PX], 1.025 * ALPHA1, atol=1e-15)
+    assert np.allclose(h.slots[1 + Coord.X], -0.525 * ALPHA2, atol=1e-15)
 
 
 def test_h_nc_dual_path_agreement():
@@ -266,3 +266,29 @@ def test_landau_levels_deformed_and_closed():
     assert ncmodel.nearest_landau_level(NCParams(eta=-1.0), 0.0, 2.0) == (0, 1)
     assert ncmodel.landau_gap(NCParams(eta=-2.0), 0.0) == -2.0
     assert ncmodel.landau_level(NCParams(eta=-2.0), 1, 1, 0.0) == math.sqrt(3.0)
+
+
+def test_time_forms_accept_arrays():
+    # one call over a grid gives each scalar call's value; the closed forms
+    # are written out here as the reference
+    p = NCParams(theta=0.1, eta=0.05, gamma=0.2, hbar=1.0)
+    ts = np.linspace(-1.0, 2.0, 7)
+    theta, eta = 0.1 * np.exp(0.2 * ts), 0.05 * np.exp(-0.2 * ts)
+    gap = 4.0 * (1.0 + 0.25 * theta) * (0.5 + 0.5 * eta)
+    np.testing.assert_allclose(ncmodel.theta_of_t(p, ts), theta, rtol=1e-15)
+    s_theta, s_eta = ncmodel.bopp_scales(p, ts)
+    np.testing.assert_allclose(s_theta, 0.5 * theta, rtol=1e-15)
+    np.testing.assert_allclose(s_eta, 0.5 * eta, rtol=1e-15)
+    np.testing.assert_allclose(ncmodel.landau_gap(p, ts), gap, rtol=1e-15)
+    np.testing.assert_allclose(ncmodel.landau_level(p, 2, -1, ts), -np.sqrt(1.0 + 2 * gap), rtol=1e-15)
+    for k, t in enumerate(ts):
+        assert ncmodel.landau_level(p, 2, -1, float(t)) == pytest.approx(-math.sqrt(1.0 + 2 * gap[k]), rel=1e-15)
+    assert isinstance(ncmodel.theta_of_t(p, 0.5), float)
+
+
+def test_landau_level_off_the_float_range_raises():
+    p = NCParams(theta=0.1, eta=0.05, gamma=0.2)
+    with pytest.raises(OverflowError):
+        ncmodel.landau_level(p, 10**308, 1, np.array([0.0, 1.0]))
+    with pytest.raises(OverflowError):
+        ncmodel.landau_level(p, 10**308, 1, 0.0)
