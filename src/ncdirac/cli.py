@@ -91,9 +91,12 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
 
     def canonical_hash(self) -> str:
+        """Hash of every field but output_dir: identical runs written to two
+        directories share it."""
         lines = []
         for f in fields(self):
-            lines.append(f"{f.name}={getattr(self, f.name)!r}")
+            if f.name != "output_dir":
+                lines.append(f"{f.name}={getattr(self, f.name)!r}")
         return hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest()
 
 
@@ -369,6 +372,7 @@ class LevelTrack(typing.NamedTuple):
     energy: np.ndarray  # E_n(t) at every sample
     error: tuple[float, float]  # |Ritz - E_n| at t0 and t1
     residual: tuple[float, float]  # Ritz residuals of those two Ritz values
+    spacing: tuple[float, float]  # distance from E_n to the nearest other level there
 
 
 def track_level(
@@ -383,12 +387,13 @@ def track_level(
     f_theta f_eta keeps its sign, so E_n(t) is the tracked energy at every
     sample. The truncation diagnostic is the distance from E_n to the nearest
     Ritz value, with that value's residual, from this run and from one
-    Lanczos run from psi(t1) under H(t1).
+    Lanczos run from psi(t1) under H(t1); the level spacing at both ends
+    says whether that distance still names one level.
     """
     ends = (0, len(evolved.times) - 1)
     spectra = [
         fockevolve.spectral_weights(
-            fockevolve.operator(h.at(float(evolved.times[k])), rep), evolved.states[k]
+            fockevolve.operator(h.at(float(evolved.times[k])), rep), evolved.state(k)
         )
         for k in ends
     ]
@@ -404,7 +409,8 @@ def track_level(
         i = int(np.argmin(np.abs(spectrum.ritz - energy[k])))
         error.append(float(abs(spectrum.ritz[i] - energy[k])))
         residual.append(float(spectrum.residual[i]))
-    return LevelTrack(n, sign, energy, tuple(error), tuple(residual))
+    spacing = tuple(ncmodel.level_spacing(p, n, float(evolved.times[k])) for k in ends)
+    return LevelTrack(n, sign, energy, tuple(error), tuple(residual), spacing)
 
 
 def cmd_evolve(cfg: RunConfig) -> int:
@@ -435,7 +441,8 @@ def cmd_evolve(cfg: RunConfig) -> int:
     margins = np.min([r_xp.margin, r_yp.margin, r_nc.margin], axis=0)
     nc_bound_dev = float(np.max(np.abs(r_nc.bound - 0.5 * ncmodel.hbar_eff(p))))
     min_margin = float(margins.min())
-    ok = evolved.norm_drift <= 1e-10 and min_margin >= -1e-9
+    ambiguous = any(e >= 0.5 * d for e, d in zip(track.error, track.spacing))
+    ok = evolved.norm_drift <= 1e-10 and min_margin >= -1e-9 and not ambiguous
     truncation_warning = False
     if constrained and drift.relative_max > 1e-6:
         ok = False
@@ -461,6 +468,13 @@ def cmd_evolve(cfg: RunConfig) -> int:
         print(
             "f_theta*f_eta changes sign on the time grid: the Landau levels close, "
             f"so the level n={track.n} picked at t0 need not be the one the state follows",
+            file=sys.stderr,
+        )
+    if ambiguous:
+        print(
+            f"the Ritz error of level n={track.n} is at least half its distance "
+            f"to the nearest other level ({track.spacing[0]:.3e} at t0, "
+            f"{track.spacing[1]:.3e} at t1): the tracked level is not resolved",
             file=sys.stderr,
         )
     if truncation_warning:

@@ -1,8 +1,8 @@
 """Truncated two-mode oscillator (x) spinor representation of the degree-<=1
 polynomial operators, unitary time evolution by Lanczos exponentials, the
-spectral weights of a state (Lanczos), and one pass over the stored states
-that measures invariant drift, uncertainty products and the weight the
-truncation edge reaches.
+spectral weights of a state (Lanczos), and one pass over the evolution
+history that measures invariant drift, uncertainty products and the weight
+the truncation edge reaches.
 Operators are only applied, never built as dense generator-sized matrices.
 
 Full-space convention: states live on mode_x (x) mode_y (x) spinor, of
@@ -10,6 +10,12 @@ dimension 2*N^2, viewed as (rows, N, N, 2) arrays. A degree-<=1 operator is
 compiled once into one (2N, 2N) block per mode, on (mode, spinor), so every
 application is two per-mode block products. The canonical pair defect of the
 truncation is confined to the top oscillator level n = N-1 of each mode.
+
+The history is a list of segments. A Lanczos run that resolves more samples
+than it has basis vectors is kept as its coefficients C on its basis V
+(sample k is C[k] @ V) and measured in that space; every other run is stored
+as rows. Every measured figure is a quadratic form in the state, so a
+segment's figures come from C and small Gram matrices of the images of V.
 """
 
 from __future__ import annotations
@@ -28,10 +34,11 @@ from .phasepoly import AffineOp, Coord, PhasePoly
 
 #: rows of the state history processed at once by the observables pass
 BLOCK_ROWS = 64
-#: block-sized arrays alive at once in the observables pass ``measure``: the
-#: four coordinate images, the two Bopp-pair images and a temporary, and the
-#: previous block's real edge weights (half a block): at most 7.5 (traced
-#: numpy peak 6.9 at fock_N=16, 6.7 at fock_N=32)
+#: block-sized arrays alive at once in the observables pass ``measure`` over
+#: stored rows: I psi, the four coordinate images, the mode-x product before
+#: its transposed copy and the swapped rows it came from (traced numpy peak
+#: 7.4 at fock_N=16, 7.2 at fock_N=32); a Lanczos segment's images are
+#: smaller, KRYLOV_MAX rows at most
 BLOCK_IMAGES = 8
 #: largest Lanczos space; a run needing more restarts, a step needing more is
 #: sub-stepped
@@ -55,9 +62,12 @@ class FockRep:
 
 def dense_bytes(N: int, n_t: int) -> int:
     """Estimated storage of the complex arrays an evolve run on the N-level
-    truncation (dimension 2 N^2) over n_t samples holds at its peak: the
-    stored states, the KRYLOV_MAX + 1 Lanczos basis vectors and BLOCK_IMAGES
-    arrays the size of a block of BLOCK_ROWS states in the observables pass."""
+    truncation (dimension 2 N^2) over n_t samples holds at its peak, in the
+    worst case that every sample is stored as a row (a generator that changes
+    every step): the stored states, the KRYLOV_MAX + 1 Lanczos basis vectors
+    and BLOCK_IMAGES arrays the size of a block of BLOCK_ROWS states in the
+    observables pass. A run kept in its Lanczos space holds at most
+    KRYLOV_MAX + 1 coefficients per sample and one basis, far less."""
     return 16 * 2 * N * N * (n_t + KRYLOV_MAX + 1 + BLOCK_IMAGES * BLOCK_ROWS)
 
 
@@ -140,12 +150,62 @@ def coherent_state(
 
 
 @dataclass(frozen=True)
+class Segment:
+    """Consecutive samples of an evolution: the rows of ``coeffs @ basis``,
+    or the rows of ``basis`` itself when ``coeffs`` is None."""
+
+    basis: np.ndarray  # (m, dim) Lanczos vectors, or the stored rows
+    coeffs: np.ndarray | None = None  # (samples, m) on the basis
+
+    @property
+    def size(self) -> int:
+        """The number of samples."""
+        return len(self.basis if self.coeffs is None else self.coeffs)
+
+    def row(self, k: int) -> np.ndarray:
+        """The state of sample k (negative k counts from the end)."""
+        return self.basis[k] if self.coeffs is None else self.coeffs[k] @ self.basis
+
+    def rows(self) -> np.ndarray:
+        """All samples as rows (samples, dim)."""
+        return self.basis if self.coeffs is None else self.coeffs @ self.basis
+
+
+@dataclass(frozen=True)
 class EvolvedState:
-    """Snapshots of a unitary evolution on a uniform grid."""
+    """A unitary evolution sampled on a uniform grid, held as segments."""
 
     times: np.ndarray
-    states: np.ndarray  # (n_t, dim) complex
-    norm_drift: float
+    segments: tuple[Segment, ...]
+
+    def state(self, k: int) -> np.ndarray:
+        """The state at times[k], 0 <= k < len(times), read off its segment."""
+        for segment in self.segments:
+            if k < segment.size:
+                return segment.row(k)
+            k -= segment.size
+        raise IndexError("sample index beyond the evolution")
+
+    @property
+    def states(self) -> np.ndarray:
+        """Every state as rows (n_t, dim), materialized on each access."""
+        return np.concatenate([segment.rows() for segment in self.segments])
+
+    @property
+    def norm_drift(self) -> float:
+        """Largest |norm - 1| of any sample, from the actual Gram matrix of
+        each segment's basis (its orthonormality is not assumed)."""
+        norms = [_quadratic(seg.coeffs, seg.basis, seg.basis).real for seg in self.segments]
+        return float(np.max(np.abs(np.sqrt(np.concatenate(norms)) - 1.0)))
+
+
+def _quadratic(coeffs: np.ndarray | None, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<A psi_k|B psi_k> for every sample psi_k of a segment piece, from the
+    images a = A v_j and b = B v_j of its basis rows v_j: the samples are the
+    rows themselves when coeffs is None, else psi_k = sum_j coeffs[k, j] v_j."""
+    if coeffs is None:
+        return np.vecdot(a, b)
+    return np.vecdot(coeffs, coeffs @ (b @ a.conj().T))  # c^dag (a^dag b) c, row by row
 
 
 def _check_uniform(t_grid: np.ndarray) -> float:
@@ -209,16 +269,17 @@ def _resolved(tau: float, lo: int, hi: int, lam: np.ndarray, s: np.ndarray, beta
 
 
 def _krylov_run(
-    g: Callable[[np.ndarray], np.ndarray], psi: np.ndarray, tau: float, out: np.ndarray
-) -> int:
-    """Write exp(-i G k tau) psi, k = 1, 2, ..., into the leading rows of out
-    from one Lanczos space of psi, and return how many rows it wrote.
+    g: Callable[[np.ndarray], np.ndarray], psi: np.ndarray, tau: float, n: int
+) -> Segment:
+    """The samples exp(-i G k tau) psi, k = 1, 2, ..., n, that one Lanczos
+    space of psi resolves, as coefficients C = (beta0 e^{-i lambda k tau} s0) s^T
+    on the space's basis V: sample k is C[k - 1] @ V.
 
-    The space grows until it resolves the last row and every row before it;
-    a space that ends first writes the rows up to the first it leaves
-    unresolved, so 0 when not even the first. The rows keep the norm of psi.
+    The space grows until it resolves the last sample and every sample before
+    it; a space that ends first keeps the samples up to the first it leaves
+    unresolved, so none when not even the first. The samples keep the norm
+    beta0 of psi.
     """
-    n = len(out)
     for v, t, beta in _lanczos(g, psi):
         lam, s = np.linalg.eigh(t)
         if _resolved(tau, n - 1, n, lam, s, beta):
@@ -227,40 +288,39 @@ def _krylov_run(
                 break
     else:
         resolved = _resolved(tau, 0, n - 1, lam, s, beta)
-    beta0 = np.linalg.norm(psi)
-    for lo in range(0, resolved, BLOCK_ROWS):
-        hi = min(lo + BLOCK_ROWS, resolved)
-        phase = np.exp(-1j * tau * np.multiply.outer(np.arange(lo + 1, hi + 1), lam))
-        np.matmul((beta0 * phase * s[0]) @ s.T, v, out=out[lo:hi])
-    return resolved
+    phase = np.exp(-1j * tau * np.multiply.outer(np.arange(1, resolved + 1), lam))
+    return Segment(v, (np.linalg.norm(psi) * phase * s[0]) @ s.T)
 
 
 def krylov_step(
-    g: Callable[[np.ndarray], np.ndarray], psi: np.ndarray, dt: float, out: np.ndarray
-) -> None:
-    """Write exp(-i G k dt) psi, k = 1..n, into the rows of out (n, dim) for a
+    g: Callable[[np.ndarray], np.ndarray], psi: np.ndarray, dt: float, n: int
+) -> Iterator[Segment]:
+    """Yield exp(-i G k dt) psi, k = 1..n, as consecutive segments, for a
     Hermitian generator given as its action g: v -> G v, by Lanczos (Park &
     Light, J. Chem. Phys. 85, 5870 (1986)). Each Lanczos space serves every
     sample it resolves and the next starts from the last of them. A step that
     no space of KRYLOV_MAX vectors resolves is split into equal sub-steps,
-    halving until each converges, so any dt is reached.
+    halving until each converges, so any dt is reached; its sample is yielded
+    as a stored row.
     """
     done = 0
-    while done < len(out):
-        got = _krylov_run(g, psi, dt, out[done:])
-        if not got:
-            row, remaining, tau = out[done], dt, dt
+    while done < n:
+        segment = _krylov_run(g, psi, dt, n - done)
+        if not segment.size:
+            remaining, tau = dt, dt
             while remaining > 0.0:
                 tau = min(tau, remaining)
-                if _krylov_run(g, psi, tau, row[None]):
-                    psi, remaining = row, remaining - tau
+                sub = _krylov_run(g, psi, tau, 1)
+                if sub.size:
+                    psi, remaining = sub.row(0), remaining - tau
                 elif tau > dt * 2.0**-60:  # bounded, so a NaN estimate cannot loop forever
                     tau *= 0.5
                 else:
                     raise FloatingPointError("Krylov step found no convergent sub-step")
-            got = 1
-        done += got
-        psi = out[done - 1]
+            segment = Segment(psi[None])
+        done += segment.size
+        psi = segment.row(-1)
+        yield segment
 
 
 class Spectrum(NamedTuple):
@@ -297,11 +357,15 @@ def evolve(
     Every step is unitary to machine precision; dt controls only the
     time-ordering error. Consecutive steps with equal midpoint coefficients
     of H form a run of one generator, which ``krylov_step`` propagates from
-    the run's first state straight into the history: a constant generator is
-    one run over the grid, a changing one a run per step. The per-mode blocks
-    of H's fixed parts are built once and combined per run; no generator-sized
-    matrix is built or decomposed. The caller reads the spectral weights of
-    any stored state with ``spectral_weights``.
+    the run's first state: a constant generator is one run over the grid, a
+    changing one a run per step. The per-mode blocks of H's fixed parts are
+    built once and combined per run; no generator-sized matrix is built or
+    decomposed. A Lanczos space that resolves more samples than it has
+    vectors is kept as a segment of coefficients on its basis; the samples
+    of every other space are stored as rows, consecutive stored rows joined
+    into segments of at least BLOCK_ROWS rows, so that joining never holds a
+    second copy of more than a block. ``EvolvedState.state`` reads any one
+    sample.
     """
     ts = np.asarray(t_grid, dtype=float)
     dt = _check_uniform(ts)
@@ -313,17 +377,23 @@ def evolve(
         raise ValueError(f"initial state must be unit norm, got {nrm}")
 
     parts = _mode_blocks(h.polys, rep)
-    states = np.empty((ts.size, rep.dim), dtype=complex)
-    states[0] = psi
-    k = 0
+    segments, stored = [], [psi[None]]
     for coeffs, run in groupby(tuple(h.value(float(t) + 0.5 * dt)) for t in ts[:-1]):
         n = sum(1 for _ in run)
         g = _block_action(np.tensordot(coeffs, parts, 1), rep)
-        krylov_step(g, states[k], dt, states[k + 1 : k + 1 + n])
-        k += n
-
-    norms = np.sqrt(np.vecdot(states, states).real)
-    return EvolvedState(ts, states, norm_drift=float(np.max(np.abs(norms - 1.0))))
+        for segment in krylov_step(g, psi, dt, n):
+            projected = segment.coeffs is not None and segment.size > len(segment.basis)
+            if not projected:
+                stored.append(segment.rows())
+            if stored and (projected or sum(map(len, stored)) >= BLOCK_ROWS):
+                segments.append(Segment(np.concatenate(stored)))
+                stored = []
+            if projected:
+                segments.append(segment)
+            psi = segment.row(-1)
+    if stored:
+        segments.append(Segment(np.concatenate(stored)))
+    return EvolvedState(ts, tuple(segments))
 
 
 @dataclass(frozen=True)
@@ -344,21 +414,22 @@ class UncertaintyResult(NamedTuple):
     margin: np.ndarray  # product - bound
 
 
-def robertson(states: np.ndarray, a_psi: np.ndarray, b_psi: np.ndarray) -> UncertaintyResult:
-    """Robertson data of two Hermitian observables from their images A psi and
-    B psi, row by row. For Hermitian A and B, <[A,B]> = 2i Im<A psi|B psi>, so
-    the bound is |Im<A psi|B psi>| exactly."""
-    ea = np.vecdot(states, a_psi).real
-    eb = np.vecdot(states, b_psi).real
-    var_a = np.maximum(np.vecdot(a_psi, a_psi).real - ea * ea, 0.0)
-    var_b = np.maximum(np.vecdot(b_psi, b_psi).real - eb * eb, 0.0)
+def robertson(
+    ea: np.ndarray, eb: np.ndarray, aa: np.ndarray, bb: np.ndarray, ab: np.ndarray
+) -> UncertaintyResult:
+    """Robertson data of two Hermitian observables from the moments of each
+    state: the means <A> and <B>, the squared norms <A psi|A psi> and
+    <B psi|B psi>, and the overlap <A psi|B psi>. For Hermitian A and B,
+    <[A,B]> = 2i Im<A psi|B psi>, so the bound is |Im<A psi|B psi>| exactly."""
+    var_a = np.maximum(aa - ea * ea, 0.0)
+    var_b = np.maximum(bb - eb * eb, 0.0)
     product = np.sqrt(var_a) * np.sqrt(var_b)
-    bound = np.abs(np.vecdot(a_psi, b_psi).imag)
+    bound = np.abs(ab.imag)
     return UncertaintyResult(product, bound, product - bound)
 
 
 class Observables(NamedTuple):
-    """What ``measure`` reads off the stored states of an evolution."""
+    """What ``measure`` reads off the history of an evolution."""
 
     drift: DriftSeries  # <I>(t) of the invariant and its drift
     xp: UncertaintyResult  # (x, px)
@@ -376,49 +447,81 @@ def _pair_images(pair: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return images.reshape(n, m, 2, -1, 2).transpose(2, 0, 1, 3, 4)
 
 
+#: the Gram entries <z psi|w psi> of the coordinate images that ``measure``
+#: takes, z before w in the order x, px, y, py
+_GRAM = tuple((i, j) for i in range(4) for j in range(i, 4))
+
+
 def measure(
     i_op: PhasePoly,
     rep: FockRep,
     evolved: EvolvedState,
     bopp_scales: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
 ) -> Observables:
-    """Measure the stored states in one pass, BLOCK_ROWS rows at a time.
+    """Measure the history in one pass over its segments: a stored segment
+    BLOCK_ROWS rows at a time, a Lanczos segment in its basis.
 
-    I psi for the degree-<=1 invariant I comes from ``operator`` and gives
-    <I>(t) and its drift. The four coordinate images of a block come from one
-    ``_pair_images`` product per mode and give the Robertson data of (x, px),
-    (y, py) and the Bopp pair (x - s_theta(t) py, px + s_eta(t) y), where
-    ``bopp_scales(times)`` gives (s_theta, s_eta) at the block's times. The
-    amplitudes give the largest weight any state has on the top oscillator
-    level n = N-1 of either mode, where the truncation defect lives.
+    Each piece gives per-sample moments through ``_quadratic``: <I> for the
+    degree-<=1 invariant I (its images from ``operator``), the means of x,
+    px, y and py and the Gram entries of their images (one ``_pair_images``
+    product per mode), and the weight on the top oscillator level n = N-1 of
+    either mode, where the truncation defect lives. The moments give <I>(t)
+    and its drift, the Robertson data of (x, px) and (y, py), and, expanded,
+    those of the Bopp pair (x - s_theta(t) py, px + s_eta(t) y), where
+    ``bopp_scales(times)`` gives (s_theta, s_eta) at every sample.
     """
-    s = evolved.states
     i_psi = operator(i_op, rep)
     factor = np.vstack([np.kron(rep.x, ID2), np.kron(rep.p, ID2)]).T
-    values, parts, edge = [], [], 0.0
-    for lo in range(0, len(s), BLOCK_ROWS):
-        block, times = s[lo : lo + BLOCK_ROWS], evolved.times[lo : lo + BLOCK_ROWS]
-        values.append(np.vecdot(block, i_psi(block)))
-        n = len(block)
-        rows = block.reshape(n, rep.N, rep.N, 2)
-        swapped = rows.transpose(0, 2, 1, 3)  # mode x on axis 2, its images transposed back
-        x, px = _pair_images(factor, swapped).transpose(0, 1, 3, 2, 4).reshape(2, n, -1)
-        y, py = _pair_images(factor, rows).reshape(2, n, -1)
-        st, se = (scale[:, None] for scale in bopp_scales(times))
-        parts.append((
-            robertson(block, x, px),
-            robertson(block, y, py),
-            robertson(block, x - st * py, px + se * y),
-        ))
-        del x, px, y, py  # so the next block's images are not built beside these
-        prob = np.abs(rows) ** 2
-        top = prob[:, -1].sum(axis=(1, 2)) + prob[:, :-1, -1].sum(axis=(1, 2))
-        edge = max(edge, float(top.max()))
-    values = np.concatenate(values)
+    top = np.zeros((rep.N, rep.N, 2), dtype=bool)
+    top[-1] = top[:, -1] = True
+    top = top.ravel()
+    moments = np.empty((6 + len(_GRAM), len(evolved.times)), dtype=complex)
+    k = 0
+    for segment in evolved.segments:
+        coeffs = segment.coeffs
+        step = len(segment.basis) if coeffs is not None else BLOCK_ROWS
+        for lo in range(0, len(segment.basis), step):
+            basis = segment.basis[lo : lo + step]
+            i_basis = i_psi(basis)
+            n = len(basis)
+            rows = basis.reshape(n, rep.N, rep.N, 2)
+            swapped = rows.transpose(0, 2, 1, 3)  # mode x on axis 2, its images transposed back
+            x, px = _pair_images(factor, swapped).transpose(0, 1, 3, 2, 4).reshape(2, n, -1)
+            y, py = _pair_images(factor, rows).reshape(2, n, -1)
+            images = (x, px, y, py)
+            edge = basis[:, top]
+            forms = [
+                (basis, i_basis),
+                *((basis, z) for z in images),
+                *((images[i], images[j]) for i, j in _GRAM),
+                (edge, edge),
+            ]
+            hi = k + (n if coeffs is None else len(coeffs))
+            for row, (a, b) in zip(moments, forms):
+                row[k:hi] = _quadratic(coeffs, a, b)
+            k = hi
+            del i_basis, x, px, y, py, images, edge, forms  # not kept beside the next piece's
+    values, mean, weight = moments[0], moments[1:5].real, moments[-1].real
+    gram = dict(zip(_GRAM, moments[5:-1]))
     drift = values - values[0]
     rel = float(np.max(np.abs(drift)) / (abs(values[0]) + 1.0))
-    pairs = (UncertaintyResult(*map(np.concatenate, zip(*pair))) for pair in zip(*parts))
-    return Observables(DriftSeries(evolved.times, values, drift, rel), *pairs, edge)
+
+    X, PX, Y, PY = range(4)
+
+    def pair(a: int, b: int) -> UncertaintyResult:
+        return robertson(mean[a], mean[b], gram[a, a].real, gram[b, b].real, gram[a, b])
+
+    st, se = bopp_scales(evolved.times)
+    # <X psi|P psi> for X = x - st py, P = px + se y, with <w|z> = conj(<z|w>)
+    bopp = robertson(
+        mean[X] - st * mean[PY],
+        mean[PX] + se * mean[Y],
+        gram[X, X].real - 2.0 * st * gram[X, PY].real + st * st * gram[PY, PY].real,
+        gram[PX, PX].real + 2.0 * se * gram[PX, Y].real + se * se * gram[Y, Y].real,
+        gram[X, PX] + se * gram[X, Y] - st * gram[PX, PY].conj() - st * se * gram[Y, PY].conj(),
+    )
+    drift_series = DriftSeries(evolved.times, values, drift, rel)
+    return Observables(drift_series, pair(X, PX), pair(Y, PY), bopp, float(weight.max()))
 
 
 def write_evolution_csv(

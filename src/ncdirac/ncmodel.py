@@ -334,6 +334,19 @@ def landau_level(p: NCParams, n: int, sign: int, t):
     return level
 
 
+def level_spacing(p: NCParams, n: int, t: float) -> float:
+    """Distance at time t from the level E_n of either sign to the nearest
+    closed-form level of another energy: a neighbour n -+ 1 of the same sign,
+    at gap / (|E_n| + |E_n-+1|) without cancellation, or the n = 0 level of
+    the other sign, at |E_n| + |m|; inf when every level has E_n's energy."""
+    here = landau_level(p, n, 1, t)
+    gap = abs(landau_gap(p, t))
+    spacings = [here + abs(p.m)]
+    if gap > 0.0:
+        spacings += [gap / (here + landau_level(p, k, 1, t)) for k in (n - 1, n + 1) if k >= 0]
+    return float(min((s for s in spacings if s > 0.0), default=math.inf))
+
+
 def nearest_landau_level(p: NCParams, t: float, energy: float) -> tuple[int, int]:
     """(n, sign) of the closed-form level nearest ``energy`` at time t; n = 0
     when the levels have closed (f_theta f_eta = 0)."""

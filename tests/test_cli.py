@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import shutil
 import tempfile
 import warnings
 from pathlib import Path
@@ -266,13 +267,29 @@ def test_evolve_landau_scale_carries_hbar(tmp_path, capsys):
 
 
 def test_evolve_warns_when_the_landau_levels_close(tmp_path, capsys):
-    # f_eta = (1 - 1.5 e^{-t})/2 changes sign at t = ln 1.5 inside the window
-    argv = ("--eta=-1.5", "--gamma=1", "--fock_N=6", "--t1=0.5", "--dt=0.05")
+    # f_eta = (1 - 1.5 e^{-t})/2 changes sign at t = ln 1.5 inside the window;
+    # the warning alone leaves the exit code as it is without the crossing
+    argv = ("--eta=-1.5", "--gamma=1", "--fock_N=8", "--t1=0.5", "--dt=0.05")
     code = run(tmp_path, "evolve", *argv)
     assert code in (0, 1)
-    assert "changes sign" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "changes sign" in err and "not resolved" not in err
     assert run(tmp_path, "evolve", "--eta=-0.5", "--gamma=1", *argv[2:]) == code
     assert "changes sign" not in capsys.readouterr().err
+    # at fock_N=6 the Ritz error at t1 (5.1e-2) exceeds half the level
+    # spacing there (8.0e-2), as the levels near their closing: exit 1
+    assert run(tmp_path, "evolve", *argv[:2], "--fock_N=6", *argv[3:]) == 1
+    assert "not resolved" in capsys.readouterr().err
+
+
+def test_evolve_exits_1_when_the_level_pick_is_ambiguous(tmp_path, capsys):
+    # levels +-m 2e-300 apart, far closer than any Ritz accuracy: which one
+    # the state follows means nothing
+    assert run(tmp_path / "tiny-m", "evolve", "--m=1e-300", "--fock_N=8", "--t1=0.01") == 1
+    assert "the tracked level is not resolved" in capsys.readouterr().err
+    # the README run resolves its level to a ratio of about 2e-6
+    assert run(tmp_path / "readme", "evolve", "--theta=0.1", "--eta=0.05", "--gamma=0.2") == 0
+    assert "not resolved" not in capsys.readouterr().err
 
 
 def test_evolve_truncation_too_small_fails(tmp_path):
@@ -374,6 +391,20 @@ def test_full_pipeline_and_report_determinism(tmp_path):
     first.pop("timestamp")
     second.pop("timestamp")
     assert first == second
+
+
+def test_report_hash_ignores_the_output_directory(tmp_path):
+    # identical inputs in two directories: one config hash
+    a, b = tmp_path / "a", tmp_path / "b"
+    for command in ("verify-algebra", "invariant", "xi"):
+        assert main([command, "--out", str(a)]) == 0
+    assert main(["evolve", *FAST, "--out", str(a)]) == 0
+    shutil.copytree(a, b)
+    hashes = set()
+    for out in (a, b):
+        assert main(["report", "--out", str(out)]) == 0
+        hashes.add(json.loads((out / "run_summary.json").read_text())["config_hash"])
+    assert len(hashes) == 1
 
 
 def test_evolve_rerun_is_byte_identical(tmp_path):

@@ -12,7 +12,9 @@ from ncdirac.cli import track_level
 from ncdirac.errors import DegreeError, DimError, GridError, SizeError
 from ncdirac.fockevolve import (
     BLOCK_ROWS,
+    KRYLOV_MAX,
     EvolvedState,
+    Segment,
     build_fock_rep,
     coherent_state,
     evolve,
@@ -42,6 +44,11 @@ def bopp_op(p, c, t):
 def observe(rep, ev, i_op=PhasePoly.constant(ID2), p=COMMUTATIVE):
     """The observables pass with the Bopp scales of p."""
     return measure(i_op, rep, ev, partial(ncmodel.bopp_scales, p))
+
+
+def stored(times, states):
+    """An evolution history of stored rows."""
+    return EvolvedState(np.asarray(times, dtype=float), (Segment(np.asarray(states)),))
 
 
 def test_build_rep_validation():
@@ -215,9 +222,9 @@ def count_calls(monkeypatch, rep):
 
         return wrapped
 
-    def counting_step(g, psi, dt, out):
-        runs.append(len(out))
-        step(g, psi, dt, out)
+    def counting_step(g, psi, dt, n):
+        runs.append(n)
+        return step(g, psi, dt, n)
 
     def counting_lanczos(g, psi):
         spaces.append(psi.size)
@@ -259,6 +266,11 @@ def test_changing_generator_takes_one_krylov_step_per_step(monkeypatch):
     track_level(p, h, rep, ev)
     assert full_eigh == []
     assert runs == [1] * 50
+    # one stored row per step, joined into segments of BLOCK_ROWS rows
+    assert all(seg.coeffs is None for seg in ev.segments)
+    assert [seg.size for seg in ev.segments] == [51]
+    long = evolve(h, rep, coherent_state(rep), np.linspace(0.0, 1.5, 151))
+    assert [seg.size for seg in long.segments] == [BLOCK_ROWS, BLOCK_ROWS, 23]
 
 
 def test_constant_generator_matches_exact_propagator_across_restarts(monkeypatch):
@@ -328,8 +340,8 @@ def test_krylov_step_matches_dense_exponential(case, norm_dt):
     # so it exercises the sub-stepping
     g, psi = case()
     dt = norm_dt / np.linalg.norm(g, 2)
-    got = np.empty((1, psi.size), dtype=complex)
-    krylov_step(partial(np.matmul, g), psi, dt, got)
+    got = np.concatenate([seg.rows() for seg in krylov_step(partial(np.matmul, g), psi, dt, 1)])
+    assert got.shape == (1, psi.size)
     assert np.max(np.abs(got[0] - dense_exponential(g, psi, dt))) <= 1e-12
     assert abs(np.linalg.norm(got[0]) - 1.0) <= 1e-13
 
@@ -369,8 +381,8 @@ def test_edge_weight_matches_interior_projector():
         for a in (0.1, 0.8, 1.5)
     ])
     want = max(1.0 - np.vdot(s, pi @ s).real for s in states)
-    assert abs(observe(rep, EvolvedState(np.arange(3.0), states, 0.0)).edge - want) <= 1e-14
-    assert observe(rep, EvolvedState(np.zeros(1), states[:1], 0.0)).edge < want
+    assert abs(observe(rep, stored(np.arange(3.0), states)).edge - want) <= 1e-14
+    assert observe(rep, stored(np.zeros(1), states[:1])).edge < want
 
 
 def test_landau_length_puts_truncated_level_on_closed_form():
@@ -503,7 +515,7 @@ def test_invariant_drift_checks_dimension():
 
 def test_measure_rejects_quadratic_invariant():
     rep = build_fock_rep(3, 1.0)
-    ev = EvolvedState(np.zeros(1), coherent_state(rep)[None], 0.0)
+    ev = stored(np.zeros(1), coherent_state(rep)[None])
     with pytest.raises(DegreeError):
         observe(rep, ev, PhasePoly.monomial(ID2, Coord.X, Coord.PX))
 
@@ -528,7 +540,7 @@ def test_unconstrained_drift_matches_ehrenfest_rate():
 def test_uncertainty_ground_state_saturation():
     rep = build_fock_rep(8, 1.3)
     vac = coherent_state(rep)
-    r = robertson(vac, coordinate(Coord.X, rep) @ vac, coordinate(Coord.PX, rep) @ vac)
+    r = observe(rep, stored(np.zeros(1), vac[None])).xp
     assert r.product == pytest.approx(0.5, abs=1e-12)
     assert r.bound == pytest.approx(0.5, abs=1e-12)
     assert abs(r.margin) <= 1e-12
@@ -537,7 +549,11 @@ def test_uncertainty_ground_state_saturation():
 def test_uncertainty_commuting_pair():
     rep = build_fock_rep(6, 1.0)
     psi = coherent_state(rep, alpha_x=0.3, alpha_y=0.4)
-    r = robertson(psi, coordinate(Coord.X, rep) @ psi, coordinate(Coord.Y, rep) @ psi)
+    a, b = coordinate(Coord.X, rep) @ psi, coordinate(Coord.Y, rep) @ psi
+    r = robertson(
+        np.vdot(psi, a).real, np.vdot(psi, b).real, np.vdot(a, a).real, np.vdot(b, b).real,
+        np.vdot(a, b),
+    )
     assert r.bound <= 1e-13
     assert r.margin >= -1e-13
 
@@ -648,8 +664,9 @@ def test_measure_matches_dense_oracle():
 
 
 def test_measure_images_each_block_once(monkeypatch):
-    # the three pairs share the four coordinate images of a block, which
-    # come from one product per mode: the x mode, then the y mode
+    # the three pairs share the four coordinate images of a block of stored
+    # rows, or of a Lanczos segment's basis, which come from one product per
+    # mode: the x mode, then the y mode
     sizes = []
     images = fockevolve._pair_images
 
@@ -661,9 +678,15 @@ def test_measure_images_each_block_once(monkeypatch):
     rep = build_fock_rep(4, 1.0)
     n_t = 2 * BLOCK_ROWS + 1
     states = np.tile(coherent_state(rep, alpha_x=0.5), (n_t, 1))
-    observe(rep, EvolvedState(np.linspace(0.0, 1.0, n_t), states, 0.0),
-            random_hermitian_invariant(np.random.default_rng(1)))
+    i_op = random_hermitian_invariant(np.random.default_rng(1))
+    observe(rep, stored(np.linspace(0.0, 1.0, n_t), states), i_op)
     assert sizes == [BLOCK_ROWS] * 4 + [1] * 2
+    # a Lanczos segment of 3 vectors is imaged once, however many samples
+    sizes.clear()
+    basis = np.linalg.qr(states[:3].T + np.eye(rep.dim, 3))[0].T
+    coeffs = np.full((n_t, 3), 1 / np.sqrt(3), dtype=complex)
+    observe(rep, EvolvedState(np.linspace(0.0, 1.0, n_t), (Segment(basis, coeffs),)), i_op)
+    assert sizes == [3, 3]
 
 
 @pytest.mark.parametrize(
@@ -688,3 +711,131 @@ def test_evolve_builds_the_mode_blocks_once_per_run(monkeypatch, h):
     # and each run's combination acts as the dense H at its midpoint
     want = dense_exponential(represent(h.at(0.005), rep), ev.states[0], 0.01)
     assert np.max(np.abs(ev.states[1] - want)) <= 1e-13
+
+
+def expectation(states, m):
+    """<psi|M|psi> of every row of states for a dense matrix M."""
+    return np.einsum("ki,ki->k", states.conj(), states @ m.T)
+
+
+def dense_pair(states, a, b):
+    """(product, bound) of every row straight from the matrices: variances
+    from <A^2> - <A>^2 and the bound from the commutator matrix AB - BA."""
+    var_a = expectation(states, a @ a).real - expectation(states, a).real ** 2
+    var_b = expectation(states, b @ b).real - expectation(states, b).real ** 2
+    product = np.sqrt(np.maximum(var_a, 0.0)) * np.sqrt(np.maximum(var_b, 0.0))
+    return product, 0.5 * np.abs(expectation(states, a @ b - b @ a))
+
+
+def assert_measure_matches_dense(obs, states, i_op, p, rep, tol=1e-12):
+    """Every figure of ``measure`` against dense matrices of a stationary p,
+    whose Bopp pair is the same at every time."""
+    assert p.gamma == 0.0
+    values = expectation(states, represent(i_op, rep))
+    assert np.max(np.abs(obs.drift.values - values)) <= tol
+    assert np.max(np.abs(obs.drift.drift - (values - values[0]))) <= tol
+    pi = interior_projector(rep)
+    assert abs(obs.edge - np.max(1.0 - expectation(states, pi).real)) <= tol
+    dense_pairs = (
+        (coordinate(Coord.X, rep), coordinate(Coord.PX, rep)),
+        (coordinate(Coord.Y, rep), coordinate(Coord.PY, rep)),
+        (represent(bopp_op(p, Coord.X, 0.0), rep), represent(bopp_op(p, Coord.PX, 0.0), rep)),
+    )
+    for got, (a, b) in zip((obs.xp, obs.yp, obs.bopp), dense_pairs):
+        product, bound = dense_pair(states, a, b)
+        assert np.max(np.abs(got.product - product)) <= tol
+        assert np.max(np.abs(got.bound - bound)) <= tol
+        assert np.max(np.abs(got.margin - (product - bound))) <= tol
+
+
+def test_constant_generator_across_restarts_measured_in_its_lanczos_spaces():
+    # four Lanczos spaces over 1000 samples, each resolving more samples than
+    # BLOCK_ROWS and than it has vectors: kept as coefficients and measured in
+    # their bases, against the dense propagator and dense observables
+    p = NCParams(theta=0.1, eta=0.05)
+    rep = build_fock_rep(8, lrsolve.magnetic_length(p))
+    h = ncmodel.build_h_nc(p)
+    psi = coherent_state(rep, alpha_x=1.0)
+    times = np.linspace(-1.0, 9.0, 1001)
+    ev = evolve(h, rep, psi, times)
+    projected = [seg for seg in ev.segments if seg.coeffs is not None]
+    assert len(projected) >= 3
+    assert any(seg.size > BLOCK_ROWS and seg.size % BLOCK_ROWS for seg in projected)
+    w, v = np.linalg.eigh(represent(h.at(0.0), rep))
+    exact = (np.exp(-1j * np.outer(times - times[0], w)) * (v.conj().T @ psi)) @ v.T
+    assert np.max(np.abs(ev.states - exact)) <= 1e-12
+    assert ev.norm_drift <= 1e-12
+    i_op = random_hermitian_invariant(np.random.default_rng(3))
+    assert_measure_matches_dense(observe(rep, ev, i_op, p), exact, i_op, p, rep)
+
+
+def test_piecewise_history_alternates_stored_and_projected_segments():
+    # a constant stretch, ten steps of a changing generator, a constant
+    # stretch again: the history is the initial row, a Lanczos segment, ten
+    # stored rows joined into one segment, a Lanczos segment
+    p = NCParams(theta=0.1, eta=0.05)
+    rep = build_fock_rep(6, 1.0)
+    h_nc = ncmodel.build_h_nc(p)
+    base = h_nc.value(0.0)
+
+    def scale(t):
+        return 1.0 if t < 0.5 else 1.0 + t if t < 0.6 else 1.5
+
+    h = AffineOp(
+        h_nc.polys,
+        value=lambda t: tuple(scale(t) * c for c in base),
+        derivative=lambda t: (0.0,) * len(base),
+    )
+    psi = coherent_state(rep, alpha_x=0.5, spinor=(1.0, 0.5j))
+    times = np.linspace(0.0, 1.2, 121)
+    dt = times[1] - times[0]
+    ev = evolve(h, rep, psi, times)
+    kinds = [(seg.coeffs is None, seg.size) for seg in ev.segments]
+    assert kinds == [(True, 1), (False, 50), (True, 10), (False, 60)]
+    want = [psi]
+    for t in times[:-1]:
+        g = represent(PhasePoly(h_nc.stack([h.value(t + 0.5 * dt)])[0]), rep)
+        want.append(dense_exponential(g, want[-1], dt))
+    want = np.array(want)
+    assert np.max(np.abs(ev.states - want)) <= 1e-12
+    for k in (0, 1, 50, 51, 60, 61, 120):
+        assert np.max(np.abs(ev.state(k) - want[k])) <= 1e-12
+    i_op = random_hermitian_invariant(np.random.default_rng(4))
+    assert_measure_matches_dense(observe(rep, ev, i_op, p), want, i_op, p, rep)
+
+
+def test_constant_run_holds_coefficients_not_states():
+    # 2000 samples at dimension 512: at most KRYLOV_MAX + 1 coefficients per
+    # sample and one basis per Lanczos space, instead of 512 amplitudes each
+    p = NCParams(theta=0.1, eta=0.05)
+    rep = build_fock_rep(16, lrsolve.magnetic_length(p))
+    n_t = 2000
+    ev = evolve(ncmodel.build_h_nc(p), rep, coherent_state(rep, alpha_x=1.0),
+                np.linspace(0.0, 2.0, n_t))
+    coeffs = sum(seg.coeffs.size for seg in ev.segments if seg.coeffs is not None)
+    bases = sum(len(seg.basis) for seg in ev.segments)
+    assert coeffs <= (KRYLOV_MAX + 1) * n_t
+    assert bases <= (KRYLOV_MAX + 1) * len(ev.segments)
+    held = sum(seg.basis.nbytes + (0 if seg.coeffs is None else seg.coeffs.nbytes)
+               for seg in ev.segments)
+    assert held <= 16 * ((KRYLOV_MAX + 1) * n_t + bases * rep.dim)
+    assert held < 0.1 * 16 * n_t * rep.dim
+    assert ev.states.shape == (n_t, rep.dim)
+
+
+def test_segment_moments_use_the_gram_of_its_basis():
+    # a Lanczos segment measured on a basis that is not orthonormal: the norm
+    # and every figure come from the actual Gram matrix of its images
+    rng = np.random.default_rng(8)
+    p = NCParams(theta=0.1, eta=0.05)
+    rep = build_fock_rep(4, 1.0)
+    basis = rng.normal(size=(3, rep.dim)) + 1j * rng.normal(size=(3, rep.dim))
+    coeffs = rng.normal(size=(7, 3)) + 1j * rng.normal(size=(7, 3))
+    states = coeffs @ basis
+    coeffs /= np.linalg.norm(states, axis=1)[:, None]
+    states = coeffs @ basis
+    ev = EvolvedState(np.linspace(0.0, 1.0, 7), (Segment(basis, coeffs),))
+    assert ev.norm_drift <= 1e-13
+    assert np.max(np.abs(ev.states - states)) == 0.0
+    i_op = random_hermitian_invariant(rng)
+    assert_measure_matches_dense(observe(rep, ev, i_op, p), states, i_op, p, rep)
