@@ -195,10 +195,11 @@ def _finite_or_null(value):
 
 
 def _dump_json(path: Path, payload: dict) -> None:
-    """Strict JSON: a NaN or infinity is written as null, never as a bare token."""
-    text = json.dumps(_finite_or_null(payload), indent=2, sort_keys=True, allow_nan=False)
+    """Strict JSON on one line, keys sorted, a NaN or infinity written as null.
+    Without ``indent`` json.dumps runs its C encoder; one write, not one per token."""
+    text = json.dumps(_finite_or_null(payload), sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        fh.write(text + "\n")  # one write: json.dump issues one per token
+        fh.write(text + "\n")
 
 
 def _write_json(cfg: RunConfig, name: str, payload: dict) -> None:
@@ -228,18 +229,15 @@ def cmd_verify_algebra(cfg: RunConfig) -> int:
         mode = "time-dependent-deformation"
 
     tol = 1e-12
-    # a NaN deviation is the worst one, wherever it sits
-    worst = max(
-        deformed.checks,
-        key=lambda c: c.deviation if math.isfinite(c.deviation) else math.inf,
-    )
+    worst = deformed.worst()
     failures = []
     if not dirac.passed(tol):
         bad = max(dirac.checks, key=lambda c: c.deviation)
         failures.append(f"Dirac identity {bad.name} deviates by {bad.deviation:.3e}")
     if not deformed.passed(tol):
         failures.append(
-            f"worst commutator {worst.pair} at t={worst.t} deviates by {worst.deviation:.3e}"
+            f"worst commutator {worst['pair']} at t={worst['t']} "
+            f"deviates by {worst['deviation']:.3e}"
         )
     if dual_dev is not None and not dual_dev <= tol:
         failures.append(f"dual-path Hamiltonian deviates by {dual_dev:.3e}")
@@ -248,7 +246,7 @@ def cmd_verify_algebra(cfg: RunConfig) -> int:
         "mode": mode,
         "dirac_algebra": dirac.as_dict(),
         "deformed_algebra": deformed.as_dict(),
-        "worst_commutator": {"pair": worst.pair, "t": worst.t, "deviation": worst.deviation},
+        "worst_commutator": worst,
         "dual_path_deviation": dual_dev,
         "hbar_eff": ncmodel.hbar_eff(p),
         "consistency_ratio": ncmodel.consistency_ratio(p),

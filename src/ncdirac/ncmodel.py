@@ -159,44 +159,6 @@ def bopp_slots(p: NCParams, ts: Sequence[float]) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class CommutatorCheck:
-    t: float
-    pair: str
-    expected: complex  # expected commutator is expected * identity
-    deviation: float
-
-
-@dataclass(frozen=True)
-class DeformedAlgebraReport:
-    checks: tuple[CommutatorCheck, ...]
-
-    @property
-    def max_deviation(self) -> float:
-        """Largest deviation; NaN when any deviation is NaN."""
-        devs = [c.deviation for c in self.checks]
-        return math.nan if any(map(math.isnan, devs)) else max(devs)
-
-    def passed(self, tol: float = 1e-13) -> bool:
-        """True when every deviation is finite and at most ``tol``."""
-        return math.isfinite(self.max_deviation) and self.max_deviation <= tol
-
-    def as_dict(self) -> dict:
-        return {
-            "checks": [
-                {
-                    "t": c.t,
-                    "pair": c.pair,
-                    "expected_re": c.expected.real,
-                    "expected_im": c.expected.imag,
-                    "deviation": c.deviation,
-                }
-                for c in self.checks
-            ],
-            "max_deviation": self.max_deviation,
-        }
-
-
 # the six deformed commutators: label and the two shifted operators
 _ALGEBRA_PAIRS = (
     ("[x_nc,y_nc]", Coord.X, Coord.Y),
@@ -208,34 +170,69 @@ _ALGEBRA_PAIRS = (
 )
 
 
+@dataclass(frozen=True)
+class DeformedAlgebraReport:
+    """Check table: row k is grid time ``times[k]``, column j the pair
+    ``_ALGEBRA_PAIRS[j]``, whose commutator should be ``expected[k, j]`` * identity."""
+
+    times: np.ndarray  # (n,)
+    expected: np.ndarray  # (n, 6) complex
+    deviation: np.ndarray  # (n, 6)
+
+    @property
+    def max_deviation(self) -> float:
+        """Largest deviation; NaN when any deviation is NaN."""
+        return float(np.max(self.deviation))
+
+    def passed(self, tol: float = 1e-13) -> bool:
+        """True when every deviation is finite and at most ``tol``."""
+        return math.isfinite(self.max_deviation) and self.max_deviation <= tol
+
+    def worst(self) -> dict:
+        """The first NaN check, else the first largest deviation in time-major,
+        pair order, as {"pair", "t", "deviation"}."""
+        k, j = np.unravel_index(np.argmax(self.deviation), self.deviation.shape)
+        dev = float(self.deviation[k, j])
+        return {"pair": _ALGEBRA_PAIRS[j][0], "t": float(self.times[k]), "deviation": dev}
+
+    def as_dict(self) -> dict:
+        labels = [label for label, _, _ in _ALGEBRA_PAIRS]
+        rows = zip(self.times.tolist(), self.expected.tolist(), self.deviation.tolist())
+        checks = [
+            {"t": t, "pair": label, "expected_re": e.real, "expected_im": e.imag, "deviation": dev}
+            for t, expected, deviations in rows
+            for label, e, dev in zip(labels, expected, deviations)
+        ]
+        return {"checks": checks, "max_deviation": self.max_deviation}
+
+
 def verify_nc_algebra(p: NCParams, t_grid: Sequence[float]) -> DeformedAlgebraReport:
     """Check the six deformed commutators of the Bopp-shifted operators.
 
     At each grid time the commutators are computed through the polynomial
     algebra and compared against i*theta(t), i*eta(t), i*hbar_eff and 0. One
-    commutator call takes all six pairs at GRID_BLOCK grid times.
+    commutator call fills the six columns of GRID_BLOCK rows of the table.
     """
     if len(t_grid) == 0:
         raise ValueError("t_grid must be nonempty")
     heff = hbar_eff(p)
-    labels, left, right = zip(*_ALGEBRA_PAIRS)
-    checks: list[CommutatorCheck] = []
-    for lo in range(0, len(t_grid), GRID_BLOCK):
-        ts = [float(t) for t in t_grid[lo : lo + GRID_BLOCK]]
+    _, left, right = zip(*_ALGEBRA_PAIRS)
+    times = np.array(t_grid, dtype=float)
+    expected = np.empty((len(times), len(_ALGEBRA_PAIRS)), dtype=complex)
+    deviation = np.empty(expected.shape)
+    for lo in range(0, len(times), GRID_BLOCK):
+        block = slice(lo, lo + GRID_BLOCK)
+        ts = times[block].tolist()
         ops = bopp_slots(p, ts)
         measured = ps_commutator(ops[:, left], ops[:, right], p.hbar)
-        expected = [
+        # scalar exponentials: an array np.exp may differ in the last ulp
+        expected[block] = [
             (1j * theta_of_t(p, t), 1j * eta_of_t(p, t), 1j * heff, 1j * heff, 0.0j, 0.0j)
             for t in ts
         ]
-        measured[..., 0, :, :] -= np.asarray(expected)[..., None, None] * ID2
-        deviations = residual_norms(measured).tolist()
-        for t, row, devs in zip(ts, expected, deviations):
-            checks.extend(
-                CommutatorCheck(t=t, pair=label, expected=e, deviation=dev)
-                for label, e, dev in zip(labels, row, devs)
-            )
-    return DeformedAlgebraReport(checks=tuple(checks))
+        measured[..., 0, :, :] -= expected[block, :, None, None] * ID2
+        deviation[block] = residual_norms(measured)
+    return DeformedAlgebraReport(times, expected, deviation)
 
 
 def build_h_commutative(p: NCParams) -> AffineOp:
@@ -328,7 +325,11 @@ def landau_level(p: NCParams, n: int, sign: int, t):
     """Closed-form level sign * sqrt(m^2 + 4 n hbar |f_theta f_eta|) of the
     untruncated H(t), n = 0, 1, 2, ..., at time t or at each time of an array."""
     with np.errstate(over="ignore"):  # an infinite level raises OverflowError below
-        level = sign * np.sqrt(p.m * p.m + n * np.abs(landau_gap(p, t)))
+        square = n * np.abs(landau_gap(p, t))
+        # exact scaling by 2^-k, k the larger term's exponent: m^2 cannot underflow
+        k = np.frexp(np.maximum(p.m, np.sqrt(square)))[1]
+        m = np.ldexp(p.m, -k)
+        level = sign * np.ldexp(np.sqrt(m * m + np.ldexp(square, -2 * k)), k)
     if not np.all(np.isfinite(level)):
         raise OverflowError(f"Landau level n={n} leaves the float range")
     return level

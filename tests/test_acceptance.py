@@ -64,11 +64,11 @@ def test_criterion_01_deformed_algebra():
         report = ncmodel.verify_nc_algebra(p, GRID8)
         worst = max(worst, report.max_deviation)
         assert report.max_deviation <= 1e-13
-        xp = [c for c in report.checks if c.pair == "[x_nc,px_nc]"]
+        xp = report.expected[:, 2]  # the [x_nc,px_nc] column
         heff = ncmodel.hbar_eff(p)
-        for c in xp:
-            assert c.expected == xp[0].expected  # time-independent
-            assert abs(c.expected - 1j * heff) <= 1e-14
+        for e in xp:
+            assert e == xp[0]  # time-independent
+            assert abs(e - 1j * heff) <= 1e-14
         closed = p.hbar * (1.0 + p.theta * p.eta / (4.0 * p.hbar**2))
         assert abs(heff - closed) <= 1e-14
     _report("01 deformed-algebra", f"max deviation {worst:.2e}")

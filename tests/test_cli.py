@@ -87,11 +87,14 @@ def test_verify_algebra_failure_names_the_failing_check(tmp_path, monkeypatch, c
     module, attr = target.split(".")
     owner = {"mat2": mat2, "ncmodel": ncmodel}[module]
     real = getattr(owner, attr)
+
+    def drifting(p, ts):  # every deviation 1e-6 * t
+        report = real(p, ts)
+        return dataclasses.replace(report, deviation=np.repeat(1e-6 * report.times[:, None], 6, 1))
+
     broken = {
         "verify_dirac_algebra": lambda: real(beta=2.0 * mat2.BETA),
-        "verify_nc_algebra": lambda p, ts: ncmodel.DeformedAlgebraReport(
-            tuple(dataclasses.replace(c, deviation=1e-6 * c.t) for c in real(p, ts).checks)
-        ),
+        "verify_nc_algebra": drifting,
         "dual_path_deviation": lambda p: 1e-6,
     }[attr]
     monkeypatch.setattr(owner, attr, broken)
@@ -105,9 +108,11 @@ def test_verify_algebra_nan_deviation_fails(tmp_path, monkeypatch):
     real = ncmodel.verify_nc_algebra
 
     def with_nan(*args, **kwargs):
-        checks = list(real(*args, **kwargs).checks)
-        checks[3] = ncmodel.CommutatorCheck(checks[3].t, checks[3].pair, 0j, float("nan"))
-        return ncmodel.DeformedAlgebraReport(checks=tuple(checks))
+        report = real(*args, **kwargs)
+        # check 3: the first time row, the pair in column 3
+        report.expected[0, 3] = 0j
+        report.deviation[0, 3] = float("nan")
+        return report
 
     monkeypatch.setattr(ncmodel, "verify_nc_algebra", with_nan)
     assert run(tmp_path, "verify-algebra") == 1
@@ -132,11 +137,23 @@ def test_json_report_bytes_match_json_dump(tmp_path):
     payload["extra"] = {"inf": -math.inf, "pass": False, "empty": [], "text": "aé"}
     cli._dump_json(tmp_path / "one_write.json", payload)
     with open(tmp_path / "json_dump.json", "w") as fh:
-        json.dump(cli._finite_or_null(payload), fh, indent=2, sort_keys=True, allow_nan=False)
+        json.dump(cli._finite_or_null(payload), fh, sort_keys=True, allow_nan=False)
         fh.write("\n")
     got = (tmp_path / "one_write.json").read_bytes()
     assert got == (tmp_path / "json_dump.json").read_bytes()
     assert json.loads(got)["checks"][5]["deviation"] is None
+
+
+def test_json_artifacts_are_one_deterministic_line(tmp_path):
+    # one config in two directories: the same bytes, one line of strict JSON
+    argv = ["verify-algebra", "--theta=0.1", "--eta=0.05", "--gamma=0.2"]
+    assert run(tmp_path / "a", *argv) == 0
+    assert run(tmp_path / "b", *argv) == 0
+    text = (tmp_path / "a" / "algebra_report.json").read_bytes()
+    assert text == (tmp_path / "b" / "algebra_report.json").read_bytes()
+    assert text.endswith(b"\n") and text.count(b"\n") == 1
+    report = json.loads(text, parse_constant=reject_constant)
+    assert len(report["deformed_algebra"]["checks"]) == 6 * 16
 
 
 def test_invariant_commutative(tmp_path):
@@ -286,7 +303,12 @@ def test_evolve_exits_1_when_the_level_pick_is_ambiguous(tmp_path, capsys):
     # levels +-m 2e-300 apart, far closer than any Ritz accuracy: which one
     # the state follows means nothing
     assert run(tmp_path / "tiny-m", "evolve", "--m=1e-300", "--fock_N=8", "--t1=0.01") == 1
-    assert "the tracked level is not resolved" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert "the tracked level is not resolved" in err
+    # the n = 0 (+) level is m, not the 0 of an underflowing m^2
+    assert "Landau level n=0 (+)" in out
+    rows = list(csv.reader((tmp_path / "tiny-m" / "evolution.csv").open()))
+    assert {float(row[-1]) for row in rows[1:]} == {1e-300}
     # the README run resolves its level to a ratio of about 2e-6
     assert run(tmp_path / "readme", "evolve", "--theta=0.1", "--eta=0.05", "--gamma=0.2") == 0
     assert "not resolved" not in capsys.readouterr().err

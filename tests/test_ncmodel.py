@@ -15,6 +15,8 @@ from ncdirac.ncmodel import NCParams
 from ncdirac.phasepoly import Coord, PhasePoly, commutator
 
 GRID = np.linspace(0.0, 2.0, 8)
+# the columns of the deformed-algebra check table
+PAIRS = ["[x_nc,y_nc]", "[px_nc,py_nc]", "[x_nc,px_nc]", "[y_nc,py_nc]", "[x_nc,py_nc]", "[y_nc,px_nc]"]
 
 
 def shifted(p, t):
@@ -103,22 +105,34 @@ def test_bopp_scales_values():
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_algebra_report_fails_on_non_finite_deviation(bad):
     # the non-finite deviation is not the first check, where max() would drop a NaN
-    checks = tuple(
-        ncmodel.CommutatorCheck(t=0.0, pair=pair, expected=0j, deviation=dev)
-        for pair, dev in (("[x_nc,y_nc]", 1e-16), ("[x_nc,px_nc]", bad), ("[y_nc,py_nc]", 0.0))
-    )
-    report = ncmodel.DeformedAlgebraReport(checks=checks)
+    deviation = np.array([[1e-16, 0.0, bad, 0.0, 0.0, 0.0]])
+    report = ncmodel.DeformedAlgebraReport(np.zeros(1), np.zeros((1, 6), complex), deviation)
     assert not report.passed()
     assert not report.max_deviation <= 1e-13
+
+
+def test_algebra_report_worst_check():
+    # the first largest deviation in time-major, pair order; a NaN before all
+    times = np.array([0.0, 0.5, 1.0])
+    deviation = np.array([[0.0, 2e-16, 0.0, 0.0, 0.0, 0.0],
+                          [0.0, 0.0, 0.0, 3e-16, 0.0, 0.0],
+                          [0.0, 0.0, 0.0, 0.0, 3e-16, 0.0]])
+    report = ncmodel.DeformedAlgebraReport(times, np.zeros((3, 6), complex), deviation)
+    assert report.worst() == {"pair": "[y_nc,py_nc]", "t": 0.5, "deviation": 3e-16}
+    deviation[1, 0], deviation[2, 5] = math.inf, math.nan
+    worst = report.worst()
+    assert (worst["pair"], worst["t"]) == ("[y_nc,px_nc]", 1.0) and math.isnan(worst["deviation"])
+    assert math.isnan(report.max_deviation)
 
 
 def test_verify_nc_algebra_values():
     p = NCParams(theta=0.1, eta=0.05, gamma=0.2)
     report = ncmodel.verify_nc_algebra(p, [1.0])
-    by_pair = {c.pair: c for c in report.checks}
-    assert by_pair["[x_nc,y_nc]"].expected == pytest.approx(1j * 0.1 * math.exp(0.2))
-    assert abs(by_pair["[x_nc,y_nc]"].expected - 0.122140j) < 1e-6
-    assert by_pair["[x_nc,px_nc]"].expected == pytest.approx(1.00125j)
+    by_pair = dict(zip(PAIRS, report.expected[0]))
+    assert by_pair["[x_nc,y_nc]"] == pytest.approx(1j * 0.1 * math.exp(0.2))
+    assert abs(by_pair["[x_nc,y_nc]"] - 0.122140j) < 1e-6
+    assert by_pair["[x_nc,px_nc]"] == pytest.approx(1.00125j)
+    assert [c["pair"] for c in report.as_dict()["checks"]] == PAIRS
     assert report.max_deviation <= 1e-14
 
 
@@ -143,16 +157,16 @@ def test_verify_nc_algebra_against_string_oracle():
 def test_nc_commutator_time_independent_for_xp_pair():
     p = NCParams(theta=0.1, eta=0.05, gamma=0.7)
     report = ncmodel.verify_nc_algebra(p, GRID)
-    xp = [c for c in report.checks if c.pair == "[x_nc,px_nc]"]
+    xp = report.expected[:, PAIRS.index("[x_nc,px_nc]")]
     assert len(xp) == len(GRID)
-    assert all(c.expected == xp[0].expected for c in xp)
+    assert all(e == xp[0] for e in xp)
     assert report.max_deviation <= 1e-14
 
 
 def test_commutative_limit_recovers_canonical_relations():
     p = NCParams(theta=0.0, eta=0.0)
     report = ncmodel.verify_nc_algebra(p, GRID)
-    by_pair = {c.pair: c.expected for c in report.checks}
+    by_pair = dict(zip(PAIRS, report.expected[-1]))
     assert by_pair["[x_nc,y_nc]"] == 0.0
     assert by_pair["[px_nc,py_nc]"] == 0.0
     assert by_pair["[x_nc,px_nc]"] == 1j * p.hbar
@@ -284,6 +298,13 @@ def test_time_forms_accept_arrays():
     for k, t in enumerate(ts):
         assert ncmodel.landau_level(p, 2, -1, float(t)) == pytest.approx(-math.sqrt(1.0 + 2 * gap[k]), rel=1e-15)
     assert isinstance(ncmodel.theta_of_t(p, 0.5), float)
+
+
+def test_landau_level_of_a_tiny_mass_does_not_underflow():
+    # m^2 underflows to 0 for |m| below about 1.5e-154; the levels keep +-m
+    p = NCParams(m=1e-300)
+    assert ncmodel.landau_level(p, 0, -1, 0.0) == -1e-300
+    assert ncmodel.level_spacing(p, 0, 0.0) == 2e-300
 
 
 def test_landau_level_off_the_float_range_raises():
