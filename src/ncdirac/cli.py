@@ -197,7 +197,10 @@ def _finite_or_null(value):
 def _dump_json(path: Path, payload: dict) -> None:
     """Strict JSON on one line, keys sorted, a NaN or infinity written as null.
     Without ``indent`` json.dumps runs its C encoder; one write, not one per token."""
-    text = json.dumps(_finite_or_null(payload), sort_keys=True, allow_nan=False)
+    try:
+        text = json.dumps(payload, sort_keys=True, allow_nan=False)
+    except ValueError:  # a non-finite float: only then walk the payload
+        text = json.dumps(_finite_or_null(payload), sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
         fh.write(text + "\n")
 
@@ -386,16 +389,22 @@ def track_level(
     sample. The truncation diagnostic is the distance from E_n to the nearest
     Ritz value, with that value's residual, from this run and from one
     Lanczos run from psi(t1) under H(t1); the level spacing at both ends
-    says whether that distance still names one level.
+    says whether that distance still names one level. When one generator
+    served the whole evolution and H(t0) and H(t1) are that generator,
+    psi(t1) = exp(-i H (t1 - t0)) psi(t0) has the spectral measure of psi(t0)
+    under the same H, so the t0 run serves t1 as well.
     """
     ends = (0, len(evolved.times) - 1)
-    spectra = [
-        fockevolve.spectral_weights(
-            fockevolve.operator(h.at(float(evolved.times[k])), rep), evolved.state(k)
-        )
-        for k in ends
-    ]
-    t0 = float(evolved.times[0])
+    t0, t1 = (float(evolved.times[k]) for k in ends)
+
+    def spectrum(k: int, t: float) -> fockevolve.Spectrum:
+        return fockevolve.spectral_weights(fockevolve.operator(h.at(t), rep), evolved.state(k))
+
+    first = spectrum(0, t0)
+    constant = evolved.generator is not None and (
+        evolved.generator == tuple(h.value(t0)) == tuple(h.value(t1))
+    )
+    spectra = [first, first if constant else spectrum(ends[1], t1)]
     shares: dict[tuple[int, int], float] = {}
     for ritz, weight in zip(spectra[0].ritz, spectra[0].weight):
         level = ncmodel.nearest_landau_level(p, t0, float(ritz))

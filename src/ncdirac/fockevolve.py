@@ -63,11 +63,13 @@ class FockRep:
 def dense_bytes(N: int, n_t: int) -> int:
     """Estimated storage of the complex arrays an evolve run on the N-level
     truncation (dimension 2 N^2) over n_t samples holds at its peak, in the
-    worst case that every sample is stored as a row (a generator that changes
-    every step): the stored states, the KRYLOV_MAX + 1 Lanczos basis vectors
-    and BLOCK_IMAGES arrays the size of a block of BLOCK_ROWS states in the
-    observables pass. A run kept in its Lanczos space holds at most
-    KRYLOV_MAX + 1 coefficients per sample and one basis, far less."""
+    worst case that every sample is stored as a row: the stored states, the
+    KRYLOV_MAX + 1 Lanczos basis vectors and BLOCK_IMAGES arrays the size of
+    a block of BLOCK_ROWS states in the observables pass. The worst case is
+    reached by a generator that changes every step, and by a constant one
+    whenever each Lanczos space resolves no more samples than it has vectors
+    (a long dt): such spaces are stored as rows too. Only a space that
+    resolves more is kept as coefficients on its basis."""
     return 16 * 2 * N * N * (n_t + KRYLOV_MAX + 1 + BLOCK_IMAGES * BLOCK_ROWS)
 
 
@@ -173,10 +175,13 @@ class Segment:
 
 @dataclass(frozen=True)
 class EvolvedState:
-    """A unitary evolution sampled on a uniform grid, held as segments."""
+    """A unitary evolution sampled on a uniform grid, held as segments.
+    ``generator`` is the coefficient tuple of H when one generator served
+    every step (the same midpoint coefficients throughout), else None."""
 
     times: np.ndarray
     segments: tuple[Segment, ...]
+    generator: tuple | None = None
 
     def state(self, k: int) -> np.ndarray:
         """The state at times[k], 0 <= k < len(times), read off its segment."""
@@ -220,21 +225,22 @@ def _check_uniform(t_grid: np.ndarray) -> float:
 
 def _lanczos(
     g: Callable[[np.ndarray], np.ndarray], psi: np.ndarray
-) -> Iterator[tuple[np.ndarray, np.ndarray, float]]:
+) -> Iterator[tuple[np.ndarray, np.ndarray, float, bool]]:
     """Lanczos recurrence of the Hermitian G, given by its action g, from psi.
 
     After step j it yields the orthonormal basis v_0..v_j (rows), the
-    projected tridiagonal T = V^dag G V of size j + 1, and the norm beta of
-    the next residual vector. The basis is kept orthonormal by full
-    reorthogonalization (two classical Gram-Schmidt passes), so T stays
-    faithful. The recurrence stops after KRYLOV_MAX vectors, after psi.size
-    vectors, or when the residual keeps less than KRYLOV_TOL of the norm of
-    G v_j: the space is then invariant under G.
+    projected tridiagonal T = V^dag G V of size j + 1, the norm beta of the
+    next residual vector, and whether v_j is the last vector. The basis is
+    kept orthonormal by full reorthogonalization (two classical Gram-Schmidt
+    passes), so T stays faithful. The recurrence stops after KRYLOV_MAX
+    vectors, after psi.size vectors, or when the residual keeps less than
+    KRYLOV_TOL of the norm of G v_j: the space is then invariant under G.
     """
     basis = np.empty((KRYLOV_MAX + 1, psi.size), dtype=complex)
     basis[0] = psi / np.linalg.norm(psi)
     t = np.zeros((KRYLOV_MAX + 1, KRYLOV_MAX + 1))
-    for j in range(min(KRYLOV_MAX, psi.size)):
+    limit = min(KRYLOV_MAX, psi.size)
+    for j in range(limit):
         v = basis[: j + 1]
         w = g(basis[j])
         image = np.linalg.norm(w)
@@ -243,8 +249,9 @@ def _lanczos(
             w -= overlap @ v
             t[j, j] += overlap[j].real
         beta = np.linalg.norm(w)
-        yield v, t[: j + 1, : j + 1], beta
-        if beta <= KRYLOV_TOL * image:
+        last = j + 1 == limit or beta <= KRYLOV_TOL * image
+        yield v, t[: j + 1, : j + 1], beta, last
+        if last:
             return
         basis[j + 1] = w / beta
         t[j, j + 1] = t[j + 1, j] = beta
@@ -269,7 +276,7 @@ def _resolved(tau: float, lo: int, hi: int, lam: np.ndarray, s: np.ndarray, beta
 
 
 def _krylov_run(
-    g: Callable[[np.ndarray], np.ndarray], psi: np.ndarray, tau: float, n: int
+    g: Callable[[np.ndarray], np.ndarray], psi: np.ndarray, tau: float, n: int, size: int
 ) -> Segment:
     """The samples exp(-i G k tau) psi, k = 1, 2, ..., n, that one Lanczos
     space of psi resolves, as coefficients C = (beta0 e^{-i lambda k tau} s0) s^T
@@ -278,9 +285,14 @@ def _krylov_run(
     The space grows until it resolves the last sample and every sample before
     it; a space that ends first keeps the samples up to the first it leaves
     unresolved, so none when not even the first. The samples keep the norm
-    beta0 of psi.
+    beta0 of psi. ``size`` is the previous run's space size: spaces of fewer
+    than size - 1 vectors are not checked (no T is diagonalized), except on
+    the last vector the recurrence yields. Skipping checks can only enlarge
+    the space, so no unresolved sample is kept.
     """
-    for v, t, beta in _lanczos(g, psi):
+    for v, t, beta, last in _lanczos(g, psi):
+        if len(v) < size - 1 and not last:
+            continue
         lam, s = np.linalg.eigh(t)
         if _resolved(tau, n - 1, n, lam, s, beta):
             resolved = _resolved(tau, 0, n - 1, lam, s, beta) + 1
@@ -293,24 +305,29 @@ def _krylov_run(
 
 
 def krylov_step(
-    g: Callable[[np.ndarray], np.ndarray], psi: np.ndarray, dt: float, n: int
+    g: Callable[[np.ndarray], np.ndarray], psi: np.ndarray, dt: float, n: int, size: int
 ) -> Iterator[Segment]:
     """Yield exp(-i G k dt) psi, k = 1..n, as consecutive segments, for a
     Hermitian generator given as its action g: v -> G v, by Lanczos (Park &
     Light, J. Chem. Phys. 85, 5870 (1986)). Each Lanczos space serves every
-    sample it resolves and the next starts from the last of them. A step that
-    no space of KRYLOV_MAX vectors resolves is split into equal sub-steps,
-    halving until each converges, so any dt is reached; its sample is yielded
-    as a stored row.
+    sample it resolves and the next starts from the last of them. ``size`` is
+    the number of vectors of the Lanczos space before the first (0 for
+    none); each run skips the checks of spaces more than one vector smaller
+    than its predecessor's, since consecutive runs need about the same space.
+    A yielded segment with coefficients carries its space as its basis. A
+    step that no space of KRYLOV_MAX vectors resolves is split into equal
+    sub-steps, halving until each converges, so any dt is reached; its sample
+    is yielded as a stored row.
     """
     done = 0
     while done < n:
-        segment = _krylov_run(g, psi, dt, n - done)
+        segment = _krylov_run(g, psi, dt, n - done, size)
+        size = len(segment.basis)
         if not segment.size:
             remaining, tau = dt, dt
             while remaining > 0.0:
                 tau = min(tau, remaining)
-                sub = _krylov_run(g, psi, tau, 1)
+                sub = _krylov_run(g, psi, tau, 1, 0)
                 if sub.size:
                     psi, remaining = sub.row(0), remaining - tau
                 elif tau > dt * 2.0**-60:  # bounded, so a NaN estimate cannot loop forever
@@ -340,7 +357,7 @@ def spectral_weights(g: Callable[[np.ndarray], np.ndarray], psi: np.ndarray) -> 
     carried by one Ritz value near its weighted mean. G has an eigenvalue
     within ``residual[i]`` of every ``ritz[i]``.
     """
-    for _, t, beta in _lanczos(g, psi):
+    for _, t, beta, _ in _lanczos(g, psi):
         pass
     lam, s = np.linalg.eigh(t)
     return Spectrum(lam, np.abs(s[0]) ** 2, beta * np.abs(s[-1]))
@@ -358,14 +375,16 @@ def evolve(
     time-ordering error. Consecutive steps with equal midpoint coefficients
     of H form a run of one generator, which ``krylov_step`` propagates from
     the run's first state: a constant generator is one run over the grid, a
-    changing one a run per step. The per-mode blocks of H's fixed parts are
-    built once and combined per run; no generator-sized matrix is built or
-    decomposed. A Lanczos space that resolves more samples than it has
-    vectors is kept as a segment of coefficients on its basis; the samples
-    of every other space are stored as rows, consecutive stored rows joined
-    into segments of at least BLOCK_ROWS rows, so that joining never holds a
-    second copy of more than a block. ``EvolvedState.state`` reads any one
-    sample.
+    changing one a run per step. Each run is handed the Lanczos size of the
+    run before it, below which ``krylov_step`` skips its checks. A single
+    run's coefficients are kept as ``EvolvedState.generator``. The per-mode
+    blocks of H's fixed parts are built once and combined per run; no
+    generator-sized matrix is built or decomposed. A Lanczos space that
+    resolves more samples than it has vectors is kept as a segment of
+    coefficients on its basis; the samples of every other space are stored
+    as rows, consecutive stored rows joined into segments of at least
+    BLOCK_ROWS rows, so that joining never holds a second copy of more than
+    a block. ``EvolvedState.state`` reads any one sample.
     """
     ts = np.asarray(t_grid, dtype=float)
     dt = _check_uniform(ts)
@@ -378,10 +397,13 @@ def evolve(
 
     parts = _mode_blocks(h.polys, rep)
     segments, stored = [], [psi[None]]
+    runs, size = 0, 0
     for coeffs, run in groupby(tuple(h.value(float(t) + 0.5 * dt)) for t in ts[:-1]):
-        n = sum(1 for _ in run)
+        n, runs = sum(1 for _ in run), runs + 1
         g = _block_action(np.tensordot(coeffs, parts, 1), rep)
-        for segment in krylov_step(g, psi, dt, n):
+        for segment in krylov_step(g, psi, dt, n, size):
+            if segment.coeffs is not None:
+                size = len(segment.basis)
             projected = segment.coeffs is not None and segment.size > len(segment.basis)
             if not projected:
                 stored.append(segment.rows())
@@ -393,7 +415,7 @@ def evolve(
             psi = segment.row(-1)
     if stored:
         segments.append(Segment(np.concatenate(stored)))
-    return EvolvedState(ts, tuple(segments))
+    return EvolvedState(ts, tuple(segments), coeffs if runs == 1 else None)
 
 
 @dataclass(frozen=True)

@@ -144,6 +144,36 @@ def test_json_report_bytes_match_json_dump(tmp_path):
     assert json.loads(got)["checks"][5]["deviation"] is None
 
 
+@pytest.mark.parametrize("finite", [True, False], ids=["finite", "non-finite"])
+def test_json_dump_walks_only_a_non_finite_payload(tmp_path, monkeypatch, finite):
+    # the payload is encoded as it is first; only a NaN or an infinity sends
+    # it through the walk, and either way the bytes are those of the walked
+    # payload's encoding
+    payload = {
+        "b": (np.float64(0.1), 2, -3e-300, [1e308, {"z": None, "a": True}]),
+        "a": {"text": "aé", "empty": [], "x": 5e-324},
+    }
+    if not finite:
+        payload["a"]["nan"] = float("nan")
+        payload["b"][3].append(-math.inf)
+    want = json.dumps(cli._finite_or_null(payload), sort_keys=True, allow_nan=False) + "\n"
+    walks = []
+    walk = cli._finite_or_null
+
+    def recording(value):
+        walks.append(value)
+        return walk(value)
+
+    monkeypatch.setattr(cli, "_finite_or_null", recording)
+    cli._dump_json(tmp_path / "out.json", payload)
+    got = (tmp_path / "out.json").read_text()
+    assert got == want
+    assert walks[:1] == ([] if finite else [payload])  # the walk recurses through the patch
+    if not finite:
+        parsed = json.loads(got, parse_constant=reject_constant)
+        assert parsed["a"]["nan"] is None and parsed["b"][3][-1] is None
+
+
 def test_json_artifacts_are_one_deterministic_line(tmp_path):
     # one config in two directories: the same bytes, one line of strict JSON
     argv = ["verify-algebra", "--theta=0.1", "--eta=0.05", "--gamma=0.2"]

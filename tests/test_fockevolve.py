@@ -30,6 +30,7 @@ from ncdirac.phasepoly import AffineOp, Coord, PhasePoly, commutator
 from oracle import ehrenfest_drift, represent
 
 COMMUTATIVE = NCParams()
+README = NCParams(theta=0.1, eta=0.05, gamma=0.2)
 
 
 def coordinate(c, rep):
@@ -222,9 +223,9 @@ def count_calls(monkeypatch, rep):
 
         return wrapped
 
-    def counting_step(g, psi, dt, n):
+    def counting_step(g, psi, dt, n, size):
         runs.append(n)
-        return step(g, psi, dt, n)
+        return step(g, psi, dt, n, size)
 
     def counting_lanczos(g, psi):
         spaces.append(psi.size)
@@ -340,7 +341,7 @@ def test_krylov_step_matches_dense_exponential(case, norm_dt):
     # so it exercises the sub-stepping
     g, psi = case()
     dt = norm_dt / np.linalg.norm(g, 2)
-    got = np.concatenate([seg.rows() for seg in krylov_step(partial(np.matmul, g), psi, dt, 1)])
+    got = np.concatenate([seg.rows() for seg in krylov_step(partial(np.matmul, g), psi, dt, 1, 0)])
     assert got.shape == (1, psi.size)
     assert np.max(np.abs(got[0] - dense_exponential(g, psi, dt))) <= 1e-12
     assert abs(np.linalg.norm(got[0]) - 1.0) <= 1e-13
@@ -371,6 +372,145 @@ def test_spectral_weights_residual_bounds_distance_to_spectrum():
     assert abs(spectrum.weight.sum() - 1.0) <= 1e-13
     for ritz, residual in zip(spectrum.ritz, spectrum.residual):
         assert np.min(np.abs(w - ritz)) <= residual + 1e-12
+
+
+def count_spectral_runs(monkeypatch):
+    """Record the state size of each spectral_weights call."""
+    runs = []
+    spectral = fockevolve.spectral_weights
+
+    def counting(g, psi):
+        runs.append(psi.size)
+        return spectral(g, psi)
+
+    monkeypatch.setattr(fockevolve, "spectral_weights", counting)
+    return runs
+
+
+def switching(h, before, after, inside):
+    """h's parts with coefficients ``after`` where ``inside(t)``, else ``before``."""
+    return AffineOp(
+        h.polys,
+        value=lambda t: after if inside(t) else before,
+        derivative=lambda t: (0.0,) * len(before),
+    )
+
+
+STATIONARY = NCParams(theta=0.1, eta=0.05)
+H_STATIONARY = ncmodel.build_h_nc(STATIONARY)
+START = H_STATIONARY.value(0.0)
+SCALED = tuple(1.5 * c for c in START)
+
+
+@pytest.mark.parametrize(
+    "p, h, t0",
+    [
+        (COMMUTATIVE, ncmodel.build_h_nc(COMMUTATIVE), 0.0),
+        (STATIONARY, H_STATIONARY, 0.0),
+        (STATIONARY, H_STATIONARY, -0.25),
+    ],
+    ids=["commutative", "stationary", "negative-t0"],
+)
+def test_track_level_reuses_the_t0_spectrum_for_a_constant_generator(monkeypatch, p, h, t0):
+    # psi(t1) = exp(-i H (t1 - t0)) psi(t0) has psi(t0)'s spectral measure
+    # under the one H: a single Lanczos run gives both ends' figures
+    rep = build_fock_rep(8, lrsolve.magnetic_length(p))
+    ev = evolve(h, rep, coherent_state(rep, alpha_x=1.0), np.linspace(t0, t0 + 0.5, 51))
+    assert ev.generator == tuple(h.value(t0))
+    runs = count_spectral_runs(monkeypatch)
+    track = track_level(p, h, rep, ev)
+    assert len(runs) == 1
+    assert track.error[0] == track.error[1] and track.residual[0] == track.residual[1]
+    # a second run from psi(t1) gives the same spectrum up to rounding
+    again = spectral_weights(operator(h.at(t0 + 0.5), rep), ev.state(50))
+    first = spectral_weights(operator(h.at(t0), rep), ev.state(0))
+    assert np.max(np.abs(again.ritz - first.ritz)) <= 1e-11
+    assert np.max(np.abs(again.weight - first.weight)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "p, h",
+    [
+        (README, ncmodel.build_h_nc(README)),
+        (STATIONARY, switching(H_STATIONARY, START, SCALED, lambda t: 0.2 < t < 0.4)),
+        (STATIONARY, switching(H_STATIONARY, START, SCALED, lambda t: t >= 0.5)),
+    ],
+    ids=["readme", "ends-agree-midpoints-change", "one-run-other-end"],
+)
+def test_track_level_runs_at_both_ends_unless_one_generator_holds_throughout(monkeypatch, p, h):
+    # a changing generator, three runs whose ends agree, and one run whose
+    # last grid point has other coefficients: psi(t1) gets its own run
+    rep = build_fock_rep(8, lrsolve.magnetic_length(p))
+    ev = evolve(h, rep, coherent_state(rep, alpha_x=1.0), np.linspace(0.0, 0.5, 51))
+    runs = count_spectral_runs(monkeypatch)
+    track_level(p, h, rep, ev)
+    assert len(runs) == 2
+
+
+def test_changing_steps_check_from_the_previous_lanczos_size(monkeypatch):
+    # the first step checks every vector; each later step starts checking one
+    # vector below the previous step's size (6 of 6 or 7 here), and every
+    # sample still matches the dense midpoint propagator
+    rep = build_fock_rep(8, lrsolve.magnetic_length(README))
+    h = ncmodel.build_h_nc(README)
+    psi = coherent_state(rep, alpha_x=1.0)
+    times = np.linspace(0.0, 0.5, 51)
+    sizes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: sizes.append(len(m)) or eigh(m))
+    ev = evolve(h, rep, psi, times)
+    monkeypatch.undo()
+    assert sizes == [1, 2, 3, 4, 5, 6, 7] + [6, 7] * 49
+    dt = times[1] - times[0]
+    want = [psi]
+    for t in times[:-1]:
+        want.append(dense_exponential(represent(h.at(t + 0.5 * dt), rep), want[-1], dt))
+    assert np.max(np.abs(ev.states - np.array(want))) <= 1e-12
+
+
+def eigenstate():
+    g = np.diag(np.arange(1.0, 9.0)).astype(complex)
+    return g, np.eye(8, dtype=complex)[3]
+
+
+def fock_2():
+    # dimension 8 < KRYLOV_MAX; H has four doubly degenerate levels, so the
+    # Krylov space of a generic state is invariant after four vectors
+    rep = build_fock_rep(2, lrsolve.magnetic_length(README))
+    psi = np.array([1.0, 1j]) @ np.random.default_rng(3).normal(size=(2, rep.dim))
+    return represent(ncmodel.build_h_nc(README).at(0.3), rep), psi / np.linalg.norm(psi)
+
+
+def random_8():
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    psi = rng.normal(size=8) + 1j * rng.normal(size=8)
+    return a + a.conj().T, psi / np.linalg.norm(psi)
+
+
+@pytest.mark.parametrize(
+    "case, vectors", [(eigenstate, 1), (fock_2, 4), (random_8, 8), (td_generator, KRYLOV_MAX)]
+)
+def test_lanczos_says_which_vector_is_last(case, vectors):
+    g, psi = case()
+    last = [flag for *_, flag in fockevolve._lanczos(partial(np.matmul, g), psi)]
+    assert last == [False] * (vectors - 1) + [True]
+
+
+@pytest.mark.parametrize("case", [eigenstate, fock_2, random_8])
+def test_a_run_that_ends_early_checks_its_last_vector(monkeypatch, case):
+    # a previous size above any space this recurrence reaches: every check but
+    # the one on the last vector is skipped, and all samples are resolved
+    g, psi = case()
+    dt = 0.05
+    sizes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: sizes.append(len(m)) or eigh(m))
+    segments = list(krylov_step(partial(np.matmul, g), psi, dt, 20, KRYLOV_MAX + 1))
+    monkeypatch.undo()
+    assert len(sizes) == 1 and [seg.size for seg in segments] == [20]
+    want = [dense_exponential(g, psi, k * dt) for k in range(1, 21)]
+    assert np.max(np.abs(segments[0].rows() - np.array(want))) <= 1e-12
 
 
 def test_edge_weight_matches_interior_projector():
@@ -404,8 +544,6 @@ def dense_level_pick(p, rep, h, psi):
     levels = [(n, s) for n in range(4 * rep.N) for s in (1, -1)]
     return min(levels, key=lambda ns: abs(e - ns[1] * math.sqrt(p.m**2 + ns[0] * gap)))
 
-
-README = NCParams(theta=0.1, eta=0.05, gamma=0.2)
 
 
 @pytest.mark.parametrize("n", [8, 10, 12])
