@@ -2,12 +2,14 @@
 phase-exponent coefficients of the trial solution, plus the accumulated
 dynamical phase.
 
-State-vector convention for the ODE system: y = (xi1, xi2, xi3, xi4, F1, F2),
-all complex, along the first axis; further axes run over times. The envelope
+State-vector convention for the ODE system: y = (xi1, xi2, F1, F2), all
+complex, along the first axis; further axes run over times. The envelope
 components are pure phase rotations F1 = e^{-i m t + q1}, F2 = e^{+i m t + q2};
-xi1 and xi2 are locked together by xi1 = i*xi2; xi3, xi4 are constants of the
-motion. RK4 steps only the envelope sequentially, in Python scalars; each RK4
-stage of xi1, xi2 is one flow_rhs call over all steps.
+xi1 and xi2 are locked together by xi1 = i*xi2. The quadratic coefficients
+xi3, xi4 of the trial phase are constants of the motion, so the system leaves
+them out; only the solution-form oracles below take them. RK4 steps only the
+envelope sequentially, in Python scalars; each RK4 stage of xi1, xi2 is one
+flow_rhs call over all steps.
 """
 
 from __future__ import annotations
@@ -68,39 +70,38 @@ def xi_closed(p: NCParams, t):
 
 # -- ODE system ---------------------------------------------------------------
 
-_IDX = {"xi1": 0, "xi2": 1, "xi3": 2, "xi4": 3, "F1": 4, "F2": 5}
-#: peak bytes integrate_rk4 holds per time sample: four 6-component complex
+_IDX = {"xi1": 0, "xi2": 1, "F1": 2, "F2": 3}
+#: peak bytes integrate_rk4 holds per time sample: four 4-component complex
 #: states (closed, integrated, stage, flow_rhs output), temporaries and slack
-ROW_BYTES = 464
+ROW_BYTES = 336
 
 
 def flow_rhs(p: NCParams, t, y: np.ndarray) -> np.ndarray:
-    """Right-hand side of the coupled system on y = (xi1..xi4, F1, F2) along
+    """Right-hand side of the coupled system on y = (xi1, xi2, F1, F2) along
     the first axis; t and the trailing axes of y may run over times:
 
     dF1/dt = -i m F1, dF2/dt = +i m F2,
-    dxi1/dt = -i f_eta(t) F2/F1, dxi2/dt = -f_eta(t) F2/F1,
-    dxi3/dt = dxi4/dt = 0.
+    dxi1/dt = -i f_eta(t) F2/F1, dxi2/dt = -f_eta(t) F2/F1.
     """
-    f1 = y[4]
-    f2 = y[5]
+    f1 = y[2]
+    f2 = y[3]
     if np.any(f1 == 0):
         raise ZeroDivisionError("envelope component F1 vanished")
     ratio = f2 / f1
     fe = f_eta(p, t)
-    out = np.zeros(np.shape(y), dtype=complex)
+    out = np.empty(np.shape(y), dtype=complex)
     out[0] = -1j * fe * ratio
     out[1] = -fe * ratio
-    out[4] = -1j * p.m * f1
-    out[5] = 1j * p.m * f2
+    out[2] = -1j * p.m * f1
+    out[3] = 1j * p.m * f2
     return out
 
 
-def closed_state(p: NCParams, t, xi3: complex = 0.0, xi4: complex = 0.0) -> np.ndarray:
-    """Closed-form state vector at time t, or (6, len(t)) over an array of times."""
+def closed_state(p: NCParams, t) -> np.ndarray:
+    """Closed-form state vector at time t, or (4, len(t)) over an array of times."""
     x1, x2 = xi_closed(p, t)
     g1, g2 = f_closed(p, t)
-    return np.array(np.broadcast_arrays(x1, x2, complex(xi3), complex(xi4), g1, g2))
+    return np.array(np.broadcast_arrays(x1, x2, g1, g2))
 
 
 @dataclass(frozen=True)
@@ -108,19 +109,12 @@ class Trajectory:
     """RK4 trajectory with its deviations from the closed forms alongside."""
 
     times: np.ndarray
-    states: np.ndarray  # (6, n) complex, integrated
-    deviation: np.ndarray  # (6, n) |integrated - closed form|
+    states: np.ndarray  # (4, n) complex, integrated
+    deviation: np.ndarray  # (4, n) |integrated - closed form|
     max_deviation: dict[str, float]
 
 
-def integrate_rk4(
-    p: NCParams,
-    t0: float,
-    t1: float,
-    dt: float,
-    xi3: complex = 0.0,
-    xi4: complex = 0.0,
-) -> Trajectory:
+def integrate_rk4(p: NCParams, t0: float, t1: float, dt: float) -> Trajectory:
     """Classical RK4 on the coupled system, seeded with the closed forms at t0.
 
     The autonomous, linear envelope (F1, F2) is stepped first, in one loop of
@@ -139,11 +133,11 @@ def integrate_rk4(
     n_steps = max(1, int(round((t1 - t0) / dt)))
     h = (t1 - t0) / n_steps
     times = t0 + h * np.arange(n_steps + 1)
-    closed = closed_state(p, times, xi3, xi4)
+    closed = closed_state(p, times)
     states = np.zeros_like(closed)
-    states[4:, 0] = closed[4:, 0]
+    states[2:, 0] = closed[2:, 0]
     rates = np.array([-1j * p.m, 1j * p.m])
-    for env, a in zip(states[4:], rates.tolist()):
+    for env, a in zip(states[2:], rates.tolist()):
         f = complex(env[0])
         for k in range(1, n_steps + 1):
             k1 = a * f
@@ -151,20 +145,19 @@ def integrate_rk4(
             k3 = a * (f + 0.5 * h * k2)
             k4 = a * (f + h * k3)
             env[k] = f = f + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(states[4:])):
+    if not np.all(np.isfinite(states[2:])):
         raise OverflowError("the RK4 envelope leaves the float range")
     # stage j (time offset c_j steps, weight w_j) has the envelope F_k s_j,
     # s_j = 1 + c_j h a s_{j-1} with s_0 = 1
-    stage = np.zeros((6, n_steps), dtype=complex)
+    stage = np.zeros((4, n_steps), dtype=complex)
     factor = np.ones(2, dtype=complex)
     for offset, weight in ((0.0, 1.0), (0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
         factor = 1.0 + offset * h * rates * factor
-        np.multiply(states[4:, :-1], factor[:, None], out=stage[4:])
+        np.multiply(states[2:, :-1], factor[:, None], out=stage[2:])
         states[:2, 1:] += weight * flow_rhs(p, times[:-1] + offset * h, stage)[:2]
     states[:2, 1:] *= h / 6.0
     states[:2, 0] = closed[:2, 0]
     np.cumsum(states[:2], axis=1, out=states[:2])
-    states[2:4] = closed[2:4]
     deviation = np.abs(np.subtract(states, closed, out=closed))
     max_dev = {name: float(deviation[k].max()) for name, k in _IDX.items()}
     return Trajectory(times=times, states=states, deviation=deviation, max_deviation=max_dev)
@@ -172,13 +165,12 @@ def integrate_rk4(
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """CSV export: t, Re/Im of xi1, xi2, F1, F2, and closed-form deviations."""
-    names = ("xi1", "xi2", "F1", "F2")
     header, columns = ["t"], [traj.times]
-    for name in names:
+    for name, state in zip(_IDX, traj.states):
         header += [f"re_{name}", f"im_{name}"]
-        columns += [traj.states[_IDX[name]].real, traj.states[_IDX[name]].imag]
-    header += [f"dev_{name}" for name in names]
-    columns += [traj.deviation[_IDX[name]] for name in names]
+        columns += [state.real, state.imag]
+    header += [f"dev_{name}" for name in _IDX]
+    columns += list(traj.deviation)
     write_csv(path, header, columns)
 
 

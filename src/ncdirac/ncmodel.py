@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -44,8 +44,8 @@ class NCParams:
 
     theta (length^2) and eta (momentum^2) set the deformation scales, gamma
     (1/time) their exponential time profile, B the magnetic field along z,
-    e the signed charge, m > 0 the mass. kappa defaults to exp(q2 - q1) and
-    must match it when given explicitly.
+    e the signed charge, m > 0 the mass. kappa = exp(q2 - q1) is derived
+    from the envelope amplitudes q1, q2.
     """
 
     theta: float = 0.0
@@ -57,8 +57,8 @@ class NCParams:
     hbar: float = 1.0
     q1: float = 0.0
     q2: float = 0.0
-    kappa: float | None = None
     unit_mode: str = NATURAL
+    kappa: float = field(init=False)
 
     def __post_init__(self):
         if self.m <= 0:
@@ -67,13 +67,7 @@ class NCParams:
             raise ValueError("hbar must be positive")
         if self.unit_mode not in (NATURAL, SI):
             raise ValueError(f"unit_mode must be '{NATURAL}' or '{SI}'")
-        kappa_ref = math.exp(self.q2 - self.q1)
-        if self.kappa is None:
-            object.__setattr__(self, "kappa", kappa_ref)
-        elif abs(self.kappa - kappa_ref) > 1e-12 * max(1.0, abs(kappa_ref)):
-            raise ValueError(
-                f"kappa={self.kappa} inconsistent with exp(q2-q1)={kappa_ref}"
-            )
+        object.__setattr__(self, "kappa", math.exp(self.q2 - self.q1))
         ratio = consistency_ratio(self)
         if ratio > CONSISTENCY_WARN_THRESHOLD:
             warnings.warn(

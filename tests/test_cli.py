@@ -8,6 +8,7 @@ import os
 import re
 import shutil
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ncdirac import cli, fockevolve, lrsolve, mat2, ncmodel
+from ncdirac import cli, fockevolve, invariant, lrsolve, mat2, ncmodel
 from ncdirac.cli import main
 
 FAST = [
@@ -24,6 +25,7 @@ FAST = [
     "--t1", "0.5",
     "--grid_points", "8",
 ]
+DEFORMED = ("--theta=0.1", "--eta=0.05", "--gamma=0.2")
 
 
 def run(tmp_path, *argv):
@@ -66,10 +68,11 @@ def test_verify_algebra_corrupted_bopp_fails(tmp_path, monkeypatch):
     assert report["worst_commutator"]["pair"].startswith("[")
 
 
-@pytest.mark.parametrize("command", ["verify-algebra", "invariant", "evolve"])
+@pytest.mark.parametrize("command", ["verify-algebra", "invariant", "xi", "evolve"])
 def test_deformation_with_hbar_not_one_exits_2(tmp_path, capsys, command):
     # the Bopp shift divides by hbar and f_theta, f_eta do not: every command
-    # that builds the deformed Hamiltonian refuses the config alike
+    # that builds the deformed Hamiltonian or integrates its flow refuses the
+    # config alike
     assert run(tmp_path, command, "--eta=1", "--hbar=2", "--fock_N=4", "--t1=0.05") == 2
     assert "config error:" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
@@ -359,6 +362,13 @@ def test_evolve_si_mode_exits_2(tmp_path):
     assert code == 2
 
 
+def test_xi_si_mode_exits_2(tmp_path, capsys):
+    # the xi closed forms and flow are the natural-unit ones, as for evolve
+    assert run(tmp_path, "xi", "--unit_mode", "SI") == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_report_requires_all_inputs(tmp_path):
     assert run(tmp_path, "report") == 2
 
@@ -497,12 +507,31 @@ def test_unknown_config_key_rejected(tmp_path):
     assert main(["verify-algebra", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
 
+def test_non_utf8_config_file_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "latin.cfg"
+    cfg.write_bytes(b"theta = 0.1\n\xff\xfe = 2\n")
+    out = tmp_path / "out"
+    assert main(["verify-algebra", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["kappa", "xi3_0", "xi4_0"])
+def test_derived_and_constant_coefficients_are_not_keys(tmp_path, capsys, key):
+    # kappa = exp(q2 - q1) is derived; xi3, xi4 are constants of the motion
+    # that no output depends on
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = 1.0\n")
+    assert run(tmp_path / "flag", "xi", f"--{key}=1.0") == 2
+    assert main(["xi", "--config", str(cfg), "--out", str(tmp_path / "file")]) == 2
+    assert f"unknown config key '{key}'" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [cfg]
+
+
 def test_bad_values_exit_2(tmp_path):
     assert run(tmp_path, "xi", "--dt", "-1") == 2
     assert run(tmp_path, "xi", "--t1", "-5") == 2
     assert run(tmp_path, "evolve", "--fock_N", "1") == 2
-    assert run(tmp_path, "verify-algebra", "--kappa", "3.0") == 2  # exp(q2-q1) = 1
-    assert run(tmp_path, "xi", "--xi3_0", "1.0") == 2  # needs re,im
     assert main(["frobnicate"]) == 2
 
 
@@ -561,7 +590,6 @@ def test_negative_scientific_notation_value(tmp_path):
     assert main(["xi", "--t0=-1e-3", "--t1=0.01", "--out", str(joined)]) == 0
     csv_name = "xi_trajectory.csv"
     assert (spaced / csv_name).read_bytes() == (joined / csv_name).read_bytes()
-    assert main(["xi", "--xi3_0", "-1,0", "--t1", "0.01", "--out", str(spaced)]) == 0
 
 
 def reject_constant(token):
@@ -596,6 +624,37 @@ def test_any_model_parameters_end_in_a_contract_exit_code(values):
         with tempfile.TemporaryDirectory() as out:
             assert main([command, *SMALL_RUN, *args, "--out", out]) in (0, 1, 2)
             assert_finite_files(Path(out))
+
+
+# one perturbation of the deformed small run per config key but output_dir
+PERTURBED = {
+    "theta": "0.2", "eta": "0.1", "gamma": "0.3", "B": "2", "e": "2", "m": "2",
+    "hbar": "2", "q1": "0.3", "q2": "-0.2", "unit_mode": "SI",
+    "t0": "0.01", "t1": "0.1", "dt": "0.005", "grid_points": "5", "fock_N": "5",
+    "a1": "0.5", "a3": "0.1", "b1": "0.1", "b3": "-0.4", "c1": "0.5", "emit": "json",
+}
+COMPUTING = ("verify-algebra", "invariant", "xi", "evolve")
+
+
+def _outputs(out: Path, argv, capsys) -> list:
+    """Exit code, stdout, stderr and file bytes of each computing command."""
+    result = []
+    for command in COMPUTING:
+        code = main([command, *argv, "--out", str(out / command)])
+        written = sorted((out / command).glob("*"))  # none when the command made no directory
+        result.append((code, *capsys.readouterr(), {f.name: f.read_bytes() for f in written}))
+    return result
+
+
+def test_every_config_key_changes_an_output(tmp_path, capsys):
+    base_argv = [*DEFORMED, *SMALL_RUN]
+    assert set(PERTURBED) == set(cli._FIELD_TYPES) - {"output_dir"}
+    base = _outputs(tmp_path / "base", base_argv, capsys)
+    inert = [
+        key for key, value in PERTURBED.items()
+        if _outputs(tmp_path / key, [*base_argv, f"--{key}={value}"], capsys) == base
+    ]
+    assert not inert, f"keys that change no output: {inert}"
 
 
 def test_dense_bytes_estimate():
@@ -638,6 +697,40 @@ def test_xi_beyond_physical_memory_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(lrsolve, "integrate_rk4", no_allocation)
     monkeypatch.setattr(np, "arange", no_allocation)
     assert run(tmp_path, "xi", f"--dt={dt!r}") == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "command, share", [("verify-algebra", 0.9), ("invariant", 0.5)]
+)
+def test_grid_point_bytes_bounds_the_traced_peak(tmp_path, command, share):
+    # the grid storage guard charges GRID_POINT_BYTES per grid point, sized on
+    # verify-algebra's report records; invariant holds a little over half
+    points = 2048
+    cli.build_parser()  # built once per process, outside the traced run
+    tracemalloc.start()
+    try:
+        assert run(tmp_path, command, *DEFORMED, f"--grid_points={points}") == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    charged = cli.GRID_POINT_BYTES * points
+    assert share * charged <= peak <= charged + 2**16
+
+
+@pytest.mark.parametrize("command", ["verify-algebra", "invariant"])
+def test_grid_beyond_physical_memory_exits_2(tmp_path, monkeypatch, capsys, command):
+    # twice as many grid points as physical memory holds at GRID_POINT_BYTES each
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    points = 2 * memory // cli.GRID_POINT_BYTES
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError(f"{command} allocated before checking its memory")
+
+    monkeypatch.setattr(np, "linspace", no_allocation)
+    monkeypatch.setattr(invariant, "default_constraint_grid", no_allocation)
+    assert run(tmp_path, command, f"--grid_points={points}") == 2
     assert "config error:" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 

@@ -27,6 +27,9 @@ from ncdirac.lrsolve import (
 from ncdirac.ncmodel import NCParams
 from oracle import closed_state_scalar, rk4_reference
 
+# the six-component oracle's rows of xi1, xi2, F1, F2, the state lrsolve integrates
+STATE_ROWS = [0, 1, 4, 5]
+
 COMMUTATIVE = NCParams()
 NC_STATIC = NCParams(theta=0.1, eta=0.05, gamma=0.0)
 NC_DYNAMIC = NCParams(theta=0.1, eta=0.05, gamma=0.2)
@@ -83,7 +86,6 @@ def test_xi_closed_requires_mass():
 def test_xi_ode_rhs_values():
     rhs = flow_rhs(COMMUTATIVE, 0.0, closed_state(COMMUTATIVE, 0.0))
     assert rhs[0] == pytest.approx(-0.5j, abs=1e-15)  # d xi1/dt
-    assert rhs[2] == 0.0 and rhs[3] == 0.0  # d xi3, d xi4
     for p in ALL_PARAMS:
         for t in (0.0, 0.7, 2.1):
             r = flow_rhs(p, t, closed_state(p, t))
@@ -126,15 +128,16 @@ def test_rk4_nc_parameters():
 
 
 def test_rk4_matches_step_by_step_reference():
-    # 20 000 steps with a decaying eta profile and nonzero q1, q2, xi3, xi4
+    # 20 000 steps with a decaying eta profile and nonzero q1, q2; the
+    # reference also carries constant xi3, xi4, which move nothing else
     p = NCParams(theta=0.1, eta=0.05, gamma=0.2, q1=0.3, q2=-0.2)
-    traj = integrate_rk4(p, 0.0, 20.0, 1e-3, 0.1 + 0.2j, -0.3j)
+    traj = integrate_rk4(p, 0.0, 20.0, 1e-3)
     times, states = rk4_reference(p, 0.0, 20.0, 1e-3, 0.1 + 0.2j, -0.3j)
     np.testing.assert_array_equal(traj.times, times)
-    assert traj.states.shape == (6, 20001)
-    assert np.max(np.abs(traj.states - states.T)) <= 2e-15
+    assert traj.states.shape == (4, 20001)
+    assert np.max(np.abs(traj.states - states[:, STATE_ROWS].T)) <= 2e-15
     closed = np.array([closed_state_scalar(p, t, 0.1 + 0.2j, -0.3j) for t in times])
-    reference = np.abs(states - closed).max(axis=0)
+    reference = np.abs(states - closed)[:, STATE_ROWS].max(axis=0)
     for name, k in lrsolve._IDX.items():
         assert abs(traj.max_deviation[name] - reference[k]) <= 1e-15
 
@@ -186,20 +189,20 @@ def test_deviation_columns_reach_max_deviation_exactly(tmp_path):
 @pytest.mark.parametrize("p", ALL_PARAMS + (NCParams(gamma=-0.3, eta=0.05, B=1.7, m=0.6, q1=0.3),))
 def test_closed_forms_over_times_match_cmath(p):
     ts = np.linspace(-1.0, 5.0, 601)
-    got = closed_state(p, ts, 0.5j, -1.0)
-    want = np.array([closed_state_scalar(p, t, 0.5j, -1.0) for t in ts]).T
-    assert got.shape == (6, 601)
+    got = closed_state(p, ts)
+    want = np.array([closed_state_scalar(p, t)[STATE_ROWS] for t in ts]).T
+    assert got.shape == (4, 601)
     assert np.max(np.abs(got - want)) <= 1e-15
 
 
 def test_flow_rhs_over_times_matches_single_times():
     rng = np.random.default_rng(3)
     ts = np.linspace(-1.0, 4.0, 64)
-    ys = rng.standard_normal((6, 64)) + 1j * rng.standard_normal((6, 64))
+    ys = rng.standard_normal((4, 64)) + 1j * rng.standard_normal((4, 64))
     for p in ALL_PARAMS:
         got = flow_rhs(p, ts, ys)
         want = np.stack([flow_rhs(p, float(t), ys[:, k]) for k, t in enumerate(ts)], axis=1)
-        assert got.shape == (6, 64)
+        assert got.shape == (4, 64)
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
 
 
@@ -213,7 +216,7 @@ def test_rk4_step_errors():
 
 
 def test_flow_rhs_rejects_vanishing_envelope():
-    bad = np.array([0, 0, 0, 0, 0.0, 1.0], dtype=complex)
+    bad = np.array([0, 0, 0.0, 1.0], dtype=complex)
     with pytest.raises(ZeroDivisionError):
         flow_rhs(COMMUTATIVE, 0.0, bad)
 

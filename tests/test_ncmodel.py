@@ -31,8 +31,6 @@ def test_param_validation():
         NCParams(hbar=-1.0)
     with pytest.raises(ValueError):
         NCParams(unit_mode="cgs")
-    with pytest.raises(ValueError):
-        NCParams(q1=0.0, q2=1.0, kappa=1.0)  # exp(1) expected
     p = NCParams(q1=0.5, q2=1.5)
     assert p.kappa == pytest.approx(math.e, abs=1e-15)
 
