@@ -2,14 +2,12 @@
 and machine-readable reports.
 
 Exit codes: 0 = all checks pass, 1 = a physics/verification check failed,
-2 = usage or configuration error.
+2 = usage or configuration error. A command imports the modules only it uses.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
-import hashlib
 import itertools
 import json
 import math
@@ -22,10 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, fockevolve, invariant, lrsolve, mat2, ncmodel
+from . import __version__, mat2, ncmodel
 from .csvout import write_csv
 from .errors import SingularParameterError, UnitModeError
 from .phasepoly import AffineOp, residual_norms
+
+if typing.TYPE_CHECKING:
+    from . import fockevolve
 
 
 class ConfigError(ValueError):
@@ -89,6 +90,7 @@ class RunConfig:
     def canonical_hash(self) -> str:
         """Hash of every field but output_dir: identical runs written to two
         directories share it."""
+        import hashlib  # report alone takes it; it loads libcrypto
         lines = []
         for f in fields(self):
             if f.name != "output_dir":
@@ -127,16 +129,14 @@ def read_config_file(path: Path) -> dict:
     return values
 
 
-def load_config(args: argparse.Namespace) -> RunConfig:
+def load_config(args: Args) -> RunConfig:
+    """The config file, then the command-line keys over it, then ``--out``."""
     values: dict = {}
     if args.config is not None:
         values.update(read_config_file(Path(args.config)))
-    for key in _FIELD_TYPES:
-        raw = getattr(args, key, None)
-        if raw is not None:
-            values[key] = _convert(key, raw)
-    if getattr(args, "out", None) is not None:
-        values["output_dir"] = str(args.out)
+    values.update(args.values)
+    if args.out is not None:
+        values["output_dir"] = args.out
     cfg = RunConfig(**values)
     cfg.validate()
     return cfg
@@ -251,6 +251,7 @@ def cmd_verify_algebra(cfg: RunConfig) -> int:
 
 
 def cmd_invariant(cfg: RunConfig) -> int:
+    from . import invariant
     p = cfg.params()
     _check_memory(GRID_POINT_BYTES * cfg.grid_points, f"invariant on {cfg.grid_points} points")
     grid = invariant.default_constraint_grid(p, cfg.grid_points)
@@ -318,10 +319,7 @@ def cmd_invariant(cfg: RunConfig) -> int:
 
 
 def cmd_xi(cfg: RunConfig) -> int:
-    if cfg.m == 0:
-        raise SingularParameterError(
-            "m = 0: the closed-form xi coefficients involve 1/m; choose m != 0"
-        )
+    from . import lrsolve
     p = cfg.params()
     ncmodel.require_h_nc_units(p)  # the flow's dressing f_eta is the natural-unit one
     n_steps = max(1, int(round((cfg.t1 - cfg.t0) / cfg.dt)))
@@ -370,6 +368,7 @@ def track_level(
     psi(t1) = exp(-i H (t1 - t0)) psi(t0) has the spectral measure of psi(t0)
     under the same H, so the t0 run serves t1 as well.
     """
+    from . import fockevolve
     ends = (0, len(evolved.times) - 1)
     t0, t1 = (float(evolved.times[k]) for k in ends)
 
@@ -397,6 +396,7 @@ def track_level(
 
 
 def cmd_evolve(cfg: RunConfig) -> int:
+    from . import fockevolve, invariant, lrsolve
     p = cfg.params()
     n_steps = max(1, int(round((cfg.t1 - cfg.t0) / cfg.dt)))
     need = fockevolve.dense_bytes(cfg.fock_N, n_steps + 1)
@@ -526,72 +526,75 @@ def cmd_report(cfg: RunConfig) -> int:
 # -- entry point --------------------------------------------------------------------
 
 
+COMMANDS = ("verify-algebra", "invariant", "xi", "evolve", "report")
+HELP = ("-h", "--help")
+USAGE = (
+    f"usage: ncdirac {{{','.join(COMMANDS)}}} [--config FILE] [--out DIR] "
+    f"[--key value | --key=value ...]\nkeys: {' '.join(_FIELD_TYPES)}"
+)
+
+
+class Args(typing.NamedTuple):
+    """One command line, read; ``command`` is None when it asks for help."""
+
+    command: str | None
+    config: str | None
+    out: str | None
+    values: dict  # config key -> converted value
+
+
+class FlagReader:
+    """Reads ``COMMAND [--key value | --key=value ...]``. A key is ``config``,
+    ``out`` or a config key, spelled out in full and checked and converted as
+    a config file's keys are. ``--key value`` takes the next token whatever it
+    is, so ``--theta -1e-3`` reads -1e-3. A repeated key keeps its last value;
+    ``-h`` or ``--help`` asks for help."""
+
+    def parse_args(self, argv) -> Args:
+        tokens = iter(argv)
+        command = next(tokens, None)
+        if command in HELP:
+            return Args(None, None, None, {})
+        if command not in COMMANDS:
+            what = "no command given" if command is None else f"unknown command {command!r}"
+            raise ConfigError(f"{what}: choose one of {', '.join(COMMANDS)}")
+        options = {"config": None, "out": None}
+        values: dict = {}
+        for token in tokens:
+            if token in HELP:
+                return Args(None, None, None, {})
+            if not token.startswith("--"):
+                raise ConfigError(f"unexpected argument {token!r}: give --key value")
+            key, eq, raw = token[2:].partition("=")
+            if not eq and (raw := next(tokens, None)) is None:
+                raise ConfigError(f"--{key} needs a value")
+            if key in options:
+                options[key] = raw
+            else:
+                values[key] = _convert(key, raw)
+        return Args(command, options["config"], options["out"], values)
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: parse_args keeps no
-    state between calls."""
-    ap = argparse.ArgumentParser(
-        prog="ncdirac",
-        description=(
-            "Verification workflows for a planar Dirac system in "
-            "time-dependent noncommutative phase-space"
-        ),
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
-    helps = {
-        "verify-algebra": "check the matrix and deformed-operator algebras",
-        "invariant": "constraint residuals and the constant-invariant nullspace",
-        "xi": "integrate the envelope/phase system against its closed forms",
-        "evolve": "truncated-basis evolution: drift and uncertainty measurements",
-        "report": "merge the per-command outputs into run_summary.json",
-    }
-    for name, help_text in helps.items():
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--config", default=None, help="key=value config file")
-        sp.add_argument("--out", default=None, help="output directory (overrides output_dir)")
-        for key in _FIELD_TYPES:
-            sp.add_argument(f"--{key}", default=None, metavar="V")
-    return ap
-
-
-def _join_values(argv: list[str]) -> list[str]:
-    """``--key value`` -> ``--key=value`` for every option that takes a value,
-    so a value such as -1e-3, which argparse reads as an option, stays one."""
-    takes_value = {"--config", "--out", *(f"--{key}" for key in _FIELD_TYPES)}
-    out = []
-    tokens = iter(argv)
-    for token in tokens:
-        value = next(tokens, None) if token in takes_value else None
-        out.append(token if value is None else f"{token}={value}")
-    return out
+def build_parser() -> FlagReader:
+    """The command-line reader, built once per process: it keeps no state
+    between calls."""
+    return FlagReader()
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(_join_values(sys.argv[1:] if argv is None else list(argv)))
-    except SystemExit as exc:
-        code = exc.code
-        return 0 if code in (0, None) else 2
-    try:
+        args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
+        if args.command is None:
+            print(USAGE)
+            return 0
         cfg = load_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
+        run = {"verify-algebra": cmd_verify_algebra, "invariant": cmd_invariant,
+               "xi": cmd_xi, "evolve": cmd_evolve, "report": cmd_report}[args.command]
         # numpy overflow and inf - inf raise, like math.exp does, instead of
         # writing inf or NaN into the outputs
         with np.errstate(over="raise", invalid="raise"):
-            if args.command == "verify-algebra":
-                return cmd_verify_algebra(cfg)
-            if args.command == "invariant":
-                return cmd_invariant(cfg)
-            if args.command == "xi":
-                return cmd_xi(cfg)
-            if args.command == "evolve":
-                return cmd_evolve(cfg)
-            if args.command == "report":
-                return cmd_report(cfg)
+            return run(cfg)
     except (UnitModeError, SingularParameterError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -601,7 +604,6 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"config error: the run does not fit in memory ({exc})", file=sys.stderr)
         return 2
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 def console_main() -> None:

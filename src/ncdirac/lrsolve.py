@@ -53,10 +53,8 @@ def xi_closed(p: NCParams, t):
 
     xi1(t) = -i * [ kappa*e*B/(4 i m) * e^{2 i m t}
                     + eta*kappa/(4 i m - 2 gamma) * e^{(-gamma + 2 i m) t} ],
-    xi2(t) = xi1(t)/i. Requires m != 0 (the first term divides by m).
+    xi2(t) = xi1(t)/i. The first term divides by m, which NCParams holds > 0.
     """
-    if p.m == 0:
-        raise SingularParameterError("closed-form xi coefficients involve 1/m; need m != 0")
     eb = p.e * p.B
     term_b = (p.kappa * eb) / (4j * p.m) * np.exp(2j * p.m * t)
     term_eta = (p.eta * p.kappa) / (4j * p.m - 2.0 * p.gamma) * np.exp(

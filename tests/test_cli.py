@@ -7,6 +7,8 @@ import math
 import os
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -262,8 +264,12 @@ def test_xi_commutative(tmp_path):
     assert devs.max() <= 1e-6
 
 
-def test_xi_zero_mass_exits_2(tmp_path):
+def test_xi_zero_mass_exits_2(tmp_path, capsys):
+    # NCParams refuses m <= 0: zero and negative masses end alike
     assert run(tmp_path, "xi", "--m", "0") == 2
+    zero = capsys.readouterr()
+    assert run(tmp_path, "xi", "--m", "-1") == 2
+    assert capsys.readouterr() == zero == ("", "config error: mass m must be positive\n")
 
 
 def test_xi_nc_branch_values(tmp_path):
@@ -551,6 +557,94 @@ def test_consecutive_calls_share_the_parser_but_no_state(tmp_path):
     algebra = json.loads((c / "algebra_report.json").read_text())
     assert algebra["mode"] == "commutative"
     assert len(algebra["deformed_algebra"]["checks"]) == 6 * 16
+
+
+USAGE_LINE = "usage: ncdirac {verify-algebra,invariant,xi,evolve,report} "
+
+
+@pytest.mark.parametrize(
+    "argv, code, expected",
+    [
+        # read: the config fields that differ from the defaults
+        (["xi", "--theta=0.1", "--eta", "0.05"], None, {"theta": 0.1, "eta": 0.05}),
+        (["xi", "--theta", "-1e-3", "--t0=-1e-3"], None, {"theta": -1e-3, "t0": -1e-3}),
+        (["xi", "--theta", "0.1", "--theta=0.2"], None, {"theta": 0.2}),
+        (["xi", "--out", "a", "--out=b"], None, {"output_dir": "b"}),
+        (["xi", "--out", "b", "--output_dir", "a"], None, {"output_dir": "b"}),
+        (["xi", "--config", "{cfg}", "--eta", "0.07"], None, {"theta": 0.3, "eta": 0.07}),
+        (["xi", "--config=nowhere.cfg", "--config={cfg}"], None, {"theta": 0.3, "eta": 0.05}),
+        # refused: exit 2 and the whole of stderr
+        (["xi", "--theta"], 2, "config error: --theta needs a value\n"),
+        (["xi", "0.1"], 2, "config error: unexpected argument '0.1': give --key value\n"),
+        ([], 2, "config error: no command given: choose one of "
+                "verify-algebra, invariant, xi, evolve, report\n"),
+        (["frobnicate"], 2, "config error: unknown command 'frobnicate': choose one of "
+                            "verify-algebra, invariant, xi, evolve, report\n"),
+        (["xi", "--thet=0.1"], 2, "config error: unknown config key 'thet'\n"),  # no prefixes
+        (["xi", "--k", "1"], 2, "config error: unknown config key 'k'\n"),
+        (["xi", "--config", "{bad}"], 2, "config error: unknown config key 'k'\n"),
+        (["xi", "--theta", "x"], 2, "config error: bad value for 'theta': 'x'\n"),
+        # help: exit 0 and stdout starts with the usage line
+        (["-h"], 0, USAGE_LINE),
+        (["xi", "--theta=0.1", "--help"], 0, USAGE_LINE),
+    ],
+    ids=[
+        "key-value", "negative-values", "repeated-key", "repeated-out", "out-over-output_dir",
+        "config-then-key", "repeated-config", "missing-value", "stray-argument", "no-command",
+        "unknown-command", "abbreviated-key", "unknown-key", "unknown-key-in-file", "bad-value",
+        "h", "help",
+    ],
+)
+def test_flag_reader_contract(tmp_path, capsys, argv, code, expected):
+    (tmp_path / "run.cfg").write_text("theta = 0.3\neta = 0.05\n")
+    (tmp_path / "bad.cfg").write_text("k = 1\n")
+    argv = [a.format(cfg=tmp_path / "run.cfg", bad=tmp_path / "bad.cfg") for a in argv]
+    if code is None:
+        cfg = cli.load_config(cli.build_parser().parse_args(argv))
+        changed = {
+            f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)
+            if getattr(cfg, f.name) != f.default
+        }
+        assert changed == expected
+        return
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert out.startswith(expected) and not err
+        assert all(f" {key} " in out.replace("\n", " ") for key in cli._FIELD_TYPES)
+    else:
+        assert (out, err) == ("", expected)
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "bad.cfg", tmp_path / "run.cfg"]
+
+
+FOOTPRINT_MODULES = (
+    "ncdirac.fockevolve", "ncdirac.invariant", "ncdirac.lrsolve", "hashlib", "argparse"
+)
+FOOTPRINT_PROBE = (
+    "import sys; from ncdirac import cli; code = cli.main(sys.argv[1:]); "
+    f"print(code, *(m for m in {FOOTPRINT_MODULES!r} if m in sys.modules))"
+)
+
+
+def test_each_command_loads_only_its_own_modules(tmp_path):
+    # a fresh interpreter per command, as a shell session runs them
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    small = ["--fock_N=8", "--t1=0.05", "--dt=0.01", "--grid_points=4", f"--out={tmp_path}"]
+    loaded = {}
+    for command in ("verify-algebra", "invariant", "xi", "evolve", "report"):
+        argv = [sys.executable, "-c", FOOTPRINT_PROBE, command, *small]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        loaded[command] = done.stdout.splitlines()[-1].split()
+    assert loaded == {
+        "verify-algebra": ["0"],
+        "invariant": ["0", "ncdirac.invariant"],
+        "xi": ["0", "ncdirac.lrsolve"],
+        "evolve": ["0", "ncdirac.fockevolve", "ncdirac.invariant", "ncdirac.lrsolve"],
+        "report": ["0", "hashlib"],
+    }
 
 
 @pytest.mark.parametrize(

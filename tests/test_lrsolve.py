@@ -70,19 +70,6 @@ def test_xi_structural_identity():
             assert abs(x1 - 1j * x2) <= 1e-14 * max(1.0, abs(x1))
 
 
-def test_xi_closed_requires_mass():
-    # the parameter record pins m > 0, so exercise the defensive guard
-    # through a record built without validation
-    p = object.__new__(NCParams)
-    for name, val in dict(
-        theta=0.0, eta=0.0, gamma=0.0, B=1.0, e=1.0, m=0.0,
-        hbar=1.0, q1=0.0, q2=0.0, kappa=1.0, unit_mode="natural",
-    ).items():
-        object.__setattr__(p, name, val)
-    with pytest.raises(SingularParameterError):
-        xi_closed(p, 0.0)
-
-
 def test_xi_ode_rhs_values():
     rhs = flow_rhs(COMMUTATIVE, 0.0, closed_state(COMMUTATIVE, 0.0))
     assert rhs[0] == pytest.approx(-0.5j, abs=1e-15)  # d xi1/dt
