@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, mat2, ncmodel
 from .csvout import write_csv
-from .errors import SingularParameterError, UnitModeError
+from .errors import SingularParameterError, StepError, UnitModeError
 from .phasepoly import AffineOp, residual_norms
 
 if typing.TYPE_CHECKING:
@@ -173,9 +173,36 @@ def _dump_json(path: Path, payload: dict) -> None:
         fh.write(text + "\n")
 
 
-def _write_json(cfg: RunConfig, name: str, payload: dict) -> None:
-    if "json" in cfg.emit_formats():
-        _dump_json(_out_dir(cfg) / name, payload)
+class Result(typing.NamedTuple):
+    """What a command produced: its files by name, in writing order (a CSV as
+    (header, columns), a JSON file as its payload), its stdout and stderr
+    lines and its exit code. ``emit``, when set, overrides the config's."""
+
+    files: dict
+    out: typing.Sequence[str] = ()
+    err: typing.Sequence[str] = ()
+    code: int = 0
+    emit: set[str] | None = None
+
+
+def _finish(cfg: RunConfig, result: Result) -> int:
+    """The one output path: write the files whose format ``emit`` allows,
+    making the output directory only then; print stdout, then stderr;
+    return the exit code."""
+    emit = cfg.emit_formats() if result.emit is None else result.emit
+    for name, content in result.files.items():
+        kind = name.rpartition(".")[2]
+        if kind in emit:
+            path = _out_dir(cfg) / name
+            if kind == "csv":
+                write_csv(path, *content)
+            else:
+                _dump_json(path, content)
+    for line in result.out:
+        print(line)
+    for line in result.err:
+        print(line, file=sys.stderr)
+    return result.code
 
 
 #: peak bytes verify-algebra holds per grid point, its six report records
@@ -196,7 +223,7 @@ def _check_memory(need: int, run: str) -> None:
 # -- verify-algebra ------------------------------------------------------------
 
 
-def cmd_verify_algebra(cfg: RunConfig) -> int:
+def cmd_verify_algebra(cfg: RunConfig) -> Result:
     p = cfg.params()
     _check_memory(GRID_POINT_BYTES * cfg.grid_points, f"verify-algebra on {cfg.grid_points} points")
     t_grid = np.linspace(cfg.t0, cfg.t1, cfg.grid_points)
@@ -228,7 +255,6 @@ def cmd_verify_algebra(cfg: RunConfig) -> int:
         )
     if dual_dev is not None and not dual_dev <= tol:
         failures.append(f"dual-path Hamiltonian deviates by {dual_dev:.3e}")
-    ok = not failures
     payload = {
         "mode": mode,
         "dirac_algebra": dirac.as_dict(),
@@ -237,20 +263,19 @@ def cmd_verify_algebra(cfg: RunConfig) -> int:
         "dual_path_deviation": dual_dev,
         "hbar_eff": ncmodel.hbar_eff(p),
         "consistency_ratio": ncmodel.consistency_ratio(p),
-        "pass": bool(ok),
+        "pass": not failures,
     }
-    _write_json(cfg, "algebra_report.json", payload)
-    if not ok:
-        print(f"algebra check failed: {'; '.join(failures)}", file=sys.stderr)
-        return 1
-    print(f"algebra checks passed ({mode}); max deviation {max(dirac.max_deviation, deformed.max_deviation):.3e}")
-    return 0
+    files = {"algebra_report.json": payload}
+    if failures:
+        return Result(files, err=[f"algebra check failed: {'; '.join(failures)}"], code=1)
+    deviation = max(dirac.max_deviation, deformed.max_deviation)
+    return Result(files, [f"algebra checks passed ({mode}); max deviation {deviation:.3e}"])
 
 
 # -- invariant ------------------------------------------------------------------
 
 
-def cmd_invariant(cfg: RunConfig) -> int:
+def cmd_invariant(cfg: RunConfig) -> Result:
     from . import invariant
     p = cfg.params()
     _check_memory(GRID_POINT_BYTES * cfg.grid_points, f"invariant on {cfg.grid_points} points")
@@ -262,8 +287,9 @@ def cmd_invariant(cfg: RunConfig) -> int:
     report = invariant.solve_constant_invariant(p, grid)
     res = invariant.invariance_residual(ans, h, p.hbar, grid)
     norms = mat2.fro(res[:, invariant.CONSTRAINT_SLOTS])
+    vec = np.array([cfg.a1, cfg.a3, cfg.b1, cfg.b3])
     # the constant slot of a scalar ansatz is i*hbar*((row 2k) alpha_2 + (row 2k+1) alpha_1)
-    r = (report.matrix @ np.array([cfg.a1, cfg.a3, cfg.b1, cfg.b3]))[:, None, None]
+    r = (report.matrix @ vec)[:, None, None]
     closing = res[:, 0] - p.hbar * (1j * r[0::2] * mat2.ALPHA2 + 1j * r[1::2] * mat2.ALPHA1)
     machine_ok = not (
         np.any(norms[:, :-1] > self_check_tol) or np.any(mat2.fro(closing) > self_check_tol)
@@ -273,24 +299,14 @@ def cmd_invariant(cfg: RunConfig) -> int:
     ortho_defect = float(
         np.max(np.abs(report.nullspace.T @ report.nullspace - np.eye(report.dimension)))
     ) if report.dimension else 0.0
-    if ortho_defect > 1e-12:
-        machine_ok = False
-    if np.any(np.diff(report.singular_values) > 0):
+    if ortho_defect > 1e-12 or np.any(np.diff(report.singular_values) > 0):
         machine_ok = False
 
-    vec = np.array([cfg.a1, cfg.a3, cfg.b1, cfg.b3])
     if np.linalg.norm(vec) > 0 and report.dimension > 0:
         proj = report.nullspace @ (report.nullspace.T @ vec)
         in_null = bool(np.linalg.norm(vec - proj) <= 1e-10 * max(1.0, np.linalg.norm(vec)))
     else:
         in_null = bool(np.linalg.norm(vec) == 0.0)
-
-    if "csv" in cfg.emit_formats():
-        write_csv(
-            _out_dir(cfg) / "residuals.csv",
-            ["t", *invariant.CONSTRAINT_LABELS, "invariance_residual"],
-            [grid, *norms.T, user_residuals],
-        )
 
     payload = report.as_dict()
     payload.update(
@@ -301,38 +317,32 @@ def cmd_invariant(cfg: RunConfig) -> int:
             "machine_checks_pass": bool(machine_ok),
         }
     )
-    _write_json(cfg, "nullspace_report.json", payload)
-
-    print(
+    header = ["t", *invariant.CONSTRAINT_LABELS, "invariance_residual"]
+    summary = (
         f"nullspace dimension {report.dimension}; configured constants "
         f"{'lie in' if in_null else 'lie outside'} the admissible family "
         f"(max invariance residual {user_residuals.max():.3e})"
     )
-    print(report.note)
-    if not machine_ok:
-        print("invariant machine checks failed", file=sys.stderr)
-        return 1
-    return 0
+    residuals = (header, [grid, *norms.T, user_residuals])
+    files = {"residuals.csv": residuals, "nullspace_report.json": payload}
+    err = [] if machine_ok else ["invariant machine checks failed"]
+    return Result(files, [summary, report.note], err, int(not machine_ok))
 
 
 # -- xi ---------------------------------------------------------------------------
 
 
-def cmd_xi(cfg: RunConfig) -> int:
+def cmd_xi(cfg: RunConfig) -> Result:
     from . import lrsolve
     p = cfg.params()
     ncmodel.require_h_nc_units(p)  # the flow's dressing f_eta is the natural-unit one
     n_steps = max(1, int(round((cfg.t1 - cfg.t0) / cfg.dt)))
     _check_memory(lrsolve.ROW_BYTES * (n_steps + 1), f"xi over {n_steps} steps")
     traj = lrsolve.integrate_rk4(p, cfg.t0, cfg.t1, cfg.dt)
-    if "csv" in cfg.emit_formats():
-        lrsolve.write_trajectory_csv(traj, _out_dir(cfg) / "xi_trajectory.csv")
     worst = max(traj.max_deviation.values())
-    print(f"integration vs closed form: max deviation {worst:.3e}")
-    if worst > 1e-5:
-        print("integration deviates from the closed forms beyond 1e-5", file=sys.stderr)
-        return 1
-    return 0
+    out = [f"integration vs closed form: max deviation {worst:.3e}"]
+    err = ["integration deviates from the closed forms beyond 1e-5"] if worst > 1e-5 else []
+    return Result({"xi_trajectory.csv": traj.table()}, out, err, int(worst > 1e-5))
 
 
 # -- evolve -----------------------------------------------------------------------
@@ -395,7 +405,7 @@ def track_level(
     return LevelTrack(n, sign, energy, tuple(error), tuple(residual), spacing)
 
 
-def cmd_evolve(cfg: RunConfig) -> int:
+def cmd_evolve(cfg: RunConfig) -> Result:
     from . import fockevolve, invariant, lrsolve
     p = cfg.params()
     n_steps = max(1, int(round((cfg.t1 - cfg.t0) / cfg.dt)))
@@ -415,28 +425,20 @@ def cmd_evolve(cfg: RunConfig) -> int:
     drift, r_xp, r_yp, r_nc, edge = fockevolve.measure(
         ans.at(0.0), rep, evolved, functools.partial(ncmodel.bopp_scales, p)
     )
-    check_grid = np.linspace(cfg.t0, cfg.t1, 8)
-    res_norm = float(
-        np.max(residual_norms(invariant.invariance_residual(ans, h, p.hbar, check_grid)))
-    )
+    residual = invariant.invariance_residual(ans, h, p.hbar, np.linspace(cfg.t0, cfg.t1, 8))
+    res_norm = float(np.max(residual_norms(residual)))
     constrained = res_norm <= 1e-10
 
     margins = np.min([r_xp.margin, r_yp.margin, r_nc.margin], axis=0)
     nc_bound_dev = float(np.max(np.abs(r_nc.bound - 0.5 * ncmodel.hbar_eff(p))))
     min_margin = float(margins.min())
     ambiguous = any(e >= 0.5 * d for e, d in zip(track.error, track.spacing))
-    ok = evolved.norm_drift <= 1e-10 and min_margin >= -1e-9 and not ambiguous
-    truncation_warning = False
-    if constrained and drift.relative_max > 1e-6:
-        ok = False
-        truncation_warning = True
+    truncated = constrained and drift.relative_max > 1e-6
+    ok = evolved.norm_drift <= 1e-10 and min_margin >= -1e-9 and not (ambiguous or truncated)
 
-    if "csv" in cfg.emit_formats():
-        fockevolve.write_evolution_csv(
-            _out_dir(cfg) / "evolution.csv", drift, r_xp, margins, track.energy
-        )
-
-    print(
+    header = ["t", "re_I", "drift", "dx_dpx", "bound", "margin", "E_tracked"]
+    columns = [drift.values.real, abs(drift.drift), r_xp.product, r_xp.bound, margins, track.energy]
+    summary = (
         f"relative invariant drift {drift.relative_max:.3e} "
         f"({'constrained' if constrained else 'unconstrained'} constants, "
         f"residual norm {res_norm:.3e}); min uncertainty margin {min_margin:.3e}; "
@@ -446,29 +448,25 @@ def cmd_evolve(cfg: RunConfig) -> int:
         f"{track.error[1]:.3e} (residual {track.residual[1]:.1e}) at t1; "
         f"max top-level weight {edge:.3e}"
     )
+    err = []
     gaps = ncmodel.landau_gap(p, times)
     if gaps.min() <= 0.0 <= gaps.max():
-        print(
+        err.append(
             "f_theta*f_eta changes sign on the time grid: the Landau levels close, "
-            f"so the level n={track.n} picked at t0 need not be the one the state follows",
-            file=sys.stderr,
+            f"so the level n={track.n} picked at t0 need not be the one the state follows"
         )
     if ambiguous:
-        print(
+        err.append(
             f"the Ritz error of level n={track.n} is at least half its distance "
             f"to the nearest other level ({track.spacing[0]:.3e} at t0, "
-            f"{track.spacing[1]:.3e} at t1): the tracked level is not resolved",
-            file=sys.stderr,
+            f"{track.spacing[1]:.3e} at t1): the tracked level is not resolved"
         )
-    if truncation_warning:
-        print(
+    if truncated:
+        err.append(
             f"invariant drift {drift.relative_max:.3e} exceeds 1e-6 for an "
-            f"invariant-family choice: fock_N={cfg.fock_N} truncation is too small",
-            file=sys.stderr,
+            f"invariant-family choice: fock_N={cfg.fock_N} truncation is too small"
         )
-    if not ok:
-        return 1
-    return 0
+    return Result({"evolution.csv": (header, [times, *columns])}, [summary], err, int(not ok))
 
 
 # -- report -----------------------------------------------------------------------
@@ -492,7 +490,7 @@ def _csv_summary(fh) -> dict:
     return out
 
 
-def cmd_report(cfg: RunConfig) -> int:
+def cmd_report(cfg: RunConfig) -> Result:
     out = _out_dir(cfg)
     needed = {
         "algebra": out / "algebra_report.json",
@@ -502,25 +500,23 @@ def cmd_report(cfg: RunConfig) -> int:
     }
     missing = [str(path) for path in needed.values() if not path.exists()]
     if missing:
-        print(f"missing inputs for report: {', '.join(missing)}", file=sys.stderr)
-        return 2
+        return Result({}, err=[f"missing inputs for report: {', '.join(missing)}"], code=2)
     sections = {}
     for name, path in needed.items():
         try:
             with open(path, encoding="utf-8", newline="") as fh:
                 sections[name] = json.load(fh) if path.suffix == ".json" else _csv_summary(fh)
         except (OSError, ValueError) as exc:  # ValueError covers bad JSON, UTF-8 and numbers
-            print(f"unreadable input for report: {path}: {exc}", file=sys.stderr)
-            return 2
+            return Result({}, err=[f"unreadable input for report: {path}: {exc}"], code=2)
     summary = {
         "version": __version__,
         "config_hash": cfg.canonical_hash(),
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "sections": sections,
     }
-    _dump_json(out / "run_summary.json", summary)
-    print(f"run summary written with {len(sections)} sections")
-    return 0
+    # the summary is all report makes: written whatever emit says
+    message = f"run summary written with {len(sections)} sections"
+    return Result({"run_summary.json": summary}, [message], emit={"json"})
 
 
 # -- entry point --------------------------------------------------------------------
@@ -594,8 +590,8 @@ def main(argv=None) -> int:
         # numpy overflow and inf - inf raise, like math.exp does, instead of
         # writing inf or NaN into the outputs
         with np.errstate(over="raise", invalid="raise"):
-            return run(cfg)
-    except (UnitModeError, SingularParameterError, ConfigError) as exc:
+            return _finish(cfg, run(cfg))
+    except (UnitModeError, SingularParameterError, StepError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:  # overflow, or a divisor that underflowed to 0

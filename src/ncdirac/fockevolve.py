@@ -27,8 +27,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .csvout import write_csv
-from .errors import DegreeError, DimError, GridError, SizeError
+from .errors import DegreeError, DimError, GridError, SizeError, StepError
 from .mat2 import ID2
 from .phasepoly import AffineOp, Coord, PhasePoly
 
@@ -45,6 +44,9 @@ BLOCK_IMAGES = 8
 KRYLOV_MAX = 40
 #: error estimate, relative to |psi|, within which a Krylov sample is written
 KRYLOV_TOL = 1e-14
+#: most sub-steps the generator-norm bound may ask of one evolution; it counts
+#: low: a fock_N=16 step it puts at 903 takes 2048 (8.7 s, one thread, 2 vCPUs)
+MAX_SUBSTEPS = 1024
 
 
 @dataclass(frozen=True)
@@ -223,6 +225,29 @@ def _check_uniform(t_grid: np.ndarray) -> float:
     return float(dt)
 
 
+def _check_reachable(runs: list[tuple], parts: np.ndarray, rep: FockRep, dt: float) -> None:
+    """Refuse a grid whose steps need more than MAX_SUBSTEPS sub-steps in all.
+    ``runs`` holds each generator's coefficients on the blocks ``parts`` and
+    its step count. KRYLOV_MAX vectors resolve exp(-i G tau) only for tau |G|
+    up to about KRYLOV_MAX (Hochbruck & Lubich 1997), and |G| is at most
+    sum_k |c_k| (|B_k,x| + |B_k,y|) over the blocks. A space spanning the
+    state space resolves any step."""
+    if rep.dim <= KRYLOV_MAX:
+        return
+    coeffs, counts = zip(*runs)
+    entries = np.abs(parts)  # |B| <= sqrt(max row sum * max column sum) of |B|
+    norms = np.sqrt(entries.sum(axis=-1).max(axis=-1) * entries.sum(axis=-2).max(axis=-1))
+    bound = np.abs(np.array(coeffs)) @ norms.sum(axis=1)
+    need = dt * bound / KRYLOV_MAX
+    substeps = float(np.sum(np.multiply(counts, need), where=~(need <= 1.0)))
+    if not substeps <= MAX_SUBSTEPS:
+        raise StepError(
+            f"dt={dt:.6g} needs about {substeps:.3g} Lanczos sub-steps, more than the "
+            f"{MAX_SUBSTEPS} a run may take: the generator-norm bound reaches "
+            f"{bound.max():.3g}, and a sub-step spans at most about {KRYLOV_MAX}/bound"
+        )
+
+
 def _lanczos(
     g: Callable[[np.ndarray], np.ndarray], psi: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray, float, bool]]:
@@ -377,9 +402,10 @@ def evolve(
     the run's first state: a constant generator is one run over the grid, a
     changing one a run per step. Each run is handed the Lanczos size of the
     run before it, below which ``krylov_step`` skips its checks. A single
-    run's coefficients are kept as ``EvolvedState.generator``. The per-mode
-    blocks of H's fixed parts are built once and combined per run; no
-    generator-sized matrix is built or decomposed. A Lanczos space that
+    run's coefficients are kept as ``EvolvedState.generator``. A grid whose
+    steps need more than MAX_SUBSTEPS sub-steps raises StepError first. The
+    per-mode blocks of H's fixed parts are built once and combined per run;
+    no generator-sized matrix is built or decomposed. A Lanczos space that
     resolves more samples than it has vectors is kept as a segment of
     coefficients on its basis; the samples of every other space are stored
     as rows, consecutive stored rows joined into segments of at least
@@ -396,10 +422,12 @@ def evolve(
         raise ValueError(f"initial state must be unit norm, got {nrm}")
 
     parts = _mode_blocks(h.polys, rep)
+    midpoints = (tuple(h.value(float(t) + 0.5 * dt)) for t in ts[:-1])
+    runs = [(coeffs, sum(1 for _ in run)) for coeffs, run in groupby(midpoints)]
+    _check_reachable(runs, parts, rep, dt)
     segments, stored = [], [psi[None]]
-    runs, size = 0, 0
-    for coeffs, run in groupby(tuple(h.value(float(t) + 0.5 * dt)) for t in ts[:-1]):
-        n, runs = sum(1 for _ in run), runs + 1
+    size = 0
+    for coeffs, n in runs:
         g = _block_action(np.tensordot(coeffs, parts, 1), rep)
         for segment in krylov_step(g, psi, dt, n, size):
             if segment.coeffs is not None:
@@ -415,7 +443,7 @@ def evolve(
             psi = segment.row(-1)
     if stored:
         segments.append(Segment(np.concatenate(stored)))
-    return EvolvedState(ts, tuple(segments), coeffs if runs == 1 else None)
+    return EvolvedState(ts, tuple(segments), runs[0][0] if len(runs) == 1 else None)
 
 
 @dataclass(frozen=True)
@@ -545,13 +573,3 @@ def measure(
     drift_series = DriftSeries(evolved.times, values, drift, rel)
     return Observables(drift_series, pair(X, PX), pair(Y, PY), bopp, float(weight.max()))
 
-
-def write_evolution_csv(
-    path, drift: DriftSeries, xp: UncertaintyResult, margin: np.ndarray, e_tracked: np.ndarray
-) -> None:
-    """CSV export: t, Re<I>, drift, dx*dpx, bound, margin, E_tracked."""
-    write_csv(
-        path,
-        ["t", "re_I", "drift", "dx_dpx", "bound", "margin", "E_tracked"],
-        [drift.times, drift.values.real, abs(drift.drift), xp.product, xp.bound, margin, e_tracked],
-    )

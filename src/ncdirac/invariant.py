@@ -151,13 +151,5 @@ def solve_constant_invariant(
             "over the grid, so the momentum/position coefficient pairs "
             "(a1, b3) and (a3, b1) each carry one free constant."
         )
-    return NullspaceReport(
-        times=ts,
-        matrix=a,
-        singular_values=s,
-        tolerance=tol,
-        rank=rank,
-        nullspace=null_basis,
-        note=note,
-    )
+    return NullspaceReport(ts, a, s, tol, rank, null_basis, note)
 

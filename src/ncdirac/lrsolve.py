@@ -21,7 +21,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .csvout import write_csv
 from .errors import CoverageError, SingularParameterError, StepError
 from .ncmodel import NCParams, f_eta, f_theta
 
@@ -69,29 +68,24 @@ def xi_closed(p: NCParams, t):
 # -- ODE system ---------------------------------------------------------------
 
 _IDX = {"xi1": 0, "xi2": 1, "F1": 2, "F2": 3}
-#: peak bytes integrate_rk4 holds per time sample: four 4-component complex
-#: states (closed, integrated, stage, flow_rhs output), temporaries and slack
-ROW_BYTES = 336
+#: peak bytes integrate_rk4 holds per time sample: two 4-component complex
+#: states (closed, integrated), the 2-component stage envelope and flow_rhs
+#: rates, temporaries and slack (traced: 249 B over 200 001 samples)
+ROW_BYTES = 288
 
 
-def flow_rhs(p: NCParams, t, y: np.ndarray) -> np.ndarray:
-    """Right-hand side of the coupled system on y = (xi1, xi2, F1, F2) along
-    the first axis; t and the trailing axes of y may run over times:
-
-    dF1/dt = -i m F1, dF2/dt = +i m F2,
-    dxi1/dt = -i f_eta(t) F2/F1, dxi2/dt = -f_eta(t) F2/F1.
-    """
-    f1 = y[2]
-    f2 = y[3]
+def flow_rhs(p: NCParams, t, env: np.ndarray) -> np.ndarray:
+    """Rates of xi1, xi2 along the first axis from the envelope env = (F1, F2)
+    along the first axis; t and the trailing axes of env may run over times:
+    dxi1/dt = -i f_eta(t) F2/F1, dxi2/dt = -f_eta(t) F2/F1."""
+    f1, f2 = env
     if np.any(f1 == 0):
         raise ZeroDivisionError("envelope component F1 vanished")
     ratio = f2 / f1
     fe = f_eta(p, t)
-    out = np.empty(np.shape(y), dtype=complex)
-    out[0] = -1j * fe * ratio
-    out[1] = -fe * ratio
-    out[2] = -1j * p.m * f1
-    out[3] = 1j * p.m * f2
+    out = np.empty((2, *np.shape(ratio)), dtype=complex)
+    np.multiply(-1j * fe, ratio, out=out[0, ...])  # one temporary per rate
+    np.multiply(-fe, ratio, out=out[1, ...])
     return out
 
 
@@ -110,6 +104,15 @@ class Trajectory:
     states: np.ndarray  # (4, n) complex, integrated
     deviation: np.ndarray  # (4, n) |integrated - closed form|
     max_deviation: dict[str, float]
+
+    def table(self) -> tuple[list[str], list[np.ndarray]]:
+        """The xi_trajectory.csv header and columns: t, Re/Im of xi1, xi2,
+        F1, F2, and the closed-form deviations."""
+        header, columns = ["t"], [self.times]
+        for name, state in zip(_IDX, self.states):
+            header += [f"re_{name}", f"im_{name}"]
+            columns += [state.real, state.imag]
+        return header + [f"dev_{name}" for name in _IDX], columns + list(self.deviation)
 
 
 def integrate_rk4(p: NCParams, t0: float, t1: float, dt: float) -> Trajectory:
@@ -147,29 +150,18 @@ def integrate_rk4(p: NCParams, t0: float, t1: float, dt: float) -> Trajectory:
         raise OverflowError("the RK4 envelope leaves the float range")
     # stage j (time offset c_j steps, weight w_j) has the envelope F_k s_j,
     # s_j = 1 + c_j h a s_{j-1} with s_0 = 1
-    stage = np.zeros((4, n_steps), dtype=complex)
+    stage = np.empty((2, n_steps), dtype=complex)
     factor = np.ones(2, dtype=complex)
     for offset, weight in ((0.0, 1.0), (0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
         factor = 1.0 + offset * h * rates * factor
-        np.multiply(states[2:, :-1], factor[:, None], out=stage[2:])
-        states[:2, 1:] += weight * flow_rhs(p, times[:-1] + offset * h, stage)[:2]
+        np.multiply(states[2:, :-1], factor[:, None], out=stage)
+        states[:2, 1:] += weight * flow_rhs(p, times[:-1] + offset * h, stage)
     states[:2, 1:] *= h / 6.0
     states[:2, 0] = closed[:2, 0]
     np.cumsum(states[:2], axis=1, out=states[:2])
     deviation = np.abs(np.subtract(states, closed, out=closed))
     max_dev = {name: float(deviation[k].max()) for name, k in _IDX.items()}
     return Trajectory(times=times, states=states, deviation=deviation, max_deviation=max_dev)
-
-
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """CSV export: t, Re/Im of xi1, xi2, F1, F2, and closed-form deviations."""
-    header, columns = ["t"], [traj.times]
-    for name, state in zip(_IDX, traj.states):
-        header += [f"re_{name}", f"im_{name}"]
-        columns += [state.real, state.imag]
-    header += [f"dev_{name}" for name in _IDX]
-    columns += list(traj.deviation)
-    write_csv(path, header, columns)
 
 
 # -- phases and assembled solution --------------------------------------------

@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -827,6 +828,71 @@ def test_grid_beyond_physical_memory_exits_2(tmp_path, monkeypatch, capsys, comm
     assert run(tmp_path, command, f"--grid_points={points}") == 2
     assert "config error:" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+#: the files each computing command produces before the emit filter
+ARTIFACTS = {
+    "verify-algebra": {"algebra_report.json"},
+    "invariant": {"residuals.csv", "nullspace_report.json"},
+    "xi": {"xi_trajectory.csv"},
+    "evolve": {"evolution.csv"},
+}
+
+
+@pytest.mark.parametrize("emit", ["csv", "json", "csv,json"])
+@pytest.mark.parametrize("command", COMPUTING)
+def test_emit_writes_exactly_the_files_it_allows(tmp_path, command, emit):
+    # no output directory is made when emit allows none of the command's files
+    out = tmp_path / "out"
+    assert main([command, *DEFORMED, *SMALL_RUN, f"--emit={emit}", "--out", str(out)]) == 0
+    want = {name for name in ARTIFACTS[command] if name.rpartition(".")[2] in emit.split(",")}
+    if want:
+        assert {f.name for f in out.iterdir()} == want
+    else:
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("emit", ["csv", "json"])
+def test_report_writes_its_summary_whatever_emit_says(tmp_path, emit):
+    write_report_inputs(tmp_path)
+    assert run(tmp_path, "report", f"--emit={emit}") == 0
+    assert set(json.loads((tmp_path / "run_summary.json").read_text())["sections"]) == {
+        "algebra", "invariant", "xi", "evolution",
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--gamma=50", "--t1=1", "--dt=0.5"),  # f_theta grows as e^{50 t}
+        ("--gamma=0.2", "--t1=200", "--dt=1"),  # the README deformation, long and coarse
+        ("--gamma=-20", "--t1=1", "--dt=0.5"),  # f_eta grows as e^{20 t}
+    ],
+)
+def test_evolve_refuses_a_step_the_generator_norm_puts_out_of_reach(
+    tmp_path, monkeypatch, capsys, argv
+):
+    # refused before any stepping: the sub-steps such a step needs never end
+    def no_stepping(*args, **kwargs):
+        raise AssertionError("evolve stepped before checking that dt is reachable")
+
+    monkeypatch.setattr(fockevolve, "krylov_step", no_stepping)
+    start = time.perf_counter()
+    assert run(tmp_path, "evolve", "--theta=0.1", "--eta=0.05", *argv) == 2
+    assert time.perf_counter() - start < 10.0
+    err = capsys.readouterr().err
+    assert err.startswith("config error: dt=") and "generator-norm bound" in err
+    assert err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
+def test_evolve_on_a_state_space_one_lanczos_space_spans_takes_any_dt(tmp_path):
+    # 2 fock_N^2 = 32 <= KRYLOV_MAX: the space exhausts the state space and
+    # resolves the step whatever the generator's norm; the run ends in exit 1
+    assert 2 * 4**2 <= fockevolve.KRYLOV_MAX
+    argv = ("--theta=0.1", "--eta=0.05", "--gamma=50", "--t1=1", "--dt=0.5", "--fock_N=4")
+    assert run(tmp_path, "evolve", *argv) == 1
+    assert (tmp_path / "evolution.csv").exists()
 
 
 def test_emit_filter(tmp_path):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from ncdirac import lrsolve, ncmodel
+from ncdirac.csvout import write_csv
 from ncdirac.errors import CoverageError, SingularParameterError, StepError
 from ncdirac.lrsolve import (
     assemble_solution,
@@ -21,7 +22,6 @@ from ncdirac.lrsolve import (
     lr_phase,
     theta_phase,
     trial_residual,
-    write_trajectory_csv,
     xi_closed,
 )
 from ncdirac.ncmodel import NCParams
@@ -71,21 +71,23 @@ def test_xi_structural_identity():
 
 
 def test_xi_ode_rhs_values():
-    rhs = flow_rhs(COMMUTATIVE, 0.0, closed_state(COMMUTATIVE, 0.0))
+    rhs = flow_rhs(COMMUTATIVE, 0.0, closed_state(COMMUTATIVE, 0.0)[2:])
     assert rhs[0] == pytest.approx(-0.5j, abs=1e-15)  # d xi1/dt
     for p in ALL_PARAMS:
         for t in (0.0, 0.7, 2.1):
-            r = flow_rhs(p, t, closed_state(p, t))
+            r = flow_rhs(p, t, closed_state(p, t)[2:])
             assert abs(r[0] - 1j * r[1]) <= 1e-14 * max(1.0, abs(r[0]))
 
 
 def test_closed_form_satisfies_ode():
-    # central difference of the closed forms against the system right-hand side
+    # central difference of the closed forms against the system right-hand
+    # side: flow_rhs for xi1, xi2, the rotations -i m F1, +i m F2 for F1, F2
     h = 1e-6
     for p in ALL_PARAMS:
         for t in (0.05, 0.5, 1.5, 3.0):
             fd = (closed_state(p, t + h) - closed_state(p, t - h)) / (2.0 * h)
-            an = flow_rhs(p, t, closed_state(p, t))
+            y = closed_state(p, t)
+            an = np.concatenate([flow_rhs(p, t, y[2:]), [-1j * p.m * y[2], 1j * p.m * y[3]]])
             scale = np.maximum(np.abs(an), 1.0)
             assert np.max(np.abs(fd - an) / scale) <= 1e-6
 
@@ -166,7 +168,7 @@ def test_deviation_columns_reach_max_deviation_exactly(tmp_path):
             q1=rng.uniform(-0.5, 0.5), q2=rng.uniform(-0.5, 0.5),
         )
         traj = integrate_rk4(p, 0.0, rng.uniform(0.5, 1.5), 2e-3)
-        write_trajectory_csv(traj, tmp_path / "xi.csv")
+        write_csv(tmp_path / "xi.csv", *traj.table())
         with open(tmp_path / "xi.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         for name in ("xi1", "xi2", "F1", "F2"):
@@ -185,11 +187,11 @@ def test_closed_forms_over_times_match_cmath(p):
 def test_flow_rhs_over_times_matches_single_times():
     rng = np.random.default_rng(3)
     ts = np.linspace(-1.0, 4.0, 64)
-    ys = rng.standard_normal((4, 64)) + 1j * rng.standard_normal((4, 64))
+    ys = rng.standard_normal((2, 64)) + 1j * rng.standard_normal((2, 64))
     for p in ALL_PARAMS:
         got = flow_rhs(p, ts, ys)
         want = np.stack([flow_rhs(p, float(t), ys[:, k]) for k, t in enumerate(ts)], axis=1)
-        assert got.shape == (4, 64)
+        assert got.shape == (2, 64)
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
 
 
@@ -203,7 +205,7 @@ def test_rk4_step_errors():
 
 
 def test_flow_rhs_rejects_vanishing_envelope():
-    bad = np.array([0, 0, 0.0, 1.0], dtype=complex)
+    bad = np.array([0.0, 1.0], dtype=complex)
     with pytest.raises(ZeroDivisionError):
         flow_rhs(COMMUTATIVE, 0.0, bad)
 
