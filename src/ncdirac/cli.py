@@ -2,7 +2,9 @@
 and machine-readable reports.
 
 Exit codes: 0 = all checks pass, 1 = a physics/verification check failed,
-2 = usage or configuration error. A command imports the modules only it uses.
+2 = usage or configuration error. A command returns its checks; ``_finish``
+alone prints the failed ones and picks 0 or 1, and ``main`` alone picks 2.
+A command imports the modules only it uses.
 """
 
 from __future__ import annotations
@@ -175,20 +177,26 @@ def _dump_json(path: Path, payload: dict) -> None:
 
 class Result(typing.NamedTuple):
     """What a command produced: its files by name, in writing order (a CSV as
-    (header, columns), a JSON file as its payload), its stdout and stderr
-    lines and its exit code. ``emit``, when set, overrides the config's."""
+    (header, columns), a JSON file as its payload), its stdout lines, its checks
+    and the stderr notes that fail nothing. ``emit``, when set, overrides the config's."""
 
     files: dict
     out: typing.Sequence[str] = ()
-    err: typing.Sequence[str] = ()
-    code: int = 0
+    checks: typing.Sequence[tuple[str, float, float]] = ()
+    notes: typing.Sequence[str] = ()
     emit: set[str] | None = None
+
+
+def _failed(checks) -> list:
+    """The checks that fail: (what, value, bound) passes when value <= bound,
+    so a NaN fails."""
+    return [check for check in checks if not check[1] <= check[2]]
 
 
 def _finish(cfg: RunConfig, result: Result) -> int:
     """The one output path: write the files whose format ``emit`` allows,
-    making the output directory only then; print stdout, then stderr;
-    return the exit code."""
+    making the output directory only then; print stdout, then one stderr line
+    per failed check, then the notes; return 1 when a check failed, else 0."""
     emit = cfg.emit_formats() if result.emit is None else result.emit
     for name, content in result.files.items():
         kind = name.rpartition(".")[2]
@@ -200,9 +208,12 @@ def _finish(cfg: RunConfig, result: Result) -> int:
                 _dump_json(path, content)
     for line in result.out:
         print(line)
-    for line in result.err:
+    failed = _failed(result.checks)
+    for what, value, bound in failed:
+        print(f"check failed: {what}: {value:.3e} (bound {bound:.3g})", file=sys.stderr)
+    for line in result.notes:
         print(line, file=sys.stderr)
-    return result.code
+    return int(bool(failed))
 
 
 #: peak bytes verify-algebra holds per grid point, its six report records
@@ -244,17 +255,14 @@ def cmd_verify_algebra(cfg: RunConfig) -> Result:
 
     tol = 1e-12
     worst = deformed.worst()
-    failures = []
-    if not dirac.passed(tol):
-        bad = max(dirac.checks, key=lambda c: c.deviation)
-        failures.append(f"Dirac identity {bad.name} deviates by {bad.deviation:.3e}")
-    if not deformed.passed(tol):
-        failures.append(
-            f"worst commutator {worst['pair']} at t={worst['t']} "
-            f"deviates by {worst['deviation']:.3e}"
-        )
-    if dual_dev is not None and not dual_dev <= tol:
-        failures.append(f"dual-path Hamiltonian deviates by {dual_dev:.3e}")
+    bad = dirac.checks[int(np.argmax([c.deviation for c in dirac.checks]))]  # the first NaN, if any
+    checks = [
+        (f"Dirac identity {bad.name} deviation", dirac.max_deviation, tol),
+        (f"worst commutator {worst['pair']} at t={worst['t']}", deformed.max_deviation, tol),
+    ]
+    if dual_dev is not None:
+        checks.append(("dual-path Hamiltonian deviation", dual_dev, tol))
+    passed = not _failed(checks)
     payload = {
         "mode": mode,
         "dirac_algebra": dirac.as_dict(),
@@ -263,13 +271,11 @@ def cmd_verify_algebra(cfg: RunConfig) -> Result:
         "dual_path_deviation": dual_dev,
         "hbar_eff": ncmodel.hbar_eff(p),
         "consistency_ratio": ncmodel.consistency_ratio(p),
-        "pass": not failures,
+        "pass": passed,
     }
-    files = {"algebra_report.json": payload}
-    if failures:
-        return Result(files, err=[f"algebra check failed: {'; '.join(failures)}"], code=1)
     deviation = max(dirac.max_deviation, deformed.max_deviation)
-    return Result(files, [f"algebra checks passed ({mode}); max deviation {deviation:.3e}"])
+    out = [f"algebra checks passed ({mode}); max deviation {deviation:.3e}"] if passed else []
+    return Result({"algebra_report.json": payload}, out, checks)
 
 
 # -- invariant ------------------------------------------------------------------
@@ -291,16 +297,17 @@ def cmd_invariant(cfg: RunConfig) -> Result:
     # the constant slot of a scalar ansatz is i*hbar*((row 2k) alpha_2 + (row 2k+1) alpha_1)
     r = (report.matrix @ vec)[:, None, None]
     closing = res[:, 0] - p.hbar * (1j * r[0::2] * mat2.ALPHA2 + 1j * r[1::2] * mat2.ALPHA1)
-    machine_ok = not (
-        np.any(norms[:, :-1] > self_check_tol) or np.any(mat2.fro(closing) > self_check_tol)
-    )
     user_residuals = residual_norms(res)
 
     ortho_defect = float(
         np.max(np.abs(report.nullspace.T @ report.nullspace - np.eye(report.dimension)))
     ) if report.dimension else 0.0
-    if ortho_defect > 1e-12 or np.any(np.diff(report.singular_values) > 0):
-        machine_ok = False
+    checks = [
+        ("ansatz residual on relations 25a-25n", float(np.max(norms[:, :-1])), self_check_tol),
+        ("constant slot off the constraint rows", float(np.max(mat2.fro(closing))), self_check_tol),
+        ("nullspace orthonormality defect", ortho_defect, 1e-12),
+        ("rise along the singular values", float(np.max(np.diff(report.singular_values))), 0.0),
+    ]
 
     if np.linalg.norm(vec) > 0 and report.dimension > 0:
         proj = report.nullspace @ (report.nullspace.T @ vec)
@@ -314,7 +321,7 @@ def cmd_invariant(cfg: RunConfig) -> Result:
             "constants": {"a1": cfg.a1, "a3": cfg.a3, "b1": cfg.b1, "b3": cfg.b3, "c1": cfg.c1},
             "constants_in_nullspace": in_null,
             "constants_max_invariance_residual": float(user_residuals.max()),
-            "machine_checks_pass": bool(machine_ok),
+            "machine_checks_pass": not _failed(checks),
         }
     )
     header = ["t", *invariant.CONSTRAINT_LABELS, "invariance_residual"]
@@ -325,8 +332,7 @@ def cmd_invariant(cfg: RunConfig) -> Result:
     )
     residuals = (header, [grid, *norms.T, user_residuals])
     files = {"residuals.csv": residuals, "nullspace_report.json": payload}
-    err = [] if machine_ok else ["invariant machine checks failed"]
-    return Result(files, [summary, report.note], err, int(not machine_ok))
+    return Result(files, [summary, report.note], checks)
 
 
 # -- xi ---------------------------------------------------------------------------
@@ -339,10 +345,10 @@ def cmd_xi(cfg: RunConfig) -> Result:
     n_steps = max(1, int(round((cfg.t1 - cfg.t0) / cfg.dt)))
     _check_memory(lrsolve.ROW_BYTES * (n_steps + 1), f"xi over {n_steps} steps")
     traj = lrsolve.integrate_rk4(p, cfg.t0, cfg.t1, cfg.dt)
-    worst = max(traj.max_deviation.values())
+    worst = float(np.max(list(traj.max_deviation.values())))  # NaN when any is NaN
     out = [f"integration vs closed form: max deviation {worst:.3e}"]
-    err = ["integration deviates from the closed forms beyond 1e-5"] if worst > 1e-5 else []
-    return Result({"xi_trajectory.csv": traj.table()}, out, err, int(worst > 1e-5))
+    checks = [("RK4 deviation from the closed forms", worst, 1e-5)]
+    return Result({"xi_trajectory.csv": traj.table()}, out, checks)
 
 
 # -- evolve -----------------------------------------------------------------------
@@ -432,9 +438,16 @@ def cmd_evolve(cfg: RunConfig) -> Result:
     margins = np.min([r_xp.margin, r_yp.margin, r_nc.margin], axis=0)
     nc_bound_dev = float(np.max(np.abs(r_nc.bound - 0.5 * ncmodel.hbar_eff(p))))
     min_margin = float(margins.min())
-    ambiguous = any(e >= 0.5 * d for e, d in zip(track.error, track.spacing))
-    truncated = constrained and drift.relative_max > 1e-6
-    ok = evolved.norm_drift <= 1e-10 and min_margin >= -1e-9 and not (ambiguous or truncated)
+    # the level is resolved while each end's Ritz error is below half the spacing
+    resolution = float(np.max(np.divide(track.error, track.spacing)))
+    checks = [
+        ("norm drift", evolved.norm_drift, 1e-10),
+        ("uncertainty margin deficit", -min_margin, 1e-9),
+        (f"level-resolution ratio of n={track.n} (Ritz error over spacing {track.spacing[0]:.3e}"
+         f" at t0, {track.spacing[1]:.3e} at t1)", resolution, math.nextafter(0.5, 0.0)),
+    ]
+    if constrained:  # only an invariant-family choice is held to its invariance
+        checks.append((f"relative invariant drift (fock_N={cfg.fock_N})", drift.relative_max, 1e-6))
 
     header = ["t", "re_I", "drift", "dx_dpx", "bound", "margin", "E_tracked"]
     columns = [drift.values.real, abs(drift.drift), r_xp.product, r_xp.bound, margins, track.energy]
@@ -448,25 +461,14 @@ def cmd_evolve(cfg: RunConfig) -> Result:
         f"{track.error[1]:.3e} (residual {track.residual[1]:.1e}) at t1; "
         f"max top-level weight {edge:.3e}"
     )
-    err = []
+    notes = []
     gaps = ncmodel.landau_gap(p, times)
     if gaps.min() <= 0.0 <= gaps.max():
-        err.append(
+        notes.append(
             "f_theta*f_eta changes sign on the time grid: the Landau levels close, "
             f"so the level n={track.n} picked at t0 need not be the one the state follows"
         )
-    if ambiguous:
-        err.append(
-            f"the Ritz error of level n={track.n} is at least half its distance "
-            f"to the nearest other level ({track.spacing[0]:.3e} at t0, "
-            f"{track.spacing[1]:.3e} at t1): the tracked level is not resolved"
-        )
-    if truncated:
-        err.append(
-            f"invariant drift {drift.relative_max:.3e} exceeds 1e-6 for an "
-            f"invariant-family choice: fock_N={cfg.fock_N} truncation is too small"
-        )
-    return Result({"evolution.csv": (header, [times, *columns])}, [summary], err, int(not ok))
+    return Result({"evolution.csv": (header, [times, *columns])}, [summary], checks, notes)
 
 
 # -- report -----------------------------------------------------------------------
@@ -491,23 +493,26 @@ def _csv_summary(fh) -> dict:
 
 
 def cmd_report(cfg: RunConfig) -> Result:
-    out = _out_dir(cfg)
+    d = Path(cfg.output_dir)  # read only: _finish makes it when it writes the summary
     needed = {
-        "algebra": out / "algebra_report.json",
-        "invariant": out / "nullspace_report.json",
-        "xi": out / "xi_trajectory.csv",
-        "evolution": out / "evolution.csv",
+        "algebra": d / "algebra_report.json",
+        "invariant": d / "nullspace_report.json",
+        "xi": d / "xi_trajectory.csv",
+        "evolution": d / "evolution.csv",
     }
     missing = [str(path) for path in needed.values() if not path.exists()]
     if missing:
-        return Result({}, err=[f"missing inputs for report: {', '.join(missing)}"], code=2)
+        found = next(a for a in (d, *d.parents) if a.exists())  # "." or "/" at the latest
+        if not found.is_dir():
+            raise ConfigError(f"cannot use output directory {d}: {found} is not a directory")
+        raise ConfigError(f"missing inputs for report: {', '.join(missing)}")
     sections = {}
     for name, path in needed.items():
         try:
             with open(path, encoding="utf-8", newline="") as fh:
                 sections[name] = json.load(fh) if path.suffix == ".json" else _csv_summary(fh)
         except (OSError, ValueError) as exc:  # ValueError covers bad JSON, UTF-8 and numbers
-            return Result({}, err=[f"unreadable input for report: {path}: {exc}"], code=2)
+            raise ConfigError(f"unreadable input for report: {path}: {exc}") from exc
     summary = {
         "version": __version__,
         "config_hash": cfg.canonical_hash(),

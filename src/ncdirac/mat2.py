@@ -46,10 +46,8 @@ class DiracAlgebraReport:
 
     @property
     def max_deviation(self) -> float:
-        return max(c.deviation for c in self.checks)
-
-    def passed(self, tol: float = 1e-14) -> bool:
-        return self.max_deviation <= tol
+        """Largest deviation; NaN when any deviation is NaN."""
+        return float(np.max([c.deviation for c in self.checks]))
 
     def as_dict(self) -> dict:
         return {

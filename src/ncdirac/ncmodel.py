@@ -178,10 +178,6 @@ class DeformedAlgebraReport:
         """Largest deviation; NaN when any deviation is NaN."""
         return float(np.max(self.deviation))
 
-    def passed(self, tol: float = 1e-13) -> bool:
-        """True when every deviation is finite and at most ``tol``."""
-        return math.isfinite(self.max_deviation) and self.max_deviation <= tol
-
     def worst(self) -> dict:
         """The first NaN check, else the first largest deviation in time-major,
         pair order, as {"pair", "t", "deviation"}."""

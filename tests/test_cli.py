@@ -106,8 +106,8 @@ def test_verify_algebra_failure_names_the_failing_check(tmp_path, monkeypatch, c
     monkeypatch.setattr(owner, attr, broken)
     assert run(tmp_path, "verify-algebra", "--theta=0.1", "--eta=0.05", "--gamma=0.2") == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"algebra check failed: {name}")
-    assert err.count(";") == 0
+    assert err.startswith(f"check failed: {name}")
+    assert err.count("\n") == 1
 
 
 def test_verify_algebra_nan_deviation_fails(tmp_path, monkeypatch):
@@ -131,6 +131,16 @@ def test_verify_algebra_nan_deviation_fails(tmp_path, monkeypatch):
     assert report["pass"] is False
     assert report["worst_commutator"]["pair"] == "[y_nc,py_nc]"
     assert report["deformed_algebra"]["checks"][3]["deviation"] is None
+
+
+def test_verify_algebra_nan_dirac_identity_fails(tmp_path, monkeypatch, capsys):
+    beta = np.array(mat2.BETA)
+    beta[0, 0] = np.nan  # NaN in {a1,beta}, {a2,beta} and beta^2, none the first identity
+    real = mat2.verify_dirac_algebra
+    monkeypatch.setattr(mat2, "verify_dirac_algebra", lambda: real(beta=beta))
+    assert run(tmp_path, "verify-algebra") == 1
+    err = capsys.readouterr().err
+    assert err == "check failed: Dirac identity {a1,beta} deviation: nan (bound 1e-12)\n"
 
 
 def test_json_report_bytes_match_json_dump(tmp_path):
@@ -330,13 +340,13 @@ def test_evolve_warns_when_the_landau_levels_close(tmp_path, capsys):
     code = run(tmp_path, "evolve", *argv)
     assert code in (0, 1)
     err = capsys.readouterr().err
-    assert "changes sign" in err and "not resolved" not in err
+    assert "changes sign" in err and "level-resolution ratio" not in err
     assert run(tmp_path, "evolve", "--eta=-0.5", "--gamma=1", *argv[2:]) == code
     assert "changes sign" not in capsys.readouterr().err
     # at fock_N=6 the Ritz error at t1 (5.1e-2) exceeds half the level
     # spacing there (8.0e-2), as the levels near their closing: exit 1
     assert run(tmp_path, "evolve", *argv[:2], "--fock_N=6", *argv[3:]) == 1
-    assert "not resolved" in capsys.readouterr().err
+    assert "check failed: level-resolution ratio of n=1" in capsys.readouterr().err
 
 
 def test_evolve_exits_1_when_the_level_pick_is_ambiguous(tmp_path, capsys):
@@ -344,14 +354,42 @@ def test_evolve_exits_1_when_the_level_pick_is_ambiguous(tmp_path, capsys):
     # the state follows means nothing
     assert run(tmp_path / "tiny-m", "evolve", "--m=1e-300", "--fock_N=8", "--t1=0.01") == 1
     out, err = capsys.readouterr()
-    assert "the tracked level is not resolved" in err
+    assert err.startswith("check failed: level-resolution ratio of n=0")
     # the n = 0 (+) level is m, not the 0 of an underflowing m^2
     assert "Landau level n=0 (+)" in out
     rows = list(csv.reader((tmp_path / "tiny-m" / "evolution.csv").open()))
     assert {float(row[-1]) for row in rows[1:]} == {1e-300}
     # the README run resolves its level to a ratio of about 2e-6
     assert run(tmp_path / "readme", "evolve", "--theta=0.1", "--eta=0.05", "--gamma=0.2") == 0
-    assert "not resolved" not in capsys.readouterr().err
+    assert "level-resolution ratio" not in capsys.readouterr().err
+
+
+def _drifting_norm(monkeypatch):
+    monkeypatch.setattr(fockevolve.EvolvedState, "norm_drift", property(lambda self: 1e-6))
+
+
+def _negative_margin(monkeypatch):
+    real = fockevolve.robertson
+
+    def shifted(*args):  # every margin 1e-6 below zero
+        result = real(*args)
+        return result._replace(margin=np.full_like(result.margin, -1e-6))
+
+    monkeypatch.setattr(fockevolve, "robertson", shifted)
+
+
+@pytest.mark.parametrize(
+    "spoil, name",
+    [(_drifting_norm, "norm drift"), (_negative_margin, "uncertainty margin deficit")],
+    ids=["norm-drift", "margin"],
+)
+def test_evolve_failure_names_the_failing_check(tmp_path, monkeypatch, capsys, spoil, name):
+    # each of these checks alone fails the run: one stderr line names it
+    spoil(monkeypatch)
+    assert run(tmp_path, "evolve", "--fock_N=8", "--t1=0.1", "--dt=0.01") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"check failed: {name}: 1.000e-06 (bound ")
+    assert err.count("\n") == 1
 
 
 def test_evolve_truncation_too_small_fails(tmp_path):
@@ -376,8 +414,14 @@ def test_xi_si_mode_exits_2(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
-def test_report_requires_all_inputs(tmp_path):
-    assert run(tmp_path, "report") == 2
+def test_report_requires_all_inputs(tmp_path, capsys):
+    # report only reads its inputs: a missing directory stays missing
+    for out in (tmp_path, tmp_path / "absent"):
+        assert run(out, "report") == 2
+        assert out.exists() == (out == tmp_path)
+        err = capsys.readouterr().err
+        assert err.startswith("config error: missing inputs for report: ")
+        assert err.count("\n") == 1
 
 
 def write_report_inputs(d):
@@ -429,7 +473,7 @@ def test_unreadable_report_input_exits_2(tmp_path, capsys, name, spoil):
     spoil(tmp_path / name)
     assert run(tmp_path, "report") == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"unreadable input for report: {tmp_path / name}: ")
+    assert err.startswith(f"config error: unreadable input for report: {tmp_path / name}: ")
     assert err.count("\n") == 1
     assert not (tmp_path / "run_summary.json").exists()
 

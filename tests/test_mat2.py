@@ -58,14 +58,14 @@ def test_dirac_algebra_default():
     rep = mat2.verify_dirac_algebra()
     assert len(rep.checks) == 9
     assert rep.max_deviation == 0.0
-    assert rep.passed()
+    assert rep.max_deviation <= 1e-14
 
 
 def test_dirac_algebra_perturbed_flags_failure():
     bad = np.array(ALPHA1)
     bad[0, 1] += 1e-3
     rep = mat2.verify_dirac_algebra(alpha1=bad)
-    assert not rep.passed()
+    assert not rep.max_deviation <= 1e-14
     assert rep.max_deviation > 1e-4
 
 

@@ -174,7 +174,7 @@ def test_grid_passes_call_the_kernel_one_block_at_a_time(monkeypatch):
     p = ncmodel.NCParams(theta=0.1, eta=0.05, gamma=0.2)
     grid = np.linspace(0.0, 1.0, 4096)
     report = ncmodel.verify_nc_algebra(p, grid)
-    assert report.deviation.size == 6 * 4096 and report.passed()
+    assert report.deviation.size == 6 * 4096 and report.max_deviation <= 1e-13
     assert max(seen) <= GRID_BLOCK and sum(seen) == 4096 and len(seen) == 4096 // GRID_BLOCK
     seen.clear()
     ans = invariant.constant_invariant(1.0, 0.0, 0.0, -0.5, 0.0)
