@@ -35,18 +35,11 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
-    theta: float = 0.0
-    eta: float = 0.0
-    gamma: float = 0.0
-    B: float = 1.0
-    e: float = 1.0
-    m: float = 1.0
-    hbar: float = 1.0
-    q1: float = 0.0
-    q2: float = 0.0
-    unit_mode: str = "natural"
+@dataclass(frozen=True)
+class RunConfig(ncmodel.NCParams):
+    """The model parameters with the run's window, grid, truncation,
+    invariant constants and outputs; the run checks come before the model's."""
+
     t0: float = 0.0
     t1: float = 1.0
     dt: float = 1e-3
@@ -60,47 +53,40 @@ class RunConfig:
     output_dir: str = "."
     emit: str = "csv,json"
 
-    def validate(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
+    def __post_init__(self):
+        for key in _FIELD_TYPES:
+            value = getattr(self, key)
             if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value!r}")
+                raise ValueError(f"{key} must be finite, got {value!r}")
         if self.dt <= 0:
-            raise ConfigError("dt must be positive")
+            raise ValueError("dt must be positive")
         if self.t1 <= self.t0:
-            raise ConfigError("t1 must exceed t0")
+            raise ValueError("t1 must exceed t0")
         if self.dt > self.t1 - self.t0:
-            raise ConfigError("dt exceeds the interval t1 - t0")
+            raise ValueError("dt exceeds the interval t1 - t0")
         if self.fock_N < 2:
-            raise ConfigError("fock_N must be at least 2")
+            raise ValueError("fock_N must be at least 2")
         if self.grid_points < 2:
-            raise ConfigError("grid_points must be at least 2")
+            raise ValueError("grid_points must be at least 2")
         formats = self.emit_formats()
         if not formats or not formats <= {"csv", "json"}:
-            raise ConfigError("emit must be a nonempty subset of {csv, json}")
+            raise ValueError("emit must be a nonempty subset of {csv, json}")
+        super().__post_init__()
 
     def emit_formats(self) -> set[str]:
         return {s.strip() for s in self.emit.split(",") if s.strip()}
 
-    def params(self) -> ncmodel.NCParams:
-        shared = {f.name: getattr(self, f.name) for f in fields(ncmodel.NCParams) if f.init}
-        try:
-            return ncmodel.NCParams(**shared)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
     def canonical_hash(self) -> str:
-        """Hash of every field but output_dir: identical runs written to two
+        """Hash of every key but output_dir: identical runs written to two
         directories share it."""
         import hashlib  # report alone takes it; it loads libcrypto
-        lines = []
-        for f in fields(self):
-            if f.name != "output_dir":
-                lines.append(f"{f.name}={getattr(self, f.name)!r}")
+        lines = [f"{key}={getattr(self, key)!r}" for key in _FIELD_TYPES if key != "output_dir"]
         return hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest()
 
 
-_FIELD_TYPES = typing.get_type_hints(RunConfig)
+_HINTS = typing.get_type_hints(RunConfig)
+#: config key -> type: the fields a RunConfig is built from, not the derived kappa
+_FIELD_TYPES = {f.name: _HINTS[f.name] for f in fields(RunConfig) if f.init}
 
 
 def _convert(key: str, raw: str):
@@ -139,9 +125,10 @@ def load_config(args: Args) -> RunConfig:
     values.update(args.values)
     if args.out is not None:
         values["output_dir"] = args.out
-    cfg = RunConfig(**values)
-    cfg.validate()
-    return cfg
+    try:
+        return RunConfig(**values)
+    except ValueError as exc:  # the run's checks or the model's
+        raise ConfigError(str(exc)) from exc
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -196,7 +183,8 @@ def _failed(checks) -> list:
 def _finish(cfg: RunConfig, result: Result) -> int:
     """The one output path: write the files whose format ``emit`` allows,
     making the output directory only then; print stdout, then one stderr line
-    per failed check, then the notes; return 1 when a check failed, else 0."""
+    per failed check, then the notes, then the small-deformation notice when
+    the parameters leave that regime; return 1 when a check failed, else 0."""
     emit = cfg.emit_formats() if result.emit is None else result.emit
     for name, content in result.files.items():
         kind = name.rpartition(".")[2]
@@ -213,6 +201,13 @@ def _finish(cfg: RunConfig, result: Result) -> int:
         print(f"check failed: {what}: {value:.3e} (bound {bound:.3g})", file=sys.stderr)
     for line in result.notes:
         print(line, file=sys.stderr)
+    ratio, bound = ncmodel.consistency_ratio(cfg), ncmodel.CONSISTENCY_WARN_THRESHOLD
+    if ratio > bound:
+        print(
+            f"|theta*eta/(4*hbar^2)| = {ratio:.3e} exceeds {bound:.0e}; "
+            "outside the small-deformation regime",
+            file=sys.stderr,
+        )
     return int(bool(failed))
 
 
@@ -235,20 +230,20 @@ def _check_memory(need: int, run: str) -> None:
 
 
 def cmd_verify_algebra(cfg: RunConfig) -> Result:
-    p = cfg.params()
     _check_memory(GRID_POINT_BYTES * cfg.grid_points, f"verify-algebra on {cfg.grid_points} points")
     t_grid = np.linspace(cfg.t0, cfg.t1, cfg.grid_points)
 
     dirac = mat2.verify_dirac_algebra()
-    deformed = ncmodel.verify_nc_algebra(p, t_grid)
-    dual_dev = None
-    if p.natural:
-        ncmodel.require_h_nc_units(p)
-        dual_dev = ncmodel.dual_path_deviation(p)
+    deformed = ncmodel.verify_nc_algebra(cfg, t_grid)
+    try:
+        ncmodel.require_h_nc_units(cfg)
+        dual_dev = ncmodel.dual_path_deviation(cfg)
+    except UnitModeError:  # the deformed H is undefined, so is its second path
+        dual_dev = None
 
-    if p.theta == 0.0 and p.eta == 0.0:
+    if cfg.theta == 0.0 and cfg.eta == 0.0:
         mode = "commutative"
-    elif p.gamma == 0.0:
+    elif cfg.gamma == 0.0:
         mode = "stationary-deformation"
     else:
         mode = "time-dependent-deformation"
@@ -269,8 +264,8 @@ def cmd_verify_algebra(cfg: RunConfig) -> Result:
         "deformed_algebra": deformed.as_dict(),
         "worst_commutator": worst,
         "dual_path_deviation": dual_dev,
-        "hbar_eff": ncmodel.hbar_eff(p),
-        "consistency_ratio": ncmodel.consistency_ratio(p),
+        "hbar_eff": ncmodel.hbar_eff(cfg),
+        "consistency_ratio": ncmodel.consistency_ratio(cfg),
         "pass": passed,
     }
     deviation = max(dirac.max_deviation, deformed.max_deviation)
@@ -283,20 +278,19 @@ def cmd_verify_algebra(cfg: RunConfig) -> Result:
 
 def cmd_invariant(cfg: RunConfig) -> Result:
     from . import invariant
-    p = cfg.params()
     _check_memory(GRID_POINT_BYTES * cfg.grid_points, f"invariant on {cfg.grid_points} points")
-    grid = invariant.default_constraint_grid(p, cfg.grid_points)
+    grid = invariant.default_constraint_grid(cfg, cfg.grid_points)
     ans = invariant.constant_invariant(cfg.a1, cfg.a3, cfg.b1, cfg.b3, cfg.c1)
-    h = ncmodel.build_h_nc(p)
+    h = ncmodel.build_h_nc(cfg)
 
     self_check_tol = 1e-13
-    report = invariant.solve_constant_invariant(p, grid)
-    res = invariant.invariance_residual(ans, h, p.hbar, grid)
+    report = invariant.solve_constant_invariant(cfg, grid)
+    res = invariant.invariance_residual(ans, h, cfg.hbar, grid)
     norms = mat2.fro(res[:, invariant.CONSTRAINT_SLOTS])
     vec = np.array([cfg.a1, cfg.a3, cfg.b1, cfg.b3])
     # the constant slot of a scalar ansatz is i*hbar*((row 2k) alpha_2 + (row 2k+1) alpha_1)
     r = (report.matrix @ vec)[:, None, None]
-    closing = res[:, 0] - p.hbar * (1j * r[0::2] * mat2.ALPHA2 + 1j * r[1::2] * mat2.ALPHA1)
+    closing = res[:, 0] - cfg.hbar * (1j * r[0::2] * mat2.ALPHA2 + 1j * r[1::2] * mat2.ALPHA1)
     user_residuals = residual_norms(res)
 
     ortho_defect = float(
@@ -340,11 +334,10 @@ def cmd_invariant(cfg: RunConfig) -> Result:
 
 def cmd_xi(cfg: RunConfig) -> Result:
     from . import lrsolve
-    p = cfg.params()
-    ncmodel.require_h_nc_units(p)  # the flow's dressing f_eta is the natural-unit one
+    ncmodel.require_h_nc_units(cfg)  # the flow's dressing f_eta is written for hbar = 1
     n_steps = max(1, int(round((cfg.t1 - cfg.t0) / cfg.dt)))
     _check_memory(lrsolve.ROW_BYTES * (n_steps + 1), f"xi over {n_steps} steps")
-    traj = lrsolve.integrate_rk4(p, cfg.t0, cfg.t1, cfg.dt)
+    traj = lrsolve.integrate_rk4(cfg, cfg.t0, cfg.t1, cfg.dt)
     worst = float(np.max(list(traj.max_deviation.values())))  # NaN when any is NaN
     out = [f"integration vs closed form: max deviation {worst:.3e}"]
     checks = [("RK4 deviation from the closed forms", worst, 1e-5)]
@@ -413,30 +406,29 @@ def track_level(
 
 def cmd_evolve(cfg: RunConfig) -> Result:
     from . import fockevolve, invariant, lrsolve
-    p = cfg.params()
     n_steps = max(1, int(round((cfg.t1 - cfg.t0) / cfg.dt)))
     need = fockevolve.dense_bytes(cfg.fock_N, n_steps + 1)
     _check_memory(need, f"evolve at fock_N={cfg.fock_N} over {n_steps} steps")
-    rep = fockevolve.build_fock_rep(cfg.fock_N, lrsolve.magnetic_length(p), p.hbar)
-    h = ncmodel.build_h_nc(p)
+    rep = fockevolve.build_fock_rep(cfg.fock_N, lrsolve.magnetic_length(cfg), cfg.hbar)
+    h = ncmodel.build_h_nc(cfg)
 
     times = cfg.t0 + (cfg.t1 - cfg.t0) * np.arange(n_steps + 1) / n_steps
     # displaced by one oscillator length: a centered vacuum is a near-stationary
     # state that never probes the truncation edge, so its drift measures nothing
     psi0 = fockevolve.coherent_state(rep, alpha_x=1.0)
     evolved = fockevolve.evolve(h, rep, psi0, times)
-    track = track_level(p, h, rep, evolved)
+    track = track_level(cfg, h, rep, evolved)
 
     ans = invariant.constant_invariant(cfg.a1, cfg.a3, cfg.b1, cfg.b3, cfg.c1)
     drift, r_xp, r_yp, r_nc, edge = fockevolve.measure(
-        ans.at(0.0), rep, evolved, functools.partial(ncmodel.bopp_scales, p)
+        ans.at(0.0), rep, evolved, functools.partial(ncmodel.bopp_scales, cfg)
     )
-    residual = invariant.invariance_residual(ans, h, p.hbar, np.linspace(cfg.t0, cfg.t1, 8))
+    residual = invariant.invariance_residual(ans, h, cfg.hbar, np.linspace(cfg.t0, cfg.t1, 8))
     res_norm = float(np.max(residual_norms(residual)))
     constrained = res_norm <= 1e-10
 
     margins = np.min([r_xp.margin, r_yp.margin, r_nc.margin], axis=0)
-    nc_bound_dev = float(np.max(np.abs(r_nc.bound - 0.5 * ncmodel.hbar_eff(p))))
+    nc_bound_dev = float(np.max(np.abs(r_nc.bound - 0.5 * ncmodel.hbar_eff(cfg))))
     min_margin = float(margins.min())
     # the level is resolved while each end's Ritz error is below half the spacing
     resolution = float(np.max(np.divide(track.error, track.spacing)))
@@ -462,7 +454,7 @@ def cmd_evolve(cfg: RunConfig) -> Result:
         f"max top-level weight {edge:.3e}"
     )
     notes = []
-    gaps = ncmodel.landau_gap(p, times)
+    gaps = ncmodel.landau_gap(cfg, times)
     if gaps.min() <= 0.0 <= gaps.max():
         notes.append(
             "f_theta*f_eta changes sign on the time grid: the Landau levels close, "

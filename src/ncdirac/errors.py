@@ -6,7 +6,7 @@ class DegreeError(ValueError):
 
 
 class UnitModeError(ValueError):
-    """Operation requires natural units (hbar = c = 1)."""
+    """The deformed Hamiltonian is undefined: hbar != 1 with theta or eta nonzero."""
 
 
 class SingularParameterError(ValueError):

@@ -45,7 +45,7 @@ KRYLOV_MAX = 40
 #: error estimate, relative to |psi|, within which a Krylov sample is written
 KRYLOV_TOL = 1e-14
 #: most sub-steps the generator-norm bound may ask of one evolution; it counts
-#: low: a fock_N=16 step it puts at 903 takes 2048 (8.7 s, one thread, 2 vCPUs)
+#: low: a fock_N=16 step it puts at 903 takes 2048 (3.4-3.8 s, one thread, 2 vCPUs)
 MAX_SUBSTEPS = 1024
 
 
@@ -342,19 +342,20 @@ def krylov_step(
     A yielded segment with coefficients carries its space as its basis. A
     step that no space of KRYLOV_MAX vectors resolves is split into equal
     sub-steps, halving until each converges, so any dt is reached; its sample
-    is yielded as a stored row.
+    is yielded as a stored row. Each sub-step is handed the size of the last
+    sub-step that converged (0 before the first), as the runs are.
     """
     done = 0
     while done < n:
         segment = _krylov_run(g, psi, dt, n - done, size)
         size = len(segment.basis)
         if not segment.size:
-            remaining, tau = dt, dt
+            remaining, tau, sub_size = dt, dt, 0
             while remaining > 0.0:
                 tau = min(tau, remaining)
-                sub = _krylov_run(g, psi, tau, 1, 0)
+                sub = _krylov_run(g, psi, tau, 1, sub_size)
                 if sub.size:
-                    psi, remaining = sub.row(0), remaining - tau
+                    psi, remaining, sub_size = sub.row(0), remaining - tau, len(sub.basis)
                 elif tau > dt * 2.0**-60:  # bounded, so a NaN estimate cannot loop forever
                     tau *= 0.5
                 else:

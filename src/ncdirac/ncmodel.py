@@ -9,7 +9,6 @@ scale as eta*e^{-gamma t}, so their product is time-independent.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -27,15 +26,8 @@ from .phasepoly import (
     residual_norms,
 )
 
-NATURAL = "natural"
-SI = "SI"
-
 #: consistency regime bound on |theta*eta/(4*hbar^2)|
 CONSISTENCY_WARN_THRESHOLD = 1e-2
-
-
-class ConsistencyWarning(UserWarning):
-    """The deformation parameters leave the small-deformation regime."""
 
 
 @dataclass(frozen=True)
@@ -57,7 +49,6 @@ class NCParams:
     hbar: float = 1.0
     q1: float = 0.0
     q2: float = 0.0
-    unit_mode: str = NATURAL
     kappa: float = field(init=False)
 
     def __post_init__(self):
@@ -65,21 +56,8 @@ class NCParams:
             raise ValueError("mass m must be positive")
         if self.hbar <= 0:
             raise ValueError("hbar must be positive")
-        if self.unit_mode not in (NATURAL, SI):
-            raise ValueError(f"unit_mode must be '{NATURAL}' or '{SI}'")
         object.__setattr__(self, "kappa", math.exp(self.q2 - self.q1))
-        ratio = consistency_ratio(self)
-        if ratio > CONSISTENCY_WARN_THRESHOLD:
-            warnings.warn(
-                f"|theta*eta/(4*hbar^2)| = {ratio:.3e} exceeds "
-                f"{CONSISTENCY_WARN_THRESHOLD:.0e}; outside the small-deformation regime",
-                ConsistencyWarning,
-                stacklevel=2,
-            )
-
-    @property
-    def natural(self) -> bool:
-        return self.unit_mode == NATURAL
+        consistency_ratio(self)  # an hbar^2 beyond the float range raises ArithmeticError
 
 
 def consistency_ratio(p: NCParams) -> float:
@@ -229,7 +207,7 @@ def build_h_commutative(p: NCParams) -> AffineOp:
     """Dirac Hamiltonian in the symmetric gauge with commutative coordinates.
 
     H = c a1 px + c a2 py + e a1 (B/2) y - e a2 (B/2) x + beta m c^2. The
-    parameter record carries no light speed, so c = 1 in both unit modes.
+    parameter record carries no light speed, so c = 1.
     """
     h = (
         PhasePoly.monomial(ALPHA1, Coord.PX)
@@ -278,14 +256,14 @@ def dual_path_deviation(p: NCParams, ts: Sequence[float] = (0.0, 0.5, 1.0, 2.0))
 
 def require_h_nc_units(p: NCParams) -> None:
     """Raise UnitModeError unless the deformed Hamiltonian is defined for p:
-    natural units, and hbar = 1 when theta or eta is nonzero, because the Bopp
-    shift scales by 1/hbar while the dressings f_theta, f_eta do not."""
-    if not p.natural or (p.hbar != 1.0 and (p.theta != 0.0 or p.eta != 0.0)):
+    hbar = 1 when theta or eta is nonzero, because the Bopp shift scales by
+    1/hbar while the dressings f_theta, f_eta are written for hbar = 1."""
+    if p.hbar != 1.0 and (p.theta != 0.0 or p.eta != 0.0):
         raise UnitModeError("the deformed Hamiltonian is defined in natural units, hbar = 1")
 
 
 def build_h_nc(p: NCParams) -> AffineOp:
-    """Time-dependent deformed Dirac Hamiltonian (natural units only).
+    """Time-dependent deformed Dirac Hamiltonian (hbar = 1 when deformed).
 
     H(t) = a1 f_theta(t) px - a2 f_eta(t) x + a2 f_theta(t) py
            + a1 f_eta(t) y + beta m.

@@ -75,7 +75,7 @@ def test_criterion_01_deformed_algebra():
 
 
 def test_criterion_02_consistency_ratio():
-    p = NCParams(theta=1e-30, eta=1.76e-61, hbar=1.0546e-34, unit_mode="SI")
+    p = NCParams(theta=1e-30, eta=1.76e-61, hbar=1.0546e-34)
     ratio = ncmodel.consistency_ratio(p)
     assert 1e-24 / 5.0 <= ratio <= 1e-24 * 5.0
     _report("02 consistency-ratio", f"theta*eta/4hbar^2 = {ratio:.3e}")

@@ -71,7 +71,7 @@ def test_verify_algebra_corrupted_bopp_fails(tmp_path, monkeypatch):
     assert report["worst_commutator"]["pair"].startswith("[")
 
 
-@pytest.mark.parametrize("command", ["verify-algebra", "invariant", "xi", "evolve"])
+@pytest.mark.parametrize("command", ["invariant", "xi", "evolve"])
 def test_deformation_with_hbar_not_one_exits_2(tmp_path, capsys, command):
     # the Bopp shift divides by hbar and f_theta, f_eta do not: every command
     # that builds the deformed Hamiltonian or integrates its flow refuses the
@@ -79,6 +79,23 @@ def test_deformation_with_hbar_not_one_exits_2(tmp_path, capsys, command):
     assert run(tmp_path, command, "--eta=1", "--hbar=2", "--fock_N=4", "--t1=0.05") == 2
     assert "config error:" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+PHYSICAL_HBAR = ("--theta=1e-30", "--eta=1.76e-61", "--hbar=1.0546e-34")
+
+
+@pytest.mark.parametrize(
+    "argv", [PHYSICAL_HBAR, ("--eta=1", "--hbar=2")], ids=["physical-hbar", "hbar-2"]
+)
+def test_verify_algebra_checks_the_dual_path_only_where_h_is_defined(tmp_path, argv):
+    # the algebra needs no Hamiltonian: at hbar != 1 with a deformation the
+    # commutators are checked, and the dual-path deviation is null
+    assert run(tmp_path, "verify-algebra", *argv) == 0
+    report = json.loads((tmp_path / "algebra_report.json").read_text())
+    assert report["dual_path_deviation"] is None
+    values = {key: float(value) for key, _, value in (a[2:].partition("=") for a in argv)}
+    assert report["hbar_eff"] == ncmodel.hbar_eff(ncmodel.NCParams(**values))
+    assert report["pass"] is True
 
 
 @pytest.mark.parametrize(
@@ -244,11 +261,17 @@ def test_invariant_vanishing_f_theta(tmp_path):
     assert "f_theta vanishes" in report["note"]
 
 
-def test_invariant_vanishing_f_theta_and_f_eta(tmp_path):
-    # f_theta = f_eta = 0 leaves H = m beta, which every scalar ansatz commutes with
-    with pytest.warns(ncmodel.ConsistencyWarning):
+def test_invariant_vanishing_f_theta_and_f_eta(tmp_path, capsys):
+    # f_theta = f_eta = 0 leaves H = m beta, which every scalar ansatz commutes
+    # with; theta*eta/4 = 1 is outside the small-deformation regime, which one
+    # stderr line says, not a Python warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code = run(tmp_path, "invariant", "--theta", "-4", "--eta", "-1")
     assert code == 0
+    assert capsys.readouterr().err == (
+        "|theta*eta/(4*hbar^2)| = 1.000e+00 exceeds 1e-02; outside the small-deformation regime\n"
+    )
     report = json.loads((tmp_path / "nullspace_report.json").read_text())
     assert report["dimension"] == 4
     assert report["constants_in_nullspace"] is True
@@ -400,18 +423,23 @@ def test_evolve_truncation_too_small_fails(tmp_path):
 
 
 def test_evolve_si_mode_exits_2(tmp_path):
-    code = run(
-        tmp_path, "evolve", "--unit_mode", "SI",
-        "--theta", "1e-30", "--eta", "1.76e-61", "--hbar", "1.0546e-34",
-    )
-    assert code == 2
+    # SI values of theta, eta and hbar: the deformed Hamiltonian needs hbar = 1
+    assert run(tmp_path, "evolve", *PHYSICAL_HBAR) == 2
 
 
 def test_xi_si_mode_exits_2(tmp_path, capsys):
-    # the xi closed forms and flow are the natural-unit ones, as for evolve
-    assert run(tmp_path, "xi", "--unit_mode", "SI") == 2
+    # the xi closed forms and flow are the hbar = 1 ones, as for evolve
+    assert run(tmp_path, "xi", *PHYSICAL_HBAR) == 2
     assert "config error:" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_report_checks_the_model_keys(tmp_path, capsys):
+    # report reads no model key, yet refuses an invalid one as every command does
+    out = tmp_path / "out"
+    assert run(out, "report", "--m", "0") == 2
+    assert capsys.readouterr().err == "config error: mass m must be positive\n"
+    assert not out.exists()
 
 
 def test_report_requires_all_inputs(tmp_path, capsys):
@@ -567,15 +595,16 @@ def test_non_utf8_config_file_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key", ["kappa", "xi3_0", "xi4_0"])
+@pytest.mark.parametrize("key", ["kappa", "xi3_0", "xi4_0", "unit_mode"])
 def test_derived_and_constant_coefficients_are_not_keys(tmp_path, capsys, key):
     # kappa = exp(q2 - q1) is derived; xi3, xi4 are constants of the motion
-    # that no output depends on
+    # that no output depends on; hbar, theta and eta say where the deformed
+    # Hamiltonian exists, so no unit mode selects it
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{key} = 1.0\n")
     assert run(tmp_path / "flag", "xi", f"--{key}=1.0") == 2
     assert main(["xi", "--config", str(cfg), "--out", str(tmp_path / "file")]) == 2
-    assert f"unknown config key '{key}'" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"config error: unknown config key '{key}'\n" * 2
     assert sorted(tmp_path.iterdir()) == [cfg]
 
 
@@ -648,7 +677,7 @@ def test_flag_reader_contract(tmp_path, capsys, argv, code, expected):
         cfg = cli.load_config(cli.build_parser().parse_args(argv))
         changed = {
             f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)
-            if getattr(cfg, f.name) != f.default
+            if f.init and getattr(cfg, f.name) != f.default
         }
         assert changed == expected
         return
@@ -768,7 +797,7 @@ def test_any_model_parameters_end_in_a_contract_exit_code(values):
 # one perturbation of the deformed small run per config key but output_dir
 PERTURBED = {
     "theta": "0.2", "eta": "0.1", "gamma": "0.3", "B": "2", "e": "2", "m": "2",
-    "hbar": "2", "q1": "0.3", "q2": "-0.2", "unit_mode": "SI",
+    "hbar": "2", "q1": "0.3", "q2": "-0.2",
     "t0": "0.01", "t1": "0.1", "dt": "0.005", "grid_points": "5", "fock_N": "5",
     "a1": "0.5", "a3": "0.1", "b1": "0.1", "b3": "-0.4", "c1": "0.5", "emit": "json",
 }
@@ -794,6 +823,19 @@ def test_every_config_key_changes_an_output(tmp_path, capsys):
         if _outputs(tmp_path / key, [*base_argv, f"--{key}={value}"], capsys) == base
     ]
     assert not inert, f"keys that change no output: {inert}"
+
+
+@pytest.mark.parametrize("command", [*COMPUTING, "report"])
+def test_regime_notice_is_the_last_stderr_line(tmp_path, capsys, command):
+    # every command, report too, ends its stderr with the small-deformation
+    # notice when theta*eta/(4 hbar^2) exceeds 1e-2; no Python warning is raised
+    write_report_inputs(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(tmp_path, command, "--theta=1", "--eta=1", *SMALL_RUN) in (0, 1)
+    err = capsys.readouterr().err.splitlines()
+    notice = "|theta*eta/(4*hbar^2)| = 2.500e-01 exceeds 1e-02; outside the small-deformation regime"
+    assert err[-1] == notice and err.count(notice) == 1
 
 
 def test_dense_bytes_estimate():

@@ -428,6 +428,21 @@ def test_track_level_reuses_the_t0_spectrum_for_a_constant_generator(monkeypatch
     assert np.max(np.abs(again.weight - first.weight)) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [8, 12])
+def test_ritz_error_measures_the_lanczos_space_not_the_truncation(n):
+    # on the README deformation the truncated H(t0) itself has an eigenvalue
+    # far closer to the tracked level E_0 than the Ritz value of a 40-vector
+    # Lanczos space is: the t0 Ritz error is the space's resolution of the
+    # level's cluster (at fock_N=16: 1.4e-6 against 7.7e-13 dense)
+    h = ncmodel.build_h_nc(README)
+    rep = build_fock_rep(n, lrsolve.magnetic_length(README))
+    ev = evolve(h, rep, coherent_state(rep, alpha_x=1.0), np.linspace(0.0, 0.01, 2))
+    track = track_level(README, h, rep, ev)
+    dense = np.min(np.abs(np.linalg.eigvalsh(represent(h.at(0.0), rep)) - track.energy[0]))
+    assert (track.n, track.sign) == (0, 1)
+    assert dense <= 0.1 * track.error[0]
+
+
 @pytest.mark.parametrize(
     "p, h",
     [
@@ -466,6 +481,26 @@ def test_changing_steps_check_from_the_previous_lanczos_size(monkeypatch):
     for t in times[:-1]:
         want.append(dense_exponential(represent(h.at(t + 0.5 * dt), rep), want[-1], dt))
     assert np.max(np.abs(ev.states - np.array(want))) <= 1e-12
+
+
+def test_sub_steps_check_from_the_previous_sub_step_size(monkeypatch):
+    # gamma = 50 puts one step of 0.5 out of reach of 40 vectors: it fails
+    # at 0.5 and, halving, at 0.5 to 0.0625, each checking all 40 vectors; the
+    # first of 16 sub-steps of 1/32 checks every vector up to its 38, each
+    # later one only 37 and 38. The sample still matches the dense propagator
+    p = NCParams(theta=0.1, eta=0.05, gamma=50.0)
+    rep = build_fock_rep(5, lrsolve.magnetic_length(p))
+    h = ncmodel.build_h_nc(p)
+    psi = coherent_state(rep, alpha_x=1.0)
+    sizes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: sizes.append(len(m)) or eigh(m))
+    ev = evolve(h, rep, psi, [0.0, 0.5])
+    monkeypatch.undo()
+    full = list(range(1, KRYLOV_MAX + 1))
+    assert sizes == full * 5 + full[:38] + [37, 38] * 15
+    want = dense_exponential(represent(h.at(0.25), rep), psi, 0.5)
+    assert np.max(np.abs(ev.state(1) - want)) <= 1e-10
 
 
 def eigenstate():
