@@ -24,11 +24,8 @@ import numpy as np
 
 from . import __version__, mat2, ncmodel
 from .csvout import write_csv
-from .errors import SingularParameterError, StepError, UnitModeError
-from .phasepoly import AffineOp, residual_norms
-
-if typing.TYPE_CHECKING:
-    from . import fockevolve
+from .errors import HbarError, SingularParameterError, StepError
+from .phasepoly import residual_norms
 
 
 class ConfigError(ValueError):
@@ -238,7 +235,7 @@ def cmd_verify_algebra(cfg: RunConfig) -> Result:
     try:
         ncmodel.require_h_nc_units(cfg)
         dual_dev = ncmodel.dual_path_deviation(cfg)
-    except UnitModeError:  # the deformed H is undefined, so is its second path
+    except HbarError:  # the deformed H is undefined, so is its second path
         dual_dev = None
 
     if cfg.theta == 0.0 and cfg.eta == 0.0:
@@ -347,63 +344,6 @@ def cmd_xi(cfg: RunConfig) -> Result:
 # -- evolve -----------------------------------------------------------------------
 
 
-class LevelTrack(typing.NamedTuple):
-    """The Dirac-Landau level an evolution follows, and how far the truncated
-    generator's Ritz values sit from it at the two ends of the run."""
-
-    n: int
-    sign: int
-    energy: np.ndarray  # E_n(t) at every sample
-    error: tuple[float, float]  # |Ritz - E_n| at t0 and t1
-    residual: tuple[float, float]  # Ritz residuals of those two Ritz values
-    spacing: tuple[float, float]  # distance from E_n to the nearest other level there
-
-
-def track_level(
-    p: ncmodel.NCParams, h: AffineOp, rep: fockevolve.FockRep, evolved: fockevolve.EvolvedState
-) -> LevelTrack:
-    """Follow the closed-form level that holds the largest share of the
-    initial state.
-
-    One Lanczos run from psi(t0) under H(t0) gives Ritz values and weights;
-    the weights are summed by the nearest closed-form level (n, sign) and the
-    largest sum names the level. Levels of different n do not cross while
-    f_theta f_eta keeps its sign, so E_n(t) is the tracked energy at every
-    sample. The truncation diagnostic is the distance from E_n to the nearest
-    Ritz value, with that value's residual, from this run and from one
-    Lanczos run from psi(t1) under H(t1); the level spacing at both ends
-    says whether that distance still names one level. When one generator
-    served the whole evolution and H(t0) and H(t1) are that generator,
-    psi(t1) = exp(-i H (t1 - t0)) psi(t0) has the spectral measure of psi(t0)
-    under the same H, so the t0 run serves t1 as well.
-    """
-    from . import fockevolve
-    ends = (0, len(evolved.times) - 1)
-    t0, t1 = (float(evolved.times[k]) for k in ends)
-
-    def spectrum(k: int, t: float) -> fockevolve.Spectrum:
-        return fockevolve.spectral_weights(fockevolve.operator(h.at(t), rep), evolved.state(k))
-
-    first = spectrum(0, t0)
-    constant = evolved.generator is not None and (
-        evolved.generator == tuple(h.value(t0)) == tuple(h.value(t1))
-    )
-    spectra = [first, first if constant else spectrum(ends[1], t1)]
-    shares: dict[tuple[int, int], float] = {}
-    for ritz, weight in zip(spectra[0].ritz, spectra[0].weight):
-        level = ncmodel.nearest_landau_level(p, t0, float(ritz))
-        shares[level] = shares.get(level, 0.0) + float(weight)
-    n, sign = max(shares, key=shares.get)
-    energy = ncmodel.landau_level(p, n, sign, evolved.times)
-    error, residual = [], []
-    for k, spectrum in zip(ends, spectra):
-        i = int(np.argmin(np.abs(spectrum.ritz - energy[k])))
-        error.append(float(abs(spectrum.ritz[i] - energy[k])))
-        residual.append(float(spectrum.residual[i]))
-    spacing = tuple(ncmodel.level_spacing(p, n, float(evolved.times[k])) for k in ends)
-    return LevelTrack(n, sign, energy, tuple(error), tuple(residual), spacing)
-
-
 def cmd_evolve(cfg: RunConfig) -> Result:
     from . import fockevolve, invariant, lrsolve
     n_steps = max(1, int(round((cfg.t1 - cfg.t0) / cfg.dt)))
@@ -417,7 +357,7 @@ def cmd_evolve(cfg: RunConfig) -> Result:
     # state that never probes the truncation edge, so its drift measures nothing
     psi0 = fockevolve.coherent_state(rep, alpha_x=1.0)
     evolved = fockevolve.evolve(h, rep, psi0, times)
-    track = track_level(cfg, h, rep, evolved)
+    track = fockevolve.track_level(cfg, h, rep, evolved)
 
     ans = invariant.constant_invariant(cfg.a1, cfg.a3, cfg.b1, cfg.b3, cfg.c1)
     drift, r_xp, r_yp, r_nc, edge = fockevolve.measure(
@@ -588,7 +528,7 @@ def main(argv=None) -> int:
         # writing inf or NaN into the outputs
         with np.errstate(over="raise", invalid="raise"):
             return _finish(cfg, run(cfg))
-    except (UnitModeError, SingularParameterError, StepError, ConfigError) as exc:
+    except (HbarError, SingularParameterError, StepError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:  # overflow, or a divisor that underflowed to 0

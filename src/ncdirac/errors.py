@@ -5,7 +5,7 @@ class DegreeError(ValueError):
     """Operator commutators are defined only for polynomials of degree <= 1."""
 
 
-class UnitModeError(ValueError):
+class HbarError(ValueError):
     """The deformed Hamiltonian is undefined: hbar != 1 with theta or eta nonzero."""
 
 

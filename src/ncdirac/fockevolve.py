@@ -1,8 +1,8 @@
 """Truncated two-mode oscillator (x) spinor representation of the degree-<=1
 polynomial operators, unitary time evolution by Lanczos exponentials, the
-spectral weights of a state (Lanczos), and one pass over the evolution
-history that measures invariant drift, uncertainty products and the weight
-the truncation edge reaches.
+spectral weights of a state (Lanczos) and the closed-form Dirac-Landau level
+they pick, and one pass over the evolution history that measures invariant
+drift, uncertainty products and the weight the truncation edge reaches.
 Operators are only applied, never built as dense generator-sized matrices.
 
 Full-space convention: states live on mode_x (x) mode_y (x) spinor, of
@@ -23,10 +23,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from . import ncmodel
 from .errors import DegreeError, DimError, GridError, SizeError, StepError
 from .mat2 import ID2
 from .phasepoly import AffineOp, Coord, PhasePoly
@@ -175,15 +176,25 @@ class Segment:
         return self.basis if self.coeffs is None else self.coeffs @ self.basis
 
 
+class Spectrum(NamedTuple):
+    """Ritz data of a Hermitian generator on the Lanczos space of a state."""
+
+    ritz: np.ndarray  # Ritz values theta_i, ascending
+    weight: np.ndarray  # |s_0i|^2, the share of the state on each Ritz vector
+    residual: np.ndarray  # beta |s_ki| = |G y_i - theta_i y_i| for Ritz vector y_i
+
+
 @dataclass(frozen=True)
 class EvolvedState:
     """A unitary evolution sampled on a uniform grid, held as segments.
-    ``generator`` is the coefficient tuple of H when one generator served
-    every step (the same midpoint coefficients throughout), else None."""
+    ``spectrum`` is the Ritz data of H on the full Lanczos space of psi(t0)
+    when one generator served every step and H(t0) and H(t1) are that
+    generator, else None: psi(t1) = exp(-i H (t1 - t0)) psi(t0) then has the
+    spectral measure of psi(t0) under the same H, so it serves both ends."""
 
     times: np.ndarray
     segments: tuple[Segment, ...]
-    generator: tuple | None = None
+    spectrum: Spectrum | None = None
 
     def state(self, k: int) -> np.ndarray:
         """The state at times[k], 0 <= k < len(times), read off its segment."""
@@ -248,9 +259,12 @@ def _check_reachable(runs: list[tuple], parts: np.ndarray, rep: FockRep, dt: flo
         )
 
 
-def _lanczos(
-    g: Callable[[np.ndarray], np.ndarray], psi: np.ndarray
-) -> Iterator[tuple[np.ndarray, np.ndarray, float, bool]]:
+#: one step of a Lanczos recurrence: the basis rows so far, the projected
+#: tridiagonal T, the norm beta of the next residual, whether this is the last
+LanczosStep = tuple[np.ndarray, np.ndarray, float, bool]
+
+
+def _lanczos(g: Callable[[np.ndarray], np.ndarray], psi: np.ndarray) -> Iterator[LanczosStep]:
     """Lanczos recurrence of the Hermitian G, given by its action g, from psi.
 
     After step j it yields the orthonormal basis v_0..v_j (rows), the
@@ -260,6 +274,8 @@ def _lanczos(
     passes), so T stays faithful. The recurrence stops after KRYLOV_MAX
     vectors, after psi.size vectors, or when the residual keeps less than
     KRYLOV_TOL of the norm of G v_j: the space is then invariant under G.
+    A basis row or a block of T is never written after it is yielded, so a
+    recorded recurrence replays bit for bit.
     """
     basis = np.empty((KRYLOV_MAX + 1, psi.size), dtype=complex)
     basis[0] = psi / np.linalg.norm(psi)
@@ -301,21 +317,23 @@ def _resolved(tau: float, lo: int, hi: int, lam: np.ndarray, s: np.ndarray, beta
 
 
 def _krylov_run(
-    g: Callable[[np.ndarray], np.ndarray], psi: np.ndarray, tau: float, n: int, size: int
+    recurrence: Iterable[LanczosStep], beta0: float, tau: float, n: int, size: int
 ) -> Segment:
     """The samples exp(-i G k tau) psi, k = 1, 2, ..., n, that one Lanczos
     space of psi resolves, as coefficients C = (beta0 e^{-i lambda k tau} s0) s^T
-    on the space's basis V: sample k is C[k - 1] @ V.
+    on the space's basis V: sample k is C[k - 1] @ V. ``recurrence`` is the
+    Lanczos recurrence of psi under G, ``_lanczos(g, psi)`` or a recorded
+    copy of it, and beta0 is the norm of psi.
 
     The space grows until it resolves the last sample and every sample before
     it; a space that ends first keeps the samples up to the first it leaves
-    unresolved, so none when not even the first. The samples keep the norm
-    beta0 of psi. ``size`` is the previous run's space size: spaces of fewer
-    than size - 1 vectors are not checked (no T is diagonalized), except on
-    the last vector the recurrence yields. Skipping checks can only enlarge
-    the space, so no unresolved sample is kept.
+    unresolved, so none when not even the first. ``size`` is the previous
+    run's space size: spaces of fewer than size - 1 vectors are not checked
+    (no T is diagonalized), except on the last vector the recurrence yields.
+    Skipping checks can only enlarge the space, so no unresolved sample is
+    kept.
     """
-    for v, t, beta, last in _lanczos(g, psi):
+    for v, t, beta, last in recurrence:
         if len(v) < size - 1 and not last:
             continue
         lam, s = np.linalg.eigh(t)
@@ -326,11 +344,16 @@ def _krylov_run(
     else:
         resolved = _resolved(tau, 0, n - 1, lam, s, beta)
     phase = np.exp(-1j * tau * np.multiply.outer(np.arange(1, resolved + 1), lam))
-    return Segment(v, (np.linalg.norm(psi) * phase * s[0]) @ s.T)
+    return Segment(v, (beta0 * phase * s[0]) @ s.T)
 
 
 def krylov_step(
-    g: Callable[[np.ndarray], np.ndarray], psi: np.ndarray, dt: float, n: int, size: int
+    g: Callable[[np.ndarray], np.ndarray],
+    psi: np.ndarray,
+    dt: float,
+    n: int,
+    size: int,
+    first: Sequence[LanczosStep] | None = None,
 ) -> Iterator[Segment]:
     """Yield exp(-i G k dt) psi, k = 1..n, as consecutive segments, for a
     Hermitian generator given as its action g: v -> G v, by Lanczos (Park &
@@ -343,17 +366,21 @@ def krylov_step(
     step that no space of KRYLOV_MAX vectors resolves is split into equal
     sub-steps, halving until each converges, so any dt is reached; its sample
     is yielded as a stored row. Each sub-step is handed the size of the last
-    sub-step that converged (0 before the first), as the runs are.
+    sub-step that converged (0 before the first), as the runs are. ``first``,
+    when given, is the recorded Lanczos recurrence of psi under G, which the
+    first run replays instead of applying G again.
     """
     done = 0
     while done < n:
-        segment = _krylov_run(g, psi, dt, n - done, size)
+        recurrence = _lanczos(g, psi) if first is None else first
+        first = None
+        segment = _krylov_run(recurrence, np.linalg.norm(psi), dt, n - done, size)
         size = len(segment.basis)
         if not segment.size:
             remaining, tau, sub_size = dt, dt, 0
             while remaining > 0.0:
                 tau = min(tau, remaining)
-                sub = _krylov_run(g, psi, tau, 1, sub_size)
+                sub = _krylov_run(_lanczos(g, psi), np.linalg.norm(psi), tau, 1, sub_size)
                 if sub.size:
                     psi, remaining, sub_size = sub.row(0), remaining - tau, len(sub.basis)
                 elif tau > dt * 2.0**-60:  # bounded, so a NaN estimate cannot loop forever
@@ -366,12 +393,11 @@ def krylov_step(
         yield segment
 
 
-class Spectrum(NamedTuple):
-    """Ritz data of a Hermitian generator on the Lanczos space of a state."""
-
-    ritz: np.ndarray  # Ritz values theta_i, ascending
-    weight: np.ndarray  # |s_0i|^2, the share of the state on each Ritz vector
-    residual: np.ndarray  # beta |s_ki| = |G y_i - theta_i y_i| for Ritz vector y_i
+def _ritz(recurrence: Sequence[LanczosStep]) -> Spectrum:
+    """The Ritz data of a Lanczos recurrence recorded to its end."""
+    _, t, beta, _ = recurrence[-1]
+    lam, s = np.linalg.eigh(t)
+    return Spectrum(lam, np.abs(s[0]) ** 2, beta * np.abs(s[-1]))
 
 
 def spectral_weights(g: Callable[[np.ndarray], np.ndarray], psi: np.ndarray) -> Spectrum:
@@ -383,10 +409,60 @@ def spectral_weights(g: Callable[[np.ndarray], np.ndarray], psi: np.ndarray) -> 
     carried by one Ritz value near its weighted mean. G has an eigenvalue
     within ``residual[i]`` of every ``ritz[i]``.
     """
-    for _, t, beta, _ in _lanczos(g, psi):
-        pass
-    lam, s = np.linalg.eigh(t)
-    return Spectrum(lam, np.abs(s[0]) ** 2, beta * np.abs(s[-1]))
+    return _ritz(list(_lanczos(g, psi)))
+
+
+class LevelTrack(NamedTuple):
+    """The Dirac-Landau level an evolution follows, and how far the truncated
+    generator's Ritz values sit from it at the two ends of the run."""
+
+    n: int
+    sign: int
+    energy: np.ndarray  # E_n(t) at every sample
+    error: tuple[float, float]  # |Ritz - E_n| at t0 and t1
+    residual: tuple[float, float]  # Ritz residuals of those two Ritz values
+    spacing: tuple[float, float]  # distance from E_n to the nearest other level there
+
+
+def track_level(
+    p: ncmodel.NCParams, h: AffineOp, rep: FockRep, evolved: EvolvedState
+) -> LevelTrack:
+    """Follow the closed-form level that holds the largest share of the
+    initial state.
+
+    One Lanczos run from psi(t0) under H(t0) gives Ritz values and weights;
+    the weights are summed by the nearest closed-form level (n, sign) and the
+    largest sum names the level. Levels of different n do not cross while
+    f_theta f_eta keeps its sign, so E_n(t) is the tracked energy at every
+    sample. The distance from E_n to the nearest Ritz value, with that
+    value's residual, is the Krylov resolution of the level's cluster (not
+    the fock_N truncation), from this run and from one Lanczos run from
+    psi(t1) under H(t1); the level spacing at both ends says whether that
+    distance still names one level. ``evolved.spectrum``, when set, is the
+    t0 run, shared with the propagation, and serves both ends.
+    """
+    ends = (0, len(evolved.times) - 1)
+    if evolved.spectrum is not None:
+        spectra = [evolved.spectrum] * 2
+    else:
+        spectra = [
+            spectral_weights(operator(h.at(float(evolved.times[k])), rep), evolved.state(k))
+            for k in ends
+        ]
+    t0 = float(evolved.times[0])
+    shares: dict[tuple[int, int], float] = {}
+    for ritz, weight in zip(spectra[0].ritz, spectra[0].weight):
+        level = ncmodel.nearest_landau_level(p, t0, float(ritz))
+        shares[level] = shares.get(level, 0.0) + float(weight)
+    n, sign = max(shares, key=shares.get)
+    energy = ncmodel.landau_level(p, n, sign, evolved.times)
+    error, residual = [], []
+    for k, spectrum in zip(ends, spectra):
+        i = int(np.argmin(np.abs(spectrum.ritz - energy[k])))
+        error.append(float(abs(spectrum.ritz[i] - energy[k])))
+        residual.append(float(spectrum.residual[i]))
+    spacing = tuple(ncmodel.level_spacing(p, n, float(evolved.times[k])) for k in ends)
+    return LevelTrack(n, sign, energy, tuple(error), tuple(residual), spacing)
 
 
 def evolve(
@@ -402,14 +478,17 @@ def evolve(
     of H form a run of one generator, which ``krylov_step`` propagates from
     the run's first state: a constant generator is one run over the grid, a
     changing one a run per step. Each run is handed the Lanczos size of the
-    run before it, below which ``krylov_step`` skips its checks. A single
-    run's coefficients are kept as ``EvolvedState.generator``. A grid whose
-    steps need more than MAX_SUBSTEPS sub-steps raises StepError first. The
-    per-mode blocks of H's fixed parts are built once and combined per run;
-    no generator-sized matrix is built or decomposed. A Lanczos space that
-    resolves more samples than it has vectors is kept as a segment of
-    coefficients on its basis; the samples of every other space are stored
-    as rows, consecutive stored rows joined into segments of at least
+    run before it, below which ``krylov_step`` skips its checks. When a single
+    run's generator is H at t0 and at t1, the Lanczos recurrence of psi0 is
+    run once to its end: its Ritz data become ``EvolvedState.spectrum``, and
+    the run's first Lanczos space replays its head, so the propagation and
+    the level pick share one recurrence of at most KRYLOV_MAX vectors. A
+    grid whose steps need more than MAX_SUBSTEPS sub-steps raises StepError
+    first. The per-mode blocks of H's fixed parts are built once and combined
+    per run; no generator-sized matrix is built or decomposed. A Lanczos
+    space that resolves more samples than it has vectors is kept as a segment
+    of coefficients on its basis; the samples of every other space are
+    stored as rows, consecutive stored rows joined into segments of at least
     BLOCK_ROWS rows, so that joining never holds a second copy of more than
     a block. ``EvolvedState.state`` reads any one sample.
     """
@@ -426,11 +505,17 @@ def evolve(
     midpoints = (tuple(h.value(float(t) + 0.5 * dt)) for t in ts[:-1])
     runs = [(coeffs, sum(1 for _ in run)) for coeffs, run in groupby(midpoints)]
     _check_reachable(runs, parts, rep, dt)
+    shared = len(runs) == 1 and (
+        runs[0][0] == tuple(h.value(float(ts[0]))) == tuple(h.value(float(ts[-1])))
+    )
     segments, stored = [], [psi[None]]
-    size = 0
+    size, spectrum, first = 0, None, None
     for coeffs, n in runs:
         g = _block_action(np.tensordot(coeffs, parts, 1), rep)
-        for segment in krylov_step(g, psi, dt, n, size):
+        if shared:
+            first = list(_lanczos(g, psi))
+            spectrum = _ritz(first)
+        for segment in krylov_step(g, psi, dt, n, size, first):
             if segment.coeffs is not None:
                 size = len(segment.basis)
             projected = segment.coeffs is not None and segment.size > len(segment.basis)
@@ -444,7 +529,7 @@ def evolve(
             psi = segment.row(-1)
     if stored:
         segments.append(Segment(np.concatenate(stored)))
-    return EvolvedState(ts, tuple(segments), runs[0][0] if len(runs) == 1 else None)
+    return EvolvedState(ts, tuple(segments), spectrum)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import UnitModeError
+from .errors import HbarError
 from .mat2 import ALPHA1, ALPHA2, BETA, ID2
 from .phasepoly import (
     GRID_BLOCK,
@@ -255,11 +255,14 @@ def dual_path_deviation(p: NCParams, ts: Sequence[float] = (0.0, 0.5, 1.0, 2.0))
 
 
 def require_h_nc_units(p: NCParams) -> None:
-    """Raise UnitModeError unless the deformed Hamiltonian is defined for p:
+    """Raise HbarError unless the deformed Hamiltonian is defined for p:
     hbar = 1 when theta or eta is nonzero, because the Bopp shift scales by
     1/hbar while the dressings f_theta, f_eta are written for hbar = 1."""
     if p.hbar != 1.0 and (p.theta != 0.0 or p.eta != 0.0):
-        raise UnitModeError("the deformed Hamiltonian is defined in natural units, hbar = 1")
+        raise HbarError(
+            "the deformed Hamiltonian needs hbar = 1 when theta or eta is nonzero, "
+            f"got hbar={p.hbar!r}"
+        )
 
 
 def build_h_nc(p: NCParams) -> AffineOp:

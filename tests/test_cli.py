@@ -422,6 +422,15 @@ def test_evolve_truncation_too_small_fails(tmp_path):
     assert code == 1
 
 
+def test_xi_deformation_at_hbar_2_names_the_condition(tmp_path, capsys):
+    # one refusal line, naming the condition and the hbar given
+    assert run(tmp_path, "xi", "--eta", "1", "--hbar", "2") == 2
+    assert capsys.readouterr() == ("", (
+        "config error: the deformed Hamiltonian needs hbar = 1 when theta or eta "
+        "is nonzero, got hbar=2.0\n"
+    ))
+
+
 def test_evolve_si_mode_exits_2(tmp_path):
     # SI values of theta, eta and hbar: the deformed Hamiltonian needs hbar = 1
     assert run(tmp_path, "evolve", *PHYSICAL_HBAR) == 2

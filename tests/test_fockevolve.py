@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from ncdirac import fockevolve, invariant, lrsolve, ncmodel
-from ncdirac.cli import track_level
 from ncdirac.errors import DegreeError, DimError, GridError, SizeError
 from ncdirac.fockevolve import (
     BLOCK_ROWS,
@@ -23,6 +22,7 @@ from ncdirac.fockevolve import (
     operator,
     robertson,
     spectral_weights,
+    track_level,
 )
 from ncdirac.mat2 import ID2
 from ncdirac.ncmodel import NCParams
@@ -223,9 +223,9 @@ def count_calls(monkeypatch, rep):
 
         return wrapped
 
-    def counting_step(g, psi, dt, n, size):
+    def counting_step(g, psi, dt, n, size, first=None):
         runs.append(n)
-        return step(g, psi, dt, n, size)
+        return step(g, psi, dt, n, size, first)
 
     def counting_lanczos(g, psi):
         spaces.append(psi.size)
@@ -402,7 +402,7 @@ START = H_STATIONARY.value(0.0)
 SCALED = tuple(1.5 * c for c in START)
 
 
-@pytest.mark.parametrize(
+ONE_GENERATOR = pytest.mark.parametrize(
     "p, h, t0",
     [
         (COMMUTATIVE, ncmodel.build_h_nc(COMMUTATIVE), 0.0),
@@ -411,21 +411,62 @@ SCALED = tuple(1.5 * c for c in START)
     ],
     ids=["commutative", "stationary", "negative-t0"],
 )
+
+
+@ONE_GENERATOR
 def test_track_level_reuses_the_t0_spectrum_for_a_constant_generator(monkeypatch, p, h, t0):
     # psi(t1) = exp(-i H (t1 - t0)) psi(t0) has psi(t0)'s spectral measure
-    # under the one H: a single Lanczos run gives both ends' figures
+    # under the one H: the Lanczos run evolve shares with the propagation
+    # gives both ends' figures, and track_level runs no spectral_weights
     rep = build_fock_rep(8, lrsolve.magnetic_length(p))
     ev = evolve(h, rep, coherent_state(rep, alpha_x=1.0), np.linspace(t0, t0 + 0.5, 51))
-    assert ev.generator == tuple(h.value(t0))
+    assert ev.spectrum is not None
     runs = count_spectral_runs(monkeypatch)
     track = track_level(p, h, rep, ev)
-    assert len(runs) == 1
+    assert runs == []
     assert track.error[0] == track.error[1] and track.residual[0] == track.residual[1]
     # a second run from psi(t1) gives the same spectrum up to rounding
     again = spectral_weights(operator(h.at(t0 + 0.5), rep), ev.state(50))
     first = spectral_weights(operator(h.at(t0), rep), ev.state(0))
     assert np.max(np.abs(again.ritz - first.ritz)) <= 1e-11
     assert np.max(np.abs(again.weight - first.weight)) <= 1e-12
+
+
+@ONE_GENERATOR
+def test_one_generator_evolve_and_level_pick_share_one_lanczos_recurrence(monkeypatch, p, h, t0):
+    # the propagation replays the head of the spectral run: one recurrence,
+    # of at most KRYLOV_MAX applications of H, serves evolve and track_level
+    rep = build_fock_rep(8, lrsolve.magnetic_length(p))
+    psi0 = coherent_state(rep, alpha_x=1.0)
+    _, runs, spaces = count_calls(monkeypatch, rep)
+    ev = evolve(h, rep, psi0, np.linspace(t0, t0 + 0.5, 51))
+    track_level(p, h, rep, ev)
+    assert runs == [50] and len(spaces) == 1
+    # and that run is the independent t0 spectral run, up to the rounding of
+    # building H(t0) by another summation order
+    monkeypatch.undo()
+    want = spectral_weights(operator(h.at(t0), rep), psi0)
+    assert len(ev.spectrum.ritz) == len(want.ritz) == KRYLOV_MAX
+    assert np.max(np.abs(ev.spectrum.ritz - want.ritz)) <= 1e-12
+    assert np.max(np.abs(ev.spectrum.weight - want.weight)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 20, 400])
+def test_a_replayed_krylov_run_equals_a_fresh_one(n):
+    # _lanczos writes no yielded row or block afterwards, so a recurrence
+    # recorded to its end replays bit for bit: the same space and the same
+    # coefficients, whether the run stops early (n = 1, 20) or takes every
+    # vector (n = 400 is more than one space resolves)
+    g, psi = td_generator()
+    g = partial(np.matmul, g)
+    recorded = list(fockevolve._lanczos(g, psi))
+    assert len(recorded) == KRYLOV_MAX
+    beta0 = np.linalg.norm(psi)
+    fresh = fockevolve._krylov_run(fockevolve._lanczos(g, psi), beta0, 0.05, n, 0)
+    replayed = fockevolve._krylov_run(recorded, beta0, 0.05, n, 0)
+    assert np.array_equal(fresh.basis, replayed.basis)
+    assert np.array_equal(fresh.coeffs, replayed.coeffs)
+    assert 0 < len(fresh.basis) <= KRYLOV_MAX and 0 < fresh.size <= n
 
 
 @pytest.mark.parametrize("n", [8, 12])
@@ -457,6 +498,7 @@ def test_track_level_runs_at_both_ends_unless_one_generator_holds_throughout(mon
     # last grid point has other coefficients: psi(t1) gets its own run
     rep = build_fock_rep(8, lrsolve.magnetic_length(p))
     ev = evolve(h, rep, coherent_state(rep, alpha_x=1.0), np.linspace(0.0, 0.5, 51))
+    assert ev.spectrum is None
     runs = count_spectral_runs(monkeypatch)
     track_level(p, h, rep, ev)
     assert len(runs) == 2
