@@ -360,9 +360,8 @@ def cmd_evolve(cfg: RunConfig) -> Result:
     track = fockevolve.track_level(cfg, h, rep, evolved)
 
     ans = invariant.constant_invariant(cfg.a1, cfg.a3, cfg.b1, cfg.b3, cfg.c1)
-    drift, r_xp, r_yp, r_nc, edge = fockevolve.measure(
-        ans.at(0.0), rep, evolved, functools.partial(ncmodel.bopp_scales, cfg)
-    )
+    scales = ncmodel.bopp_scales(cfg, times)
+    drift, r_xp, r_yp, r_nc, edge = fockevolve.measure(ans.at(0.0), rep, evolved, scales)
     residual = invariant.invariance_residual(ans, h, cfg.hbar, np.linspace(cfg.t0, cfg.t1, 8))
     res_norm = float(np.max(residual_norms(residual)))
     constrained = res_norm <= 1e-10

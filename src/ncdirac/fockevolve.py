@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -236,19 +235,20 @@ def _check_uniform(t_grid: np.ndarray) -> float:
     return float(dt)
 
 
-def _check_reachable(runs: list[tuple], parts: np.ndarray, rep: FockRep, dt: float) -> None:
+def _check_reachable(
+    coeffs: np.ndarray, counts: np.ndarray, parts: np.ndarray, rep: FockRep, dt: float
+) -> None:
     """Refuse a grid whose steps need more than MAX_SUBSTEPS sub-steps in all.
-    ``runs`` holds each generator's coefficients on the blocks ``parts`` and
-    its step count. KRYLOV_MAX vectors resolve exp(-i G tau) only for tau |G|
-    up to about KRYLOV_MAX (Hochbruck & Lubich 1997), and |G| is at most
-    sum_k |c_k| (|B_k,x| + |B_k,y|) over the blocks. A space spanning the
-    state space resolves any step."""
+    Row r of ``coeffs`` holds a generator's coefficients on the blocks
+    ``parts``, and ``counts[r]`` its step count. KRYLOV_MAX vectors resolve
+    exp(-i G tau) only for tau |G| up to about KRYLOV_MAX (Hochbruck & Lubich
+    1997), and |G| is at most sum_k |c_k| (|B_k,x| + |B_k,y|) over the
+    blocks. A space spanning the state space resolves any step."""
     if rep.dim <= KRYLOV_MAX:
         return
-    coeffs, counts = zip(*runs)
     entries = np.abs(parts)  # |B| <= sqrt(max row sum * max column sum) of |B|
     norms = np.sqrt(entries.sum(axis=-1).max(axis=-1) * entries.sum(axis=-2).max(axis=-1))
-    bound = np.abs(np.array(coeffs)) @ norms.sum(axis=1)
+    bound = np.abs(coeffs) @ norms.sum(axis=1)
     need = dt * bound / KRYLOV_MAX
     substeps = float(np.sum(np.multiply(counts, need), where=~(need <= 1.0)))
     if not substeps <= MAX_SUBSTEPS:
@@ -364,11 +364,11 @@ def krylov_step(
     than its predecessor's, since consecutive runs need about the same space.
     A yielded segment with coefficients carries its space as its basis. A
     step that no space of KRYLOV_MAX vectors resolves is split into equal
-    sub-steps, halving until each converges, so any dt is reached; its sample
-    is yielded as a stored row. Each sub-step is handed the size of the last
-    sub-step that converged (0 before the first), as the runs are. ``first``,
-    when given, is the recorded Lanczos recurrence of psi under G, which the
-    first run replays instead of applying G again.
+    sub-steps, halving from dt/2 until each converges, so any dt is reached;
+    its sample is yielded as a stored row. Each sub-step is handed the size
+    of the last sub-step that converged (0 before the first), as the runs
+    are. ``first``, when given, is the recorded Lanczos recurrence of psi
+    under G, which the first run replays instead of applying G again.
     """
     done = 0
     while done < n:
@@ -377,7 +377,7 @@ def krylov_step(
         segment = _krylov_run(recurrence, np.linalg.norm(psi), dt, n - done, size)
         size = len(segment.basis)
         if not segment.size:
-            remaining, tau, sub_size = dt, dt, 0
+            remaining, tau, sub_size = dt, 0.5 * dt, 0  # dt itself just failed
             while remaining > 0.0:
                 tau = min(tau, remaining)
                 sub = _krylov_run(_lanczos(g, psi), np.linalg.norm(psi), tau, 1, sub_size)
@@ -449,12 +449,12 @@ def track_level(
             spectral_weights(operator(h.at(float(evolved.times[k])), rep), evolved.state(k))
             for k in ends
         ]
-    t0 = float(evolved.times[0])
-    shares: dict[tuple[int, int], float] = {}
-    for ritz, weight in zip(spectra[0].ritz, spectra[0].weight):
-        level = ncmodel.nearest_landau_level(p, t0, float(ritz))
-        shares[level] = shares.get(level, 0.0) + float(weight)
+    ns, signs = ncmodel.nearest_landau_level(p, float(evolved.times[0]), spectra[0].ritz)
+    shares: dict[tuple[float, int], float] = {}
+    for level, weight in zip(zip(ns.tolist(), signs.tolist()), spectra[0].weight.tolist()):
+        shares[level] = shares.get(level, 0.0) + weight  # in ascending Ritz order
     n, sign = max(shares, key=shares.get)
+    n = int(n)
     energy = ncmodel.landau_level(p, n, sign, evolved.times)
     error, residual = [], []
     for k, spectrum in zip(ends, spectra):
@@ -474,8 +474,9 @@ def evolve(
     """Midpoint-sampled exponential stepping psi_{k+1} = exp(-i H(t_mid) dt) psi_k.
 
     Every step is unitary to machine precision; dt controls only the
-    time-ordering error. Consecutive steps with equal midpoint coefficients
-    of H form a run of one generator, which ``krylov_step`` propagates from
+    time-ordering error. One evaluation of H's coefficients at every midpoint
+    splits the grid into runs: consecutive steps with equal coefficients form
+    a run of one generator, which ``krylov_step`` propagates from
     the run's first state: a constant generator is one run over the grid, a
     changing one a run per step. Each run is handed the Lanczos size of the
     run before it, below which ``krylov_step`` skips its checks. When a single
@@ -502,16 +503,16 @@ def evolve(
         raise ValueError(f"initial state must be unit norm, got {nrm}")
 
     parts = _mode_blocks(h.polys, rep)
-    midpoints = (tuple(h.value(float(t) + 0.5 * dt)) for t in ts[:-1])
-    runs = [(coeffs, sum(1 for _ in run)) for coeffs, run in groupby(midpoints)]
-    _check_reachable(runs, parts, rep, dt)
-    shared = len(runs) == 1 and (
-        runs[0][0] == tuple(h.value(float(ts[0]))) == tuple(h.value(float(ts[-1])))
-    )
+    midpoints = h.value(ts[:-1] + 0.5 * dt)
+    # a run starts at the first midpoint and wherever the coefficients change
+    starts = np.flatnonzero(np.r_[True, np.any(midpoints[1:] != midpoints[:-1], axis=1)])
+    coeffs, counts = midpoints[starts], np.diff(np.r_[starts, len(midpoints)])
+    _check_reachable(coeffs, counts, parts, rep, dt)
+    shared = len(starts) == 1 and bool(np.all(h.value(ts[[0, -1]]) == coeffs[0]))
     segments, stored = [], [psi[None]]
     size, spectrum, first = 0, None, None
-    for coeffs, n in runs:
-        g = _block_action(np.tensordot(coeffs, parts, 1), rep)
+    for c, n in zip(coeffs, counts.tolist()):
+        g = _block_action(np.tensordot(c, parts, 1), rep)
         if shared:
             first = list(_lanczos(g, psi))
             spectrum = _ritz(first)
@@ -589,10 +590,7 @@ _GRAM = tuple((i, j) for i in range(4) for j in range(i, 4))
 
 
 def measure(
-    i_op: PhasePoly,
-    rep: FockRep,
-    evolved: EvolvedState,
-    bopp_scales: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    i_op: PhasePoly, rep: FockRep, evolved: EvolvedState, scales: tuple[np.ndarray, np.ndarray]
 ) -> Observables:
     """Measure the history in one pass over its segments: a stored segment
     BLOCK_ROWS rows at a time, a Lanczos segment in its basis.
@@ -604,7 +602,7 @@ def measure(
     either mode, where the truncation defect lives. The moments give <I>(t)
     and its drift, the Robertson data of (x, px) and (y, py), and, expanded,
     those of the Bopp pair (x - s_theta(t) py, px + s_eta(t) y), where
-    ``bopp_scales(times)`` gives (s_theta, s_eta) at every sample.
+    ``scales`` holds the arrays (s_theta, s_eta) at the samples.
     """
     i_psi = operator(i_op, rep)
     factor = np.vstack([np.kron(rep.x, ID2), np.kron(rep.p, ID2)]).T
@@ -647,7 +645,7 @@ def measure(
     def pair(a: int, b: int) -> UncertaintyResult:
         return robertson(mean[a], mean[b], gram[a, a].real, gram[b, b].real, gram[a, b])
 
-    st, se = bopp_scales(evolved.times)
+    st, se = scales
     # <X psi|P psi> for X = x - st py, P = px + se y, with <w|z> = conj(<z|w>)
     bopp = robertson(
         mean[X] - st * mean[PY],

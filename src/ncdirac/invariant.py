@@ -58,14 +58,13 @@ def invariance_residual(
     with the canonical commutator at ``hbar``; a zero row certifies I as a
     dynamical invariant at that time. One commutator call takes GRID_BLOCK
     grid times."""
-    ts = [float(t) for t in ts]
+    ts = np.asarray(ts, dtype=float)
+    values, rates, h_values = ans.value(ts), ans.derivative(ts), h.value(ts)
     out = np.empty((len(ts), N_SLOTS, 2, 2), dtype=complex)
     for lo in range(0, len(ts), GRID_BLOCK):
-        block = ts[lo : lo + GRID_BLOCK]
-        comm = ps_commutator(
-            ans.stack([ans.value(t) for t in block]), h.stack([h.value(t) for t in block]), hbar
-        )
-        out[lo : lo + len(block)] = comm + 1j * ans.stack([ans.derivative(t) for t in block])
+        block = slice(lo, lo + GRID_BLOCK)
+        comm = ps_commutator(ans.stack(values[block]), h.stack(h_values[block]), hbar)
+        out[block] = comm + 1j * ans.stack(rates[block])
     return out
 
 
@@ -116,13 +115,10 @@ def solve_constant_invariant(
     ts = np.asarray(t_grid, dtype=float)
     if ts.size < 2:
         raise GridError("constraint grid needs at least 2 points")
-    rows = []
-    for t in ts:
-        fe = f_eta(p, t)
-        ft = f_theta(p, t)
-        rows.append([fe, 0.0, 0.0, ft])
-        rows.append([0.0, -fe, ft, 0.0])
-    a = np.asarray(rows)
+    fe, ft = f_eta(p, ts), f_theta(p, ts)
+    a = np.zeros((len(ts), 2, 4))
+    a[:, 0, 0], a[:, 0, 3], a[:, 1, 1], a[:, 1, 2] = fe, ft, -fe, ft
+    a = a.reshape(-1, 4)
     # the 4x4 V holds the nullspace; full_matrices=True would also build a (2T)x(2T) U
     _, s, vh = np.linalg.svd(a, full_matrices=False)
     tol = tol_factor * s[0] if s.size else 0.0
@@ -144,8 +140,8 @@ def solve_constant_invariant(
             "are all free."
         )
     else:
-        fe, ft = f_eta(p, ts[0]), f_theta(p, ts[0])
-        ratio = f"f_eta/f_theta is constant (= {fe / ft!r})" if ft else "f_theta vanishes"
+        fe0, ft0 = float(fe[0]), float(ft[0])  # plain floats: the ratio's repr is printed
+        ratio = f"f_eta/f_theta is constant (= {fe0 / ft0!r})" if ft0 else "f_theta vanishes"
         note = (
             f"nullspace dimension {dim}: {ratio} "
             "over the grid, so the momentum/position coefficient pairs "

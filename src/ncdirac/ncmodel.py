@@ -71,13 +71,13 @@ def hbar_eff(p: NCParams) -> float:
 
 
 def theta_of_t(p: NCParams, t):
-    """theta e^{gamma t}; an array of times gives an array, a float a float."""
-    return p.theta * (np.exp if isinstance(t, np.ndarray) else math.exp)(p.gamma * t)
+    """theta e^{gamma t} at each time of an array t."""
+    return p.theta * np.exp(p.gamma * t)
 
 
 def eta_of_t(p: NCParams, t):
-    """eta e^{-gamma t}; an array of times gives an array, a float a float."""
-    return p.eta * (np.exp if isinstance(t, np.ndarray) else math.exp)(-p.gamma * t)
+    """eta e^{-gamma t} at each time of an array t."""
+    return p.eta * np.exp(-p.gamma * t)
 
 
 def f_theta(p: NCParams, t):
@@ -90,17 +90,17 @@ def f_eta(p: NCParams, t):
     return 0.5 * p.e * p.B + 0.5 * eta_of_t(p, t)
 
 
-def df_theta_dt(p: NCParams, t: float) -> float:
+def df_theta_dt(p: NCParams, t):
     return 0.25 * p.e * p.B * p.gamma * theta_of_t(p, t)
 
 
-def df_eta_dt(p: NCParams, t: float) -> float:
+def df_eta_dt(p: NCParams, t):
     return -0.5 * p.gamma * eta_of_t(p, t)
 
 
 def bopp_scales(p: NCParams, t):
     """Mixing coefficients (s_theta, s_eta) = (theta(t)/2hbar, eta(t)/2hbar)
-    of the Bopp shift at time t, or two arrays at an array of times."""
+    of the Bopp shift, two arrays at an array of times t."""
     return 0.5 * theta_of_t(p, t) / p.hbar, 0.5 * eta_of_t(p, t) / p.hbar
 
 
@@ -122,12 +122,12 @@ def bopp_slots(p: NCParams, ts: Sequence[float]) -> np.ndarray:
 
     with (s_theta, s_eta) from ``bopp_scales``.
     """
-    scales = np.array([bopp_scales(p, float(t)) for t in ts]).reshape(-1, 2)
+    scales = bopp_scales(p, np.asarray(ts, dtype=float))
     out = np.zeros((len(ts), 4, N_SLOTS, 2, 2), dtype=complex)
     for c, (partner, sign, which) in _BOPP.items():
         for d in (0, 1):
             out[:, c, 1 + c, d, d] = 1.0
-            out[:, c, 1 + partner, d, d] = sign * scales[:, which]
+            out[:, c, 1 + partner, d, d] = sign * scales[which]
     return out
 
 
@@ -183,21 +183,16 @@ def verify_nc_algebra(p: NCParams, t_grid: Sequence[float]) -> DeformedAlgebraRe
     """
     if len(t_grid) == 0:
         raise ValueError("t_grid must be nonempty")
-    heff = hbar_eff(p)
     _, left, right = zip(*_ALGEBRA_PAIRS)
     times = np.array(t_grid, dtype=float)
-    expected = np.empty((len(times), len(_ALGEBRA_PAIRS)), dtype=complex)
+    expected = np.zeros((len(times), len(_ALGEBRA_PAIRS)), dtype=complex)
+    expected[:, 0], expected[:, 1] = 1j * theta_of_t(p, times), 1j * eta_of_t(p, times)
+    expected[:, 2:4] = 1j * hbar_eff(p)
     deviation = np.empty(expected.shape)
     for lo in range(0, len(times), GRID_BLOCK):
         block = slice(lo, lo + GRID_BLOCK)
-        ts = times[block].tolist()
-        ops = bopp_slots(p, ts)
+        ops = bopp_slots(p, times[block])
         measured = ps_commutator(ops[:, left], ops[:, right], p.hbar)
-        # scalar exponentials: an array np.exp may differ in the last ulp
-        expected[block] = [
-            (1j * theta_of_t(p, t), 1j * eta_of_t(p, t), 1j * heff, 1j * heff, 0.0j, 0.0j)
-            for t in ts
-        ]
         measured[..., 0, :, :] -= expected[block, :, None, None] * ID2
         deviation[block] = residual_norms(measured)
     return DeformedAlgebraReport(times, expected, deviation)
@@ -226,8 +221,10 @@ def _h_nc(p: NCParams) -> AffineOp:
     l_op = PhasePoly.monomial(ALPHA1, Coord.Y) + PhasePoly.monomial(-ALPHA2, Coord.X)
     return AffineOp(
         (k_op, l_op, PhasePoly.constant(p.m * BETA)),
-        value=lambda t: (f_theta(p, t), f_eta(p, t), 1.0),
-        derivative=lambda t: (df_theta_dt(p, t), df_eta_dt(p, t), 0.0),
+        value=lambda ts: np.column_stack([f_theta(p, ts), f_eta(p, ts), np.ones(len(ts))]),
+        derivative=lambda ts: np.column_stack(
+            [df_theta_dt(p, ts), df_eta_dt(p, ts), np.zeros(len(ts))]
+        ),
     )
 
 
@@ -249,8 +246,8 @@ def h_nc_via_bopp(p: NCParams, ts: Sequence[float]) -> np.ndarray:
 def dual_path_deviation(p: NCParams, ts: Sequence[float] = (0.0, 0.5, 1.0, 2.0)) -> float:
     """Max slot deviation between the affine deformed Hamiltonian and the
     substitution route over the sampled times."""
-    h = _h_nc(p)
-    diff = h.stack([h.value(t) for t in ts]) - h_nc_via_bopp(p, ts)
+    ts, h = np.asarray(ts, dtype=float), _h_nc(p)
+    diff = h.stack(h.value(ts)) - h_nc_via_bopp(p, ts)
     return float(np.max(residual_norms(diff)))
 
 
@@ -319,14 +316,18 @@ def level_spacing(p: NCParams, n: int, t: float) -> float:
     return float(min((s for s in spacings if s > 0.0), default=math.inf))
 
 
-def nearest_landau_level(p: NCParams, t: float, energy: float) -> tuple[int, int]:
-    """(n, sign) of the closed-form level nearest ``energy`` at time t; n = 0
-    when the levels have closed (f_theta f_eta = 0)."""
-    sign = 1 if energy >= 0.0 else -1
+def nearest_landau_level(
+    p: NCParams, t: float, energies: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(n, sign) arrays of the closed-form level nearest each of ``energies``
+    at time t, n as whole floats; n = 0 when the levels have closed
+    (f_theta f_eta = 0). Of two equally near levels the lower n is taken."""
+    sign = np.where(energies >= 0.0, 1, -1)
     gap = abs(landau_gap(p, t))
     if gap == 0.0:
-        return 0, sign
+        return np.zeros(len(energies)), sign
     # nearest in energy squared, then the nearest of it and its neighbours
-    guess = max(0, round((energy * energy - p.m * p.m) / gap))
-    candidates = range(max(0, guess - 1), guess + 2)
-    return min(candidates, key=lambda n: abs(abs(energy) - math.sqrt(p.m * p.m + n * gap))), sign
+    guess = np.maximum(0.0, np.round((energies * energies - p.m * p.m) / gap))
+    candidates = np.maximum(0.0, guess[:, None] + (-1.0, 0.0, 1.0))
+    distance = np.abs(np.abs(energies)[:, None] - np.sqrt(p.m * p.m + candidates * gap))
+    return np.take_along_axis(candidates, np.argmin(distance, axis=1)[:, None], 1)[:, 0], sign

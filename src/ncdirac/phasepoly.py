@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -188,25 +188,29 @@ def commutator(ps: np.ndarray, qs: np.ndarray, hbar: float) -> np.ndarray:
 @dataclass(frozen=True)
 class AffineOp:
     """Time-dependent operator sum_k c_k(t) P_k: fixed polynomials ``polys``
-    times scalar profiles. ``value(t)`` returns the coefficient tuple c(t) and
-    ``derivative(t)`` its analytic t-derivative c'(t)."""
+    times scalar profiles. ``value(ts)`` returns the coefficients c(t) at an
+    array of times as a (len(ts), len(polys)) array, and ``derivative(ts)``
+    their analytic t-derivatives c'(t) alike."""
 
     polys: tuple[PhasePoly, ...]
-    value: Callable[[float], Sequence[complex]]
-    derivative: Callable[[float], Sequence[complex]]
+    value: Callable[[np.ndarray], np.ndarray]
+    derivative: Callable[[np.ndarray], np.ndarray]
 
     @staticmethod
     def time_constant(p: PhasePoly) -> "AffineOp":
-        return AffineOp((p,), value=lambda t: (1.0,), derivative=lambda t: (0.0,))
+        return AffineOp(
+            (p,),
+            value=lambda ts: np.ones((len(ts), 1)),
+            derivative=lambda ts: np.zeros((len(ts), 1)),
+        )
 
-    def stack(self, rows: Sequence[Sequence[complex]]) -> np.ndarray:
+    def stack(self, rows: np.ndarray) -> np.ndarray:
         """Slot arrays (len(rows), 15, 2, 2) of the operators with the
-        coefficient tuples ``rows``."""
-        c = np.asarray(rows)
-        acc = np.zeros((len(c), N_SLOTS, 2, 2), dtype=complex)
+        coefficient rows ``rows``, a (len(rows), len(polys)) array."""
+        acc = np.zeros((len(rows), N_SLOTS, 2, 2), dtype=complex)
         for k, poly in enumerate(self.polys):
-            acc += c[:, k, None, None, None] * poly.slots
+            acc += rows[:, k, None, None, None] * poly.slots
         return acc
 
     def at(self, t: float) -> PhasePoly:
-        return PhasePoly(self.stack([self.value(t)])[0])
+        return PhasePoly(self.stack(self.value(np.array([t], dtype=float)))[0])

@@ -188,11 +188,11 @@ def constraint_residuals(ans: AffineOp, p, ts) -> dict[str, np.ndarray]:
     Relations a-d kill the diagonal quadratic slots, e-h the linear slots,
     i-n the mixed quadratic slots, and o closes the constant slot.
     """
-    ts = [float(t) for t in ts]
-    ft, fe = _profiles(p, ts)
+    ts = np.asarray(ts, dtype=float)
+    ft, fe = _profiles(p, ts.tolist())
     m = p.m
-    poly = ans.stack([ans.value(t) for t in ts])
-    rate = ans.stack([ans.derivative(t) for t in ts])
+    poly = ans.stack(ans.value(ts))
+    rate = ans.stack(ans.derivative(ts))
     if np.any(poly[:, 5:] != 0):
         raise DegreeError("the invariant ansatz must have degree <= 1")
     linear = [1 + c for c in (Coord.PX, Coord.X, Coord.PY, Coord.Y)]

@@ -5,7 +5,6 @@ Shared evolutions are session-cached fixtures so the suite stays desk-scale.
 """
 
 import cmath
-from functools import partial
 
 import numpy as np
 import pytest
@@ -35,7 +34,7 @@ def _report(criterion: str, detail: str) -> None:
 
 def measure(i_op, rep, evolved, p):
     """The observables pass with the Bopp scales of p."""
-    return fockevolve.measure(i_op, rep, evolved, partial(ncmodel.bopp_scales, p))
+    return fockevolve.measure(i_op, rep, evolved, ncmodel.bopp_scales(p, evolved.times))
 
 
 @pytest.fixture(scope="module")

@@ -230,6 +230,15 @@ def test_invariant_commutative(tmp_path):
     assert len(rows) == 1 + 16
 
 
+def test_invariant_prints_the_profile_ratio_as_a_plain_float(tmp_path, capsys):
+    # the profiles are numpy arrays; the note formats f_eta/f_theta = 0.525/1.025
+    # as a plain float, so its repr carries no np.float64(...) wrapper
+    assert run(tmp_path, "invariant", "--theta", "0.1", "--eta", "0.05") == 0
+    assert "f_eta/f_theta is constant (= 0.5121951219512195) " in capsys.readouterr().out
+    report = json.loads((tmp_path / "nullspace_report.json").read_text())
+    assert "(= 0.5121951219512195) " in report["note"]
+
+
 def test_invariant_dynamic_nc_flags_tension(tmp_path):
     code = run(
         tmp_path, "invariant", "--gamma", "0.2", "--eta", "0.05", "--theta", "0.1"

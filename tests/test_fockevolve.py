@@ -44,7 +44,7 @@ def bopp_op(p, c, t):
 
 def observe(rep, ev, i_op=PhasePoly.constant(ID2), p=COMMUTATIVE):
     """The observables pass with the Bopp scales of p."""
-    return measure(i_op, rep, ev, partial(ncmodel.bopp_scales, p))
+    return measure(i_op, rep, ev, ncmodel.bopp_scales(p, ev.times))
 
 
 def stored(times, states):
@@ -238,6 +238,16 @@ def count_calls(monkeypatch, rep):
     return full_eigh, runs, spaces
 
 
+def counting_value(h, sizes):
+    """h whose coefficient profile records the number of times of each call."""
+
+    def value(ts):
+        sizes.append(len(ts))
+        return h.value(ts)
+
+    return AffineOp(h.polys, value, h.derivative)
+
+
 @pytest.mark.parametrize("negative_t0", [True, False])
 @pytest.mark.parametrize(
     "h",
@@ -246,11 +256,14 @@ def count_calls(monkeypatch, rep):
 )
 def test_time_constant_generator_takes_one_lanczos_run(monkeypatch, h, negative_t0):
     # one run of the generator over the whole grid, wherever it starts, served
-    # by a single Lanczos space; nothing of generator size is decomposed
+    # by a single Lanczos space; nothing of generator size is decomposed. H's
+    # coefficients are evaluated once at the 50 midpoints and once at both ends
     rep = build_fock_rep(6, 1.0)
     full_eigh, runs, spaces = count_calls(monkeypatch, rep)
     t0 = -0.25 if negative_t0 else 0.0
-    evolve(h, rep, coherent_state(rep), np.linspace(t0, t0 + 0.5, 51))
+    values = []
+    evolve(counting_value(h, values), rep, coherent_state(rep), np.linspace(t0, t0 + 0.5, 51))
+    assert values == [50, 2]
     assert full_eigh == []
     assert runs == [50]
     assert len(spaces) == 1
@@ -258,13 +271,16 @@ def test_time_constant_generator_takes_one_lanczos_run(monkeypatch, h, negative_
 
 def test_changing_generator_takes_one_krylov_step_per_step(monkeypatch):
     # H is applied matrix-free in the steps and in the level tracker: no
-    # decomposition of generator size in the whole run
+    # decomposition of generator size in the whole run. H's coefficients are
+    # evaluated once at the 50 midpoints, then at each end by the tracker
     p = NCParams(theta=0.1, eta=0.05, gamma=0.2)
     rep = build_fock_rep(6, 1.0)
     full_eigh, runs, _ = count_calls(monkeypatch, rep)
-    h = ncmodel.build_h_nc(p)
+    values = []
+    h = counting_value(ncmodel.build_h_nc(p), values)
     ev = evolve(h, rep, coherent_state(rep), np.linspace(0.0, 0.5, 51))
     track_level(p, h, rep, ev)
+    assert values == [50, 1, 1]
     assert full_eigh == []
     assert runs == [1] * 50
     # one stored row per step, joined into segments of BLOCK_ROWS rows
@@ -291,22 +307,29 @@ def test_constant_generator_matches_exact_propagator_across_restarts(monkeypatch
     assert np.max(np.abs(ev.states - exact)) <= 1e-13
 
 
+def switching(h, before, after, inside):
+    """h's parts with the coefficients ``after`` at the times where the array
+    ``inside(ts)`` is true, else ``before``."""
+    return AffineOp(
+        h.polys,
+        value=lambda ts: np.where(inside(ts)[:, None], after, before),
+        derivative=lambda ts: np.zeros((len(ts), len(before))),
+    )
+
+
 def test_piecewise_constant_generator_restarts_at_the_switch(monkeypatch):
     # the coefficients jump at t = 1, a grid point: each side is one run, and
     # the second starts from the state the first reaches there
     rep = build_fock_rep(6, 1.0)
     h_nc = ncmodel.build_h_nc(NCParams(theta=0.1, eta=0.05))
-    before, after = h_nc.value(0.0), tuple(1.5 * c for c in h_nc.value(0.0))
-    h = AffineOp(
-        h_nc.polys,
-        value=lambda t: before if t < 1.0 else after,
-        derivative=lambda t: (0.0,) * len(before),
-    )
+    before = h_nc.value(np.zeros(1))[0]
+    after = 1.5 * before
+    h = switching(h_nc, before, after, lambda t: t >= 1.0)
     psi = coherent_state(rep, alpha_x=0.5, spinor=(1.0, 0.5j))
     times = np.linspace(0.0, 2.0, 41)
     _, runs, _ = count_calls(monkeypatch, rep)
     ev = evolve(h, rep, psi, times)
-    g1, g2 = (represent(PhasePoly(h_nc.stack([c])[0]), rep) for c in (before, after))
+    g1, g2 = (represent(PhasePoly(h_nc.stack(c[None])[0]), rep) for c in (before, after))
     switch = dense_exponential(g1, psi, 1.0)
     want = [dense_exponential(g1, psi, t) for t in times[:21]]
     want += [dense_exponential(g2, switch, t - 1.0) for t in times[21:]]
@@ -387,19 +410,10 @@ def count_spectral_runs(monkeypatch):
     return runs
 
 
-def switching(h, before, after, inside):
-    """h's parts with coefficients ``after`` where ``inside(t)``, else ``before``."""
-    return AffineOp(
-        h.polys,
-        value=lambda t: after if inside(t) else before,
-        derivative=lambda t: (0.0,) * len(before),
-    )
-
-
 STATIONARY = NCParams(theta=0.1, eta=0.05)
 H_STATIONARY = ncmodel.build_h_nc(STATIONARY)
-START = H_STATIONARY.value(0.0)
-SCALED = tuple(1.5 * c for c in START)
+START = H_STATIONARY.value(np.zeros(1))[0]
+SCALED = 1.5 * START
 
 
 ONE_GENERATOR = pytest.mark.parametrize(
@@ -488,7 +502,7 @@ def test_ritz_error_measures_the_lanczos_space_not_the_truncation(n):
     "p, h",
     [
         (README, ncmodel.build_h_nc(README)),
-        (STATIONARY, switching(H_STATIONARY, START, SCALED, lambda t: 0.2 < t < 0.4)),
+        (STATIONARY, switching(H_STATIONARY, START, SCALED, lambda t: (0.2 < t) & (t < 0.4))),
         (STATIONARY, switching(H_STATIONARY, START, SCALED, lambda t: t >= 0.5)),
     ],
     ids=["readme", "ends-agree-midpoints-change", "one-run-other-end"],
@@ -527,9 +541,10 @@ def test_changing_steps_check_from_the_previous_lanczos_size(monkeypatch):
 
 def test_sub_steps_check_from_the_previous_sub_step_size(monkeypatch):
     # gamma = 50 puts one step of 0.5 out of reach of 40 vectors: it fails
-    # at 0.5 and, halving, at 0.5 to 0.0625, each checking all 40 vectors; the
-    # first of 16 sub-steps of 1/32 checks every vector up to its 38, each
-    # later one only 37 and 38. The sample still matches the dense propagator
+    # at 0.5 and, halving from 0.25 (0.5 is not tried again), at 0.25 to
+    # 0.0625, each checking all 40 vectors; the first of 16 sub-steps of 1/32
+    # checks every vector up to its 38, each later one only 37 and 38. The
+    # sample still matches the dense propagator
     p = NCParams(theta=0.1, eta=0.05, gamma=50.0)
     rep = build_fock_rep(5, lrsolve.magnetic_length(p))
     h = ncmodel.build_h_nc(p)
@@ -540,7 +555,7 @@ def test_sub_steps_check_from_the_previous_sub_step_size(monkeypatch):
     ev = evolve(h, rep, psi, [0.0, 0.5])
     monkeypatch.undo()
     full = list(range(1, KRYLOV_MAX + 1))
-    assert sizes == full * 5 + full[:38] + [37, 38] * 15
+    assert sizes == full * 4 + full[:38] + [37, 38] * 15
     want = dense_exponential(represent(h.at(0.25), rep), psi, 0.5)
     assert np.max(np.abs(ev.state(1) - want)) <= 1e-10
 
@@ -991,15 +1006,15 @@ def test_piecewise_history_alternates_stored_and_projected_segments():
     p = NCParams(theta=0.1, eta=0.05)
     rep = build_fock_rep(6, 1.0)
     h_nc = ncmodel.build_h_nc(p)
-    base = h_nc.value(0.0)
+    base = h_nc.value(np.zeros(1))[0]
 
     def scale(t):
-        return 1.0 if t < 0.5 else 1.0 + t if t < 0.6 else 1.5
+        return np.where(t < 0.5, 1.0, np.where(t < 0.6, 1.0 + t, 1.5))
 
     h = AffineOp(
         h_nc.polys,
-        value=lambda t: tuple(scale(t) * c for c in base),
-        derivative=lambda t: (0.0,) * len(base),
+        value=lambda ts: scale(ts)[:, None] * base,
+        derivative=lambda ts: np.zeros((len(ts), len(base))),
     )
     psi = coherent_state(rep, alpha_x=0.5, spinor=(1.0, 0.5j))
     times = np.linspace(0.0, 1.2, 121)
@@ -1009,7 +1024,7 @@ def test_piecewise_history_alternates_stored_and_projected_segments():
     assert kinds == [(True, 1), (False, 50), (True, 10), (False, 60)]
     want = [psi]
     for t in times[:-1]:
-        g = represent(PhasePoly(h_nc.stack([h.value(t + 0.5 * dt)])[0]), rep)
+        g = represent(h.at(t + 0.5 * dt), rep)
         want.append(dense_exponential(g, want[-1], dt))
     want = np.array(want)
     assert np.max(np.abs(ev.states - want)) <= 1e-12

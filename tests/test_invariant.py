@@ -78,7 +78,9 @@ def test_commutative_constrained_residual_vanishes():
 def test_time_dependent_ansatz_residual_is_i_dI_dt():
     # I(t) = t^2 * 1 commutes with every H, so the residual is i dI/dt = 2 i t * 1
     ans = AffineOp(
-        (PhasePoly.constant(ID2),), value=lambda t: (t * t,), derivative=lambda t: (2.0 * t,)
+        (PhasePoly.constant(ID2),),
+        value=lambda ts: (ts * ts)[:, None],
+        derivative=lambda ts: (2.0 * ts)[:, None],
     )
     h = ncmodel.build_h_nc(NC_DYNAMIC)
     res = invariance_residual(ans, h, NC_DYNAMIC.hbar, TS)
@@ -130,7 +132,9 @@ def test_slot_map_on_random_spinful_ansatz():
         for _ in range(4):
             fixed, moving = random_linear_poly(RNG), random_linear_poly(RNG)
             ans = AffineOp(
-                (fixed, moving), value=lambda t: (1.0, t * t), derivative=lambda t: (0.0, 2.0 * t)
+                (fixed, moving),
+                value=lambda ts: np.column_stack([np.ones(len(ts)), ts * ts]),
+                derivative=lambda ts: np.column_stack([np.zeros(len(ts)), 2.0 * ts]),
             )
             got = relations(ans, p, TS[::2])
             want = constraint_residuals(ans, p, TS[::2])

@@ -254,6 +254,32 @@ def test_f_limits_in_commutative_reduction():
             assert ncmodel.f_eta(p, t) == 0.5 * p.e * p.B
 
 
+def nearest(p, t, energy):
+    """(n, sign) of one energy, through the array nearest_landau_level."""
+    n, sign = ncmodel.nearest_landau_level(p, t, np.array([energy]))
+    return int(n[0]), int(sign[0])
+
+
+@pytest.mark.parametrize(
+    "p",
+    [NCParams(hbar=2.0, B=1.5, m=0.7), NCParams(theta=0.1, eta=0.05, gamma=0.2), NCParams(eta=-1.0)],
+    ids=["commutative", "deformed", "closed"],
+)
+def test_nearest_landau_level_of_an_array_is_the_brute_force_nearest(p):
+    # one call over energies of both signs; the oracle scans n <= 200 for each
+    # energy and keeps the lowest n of equal distances. f_eta = 0 closes the gap
+    t = 0.3
+    gap = abs(4.0 * p.hbar * ncmodel.f_theta(p, t) * ncmodel.f_eta(p, t))
+    levels = [math.sqrt(p.m * p.m + j * gap) for j in range(201)]
+    energies = np.random.default_rng(7).uniform(-levels[150] - 1.0, levels[150] + 1.0, 300)
+    energies = np.concatenate([energies, [0.0, -0.0, p.m, -p.m, levels[3], -levels[7]]])
+    n, sign = ncmodel.nearest_landau_level(p, t, energies)
+    for k, e in enumerate(energies.tolist()):
+        distance = [abs(abs(e) - level) for level in levels]
+        assert (n[k], sign[k]) == (distance.index(min(distance)), 1 if e >= 0.0 else -1)
+    assert (gap == 0.0) == (p.eta == -1.0) and n.max() < 200  # the scan's bound is not reached
+
+
 def test_landau_levels_commutative_closed_form():
     # relativistic Landau levels +-sqrt(m^2 + 2 n hbar e B) of the commutative
     # Dirac Hamiltonian (c = 1)
@@ -262,7 +288,7 @@ def test_landau_levels_commutative_closed_form():
         want = math.sqrt(0.7**2 + 2.0 * n * 2.0 * 1.5)
         for sign in (1, -1):
             assert ncmodel.landau_level(p, n, sign, 0.3) == pytest.approx(sign * want, rel=1e-15)
-            assert ncmodel.nearest_landau_level(p, 0.3, sign * want * (1.0 + 1e-3)) == (n, sign)
+            assert nearest(p, 0.3, sign * want * (1.0 + 1e-3)) == (n, sign)
 
 
 def test_landau_levels_deformed_and_closed():
@@ -273,9 +299,9 @@ def test_landau_levels_deformed_and_closed():
     assert ncmodel.landau_level(p, 3, -1, t) == pytest.approx(-math.sqrt(1.0 + 3 * gap), rel=1e-15)
     # nearer level 2 in energy although nearer level 1 in energy squared
     wide = NCParams(hbar=2.0, B=1.5, m=0.7)
-    assert ncmodel.nearest_landau_level(wide, 0.0, 3.06) == (2, 1)
+    assert nearest(wide, 0.0, 3.06) == (2, 1)
     # f_eta = 0: the levels close onto +-m, and the gap carries the field's sign
-    assert ncmodel.nearest_landau_level(NCParams(eta=-1.0), 0.0, 2.0) == (0, 1)
+    assert nearest(NCParams(eta=-1.0), 0.0, 2.0) == (0, 1)
     assert ncmodel.landau_gap(NCParams(eta=-2.0), 0.0) == -2.0
     assert ncmodel.landau_level(NCParams(eta=-2.0), 1, 1, 0.0) == math.sqrt(3.0)
 

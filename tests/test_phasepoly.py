@@ -31,8 +31,11 @@ def comm(p, q, hbar=1.0):
 def combine(polys, coeffs):
     """sum_k c_k P_k through AffineOp.stack, the package's slot-wise linear
     combination."""
-    op = AffineOp(tuple(polys), value=lambda t: coeffs, derivative=lambda t: coeffs)
-    return op.at(0.0)
+
+    def rows(ts):
+        return np.broadcast_to(coeffs, (len(ts), len(coeffs)))
+
+    return AffineOp(tuple(polys), value=rows, derivative=rows).at(0.0)
 
 
 def test_linear_combine_identity_and_cancellation():
@@ -192,12 +195,26 @@ def test_residual_norms_equal_residual_norm_of_each_poly():
         assert norms[k] == pytest.approx(slot_norm(PhasePoly(slots[k])), rel=1e-15)
 
 
+#: every AffineOp the package builds
+AFFINE_OPS = {
+    "h_nc-commutative": ncmodel.build_h_nc(ncmodel.NCParams()),
+    "h_nc-stationary": ncmodel.build_h_nc(ncmodel.NCParams(theta=0.1, eta=0.05)),
+    "h_nc-time-dependent": ncmodel.build_h_nc(ncmodel.NCParams(theta=0.1, eta=0.05, gamma=0.3)),
+    "h_commutative": ncmodel.build_h_commutative(ncmodel.NCParams(B=1.5, m=0.7)),
+    "constant_invariant": invariant.constant_invariant(1.0, 0.3, -0.2, -0.5, 0.7),
+}
+
+
 def test_affine_op_stack_matches_combine():
-    h = ncmodel.build_h_nc(ncmodel.NCParams(theta=0.1, eta=0.05, gamma=0.3))
-    ts = (0.0, 0.4, 1.3)
-    stacked = h.stack([h.value(t) for t in ts])
-    for t, slots in zip(ts, stacked):
-        assert np.array_equal(slots, h.at(t).slots)
+    # the profile contract: an array of times in, one coefficient row per time
+    # out, and at(t) is that row's operator bit for bit
+    ts = np.array([0.0, 0.4, 1.3, -0.7, 2.9])
+    for name, h in AFFINE_OPS.items():
+        for profile in (h.value, h.derivative):
+            assert profile(ts).shape == (len(ts), len(h.polys)), name
+        stacked = h.stack(h.value(ts))
+        for t, slots in zip(ts, stacked):
+            assert np.array_equal(slots, h.at(t).slots), (name, t)
 
 
 def test_residual_norm_examples():
@@ -242,7 +259,7 @@ def test_affine_op_rate_matches_finite_differences():
     step = 1e-5
     for t in (0.0, 0.4, 1.3):
         fd = (h.at(t + step) - h.at(t - step)) * (0.5 / step)
-        an = PhasePoly(h.stack([h.derivative(t)])[0])
+        an = PhasePoly(h.stack(h.derivative(np.array([t])))[0])
         assert slot_norm(an) > 1e-3
         assert slot_norm(an - fd) <= 1e-8 * slot_norm(an)
 
@@ -252,9 +269,9 @@ def test_time_constant_wrapper():
     op = AffineOp.time_constant(p)
     for t in (0.0, 3.0):
         assert slot_norm(op.at(t) - p) == 0.0
-        assert slot_norm(PhasePoly(op.stack([op.derivative(t)])[0])) == 0.0
+        assert slot_norm(PhasePoly(op.stack(op.derivative(np.array([t])))[0])) == 0.0
     assert op.polys == (p,)
-    assert tuple(op.value(3.0)) == tuple(op.value(-1.0))
+    assert np.array_equal(op.value(np.array([3.0, -1.0])), np.ones((2, 1)))
 
 
 def test_degree_classification():
