@@ -24,12 +24,8 @@ import numpy as np
 
 from . import __version__, mat2, ncmodel
 from .csvout import write_csv
-from .errors import HbarError, SingularParameterError, StepError
+from .errors import ConfigError
 from .phasepoly import residual_norms
-
-
-class ConfigError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -55,12 +51,7 @@ class RunConfig(ncmodel.NCParams):
             value = getattr(self, key)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{key} must be finite, got {value!r}")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.t1 <= self.t0:
-            raise ValueError("t1 must exceed t0")
-        if self.dt > self.t1 - self.t0:
-            raise ValueError("dt exceeds the interval t1 - t0")
+        ncmodel.check_window(self.t0, self.t1, self.dt)
         if self.fock_N < 2:
             raise ValueError("fock_N must be at least 2")
         if self.grid_points < 2:
@@ -232,11 +223,8 @@ def cmd_verify_algebra(cfg: RunConfig) -> Result:
 
     dirac = mat2.verify_dirac_algebra()
     deformed = ncmodel.verify_nc_algebra(cfg, t_grid)
-    try:
-        ncmodel.require_h_nc_units(cfg)
-        dual_dev = ncmodel.dual_path_deviation(cfg)
-    except HbarError:  # the deformed H is undefined, so is its second path
-        dual_dev = None
+    # where the deformed H is undefined, so is its second path
+    dual_dev = ncmodel.dual_path_deviation(cfg) if ncmodel.h_nc_defined(cfg) else None
 
     if cfg.theta == 0.0 and cfg.eta == 0.0:
         mode = "commutative"
@@ -332,7 +320,7 @@ def cmd_invariant(cfg: RunConfig) -> Result:
 def cmd_xi(cfg: RunConfig) -> Result:
     from . import lrsolve
     ncmodel.require_h_nc_units(cfg)  # the flow's dressing f_eta is written for hbar = 1
-    n_steps = max(1, int(round((cfg.t1 - cfg.t0) / cfg.dt)))
+    n_steps = ncmodel.step_count(cfg.t0, cfg.t1, cfg.dt)
     _check_memory(lrsolve.ROW_BYTES * (n_steps + 1), f"xi over {n_steps} steps")
     traj = lrsolve.integrate_rk4(cfg, cfg.t0, cfg.t1, cfg.dt)
     worst = float(np.max(list(traj.max_deviation.values())))  # NaN when any is NaN
@@ -346,13 +334,13 @@ def cmd_xi(cfg: RunConfig) -> Result:
 
 def cmd_evolve(cfg: RunConfig) -> Result:
     from . import fockevolve, invariant, lrsolve
-    n_steps = max(1, int(round((cfg.t1 - cfg.t0) / cfg.dt)))
+    n_steps = ncmodel.step_count(cfg.t0, cfg.t1, cfg.dt)
     need = fockevolve.dense_bytes(cfg.fock_N, n_steps + 1)
     _check_memory(need, f"evolve at fock_N={cfg.fock_N} over {n_steps} steps")
     rep = fockevolve.build_fock_rep(cfg.fock_N, lrsolve.magnetic_length(cfg), cfg.hbar)
     h = ncmodel.build_h_nc(cfg)
 
-    times = cfg.t0 + (cfg.t1 - cfg.t0) * np.arange(n_steps + 1) / n_steps
+    times = ncmodel.sample_times(cfg.t0, cfg.t1, n_steps)
     # displaced by one oscillator length: a centered vacuum is a near-stationary
     # state that never probes the truncation edge, so its drift measures nothing
     psi0 = fockevolve.coherent_state(rep, alpha_x=1.0)
@@ -527,7 +515,7 @@ def main(argv=None) -> int:
         # writing inf or NaN into the outputs
         with np.errstate(over="raise", invalid="raise"):
             return _finish(cfg, run(cfg))
-    except (HbarError, SingularParameterError, StepError, ConfigError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:  # overflow, or a divisor that underflowed to 0

@@ -5,20 +5,12 @@ class DegreeError(ValueError):
     """Operator commutators are defined only for polynomials of degree <= 1."""
 
 
-class HbarError(ValueError):
-    """The deformed Hamiltonian is undefined: hbar != 1 with theta or eta nonzero."""
-
-
-class SingularParameterError(ValueError):
-    """A closed form divides by a parameter that is zero."""
+class ConfigError(ValueError):
+    """A configuration the model cannot run; the command line exits 2 on it."""
 
 
 class GridError(ValueError):
     """Time grid is unusable (too short or nonuniform)."""
-
-
-class StepError(ValueError):
-    """Integration step size is inconsistent with the requested interval."""
 
 
 class SizeError(ValueError):

@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import ncmodel
-from .errors import DegreeError, DimError, GridError, SizeError, StepError
+from .errors import ConfigError, DegreeError, DimError, GridError, SizeError
 from .mat2 import ID2
 from .phasepoly import AffineOp, Coord, PhasePoly
 
@@ -100,9 +100,9 @@ def _mode_blocks(polys: Sequence[PhasePoly], rep: FockRep) -> np.ndarray:
         raise DegreeError("only polynomials of degree <= 1 are applied")
     # the slot of each factor x, p, 1 per block; quadratic slot 5 is 0 here
     slots = [[1 + Coord.X, 1 + Coord.PX, 5], [1 + Coord.Y, 1 + Coord.PY, 0]]
-    coeffs = np.stack([poly.slots for poly in polys])[:, slots]
-    blocks = np.einsum("mij,kbmst->kbisjt", np.stack([rep.x, rep.p, np.eye(rep.N)]), coeffs)
-    return blocks.reshape(len(polys), 2, 2 * rep.N, 2 * rep.N)
+    coeffs = np.stack([poly.slots for poly in polys])[:, slots]  # (k, block, factor, 2, 2)
+    blocks = np.tensordot(coeffs, np.stack([rep.x, rep.p, np.eye(rep.N)]), (2, 0))
+    return blocks.transpose(0, 1, 4, 2, 5, 3).reshape(len(polys), 2, 2 * rep.N, 2 * rep.N)
 
 
 def _block_action(blocks: np.ndarray, rep: FockRep) -> Callable[[np.ndarray], np.ndarray]:
@@ -252,7 +252,7 @@ def _check_reachable(
     need = dt * bound / KRYLOV_MAX
     substeps = float(np.sum(np.multiply(counts, need), where=~(need <= 1.0)))
     if not substeps <= MAX_SUBSTEPS:
-        raise StepError(
+        raise ConfigError(
             f"dt={dt:.6g} needs about {substeps:.3g} Lanczos sub-steps, more than the "
             f"{MAX_SUBSTEPS} a run may take: the generator-norm bound reaches "
             f"{bound.max():.3g}, and a sub-step spans at most about {KRYLOV_MAX}/bound"
@@ -304,13 +304,15 @@ def _resolved(tau: float, lo: int, hi: int, lam: np.ndarray, s: np.ndarray, beta
     estimate k tau beta |e_m^T phi1(-i k tau T) e_1|, phi1(z) = (e^z - 1)/z,
     relative to |psi|, is within KRYLOV_TOL (Saad, SIAM J. Numer. Anal. 29,
     209 (1992); Hochbruck & Lubich, SIAM J. Numer. Anal. 34, 1911 (1997)).
-    The samples are scanned BLOCK_ROWS at a time."""
+    phi1(-i theta) = e^{-i theta/2} sin(theta/2)/(theta/2), 1 at theta = 0, is
+    taken in real arithmetic. The samples are scanned BLOCK_ROWS at a time."""
+    weights = s[-1] * s[0]
     for a in range(lo, hi, BLOCK_ROWS):
         tk = tau * np.arange(a + 1, min(a + BLOCK_ROWS, hi) + 1)
-        z = -1j * np.multiply.outer(tk, lam)
-        nonzero = np.where(z == 0, 1.0, z)
-        phi1 = np.where(z == 0, 1.0, np.expm1(nonzero) / nonzero)
-        bad = np.flatnonzero(~(tk * beta * np.abs(phi1 @ (s[-1] * s[0])) <= KRYLOV_TOL))
+        half = 0.5 * np.multiply.outer(tk, lam)
+        sinc = np.divide(sin := np.sin(half), half, out=np.ones_like(half), where=half != 0)
+        estimate = tk * beta * np.hypot((np.cos(half) * sinc) @ weights, (sin * sinc) @ weights)
+        bad = np.flatnonzero(~(estimate <= KRYLOV_TOL))
         if bad.size:
             return a - lo + int(bad[0])
     return hi - lo
@@ -438,23 +440,24 @@ def track_level(
     value's residual, is the Krylov resolution of the level's cluster (not
     the fock_N truncation), from this run and from one Lanczos run from
     psi(t1) under H(t1); the level spacing at both ends says whether that
-    distance still names one level. ``evolved.spectrum``, when set, is the
-    t0 run, shared with the propagation, and serves both ends.
+    distance still names one level. H(t0) and H(t1) are coefficient rows on
+    H's per-mode parts, as in ``evolve``. ``evolved.spectrum``, when set, is
+    the t0 run, shared with the propagation, and serves both ends.
     """
     ends = (0, len(evolved.times) - 1)
     if evolved.spectrum is not None:
         spectra = [evolved.spectrum] * 2
     else:
+        parts, rows = _mode_blocks(h.polys, rep), h.value(evolved.times[list(ends)])
         spectra = [
-            spectral_weights(operator(h.at(float(evolved.times[k])), rep), evolved.state(k))
-            for k in ends
+            spectral_weights(_block_action(np.tensordot(c, parts, 1), rep), evolved.state(k))
+            for c, k in zip(rows, ends)
         ]
     ns, signs = ncmodel.nearest_landau_level(p, float(evolved.times[0]), spectra[0].ritz)
     shares: dict[tuple[float, int], float] = {}
     for level, weight in zip(zip(ns.tolist(), signs.tolist()), spectra[0].weight.tolist()):
         shares[level] = shares.get(level, 0.0) + weight  # in ascending Ritz order
-    n, sign = max(shares, key=shares.get)
-    n = int(n)
+    n, sign = map(int, max(shares, key=shares.get))
     energy = ncmodel.landau_level(p, n, sign, evolved.times)
     error, residual = [], []
     for k, spectrum in zip(ends, spectra):
@@ -484,7 +487,7 @@ def evolve(
     run once to its end: its Ritz data become ``EvolvedState.spectrum``, and
     the run's first Lanczos space replays its head, so the propagation and
     the level pick share one recurrence of at most KRYLOV_MAX vectors. A
-    grid whose steps need more than MAX_SUBSTEPS sub-steps raises StepError
+    grid whose steps need more than MAX_SUBSTEPS sub-steps raises ConfigError
     first. The per-mode blocks of H's fixed parts are built once and combined
     per run; no generator-sized matrix is built or decomposed. A Lanczos
     space that resolves more samples than it has vectors is kept as a segment

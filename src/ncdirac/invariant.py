@@ -35,6 +35,8 @@ CONSTRAINT_LABELS = tuple(f"25{c}" for c in "abcdefghijklmno")
 #: quadratic slots, e-h the linear slots, i-n the mixed quadratic slots, o the
 #: constant slot
 CONSTRAINT_SLOTS = (12, 14, 5, 9, 3, 4, 1, 2, 13, 7, 8, 6, 10, 11, 0)
+#: singular values at or below this share of the largest span the nullspace
+NULLSPACE_TOL = 1e-10
 
 
 def constant_invariant(
@@ -102,15 +104,13 @@ class NullspaceReport:
         }
 
 
-def solve_constant_invariant(
-    p: NCParams, t_grid: Sequence[float], tol_factor: float = 1e-10
-) -> NullspaceReport:
+def solve_constant_invariant(p: NCParams, t_grid: Sequence[float]) -> NullspaceReport:
     """Find all constant scalar coefficients admitting a linear invariant.
 
     Each grid time contributes the two rows a1*f_eta + b3*f_theta = 0 and
     b1*f_theta - a3*f_eta = 0 on the unknowns (a1, a3, b1, b3); the constant
     term c1 is always free. The nullspace is read off the SVD at the
-    tolerance tol_factor * sigma_max.
+    tolerance NULLSPACE_TOL * sigma_max.
     """
     ts = np.asarray(t_grid, dtype=float)
     if ts.size < 2:
@@ -121,7 +121,7 @@ def solve_constant_invariant(
     a = a.reshape(-1, 4)
     # the 4x4 V holds the nullspace; full_matrices=True would also build a (2T)x(2T) U
     _, s, vh = np.linalg.svd(a, full_matrices=False)
-    tol = tol_factor * s[0] if s.size else 0.0
+    tol = NULLSPACE_TOL * s[0] if s.size else 0.0
     rank = int(np.sum(s > tol))
     null_basis = vh[rank:].T.conj()
     dim = null_basis.shape[1]

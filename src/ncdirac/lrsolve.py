@@ -21,8 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CoverageError, SingularParameterError, StepError
-from .ncmodel import NCParams, f_eta, f_theta
+from .errors import ConfigError, CoverageError
+from .ncmodel import NCParams, f_eta, f_theta, sample_times, step_count
 
 
 def magnetic_length(p: NCParams) -> float:
@@ -33,7 +33,7 @@ def magnetic_length(p: NCParams) -> float:
     ground state."""
     eb = p.e * p.B
     if eb <= 0:
-        raise SingularParameterError("magnetic length requires e*B > 0")
+        raise ConfigError("magnetic length requires e*B > 0")
     ell = math.sqrt(p.hbar / eb)
     if not 0.0 < ell < math.inf:
         raise OverflowError("the magnetic length sqrt(hbar/(e*B)) leaves the float range")
@@ -116,7 +116,7 @@ class Trajectory:
 
 
 def integrate_rk4(p: NCParams, t0: float, t1: float, dt: float) -> Trajectory:
-    """Classical RK4 on the coupled system, seeded with the closed forms at t0.
+    """Classical RK4 on the coupled system from the closed forms at t0, over ``sample_times``.
 
     The autonomous, linear envelope (F1, F2) is stepped first, in one loop of
     Python scalars in a vector RK4's operation order (powers of the RK4
@@ -125,15 +125,9 @@ def integrate_rk4(p: NCParams, t0: float, t1: float, dt: float) -> Trajectory:
     xi2 are running sums of the weighted stages. One closed_state call gives
     the closed forms; the deviations serve max_deviation and the CSV alike.
     """
-    if dt <= 0:
-        raise StepError("dt must be positive")
-    if t1 <= t0:
-        raise StepError("t1 must exceed t0")
-    if dt > (t1 - t0):
-        raise StepError("dt exceeds the integration interval")
-    n_steps = max(1, int(round((t1 - t0) / dt)))
+    n_steps = step_count(t0, t1, dt)
     h = (t1 - t0) / n_steps
-    times = t0 + h * np.arange(n_steps + 1)
+    times = sample_times(t0, t1, n_steps)
     closed = closed_state(p, times)
     states = np.zeros_like(closed)
     states[2:, 0] = closed[2:, 0]

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import HbarError
+from .errors import ConfigError
 from .mat2 import ALPHA1, ALPHA2, BETA, ID2
 from .phasepoly import (
     GRID_BLOCK,
@@ -58,6 +58,27 @@ class NCParams:
             raise ValueError("hbar must be positive")
         object.__setattr__(self, "kappa", math.exp(self.q2 - self.q1))
         consistency_ratio(self)  # an hbar^2 beyond the float range raises ArithmeticError
+
+
+def check_window(t0: float, t1: float, dt: float) -> None:
+    """Raise ConfigError unless the window t0 < t1 holds at least one step dt > 0."""
+    if dt <= 0:
+        raise ConfigError("dt must be positive")
+    if t1 <= t0:
+        raise ConfigError("t1 must exceed t0")
+    if dt > t1 - t0:
+        raise ConfigError("dt exceeds the interval t1 - t0")
+
+
+def step_count(t0: float, t1: float, dt: float) -> int:
+    """Steps n = max(1, round((t1 - t0)/dt)), each (t1 - t0)/n, of the checked window."""
+    check_window(t0, t1, dt)
+    return max(1, round((t1 - t0) / dt))
+
+
+def sample_times(t0: float, t1: float, n: int) -> np.ndarray:
+    """The n + 1 times t0 + (t1 - t0) k/n, k = 0..n: the time grid of xi and evolve."""
+    return t0 + (t1 - t0) * np.arange(n + 1) / n
 
 
 def consistency_ratio(p: NCParams) -> float:
@@ -251,15 +272,17 @@ def dual_path_deviation(p: NCParams, ts: Sequence[float] = (0.0, 0.5, 1.0, 2.0))
     return float(np.max(residual_norms(diff)))
 
 
+def h_nc_defined(p: NCParams) -> bool:
+    """Whether the deformed Hamiltonian is defined for p: the Bopp shift scales
+    by 1/hbar and f_theta, f_eta are written for hbar = 1, so a deformation needs hbar = 1."""
+    return p.hbar == 1.0 or (p.theta == 0.0 and p.eta == 0.0)
+
+
 def require_h_nc_units(p: NCParams) -> None:
-    """Raise HbarError unless the deformed Hamiltonian is defined for p:
-    hbar = 1 when theta or eta is nonzero, because the Bopp shift scales by
-    1/hbar while the dressings f_theta, f_eta are written for hbar = 1."""
-    if p.hbar != 1.0 and (p.theta != 0.0 or p.eta != 0.0):
-        raise HbarError(
-            "the deformed Hamiltonian needs hbar = 1 when theta or eta is nonzero, "
-            f"got hbar={p.hbar!r}"
-        )
+    """Raise ConfigError unless the deformed Hamiltonian is defined for p."""
+    if not h_nc_defined(p):
+        raise ConfigError("the deformed Hamiltonian needs hbar = 1 when theta or eta "
+                          f"is nonzero, got hbar={p.hbar!r}")
 
 
 def build_h_nc(p: NCParams) -> AffineOp:

@@ -19,6 +19,10 @@ phase/envelope state, one right-hand side call per stage and step, seeded by
 one time. The package steps the envelope alone and evaluates each stage over
 all steps at once.
 
+``resolved_expm1`` is the Krylov error-estimate scan with phi1 evaluated in
+complex arithmetic, (e^z - 1)/z by ``expm1``; the package takes phi1(-i theta)
+from real sines and cosines of theta/2.
+
 ``constraint_residuals`` is the paper's hand transcription of the fifteen
 bracket relations 25a-25o that a linear invariant ansatz must satisfy, with
 its own 2x2 commutator; the package reads the same relations off the slots of
@@ -67,6 +71,21 @@ def represent(poly: PhasePoly, rep) -> np.ndarray:
     for c in _COORDS:
         out = out + np.kron(modes[c], poly.slots[1 + c])
     return out
+
+
+def resolved_expm1(tau, lo, hi, lam, s, beta, tol, block):
+    """How many leading samples k tau, k = lo+1..hi, have the error estimate
+    k tau beta |e_m^T phi1(-i k tau T) e_1| within tol, T = s diag(lam) s^T,
+    phi1(z) = (e^z - 1)/z with phi1(0) = 1, scanned ``block`` samples at a time."""
+    for a in range(lo, hi, block):
+        tk = tau * np.arange(a + 1, min(a + block, hi) + 1)
+        z = -1j * np.multiply.outer(tk, lam)
+        nonzero = np.where(z == 0, 1.0, z)
+        phi1 = np.where(z == 0, 1.0, np.expm1(nonzero) / nonzero)
+        bad = np.flatnonzero(~(tk * beta * np.abs(phi1 @ (s[-1] * s[0])) <= tol))
+        if bad.size:
+            return a - lo + int(bad[0])
+    return hi - lo
 
 
 def ehrenfest_drift(residual: PhasePoly, rep, times: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -247,10 +266,11 @@ def _rk4_rhs(p, t: float, y: np.ndarray) -> np.ndarray:
 
 
 def rk4_reference(p, t0: float, t1: float, dt: float, xi3: complex = 0j, xi4: complex = 0j):
-    """(times, states (n + 1, 6)) of classical RK4 taken one step at a time."""
+    """(times, states (n + 1, 6)) of classical RK4 taken one step at a time,
+    by h = (t1 - t0)/n from the sample t0 + (t1 - t0) k/n to the next."""
     n_steps = max(1, int(round((t1 - t0) / dt)))
     h = (t1 - t0) / n_steps
-    times = t0 + h * np.arange(n_steps + 1)
+    times = t0 + (t1 - t0) * np.arange(n_steps + 1) / n_steps
     states = np.zeros((n_steps + 1, 6), dtype=complex)
     y = states[0] = closed_state_scalar(p, t0, xi3, xi4)
     for k in range(n_steps):

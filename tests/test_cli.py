@@ -325,6 +325,20 @@ def test_xi_nc_branch_values(tmp_path):
     assert abs(abs(xi1) - 0.25) > 1e-4
 
 
+def test_xi_and_evolve_sample_the_same_times(tmp_path):
+    # one window, one grid t0 + (t1 - t0) k/n: the t columns agree byte for
+    # byte (a t0 + h k grid differs from it on 72 of these 501 rows)
+    argv = ("--t1", "1", "--dt", "2e-3")
+    assert run(tmp_path, "xi", *argv) == 0
+    assert run(tmp_path, "evolve", *argv) == 0
+
+    def t_column(name):
+        return [line.partition(",")[0] for line in (tmp_path / name).read_text().splitlines()]
+
+    xi = t_column("xi_trajectory.csv")
+    assert len(xi) == 502 and xi == t_column("evolution.csv")
+
+
 def test_evolve_constrained_passes(tmp_path):
     assert run(tmp_path, "evolve", *FAST) == 0
     rows = list(csv.reader((tmp_path / "evolution.csv").open()))

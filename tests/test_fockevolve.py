@@ -27,7 +27,7 @@ from ncdirac.fockevolve import (
 from ncdirac.mat2 import ID2
 from ncdirac.ncmodel import NCParams
 from ncdirac.phasepoly import AffineOp, Coord, PhasePoly, commutator
-from oracle import ehrenfest_drift, represent
+from oracle import ehrenfest_drift, represent, resolved_expm1
 
 COMMUTATIVE = NCParams()
 README = NCParams(theta=0.1, eta=0.05, gamma=0.2)
@@ -272,7 +272,7 @@ def test_time_constant_generator_takes_one_lanczos_run(monkeypatch, h, negative_
 def test_changing_generator_takes_one_krylov_step_per_step(monkeypatch):
     # H is applied matrix-free in the steps and in the level tracker: no
     # decomposition of generator size in the whole run. H's coefficients are
-    # evaluated once at the 50 midpoints, then at each end by the tracker
+    # evaluated once at the 50 midpoints, then once at both ends by the tracker
     p = NCParams(theta=0.1, eta=0.05, gamma=0.2)
     rep = build_fock_rep(6, 1.0)
     full_eigh, runs, _ = count_calls(monkeypatch, rep)
@@ -280,7 +280,7 @@ def test_changing_generator_takes_one_krylov_step_per_step(monkeypatch):
     h = counting_value(ncmodel.build_h_nc(p), values)
     ev = evolve(h, rep, coherent_state(rep), np.linspace(0.0, 0.5, 51))
     track_level(p, h, rep, ev)
-    assert values == [50, 1, 1]
+    assert values == [50, 2]
     assert full_eigh == []
     assert runs == [1] * 50
     # one stored row per step, joined into segments of BLOCK_ROWS rows
@@ -587,6 +587,26 @@ def test_lanczos_says_which_vector_is_last(case, vectors):
     g, psi = case()
     last = [flag for *_, flag in fockevolve._lanczos(partial(np.matmul, g), psi)]
     assert last == [False] * (vectors - 1) + [True]
+
+
+def test_real_krylov_estimate_gives_the_complex_forms_verdicts():
+    # 3000 random tridiagonals of 1 to KRYLOV_MAX rows, some Ritz values
+    # exactly 0, beta from 1e-20 to 10 and tau from 1e-5 to 1: the real
+    # sin/cos form of phi1 resolves as many samples as the expm1 form
+    rng = np.random.default_rng(25)
+    outcomes = set()
+    for _ in range(3000):
+        m = int(rng.integers(1, KRYLOV_MAX + 1))
+        off = rng.random(m - 1)
+        lam, s = np.linalg.eigh(np.diag(rng.standard_normal(m)) + np.diag(off, 1) + np.diag(off, -1))
+        lam[rng.random(m) < 0.2] = 0.0
+        beta, tau = 10.0 ** rng.uniform(-20, 1), 10.0 ** rng.uniform(-5, 0)
+        lo = int(rng.integers(0, 100))
+        hi = lo + int(rng.integers(1, 200))
+        got = fockevolve._resolved(tau, lo, hi, lam, s, beta)
+        assert got == resolved_expm1(tau, lo, hi, lam, s, beta, fockevolve.KRYLOV_TOL, BLOCK_ROWS)
+        outcomes.add("none" if got == 0 else "all" if got == hi - lo else "some")
+    assert outcomes == {"none", "some", "all"}
 
 
 @pytest.mark.parametrize("case", [eigenstate, fock_2, random_8])

@@ -11,7 +11,7 @@ import pytest
 
 from ncdirac import lrsolve, ncmodel
 from ncdirac.csvout import write_csv
-from ncdirac.errors import CoverageError, SingularParameterError, StepError
+from ncdirac.errors import ConfigError, CoverageError
 from ncdirac.lrsolve import (
     assemble_solution,
     closed_state,
@@ -196,11 +196,11 @@ def test_flow_rhs_over_times_matches_single_times():
 
 
 def test_rk4_step_errors():
-    with pytest.raises(StepError):
+    with pytest.raises(ConfigError):
         integrate_rk4(COMMUTATIVE, 0.0, 1.0, 2.0)
-    with pytest.raises(StepError):
+    with pytest.raises(ConfigError):
         integrate_rk4(COMMUTATIVE, 0.0, 1.0, -0.1)
-    with pytest.raises(StepError):
+    with pytest.raises(ConfigError):
         integrate_rk4(COMMUTATIVE, 1.0, 0.5, 0.1)
 
 
@@ -331,5 +331,5 @@ def test_magnetic_length():
     assert lrsolve.magnetic_length(NCParams(hbar=2.0, B=0.5)) == 2.0
     with pytest.raises(OverflowError):
         lrsolve.magnetic_length(NCParams(hbar=1e-150, B=1e300))
-    with pytest.raises(SingularParameterError):
+    with pytest.raises(ConfigError):
         lrsolve.magnetic_length(NCParams(B=-1.0))

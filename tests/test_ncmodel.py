@@ -9,7 +9,7 @@ import pytest
 from oracle import slot_norm, string_commutator
 
 from ncdirac import ncmodel
-from ncdirac.errors import HbarError
+from ncdirac.errors import ConfigError
 from ncdirac.mat2 import ALPHA1, ALPHA2, BETA, ID2, SIGMA1, SIGMA2, SIGMA3
 from ncdirac.ncmodel import NCParams
 from ncdirac.phasepoly import Coord, PhasePoly, commutator
@@ -232,14 +232,14 @@ def test_h_nc_dual_path_agreement():
 def test_h_nc_rejects_si_mode():
     # SI values: hbar != 1 with a deformation
     p = NCParams(theta=1e-40, eta=1e-70, hbar=1.0546e-34)
-    with pytest.raises(HbarError):
+    with pytest.raises(ConfigError):
         ncmodel.build_h_nc(p)
 
 
 def test_h_nc_requires_hbar_one_when_deformed():
     # the Bopp shift divides by hbar and the dressings f_theta, f_eta do not,
     # so the two construction paths agree only at hbar = 1
-    with pytest.raises(HbarError):
+    with pytest.raises(ConfigError):
         ncmodel.build_h_nc(NCParams(eta=1.0, hbar=2.0))
     commutative = NCParams(hbar=2.0)
     assert ncmodel.dual_path_deviation(commutative) == 0.0
