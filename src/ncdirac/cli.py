@@ -278,9 +278,8 @@ def cmd_invariant(cfg: RunConfig) -> Result:
     closing = res[:, 0] - cfg.hbar * (1j * r[0::2] * mat2.ALPHA2 + 1j * r[1::2] * mat2.ALPHA1)
     user_residuals = residual_norms(res)
 
-    ortho_defect = float(
-        np.max(np.abs(report.nullspace.T @ report.nullspace - np.eye(report.dimension)))
-    ) if report.dimension else 0.0
+    gram = report.nullspace.T @ report.nullspace
+    ortho_defect = float(np.max(np.abs(gram - np.eye(report.dimension)), initial=0.0))
     checks = [
         ("ansatz residual on relations 25a-25n", float(np.max(norms[:, :-1])), self_check_tol),
         ("constant slot off the constraint rows", float(np.max(mat2.fro(closing))), self_check_tol),
@@ -288,21 +287,15 @@ def cmd_invariant(cfg: RunConfig) -> Result:
         ("rise along the singular values", float(np.max(np.diff(report.singular_values))), 0.0),
     ]
 
-    if np.linalg.norm(vec) > 0 and report.dimension > 0:
-        proj = report.nullspace @ (report.nullspace.T @ vec)
-        in_null = bool(np.linalg.norm(vec - proj) <= 1e-10 * max(1.0, np.linalg.norm(vec)))
-    else:
-        in_null = bool(np.linalg.norm(vec) == 0.0)
+    proj = report.nullspace @ (report.nullspace.T @ vec)  # 0 when the nullspace is empty
+    in_null = bool(np.linalg.norm(vec - proj) <= 1e-10 * max(1.0, np.linalg.norm(vec)))
 
-    payload = report.as_dict()
-    payload.update(
-        {
-            "constants": {"a1": cfg.a1, "a3": cfg.a3, "b1": cfg.b1, "b3": cfg.b3, "c1": cfg.c1},
-            "constants_in_nullspace": in_null,
-            "constants_max_invariance_residual": float(user_residuals.max()),
-            "machine_checks_pass": not _failed(checks),
-        }
-    )
+    payload = report.as_dict() | {
+        "constants": {"a1": cfg.a1, "a3": cfg.a3, "b1": cfg.b1, "b3": cfg.b3, "c1": cfg.c1},
+        "constants_in_nullspace": in_null,
+        "constants_max_invariance_residual": float(user_residuals.max()),
+        "machine_checks_pass": not _failed(checks),
+    }
     header = ["t", *invariant.CONSTRAINT_LABELS, "invariance_residual"]
     summary = (
         f"nullspace dimension {report.dimension}; configured constants "
@@ -321,7 +314,7 @@ def cmd_xi(cfg: RunConfig) -> Result:
     from . import lrsolve
     ncmodel.require_h_nc_units(cfg)  # the flow's dressing f_eta is written for hbar = 1
     n_steps = ncmodel.step_count(cfg.t0, cfg.t1, cfg.dt)
-    _check_memory(lrsolve.ROW_BYTES * (n_steps + 1), f"xi over {n_steps} steps")
+    _check_memory(lrsolve.ROW_BYTES * (n_steps + 1), f"xi over {n_steps:.3g} steps")
     traj = lrsolve.integrate_rk4(cfg, cfg.t0, cfg.t1, cfg.dt)
     worst = float(np.max(list(traj.max_deviation.values())))  # NaN when any is NaN
     out = [f"integration vs closed form: max deviation {worst:.3e}"]
@@ -336,7 +329,7 @@ def cmd_evolve(cfg: RunConfig) -> Result:
     from . import fockevolve, invariant, lrsolve
     n_steps = ncmodel.step_count(cfg.t0, cfg.t1, cfg.dt)
     need = fockevolve.dense_bytes(cfg.fock_N, n_steps + 1)
-    _check_memory(need, f"evolve at fock_N={cfg.fock_N} over {n_steps} steps")
+    _check_memory(need, f"evolve at fock_N={cfg.fock_N} over {n_steps:.3g} steps")
     rep = fockevolve.build_fock_rep(cfg.fock_N, lrsolve.magnetic_length(cfg), cfg.hbar)
     h = ncmodel.build_h_nc(cfg)
 

@@ -3,7 +3,7 @@
 An invariant candidate I(t) = A1(t) px + B1(t) x + A2(t) py + B2(t) y + C(t)
 is certified by the vanishing of the residual [I, H] + i dI/dt. This module
 evaluates that residual on the commutator slots, and the constant-coefficient
-solution family obtained from a rank-revealing SVD of the scalar constraints.
+solution family, its dimension exact from the profiles' rates.
 
 The paper's fifteen bracket relations 25a-25o are a fixed relabelling of the
 residual's slots (CONSTRAINT_SLOTS); their hand transcription is kept only as
@@ -20,12 +20,13 @@ import numpy as np
 
 from .errors import GridError
 from .mat2 import ID2
-from .ncmodel import NCParams, f_eta, f_theta
+from .ncmodel import F_ETA, F_THETA, NCParams, profiles
 from .phasepoly import (
     GRID_BLOCK,
     N_SLOTS,
     AffineOp,
     Coord,
+    ExpSum,
     PhasePoly,
     commutator as ps_commutator,
 )
@@ -35,8 +36,6 @@ CONSTRAINT_LABELS = tuple(f"25{c}" for c in "abcdefghijklmno")
 #: quadratic slots, e-h the linear slots, i-n the mixed quadratic slots, o the
 #: constant slot
 CONSTRAINT_SLOTS = (12, 14, 5, 9, 3, 4, 1, 2, 13, 7, 8, 6, 10, 11, 0)
-#: singular values at or below this share of the largest span the nullspace
-NULLSPACE_TOL = 1e-10
 
 
 def constant_invariant(
@@ -78,12 +77,12 @@ def default_constraint_grid(p: NCParams, n: int = 16) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NullspaceReport:
-    """SVD analysis of the constant-coefficient constraints on (a1, a3, b1, b3)."""
+    """The constant-coefficient constraints on (a1, a3, b1, b3): their grid
+    matrix and its singular values, and the exact nullspace."""
 
     times: np.ndarray
     matrix: np.ndarray
     singular_values: np.ndarray
-    tolerance: float
     rank: int
     nullspace: np.ndarray  # 4 x dimension, orthonormal columns
     note: str
@@ -96,7 +95,6 @@ class NullspaceReport:
         return {
             "times": [float(t) for t in self.times],
             "singular_values": [float(s) for s in self.singular_values],
-            "tolerance": self.tolerance,
             "rank": self.rank,
             "dimension": self.dimension,
             "nullspace_basis_columns_a1_a3_b1_b3": self.nullspace.T.tolist(),
@@ -104,34 +102,51 @@ class NullspaceReport:
         }
 
 
-def solve_constant_invariant(p: NCParams, t_grid: Sequence[float]) -> NullspaceReport:
-    """Find all constant scalar coefficients admitting a linear invariant.
+def _constraint_rows(ft: np.ndarray, fe: np.ndarray) -> np.ndarray:
+    """The rows a1*f_eta + b3*f_theta, b1*f_theta - a3*f_eta on (a1, a3, b1, b3) per ft, fe."""
+    a = np.zeros((len(ft), 2, 4))
+    a[:, 0, 0], a[:, 0, 3], a[:, 1, 1], a[:, 1, 2] = fe, ft, -fe, ft
+    return a.reshape(-1, 4)
 
-    Each grid time contributes the two rows a1*f_eta + b3*f_theta = 0 and
-    b1*f_theta - a3*f_eta = 0 on the unknowns (a1, a3, b1, b3); the constant
-    term c1 is always free. The nullspace is read off the SVD at the
-    tolerance NULLSPACE_TOL * sigma_max.
+
+def _exact_rank(prof: ExpSum) -> int:
+    """Rank of the constraints at all times on the profiles ``prof`` = (f_theta,
+    f_eta): exponentials of distinct rates are independent, so it is the rank,
+    at rounding level, of the constraints on the two coefficients of each
+    distinct rate (a zero term adds only zero rows)."""
+    coeffs = np.array([prof.amps[prof.rates == r].sum(axis=0) for r in set(prof.rates.tolist())])
+    rows = _constraint_rows(*coeffs.T)
+    tol = max(rows.shape) * np.finfo(float).eps * np.abs(prof.amps).sum()
+    return int(np.linalg.matrix_rank(rows, tol))
+
+
+def solve_constant_invariant(p: NCParams, t_grid: Sequence[float]) -> NullspaceReport:
+    """Find all constant scalar coefficients admitting a linear invariant: the
+    constraints ``_constraint_rows`` must vanish at all times, c1 is free.
+
+    Their rank is ``_exact_rank``, whatever the grid. The grid matrix, two
+    rows per grid time, gives the nullspace basis (its last right singular
+    vectors) and the margin its smallest singular value.
     """
     ts = np.asarray(t_grid, dtype=float)
     if ts.size < 2:
         raise GridError("constraint grid needs at least 2 points")
-    fe, ft = f_eta(p, ts), f_theta(p, ts)
-    a = np.zeros((len(ts), 2, 4))
-    a[:, 0, 0], a[:, 0, 3], a[:, 1, 1], a[:, 1, 2] = fe, ft, -fe, ft
-    a = a.reshape(-1, 4)
+    prof = profiles(p)[[F_THETA, F_ETA]]
+    ft, fe = prof(ts).T
+    a = _constraint_rows(ft, fe)
     # the 4x4 V holds the nullspace; full_matrices=True would also build a (2T)x(2T) U
     _, s, vh = np.linalg.svd(a, full_matrices=False)
-    tol = NULLSPACE_TOL * s[0] if s.size else 0.0
-    rank = int(np.sum(s > tol))
-    null_basis = vh[rank:].T.conj()
-    dim = null_basis.shape[1]
+    rank = _exact_rank(prof)
+    null_basis, dim = vh[rank:].T.conj(), 4 - rank
     if dim == 0:
         note = (
-            "nullspace is empty: f_eta/f_theta varies over the grid, forcing "
+            "nullspace is empty: f_eta/f_theta varies in time, forcing "
             "a1 = a3 = b1 = b3 = 0, so only the free constant term c1 survives. "
             "A linear invariant with freely chosen nonzero constants exists only "
             "when f_eta/f_theta is time-independent; any such constants supplied "
-            "for this parameter set leave a nonzero invariance residual."
+            "for this parameter set leave a nonzero invariance residual. "
+            f"On the grid over [{ts[0]:.6g}, {ts[-1]:.6g}] the nearest constants miss "
+            f"the constraints by the margin sigma_min = {s[-1]:.3e}."
         )
     elif dim == 4:
         note = (
@@ -147,5 +162,4 @@ def solve_constant_invariant(p: NCParams, t_grid: Sequence[float]) -> NullspaceR
             "over the grid, so the momentum/position coefficient pairs "
             "(a1, b3) and (a3, b1) each carry one free constant."
         )
-    return NullspaceReport(ts, a, s, tol, rank, null_basis, note)
-
+    return NullspaceReport(ts, a, s, rank, null_basis, note)

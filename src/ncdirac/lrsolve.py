@@ -22,7 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, CoverageError
-from .ncmodel import NCParams, f_eta, f_theta, sample_times, step_count
+from .ncmodel import F_ETA, F_THETA, NCParams, f_eta, profiles, sample_times, step_count
+from .phasepoly import ExpSum
 
 
 def magnetic_length(p: NCParams) -> float:
@@ -50,16 +51,13 @@ def f_closed(p: NCParams, t):
 def xi_closed(p: NCParams, t):
     """Closed-form linear phase coefficients; t may be an array of times.
 
-    xi1(t) = -i * [ kappa*e*B/(4 i m) * e^{2 i m t}
-                    + eta*kappa/(4 i m - 2 gamma) * e^{(-gamma + 2 i m) t} ],
-    xi2(t) = xi1(t)/i. The first term divides by m, which NCParams holds > 0.
+    xi1' = -i kappa f_eta(t) e^{2imt} integrates term by term over the terms
+    a_k e^{lambda_k t} of f_eta: xi1(t) = -i kappa sum_k a_k e^{mu_k t}/mu_k
+    with mu_k = lambda_k + 2im, nonzero as NCParams holds m > 0; xi2 = xi1/i.
     """
-    eb = p.e * p.B
-    term_b = (p.kappa * eb) / (4j * p.m) * np.exp(2j * p.m * t)
-    term_eta = (p.eta * p.kappa) / (4j * p.m - 2.0 * p.gamma) * np.exp(
-        (-p.gamma + 2j * p.m) * t
-    )
-    xi1 = -1j * (term_b + term_eta)
+    prof = profiles(p)
+    mu = prof.rates + 2j * p.m
+    xi1 = ExpSum(mu, -1j * p.kappa * prof.amps[:, F_ETA] / mu)(t)
     if not np.all(np.isfinite(xi1)):  # complex arithmetic overflows to inf or nan silently
         raise OverflowError(f"closed-form xi1 leaves the float range by t={np.max(t)}")
     return xi1, xi1 / 1j
@@ -241,31 +239,15 @@ def trial_residual(
     """
     x1, x2 = xi_closed(p, t)
     g1, g2 = f_closed(p, t)
-    fe = f_eta(p, t)
-    ft = f_theta(p, t)
+    ft, fe = profiles(p)[[F_THETA, F_ETA]](t)
     phase = cmath.exp(1j * (x1 * x + x2 * y + xi3 * x * x + xi4 * y * y))
     # momenta applied to the exponential
-    px_val = x1 + 2.0 * xi3 * x
-    py_val = x2 + 2.0 * xi4 * y
-    u = ft * px_val + fe * y
-    v = ft * py_val - fe * x
-    h_psi = np.array(
-        [
-            (u - 1j * v) * g2 + p.m * g1,
-            (u + 1j * v) * g1 - p.m * g2,
-        ],
-        dtype=complex,
-    ) * phase
+    u = ft * (x1 + 2.0 * xi3 * x) + fe * y
+    v = ft * (x2 + 2.0 * xi4 * y) - fe * x
+    h_psi = np.array([(u - 1j * v) * g2 + p.m * g1, (u + 1j * v) * g1 - p.m * g2]) * phase
     # i d/dt: envelope rotation plus the moving linear phase
-    ratio = g2 / g1
-    dxi1 = -1j * fe * ratio
-    dxi2 = -fe * ratio
+    dxi1, dxi2 = flow_rhs(p, t, np.array([g1, g2]))
     phase_dot = dxi1 * x + dxi2 * y
-    dpsi_dt = np.array(
-        [
-            (-1j * p.m * g1 + 1j * g1 * phase_dot) * phase,
-            (1j * p.m * g2 + 1j * g2 * phase_dot) * phase,
-        ],
-        dtype=complex,
-    )
+    dpsi_dt = np.array([(-1j * p.m * g1 + 1j * g1 * phase_dot) * phase,
+                        (1j * p.m * g2 + 1j * g2 * phase_dot) * phase])
     return 1j * dpsi_dt - h_psi

@@ -21,6 +21,7 @@ from .phasepoly import (
     N_SLOTS,
     AffineOp,
     Coord,
+    ExpSum,
     PhasePoly,
     commutator as ps_commutator,
     residual_norms,
@@ -91,32 +92,30 @@ def hbar_eff(p: NCParams) -> float:
     return p.hbar * (1.0 + p.theta * p.eta / (4.0 * p.hbar**2))
 
 
-def theta_of_t(p: NCParams, t):
-    """theta e^{gamma t} at each time of an array t."""
-    return p.theta * np.exp(p.gamma * t)
+#: the columns of the ``profiles`` record
+THETA, ETA, F_THETA, F_ETA = range(4)
 
 
-def eta_of_t(p: NCParams, t):
-    """eta e^{-gamma t} at each time of an array t."""
-    return p.eta * np.exp(-p.gamma * t)
+def profiles(p: NCParams) -> ExpSum:
+    """theta(t) = theta e^{gamma t}, eta(t) = eta e^{-gamma t} and the dressings
+    f_theta(t) = 1 + (e*B/4) theta(t), f_eta(t) = e*B/2 + eta(t)/2 of H's momentum
+    and position slots, as one exponential sum over the rates (0, gamma, -gamma)
+    with the columns THETA, ETA, F_THETA, F_ETA. An e*B beyond the float range
+    raises under np.errstate."""
+    eb = np.float64(p.e) * p.B
+    amps = [[0.0, 0.0, 1.0, 0.5 * eb],
+            [p.theta, 0.0, 0.25 * eb * p.theta, 0.0],
+            [0.0, p.eta, 0.0, 0.5 * p.eta]]
+    return ExpSum(np.array([0.0, p.gamma, -p.gamma]), np.array(amps))
 
 
-def f_theta(p: NCParams, t):
-    """Momentum-slot dressing 1 + (e*B/4)*theta*e^{gamma t} of the deformed Hamiltonian."""
-    return 1.0 + 0.25 * p.e * p.B * theta_of_t(p, t)
+def _column(k: int):
+    return lambda p, t: profiles(p)[k](t)
 
 
-def f_eta(p: NCParams, t):
-    """Position-slot dressing e*B/2 + (eta/2)*e^{-gamma t} of the deformed Hamiltonian."""
-    return 0.5 * p.e * p.B + 0.5 * eta_of_t(p, t)
-
-
-def df_theta_dt(p: NCParams, t):
-    return 0.25 * p.e * p.B * p.gamma * theta_of_t(p, t)
-
-
-def df_eta_dt(p: NCParams, t):
-    return -0.5 * p.gamma * eta_of_t(p, t)
+#: theta(t), eta(t), f_theta(t), f_eta(t) of a parameter record p at a time t
+#: or at each time of an array t
+theta_of_t, eta_of_t, f_theta, f_eta = map(_column, (THETA, ETA, F_THETA, F_ETA))
 
 
 def bopp_scales(p: NCParams, t):
@@ -237,16 +236,13 @@ def build_h_commutative(p: NCParams) -> AffineOp:
 
 def _h_nc(p: NCParams) -> AffineOp:
     """H(t) = f_theta(t) K + f_eta(t) L + m beta with K = a1 px + a2 py and
-    L = a1 y - a2 x."""
+    L = a1 y - a2 x; its coefficients and their derivatives are exponential sums."""
     k_op = PhasePoly.monomial(ALPHA1, Coord.PX) + PhasePoly.monomial(ALPHA2, Coord.PY)
     l_op = PhasePoly.monomial(ALPHA1, Coord.Y) + PhasePoly.monomial(-ALPHA2, Coord.X)
-    return AffineOp(
-        (k_op, l_op, PhasePoly.constant(p.m * BETA)),
-        value=lambda ts: np.column_stack([f_theta(p, ts), f_eta(p, ts), np.ones(len(ts))]),
-        derivative=lambda ts: np.column_stack(
-            [df_theta_dt(p, ts), df_eta_dt(p, ts), np.zeros(len(ts))]
-        ),
-    )
+    prof = profiles(p)
+    # m beta's coefficient 1 is the amplitude of rate 0
+    coeffs = ExpSum(prof.rates, np.column_stack([prof.amps[:, [F_THETA, F_ETA]], (1.0, 0.0, 0.0)]))
+    return AffineOp((k_op, l_op, PhasePoly.constant(p.m * BETA)), coeffs, coeffs.derivative())
 
 
 def h_nc_via_bopp(p: NCParams, ts: Sequence[float]) -> np.ndarray:

@@ -185,6 +185,24 @@ def commutator(ps: np.ndarray, qs: np.ndarray, hbar: float) -> np.ndarray:
     return commutator_slots(ps[..., :5, :, :], qs[..., :5, :, :], hbar)
 
 
+@dataclass(frozen=True, eq=False)
+class ExpSum:
+    """f(t) = sum_k a_k e^{rates_k t}, called on a time or an array of times, for
+    (K,) ``rates`` and (K,) or (K, m) ``amps``; ``f[j]`` is amplitude column j alone."""
+
+    rates: np.ndarray
+    amps: np.ndarray
+
+    def __call__(self, ts) -> np.ndarray:
+        return np.exp(np.multiply.outer(ts, self.rates)) @ self.amps
+
+    def __getitem__(self, column) -> "ExpSum":
+        return ExpSum(self.rates, self.amps[:, column])
+
+    def derivative(self) -> "ExpSum":
+        return ExpSum(self.rates, (self.rates * self.amps.T).T)
+
+
 @dataclass(frozen=True)
 class AffineOp:
     """Time-dependent operator sum_k c_k(t) P_k: fixed polynomials ``polys``
@@ -198,11 +216,8 @@ class AffineOp:
 
     @staticmethod
     def time_constant(p: PhasePoly) -> "AffineOp":
-        return AffineOp(
-            (p,),
-            value=lambda ts: np.ones((len(ts), 1)),
-            derivative=lambda ts: np.zeros((len(ts), 1)),
-        )
+        one = ExpSum(np.zeros(1), np.ones((1, 1)))
+        return AffineOp((p,), one, one.derivative())
 
     def stack(self, rows: np.ndarray) -> np.ndarray:
         """Slot arrays (len(rows), 15, 2, 2) of the operators with the

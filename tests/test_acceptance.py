@@ -131,7 +131,10 @@ def test_criterion_06_nullspace_findings():
             assert np.linalg.norm(v - proj) <= 1e-10
     dyn = invariant.solve_constant_invariant(NC_DYNAMIC, grid)
     assert dyn.dimension == 0
-    assert dyn.tolerance == pytest.approx(1e-10 * dyn.singular_values[0])
+    # the verdict comes from the profiles' rates, not from a grid tolerance:
+    # a deformation that changes by 1e-9 of itself over the grid has no invariant
+    slow = NCParams(theta=0.1, eta=0.05, gamma=1e-9)
+    assert invariant.solve_constant_invariant(slow, grid).dimension == 0
     # the report must flag that freely chosen constants are inconsistent here
     assert "forcing" in dyn.note and "a1 = a3 = b1 = b3 = 0" in dyn.note
     _report("06 nullspace", "dims 2/2/0; zero-forcing tension flagged")

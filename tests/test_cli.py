@@ -251,6 +251,19 @@ def test_invariant_dynamic_nc_flags_tension(tmp_path):
     assert "forcing" in report["note"]
 
 
+def test_invariant_slow_deformation_has_no_invariant(tmp_path, capsys):
+    # f_eta/f_theta changes by about 1e-9 of itself over the grid: the grid's
+    # smallest singular value, 8.3e-11, is the margin quoted in the note, and
+    # the verdict comes from the profiles' rates
+    assert run(tmp_path, "invariant", "--theta", "0.1", "--eta", "0.05", "--gamma", "1e-9") == 0
+    report = json.loads((tmp_path / "nullspace_report.json").read_text())
+    assert report["dimension"] == 0 and "tolerance" not in report
+    assert report["singular_values"][-1] == pytest.approx(8.27e-11, rel=1e-3)
+    margin = f"sigma_min = {report['singular_values'][-1]:.3e}"
+    assert margin in report["note"] and "forcing" in report["note"]
+    assert margin in capsys.readouterr().out
+
+
 def test_invariant_constant_only(tmp_path):
     code = run(
         tmp_path, "invariant",
@@ -911,6 +924,16 @@ def test_xi_beyond_physical_memory_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(np, "arange", no_allocation)
     assert run(tmp_path, "xi", f"--dt={dt!r}") == 2
     assert "config error:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["xi", "evolve"])
+def test_step_count_beyond_memory_is_named_in_three_digits(tmp_path, capsys, command):
+    # 1e300 steps: the refusal names the count as 1e+300, not as 301 digits
+    assert run(tmp_path, command, "--dt=1e-300") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and " over 1e+300 steps needs about " in err
+    assert err.count("\n") == 1 and len(err) < 200
     assert not list(tmp_path.iterdir())
 
 

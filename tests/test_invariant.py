@@ -213,6 +213,34 @@ def test_nullspace_dynamic_nc_is_empty():
     assert "forcing" in report.note and "c1" in report.note
 
 
+@pytest.mark.parametrize("window", [2.0, 20.0])
+@pytest.mark.parametrize("gamma, dimension", [(1e-12, 0), (1e-9, 0), (1e-6, 0), (0.2, 0), (0.0, 2)])
+def test_nullspace_dimension_comes_from_the_rates(window, gamma, dimension):
+    # f_eta/f_theta varies for every gamma != 0, however slowly; the grid's
+    # smallest singular value shrinks with gamma (below 1e-10 at gamma = 1e-9
+    # on [0, 2]), and it is the margin, not the verdict
+    grid = np.linspace(0.0, window, 16)
+    report = solve_constant_invariant(NCParams(theta=0.1, eta=0.05, gamma=gamma), grid)
+    assert report.dimension == dimension and report.rank == 4 - dimension
+    if dimension == 0:
+        assert f"sigma_min = {report.singular_values[-1]:.3e}" in report.note
+    assert np.max(np.abs(report.nullspace.T @ report.nullspace - np.eye(dimension)), initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1e-9, 0.3, -5.0])
+def test_nullspace_of_the_undeformed_profiles_is_two_at_any_gamma(gamma):
+    # theta = eta = 0: f_theta = 1 and f_eta = e B / 2 carry only the rate 0
+    report = solve_constant_invariant(NCParams(gamma=gamma), np.linspace(0.0, 2.0, 16))
+    assert report.dimension == 2
+
+
+def test_nullspace_of_vanishing_profiles_is_four():
+    # theta = -4, eta = -1 at e = B = 1: both profiles' terms cancel at gamma = 0
+    report = solve_constant_invariant(NCParams(theta=-4.0, eta=-1.0), np.linspace(0.0, 2.0, 16))
+    assert report.dimension == 4 and report.rank == 0
+    assert report.note.startswith("nullspace dimension 4: f_theta and f_eta vanish")
+
+
 def test_nullspace_svd_properties():
     for p in ALL_PARAMS:
         report = solve_constant_invariant(p, np.linspace(0.0, 2.0, 16))

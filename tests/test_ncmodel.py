@@ -224,6 +224,35 @@ def test_h_nc_slot_values():
     assert np.allclose(h.slots[1 + Coord.X], -0.525 * ALPHA2, atol=1e-15)
 
 
+@pytest.mark.parametrize("gamma", [0.0, 0.2, -0.3, 5.0])
+def test_h_nc_derivative_is_the_analytic_rate_of_its_profiles(gamma):
+    # the oracle: d/dt f_theta = (e B gamma theta / 4) e^{gamma t},
+    # d/dt f_eta = -(gamma eta / 2) e^{-gamma t}, and m beta's coefficient is constant
+    p = NCParams(theta=0.1, eta=0.05, gamma=gamma, B=1.3, e=-0.8, m=0.7)
+    ts = np.array([-0.5, 0.0, 0.4, 1.3])
+    want = np.stack(
+        [p.e * p.B * gamma * p.theta / 4.0 * np.exp(gamma * ts),
+         -(gamma * p.eta / 2.0) * np.exp(-gamma * ts), np.zeros(len(ts))], axis=1)
+    got = ncmodel.build_h_nc(p).derivative(ts)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+    assert np.all(got[:, 2] == 0.0)
+
+
+def test_profiles_are_one_exponential_sum():
+    # the four profiles are the columns of one sum over the rates (0, gamma, -gamma)
+    p = NCParams(theta=0.1, eta=0.05, gamma=0.2, B=1.3, e=-0.8)
+    prof = ncmodel.profiles(p)
+    assert prof.rates.tolist() == [0.0, 0.2, -0.2]
+    ts = np.linspace(-1.0, 2.0, 5)
+    columns = prof(ts)
+    for k, f in enumerate((ncmodel.theta_of_t, ncmodel.eta_of_t, ncmodel.f_theta, ncmodel.f_eta)):
+        assert np.array_equal(f(p, ts), columns[:, k])
+    eb = p.e * p.B
+    theta, eta = 0.1 * np.exp(0.2 * ts), 0.05 * np.exp(-0.2 * ts)
+    want = np.stack([theta, eta, 1.0 + eb * theta / 4.0, eb / 2.0 + eta / 2.0], axis=1)
+    np.testing.assert_allclose(columns, want, rtol=1e-15)
+
+
 def test_h_nc_dual_path_agreement():
     p = NCParams(theta=0.1, eta=0.05, gamma=0.2)
     assert ncmodel.dual_path_deviation(p, (0.0, 0.5, 1.0, 2.0)) <= 1e-13

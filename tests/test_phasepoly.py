@@ -253,7 +253,7 @@ def test_slots_are_immutable():
 
 
 def test_affine_op_rate_matches_finite_differences():
-    # O(h^2) central difference of H(t) is the oracle for df_theta_dt / df_eta_dt
+    # O(h^2) central difference of H(t) is the oracle for its analytic derivative
     p = ncmodel.NCParams(theta=0.1, eta=0.05, gamma=0.3)
     h = ncmodel.build_h_nc(p)
     step = 1e-5
@@ -262,6 +262,38 @@ def test_affine_op_rate_matches_finite_differences():
         an = PhasePoly(h.stack(h.derivative(np.array([t])))[0])
         assert slot_norm(an) > 1e-3
         assert slot_norm(an - fd) <= 1e-8 * slot_norm(an)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.2, -0.3, 5.0])
+def test_exp_sum_value_and_derivative_match_central_differences(gamma):
+    # two columns over the rates (0, gamma, -gamma) and a column of zeros. The
+    # value is checked against the sum written out term by term, the
+    # derivative against an O(h^2) central difference
+    rates = np.array([0.0, gamma, -gamma])
+    amps = np.array([[1.0, 0.5, 0.0], [0.025, 0.0, 0.0], [-0.7, 0.025, 0.0]])
+    f = phasepoly.ExpSum(rates, amps)
+    ts = np.array([-0.4, 0.0, 0.3, 1.1])
+    want = np.stack(
+        [1.0 + 0.025 * np.exp(gamma * ts) - 0.7 * np.exp(-gamma * ts),
+         0.5 + 0.025 * np.exp(-gamma * ts), np.zeros(len(ts))], axis=1)
+    np.testing.assert_allclose(f(ts), want, rtol=1e-15, atol=1e-15)
+    assert f(0.3).shape == (3,) and np.array_equal(f(0.3), f(ts)[2])
+    assert np.array_equal(f[1](ts), f(ts)[:, 1]) and f[1](0.3).shape == ()
+    step = 1e-6
+    fd = (f(ts + step) - f(ts - step)) / (2.0 * step)
+    # the difference errs by step^2 f'''/6 and by rounding over step, both below 1e-9 here
+    np.testing.assert_allclose(f.derivative()(ts), fd, rtol=1e-8, atol=1e-8)
+    assert np.all(f.derivative()(ts)[:, 2] == 0.0)
+    if gamma == 0.0:
+        assert np.all(f.derivative()(ts) == 0.0)
+
+
+def test_exp_sum_of_complex_rates():
+    # the sum takes complex rates: e^{2it} and its derivative 2i e^{2it}
+    f = phasepoly.ExpSum(np.array([2j]), np.array([1.0 + 0j]))
+    ts = np.linspace(0.0, 3.0, 7)
+    np.testing.assert_allclose(f(ts), np.exp(2j * ts), rtol=1e-15)
+    np.testing.assert_allclose(f.derivative()(ts), 2j * np.exp(2j * ts), rtol=1e-15)
 
 
 def test_time_constant_wrapper():
