@@ -338,7 +338,8 @@ def cmd_evolve(cfg: RunConfig) -> Result:
     # state that never probes the truncation edge, so its drift measures nothing
     psi0 = fockevolve.coherent_state(rep, alpha_x=1.0)
     evolved = fockevolve.evolve(h, rep, psi0, times)
-    track = fockevolve.track_level(cfg, h, rep, evolved)
+    gaps = ncmodel.landau_gap(cfg, times)
+    track = fockevolve.track_level(cfg.m, gaps, evolved)
 
     ans = invariant.constant_invariant(cfg.a1, cfg.a3, cfg.b1, cfg.b3, cfg.c1)
     scales = ncmodel.bopp_scales(cfg, times)
@@ -374,7 +375,6 @@ def cmd_evolve(cfg: RunConfig) -> Result:
         f"max top-level weight {edge:.3e}"
     )
     notes = []
-    gaps = ncmodel.landau_gap(cfg, times)
     if gaps.min() <= 0.0 <= gaps.max():
         notes.append(
             "f_theta*f_eta changes sign on the time grid: the Landau levels close, "

@@ -7,19 +7,3 @@ class DegreeError(ValueError):
 
 class ConfigError(ValueError):
     """A configuration the model cannot run; the command line exits 2 on it."""
-
-
-class GridError(ValueError):
-    """Time grid is unusable (too short or nonuniform)."""
-
-
-class SizeError(ValueError):
-    """Truncation size is too small to represent the operators."""
-
-
-class DimError(ValueError):
-    """Matrix and state dimensions do not match."""
-
-
-class CoverageError(ValueError):
-    """Sampled series does not cover the requested integration range."""

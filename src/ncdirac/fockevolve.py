@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import ncmodel
-from .errors import ConfigError, DegreeError, DimError, GridError, SizeError
+from .errors import ConfigError, DegreeError
 from .mat2 import ID2
 from .phasepoly import AffineOp, Coord, PhasePoly
 
@@ -81,9 +81,9 @@ def build_fock_rep(N: int, ell: float, hbar: float = 1.0) -> FockRep:
     Per mode: x = ell (a + a^dag)/sqrt(2), p = i hbar (a^dag - a)/(sqrt(2) ell).
     """
     if N < 2:
-        raise SizeError("per-mode truncation must satisfy N >= 2")
+        raise ValueError("per-mode truncation must satisfy N >= 2")
     if ell <= 0:
-        raise SizeError("oscillator scale ell must be positive")
+        raise ValueError("oscillator scale ell must be positive")
     a = np.diag(np.sqrt(np.arange(1.0, N)), 1).astype(complex)
     ad = a.conj().T
     x = ell * (a + ad) / math.sqrt(2.0)
@@ -114,7 +114,7 @@ def _block_action(blocks: np.ndarray, rep: FockRep) -> Callable[[np.ndarray], np
 
     def g(psi: np.ndarray) -> np.ndarray:
         if psi.shape[-1] != rep.dim:
-            raise DimError(f"state size {psi.shape[-1]} does not match dim {rep.dim}")
+            raise ValueError(f"state size {psi.shape[-1]} does not match dim {rep.dim}")
         rows = psi.reshape(-1, n, n, 2)
         out = (psi.reshape(-1, n2) @ right_y).reshape(rows.shape)
         swapped = rows.transpose(0, 2, 1, 3).reshape(-1, n2) @ right_x
@@ -127,7 +127,7 @@ def _block_action(blocks: np.ndarray, rep: FockRep) -> Callable[[np.ndarray], np
 def operator(poly: PhasePoly, rep: FockRep) -> Callable[[np.ndarray], np.ndarray]:
     """v -> P v for a degree-<=1 polynomial P, compiled once into its two
     per-mode blocks (DegreeError here on a higher degree; the action raises
-    DimError on a state of another size)."""
+    ValueError on a state of another size)."""
     return _block_action(_mode_blocks([poly], rep)[0], rep)
 
 
@@ -185,15 +185,15 @@ class Spectrum(NamedTuple):
 
 @dataclass(frozen=True)
 class EvolvedState:
-    """A unitary evolution sampled on a uniform grid, held as segments.
-    ``spectrum`` is the Ritz data of H on the full Lanczos space of psi(t0)
-    when one generator served every step and H(t0) and H(t1) are that
-    generator, else None: psi(t1) = exp(-i H (t1 - t0)) psi(t0) then has the
-    spectral measure of psi(t0) under the same H, so it serves both ends."""
+    """A unitary evolution sampled on a uniform grid, held as segments, with
+    ``spectra``: the Ritz data of H(t0) on the Lanczos space of psi(t0) and of
+    H(t1) on that of psi(t1). When one generator served every step and is H
+    at both ends, psi(t1) = exp(-i H (t1 - t0)) psi(t0) has the spectral
+    measure of psi(t0) under the same H, and one run serves both entries."""
 
     times: np.ndarray
     segments: tuple[Segment, ...]
-    spectrum: Spectrum | None = None
+    spectra: tuple[Spectrum, Spectrum]
 
     def state(self, k: int) -> np.ndarray:
         """The state at times[k], 0 <= k < len(times), read off its segment."""
@@ -226,12 +226,16 @@ def _quadratic(coeffs: np.ndarray | None, a: np.ndarray, b: np.ndarray) -> np.nd
 
 
 def _check_uniform(t_grid: np.ndarray) -> float:
+    """The first step of a uniform increasing grid. Its steps may differ by
+    1e-12 of max(1, dt), or by the few ulps of max |t| that rounding the
+    times leaves, whichever is larger."""
     if t_grid.size < 2:
-        raise GridError("evolution grid needs at least 2 points")
+        raise ValueError("evolution grid needs at least 2 points")
     steps = np.diff(t_grid)
     dt = steps[0]
-    if dt <= 0 or np.max(np.abs(steps - dt)) > 1e-12 * max(1.0, abs(dt)):
-        raise GridError("evolution grid must be uniform and increasing")
+    tol = max(1e-12 * max(1.0, abs(dt)), 4.0 * np.spacing(np.max(np.abs(t_grid))))
+    if dt <= 0 or np.max(np.abs(steps - dt)) > tol:
+        raise ValueError("evolution grid must be uniform and increasing")
     return float(dt)
 
 
@@ -426,45 +430,33 @@ class LevelTrack(NamedTuple):
     spacing: tuple[float, float]  # distance from E_n to the nearest other level there
 
 
-def track_level(
-    p: ncmodel.NCParams, h: AffineOp, rep: FockRep, evolved: EvolvedState
-) -> LevelTrack:
-    """Follow the closed-form level that holds the largest share of the
-    initial state.
+def track_level(m: float, gaps: np.ndarray, evolved: EvolvedState) -> LevelTrack:
+    """Follow the closed-form level of mass m that holds the largest share of
+    the initial state; ``gaps`` is ``ncmodel.landau_gap`` at every sample.
 
-    One Lanczos run from psi(t0) under H(t0) gives Ritz values and weights;
-    the weights are summed by the nearest closed-form level (n, sign) and the
-    largest sum names the level. Levels of different n do not cross while
-    f_theta f_eta keeps its sign, so E_n(t) is the tracked energy at every
-    sample. The distance from E_n to the nearest Ritz value, with that
-    value's residual, is the Krylov resolution of the level's cluster (not
-    the fock_N truncation), from this run and from one Lanczos run from
-    psi(t1) under H(t1); the level spacing at both ends says whether that
-    distance still names one level. H(t0) and H(t1) are coefficient rows on
-    H's per-mode parts, as in ``evolve``. ``evolved.spectrum``, when set, is
-    the t0 run, shared with the propagation, and serves both ends.
+    The Ritz values and weights of H(t0) on psi(t0) are summed by the nearest
+    closed-form level (n, sign), and the largest sum names the level. Levels
+    of different n do not cross while the gap keeps its sign, so E_n(t) is
+    the tracked energy at every sample. The distance from E_n to the nearest
+    Ritz value, with that value's residual, is the Krylov resolution of the
+    level's cluster (not the fock_N truncation), at t0 and at t1 from
+    ``evolved.spectra``; the level spacing at both ends says whether that
+    distance still names one level.
     """
     ends = (0, len(evolved.times) - 1)
-    if evolved.spectrum is not None:
-        spectra = [evolved.spectrum] * 2
-    else:
-        parts, rows = _mode_blocks(h.polys, rep), h.value(evolved.times[list(ends)])
-        spectra = [
-            spectral_weights(_block_action(np.tensordot(c, parts, 1), rep), evolved.state(k))
-            for c, k in zip(rows, ends)
-        ]
-    ns, signs = ncmodel.nearest_landau_level(p, float(evolved.times[0]), spectra[0].ritz)
+    first = evolved.spectra[0]
+    ns, signs = ncmodel.nearest_landau_level(m, float(gaps[0]), first.ritz)
     shares: dict[tuple[float, int], float] = {}
-    for level, weight in zip(zip(ns.tolist(), signs.tolist()), spectra[0].weight.tolist()):
+    for level, weight in zip(zip(ns.tolist(), signs.tolist()), first.weight.tolist()):
         shares[level] = shares.get(level, 0.0) + weight  # in ascending Ritz order
     n, sign = map(int, max(shares, key=shares.get))
-    energy = ncmodel.landau_level(p, n, sign, evolved.times)
+    energy = ncmodel.landau_level(m, n, sign, gaps)
     error, residual = [], []
-    for k, spectrum in zip(ends, spectra):
+    for k, spectrum in zip(ends, evolved.spectra):
         i = int(np.argmin(np.abs(spectrum.ritz - energy[k])))
         error.append(float(abs(spectrum.ritz[i] - energy[k])))
         residual.append(float(spectrum.residual[i]))
-    spacing = tuple(ncmodel.level_spacing(p, n, float(evolved.times[k])) for k in ends)
+    spacing = tuple(ncmodel.level_spacing(m, n, float(gaps[k])) for k in ends)
     return LevelTrack(n, sign, energy, tuple(error), tuple(residual), spacing)
 
 
@@ -482,14 +474,17 @@ def evolve(
     a run of one generator, which ``krylov_step`` propagates from
     the run's first state: a constant generator is one run over the grid, a
     changing one a run per step. Each run is handed the Lanczos size of the
-    run before it, below which ``krylov_step`` skips its checks. When a single
-    run's generator is H at t0 and at t1, the Lanczos recurrence of psi0 is
-    run once to its end: its Ritz data become ``EvolvedState.spectrum``, and
-    the run's first Lanczos space replays its head, so the propagation and
-    the level pick share one recurrence of at most KRYLOV_MAX vectors. A
-    grid whose steps need more than MAX_SUBSTEPS sub-steps raises ConfigError
-    first. The per-mode blocks of H's fixed parts are built once and combined
-    per run; no generator-sized matrix is built or decomposed. A Lanczos
+    run before it, below which ``krylov_step`` skips its checks.
+    ``EvolvedState.spectra`` holds the Ritz data of H(t0) on psi(t0) and of
+    H(t1) on psi(t1). When a single run's generator is H at t0 and at t1, the
+    Lanczos recurrence of psi0 is run once to its end: its Ritz data serve
+    both ends, and the run's first Lanczos space replays its head, so the
+    propagation and the spectra share one recurrence of at most KRYLOV_MAX
+    vectors; otherwise ``spectral_weights`` runs at each end after the
+    propagation. A grid whose steps need more than MAX_SUBSTEPS sub-steps
+    raises ConfigError first. The per-mode blocks of H's fixed parts are
+    built once and combined per run and at the two ends; no generator-sized
+    matrix is built or decomposed. A Lanczos
     space that resolves more samples than it has vectors is kept as a segment
     of coefficients on its basis; the samples of every other space are
     stored as rows, consecutive stored rows joined into segments of at least
@@ -500,7 +495,7 @@ def evolve(
     dt = _check_uniform(ts)
     psi = np.asarray(psi0, dtype=complex)
     if psi.size != rep.dim:
-        raise DimError(f"state size {psi.size} does not match representation dim {rep.dim}")
+        raise ValueError(f"state size {psi.size} does not match representation dim {rep.dim}")
     nrm = np.linalg.norm(psi)
     if abs(nrm - 1.0) > 1e-10:
         raise ValueError(f"initial state must be unit norm, got {nrm}")
@@ -511,14 +506,15 @@ def evolve(
     starts = np.flatnonzero(np.r_[True, np.any(midpoints[1:] != midpoints[:-1], axis=1)])
     coeffs, counts = midpoints[starts], np.diff(np.r_[starts, len(midpoints)])
     _check_reachable(coeffs, counts, parts, rep, dt)
-    shared = len(starts) == 1 and bool(np.all(h.value(ts[[0, -1]]) == coeffs[0]))
+    ends = h.value(ts[[0, -1]])
+    shared = len(starts) == 1 and bool(np.all(ends == coeffs[0]))
     segments, stored = [], [psi[None]]
-    size, spectrum, first = 0, None, None
+    size, first = 0, None
     for c, n in zip(coeffs, counts.tolist()):
         g = _block_action(np.tensordot(c, parts, 1), rep)
         if shared:
             first = list(_lanczos(g, psi))
-            spectrum = _ritz(first)
+            spectra = (_ritz(first),) * 2
         for segment in krylov_step(g, psi, dt, n, size, first):
             if segment.coeffs is not None:
                 size = len(segment.basis)
@@ -533,7 +529,12 @@ def evolve(
             psi = segment.row(-1)
     if stored:
         segments.append(Segment(np.concatenate(stored)))
-    return EvolvedState(ts, tuple(segments), spectrum)
+    if not shared:
+        spectra = tuple(
+            spectral_weights(_block_action(np.tensordot(c, parts, 1), rep), state)
+            for c, state in zip(ends, (segments[0].row(0), segments[-1].row(-1)))
+        )
+    return EvolvedState(ts, tuple(segments), spectra)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import GridError
 from .mat2 import ID2
 from .ncmodel import F_ETA, F_THETA, NCParams, profiles
 from .phasepoly import (
@@ -130,7 +129,7 @@ def solve_constant_invariant(p: NCParams, t_grid: Sequence[float]) -> NullspaceR
     """
     ts = np.asarray(t_grid, dtype=float)
     if ts.size < 2:
-        raise GridError("constraint grid needs at least 2 points")
+        raise ValueError("constraint grid needs at least 2 points")
     prof = profiles(p)[[F_THETA, F_ETA]]
     ft, fe = prof(ts).T
     a = _constraint_rows(ft, fe)

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, CoverageError
+from .errors import ConfigError
 from .ncmodel import F_ETA, F_THETA, NCParams, f_eta, profiles, sample_times, step_count
 from .phasepoly import ExpSum
 
@@ -178,11 +178,11 @@ def energy_integral(
     ts = np.asarray(e_times, dtype=float)
     vs = np.asarray(e_values)
     if ts.size < 2:
-        raise CoverageError("energy series needs at least 2 samples")
+        raise ValueError("energy series needs at least 2 samples")
     if np.any(np.diff(ts) <= 0):
-        raise CoverageError("energy series times must be strictly increasing")
+        raise ValueError("energy series times must be strictly increasing")
     if ts[0] > 0.0 + 1e-15 or ts[-1] < t - 1e-15:
-        raise CoverageError(
+        raise ValueError(
             f"energy series [{ts[0]}, {ts[-1]}] does not cover [0, {t}]"
         )
     mask = ts <= t

@@ -78,8 +78,13 @@ def step_count(t0: float, t1: float, dt: float) -> int:
 
 
 def sample_times(t0: float, t1: float, n: int) -> np.ndarray:
-    """The n + 1 times t0 + (t1 - t0) k/n, k = 0..n: the time grid of xi and evolve."""
-    return t0 + (t1 - t0) * np.arange(n + 1) / n
+    """The n + 1 times t0 + (t1 - t0) k/n, k = 0..n: the time grid of xi and
+    evolve. ConfigError when two consecutive times round to one float."""
+    ts = t0 + (t1 - t0) * np.arange(n + 1) / n
+    if not np.all(ts[1:] > ts[:-1]):
+        raise ConfigError(f"{n} steps from t0={t0!r} to t1={t1!r} are finer than the "
+                          "float spacing there: two sample times coincide")
+    return ts
 
 
 def consistency_ratio(p: NCParams) -> float:
@@ -120,8 +125,9 @@ theta_of_t, eta_of_t, f_theta, f_eta = map(_column, (THETA, ETA, F_THETA, F_ETA)
 
 def bopp_scales(p: NCParams, t):
     """Mixing coefficients (s_theta, s_eta) = (theta(t)/2hbar, eta(t)/2hbar)
-    of the Bopp shift, two arrays at an array of times t."""
-    return 0.5 * theta_of_t(p, t) / p.hbar, 0.5 * eta_of_t(p, t) / p.hbar
+    of the Bopp shift, two arrays at an array of times t, from one
+    two-column evaluation of the profiles."""
+    return tuple(0.5 * profiles(p)[[THETA, ETA]](t).T / p.hbar)
 
 
 # shifted coordinate -> (partner, sign, which of the two Bopp scales)
@@ -133,17 +139,15 @@ _BOPP = {
 }
 
 
-def bopp_slots(p: NCParams, ts: Sequence[float]) -> np.ndarray:
-    """Slot arrays (len(ts), 4, 15, 2, 2) of the four shifted operators, in
-    the Coord order, at each time of ts:
+def bopp_slots(s_theta: np.ndarray, s_eta: np.ndarray) -> np.ndarray:
+    """Slot arrays (len(s_theta), 4, 15, 2, 2) of the four shifted operators,
+    in the Coord order, for the arrays of Bopp scales from ``bopp_scales``:
 
-    x_nc  = x  - s_theta(t) py      px_nc = px + s_eta(t) y
-    y_nc  = y  + s_theta(t) px      py_nc = py - s_eta(t) x
-
-    with (s_theta, s_eta) from ``bopp_scales``.
+    x_nc  = x  - s_theta py      px_nc = px + s_eta y
+    y_nc  = y  + s_theta px      py_nc = py - s_eta x
     """
-    scales = bopp_scales(p, np.asarray(ts, dtype=float))
-    out = np.zeros((len(ts), 4, N_SLOTS, 2, 2), dtype=complex)
+    scales = (s_theta, s_eta)
+    out = np.zeros((len(s_theta), 4, N_SLOTS, 2, 2), dtype=complex)
     for c, (partner, sign, which) in _BOPP.items():
         for d in (0, 1):
             out[:, c, 1 + c, d, d] = 1.0
@@ -198,20 +202,23 @@ def verify_nc_algebra(p: NCParams, t_grid: Sequence[float]) -> DeformedAlgebraRe
     """Check the six deformed commutators of the Bopp-shifted operators.
 
     At each grid time the commutators are computed through the polynomial
-    algebra and compared against i*theta(t), i*eta(t), i*hbar_eff and 0. One
-    commutator call fills the six columns of GRID_BLOCK rows of the table.
+    algebra and compared against i*theta(t), i*eta(t), i*hbar_eff and 0. The
+    expected values and the Bopp scales are each one evaluation over the
+    grid; one commutator call fills the six columns of GRID_BLOCK rows of the
+    table.
     """
     if len(t_grid) == 0:
         raise ValueError("t_grid must be nonempty")
     _, left, right = zip(*_ALGEBRA_PAIRS)
     times = np.array(t_grid, dtype=float)
     expected = np.zeros((len(times), len(_ALGEBRA_PAIRS)), dtype=complex)
-    expected[:, 0], expected[:, 1] = 1j * theta_of_t(p, times), 1j * eta_of_t(p, times)
+    expected[:, :2] = 1j * profiles(p)[[THETA, ETA]](times)
     expected[:, 2:4] = 1j * hbar_eff(p)
+    s_theta, s_eta = bopp_scales(p, times)
     deviation = np.empty(expected.shape)
     for lo in range(0, len(times), GRID_BLOCK):
         block = slice(lo, lo + GRID_BLOCK)
-        ops = bopp_slots(p, times[block])
+        ops = bopp_slots(s_theta[block], s_eta[block])
         measured = ps_commutator(ops[:, left], ops[:, right], p.hbar)
         measured[..., 0, :, :] -= expected[block, :, None, None] * ID2
         deviation[block] = residual_norms(measured)
@@ -249,7 +256,7 @@ def h_nc_via_bopp(p: NCParams, ts: Sequence[float]) -> np.ndarray:
     """Slot arrays (len(ts), 15, 2, 2) of the deformed Hamiltonian built by
     substituting the shifted operators into the commutative-form Hamiltonian
     (hbar = c = 1) at each time of ts."""
-    ops = bopp_slots(p, ts)
+    ops = bopp_slots(*bopp_scales(p, np.asarray(ts, dtype=float)))
     half_eb = 0.5 * p.e * p.B
     acc = np.zeros((len(ts), N_SLOTS, 2, 2), dtype=complex)
     terms = ((1.0, ALPHA1, Coord.PX), (1.0, ALPHA2, Coord.PY),
@@ -304,49 +311,53 @@ def build_h_nc(p: NCParams) -> AffineOp:
 def landau_gap(p: NCParams, t):
     """4 hbar f_theta(t) f_eta(t): twice the commutator scale of the kinetic
     momenta, |[Pi_x, Pi_y]| = 2 hbar |f_theta f_eta| (Nair & Polychronakos,
-    Phys. Lett. B 505, 267 (2001)). Its sign is that of the effective field."""
-    return 4.0 * p.hbar * f_theta(p, t) * f_eta(p, t)
+    Phys. Lett. B 505, 267 (2001)), at time t or at each time of an array. Its
+    sign is that of the effective field. The ladder functions below take it."""
+    prof = profiles(p)
+    return 4.0 * p.hbar * prof[F_THETA](t) * prof[F_ETA](t)
 
 
-def landau_level(p: NCParams, n: int, sign: int, t):
-    """Closed-form level sign * sqrt(m^2 + 4 n hbar |f_theta f_eta|) of the
-    untruncated H(t), n = 0, 1, 2, ..., at time t or at each time of an array."""
+def landau_level(m: float, n: int, sign: int, gap):
+    """Closed-form level sign * sqrt(m^2 + n |gap|) of the untruncated H(t) of
+    mass m, n = 0, 1, 2, ..., for the ``landau_gap`` at one time or at each
+    time of an array."""
     with np.errstate(over="ignore"):  # an infinite level raises OverflowError below
-        square = n * np.abs(landau_gap(p, t))
+        square = n * np.abs(gap)
         # exact scaling by 2^-k, k the larger term's exponent: m^2 cannot underflow
-        k = np.frexp(np.maximum(p.m, np.sqrt(square)))[1]
-        m = np.ldexp(p.m, -k)
-        level = sign * np.ldexp(np.sqrt(m * m + np.ldexp(square, -2 * k)), k)
+        k = np.frexp(np.maximum(m, np.sqrt(square)))[1]
+        scaled = np.ldexp(m, -k)
+        level = sign * np.ldexp(np.sqrt(scaled * scaled + np.ldexp(square, -2 * k)), k)
     if not np.all(np.isfinite(level)):
         raise OverflowError(f"Landau level n={n} leaves the float range")
     return level
 
 
-def level_spacing(p: NCParams, n: int, t: float) -> float:
-    """Distance at time t from the level E_n of either sign to the nearest
-    closed-form level of another energy: a neighbour n -+ 1 of the same sign,
-    at gap / (|E_n| + |E_n-+1|) without cancellation, or the n = 0 level of
-    the other sign, at |E_n| + |m|; inf when every level has E_n's energy."""
-    here = landau_level(p, n, 1, t)
-    gap = abs(landau_gap(p, t))
-    spacings = [here + abs(p.m)]
+def level_spacing(m: float, n: int, gap: float) -> float:
+    """Distance, at one time's ``landau_gap``, from the level E_n of either
+    sign to the nearest closed-form level of another energy: a neighbour
+    n -+ 1 of the same sign, at |gap| / (|E_n| + |E_n-+1|) without
+    cancellation, or the n = 0 level of the other sign, at |E_n| + |m|; inf
+    when every level has E_n's energy."""
+    here = landau_level(m, n, 1, gap)
+    gap = abs(gap)
+    spacings = [here + abs(m)]
     if gap > 0.0:
-        spacings += [gap / (here + landau_level(p, k, 1, t)) for k in (n - 1, n + 1) if k >= 0]
+        spacings += [gap / (here + landau_level(m, k, 1, gap)) for k in (n - 1, n + 1) if k >= 0]
     return float(min((s for s in spacings if s > 0.0), default=math.inf))
 
 
 def nearest_landau_level(
-    p: NCParams, t: float, energies: np.ndarray
+    m: float, gap: float, energies: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(n, sign) arrays of the closed-form level nearest each of ``energies``
-    at time t, n as whole floats; n = 0 when the levels have closed
-    (f_theta f_eta = 0). Of two equally near levels the lower n is taken."""
+    at one time's ``landau_gap``, n as whole floats; n = 0 when the levels
+    have closed (gap = 0). Of two equally near levels the lower n is taken."""
     sign = np.where(energies >= 0.0, 1, -1)
-    gap = abs(landau_gap(p, t))
+    gap = abs(gap)
     if gap == 0.0:
         return np.zeros(len(energies)), sign
     # nearest in energy squared, then the nearest of it and its neighbours
-    guess = np.maximum(0.0, np.round((energies * energies - p.m * p.m) / gap))
+    guess = np.maximum(0.0, np.round((energies * energies - m * m) / gap))
     candidates = np.maximum(0.0, guess[:, None] + (-1.0, 0.0, 1.0))
-    distance = np.abs(np.abs(energies)[:, None] - np.sqrt(p.m * p.m + candidates * gap))
+    distance = np.abs(np.abs(energies)[:, None] - np.sqrt(m * m + candidates * gap))
     return np.take_along_axis(candidates, np.argmin(distance, axis=1)[:, None], 1)[:, 0], sign

@@ -57,8 +57,8 @@ def test_verify_algebra_nc_mode_label(tmp_path):
 def test_verify_algebra_corrupted_bopp_fails(tmp_path, monkeypatch):
     real = ncmodel.bopp_slots
 
-    def flipped(p, ts):  # deformation terms with the wrong sign
-        return 2.0 * real(dataclasses.replace(p, theta=0.0, eta=0.0), ts) - real(p, ts)
+    def flipped(s_theta, s_eta):  # deformation terms with the wrong sign
+        return real(-s_theta, -s_eta)
 
     monkeypatch.setattr(ncmodel, "bopp_slots", flipped)
     code = run(
@@ -350,6 +350,32 @@ def test_xi_and_evolve_sample_the_same_times(tmp_path):
 
     xi = t_column("xi_trajectory.csv")
     assert len(xi) == 502 and xi == t_column("evolution.csv")
+
+
+def test_xi_and_evolve_share_a_window_at_large_t0(tmp_path, capsys):
+    # at t0 = 1e4 floats are 1.8e-12 apart, so the steps of the sample grid
+    # differ by that much: evolve takes the grid xi takes, to a verdict
+    argv = ("--t0", "1e4", "--t1", "10000.01", "--dt", "1e-3", "--fock_N", "4")
+    assert run(tmp_path, "xi", *argv) == 0
+    assert run(tmp_path, "evolve", *argv) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+    def t_column(name):
+        return [line.partition(",")[0] for line in (tmp_path / name).read_text().splitlines()]
+
+    xi = t_column("xi_trajectory.csv")
+    assert len(xi) == 12 and xi == t_column("evolution.csv")
+
+
+@pytest.mark.parametrize("command", ["xi", "evolve"])
+def test_steps_finer_than_the_float_spacing_exit_2(tmp_path, capsys, command):
+    # 100 steps of 1 at t0 = 1e16, where floats are 2 apart: consecutive
+    # sample times coincide, and the window is refused before any output
+    argv = ("--t0", "1e16", "--t1", "1.00000000000001e16", "--dt", "1", "--fock_N", "4")
+    assert run(tmp_path, command, *argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: 100 steps from t0=1e+16")
+    assert not list(tmp_path.iterdir())
 
 
 def test_evolve_constrained_passes(tmp_path):

@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from ncdirac import fockevolve, invariant, lrsolve, ncmodel
-from ncdirac.errors import DegreeError, DimError, GridError, SizeError
+from ncdirac.errors import DegreeError
 from ncdirac.fockevolve import (
     BLOCK_ROWS,
     KRYLOV_MAX,
     EvolvedState,
     Segment,
+    Spectrum,
     build_fock_rep,
     coherent_state,
     evolve,
@@ -39,7 +40,7 @@ def coordinate(c, rep):
 
 def bopp_op(p, c, t):
     """The shifted coordinate c at time t, a PhasePoly from ``bopp_slots``."""
-    return PhasePoly(ncmodel.bopp_slots(p, [t])[0, c])
+    return PhasePoly(ncmodel.bopp_slots(*ncmodel.bopp_scales(p, np.array([t])))[0, c])
 
 
 def observe(rep, ev, i_op=PhasePoly.constant(ID2), p=COMMUTATIVE):
@@ -47,15 +48,24 @@ def observe(rep, ev, i_op=PhasePoly.constant(ID2), p=COMMUTATIVE):
     return measure(i_op, rep, ev, ncmodel.bopp_scales(p, ev.times))
 
 
+#: the spectra of a history built by hand, which ``measure`` does not read
+NO_SPECTRA = (Spectrum(np.empty(0), np.empty(0), np.empty(0)),) * 2
+
+
 def stored(times, states):
     """An evolution history of stored rows."""
-    return EvolvedState(np.asarray(times, dtype=float), (Segment(np.asarray(states)),))
+    return EvolvedState(np.asarray(times, dtype=float), (Segment(np.asarray(states)),), NO_SPECTRA)
+
+
+def track(p, ev):
+    """The level ``track_level`` picks for p on the evolution ev."""
+    return track_level(p.m, ncmodel.landau_gap(p, ev.times), ev)
 
 
 def test_build_rep_validation():
-    with pytest.raises(SizeError):
+    with pytest.raises(ValueError, match="per-mode truncation must satisfy N >= 2"):
         build_fock_rep(1, 1.0)
-    with pytest.raises(SizeError):
+    with pytest.raises(ValueError, match="oscillator scale ell must be positive"):
         build_fock_rep(4, 0.0)
     assert build_fock_rep(5, 1.0).dim == 2 * 5 * 5
 
@@ -67,7 +77,7 @@ def test_tracked_energy_feeds_phase_integral():
     psi0 = coherent_state(rep)
     times = np.linspace(0.0, 1.0, 101)
     ev = evolve(h, rep, psi0, times)
-    energy = track_level(COMMUTATIVE, h, rep, ev).energy
+    energy = track(COMMUTATIVE, ev).energy
     theta = lrsolve.theta_phase(COMMUTATIVE, 0.5, -0.5, 1.0)
     alpha = lrsolve.lr_phase(theta, ev.times, energy, 1.0)
     # the spin-up vacuum sits on the n = 0 level E = m, constant in time
@@ -172,9 +182,9 @@ def test_apply_rejects_quadratic_slot_and_wrong_size():
     with pytest.raises(DegreeError):
         represent(quadratic, rep)
     g = operator(PhasePoly.monomial(ID2, Coord.X), rep)
-    with pytest.raises(DimError):
+    with pytest.raises(ValueError, match="state size 20 does not match dim 18"):
         g(np.ones(rep.dim + 2))
-    with pytest.raises(DimError):
+    with pytest.raises(ValueError, match="state size 16 does not match dim 18"):
         g(np.ones((4, rep.dim - 2)))
 
 
@@ -270,16 +280,18 @@ def test_time_constant_generator_takes_one_lanczos_run(monkeypatch, h, negative_
 
 
 def test_changing_generator_takes_one_krylov_step_per_step(monkeypatch):
-    # H is applied matrix-free in the steps and in the level tracker: no
-    # decomposition of generator size in the whole run. H's coefficients are
-    # evaluated once at the 50 midpoints, then once at both ends by the tracker
+    # H is applied matrix-free in the steps and in the end spectra: no
+    # decomposition of generator size in the whole run. evolve evaluates H's
+    # coefficients once at the 50 midpoints, then once at both ends, and the
+    # level tracker evaluates none
     p = NCParams(theta=0.1, eta=0.05, gamma=0.2)
     rep = build_fock_rep(6, 1.0)
     full_eigh, runs, _ = count_calls(monkeypatch, rep)
     values = []
     h = counting_value(ncmodel.build_h_nc(p), values)
     ev = evolve(h, rep, coherent_state(rep), np.linspace(0.0, 0.5, 51))
-    track_level(p, h, rep, ev)
+    assert values == [50, 2]
+    track(p, ev)
     assert values == [50, 2]
     assert full_eigh == []
     assert runs == [1] * 50
@@ -431,14 +443,14 @@ ONE_GENERATOR = pytest.mark.parametrize(
 def test_track_level_reuses_the_t0_spectrum_for_a_constant_generator(monkeypatch, p, h, t0):
     # psi(t1) = exp(-i H (t1 - t0)) psi(t0) has psi(t0)'s spectral measure
     # under the one H: the Lanczos run evolve shares with the propagation
-    # gives both ends' figures, and track_level runs no spectral_weights
+    # gives both ends' spectra, and evolve runs no spectral_weights
     rep = build_fock_rep(8, lrsolve.magnetic_length(p))
-    ev = evolve(h, rep, coherent_state(rep, alpha_x=1.0), np.linspace(t0, t0 + 0.5, 51))
-    assert ev.spectrum is not None
     runs = count_spectral_runs(monkeypatch)
-    track = track_level(p, h, rep, ev)
+    ev = evolve(h, rep, coherent_state(rep, alpha_x=1.0), np.linspace(t0, t0 + 0.5, 51))
     assert runs == []
-    assert track.error[0] == track.error[1] and track.residual[0] == track.residual[1]
+    assert ev.spectra[0] is ev.spectra[1]
+    level = track(p, ev)
+    assert level.error[0] == level.error[1] and level.residual[0] == level.residual[1]
     # a second run from psi(t1) gives the same spectrum up to rounding
     again = spectral_weights(operator(h.at(t0 + 0.5), rep), ev.state(50))
     first = spectral_weights(operator(h.at(t0), rep), ev.state(0))
@@ -454,15 +466,15 @@ def test_one_generator_evolve_and_level_pick_share_one_lanczos_recurrence(monkey
     psi0 = coherent_state(rep, alpha_x=1.0)
     _, runs, spaces = count_calls(monkeypatch, rep)
     ev = evolve(h, rep, psi0, np.linspace(t0, t0 + 0.5, 51))
-    track_level(p, h, rep, ev)
+    track(p, ev)
     assert runs == [50] and len(spaces) == 1
     # and that run is the independent t0 spectral run, up to the rounding of
     # building H(t0) by another summation order
     monkeypatch.undo()
     want = spectral_weights(operator(h.at(t0), rep), psi0)
-    assert len(ev.spectrum.ritz) == len(want.ritz) == KRYLOV_MAX
-    assert np.max(np.abs(ev.spectrum.ritz - want.ritz)) <= 1e-12
-    assert np.max(np.abs(ev.spectrum.weight - want.weight)) <= 1e-12
+    assert len(ev.spectra[0].ritz) == len(want.ritz) == KRYLOV_MAX
+    assert np.max(np.abs(ev.spectra[0].ritz - want.ritz)) <= 1e-12
+    assert np.max(np.abs(ev.spectra[0].weight - want.weight)) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 20, 400])
@@ -492,10 +504,10 @@ def test_ritz_error_measures_the_lanczos_space_not_the_truncation(n):
     h = ncmodel.build_h_nc(README)
     rep = build_fock_rep(n, lrsolve.magnetic_length(README))
     ev = evolve(h, rep, coherent_state(rep, alpha_x=1.0), np.linspace(0.0, 0.01, 2))
-    track = track_level(README, h, rep, ev)
-    dense = np.min(np.abs(np.linalg.eigvalsh(represent(h.at(0.0), rep)) - track.energy[0]))
-    assert (track.n, track.sign) == (0, 1)
-    assert dense <= 0.1 * track.error[0]
+    level = track(README, ev)
+    dense = np.min(np.abs(np.linalg.eigvalsh(represent(h.at(0.0), rep)) - level.energy[0]))
+    assert (level.n, level.sign) == (0, 1)
+    assert dense <= 0.1 * level.error[0]
 
 
 @pytest.mark.parametrize(
@@ -509,13 +521,21 @@ def test_ritz_error_measures_the_lanczos_space_not_the_truncation(n):
 )
 def test_track_level_runs_at_both_ends_unless_one_generator_holds_throughout(monkeypatch, p, h):
     # a changing generator, three runs whose ends agree, and one run whose
-    # last grid point has other coefficients: psi(t1) gets its own run
+    # last grid point has other coefficients: evolve runs spectral_weights
+    # at psi(t0) and at psi(t1), and track_level runs none
     rep = build_fock_rep(8, lrsolve.magnetic_length(p))
-    ev = evolve(h, rep, coherent_state(rep, alpha_x=1.0), np.linspace(0.0, 0.5, 51))
-    assert ev.spectrum is None
     runs = count_spectral_runs(monkeypatch)
-    track_level(p, h, rep, ev)
+    ev = evolve(h, rep, coherent_state(rep, alpha_x=1.0), np.linspace(0.0, 0.5, 51))
     assert len(runs) == 2
+    track(p, ev)
+    assert len(runs) == 2
+    # each entry is the independent spectral run of H(t) on the state at t
+    monkeypatch.undo()
+    for spectrum, k in zip(ev.spectra, (0, 50)):
+        want = spectral_weights(operator(h.at(ev.times[k]), rep), ev.state(k))
+        assert len(spectrum.ritz) == len(want.ritz)
+        assert np.max(np.abs(spectrum.ritz - want.ritz)) <= 1e-12
+        assert np.max(np.abs(spectrum.weight - want.weight)) <= 1e-12
 
 
 def test_changing_steps_check_from_the_previous_lanczos_size(monkeypatch):
@@ -531,7 +551,8 @@ def test_changing_steps_check_from_the_previous_lanczos_size(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda m: sizes.append(len(m)) or eigh(m))
     ev = evolve(h, rep, psi, times)
     monkeypatch.undo()
-    assert sizes == [1, 2, 3, 4, 5, 6, 7] + [6, 7] * 49
+    # then the spectral runs at the two ends, each of KRYLOV_MAX vectors
+    assert sizes == [1, 2, 3, 4, 5, 6, 7] + [6, 7] * 49 + [KRYLOV_MAX] * 2
     dt = times[1] - times[0]
     want = [psi]
     for t in times[:-1]:
@@ -543,7 +564,8 @@ def test_sub_steps_check_from_the_previous_sub_step_size(monkeypatch):
     # gamma = 50 puts one step of 0.5 out of reach of 40 vectors: it fails
     # at 0.5 and, halving from 0.25 (0.5 is not tried again), at 0.25 to
     # 0.0625, each checking all 40 vectors; the first of 16 sub-steps of 1/32
-    # checks every vector up to its 38, each later one only 37 and 38. The
+    # checks every vector up to its 38, each later one only 37 and 38; the
+    # spectral runs at the two ends take KRYLOV_MAX vectors each. The
     # sample still matches the dense propagator
     p = NCParams(theta=0.1, eta=0.05, gamma=50.0)
     rep = build_fock_rep(5, lrsolve.magnetic_length(p))
@@ -555,7 +577,7 @@ def test_sub_steps_check_from_the_previous_sub_step_size(monkeypatch):
     ev = evolve(h, rep, psi, [0.0, 0.5])
     monkeypatch.undo()
     full = list(range(1, KRYLOV_MAX + 1))
-    assert sizes == full * 4 + full[:38] + [37, 38] * 15
+    assert sizes == full * 4 + full[:38] + [37, 38] * 15 + [KRYLOV_MAX] * 2
     want = dense_exponential(represent(h.at(0.25), rep), psi, 0.5)
     assert np.max(np.abs(ev.state(1) - want)) <= 1e-10
 
@@ -676,8 +698,8 @@ def test_level_pick_matches_dense_overlap_rule(p, alpha, spinor, want, n):
     h = ncmodel.build_h_nc(p)
     psi = coherent_state(rep, alpha_x=alpha, spinor=spinor)
     ev = evolve(h, rep, psi, [0.0, 1e-3])
-    track = track_level(p, h, rep, ev)
-    assert (track.n, track.sign) == dense_level_pick(p, rep, h, psi) == want
+    level = track(p, ev)
+    assert (level.n, level.sign) == dense_level_pick(p, rep, h, psi) == want
 
 
 def test_time_dependent_evolve_matches_dense_reference():
@@ -704,9 +726,9 @@ def test_time_dependent_evolve_matches_dense_reference():
     # the reported level error at t0 and t1 is the dense tracked eigenvalue's
     # distance from E_n, up to the Ritz residual that bounds the Ritz value's
     # distance from that eigenvalue
-    track = track_level(p, h, rep, ev)
-    for k, error, residual in zip((0, -1), track.error, track.residual):
-        dense_error = abs(energy[k] - track.energy[k])
+    level = track(p, ev)
+    for k, error, residual in zip((0, -1), level.error, level.residual):
+        dense_error = abs(energy[k] - level.energy[k])
         assert abs(error - dense_error) <= residual
         assert dense_error <= 1e-3 and residual <= 1e-2
 
@@ -726,14 +748,31 @@ def test_evolve_grid_and_state_validation():
     rep = build_fock_rep(3, 1.0)
     h = ncmodel.build_h_nc(COMMUTATIVE)
     psi0 = coherent_state(rep)
-    with pytest.raises(GridError):
+    with pytest.raises(ValueError, match="evolution grid must be uniform and increasing"):
         evolve(h, rep, psi0, [0.0, 0.1, 0.3])
-    with pytest.raises(GridError):
+    with pytest.raises(ValueError, match="evolution grid needs at least 2 points"):
         evolve(h, rep, psi0, [0.0])
-    with pytest.raises(DimError):
+    with pytest.raises(ValueError, match="state size 5 does not match representation dim 18"):
         evolve(h, rep, np.ones(5) / np.sqrt(5), [0.0, 0.1])
     with pytest.raises(ValueError):
         evolve(h, rep, 2.0 * psi0, [0.0, 0.1])
+
+
+def test_evolve_takes_the_sample_grid_at_large_t0():
+    # at t0 = 1e4 the steps of t0 + (t1 - t0) k/n differ by the float
+    # spacing there, 1.8e-12, beyond 1e-12 of dt; the step taken is the first
+    rep = build_fock_rep(3, 1.0)
+    h = ncmodel.build_h_nc(NCParams(theta=0.1, eta=0.05, gamma=1e-4))
+    psi0 = coherent_state(rep)
+    times = ncmodel.sample_times(1e4, 10000.01, 10)
+    assert np.ptp(np.diff(times)) > 1e-12
+    ev = evolve(h, rep, psi0, times)
+    dt = times[1] - times[0]
+    want = dense_exponential(represent(h.at(times[0] + 0.5 * dt), rep), psi0, dt)
+    assert np.max(np.abs(ev.state(1) - want)) <= 1e-13
+    # a grid that is not uniform still raises there
+    with pytest.raises(ValueError, match="evolution grid must be uniform and increasing"):
+        evolve(h, rep, psi0, [1e4, 1e4 + 0.1, 1e4 + 0.3])
 
 
 def test_invariant_drift_identity_is_zero():
@@ -759,7 +798,7 @@ def test_invariant_drift_checks_dimension():
     rep = build_fock_rep(3, 1.0)
     h = ncmodel.build_h_nc(COMMUTATIVE)
     ev = evolve(h, rep, coherent_state(rep), np.linspace(0.0, 0.1, 11))
-    with pytest.raises(DimError):
+    with pytest.raises(ValueError, match="state size 18 does not match dim 32"):
         observe(build_fock_rep(4, 1.0), ev)
 
 
@@ -935,18 +974,19 @@ def test_measure_images_each_block_once(monkeypatch):
     sizes.clear()
     basis = np.linalg.qr(states[:3].T + np.eye(rep.dim, 3))[0].T
     coeffs = np.full((n_t, 3), 1 / np.sqrt(3), dtype=complex)
-    observe(rep, EvolvedState(np.linspace(0.0, 1.0, n_t), (Segment(basis, coeffs),)), i_op)
+    observe(rep, EvolvedState(np.linspace(0.0, 1.0, n_t), (Segment(basis, coeffs),), NO_SPECTRA), i_op)
     assert sizes == [3, 3]
 
 
 @pytest.mark.parametrize(
-    "h",
-    [ncmodel.build_h_nc(README), ncmodel.build_h_commutative(COMMUTATIVE)],
+    "p, h",
+    [(README, ncmodel.build_h_nc(README)), (COMMUTATIVE, ncmodel.build_h_commutative(COMMUTATIVE))],
     ids=["changing", "constant"],
 )
-def test_evolve_builds_the_mode_blocks_once_per_run(monkeypatch, h):
+def test_evolve_builds_the_mode_blocks_once_per_run(monkeypatch, p, h):
     # the per-mode blocks of H's fixed parts are built in one call per
-    # evolve, however many steps or runs of one generator it takes
+    # evolve, however many steps or runs of one generator it takes; the end
+    # spectra reuse them, and the level pick builds none
     built = []
     blocks = fockevolve._mode_blocks
 
@@ -957,6 +997,7 @@ def test_evolve_builds_the_mode_blocks_once_per_run(monkeypatch, h):
     monkeypatch.setattr(fockevolve, "_mode_blocks", counted)
     rep = build_fock_rep(5, 1.0)
     ev = evolve(h, rep, coherent_state(rep, alpha_x=0.5), np.linspace(0.0, 0.5, 51))
+    track(p, ev)
     assert built == [len(h.polys)]
     # and each run's combination acts as the dense H at its midpoint
     want = dense_exponential(represent(h.at(0.005), rep), ev.states[0], 0.01)
@@ -1084,7 +1125,7 @@ def test_segment_moments_use_the_gram_of_its_basis():
     states = coeffs @ basis
     coeffs /= np.linalg.norm(states, axis=1)[:, None]
     states = coeffs @ basis
-    ev = EvolvedState(np.linspace(0.0, 1.0, 7), (Segment(basis, coeffs),))
+    ev = EvolvedState(np.linspace(0.0, 1.0, 7), (Segment(basis, coeffs),), NO_SPECTRA)
     assert ev.norm_drift <= 1e-13
     assert np.max(np.abs(ev.states - states)) == 0.0
     i_op = random_hermitian_invariant(rng)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ncdirac import invariant, mat2, ncmodel
-from ncdirac.errors import DegreeError, GridError
+from ncdirac.errors import DegreeError
 from ncdirac.invariant import (
     CONSTRAINT_LABELS,
     CONSTRAINT_SLOTS,
@@ -251,7 +251,7 @@ def test_nullspace_svd_properties():
 
 
 def test_nullspace_grid_too_short():
-    with pytest.raises(GridError):
+    with pytest.raises(ValueError, match="constraint grid needs at least 2 points"):
         solve_constant_invariant(COMMUTATIVE, [0.0])
 
 

@@ -21,7 +21,8 @@ PAIRS = ["[x_nc,y_nc]", "[px_nc,py_nc]", "[x_nc,px_nc]", "[y_nc,py_nc]", "[x_nc,
 
 def shifted(p, t):
     """Coord -> the shifted operator at time t, a PhasePoly from ``bopp_slots``."""
-    return {c: PhasePoly(ncmodel.bopp_slots(p, [t])[0, c]) for c in Coord}
+    ops = ncmodel.bopp_slots(*ncmodel.bopp_scales(p, np.array([t])))[0]
+    return {c: PhasePoly(ops[c]) for c in Coord}
 
 
 def test_param_validation():
@@ -172,7 +173,7 @@ def test_commutative_limit_recovers_canonical_relations():
 
 def test_all_deformed_commutators_identity_proportional():
     p = NCParams(theta=0.1, eta=0.05, gamma=0.2)
-    ops = ncmodel.bopp_slots(p, (0.0, 1.0))
+    ops = ncmodel.bopp_slots(*ncmodel.bopp_scales(p, np.array([0.0, 1.0])))
     # every pair (a, b) at both times in one call: (2, 4, 4, 15, 2, 2)
     res = commutator(ops[:, :, None], ops[:, None, :], p.hbar)
     assert res.shape == (2, 4, 4, 15, 2, 2)
@@ -258,6 +259,26 @@ def test_h_nc_dual_path_agreement():
     assert ncmodel.dual_path_deviation(p, (0.0, 0.5, 1.0, 2.0)) <= 1e-13
 
 
+def test_verify_nc_algebra_evaluates_the_profiles_once_per_grid(monkeypatch):
+    # the expected values and the Bopp scales are one evaluation each over
+    # the whole grid, not one per GRID_BLOCK rows (514 records at 4096 points)
+    built = []
+    profiles = ncmodel.profiles
+    monkeypatch.setattr(ncmodel, "profiles", lambda p: built.append(p) or profiles(p))
+    p = NCParams(theta=0.1, eta=0.05, gamma=0.2)
+    report = ncmodel.verify_nc_algebra(p, np.linspace(0.0, 1.0, 4096))
+    assert len(built) == 2
+    assert report.max_deviation <= 1e-12
+
+
+def test_sample_times_refuse_coincident_times():
+    # floats are 2 apart at 1e16: 100 steps of 1 would repeat sample times
+    with pytest.raises(ConfigError, match="two sample times coincide"):
+        ncmodel.sample_times(1e16, 1.00000000000001e16, 100)
+    times = ncmodel.sample_times(1e16, 1.00000000000001e16, 50)
+    assert np.all(np.diff(times) == 2.0)
+
+
 def test_h_nc_rejects_si_mode():
     # SI values: hbar != 1 with a deformation
     p = NCParams(theta=1e-40, eta=1e-70, hbar=1.0546e-34)
@@ -285,7 +306,7 @@ def test_f_limits_in_commutative_reduction():
 
 def nearest(p, t, energy):
     """(n, sign) of one energy, through the array nearest_landau_level."""
-    n, sign = ncmodel.nearest_landau_level(p, t, np.array([energy]))
+    n, sign = ncmodel.nearest_landau_level(p.m, ncmodel.landau_gap(p, t), np.array([energy]))
     return int(n[0]), int(sign[0])
 
 
@@ -302,7 +323,7 @@ def test_nearest_landau_level_of_an_array_is_the_brute_force_nearest(p):
     levels = [math.sqrt(p.m * p.m + j * gap) for j in range(201)]
     energies = np.random.default_rng(7).uniform(-levels[150] - 1.0, levels[150] + 1.0, 300)
     energies = np.concatenate([energies, [0.0, -0.0, p.m, -p.m, levels[3], -levels[7]]])
-    n, sign = ncmodel.nearest_landau_level(p, t, energies)
+    n, sign = ncmodel.nearest_landau_level(p.m, ncmodel.landau_gap(p, t), energies)
     for k, e in enumerate(energies.tolist()):
         distance = [abs(abs(e) - level) for level in levels]
         assert (n[k], sign[k]) == (distance.index(min(distance)), 1 if e >= 0.0 else -1)
@@ -316,7 +337,8 @@ def test_landau_levels_commutative_closed_form():
     for n in range(6):
         want = math.sqrt(0.7**2 + 2.0 * n * 2.0 * 1.5)
         for sign in (1, -1):
-            assert ncmodel.landau_level(p, n, sign, 0.3) == pytest.approx(sign * want, rel=1e-15)
+            level = ncmodel.landau_level(p.m, n, sign, ncmodel.landau_gap(p, 0.3))
+            assert level == pytest.approx(sign * want, rel=1e-15)
             assert nearest(p, 0.3, sign * want * (1.0 + 1e-3)) == (n, sign)
 
 
@@ -325,14 +347,15 @@ def test_landau_levels_deformed_and_closed():
     t = 0.7
     gap = 4.0 * ncmodel.f_theta(p, t) * ncmodel.f_eta(p, t)
     assert ncmodel.landau_gap(p, t) == pytest.approx(gap, rel=1e-15)
-    assert ncmodel.landau_level(p, 3, -1, t) == pytest.approx(-math.sqrt(1.0 + 3 * gap), rel=1e-15)
+    assert ncmodel.landau_level(p.m, 3, -1, gap) == pytest.approx(-math.sqrt(1.0 + 3 * gap), rel=1e-15)
     # nearer level 2 in energy although nearer level 1 in energy squared
     wide = NCParams(hbar=2.0, B=1.5, m=0.7)
     assert nearest(wide, 0.0, 3.06) == (2, 1)
     # f_eta = 0: the levels close onto +-m, and the gap carries the field's sign
     assert nearest(NCParams(eta=-1.0), 0.0, 2.0) == (0, 1)
     assert ncmodel.landau_gap(NCParams(eta=-2.0), 0.0) == -2.0
-    assert ncmodel.landau_level(NCParams(eta=-2.0), 1, 1, 0.0) == math.sqrt(3.0)
+    closed = NCParams(eta=-2.0)
+    assert ncmodel.landau_level(closed.m, 1, 1, ncmodel.landau_gap(closed, 0.0)) == math.sqrt(3.0)
 
 
 def test_time_forms_accept_arrays():
@@ -347,22 +370,25 @@ def test_time_forms_accept_arrays():
     np.testing.assert_allclose(s_theta, 0.5 * theta, rtol=1e-15)
     np.testing.assert_allclose(s_eta, 0.5 * eta, rtol=1e-15)
     np.testing.assert_allclose(ncmodel.landau_gap(p, ts), gap, rtol=1e-15)
-    np.testing.assert_allclose(ncmodel.landau_level(p, 2, -1, ts), -np.sqrt(1.0 + 2 * gap), rtol=1e-15)
+    levels = ncmodel.landau_level(p.m, 2, -1, ncmodel.landau_gap(p, ts))
+    np.testing.assert_allclose(levels, -np.sqrt(1.0 + 2 * gap), rtol=1e-15)
     for k, t in enumerate(ts):
-        assert ncmodel.landau_level(p, 2, -1, float(t)) == pytest.approx(-math.sqrt(1.0 + 2 * gap[k]), rel=1e-15)
+        level = ncmodel.landau_level(p.m, 2, -1, ncmodel.landau_gap(p, float(t)))
+        assert level == pytest.approx(-math.sqrt(1.0 + 2 * gap[k]), rel=1e-15)
     assert isinstance(ncmodel.theta_of_t(p, 0.5), float)
 
 
 def test_landau_level_of_a_tiny_mass_does_not_underflow():
     # m^2 underflows to 0 for |m| below about 1.5e-154; the levels keep +-m
     p = NCParams(m=1e-300)
-    assert ncmodel.landau_level(p, 0, -1, 0.0) == -1e-300
-    assert ncmodel.level_spacing(p, 0, 0.0) == 2e-300
+    gap = ncmodel.landau_gap(p, 0.0)
+    assert ncmodel.landau_level(p.m, 0, -1, gap) == -1e-300
+    assert ncmodel.level_spacing(p.m, 0, gap) == 2e-300
 
 
 def test_landau_level_off_the_float_range_raises():
     p = NCParams(theta=0.1, eta=0.05, gamma=0.2)
     with pytest.raises(OverflowError):
-        ncmodel.landau_level(p, 10**308, 1, np.array([0.0, 1.0]))
+        ncmodel.landau_level(p.m, 10**308, 1, ncmodel.landau_gap(p, np.array([0.0, 1.0])))
     with pytest.raises(OverflowError):
-        ncmodel.landau_level(p, 10**308, 1, 0.0)
+        ncmodel.landau_level(p.m, 10**308, 1, ncmodel.landau_gap(p, 0.0))

@@ -236,7 +236,7 @@ def test_left_mul_scales_all_slots():
     # each alpha multiplies every slot of its shifted operator on the left
     p = ncmodel.NCParams(theta=0.1, eta=0.05, gamma=0.2, B=0.0, m=0.7)
     ts = (0.0, 0.4, 1.3)
-    ops = ncmodel.bopp_slots(p, ts)
+    ops = ncmodel.bopp_slots(*ncmodel.bopp_scales(p, np.array(ts)))
     got = ncmodel.h_nc_via_bopp(p, ts)
     for k, slot in np.ndindex(len(ts), 15):
         want = ALPHA1 @ ops[k, Coord.PX, slot] + ALPHA2 @ ops[k, Coord.PY, slot]
