@@ -200,7 +200,8 @@ def _finish(cfg: RunConfig, result: Result) -> int:
 
 
 #: peak bytes verify-algebra holds per grid point, its six report records
-#: foremost (traced: 3.9 KB); invariant holds 2.3 KB per point
+#: foremost (traced: 3.9 KB); invariant holds 2.3 KB per point, and evolve
+#: takes invariant's grid for its verdict on the constants
 GRID_POINT_BYTES = 4096
 
 
@@ -286,9 +287,7 @@ def cmd_invariant(cfg: RunConfig) -> Result:
         ("nullspace orthonormality defect", ortho_defect, 1e-12),
         ("rise along the singular values", float(np.max(np.diff(report.singular_values))), 0.0),
     ]
-
-    proj = report.nullspace @ (report.nullspace.T @ vec)  # 0 when the nullspace is empty
-    in_null = bool(np.linalg.norm(vec - proj) <= 1e-10 * max(1.0, np.linalg.norm(vec)))
+    in_null = report.contains(vec)
 
     payload = report.as_dict() | {
         "constants": {"a1": cfg.a1, "a3": cfg.a3, "b1": cfg.b1, "b3": cfg.b3, "c1": cfg.c1},
@@ -328,7 +327,8 @@ def cmd_xi(cfg: RunConfig) -> Result:
 def cmd_evolve(cfg: RunConfig) -> Result:
     from . import fockevolve, invariant, lrsolve
     n_steps = ncmodel.step_count(cfg.t0, cfg.t1, cfg.dt)
-    need = fockevolve.dense_bytes(cfg.fock_N, n_steps + 1)
+    # the invariant verdict below takes invariant's constraint grid
+    need = fockevolve.dense_bytes(cfg.fock_N, n_steps + 1) + GRID_POINT_BYTES * cfg.grid_points
     _check_memory(need, f"evolve at fock_N={cfg.fock_N} over {n_steps:.3g} steps")
     rep = fockevolve.build_fock_rep(cfg.fock_N, lrsolve.magnetic_length(cfg), cfg.hbar)
     h = ncmodel.build_h_nc(cfg)
@@ -346,7 +346,10 @@ def cmd_evolve(cfg: RunConfig) -> Result:
     drift, r_xp, r_yp, r_nc, edge = fockevolve.measure(ans.at(0.0), rep, evolved, scales)
     residual = invariant.invariance_residual(ans, h, cfg.hbar, np.linspace(cfg.t0, cfg.t1, 8))
     res_norm = float(np.max(residual_norms(residual)))
-    constrained = res_norm <= 1e-10
+    # the verdict of invariant: exact, where the residual on 8 times is not
+    grid = invariant.default_constraint_grid(cfg, cfg.grid_points)
+    vec = np.array([cfg.a1, cfg.a3, cfg.b1, cfg.b3])
+    constrained = invariant.solve_constant_invariant(cfg, grid).contains(vec)
 
     margins = np.min([r_xp.margin, r_yp.margin, r_nc.margin], axis=0)
     nc_bound_dev = float(np.max(np.abs(r_nc.bound - 0.5 * ncmodel.hbar_eff(cfg))))

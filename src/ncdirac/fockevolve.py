@@ -195,17 +195,11 @@ class EvolvedState:
     segments: tuple[Segment, ...]
     spectra: tuple[Spectrum, Spectrum]
 
-    def state(self, k: int) -> np.ndarray:
-        """The state at times[k], 0 <= k < len(times), read off its segment."""
-        for segment in self.segments:
-            if k < segment.size:
-                return segment.row(k)
-            k -= segment.size
-        raise IndexError("sample index beyond the evolution")
-
     @property
     def states(self) -> np.ndarray:
-        """Every state as rows (n_t, dim), materialized on each access."""
+        """Every state as rows (n_t, dim), materialized on each access. The
+        package reads the segments; the benchmark's tracer reads this until
+        ROADMAP items 0 and 4 take its count into the package."""
         return np.concatenate([segment.rows() for segment in self.segments])
 
     @property
@@ -489,7 +483,7 @@ def evolve(
     of coefficients on its basis; the samples of every other space are
     stored as rows, consecutive stored rows joined into segments of at least
     BLOCK_ROWS rows, so that joining never holds a second copy of more than
-    a block. ``EvolvedState.state`` reads any one sample.
+    a block.
     """
     ts = np.asarray(t_grid, dtype=float)
     dt = _check_uniform(ts)

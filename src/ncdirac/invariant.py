@@ -90,6 +90,12 @@ class NullspaceReport:
     def dimension(self) -> int:
         return self.nullspace.shape[1]
 
+    def contains(self, vec: np.ndarray) -> bool:
+        """Whether the constants vec = (a1, a3, b1, b3) lie in the nullspace:
+        their distance from its span is within 1e-10 of max(1, |vec|)."""
+        proj = self.nullspace @ (self.nullspace.T @ vec)  # 0 when the nullspace is empty
+        return bool(np.linalg.norm(vec - proj) <= 1e-10 * max(1.0, np.linalg.norm(vec)))
+
     def as_dict(self) -> dict:
         return {
             "times": [float(t) for t in self.times],

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .ncmodel import F_ETA, F_THETA, NCParams, f_eta, profiles, sample_times, step_count
+from .ncmodel import F_ETA, F_THETA, NCParams, profiles, sample_times, step_count
 from .phasepoly import ExpSum
 
 
@@ -68,19 +68,18 @@ def xi_closed(p: NCParams, t):
 _IDX = {"xi1": 0, "xi2": 1, "F1": 2, "F2": 3}
 #: peak bytes integrate_rk4 holds per time sample: two 4-component complex
 #: states (closed, integrated), the 2-component stage envelope and flow_rhs
-#: rates, temporaries and slack (traced: 249 B over 200 001 samples)
-ROW_BYTES = 288
+#: rates, temporaries and slack (traced: 241 B over 200 001 samples)
+ROW_BYTES = 264
 
 
-def flow_rhs(p: NCParams, t, env: np.ndarray) -> np.ndarray:
-    """Rates of xi1, xi2 along the first axis from the envelope env = (F1, F2)
-    along the first axis; t and the trailing axes of env may run over times:
-    dxi1/dt = -i f_eta(t) F2/F1, dxi2/dt = -f_eta(t) F2/F1."""
+def flow_rhs(fe, env: np.ndarray) -> np.ndarray:
+    """Rates of xi1, xi2 along the first axis from the values fe of f_eta(t)
+    and the envelope env = (F1, F2) along the first axis; fe and the trailing
+    axes of env may run over times: dxi1/dt = -i fe F2/F1, dxi2/dt = -fe F2/F1."""
     f1, f2 = env
     if np.any(f1 == 0):
         raise ZeroDivisionError("envelope component F1 vanished")
     ratio = f2 / f1
-    fe = f_eta(p, t)
     out = np.empty((2, *np.shape(ratio)), dtype=complex)
     np.multiply(-1j * fe, ratio, out=out[0, ...])  # one temporary per rate
     np.multiply(-fe, ratio, out=out[1, ...])
@@ -119,9 +118,10 @@ def integrate_rk4(p: NCParams, t0: float, t1: float, dt: float) -> Trajectory:
     The autonomous, linear envelope (F1, F2) is stepped first, in one loop of
     Python scalars in a vector RK4's operation order (powers of the RK4
     amplification factor drift). A step's stage envelopes are F_k times fixed
-    factors, so flow_rhs evaluates each stage once over all steps, and xi1,
-    xi2 are running sums of the weighted stages. One closed_state call gives
-    the closed forms; the deviations serve max_deviation and the CSV alike.
+    factors, so flow_rhs evaluates each stage once over all steps, on the
+    f_eta column of one profiles record, and xi1, xi2 are running sums of the
+    weighted stages. One closed_state call gives the closed forms; the
+    deviations serve max_deviation and the CSV alike.
     """
     n_steps = step_count(t0, t1, dt)
     h = (t1 - t0) / n_steps
@@ -143,11 +143,12 @@ def integrate_rk4(p: NCParams, t0: float, t1: float, dt: float) -> Trajectory:
     # stage j (time offset c_j steps, weight w_j) has the envelope F_k s_j,
     # s_j = 1 + c_j h a s_{j-1} with s_0 = 1
     stage = np.empty((2, n_steps), dtype=complex)
+    f_eta = profiles(p)[F_ETA]
     factor = np.ones(2, dtype=complex)
     for offset, weight in ((0.0, 1.0), (0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
         factor = 1.0 + offset * h * rates * factor
         np.multiply(states[2:, :-1], factor[:, None], out=stage)
-        states[:2, 1:] += weight * flow_rhs(p, times[:-1] + offset * h, stage)
+        states[:2, 1:] += weight * flow_rhs(f_eta(times[:-1] + offset * h), stage)
     states[:2, 1:] *= h / 6.0
     states[:2, 0] = closed[:2, 0]
     np.cumsum(states[:2], axis=1, out=states[:2])
@@ -246,7 +247,7 @@ def trial_residual(
     v = ft * (x2 + 2.0 * xi4 * y) - fe * x
     h_psi = np.array([(u - 1j * v) * g2 + p.m * g1, (u + 1j * v) * g1 - p.m * g2]) * phase
     # i d/dt: envelope rotation plus the moving linear phase
-    dxi1, dxi2 = flow_rhs(p, t, np.array([g1, g2]))
+    dxi1, dxi2 = flow_rhs(fe, np.array([g1, g2]))
     phase_dot = dxi1 * x + dxi2 * y
     dpsi_dt = np.array([(-1j * p.m * g1 + 1j * g1 * phase_dot) * phase,
                         (1j * p.m * g2 + 1j * g2 * phase_dot) * phase])

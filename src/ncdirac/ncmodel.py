@@ -114,15 +114,6 @@ def profiles(p: NCParams) -> ExpSum:
     return ExpSum(np.array([0.0, p.gamma, -p.gamma]), np.array(amps))
 
 
-def _column(k: int):
-    return lambda p, t: profiles(p)[k](t)
-
-
-#: theta(t), eta(t), f_theta(t), f_eta(t) of a parameter record p at a time t
-#: or at each time of an array t
-theta_of_t, eta_of_t, f_theta, f_eta = map(_column, (THETA, ETA, F_THETA, F_ETA))
-
-
 def bopp_scales(p: NCParams, t):
     """Mixing coefficients (s_theta, s_eta) = (theta(t)/2hbar, eta(t)/2hbar)
     of the Bopp shift, two arrays at an array of times t, from one

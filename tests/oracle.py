@@ -17,7 +17,9 @@ is the largest Frobenius norm over a polynomial's slots, summed entry by entry.
 phase/envelope state, one right-hand side call per stage and step, seeded by
 ``closed_state_scalar``, the paper's closed forms evaluated with ``cmath`` at
 one time. The package steps the envelope alone and evaluates each stage over
-all steps at once.
+all steps at once. Its right-hand side and the constraint oracles below read
+``f_theta`` and ``f_eta``, the paper's dressings written out with ``math`` at
+one time; the package evaluates them as one exponential sum over a time array.
 
 ``resolved_expm1`` is the Krylov error-estimate scan with phi1 evaluated in
 complex arithmetic, (e^z - 1)/z by ``expm1``; the package takes phi1(-i theta)
@@ -40,7 +42,6 @@ import numpy as np
 from ncdirac.errors import DegreeError
 from ncdirac.invariant import CONSTRAINT_LABELS
 from ncdirac.mat2 import ALPHA1, ALPHA2, BETA
-from ncdirac.ncmodel import f_eta, f_theta
 from ncdirac.phasepoly import N_SLOTS, AffineOp, Coord, PhasePoly
 
 _COORDS = (Coord.X, Coord.Y, Coord.PX, Coord.PY)
@@ -183,6 +184,16 @@ def random_linear_poly(rng: np.random.Generator, scalar_coeffs: bool = False) ->
 def mat_commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """[a, b] of 2x2 matrices, or of stacks (..., 2, 2)."""
     return a @ b - b @ a
+
+
+def f_theta(p, t: float) -> float:
+    """The momentum dressing f_theta(t) = 1 + (e B/4) theta e^{gamma t} at one time."""
+    return 1.0 + 0.25 * p.e * p.B * p.theta * math.exp(p.gamma * t)
+
+
+def f_eta(p, t: float) -> float:
+    """The position dressing f_eta(t) = e B/2 + (eta/2) e^{-gamma t} at one time."""
+    return 0.5 * p.e * p.B + 0.5 * p.eta * math.exp(-p.gamma * t)
 
 
 def _profiles(p, ts) -> tuple[np.ndarray, np.ndarray]:

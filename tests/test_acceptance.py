@@ -16,6 +16,8 @@ from ncdirac.phasepoly import PhasePoly, hermitian_defect
 from oracle import (
     constraint_residuals,
     ehrenfest_drift,
+    f_eta,
+    f_theta,
     represent,
     scalar_residual_closed_form,
 )
@@ -121,7 +123,7 @@ def test_criterion_06_nullspace_findings():
         assert report.dimension == 2
         ratio = 0.5 * p.e * p.B  # f_eta/f_theta is constant for these sets
         if p.theta:
-            ratio = ncmodel.f_eta(p, 0.0) / ncmodel.f_theta(p, 0.0)
+            ratio = f_eta(p, 0.0) / f_theta(p, 0.0)
         for vec in (
             np.array([1.0, 0.0, 0.0, -ratio]),
             np.array([0.0, 1.0, ratio, 0.0]),

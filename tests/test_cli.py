@@ -388,6 +388,25 @@ def test_evolve_constrained_passes(tmp_path):
     assert np.all(data[:, 6] != 0.0)  # tracked energy present
 
 
+@pytest.mark.parametrize("gamma", ["0", "1e-9"])
+def test_evolve_takes_the_invariant_verdict_on_the_constants(tmp_path, capsys, gamma):
+    # b3 = -a1 f_eta/f_theta is admissible only for a static deformation. At
+    # gamma = 1e-9 the residual on evolve's 8 times (1.6e-11) is below 1e-10,
+    # yet no invariant exists: evolve says so, as invariant does, and does not
+    # hold the drift to an invariant's bound
+    argv = ("--theta=0.1", "--eta=0.05", f"--gamma={gamma}", "--a1=1", "--b3=-0.5121951219512195")
+    assert run(tmp_path, "invariant", *argv) == 0
+    in_null = json.loads((tmp_path / "nullspace_report.json").read_text())["constants_in_nullspace"]
+    assert in_null == (gamma == "0")
+    capsys.readouterr()
+    code = run(tmp_path, "evolve", *argv, "--fock_N=8", "--t1=0.3")
+    out = capsys.readouterr().out
+    assert ("(constrained constants" in out) == in_null
+    assert ("(unconstrained constants" in out) != in_null
+    if not in_null:
+        assert code == 0
+
+
 LEVEL_LINE = re.compile(
     r"E_tracked on Landau level n=(\d+) \(([+-])\): Ritz error (\S+) \(residual (\S+)\) at t0, "
     r"(\S+) \(residual (\S+)\) at t1; max top-level weight (\S+)$"
@@ -981,7 +1000,7 @@ def test_grid_point_bytes_bounds_the_traced_peak(tmp_path, command, share):
     assert share * charged <= peak <= charged + 2**16
 
 
-@pytest.mark.parametrize("command", ["verify-algebra", "invariant"])
+@pytest.mark.parametrize("command", ["verify-algebra", "invariant", "evolve"])
 def test_grid_beyond_physical_memory_exits_2(tmp_path, monkeypatch, capsys, command):
     # twice as many grid points as physical memory holds at GRID_POINT_BYTES each
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")

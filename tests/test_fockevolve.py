@@ -28,7 +28,7 @@ from ncdirac.fockevolve import (
 from ncdirac.mat2 import ID2
 from ncdirac.ncmodel import NCParams
 from ncdirac.phasepoly import AffineOp, Coord, PhasePoly, commutator
-from oracle import ehrenfest_drift, represent, resolved_expm1
+from oracle import ehrenfest_drift, f_eta, f_theta, represent, resolved_expm1
 
 COMMUTATIVE = NCParams()
 README = NCParams(theta=0.1, eta=0.05, gamma=0.2)
@@ -452,8 +452,8 @@ def test_track_level_reuses_the_t0_spectrum_for_a_constant_generator(monkeypatch
     level = track(p, ev)
     assert level.error[0] == level.error[1] and level.residual[0] == level.residual[1]
     # a second run from psi(t1) gives the same spectrum up to rounding
-    again = spectral_weights(operator(h.at(t0 + 0.5), rep), ev.state(50))
-    first = spectral_weights(operator(h.at(t0), rep), ev.state(0))
+    again = spectral_weights(operator(h.at(t0 + 0.5), rep), ev.states[50])
+    first = spectral_weights(operator(h.at(t0), rep), ev.states[0])
     assert np.max(np.abs(again.ritz - first.ritz)) <= 1e-11
     assert np.max(np.abs(again.weight - first.weight)) <= 1e-12
 
@@ -532,7 +532,7 @@ def test_track_level_runs_at_both_ends_unless_one_generator_holds_throughout(mon
     # each entry is the independent spectral run of H(t) on the state at t
     monkeypatch.undo()
     for spectrum, k in zip(ev.spectra, (0, 50)):
-        want = spectral_weights(operator(h.at(ev.times[k]), rep), ev.state(k))
+        want = spectral_weights(operator(h.at(ev.times[k]), rep), ev.states[k])
         assert len(spectrum.ritz) == len(want.ritz)
         assert np.max(np.abs(spectrum.ritz - want.ritz)) <= 1e-12
         assert np.max(np.abs(spectrum.weight - want.weight)) <= 1e-12
@@ -579,7 +579,7 @@ def test_sub_steps_check_from_the_previous_sub_step_size(monkeypatch):
     full = list(range(1, KRYLOV_MAX + 1))
     assert sizes == full * 4 + full[:38] + [37, 38] * 15 + [KRYLOV_MAX] * 2
     want = dense_exponential(represent(h.at(0.25), rep), psi, 0.5)
-    assert np.max(np.abs(ev.state(1) - want)) <= 1e-10
+    assert np.max(np.abs(ev.states[1] - want)) <= 1e-10
 
 
 def eigenstate():
@@ -674,7 +674,7 @@ def dense_level_pick(p, rep, h, psi):
     overlap with psi, from a full decomposition and a brute-force search."""
     w, v = np.linalg.eigh(represent(h.at(0.0), rep))
     e = w[np.argmax(np.abs(v.conj().T @ psi) ** 2)]
-    gap = 4.0 * p.hbar * abs(ncmodel.f_theta(p, 0.0) * ncmodel.f_eta(p, 0.0))
+    gap = 4.0 * p.hbar * abs(f_theta(p, 0.0) * f_eta(p, 0.0))
     levels = [(n, s) for n in range(4 * rep.N) for s in (1, -1)]
     return min(levels, key=lambda ns: abs(e - ns[1] * math.sqrt(p.m**2 + ns[0] * gap)))
 
@@ -769,7 +769,7 @@ def test_evolve_takes_the_sample_grid_at_large_t0():
     ev = evolve(h, rep, psi0, times)
     dt = times[1] - times[0]
     want = dense_exponential(represent(h.at(times[0] + 0.5 * dt), rep), psi0, dt)
-    assert np.max(np.abs(ev.state(1) - want)) <= 1e-13
+    assert np.max(np.abs(ev.states[1] - want)) <= 1e-13
     # a grid that is not uniform still raises there
     with pytest.raises(ValueError, match="evolution grid must be uniform and increasing"):
         evolve(h, rep, psi0, [1e4, 1e4 + 0.1, 1e4 + 0.3])
@@ -1090,7 +1090,7 @@ def test_piecewise_history_alternates_stored_and_projected_segments():
     want = np.array(want)
     assert np.max(np.abs(ev.states - want)) <= 1e-12
     for k in (0, 1, 50, 51, 60, 61, 120):
-        assert np.max(np.abs(ev.state(k) - want[k])) <= 1e-12
+        assert np.max(np.abs(ev.states[k] - want[k])) <= 1e-12
     i_op = random_hermitian_invariant(np.random.default_rng(4))
     assert_measure_matches_dense(observe(rep, ev, i_op, p), want, i_op, p, rep)
 

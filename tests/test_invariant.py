@@ -25,6 +25,8 @@ from ncdirac.phasepoly import (
 )
 from oracle import (
     constraint_residuals,
+    f_eta,
+    f_theta,
     mat_commutator,
     random_linear_poly,
     scalar_residual_closed_form,
@@ -196,8 +198,8 @@ def test_nullspace_commutative():
 def test_nullspace_static_nc():
     report = solve_constant_invariant(NC_STATIC, np.linspace(0.0, 2.0, 16))
     assert report.dimension == 2
-    fe = ncmodel.f_eta(NC_STATIC, 0.0)
-    ft = ncmodel.f_theta(NC_STATIC, 0.0)
+    fe = f_eta(NC_STATIC, 0.0)
+    ft = f_theta(NC_STATIC, 0.0)
     for vec in (
         np.array([1.0, 0.0, 0.0, -fe / ft]),
         np.array([0.0, 1.0, fe / ft, 0.0]),

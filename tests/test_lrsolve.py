@@ -25,8 +25,8 @@ from ncdirac.lrsolve import (
     trial_residual,
     xi_closed,
 )
-from ncdirac.ncmodel import NCParams
-from oracle import closed_state_scalar, rk4_reference
+from ncdirac.ncmodel import F_ETA, NCParams
+from oracle import closed_state_scalar, f_eta, f_theta, rk4_reference
 
 # the six-component oracle's rows of xi1, xi2, F1, F2, the state lrsolve integrates
 STATE_ROWS = [0, 1, 4, 5]
@@ -72,11 +72,11 @@ def test_xi_structural_identity():
 
 
 def test_xi_ode_rhs_values():
-    rhs = flow_rhs(COMMUTATIVE, 0.0, closed_state(COMMUTATIVE, 0.0)[2:])
+    rhs = flow_rhs(f_eta(COMMUTATIVE, 0.0), closed_state(COMMUTATIVE, 0.0)[2:])
     assert rhs[0] == pytest.approx(-0.5j, abs=1e-15)  # d xi1/dt
     for p in ALL_PARAMS:
         for t in (0.0, 0.7, 2.1):
-            r = flow_rhs(p, t, closed_state(p, t)[2:])
+            r = flow_rhs(f_eta(p, t), closed_state(p, t)[2:])
             assert abs(r[0] - 1j * r[1]) <= 1e-14 * max(1.0, abs(r[0]))
 
 
@@ -88,7 +88,7 @@ def test_closed_form_satisfies_ode():
         for t in (0.05, 0.5, 1.5, 3.0):
             fd = (closed_state(p, t + h) - closed_state(p, t - h)) / (2.0 * h)
             y = closed_state(p, t)
-            an = np.concatenate([flow_rhs(p, t, y[2:]), [-1j * p.m * y[2], 1j * p.m * y[3]]])
+            an = np.concatenate([flow_rhs(f_eta(p, t), y[2:]), [-1j * p.m * y[2], 1j * p.m * y[3]]])
             scale = np.maximum(np.abs(an), 1.0)
             assert np.max(np.abs(fd - an) / scale) <= 1e-6
 
@@ -190,8 +190,8 @@ def test_flow_rhs_over_times_matches_single_times():
     ts = np.linspace(-1.0, 4.0, 64)
     ys = rng.standard_normal((2, 64)) + 1j * rng.standard_normal((2, 64))
     for p in ALL_PARAMS:
-        got = flow_rhs(p, ts, ys)
-        want = np.stack([flow_rhs(p, float(t), ys[:, k]) for k, t in enumerate(ts)], axis=1)
+        got = flow_rhs(ncmodel.profiles(p)[F_ETA](ts), ys)
+        want = np.stack([flow_rhs(f_eta(p, t), ys[:, k]) for k, t in enumerate(ts.tolist())], axis=1)
         assert got.shape == (2, 64)
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
 
@@ -208,7 +208,7 @@ def test_rk4_step_errors():
 def test_flow_rhs_rejects_vanishing_envelope():
     bad = np.array([0.0, 1.0], dtype=complex)
     with pytest.raises(ZeroDivisionError):
-        flow_rhs(COMMUTATIVE, 0.0, bad)
+        flow_rhs(0.5, bad)
 
 
 def test_theta_phase():
@@ -294,8 +294,8 @@ def _fd_residual(p, x, y, t, h=1e-6):
         dy = (psi(xx, yy + h, tt) - psi(xx, yy - h, tt)) / (2.0 * h)
         px_v = -1j * dx
         py_v = -1j * dy
-        ft = ncmodel.f_theta(p, tt)
-        fe = ncmodel.f_eta(p, tt)
+        ft = f_theta(p, tt)
+        fe = f_eta(p, tt)
         a1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
         a2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
         b = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)

@@ -6,12 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
-from oracle import slot_norm, string_commutator
+from oracle import f_eta, f_theta, slot_norm, string_commutator
 
 from ncdirac import ncmodel
 from ncdirac.errors import ConfigError
 from ncdirac.mat2 import ALPHA1, ALPHA2, BETA, ID2, SIGMA1, SIGMA2, SIGMA3
-from ncdirac.ncmodel import NCParams
+from ncdirac.ncmodel import ETA, F_ETA, F_THETA, THETA, NCParams
 from ncdirac.phasepoly import Coord, PhasePoly, commutator
 
 GRID = np.linspace(0.0, 2.0, 8)
@@ -62,13 +62,10 @@ def test_si_consistency_ratio_order():
 def test_time_profiles():
     p = NCParams(theta=0.1, eta=0.05, gamma=0.2)
     p0 = NCParams(theta=0.1, eta=0.05, gamma=0.0)
-    for t in GRID:
-        assert ncmodel.theta_of_t(p0, t) == 0.1
-        assert ncmodel.eta_of_t(p0, t) == 0.05
-    assert ncmodel.theta_of_t(p, 1.0) == pytest.approx(0.1 * math.exp(0.2), abs=1e-15)
-    for t in GRID:
-        prod = ncmodel.theta_of_t(p, t) * ncmodel.eta_of_t(p, t)
-        assert prod == pytest.approx(0.1 * 0.05, rel=1e-15)
+    assert np.all(ncmodel.profiles(p0)[[THETA, ETA]](GRID) == (0.1, 0.05))
+    assert ncmodel.profiles(p)[THETA](1.0) == pytest.approx(0.1 * math.exp(0.2), abs=1e-15)
+    theta, eta = ncmodel.profiles(p)[[THETA, ETA]](GRID).T
+    np.testing.assert_allclose(theta * eta, 0.1 * 0.05, rtol=1e-15)
 
 
 def test_bopp_shift_commutative_limit():
@@ -140,8 +137,8 @@ def test_verify_nc_algebra_against_string_oracle():
         ops = shifted(p, t)
         heff = ncmodel.hbar_eff(p)
         cases = [
-            (Coord.X, Coord.Y, 1j * ncmodel.theta_of_t(p, t)),
-            (Coord.PX, Coord.PY, 1j * ncmodel.eta_of_t(p, t)),
+            (Coord.X, Coord.Y, 1j * 0.1 * math.exp(0.2 * t)),
+            (Coord.PX, Coord.PY, 1j * 0.05 * math.exp(-0.2 * t)),
             (Coord.X, Coord.PX, 1j * heff),
             (Coord.Y, Coord.PY, 1j * heff),
             (Coord.X, Coord.PY, 0.0),
@@ -185,12 +182,12 @@ def test_all_deformed_commutators_identity_proportional():
 
 def test_f_theta_f_eta():
     p = NCParams(theta=0.1, gamma=0.0)
-    assert ncmodel.f_theta(p, 5.0) == pytest.approx(1.025, abs=1e-15)
+    assert ncmodel.profiles(p)[F_THETA](5.0) == pytest.approx(1.025, abs=1e-15)
     p0 = NCParams(theta=0.0, eta=0.0)
-    assert ncmodel.f_theta(p0, 1.0) == 1.0
-    assert ncmodel.f_eta(p0, 1.0) == 0.5
+    assert ncmodel.profiles(p0)[F_THETA](1.0) == 1.0
+    assert ncmodel.profiles(p0)[F_ETA](1.0) == 0.5
     p2 = NCParams(eta=0.05, gamma=0.2)
-    assert ncmodel.f_eta(p2, 1.0) == pytest.approx(0.5204683, abs=1e-7)
+    assert ncmodel.profiles(p2)[F_ETA](1.0) == pytest.approx(0.5204683, abs=1e-7)
 
 
 def test_h_commutative_slots():
@@ -246,8 +243,8 @@ def test_profiles_are_one_exponential_sum():
     assert prof.rates.tolist() == [0.0, 0.2, -0.2]
     ts = np.linspace(-1.0, 2.0, 5)
     columns = prof(ts)
-    for k, f in enumerate((ncmodel.theta_of_t, ncmodel.eta_of_t, ncmodel.f_theta, ncmodel.f_eta)):
-        assert np.array_equal(f(p, ts), columns[:, k])
+    for k in (THETA, ETA, F_THETA, F_ETA):
+        assert np.array_equal(prof[k](ts), columns[:, k])
     eb = p.e * p.B
     theta, eta = 0.1 * np.exp(0.2 * ts), 0.05 * np.exp(-0.2 * ts)
     want = np.stack([theta, eta, 1.0 + eb * theta / 4.0, eb / 2.0 + eta / 2.0], axis=1)
@@ -299,9 +296,7 @@ def test_h_nc_requires_hbar_one_when_deformed():
 def test_f_limits_in_commutative_reduction():
     for gamma in (0.0, 0.3):
         p = NCParams(theta=0.0, eta=0.0, gamma=gamma)
-        for t in GRID:
-            assert ncmodel.f_theta(p, t) == 1.0
-            assert ncmodel.f_eta(p, t) == 0.5 * p.e * p.B
+        assert np.all(ncmodel.profiles(p)[[F_THETA, F_ETA]](GRID) == (1.0, 0.5 * p.e * p.B))
 
 
 def nearest(p, t, energy):
@@ -319,7 +314,7 @@ def test_nearest_landau_level_of_an_array_is_the_brute_force_nearest(p):
     # one call over energies of both signs; the oracle scans n <= 200 for each
     # energy and keeps the lowest n of equal distances. f_eta = 0 closes the gap
     t = 0.3
-    gap = abs(4.0 * p.hbar * ncmodel.f_theta(p, t) * ncmodel.f_eta(p, t))
+    gap = abs(4.0 * p.hbar * f_theta(p, t) * f_eta(p, t))
     levels = [math.sqrt(p.m * p.m + j * gap) for j in range(201)]
     energies = np.random.default_rng(7).uniform(-levels[150] - 1.0, levels[150] + 1.0, 300)
     energies = np.concatenate([energies, [0.0, -0.0, p.m, -p.m, levels[3], -levels[7]]])
@@ -345,7 +340,7 @@ def test_landau_levels_commutative_closed_form():
 def test_landau_levels_deformed_and_closed():
     p = NCParams(theta=0.1, eta=0.05, gamma=0.2)
     t = 0.7
-    gap = 4.0 * ncmodel.f_theta(p, t) * ncmodel.f_eta(p, t)
+    gap = 4.0 * f_theta(p, t) * f_eta(p, t)
     assert ncmodel.landau_gap(p, t) == pytest.approx(gap, rel=1e-15)
     assert ncmodel.landau_level(p.m, 3, -1, gap) == pytest.approx(-math.sqrt(1.0 + 3 * gap), rel=1e-15)
     # nearer level 2 in energy although nearer level 1 in energy squared
@@ -365,7 +360,7 @@ def test_time_forms_accept_arrays():
     ts = np.linspace(-1.0, 2.0, 7)
     theta, eta = 0.1 * np.exp(0.2 * ts), 0.05 * np.exp(-0.2 * ts)
     gap = 4.0 * (1.0 + 0.25 * theta) * (0.5 + 0.5 * eta)
-    np.testing.assert_allclose(ncmodel.theta_of_t(p, ts), theta, rtol=1e-15)
+    np.testing.assert_allclose(ncmodel.profiles(p)[THETA](ts), theta, rtol=1e-15)
     s_theta, s_eta = ncmodel.bopp_scales(p, ts)
     np.testing.assert_allclose(s_theta, 0.5 * theta, rtol=1e-15)
     np.testing.assert_allclose(s_eta, 0.5 * eta, rtol=1e-15)
@@ -375,7 +370,7 @@ def test_time_forms_accept_arrays():
     for k, t in enumerate(ts):
         level = ncmodel.landau_level(p.m, 2, -1, ncmodel.landau_gap(p, float(t)))
         assert level == pytest.approx(-math.sqrt(1.0 + 2 * gap[k]), rel=1e-15)
-    assert isinstance(ncmodel.theta_of_t(p, 0.5), float)
+    assert isinstance(ncmodel.profiles(p)[THETA](0.5), float)
 
 
 def test_landau_level_of_a_tiny_mass_does_not_underflow():
