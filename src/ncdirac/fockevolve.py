@@ -11,6 +11,14 @@ compiled once into one (2N, 2N) block per mode, on (mode, spinor), so every
 application is two per-mode block products. The canonical pair defect of the
 truncation is confined to the top oscillator level n = N-1 of each mode.
 
+The Hamiltonians of ``ncmodel`` have real coefficients on sigma_1 p_x,
+sigma_2 p_y, sigma_1 y, sigma_2 x and sigma_3, so in the Fock basis rotated
+by i^{n_y} on mode y and by diag(1, i) on the spinor every matrix element of
+theirs is real. ``evolve`` runs there: a Lanczos recurrence from a real state
+(the displaced probe, at t0) runs in float64, a spectrum of a complex state
+a + ib on the real vector (a, b), and only a propagation from a complex state
+in complex arithmetic. The history it returns is rotated back.
+
 The history is a list of segments. A Lanczos run that resolves more samples
 than it has basis vectors is kept as its coefficients C on its basis V
 (sample k is C[k] @ V) and measured in that space; every other run is stored
@@ -45,7 +53,7 @@ KRYLOV_MAX = 40
 #: error estimate, relative to |psi|, within which a Krylov sample is written
 KRYLOV_TOL = 1e-14
 #: most sub-steps the generator-norm bound may ask of one evolution; it counts
-#: low: a fock_N=16 step it puts at 903 takes 2048 (3.4-3.8 s, one thread, 2 vCPUs)
+#: low: a fock_N=16 step it puts at 903 takes 2048 (about 5 s, one thread, 2 vCPUs)
 MAX_SUBSTEPS = 1024
 
 
@@ -67,11 +75,13 @@ def dense_bytes(N: int, n_t: int) -> int:
     truncation (dimension 2 N^2) over n_t samples holds at its peak, in the
     worst case that every sample is stored as a row: the stored states, the
     KRYLOV_MAX + 1 Lanczos basis vectors and BLOCK_IMAGES arrays the size of
-    a block of BLOCK_ROWS states in the observables pass. The worst case is
-    reached by a generator that changes every step, and by a constant one
-    whenever each Lanczos space resolves no more samples than it has vectors
-    (a long dt): such spaces are stored as rows too. Only a space that
-    resolves more is kept as coefficients on its basis."""
+    a block of BLOCK_ROWS states in the observables pass. The basis is
+    charged as complex: a float64 one from a real state takes half that, one
+    on the two real planes of a complex state (an end spectrum) the same.
+    The worst case is reached by a generator that changes every step, and by
+    a constant one whenever each Lanczos space resolves no more samples than
+    it has vectors (a long dt): such spaces are stored as rows too. Only a
+    space that resolves more is kept as coefficients on its basis."""
     return 16 * 2 * N * N * (n_t + KRYLOV_MAX + 1 + BLOCK_IMAGES * BLOCK_ROWS)
 
 
@@ -108,13 +118,17 @@ def _mode_blocks(polys: Sequence[PhasePoly], rep: FockRep) -> np.ndarray:
 def _block_action(blocks: np.ndarray, rep: FockRep) -> Callable[[np.ndarray], np.ndarray]:
     """v -> G v on one state (dim,) or a block (rows, dim) for the G with
     per-mode blocks (2, 2N, 2N): one product on the rows as stored (mode y)
-    and one on the rows with the mode axes swapped (mode x)."""
+    and one on the rows with the mode axes swapped (mode x). A complex state
+    takes a complex copy of real blocks, made once: a product of complex
+    rows with real blocks would cast the blocks anew each time."""
     n, n2 = rep.N, 2 * rep.N
-    right_x, right_y = blocks[0].T, blocks[1].T
+    right = blocks[0].T, blocks[1].T
+    right_complex = tuple(b.astype(complex) for b in right)
 
     def g(psi: np.ndarray) -> np.ndarray:
         if psi.shape[-1] != rep.dim:
             raise ValueError(f"state size {psi.shape[-1]} does not match dim {rep.dim}")
+        right_x, right_y = right_complex if psi.dtype.kind == "c" else right
         rows = psi.reshape(-1, n, n, 2)
         out = (psi.reshape(-1, n2) @ right_y).reshape(rows.shape)
         swapped = rows.transpose(0, 2, 1, 3).reshape(-1, n2) @ right_x
@@ -129,6 +143,21 @@ def operator(poly: PhasePoly, rep: FockRep) -> Callable[[np.ndarray], np.ndarray
     per-mode blocks (DegreeError here on a higher degree; the action raises
     ValueError on a state of another size)."""
     return _block_action(_mode_blocks([poly], rep)[0], rep)
+
+
+#: the phases i^k, k = 0..3, exact as complex numbers
+_PHASES = np.array([1.0, 1j, -1.0, -1j])
+
+
+def _rotation(rep: FockRep) -> np.ndarray:
+    """The diagonal phases (2, 2N) of the rotated basis on (mode x, spinor)
+    and on (mode y, spinor): diag(1, i) on the spinor, and i^n on oscillator
+    level n of mode y only. There the matrices of x and p_y are real, those
+    of p_x and y imaginary, and sigma_1, sigma_2, sigma_3 become -sigma_2,
+    sigma_1, sigma_3. A block B rotates to conj(r)[:, None] * B * r[None, :],
+    and a state psi to phi with psi = R phi, R the mode-y phases tiled N times."""
+    spin = _PHASES[:2]
+    return np.stack([np.tile(spin, rep.N), np.kron(_PHASES[np.arange(rep.N) % 4], spin)])
 
 
 def coherent_state(
@@ -269,19 +298,24 @@ def _lanczos(g: Callable[[np.ndarray], np.ndarray], psi: np.ndarray) -> Iterator
     projected tridiagonal T = V^dag G V of size j + 1, the norm beta of the
     next residual vector, and whether v_j is the last vector. The basis is
     kept orthonormal by full reorthogonalization (two classical Gram-Schmidt
-    passes), so T stays faithful. The recurrence stops after KRYLOV_MAX
-    vectors, after psi.size vectors, or when the residual keeps less than
-    KRYLOV_TOL of the norm of G v_j: the space is then invariant under G.
-    A basis row or a block of T is never written after it is yielded, so a
-    recorded recurrence replays bit for bit.
+    passes), so T stays faithful. psi is one state or a stack of states, on
+    each of which g applies G: a basis row is then the stack, flattened, and
+    the space spans no more vectors than one state has entries, since G's
+    minimal polynomial annihilates each. The recurrence stops after
+    KRYLOV_MAX vectors, after psi.shape[-1] vectors, or when the residual
+    keeps less than KRYLOV_TOL of the norm of G v_j: the space is then
+    invariant under G. A basis row or a block of T is never written after it
+    is yielded, so a recorded recurrence replays bit for bit. The basis takes
+    psi's dtype: a real psi under a real symmetric G runs in float64.
     """
-    basis = np.empty((KRYLOV_MAX + 1, psi.size), dtype=complex)
-    basis[0] = psi / np.linalg.norm(psi)
+    states = np.empty((KRYLOV_MAX + 1, *psi.shape), dtype=np.result_type(psi, 1.0))
+    basis = states.reshape(KRYLOV_MAX + 1, psi.size)
+    basis[0] = psi.ravel() / np.linalg.norm(psi)
     t = np.zeros((KRYLOV_MAX + 1, KRYLOV_MAX + 1))
-    limit = min(KRYLOV_MAX, psi.size)
+    limit = min(KRYLOV_MAX, psi.shape[-1])
     for j in range(limit):
         v = basis[: j + 1]
-        w = g(basis[j])
+        w = g(states[j]).ravel()
         image = np.linalg.norm(w)
         for _ in range(2):
             overlap = (w.conj() @ v.T).conj()  # v^dag w, without a conjugated copy of v
@@ -389,7 +423,8 @@ def krylov_step(
                     raise FloatingPointError("Krylov step found no convergent sub-step")
             segment = Segment(psi[None])
         done += segment.size
-        psi = segment.row(-1)
+        if done < n:
+            psi = segment.row(-1)
         yield segment
 
 
@@ -410,6 +445,13 @@ def spectral_weights(g: Callable[[np.ndarray], np.ndarray], psi: np.ndarray) -> 
     within ``residual[i]`` of every ``ritz[i]``.
     """
     return _ritz(list(_lanczos(g, psi)))
+
+
+def _real_planes(phi: np.ndarray) -> np.ndarray:
+    """phi when real, else its real planes as the rows (a, b) of phi = a + ib.
+    Under a real symmetric G their spectral measure mu_a + mu_b is that of
+    phi, so their Lanczos recurrence runs in float64 with phi's tridiagonal."""
+    return np.stack([phi.real, phi.imag]) if np.iscomplexobj(phi) else phi
 
 
 class LevelTrack(NamedTuple):
@@ -477,13 +519,25 @@ def evolve(
     vectors; otherwise ``spectral_weights`` runs at each end after the
     propagation. A grid whose steps need more than MAX_SUBSTEPS sub-steps
     raises ConfigError first. The per-mode blocks of H's fixed parts are
-    built once and combined per run and at the two ends; no generator-sized
+    built once and combined per run and at the two ends, each by one product
+    of a coefficient row with the flattened blocks; no generator-sized
     matrix is built or decomposed. A Lanczos
     space that resolves more samples than it has vectors is kept as a segment
     of coefficients on its basis; the samples of every other space are
     stored as rows, consecutive stored rows joined into segments of at least
     BLOCK_ROWS rows, so that joining never holds a second copy of more than
     a block.
+
+    The recurrences run in the basis rotated by ``_rotation``, where H's
+    blocks are real; a generator whose rotated blocks keep an imaginary part
+    raises ValueError. psi0 is rotated in and every segment rotated back
+    out, so the history is in the standard basis. A recurrence from a real
+    state runs in float64: from the probe coherent(alpha_x) (x) |0>_y (x) up
+    with real alpha_x, the shared recurrence of a constant generator, or the
+    first step and the t0 spectrum of a changing one. The t1 spectrum of a
+    complex state runs on its two real planes (``_real_planes``). A
+    propagation from a complex state stays complex: its exp(-i G t) mixes V
+    with i V, and stacked planes kept orthogonal to V drift from i V.
     """
     ts = np.asarray(t_grid, dtype=float)
     dt = _check_uniform(ts)
@@ -494,7 +548,15 @@ def evolve(
     if abs(nrm - 1.0) > 1e-10:
         raise ValueError(f"initial state must be unit norm, got {nrm}")
 
-    parts = _mode_blocks(h.polys, rep)
+    rotation = _rotation(rep)
+    parts = rotation.conj()[:, :, None] * _mode_blocks(h.polys, rep) * rotation[:, None, :]
+    if np.any(parts.imag):
+        raise ValueError(
+            "H is not real in the rotated Fock basis (i^n_y on mode y, diag(1, i) on the "
+            f"spinor): its imaginary part reaches {np.max(np.abs(parts.imag)):.3g}"
+        )
+    parts = parts.real.copy()
+    flat = parts.reshape(len(parts), -1)
     midpoints = h.value(ts[:-1] + 0.5 * dt)
     # a run starts at the first midpoint and wherever the coefficients change
     starts = np.flatnonzero(np.r_[True, np.any(midpoints[1:] != midpoints[:-1], axis=1)])
@@ -502,31 +564,40 @@ def evolve(
     _check_reachable(coeffs, counts, parts, rep, dt)
     ends = h.value(ts[[0, -1]])
     shared = len(starts) == 1 and bool(np.all(ends == coeffs[0]))
+
+    def generator(c: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        return _block_action((c @ flat).reshape(parts.shape[1:]), rep)
+
+    phase = np.tile(rotation[1], rep.N)  # psi = phase * phi
+    phi = phase.conj() * psi
+    phi = start = phi if np.any(phi.imag) else phi.real.copy()
     segments, stored = [], [psi[None]]
     size, first = 0, None
     for c, n in zip(coeffs, counts.tolist()):
-        g = _block_action(np.tensordot(c, parts, 1), rep)
+        g = generator(c)
         if shared:
-            first = list(_lanczos(g, psi))
+            first = list(_lanczos(g, phi))
             spectra = (_ritz(first),) * 2
-        for segment in krylov_step(g, psi, dt, n, size, first):
+        for segment in krylov_step(g, phi, dt, n, size, first):
             if segment.coeffs is not None:
                 size = len(segment.basis)
             projected = segment.coeffs is not None and segment.size > len(segment.basis)
-            if not projected:
-                stored.append(segment.rows())
+            if projected:
+                phi = segment.row(-1)
+            else:
+                rows = segment.rows()
+                phi = rows[-1]
+                stored.append(phase * rows)
             if stored and (projected or sum(map(len, stored)) >= BLOCK_ROWS):
                 segments.append(Segment(np.concatenate(stored)))
                 stored = []
             if projected:
-                segments.append(segment)
-            psi = segment.row(-1)
+                segments.append(Segment(phase * segment.basis, segment.coeffs))
     if stored:
         segments.append(Segment(np.concatenate(stored)))
     if not shared:
         spectra = tuple(
-            spectral_weights(_block_action(np.tensordot(c, parts, 1), rep), state)
-            for c, state in zip(ends, (segments[0].row(0), segments[-1].row(-1)))
+            spectral_weights(generator(c), _real_planes(end)) for c, end in zip(ends, (start, phi))
         )
     return EvolvedState(ts, tuple(segments), spectra)
 

@@ -6,6 +6,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncdirac import fockevolve, invariant, lrsolve, ncmodel
 from ncdirac.errors import DegreeError
@@ -25,7 +26,7 @@ from ncdirac.fockevolve import (
     spectral_weights,
     track_level,
 )
-from ncdirac.mat2 import ID2
+from ncdirac.mat2 import ID2, SIGMA1
 from ncdirac.ncmodel import NCParams
 from ncdirac.phasepoly import AffineOp, Coord, PhasePoly, commutator
 from oracle import ehrenfest_drift, f_eta, f_theta, represent, resolved_expm1
@@ -317,6 +318,116 @@ def test_constant_generator_matches_exact_propagator_across_restarts(monkeypatch
     assert runs == [1000]
     assert len(spaces) >= 2
     assert np.max(np.abs(ev.states - exact)) <= 1e-13
+
+
+def rotated_blocks(polys, rep):
+    """The per-mode blocks of polys in the rotated basis, still complex."""
+    r = fockevolve._rotation(rep)
+    return r.conj()[:, :, None] * fockevolve._mode_blocks(polys, rep) * r[:, None, :]
+
+
+def full_phase(rep):
+    """The full-space phases R of the rotated basis: psi = R phi."""
+    return np.tile(fockevolve._rotation(rep)[1], rep.N)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    st.builds(
+        NCParams,
+        theta=st.floats(-1.0, 1.0),
+        eta=st.floats(-1.0, 1.0),
+        gamma=st.floats(-1.0, 1.0),
+        B=st.floats(-2.0, 2.0),
+        e=st.floats(-2.0, 2.0),
+        m=st.floats(0.1, 2.0),
+    ),
+    st.floats(-2.0, 2.0),
+    st.integers(2, 9),
+)
+def test_hamiltonians_are_real_in_the_rotated_basis(p, t, n):
+    # the rotation multiplies by +-1 and +-i only: the fixed parts and H(t)
+    # of both Hamiltonians have an imaginary part of exactly 0.0 there
+    rep = build_fock_rep(n, 0.7)
+    r = fockevolve._rotation(rep)
+    levels = np.kron(1j ** np.arange(n), [1.0, 1j])
+    assert np.array_equal(r, [np.tile([1.0, 1j], n), levels])
+    for h in (ncmodel.build_h_nc(p), ncmodel.build_h_commutative(p)):
+        for polys in (h.polys, [h.at(t)]):
+            assert np.all(rotated_blocks(polys, rep).imag == 0.0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.integers(2, 12), st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0))
+def test_states_rotate_out_and_back_exactly(n, seed, alpha):
+    # a random complex state rotated in and back out is the same bits, and
+    # the displaced probe of cmd_evolve (real alpha_x, vacuum y, spin up) is
+    # real in the rotated basis
+    rep = build_fock_rep(n, 1.0)
+    phase = full_phase(rep)
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=rep.dim) + 1j * rng.normal(size=rep.dim)
+    assert (phase * (phase.conj() * psi)).tobytes() == psi.tobytes()
+    assert (phase.conj() * (phase * psi)).tobytes() == psi.tobytes()
+    assert np.all((phase.conj() * coherent_state(rep, alpha_x=alpha)).imag == 0.0)
+
+
+def test_evolve_refuses_a_generator_that_is_not_real_in_the_rotated_basis():
+    # sigma_1 x: sigma_1 turns imaginary and x stays real, so the rotated
+    # block keeps the entries of x, up to sqrt(5/2) at fock_N=6
+    rep = build_fock_rep(6, 1.0)
+    h = AffineOp.time_constant(PhasePoly.monomial(SIGMA1, Coord.X))
+    assert np.max(np.abs(rotated_blocks(h.polys, rep).imag)) == pytest.approx(math.sqrt(2.5))
+    with pytest.raises(ValueError, match="not real in the rotated Fock basis.* reaches 1.58"):
+        evolve(h, rep, coherent_state(rep), np.linspace(0.0, 1.0, 3))
+
+
+def record_lanczos(monkeypatch):
+    """Record the dtype and size of the start vector of each Lanczos recurrence."""
+    starts = []
+    lanczos = fockevolve._lanczos
+
+    def recording(g, psi):
+        starts.append((psi.dtype, psi.size))
+        return lanczos(g, psi)
+
+    monkeypatch.setattr(fockevolve, "_lanczos", recording)
+    return starts
+
+
+def test_recurrences_from_real_states_run_in_float64(monkeypatch):
+    # the displaced probe is real in the rotated basis: a changing generator's
+    # first step and t0 spectrum run in float64, its t1 spectrum on the two
+    # real planes of the complex psi(t1), and its other steps in complex
+    real, cplx = np.dtype(float), np.dtype(complex)
+    starts = record_lanczos(monkeypatch)
+
+    def run(p):
+        rep = build_fock_rep(8, lrsolve.magnetic_length(p))
+        probe = coherent_state(rep, alpha_x=1.0)
+        evolve(ncmodel.build_h_nc(p), rep, probe, np.linspace(0.0, 0.5, 51))
+        return rep.dim
+
+    dim = run(README)
+    assert starts == [(real, dim)] + [(cplx, dim)] * 49 + [(real, dim), (real, 2 * dim)]
+    # a constant generator: one float64 recurrence serves propagation and spectra
+    starts.clear()
+    dim = run(COMMUTATIVE)
+    assert starts == [(real, dim)]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_a_spectrum_on_real_planes_spans_no_more_than_the_state_space(n):
+    # below KRYLOV_MAX dimensions the complex recurrence of psi(t1) ends once
+    # it spans the state space; the recurrence of its real planes (Re, Im),
+    # twice as long, ends there too and not on rounding noise past it
+    rep = build_fock_rep(n, lrsolve.magnetic_length(README))
+    h = ncmodel.build_h_nc(README)
+    ev = evolve(h, rep, coherent_state(rep, alpha_x=1.0), np.linspace(0.0, 0.5, 51))
+    want = spectral_weights(operator(h.at(0.5), rep), ev.states[-1])
+    assert len(ev.spectra[1].ritz) == len(want.ritz) == rep.dim
+    assert np.max(np.abs(ev.spectra[1].ritz - want.ritz)) <= 1e-12
+    assert np.max(np.abs(ev.spectra[1].weight - want.weight)) <= 1e-12
 
 
 def switching(h, before, after, inside):
