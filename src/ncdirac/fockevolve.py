@@ -17,13 +17,16 @@ by i^{n_y} on mode y and by diag(1, i) on the spinor every matrix element of
 theirs is real. ``evolve`` runs there: a Lanczos recurrence from a real state
 (the displaced probe, at t0) runs in float64, a spectrum of a complex state
 a + ib on the real vector (a, b), and only a propagation from a complex state
-in complex arithmetic. The history it returns is rotated back.
+in complex arithmetic. The history it returns stays in that basis, with the
+phases that rotate it out.
 
 The history is a list of segments. A Lanczos run that resolves more samples
 than it has basis vectors is kept as its coefficients C on its basis V
 (sample k is C[k] @ V) and measured in that space; every other run is stored
 as rows. Every measured figure is a quadratic form in the state, so a
-segment's figures come from C and small Gram matrices of the images of V.
+segment's figures come from C and small Gram matrices of the images of V. In
+the rotated basis x and p_y are real, and p_x and y are i times real
+matrices, so the images of a float64 basis and their Gram matrix are real.
 """
 
 from __future__ import annotations
@@ -36,31 +39,46 @@ import numpy as np
 
 from . import ncmodel
 from .errors import ConfigError, DegreeError
-from .mat2 import ID2
 from .phasepoly import AffineOp, Coord, PhasePoly
 
 #: rows of the state history processed at once by the observables pass
 BLOCK_ROWS = 64
 #: block-sized arrays alive at once in the observables pass ``measure`` over
-#: stored rows: I psi, the four coordinate images, the mode-x product before
-#: its transposed copy and the swapped rows it came from (traced numpy peak
-#: 7.4 at fock_N=16, 7.2 at fock_N=32); a Lanczos segment's images are
-#: smaller, KRYLOV_MAX rows at most
+#: stored rows: the four coordinate images, the mode-x product (two arrays)
+#: and the rows with mode x leading it came from; I psi is gone by then
+#: (traced numpy peak 7.4 at fock_N=16, 7.2 at fock_N=32); a Lanczos
+#: segment's images are smaller, KRYLOV_MAX rows at most
 BLOCK_IMAGES = 8
 #: largest Lanczos space; a run needing more restarts, a step needing more is
 #: sub-stepped
 KRYLOV_MAX = 40
 #: error estimate, relative to |psi|, within which a Krylov sample is written
 KRYLOV_TOL = 1e-14
+#: residual, relative to |G v_j|, within which a Lanczos space is invariant:
+#: two orders above the rounding its recurrence leaves on an invariant space
+#: (about 1e-14 at 24 vectors, in complex or real arithmetic alike), so every
+#: arithmetic ends there. A space ended on a residual this small still
+#: states it: the samples and Ritz data it gives are judged with it
+KRYLOV_INVARIANT = 1e-12
 #: most sub-steps the generator-norm bound may ask of one evolution; it counts
 #: low: a fock_N=16 step it puts at 903 takes 2048 (about 5 s, one thread, 2 vCPUs)
 MAX_SUBSTEPS = 1024
 
+#: the phases i^k, k = 0..3, exact as complex numbers
+_PHASES = np.array([1.0, 1j, -1.0, -1j])
+#: the phases of a state and of its images under x, p_x, y and p_y in the
+#: rotated basis of ``_rotation``, each that phase times a real image
+_IMAGE_PHASES = np.array([1.0, 1.0, 1j, 1j, 1.0])
+
 
 @dataclass(frozen=True)
 class FockRep:
-    """Truncated representation: N levels per mode, oscillator scale ell, and
-    the single-mode (N, N) matrices of the coordinate x and the momentum p."""
+    """Truncated representation: N levels per mode, oscillator scale ell, the
+    single-mode (N, N) matrices of the coordinate x and the momentum p, and
+    the real matrices of the coordinates in the rotated basis of
+    ``_rotation``, each over its phase in _IMAGE_PHASES: ``pair_x`` the
+    (2N, N) left factor [x; p_x] on mode x, ``pair_y`` the (2N, 4N) right
+    factor of kron([y; p_y], 1_2) on (mode y, spinor)."""
 
     N: int
     ell: float
@@ -68,6 +86,8 @@ class FockRep:
     x: np.ndarray
     p: np.ndarray
     dim: int
+    pair_x: np.ndarray
+    pair_y: np.ndarray
 
 
 def dense_bytes(N: int, n_t: int) -> int:
@@ -98,7 +118,11 @@ def build_fock_rep(N: int, ell: float, hbar: float = 1.0) -> FockRep:
     ad = a.conj().T
     x = ell * (a + ad) / math.sqrt(2.0)
     p = 1j * hbar * (ad - a) / (math.sqrt(2.0) * ell)
-    return FockRep(N=N, ell=ell, hbar=hbar, x=x, p=p, dim=2 * N * N)
+    levels = _PHASES[np.arange(N) % 4]  # mode y's rotation; the spinor's cancels
+    y, py = levels.conj()[:, None] * np.stack([x, p]) * levels
+    real = (np.stack([x, p, y, py]) * _IMAGE_PHASES[1:, None, None].conj()).real
+    pair_y = np.kron(real[2:], np.eye(2)).reshape(4 * N, 2 * N).T.copy()
+    return FockRep(N, ell, hbar, x, p, 2 * N * N, real[:2].reshape(2 * N, N), pair_y)
 
 
 def _mode_blocks(polys: Sequence[PhasePoly], rep: FockRep) -> np.ndarray:
@@ -119,15 +143,20 @@ def _block_action(blocks: np.ndarray, rep: FockRep) -> Callable[[np.ndarray], np
     """v -> G v on one state (dim,) or a block (rows, dim) for the G with
     per-mode blocks (2, 2N, 2N): one product on the rows as stored (mode y)
     and one on the rows with the mode axes swapped (mode x). A complex state
-    takes a complex copy of real blocks, made once: a product of complex
-    rows with real blocks would cast the blocks anew each time."""
+    takes a complex copy of real blocks, made once, and a real state under
+    complex blocks is cast: a product of mixed dtypes casts anew each time,
+    and takes about 1.8 times as long as the cast and a complex product (23
+    rows at fock_N=16, one BLAS thread)."""
     n, n2 = rep.N, 2 * rep.N
     right = blocks[0].T, blocks[1].T
     right_complex = tuple(b.astype(complex) for b in right)
+    cast = np.iscomplexobj(blocks)
 
     def g(psi: np.ndarray) -> np.ndarray:
         if psi.shape[-1] != rep.dim:
             raise ValueError(f"state size {psi.shape[-1]} does not match dim {rep.dim}")
+        if cast:
+            psi = psi.astype(complex, copy=False)
         right_x, right_y = right_complex if psi.dtype.kind == "c" else right
         rows = psi.reshape(-1, n, n, 2)
         out = (psi.reshape(-1, n2) @ right_y).reshape(rows.shape)
@@ -136,17 +165,6 @@ def _block_action(blocks: np.ndarray, rep: FockRep) -> Callable[[np.ndarray], np
         return out.reshape(psi.shape)
 
     return g
-
-
-def operator(poly: PhasePoly, rep: FockRep) -> Callable[[np.ndarray], np.ndarray]:
-    """v -> P v for a degree-<=1 polynomial P, compiled once into its two
-    per-mode blocks (DegreeError here on a higher degree; the action raises
-    ValueError on a state of another size)."""
-    return _block_action(_mode_blocks([poly], rep)[0], rep)
-
-
-#: the phases i^k, k = 0..3, exact as complex numbers
-_PHASES = np.array([1.0, 1j, -1.0, -1j])
 
 
 def _rotation(rep: FockRep) -> np.ndarray:
@@ -158,6 +176,12 @@ def _rotation(rep: FockRep) -> np.ndarray:
     and a state psi to phi with psi = R phi, R the mode-y phases tiled N times."""
     spin = _PHASES[:2]
     return np.stack([np.tile(spin, rep.N), np.kron(_PHASES[np.arange(rep.N) % 4], spin)])
+
+
+def _rotated_blocks(polys: Sequence[PhasePoly], rep: FockRep) -> np.ndarray:
+    """The per-mode blocks of ``_mode_blocks`` in the rotated basis."""
+    rotation = _rotation(rep)
+    return rotation.conj()[:, :, None] * _mode_blocks(polys, rep) * rotation[:, None, :]
 
 
 def coherent_state(
@@ -184,8 +208,9 @@ def coherent_state(
 
 @dataclass(frozen=True)
 class Segment:
-    """Consecutive samples of an evolution: the rows of ``coeffs @ basis``,
-    or the rows of ``basis`` itself when ``coeffs`` is None."""
+    """Consecutive samples of an evolution, in the frame of its history: the
+    rows of ``coeffs @ basis``, or the rows of ``basis`` itself when
+    ``coeffs`` is None."""
 
     basis: np.ndarray  # (m, dim) Lanczos vectors, or the stored rows
     coeffs: np.ndarray | None = None  # (samples, m) on the basis
@@ -214,7 +239,8 @@ class Spectrum(NamedTuple):
 
 @dataclass(frozen=True)
 class EvolvedState:
-    """A unitary evolution sampled on a uniform grid, held as segments, with
+    """A unitary evolution sampled on a uniform grid, held as segments in a
+    rotated basis: the state of a segment row phi is ``frame * phi``. With
     ``spectra``: the Ritz data of H(t0) on the Lanczos space of psi(t0) and of
     H(t1) on that of psi(t1). When one generator served every step and is H
     at both ends, psi(t1) = exp(-i H (t1 - t0)) psi(t0) has the spectral
@@ -223,29 +249,55 @@ class EvolvedState:
     times: np.ndarray
     segments: tuple[Segment, ...]
     spectra: tuple[Spectrum, Spectrum]
+    frame: np.ndarray  # (dim,) unit phases, psi = frame * phi
 
     @property
     def states(self) -> np.ndarray:
-        """Every state as rows (n_t, dim), materialized on each access. The
-        package reads the segments; the benchmark's tracer reads this until
-        ROADMAP items 0 and 4 take its count into the package."""
-        return np.concatenate([segment.rows() for segment in self.segments])
+        """Every state as rows (n_t, dim) in the standard basis, materialized
+        on each access. The package reads the segments; the benchmark's
+        tracer reads this until ROADMAP items 0 and 4 take its count into the
+        package."""
+        rows = np.concatenate([segment.rows() for segment in self.segments], dtype=complex)
+        rows *= self.frame
+        return rows
 
     @property
     def norm_drift(self) -> float:
         """Largest |norm - 1| of any sample, from the actual Gram matrix of
-        each segment's basis (its orthonormality is not assumed)."""
-        norms = [_quadratic(seg.coeffs, seg.basis, seg.basis).real for seg in self.segments]
-        return float(np.max(np.abs(np.sqrt(np.concatenate(norms)) - 1.0)))
+        each segment's basis (its orthonormality is not assumed); the frame's
+        phases leave norms as they are."""
+        norms = [
+            np.vecdot(seg.basis, seg.basis)
+            if seg.coeffs is None
+            else np.vecdot(seg.coeffs, seg.coeffs @ _gram(seg.basis, seg.basis).T)
+            for seg in self.segments
+        ]
+        return float(np.max(np.abs(np.sqrt(np.concatenate(norms).real) - 1.0)))
 
 
-def _quadratic(coeffs: np.ndarray | None, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """<A psi_k|B psi_k> for every sample psi_k of a segment piece, from the
-    images a = A v_j and b = B v_j of its basis rows v_j: the samples are the
-    rows themselves when coeffs is None, else psi_k = sum_j coeffs[k, j] v_j."""
-    if coeffs is None:
-        return np.vecdot(a, b)
-    return np.vecdot(coeffs, coeffs @ (b @ a.conj().T))  # c^dag (a^dag b) c, row by row
+def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The matrix <a_j|b_k> of the rows of a and b, real for real rows.
+    Complex rows of a are conjugated BLOCK_ROWS at a time: a conjugate is a
+    copy, and the four images of a complex Lanczos basis at fock_N=48 take
+    11 MB."""
+    if a.dtype.kind != "c":
+        return a @ b.T
+    blocks = range(0, len(a), BLOCK_ROWS)
+    return np.concatenate([a[lo : lo + BLOCK_ROWS].conj() @ b.T for lo in blocks])
+
+
+def _forms(coeffs: np.ndarray, grams: np.ndarray, out: np.ndarray) -> None:
+    """out[f, k] = c_k^dag grams[f] c_k for the rows c_k of coeffs: the
+    quadratic forms of the samples psi_k = sum_j c_kj v_j of a segment, from
+    the matrices grams[f] = <a_j|b_k> of images a_j = A v_j, b_k = B v_k of its
+    basis. One product of BLOCK_ROWS coefficient rows with every form and one
+    batched contraction per block, so no temporary grows with the samples."""
+    n_forms, m = grams.shape[:2]
+    right = grams.transpose(2, 0, 1).reshape(m, n_forms * m)
+    for lo in range(0, len(coeffs), BLOCK_ROWS):
+        c = coeffs[lo : lo + BLOCK_ROWS]
+        images = (c @ right).reshape(len(c), n_forms, m)
+        out[:, lo : lo + len(c)] = (images @ c.conj()[:, :, None])[..., 0].T
 
 
 def _check_uniform(t_grid: np.ndarray) -> float:
@@ -303,7 +355,7 @@ def _lanczos(g: Callable[[np.ndarray], np.ndarray], psi: np.ndarray) -> Iterator
     the space spans no more vectors than one state has entries, since G's
     minimal polynomial annihilates each. The recurrence stops after
     KRYLOV_MAX vectors, after psi.shape[-1] vectors, or when the residual
-    keeps less than KRYLOV_TOL of the norm of G v_j: the space is then
+    keeps less than KRYLOV_INVARIANT of the norm of G v_j: the space is then
     invariant under G. A basis row or a block of T is never written after it
     is yielded, so a recorded recurrence replays bit for bit. The basis takes
     psi's dtype: a real psi under a real symmetric G runs in float64.
@@ -322,7 +374,7 @@ def _lanczos(g: Callable[[np.ndarray], np.ndarray], psi: np.ndarray) -> Iterator
             w -= overlap @ v
             t[j, j] += overlap[j].real
         beta = np.linalg.norm(w)
-        last = j + 1 == limit or beta <= KRYLOV_TOL * image
+        last = j + 1 == limit or beta <= KRYLOV_INVARIANT * image
         yield v, t[: j + 1, : j + 1], beta, last
         if last:
             return
@@ -330,21 +382,27 @@ def _lanczos(g: Callable[[np.ndarray], np.ndarray], psi: np.ndarray) -> Iterator
         t[j, j + 1] = t[j + 1, j] = beta
 
 
+def _estimate(tk: np.ndarray, lam: np.ndarray, s: np.ndarray, beta: float) -> np.ndarray:
+    """The error estimate tk beta |e_m^T phi1(-i tk T) e_1|, phi1(z) =
+    (e^z - 1)/z, relative to |psi|, of exp(-i G tk) psi from the Lanczos
+    space with T = s diag(lam) s^T, at each time of tk (Saad, SIAM J. Numer.
+    Anal. 29, 209 (1992); Hochbruck & Lubich, SIAM J. Numer. Anal. 34, 1911
+    (1997)). phi1(-i theta) = e^{-i theta/2} sin(theta/2)/(theta/2), 1 at
+    theta = 0, is taken in real arithmetic."""
+    weights = s[-1] * s[0]
+    half = 0.5 * np.multiply.outer(tk, lam)
+    sinc = np.divide(sin := np.sin(half), half, out=np.ones_like(half), where=half != 0)
+    return tk * beta * np.hypot((np.cos(half) * sinc) @ weights, (sin * sinc) @ weights)
+
+
 def _resolved(tau: float, lo: int, hi: int, lam: np.ndarray, s: np.ndarray, beta: float) -> int:
     """How many leading samples k tau, k = lo+1..hi, of exp(-i G k tau) psi
-    the Lanczos space with T = s diag(lam) s^T resolves: those whose error
-    estimate k tau beta |e_m^T phi1(-i k tau T) e_1|, phi1(z) = (e^z - 1)/z,
-    relative to |psi|, is within KRYLOV_TOL (Saad, SIAM J. Numer. Anal. 29,
-    209 (1992); Hochbruck & Lubich, SIAM J. Numer. Anal. 34, 1911 (1997)).
-    phi1(-i theta) = e^{-i theta/2} sin(theta/2)/(theta/2), 1 at theta = 0, is
-    taken in real arithmetic. The samples are scanned BLOCK_ROWS at a time."""
-    weights = s[-1] * s[0]
+    the Lanczos space with T = s diag(lam) s^T resolves: those whose
+    ``_estimate`` is within KRYLOV_TOL. The samples are scanned BLOCK_ROWS at
+    a time."""
     for a in range(lo, hi, BLOCK_ROWS):
         tk = tau * np.arange(a + 1, min(a + BLOCK_ROWS, hi) + 1)
-        half = 0.5 * np.multiply.outer(tk, lam)
-        sinc = np.divide(sin := np.sin(half), half, out=np.ones_like(half), where=half != 0)
-        estimate = tk * beta * np.hypot((np.cos(half) * sinc) @ weights, (sin * sinc) @ weights)
-        bad = np.flatnonzero(~(estimate <= KRYLOV_TOL))
+        bad = np.flatnonzero(~(_estimate(tk, lam, s, beta) <= KRYLOV_TOL))
         if bad.size:
             return a - lo + int(bad[0])
     return hi - lo
@@ -371,7 +429,7 @@ def _krylov_run(
         if len(v) < size - 1 and not last:
             continue
         lam, s = np.linalg.eigh(t)
-        if _resolved(tau, n - 1, n, lam, s, beta):
+        if _estimate(np.array([tau * n]), lam, s, beta)[0] <= KRYLOV_TOL:
             resolved = _resolved(tau, 0, n - 1, lam, s, beta) + 1
             if resolved == n:
                 break
@@ -530,8 +588,9 @@ def evolve(
 
     The recurrences run in the basis rotated by ``_rotation``, where H's
     blocks are real; a generator whose rotated blocks keep an imaginary part
-    raises ValueError. psi0 is rotated in and every segment rotated back
-    out, so the history is in the standard basis. A recurrence from a real
+    raises ValueError. psi0 is rotated in, and the history stays in the
+    rotated basis, with its phases as ``EvolvedState.frame``: a Lanczos
+    segment keeps the basis its recurrence built. A recurrence from a real
     state runs in float64: from the probe coherent(alpha_x) (x) |0>_y (x) up
     with real alpha_x, the shared recurrence of a constant generator, or the
     first step and the t0 spectrum of a changing one. The t1 spectrum of a
@@ -548,8 +607,7 @@ def evolve(
     if abs(nrm - 1.0) > 1e-10:
         raise ValueError(f"initial state must be unit norm, got {nrm}")
 
-    rotation = _rotation(rep)
-    parts = rotation.conj()[:, :, None] * _mode_blocks(h.polys, rep) * rotation[:, None, :]
+    parts = _rotated_blocks(h.polys, rep)
     if np.any(parts.imag):
         raise ValueError(
             "H is not real in the rotated Fock basis (i^n_y on mode y, diag(1, i) on the "
@@ -568,10 +626,10 @@ def evolve(
     def generator(c: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         return _block_action((c @ flat).reshape(parts.shape[1:]), rep)
 
-    phase = np.tile(rotation[1], rep.N)  # psi = phase * phi
-    phi = phase.conj() * psi
+    frame = np.tile(_rotation(rep)[1], rep.N)  # psi = frame * phi
+    phi = frame.conj() * psi
     phi = start = phi if np.any(phi.imag) else phi.real.copy()
-    segments, stored = [], [psi[None]]
+    segments, stored = [], [phi[None]]
     size, first = 0, None
     for c, n in zip(coeffs, counts.tolist()):
         g = generator(c)
@@ -587,19 +645,19 @@ def evolve(
             else:
                 rows = segment.rows()
                 phi = rows[-1]
-                stored.append(phase * rows)
+                stored.append(rows)
             if stored and (projected or sum(map(len, stored)) >= BLOCK_ROWS):
                 segments.append(Segment(np.concatenate(stored)))
                 stored = []
             if projected:
-                segments.append(Segment(phase * segment.basis, segment.coeffs))
+                segments.append(segment)
     if stored:
         segments.append(Segment(np.concatenate(stored)))
     if not shared:
         spectra = tuple(
             spectral_weights(generator(c), _real_planes(end)) for c, end in zip(ends, (start, phi))
         )
-    return EvolvedState(ts, tuple(segments), spectra)
+    return EvolvedState(ts, tuple(segments), spectra, frame)
 
 
 @dataclass(frozen=True)
@@ -644,66 +702,82 @@ class Observables(NamedTuple):
     edge: float  # largest weight of any state on the top level of either mode
 
 
-def _pair_images(pair: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The images z psi and p_z psi of the mode on axis 2 of states viewed as
-    (rows, N, N, 2), from one matrix product with ``pair``, the (2N, 4N) right
-    factor of kron([x; p], 1_2); stacked as (2, rows, N, N, 2)."""
-    n, m = rows.shape[:2]
-    images = rows.reshape(-1, pair.shape[0]) @ pair
-    return images.reshape(n, m, 2, -1, 2).transpose(2, 0, 1, 3, 4)
+def _images(rep: FockRep, rows: np.ndarray) -> np.ndarray:
+    """The images of rows (n, dim) in the rotated basis under x, p_x, y and
+    p_y, each over its phase in _IMAGE_PHASES, stacked as (4, n, dim): one
+    product per mode, ``rep.pair_x`` on the left of the rows with mode x
+    leading, ``rep.pair_y`` on the right. Real rows have real images."""
+    n, m = len(rows), rep.N
+    out = np.empty((4, n, m, 2 * m), dtype=rows.dtype)
+    rows = rows.reshape(n, m, 2 * m)
+    images = rep.pair_x @ rows.transpose(1, 0, 2).reshape(m, -1)
+    out[:2] = images.reshape(2, m, n, 2 * m).transpose(0, 2, 1, 3)
+    del images
+    images = rows.reshape(-1, 2 * m) @ rep.pair_y
+    out[2:] = images.reshape(n, m, 2, 2 * m).transpose(2, 0, 1, 3)
+    return out.reshape(4, n, rep.dim)
 
 
 #: the Gram entries <z psi|w psi> of the coordinate images that ``measure``
 #: takes, z before w in the order x, px, y, py
 _GRAM = tuple((i, j) for i in range(4) for j in range(i, 4))
+#: the forms <a|b> that ``measure`` takes, a and b numbering the state (0)
+#: and its ``_images`` (1-4): the means of x, px, y and py, then _GRAM
+_FORMS = np.array([(0, 1 + z) for z in range(4)] + [(1 + z, 1 + w) for z, w in _GRAM]).T
 
 
 def measure(
     i_op: PhasePoly, rep: FockRep, evolved: EvolvedState, scales: tuple[np.ndarray, np.ndarray]
 ) -> Observables:
-    """Measure the history in one pass over its segments: a stored segment
-    BLOCK_ROWS rows at a time, a Lanczos segment in its basis.
+    """Measure the history in one pass over its segments, in the rotated
+    basis ``evolve`` holds it in: a stored segment BLOCK_ROWS rows at a time,
+    a Lanczos segment in its basis.
 
-    Each piece gives per-sample moments through ``_quadratic``: <I> for the
-    degree-<=1 invariant I (its images from ``operator``), the means of x,
-    px, y and py and the Gram entries of their images (one ``_pair_images``
-    product per mode), and the weight on the top oscillator level n = N-1 of
-    either mode, where the truncation defect lives. The moments give <I>(t)
-    and its drift, the Robertson data of (x, px) and (y, py), and, expanded,
-    those of the Bopp pair (x - s_theta(t) py, px + s_eta(t) y), where
-    ``scales`` holds the arrays (s_theta, s_eta) at the samples.
+    Each piece gives per-sample moments: <I> for the degree-<=1 invariant I,
+    from its own image (its rotated blocks are complex for a spinful I), the
+    means of x, px, y and py and the Gram entries of their images (one
+    ``_images`` product per mode), and the weight on the top oscillator
+    level n = N-1 of either mode, where the truncation defect lives. A stored
+    row gives them as inner products. A Lanczos segment gives them as
+    quadratic forms in its coefficients (``_forms``), with the coordinate
+    forms from the Gram matrices of the basis and of its images against its
+    images, real for a float64 basis. The moments give <I>(t) and its drift, the
+    Robertson data of (x, px) and (y, py), and, expanded, those of the Bopp
+    pair (x - s_theta(t) py, px + s_eta(t) y), where ``scales`` holds the
+    arrays (s_theta, s_eta) at the samples.
     """
-    i_psi = operator(i_op, rep)
-    factor = np.vstack([np.kron(rep.x, ID2), np.kron(rep.p, ID2)]).T
+    i_psi = _block_action(_rotated_blocks([i_op], rep)[0], rep)
+    left, right = _FORMS
     top = np.zeros((rep.N, rep.N, 2), dtype=bool)
     top[-1] = top[:, -1] = True
     top = top.ravel()
-    moments = np.empty((6 + len(_GRAM), len(evolved.times)), dtype=complex)
+    moments = np.empty((2 + len(left), len(evolved.times)), dtype=complex)
     k = 0
     for segment in evolved.segments:
-        coeffs = segment.coeffs
-        step = len(segment.basis) if coeffs is not None else BLOCK_ROWS
-        for lo in range(0, len(segment.basis), step):
-            basis = segment.basis[lo : lo + step]
-            i_basis = i_psi(basis)
-            n = len(basis)
-            rows = basis.reshape(n, rep.N, rep.N, 2)
-            swapped = rows.transpose(0, 2, 1, 3)  # mode x on axis 2, its images transposed back
-            x, px = _pair_images(factor, swapped).transpose(0, 1, 3, 2, 4).reshape(2, n, -1)
-            y, py = _pair_images(factor, rows).reshape(2, n, -1)
-            images = (x, px, y, py)
+        basis = segment.basis
+        if segment.coeffs is None:
+            for lo in range(0, len(basis), BLOCK_ROWS):
+                rows = basis[lo : lo + BLOCK_ROWS]
+                out = moments[:, k + lo : k + lo + len(rows)]
+                out[0] = np.vecdot(rows, i_psi(rows))
+                images = (rows, *_images(rep, rows))
+                for row, a, b in zip(out[1:-1], left, right):
+                    row[:] = np.vecdot(images[a], images[b])
+                edge = rows[:, top]
+                out[-1] = np.vecdot(edge, edge)
+                del images  # not kept beside the next block's
+        else:
+            m = len(basis)
+            i_form = _gram(basis, i_psi(basis))
+            images = _images(rep, basis).reshape(4 * m, -1)
+            coords = np.concatenate([_gram(basis, images), _gram(images, images)])
+            coords = coords.reshape(5, m, 4, m)[left, :, right - 1]
             edge = basis[:, top]
-            forms = [
-                (basis, i_basis),
-                *((basis, z) for z in images),
-                *((images[i], images[j]) for i, j in _GRAM),
-                (edge, edge),
-            ]
-            hi = k + (n if coeffs is None else len(coeffs))
-            for row, (a, b) in zip(moments, forms):
-                row[k:hi] = _quadratic(coeffs, a, b)
-            k = hi
-            del i_basis, x, px, y, py, images, edge, forms  # not kept beside the next piece's
+            forms = np.concatenate([i_form[None], coords, _gram(edge, edge)[None]])
+            _forms(segment.coeffs, forms, moments[:, k : k + segment.size])
+            del images, coords, forms  # not kept beside the next segment's
+        k += segment.size
+    moments[1:-1] *= (_IMAGE_PHASES.conj()[left] * _IMAGE_PHASES[right])[:, None]
     values, mean, weight = moments[0], moments[1:5].real, moments[-1].real
     gram = dict(zip(_GRAM, moments[5:-1]))
     drift = values - values[0]

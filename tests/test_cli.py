@@ -35,6 +35,12 @@ def run(tmp_path, *argv):
     return main([*argv, "--out", str(tmp_path)])
 
 
+def read_csv(path):
+    """The rows of a CSV artifact, the file closed on return."""
+    with path.open(newline="") as f:
+        return list(csv.reader(f))
+
+
 def test_verify_algebra_default_passes(tmp_path):
     assert run(tmp_path, "verify-algebra") == 0
     report = json.loads((tmp_path / "algebra_report.json").read_text())
@@ -225,7 +231,7 @@ def test_invariant_commutative(tmp_path):
     assert report["dimension"] == 2
     assert report["constants_in_nullspace"] is True
     assert report["constants_max_invariance_residual"] <= 1e-13
-    rows = list(csv.reader((tmp_path / "residuals.csv").open()))
+    rows = read_csv(tmp_path / "residuals.csv")
     assert rows[0][0] == "t" and rows[0][1] == "25a" and rows[0][-2] == "25o"
     assert len(rows) == 1 + 16
 
@@ -311,7 +317,7 @@ def test_invariant_machine_checks_pass_at_hbar_not_one(tmp_path, hbar):
 
 def test_xi_commutative(tmp_path):
     assert run(tmp_path, "xi", "--t1", "5.0") == 0
-    rows = list(csv.reader((tmp_path / "xi_trajectory.csv").open()))
+    rows = read_csv(tmp_path / "xi_trajectory.csv")
     assert rows[0] == [
         "t", "re_xi1", "im_xi1", "re_xi2", "im_xi2", "re_F1", "im_F1",
         "re_F2", "im_F2", "dev_xi1", "dev_xi2", "dev_F1", "dev_F2",
@@ -330,7 +336,7 @@ def test_xi_zero_mass_exits_2(tmp_path, capsys):
 
 def test_xi_nc_branch_values(tmp_path):
     assert run(tmp_path, "xi", "--gamma", "0.2", "--eta", "0.05", "--t1", "2.0") == 0
-    rows = list(csv.reader((tmp_path / "xi_trajectory.csv").open()))
+    rows = read_csv(tmp_path / "xi_trajectory.csv")
     # decaying-branch contribution: |xi1| at late times differs from the
     # stationary value 0.25 of the undeformed run
     last = rows[-1]
@@ -380,7 +386,7 @@ def test_steps_finer_than_the_float_spacing_exit_2(tmp_path, capsys, command):
 
 def test_evolve_constrained_passes(tmp_path):
     assert run(tmp_path, "evolve", *FAST) == 0
-    rows = list(csv.reader((tmp_path / "evolution.csv").open()))
+    rows = read_csv(tmp_path / "evolution.csv")
     assert rows[0] == ["t", "re_I", "drift", "dx_dpx", "bound", "margin", "E_tracked"]
     data = np.array([[float(v) for v in r] for r in rows[1:]])
     assert data[:, 2].max() <= 1e-6  # drift column
@@ -433,7 +439,7 @@ def test_evolve_landau_scale_carries_hbar(tmp_path, capsys):
     assert err0 <= 1e-5 and err1 <= 1e-5
     assert res0 <= 1e-2 and res1 <= 1e-2
     assert edge <= 1e-12
-    rows = list(csv.reader((tmp_path / "evolution.csv").open()))
+    rows = read_csv(tmp_path / "evolution.csv")
     assert all(float(row[-1]) == 1.0 for row in rows[1:])  # E_0 = m
 
 
@@ -461,7 +467,7 @@ def test_evolve_exits_1_when_the_level_pick_is_ambiguous(tmp_path, capsys):
     assert err.startswith("check failed: level-resolution ratio of n=0")
     # the n = 0 (+) level is m, not the 0 of an underflowing m^2
     assert "Landau level n=0 (+)" in out
-    rows = list(csv.reader((tmp_path / "tiny-m" / "evolution.csv").open()))
+    rows = read_csv(tmp_path / "tiny-m" / "evolution.csv")
     assert {float(row[-1]) for row in rows[1:]} == {1e-300}
     # the README run resolves its level to a ratio of about 2e-6
     assert run(tmp_path / "readme", "evolve", "--theta=0.1", "--eta=0.05", "--gamma=0.2") == 0

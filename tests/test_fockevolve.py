@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -21,7 +22,6 @@ from ncdirac.fockevolve import (
     evolve,
     krylov_step,
     measure,
-    operator,
     robertson,
     spectral_weights,
     track_level,
@@ -53,9 +53,23 @@ def observe(rep, ev, i_op=PhasePoly.constant(ID2), p=COMMUTATIVE):
 NO_SPECTRA = (Spectrum(np.empty(0), np.empty(0), np.empty(0)),) * 2
 
 
-def stored(times, states):
-    """An evolution history of stored rows."""
-    return EvolvedState(np.asarray(times, dtype=float), (Segment(np.asarray(states)),), NO_SPECTRA)
+def history(rep, times, basis, coeffs=None):
+    """An evolution history of one segment, given in the standard basis and
+    held, as evolve holds it, in the rotated one: stored rows when coeffs is
+    None, else coefficients on the rows of basis."""
+    frame = full_phase(rep)
+    segment = Segment(frame.conj() * np.asarray(basis), coeffs)
+    return EvolvedState(np.asarray(times, dtype=float), (segment,), NO_SPECTRA, frame)
+
+
+def dense(poly, rep):
+    """v -> P v by the dense matrix of a degree-<=1 polynomial P."""
+    return partial(np.matmul, represent(poly, rep))
+
+
+def apply(poly, rep):
+    """v -> P v by the per-mode blocks evolve and measure apply."""
+    return fockevolve._block_action(fockevolve._mode_blocks([poly], rep)[0], rep)
 
 
 def track(p, ev):
@@ -169,7 +183,7 @@ def test_apply_matches_dense_oracle(n, rows):
     for _ in range(3):
         poly = random_linear_poly(rng)
         want = states @ represent(poly, rep).T
-        got = operator(poly, rep)(states)
+        got = apply(poly, rep)(states)
         assert got.shape == shape
         assert np.max(np.abs(got - want)) <= 1e-13
 
@@ -179,10 +193,10 @@ def test_apply_rejects_quadratic_slot_and_wrong_size():
     rep = build_fock_rep(3, 1.0)
     quadratic = PhasePoly.monomial(ID2, Coord.X, Coord.PX)
     with pytest.raises(DegreeError):
-        operator(quadratic, rep)
+        apply(quadratic, rep)
     with pytest.raises(DegreeError):
         represent(quadratic, rep)
-    g = operator(PhasePoly.monomial(ID2, Coord.X), rep)
+    g = apply(PhasePoly.monomial(ID2, Coord.X), rep)
     with pytest.raises(ValueError, match="state size 20 does not match dim 18"):
         g(np.ones(rep.dim + 2))
     with pytest.raises(ValueError, match="state size 16 does not match dim 18"):
@@ -424,7 +438,7 @@ def test_a_spectrum_on_real_planes_spans_no_more_than_the_state_space(n):
     rep = build_fock_rep(n, lrsolve.magnetic_length(README))
     h = ncmodel.build_h_nc(README)
     ev = evolve(h, rep, coherent_state(rep, alpha_x=1.0), np.linspace(0.0, 0.5, 51))
-    want = spectral_weights(operator(h.at(0.5), rep), ev.states[-1])
+    want = spectral_weights(dense(h.at(0.5), rep), ev.states[-1])
     assert len(ev.spectra[1].ritz) == len(want.ritz) == rep.dim
     assert np.max(np.abs(ev.spectra[1].ritz - want.ritz)) <= 1e-12
     assert np.max(np.abs(ev.spectra[1].weight - want.weight)) <= 1e-12
@@ -563,8 +577,8 @@ def test_track_level_reuses_the_t0_spectrum_for_a_constant_generator(monkeypatch
     level = track(p, ev)
     assert level.error[0] == level.error[1] and level.residual[0] == level.residual[1]
     # a second run from psi(t1) gives the same spectrum up to rounding
-    again = spectral_weights(operator(h.at(t0 + 0.5), rep), ev.states[50])
-    first = spectral_weights(operator(h.at(t0), rep), ev.states[0])
+    again = spectral_weights(dense(h.at(t0 + 0.5), rep), ev.states[50])
+    first = spectral_weights(dense(h.at(t0), rep), ev.states[0])
     assert np.max(np.abs(again.ritz - first.ritz)) <= 1e-11
     assert np.max(np.abs(again.weight - first.weight)) <= 1e-12
 
@@ -582,7 +596,7 @@ def test_one_generator_evolve_and_level_pick_share_one_lanczos_recurrence(monkey
     # and that run is the independent t0 spectral run, up to the rounding of
     # building H(t0) by another summation order
     monkeypatch.undo()
-    want = spectral_weights(operator(h.at(t0), rep), psi0)
+    want = spectral_weights(dense(h.at(t0), rep), psi0)
     assert len(ev.spectra[0].ritz) == len(want.ritz) == KRYLOV_MAX
     assert np.max(np.abs(ev.spectra[0].ritz - want.ritz)) <= 1e-12
     assert np.max(np.abs(ev.spectra[0].weight - want.weight)) <= 1e-12
@@ -643,7 +657,7 @@ def test_track_level_runs_at_both_ends_unless_one_generator_holds_throughout(mon
     # each entry is the independent spectral run of H(t) on the state at t
     monkeypatch.undo()
     for spectrum, k in zip(ev.spectra, (0, 50)):
-        want = spectral_weights(operator(h.at(ev.times[k]), rep), ev.states[k])
+        want = spectral_weights(dense(h.at(ev.times[k]), rep), ev.states[k])
         assert len(spectrum.ritz) == len(want.ritz)
         assert np.max(np.abs(spectrum.ritz - want.ritz)) <= 1e-12
         assert np.max(np.abs(spectrum.weight - want.weight)) <= 1e-12
@@ -722,6 +736,26 @@ def test_lanczos_says_which_vector_is_last(case, vectors):
     assert last == [False] * (vectors - 1) + [True]
 
 
+def test_an_invariant_space_ends_alike_in_every_arithmetic():
+    # the t1 state of the gamma = 50 one-step run at fock_N=6 spans a space
+    # of 24 vectors invariant under H(t1). Its residual there is rounding,
+    # 0.87, 1.2 and 1.0 x 1e-14 of |G v_j| in complex arithmetic in the
+    # standard basis, complex in the rotated one and on the real planes;
+    # the smallest ratio before it is 5.9e-9, at vector 12. All three end at
+    # vector 24
+    p = NCParams(theta=0.1, eta=0.05, gamma=50.0)
+    rep = build_fock_rep(6, lrsolve.magnetic_length(p))
+    h = ncmodel.build_h_nc(p)
+    ev = evolve(h, rep, coherent_state(rep, alpha_x=1.0), np.array([0.0, 0.5]))
+    psi = ev.states[-1]
+    phi = full_phase(rep).conj() * psi
+    rotated = fockevolve._block_action(rotated_blocks([h.at(0.5)], rep)[0].real.copy(), rep)
+    runs = [(apply(h.at(0.5), rep), psi), (rotated, phi), (rotated, np.stack([phi.real, phi.imag]))]
+    for g, start in runs:
+        assert [last for *_, last in fockevolve._lanczos(g, start)] == [False] * 23 + [True]
+    assert len(ev.spectra[1].ritz) == 24
+
+
 def test_real_krylov_estimate_gives_the_complex_forms_verdicts():
     # 3000 random tridiagonals of 1 to KRYLOV_MAX rows, some Ritz values
     # exactly 0, beta from 1e-20 to 10 and tau from 1e-5 to 1: the real
@@ -766,8 +800,8 @@ def test_edge_weight_matches_interior_projector():
         for a in (0.1, 0.8, 1.5)
     ])
     want = max(1.0 - np.vdot(s, pi @ s).real for s in states)
-    assert abs(observe(rep, stored(np.arange(3.0), states)).edge - want) <= 1e-14
-    assert observe(rep, stored(np.zeros(1), states[:1])).edge < want
+    assert abs(observe(rep, history(rep, np.arange(3.0), states)).edge - want) <= 1e-14
+    assert observe(rep, history(rep, np.zeros(1), states[:1])).edge < want
 
 
 def test_landau_length_puts_truncated_level_on_closed_form():
@@ -915,7 +949,7 @@ def test_invariant_drift_checks_dimension():
 
 def test_measure_rejects_quadratic_invariant():
     rep = build_fock_rep(3, 1.0)
-    ev = stored(np.zeros(1), coherent_state(rep)[None])
+    ev = history(rep, np.zeros(1), coherent_state(rep)[None])
     with pytest.raises(DegreeError):
         observe(rep, ev, PhasePoly.monomial(ID2, Coord.X, Coord.PX))
 
@@ -940,7 +974,7 @@ def test_unconstrained_drift_matches_ehrenfest_rate():
 def test_uncertainty_ground_state_saturation():
     rep = build_fock_rep(8, 1.3)
     vac = coherent_state(rep)
-    r = observe(rep, stored(np.zeros(1), vac[None])).xp
+    r = observe(rep, history(rep, np.zeros(1), vac[None])).xp
     assert r.product == pytest.approx(0.5, abs=1e-12)
     assert r.bound == pytest.approx(0.5, abs=1e-12)
     assert abs(r.margin) <= 1e-12
@@ -1065,28 +1099,28 @@ def test_measure_matches_dense_oracle():
 
 def test_measure_images_each_block_once(monkeypatch):
     # the three pairs share the four coordinate images of a block of stored
-    # rows, or of a Lanczos segment's basis, which come from one product per
-    # mode: the x mode, then the y mode
+    # rows, or of a Lanczos segment's basis, which come from one ``_images``
+    # call: one product per mode
     sizes = []
-    images = fockevolve._pair_images
+    images = fockevolve._images
 
-    def counted(pair, rows):
+    def counted(rep, rows):
         sizes.append(len(rows))
-        return images(pair, rows)
+        return images(rep, rows)
 
-    monkeypatch.setattr(fockevolve, "_pair_images", counted)
+    monkeypatch.setattr(fockevolve, "_images", counted)
     rep = build_fock_rep(4, 1.0)
     n_t = 2 * BLOCK_ROWS + 1
     states = np.tile(coherent_state(rep, alpha_x=0.5), (n_t, 1))
     i_op = random_hermitian_invariant(np.random.default_rng(1))
-    observe(rep, stored(np.linspace(0.0, 1.0, n_t), states), i_op)
-    assert sizes == [BLOCK_ROWS] * 4 + [1] * 2
+    observe(rep, history(rep, np.linspace(0.0, 1.0, n_t), states), i_op)
+    assert sizes == [BLOCK_ROWS, BLOCK_ROWS, 1]
     # a Lanczos segment of 3 vectors is imaged once, however many samples
     sizes.clear()
     basis = np.linalg.qr(states[:3].T + np.eye(rep.dim, 3))[0].T
     coeffs = np.full((n_t, 3), 1 / np.sqrt(3), dtype=complex)
-    observe(rep, EvolvedState(np.linspace(0.0, 1.0, n_t), (Segment(basis, coeffs),), NO_SPECTRA), i_op)
-    assert sizes == [3, 3]
+    observe(rep, history(rep, np.linspace(0.0, 1.0, n_t), basis, coeffs), i_op)
+    assert sizes == [3]
 
 
 @pytest.mark.parametrize(
@@ -1225,6 +1259,67 @@ def test_constant_run_holds_coefficients_not_states():
     assert ev.states.shape == (n_t, rep.dim)
 
 
+def test_a_constant_run_is_held_and_measured_in_its_real_frame(monkeypatch):
+    # the probe is real in the rotated basis, so a constant generator's
+    # Lanczos bases are float64 there: evolve keeps them, with the frame's
+    # phases, and measure takes the Gram entries of each basis and its
+    # coordinate images in float64; states rotates out
+    p = NCParams(theta=0.1, eta=0.05)
+    rep = build_fock_rep(8, lrsolve.magnetic_length(p))
+    h = ncmodel.build_h_nc(p)
+    psi = coherent_state(rep, alpha_x=1.0)
+    times = np.linspace(0.0, 2.0, 401)
+    ev = evolve(h, rep, psi, times)
+    projected = [seg for seg in ev.segments if seg.coeffs is not None]
+    assert projected and all(seg.basis.dtype == np.float64 for seg in projected)
+    frame = full_phase(rep)
+    assert np.array_equal(ev.frame, frame)
+    assert np.array_equal(ev.states, frame * np.concatenate([seg.rows() for seg in ev.segments]))
+    w, v = np.linalg.eigh(represent(h.at(0.0), rep))
+    exact = (np.exp(-1j * np.outer(times, w)) * (v.conj().T @ psi)) @ v.T
+    assert np.max(np.abs(ev.states - exact)) <= 1e-12
+
+    products = []
+    gram = fockevolve._gram
+
+    def recording(a, b):
+        out = gram(a, b)
+        products.append((a.dtype, b.dtype, out.dtype))
+        return out
+
+    monkeypatch.setattr(fockevolve, "_gram", recording)
+    i_op = random_hermitian_invariant(np.random.default_rng(6))
+    obs = observe(rep, ev, i_op, p)
+    real, cplx = np.dtype(float), np.dtype(complex)
+    # per basis: the spinful invariant's own complex image, the basis and
+    # its coordinate images against those images, the top-level rows
+    want = [(real, cplx, cplx)] + [(real, real, real)] * 3
+    assert products == want * len(projected)
+    assert_measure_matches_dense(obs, exact, i_op, p, rep)
+
+
+def test_measure_holds_no_temporary_of_every_sample():
+    # a stationary history of 100 000 samples on one Lanczos space of 4
+    # vectors: the coefficient stage takes BLOCK_ROWS samples at a time, so
+    # the peak of measure stays within 4 MB of its moment table and the
+    # arrays it returns; one product over every sample would hold 16 forms
+    # of 4 complex entries per sample, 102 MB, at once
+    p = NCParams(theta=0.1, eta=0.05)
+    rep = build_fock_rep(2, lrsolve.magnetic_length(p))
+    times = np.linspace(0.0, 100.0, 100_000)
+    ev = evolve(ncmodel.build_h_nc(p), rep, coherent_state(rep, alpha_x=1.0), times)
+    assert max(seg.size for seg in ev.segments) == len(times) - 1
+    tracemalloc.start()
+    try:
+        obs = observe(rep, ev, p=p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = 16 * 16 * len(times)  # <I>, 4 means, 10 Gram entries, the edge weight
+    returned = sum(a.nbytes for a in (obs.drift.values, obs.drift.drift, *obs.xp, *obs.yp, *obs.bopp))
+    assert peak <= table + returned + 4 * 2**20
+
+
 def test_segment_moments_use_the_gram_of_its_basis():
     # a Lanczos segment measured on a basis that is not orthonormal: the norm
     # and every figure come from the actual Gram matrix of its images
@@ -1236,7 +1331,7 @@ def test_segment_moments_use_the_gram_of_its_basis():
     states = coeffs @ basis
     coeffs /= np.linalg.norm(states, axis=1)[:, None]
     states = coeffs @ basis
-    ev = EvolvedState(np.linspace(0.0, 1.0, 7), (Segment(basis, coeffs),), NO_SPECTRA)
+    ev = history(rep, np.linspace(0.0, 1.0, 7), basis, coeffs)
     assert ev.norm_drift <= 1e-13
     assert np.max(np.abs(ev.states - states)) == 0.0
     i_op = random_hermitian_invariant(rng)
