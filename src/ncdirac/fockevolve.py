@@ -316,26 +316,30 @@ def _check_uniform(t_grid: np.ndarray) -> float:
 
 def _check_reachable(
     coeffs: np.ndarray, counts: np.ndarray, parts: np.ndarray, rep: FockRep, dt: float
-) -> None:
-    """Refuse a grid whose steps need more than MAX_SUBSTEPS sub-steps in all.
-    Row r of ``coeffs`` holds a generator's coefficients on the blocks
-    ``parts``, and ``counts[r]`` its step count. KRYLOV_MAX vectors resolve
-    exp(-i G tau) only for tau |G| up to about KRYLOV_MAX (Hochbruck & Lubich
-    1997), and |G| is at most sum_k |c_k| (|B_k,x| + |B_k,y|) over the
-    blocks. A space spanning the state space resolves any step."""
+) -> float:
+    """The step tau = dt/hbar of each exp(-i G tau) that a grid step dt takes,
+    as i hbar d(psi)/dt = H psi asks. Refuse a grid whose steps need more than
+    MAX_SUBSTEPS sub-steps in all. Row r of ``coeffs`` holds a generator's
+    coefficients on the blocks ``parts``, and ``counts[r]`` its step count.
+    KRYLOV_MAX vectors resolve exp(-i G tau) only for tau |G| up to about
+    KRYLOV_MAX (Hochbruck & Lubich 1997), and |G| is at most
+    sum_k |c_k| (|B_k,x| + |B_k,y|) over the blocks. A space spanning the
+    state space resolves any step."""
+    tau = dt / rep.hbar
     if rep.dim <= KRYLOV_MAX:
-        return
+        return tau
     entries = np.abs(parts)  # |B| <= sqrt(max row sum * max column sum) of |B|
     norms = np.sqrt(entries.sum(axis=-1).max(axis=-1) * entries.sum(axis=-2).max(axis=-1))
     bound = np.abs(coeffs) @ norms.sum(axis=1)
-    need = dt * bound / KRYLOV_MAX
+    need = tau * bound / KRYLOV_MAX
     substeps = float(np.sum(np.multiply(counts, need), where=~(need <= 1.0)))
     if not substeps <= MAX_SUBSTEPS:
         raise ConfigError(
-            f"dt={dt:.6g} needs about {substeps:.3g} Lanczos sub-steps, more than the "
-            f"{MAX_SUBSTEPS} a run may take: the generator-norm bound reaches "
+            f"dt={dt:.6g} (dt/hbar={tau:.6g}) needs about {substeps:.3g} Lanczos sub-steps, "
+            f"more than the {MAX_SUBSTEPS} a run may take: the generator-norm bound reaches "
             f"{bound.max():.3g}, and a sub-step spans at most about {KRYLOV_MAX}/bound"
         )
+    return tau
 
 
 #: one step of a Lanczos recurrence: the basis rows so far, the projected
@@ -560,7 +564,7 @@ def evolve(
     psi0: np.ndarray,
     t_grid: Sequence[float],
 ) -> EvolvedState:
-    """Midpoint-sampled exponential stepping psi_{k+1} = exp(-i H(t_mid) dt) psi_k.
+    """Midpoint-sampled exponential stepping psi_{k+1} = exp(-i H(t_mid) dt/hbar) psi_k.
 
     Every step is unitary to machine precision; dt controls only the
     time-ordering error. One evaluation of H's coefficients at every midpoint
@@ -619,7 +623,7 @@ def evolve(
     # a run starts at the first midpoint and wherever the coefficients change
     starts = np.flatnonzero(np.r_[True, np.any(midpoints[1:] != midpoints[:-1], axis=1)])
     coeffs, counts = midpoints[starts], np.diff(np.r_[starts, len(midpoints)])
-    _check_reachable(coeffs, counts, parts, rep, dt)
+    tau = _check_reachable(coeffs, counts, parts, rep, dt)
     ends = h.value(ts[[0, -1]])
     shared = len(starts) == 1 and bool(np.all(ends == coeffs[0]))
 
@@ -636,7 +640,7 @@ def evolve(
         if shared:
             first = list(_lanczos(g, phi))
             spectra = (_ritz(first),) * 2
-        for segment in krylov_step(g, phi, dt, n, size, first):
+        for segment in krylov_step(g, phi, tau, n, size, first):
             if segment.coeffs is not None:
                 size = len(segment.basis)
             projected = segment.coeffs is not None and segment.size > len(segment.basis)
@@ -778,7 +782,8 @@ def measure(
             del images, coords, forms  # not kept beside the next segment's
         k += segment.size
     moments[1:-1] *= (_IMAGE_PHASES.conj()[left] * _IMAGE_PHASES[right])[:, None]
-    values, mean, weight = moments[0], moments[1:5].real, moments[-1].real
+    # a copy: a row view would keep the whole (16, n_t) table alive with the result
+    values, mean, weight = moments[0].copy(), moments[1:5].real, moments[-1].real
     gram = dict(zip(_GRAM, moments[5:-1]))
     drift = values - values[0]
     rel = float(np.max(np.abs(drift)) / (abs(values[0]) + 1.0))

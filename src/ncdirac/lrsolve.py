@@ -2,14 +2,15 @@
 phase-exponent coefficients of the trial solution, plus the accumulated
 dynamical phase.
 
-State-vector convention for the ODE system: y = (xi1, xi2, F1, F2), all
-complex, along the first axis; further axes run over times. The envelope
-components are pure phase rotations F1 = e^{-i m t + q1}, F2 = e^{+i m t + q2};
-xi1 and xi2 are locked together by xi1 = i*xi2. The quadratic coefficients
-xi3, xi4 of the trial phase are constants of the motion, so the system leaves
-them out; only the solution-form oracles below take them. RK4 steps only the
-envelope sequentially, in Python scalars; each RK4 stage of xi1, xi2 is one
-flow_rhs call over all steps.
+The trial spinor solves i hbar d(psi)/dt = H psi, its momenta acting as
+hbar times the phase's gradient. State vector of the ODE system:
+y = (xi1, xi2, F1, F2), all complex, along the first axis; further axes run
+over times. The envelope components are pure phase rotations
+F1 = e^{-i m t/hbar + q1}, F2 = e^{+i m t/hbar + q2}; xi1 = i*xi2. The
+quadratic coefficients xi3, xi4 of the trial phase are constants of the
+motion, so the system leaves them out; only the solution-form oracles below
+take them. RK4 steps only the envelope sequentially, in Python scalars; each
+RK4 stage of xi1, xi2 is one flow_rhs call over all steps.
 """
 
 from __future__ import annotations
@@ -42,22 +43,24 @@ def magnetic_length(p: NCParams) -> float:
 
 
 def f_closed(p: NCParams, t):
-    """Envelope components F1 = e^{-i m t + q1}, F2 = e^{+i m t + q2}; t may be
-    an array of times."""
-    # -(i m t - q1) is complex(q1, -m t) exactly, signed zero included
-    return np.exp(-(1j * p.m * t - p.q1)), np.exp(p.q2 + 1j * p.m * t)
+    """Envelope components F1 = e^{-i m t/hbar + q1}, F2 = e^{+i m t/hbar + q2};
+    t may be an array of times."""
+    w = p.m / p.hbar
+    # -(i w t - q1) is complex(q1, -w t) exactly, signed zero included
+    return np.exp(-(1j * w * t - p.q1)), np.exp(p.q2 + 1j * w * t)
 
 
 def xi_closed(p: NCParams, t):
     """Closed-form linear phase coefficients; t may be an array of times.
 
-    xi1' = -i kappa f_eta(t) e^{2imt} integrates term by term over the terms
-    a_k e^{lambda_k t} of f_eta: xi1(t) = -i kappa sum_k a_k e^{mu_k t}/mu_k
-    with mu_k = lambda_k + 2im, nonzero as NCParams holds m > 0; xi2 = xi1/i.
+    xi1' = -i kappa f_eta(t) e^{2imt/hbar}/hbar integrates term by term over
+    the terms a_k e^{lambda_k t} of f_eta: xi1(t) = -i kappa sum_k (a_k/hbar)
+    e^{mu_k t}/mu_k with mu_k = lambda_k + 2im/hbar, nonzero as NCParams holds
+    m > 0; xi2 = xi1/i.
     """
     prof = profiles(p)
-    mu = prof.rates + 2j * p.m
-    xi1 = ExpSum(mu, -1j * p.kappa * prof.amps[:, F_ETA] / mu)(t)
+    mu = prof.rates + 2j * (p.m / p.hbar)
+    xi1 = ExpSum(mu, -1j * p.kappa * (prof.amps[:, F_ETA] / p.hbar) / mu)(t)
     if not np.all(np.isfinite(xi1)):  # complex arithmetic overflows to inf or nan silently
         raise OverflowError(f"closed-form xi1 leaves the float range by t={np.max(t)}")
     return xi1, xi1 / 1j
@@ -73,9 +76,10 @@ ROW_BYTES = 264
 
 
 def flow_rhs(fe, env: np.ndarray) -> np.ndarray:
-    """Rates of xi1, xi2 along the first axis from the values fe of f_eta(t)
-    and the envelope env = (F1, F2) along the first axis; fe and the trailing
-    axes of env may run over times: dxi1/dt = -i fe F2/F1, dxi2/dt = -fe F2/F1."""
+    """Rates of xi1, xi2 along the first axis from the values fe of
+    f_eta(t)/hbar and the envelope env = (F1, F2) along the first axis; fe and
+    the trailing axes of env may run over times: dxi1/dt = -i fe F2/F1,
+    dxi2/dt = -fe F2/F1."""
     f1, f2 = env
     if np.any(f1 == 0):
         raise ZeroDivisionError("envelope component F1 vanished")
@@ -129,7 +133,8 @@ def integrate_rk4(p: NCParams, t0: float, t1: float, dt: float) -> Trajectory:
     closed = closed_state(p, times)
     states = np.zeros_like(closed)
     states[2:, 0] = closed[2:, 0]
-    rates = np.array([-1j * p.m, 1j * p.m])
+    w = p.m / p.hbar
+    rates = np.array([-1j * w, 1j * w])
     for env, a in zip(states[2:], rates.tolist()):
         f = complex(env[0])
         for k in range(1, n_steps + 1):
@@ -148,7 +153,7 @@ def integrate_rk4(p: NCParams, t0: float, t1: float, dt: float) -> Trajectory:
     for offset, weight in ((0.0, 1.0), (0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
         factor = 1.0 + offset * h * rates * factor
         np.multiply(states[2:, :-1], factor[:, None], out=stage)
-        states[:2, 1:] += weight * flow_rhs(f_eta(times[:-1] + offset * h), stage)
+        states[:2, 1:] += weight * flow_rhs(f_eta(times[:-1] + offset * h) / p.hbar, stage)
     states[:2, 1:] *= h / 6.0
     states[:2, 0] = closed[:2, 0]
     np.cumsum(states[:2], axis=1, out=states[:2])
@@ -232,9 +237,9 @@ def assemble_solution(p: NCParams, xi3: complex = 0.0, xi4: complex = 0.0):
 def trial_residual(
     p: NCParams, x: float, y: float, t: float, xi3: complex = 0.0, xi4: complex = 0.0
 ) -> np.ndarray:
-    """Diagnostic: pointwise i d(psi)/dt - H psi for the assembled solution.
+    """Diagnostic: pointwise i hbar d(psi)/dt - H psi for the assembled solution.
 
-    All derivatives are analytic: momenta act as p_x psi = (xi1 + 2 xi3 x) psi.
+    All derivatives are analytic: momenta act as p_x psi = hbar (xi1 + 2 xi3 x) psi.
     The value is reported, not asserted; the first component vanishes
     identically when xi3 = xi4 = 0, the second generally does not.
     """
@@ -243,12 +248,13 @@ def trial_residual(
     ft, fe = profiles(p)[[F_THETA, F_ETA]](t)
     phase = cmath.exp(1j * (x1 * x + x2 * y + xi3 * x * x + xi4 * y * y))
     # momenta applied to the exponential
-    u = ft * (x1 + 2.0 * xi3 * x) + fe * y
-    v = ft * (x2 + 2.0 * xi4 * y) - fe * x
+    u = ft * (p.hbar * (x1 + 2.0 * xi3 * x)) + fe * y
+    v = ft * (p.hbar * (x2 + 2.0 * xi4 * y)) - fe * x
     h_psi = np.array([(u - 1j * v) * g2 + p.m * g1, (u + 1j * v) * g1 - p.m * g2]) * phase
-    # i d/dt: envelope rotation plus the moving linear phase
-    dxi1, dxi2 = flow_rhs(fe, np.array([g1, g2]))
+    # i hbar d/dt: envelope rotation plus the moving linear phase
+    dxi1, dxi2 = flow_rhs(fe / p.hbar, np.array([g1, g2]))
     phase_dot = dxi1 * x + dxi2 * y
-    dpsi_dt = np.array([(-1j * p.m * g1 + 1j * g1 * phase_dot) * phase,
-                        (1j * p.m * g2 + 1j * g2 * phase_dot) * phase])
-    return 1j * dpsi_dt - h_psi
+    w = p.m / p.hbar
+    dpsi_dt = np.array([(-1j * w * g1 + 1j * g1 * phase_dot) * phase,
+                        (1j * w * g2 + 1j * g2 * phase_dot) * phase])
+    return 1j * p.hbar * dpsi_dt - h_psi

@@ -103,14 +103,14 @@ THETA, ETA, F_THETA, F_ETA = range(4)
 
 def profiles(p: NCParams) -> ExpSum:
     """theta(t) = theta e^{gamma t}, eta(t) = eta e^{-gamma t} and the dressings
-    f_theta(t) = 1 + (e*B/4) theta(t), f_eta(t) = e*B/2 + eta(t)/2 of H's momentum
-    and position slots, as one exponential sum over the rates (0, gamma, -gamma)
-    with the columns THETA, ETA, F_THETA, F_ETA. An e*B beyond the float range
-    raises under np.errstate."""
+    f_theta(t) = 1 + e*B theta(t)/(4 hbar), f_eta(t) = e*B/2 + eta(t)/(2 hbar) of
+    H's momentum and position slots, which the Bopp shift's 1/(2 hbar) gives, as
+    one exponential sum over the rates (0, gamma, -gamma) with the columns THETA,
+    ETA, F_THETA, F_ETA. An e*B beyond the float range raises under np.errstate."""
     eb = np.float64(p.e) * p.B
     amps = [[0.0, 0.0, 1.0, 0.5 * eb],
-            [p.theta, 0.0, 0.25 * eb * p.theta, 0.0],
-            [0.0, p.eta, 0.0, 0.5 * p.eta]]
+            [p.theta, 0.0, 0.25 * eb * p.theta / p.hbar, 0.0],
+            [0.0, p.eta, 0.0, 0.5 * p.eta / p.hbar]]
     return ExpSum(np.array([0.0, p.gamma, -p.gamma]), np.array(amps))
 
 
@@ -246,7 +246,7 @@ def _h_nc(p: NCParams) -> AffineOp:
 def h_nc_via_bopp(p: NCParams, ts: Sequence[float]) -> np.ndarray:
     """Slot arrays (len(ts), 15, 2, 2) of the deformed Hamiltonian built by
     substituting the shifted operators into the commutative-form Hamiltonian
-    (hbar = c = 1) at each time of ts."""
+    (c = 1) at each time of ts."""
     ops = bopp_slots(*bopp_scales(p, np.asarray(ts, dtype=float)))
     half_eb = 0.5 * p.e * p.B
     acc = np.zeros((len(ts), N_SLOTS, 2, 2), dtype=complex)
@@ -260,27 +260,17 @@ def h_nc_via_bopp(p: NCParams, ts: Sequence[float]) -> np.ndarray:
 
 def dual_path_deviation(p: NCParams, ts: Sequence[float] = (0.0, 0.5, 1.0, 2.0)) -> float:
     """Max slot deviation between the affine deformed Hamiltonian and the
-    substitution route over the sampled times."""
+    substitution route over the sampled times, relative to H's largest slot
+    there when that exceeds 1: the two routes round apart by a few ulps of
+    H's coefficients, which 1/hbar can make large."""
     ts, h = np.asarray(ts, dtype=float), _h_nc(p)
-    diff = h.stack(h.value(ts)) - h_nc_via_bopp(p, ts)
-    return float(np.max(residual_norms(diff)))
-
-
-def h_nc_defined(p: NCParams) -> bool:
-    """Whether the deformed Hamiltonian is defined for p: the Bopp shift scales
-    by 1/hbar and f_theta, f_eta are written for hbar = 1, so a deformation needs hbar = 1."""
-    return p.hbar == 1.0 or (p.theta == 0.0 and p.eta == 0.0)
-
-
-def require_h_nc_units(p: NCParams) -> None:
-    """Raise ConfigError unless the deformed Hamiltonian is defined for p."""
-    if not h_nc_defined(p):
-        raise ConfigError("the deformed Hamiltonian needs hbar = 1 when theta or eta "
-                          f"is nonzero, got hbar={p.hbar!r}")
+    affine = h.stack(h.value(ts))
+    diff = affine - h_nc_via_bopp(p, ts)
+    return float(np.max(residual_norms(diff)) / max(1.0, np.max(residual_norms(affine))))
 
 
 def build_h_nc(p: NCParams) -> AffineOp:
-    """Time-dependent deformed Dirac Hamiltonian (hbar = 1 when deformed).
+    """Time-dependent deformed Dirac Hamiltonian, at any hbar.
 
     H(t) = a1 f_theta(t) px - a2 f_eta(t) x + a2 f_theta(t) py
            + a1 f_eta(t) y + beta m.
@@ -289,7 +279,6 @@ def build_h_nc(p: NCParams) -> AffineOp:
     substitution of the shifted operators and refuses to hand back an
     inconsistent operator.
     """
-    require_h_nc_units(p)
     dev = dual_path_deviation(p)
     if dev > 1e-13:
         raise RuntimeError(f"Hamiltonian construction paths disagree: {dev:.3e}")

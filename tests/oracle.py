@@ -187,13 +187,13 @@ def mat_commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def f_theta(p, t: float) -> float:
-    """The momentum dressing f_theta(t) = 1 + (e B/4) theta e^{gamma t} at one time."""
-    return 1.0 + 0.25 * p.e * p.B * p.theta * math.exp(p.gamma * t)
+    """The momentum dressing f_theta(t) = 1 + e B theta e^{gamma t}/(4 hbar) at one time."""
+    return 1.0 + 0.25 * p.e * p.B * p.theta * math.exp(p.gamma * t) / p.hbar
 
 
 def f_eta(p, t: float) -> float:
-    """The position dressing f_eta(t) = e B/2 + (eta/2) e^{-gamma t} at one time."""
-    return 0.5 * p.e * p.B + 0.5 * p.eta * math.exp(-p.gamma * t)
+    """The position dressing f_eta(t) = e B/2 + eta e^{-gamma t}/(2 hbar) at one time."""
+    return 0.5 * p.e * p.B + 0.5 * p.eta * math.exp(-p.gamma * t) / p.hbar
 
 
 def _profiles(p, ts) -> tuple[np.ndarray, np.ndarray]:
@@ -257,7 +257,7 @@ def constraint_residuals(ans: AffineOp, p, ts) -> dict[str, np.ndarray]:
 
 
 def closed_state_scalar(p, t: float, xi3: complex = 0j, xi4: complex = 0j) -> np.ndarray:
-    """(xi1, xi2, xi3, xi4, F1, F2) of the closed forms at one time:
+    """(xi1, xi2, xi3, xi4, F1, F2) of the closed forms at one time, at hbar = 1:
     xi1 = -i [kappa e B/(4 i m) e^{2imt} + eta kappa/(4 i m - 2 gamma) e^{(-gamma+2im)t}],
     xi2 = xi1/i, F1 = e^{q1 - imt}, F2 = e^{q2 + imt}."""
     xi1 = -1j * (
@@ -270,7 +270,7 @@ def closed_state_scalar(p, t: float, xi3: complex = 0j, xi4: complex = 0j) -> np
 
 def _rk4_rhs(p, t: float, y: np.ndarray) -> np.ndarray:
     """dxi1 = -i f_eta F2/F1, dxi2 = -f_eta F2/F1, dxi3 = dxi4 = 0,
-    dF1 = -i m F1, dF2 = i m F2 at one time."""
+    dF1 = -i m F1, dF2 = i m F2 at one time, at hbar = 1."""
     ratio = y[5] / y[4]
     fe = f_eta(p, t)
     return np.array([-1j * fe * ratio, -fe * ratio, 0, 0, -1j * p.m * y[4], 1j * p.m * y[5]])

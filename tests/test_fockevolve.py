@@ -929,6 +929,16 @@ def test_invariant_drift_identity_is_zero():
     assert np.max(np.abs(d.drift)) <= 1e-12
 
 
+def test_measure_keeps_no_view_of_its_moment_table():
+    # a row view of the (16, n_t) moment table would keep the whole table
+    # alive as long as the result
+    rep = build_fock_rep(4, 1.0)
+    h = ncmodel.build_h_nc(COMMUTATIVE)
+    obs = observe(rep, evolve(h, rep, coherent_state(rep), np.linspace(0.0, 0.5, 51)))
+    arrays = [obs.drift.values, obs.drift.drift, *obs.xp, *obs.yp, *obs.bopp]
+    assert all(a.base is None for a in arrays)
+
+
 def test_invariant_drift_constrained_small():
     rep = build_fock_rep(12, 1.0)
     h = ncmodel.build_h_nc(COMMUTATIVE)

@@ -276,23 +276,6 @@ def test_sample_times_refuse_coincident_times():
     assert np.all(np.diff(times) == 2.0)
 
 
-def test_h_nc_rejects_si_mode():
-    # SI values: hbar != 1 with a deformation
-    p = NCParams(theta=1e-40, eta=1e-70, hbar=1.0546e-34)
-    with pytest.raises(ConfigError):
-        ncmodel.build_h_nc(p)
-
-
-def test_h_nc_requires_hbar_one_when_deformed():
-    # the Bopp shift divides by hbar and the dressings f_theta, f_eta do not,
-    # so the two construction paths agree only at hbar = 1
-    with pytest.raises(ConfigError):
-        ncmodel.build_h_nc(NCParams(eta=1.0, hbar=2.0))
-    commutative = NCParams(hbar=2.0)
-    assert ncmodel.dual_path_deviation(commutative) == 0.0
-    ncmodel.build_h_nc(commutative)
-
-
 def test_f_limits_in_commutative_reduction():
     for gamma in (0.0, 0.3):
         p = NCParams(theta=0.0, eta=0.0, gamma=gamma)

@@ -16,7 +16,7 @@ ORACLES = {
     "theta_phase": "the closed-form coordinate part of the solution's accumulated phase",
     "lr_phase": "the Lewis-Riesenfeld phase alpha(t) = theta - integral of E dt",
     "assemble_solution": "the paper's spinor solution psi(x, y, t) from the closed forms",
-    "trial_residual": "i d(psi)/dt - H psi of that solution, the defect of the trial spinor",
+    "trial_residual": "i hbar d(psi)/dt - H psi of that solution, the defect of the trial spinor",
 }
 
 
