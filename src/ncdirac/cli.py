@@ -234,11 +234,11 @@ def cmd_verify_algebra(cfg: RunConfig) -> Result:
         mode = "time-dependent-deformation"
 
     tol = 1e-12
-    worst = deformed.worst()
+    worst, judged = deformed.worst(), deformed.worst(relative=True)
     bad = dirac.checks[int(np.argmax([c.deviation for c in dirac.checks]))]  # the first NaN, if any
     checks = [
         (f"Dirac identity {bad.name} deviation", dirac.max_deviation, tol),
-        (f"worst commutator {worst['pair']} at t={worst['t']}", deformed.max_deviation, tol),
+        (f"worst commutator {judged['pair']} at t={judged['t']}", judged["deviation"], tol),
         ("dual-path Hamiltonian deviation", dual_dev, tol),
     ]
     passed = not _failed(checks)

@@ -14,19 +14,20 @@ truncation is confined to the top oscillator level n = N-1 of each mode.
 The Hamiltonians of ``ncmodel`` have real coefficients on sigma_1 p_x,
 sigma_2 p_y, sigma_1 y, sigma_2 x and sigma_3, so in the Fock basis rotated
 by i^{n_y} on mode y and by diag(1, i) on the spinor every matrix element of
-theirs is real. ``evolve`` runs there: a Lanczos recurrence from a real state
-(the displaced probe, at t0) runs in float64, a spectrum of a complex state
-a + ib on the real vector (a, b), and only a propagation from a complex state
-in complex arithmetic. The history it returns stays in that basis, with the
-phases that rotate it out.
+theirs is real. ``FockRep`` is built in that basis only. ``evolve`` runs there:
+a Lanczos recurrence from a real state (the displaced probe, at t0) runs in
+float64, a spectrum of a complex state a + ib on the real vector (a, b), and
+only a propagation from a complex state in complex arithmetic. The history
+it returns stays in that basis, with the phases that rotate it out.
 
 The history is a list of segments. A Lanczos run that resolves more samples
 than it has basis vectors is kept as its coefficients C on its basis V
 (sample k is C[k] @ V) and measured in that space; every other run is stored
-as rows. Every measured figure is a quadratic form in the state, so a
-segment's figures come from C and small Gram matrices of the images of V. In
-the rotated basis x and p_y are real, and p_x and y are i times real
-matrices, so the images of a float64 basis and their Gram matrix are real.
+as rows. Every measured figure is a quadratic form in the state, <I> a sum
+of coordinate means, so a segment's figures come from C and small Gram
+matrices of the images of V. In the rotated basis x and p_y are real, and
+p_x and y are i times real matrices, so the images of a float64 basis and
+their Gram matrix are real.
 """
 
 from __future__ import annotations
@@ -45,9 +46,9 @@ from .phasepoly import AffineOp, Coord, PhasePoly
 BLOCK_ROWS = 64
 #: block-sized arrays alive at once in the observables pass ``measure`` over
 #: stored rows: the four coordinate images, the mode-x product (two arrays)
-#: and the rows with mode x leading it came from; I psi is gone by then
-#: (traced numpy peak 7.4 at fock_N=16, 7.2 at fock_N=32); a Lanczos
-#: segment's images are smaller, KRYLOV_MAX rows at most
+#: and the rows with mode x leading it came from (traced numpy peak 7.3 at
+#: fock_N=16, 7.1 at fock_N=32); a Lanczos segment's images are smaller,
+#: KRYLOV_MAX rows at most
 BLOCK_IMAGES = 8
 #: largest Lanczos space; a run needing more restarts, a step needing more is
 #: sub-stepped
@@ -61,33 +62,33 @@ KRYLOV_TOL = 1e-14
 #: states it: the samples and Ritz data it gives are judged with it
 KRYLOV_INVARIANT = 1e-12
 #: most sub-steps the generator-norm bound may ask of one evolution; it counts
-#: low: a fock_N=16 step it puts at 903 takes 2048 (about 5 s, one thread, 2 vCPUs)
+#: low: a fock_N=16 step it puts at 903 takes 2048 (about 5 s, one thread, 2 vCPUs).
+#: On at most KRYLOV_MAX dimensions, where no bound is taken, most one run may take
 MAX_SUBSTEPS = 1024
 
 #: the phases i^k, k = 0..3, exact as complex numbers
 _PHASES = np.array([1.0, 1j, -1.0, -1j])
 #: the phases of a state and of its images under x, p_x, y and p_y in the
-#: rotated basis of ``_rotation``, each that phase times a real image
+#: rotated basis of ``FockRep``, each that phase times a real image
 _IMAGE_PHASES = np.array([1.0, 1.0, 1j, 1j, 1.0])
 
 
 @dataclass(frozen=True)
 class FockRep:
-    """Truncated representation: N levels per mode, oscillator scale ell, the
-    single-mode (N, N) matrices of the coordinate x and the momentum p, and
-    the real matrices of the coordinates in the rotated basis of
-    ``_rotation``, each over its phase in _IMAGE_PHASES: ``pair_x`` the
-    (2N, N) left factor [x; p_x] on mode x, ``pair_y`` the (2N, 4N) right
-    factor of kron([y; p_y], 1_2) on (mode y, spinor)."""
+    """Truncated representation in the basis rotated by diag(1, i) on the
+    spinor and i^n on level n of mode y: N levels per mode, oscillator scale
+    ell, the real single-mode (N, N) matrices ``coords`` of x, p_x, y and
+    p_y, each over its phase in _IMAGE_PHASES, ``pair_y`` the (2N, 4N) right
+    factor of kron([y; p_y], 1_2) on (mode y, spinor), and the (dim,) phases
+    ``frame`` that rotate a state out: psi = frame * phi."""
 
     N: int
     ell: float
     hbar: float
-    x: np.ndarray
-    p: np.ndarray
     dim: int
-    pair_x: np.ndarray
+    coords: np.ndarray
     pair_y: np.ndarray
+    frame: np.ndarray
 
 
 def dense_bytes(N: int, n_t: int) -> int:
@@ -106,10 +107,8 @@ def dense_bytes(N: int, n_t: int) -> int:
 
 
 def build_fock_rep(N: int, ell: float, hbar: float = 1.0) -> FockRep:
-    """Build the single-mode ladder-operator matrices.
-
-    Per mode: x = ell (a + a^dag)/sqrt(2), p = i hbar (a^dag - a)/(sqrt(2) ell).
-    """
+    """Build the rotated representation. Per mode: x = ell (a + a^dag)/sqrt(2),
+    p = i hbar (a^dag - a)/(sqrt(2) ell), on mode y between the phases i^n."""
     if N < 2:
         raise ValueError("per-mode truncation must satisfy N >= 2")
     if ell <= 0:
@@ -120,43 +119,45 @@ def build_fock_rep(N: int, ell: float, hbar: float = 1.0) -> FockRep:
     p = 1j * hbar * (ad - a) / (math.sqrt(2.0) * ell)
     levels = _PHASES[np.arange(N) % 4]  # mode y's rotation; the spinor's cancels
     y, py = levels.conj()[:, None] * np.stack([x, p]) * levels
-    real = (np.stack([x, p, y, py]) * _IMAGE_PHASES[1:, None, None].conj()).real
-    pair_y = np.kron(real[2:], np.eye(2)).reshape(4 * N, 2 * N).T.copy()
-    return FockRep(N, ell, hbar, x, p, 2 * N * N, real[:2].reshape(2 * N, N), pair_y)
+    coords = (np.stack([x, p, y, py]) * _IMAGE_PHASES[1:, None, None].conj()).real
+    pair_y = np.kron(coords[2:], np.eye(2)).reshape(4 * N, 2 * N).T.copy()
+    frame = np.tile(np.kron(levels, _PHASES[:2]), N)
+    return FockRep(N, ell, hbar, 2 * N * N, coords, pair_y, frame)
 
 
 def _mode_blocks(polys: Sequence[PhasePoly], rep: FockRep) -> np.ndarray:
-    """The per-mode blocks (len(polys), 2, 2N, 2N) of degree-<=1 polynomials
-    with constant coefficient M_0 and linear coefficients M_c: on (mode x,
-    spinor) kron(x, M_x) + kron(p, M_px), on (mode y, spinor) kron(x, M_y) +
-    kron(p, M_py) + kron(1, M_0). They are linear in the coefficients."""
+    """The rotated per-mode blocks (len(polys), 2, 2N, 2N) of degree-<=1
+    polynomials with coefficients M_0 and M_c: on (mode x, spinor) kron(x, M_x)
+    + kron(p_x, M_px), on (mode y, spinor) kron(y, M_y) + kron(p_y, M_py) +
+    kron(1, M_0). Each M turns into diag(1, -i) M diag(1, i) times its
+    factor's phase, contracted with the factor's real matrix in ``rep.coords``."""
     if any(poly.degree() > 1 for poly in polys):
         raise DegreeError("only polynomials of degree <= 1 are applied")
-    # the slot of each factor x, p, 1 per block; quadratic slot 5 is 0 here
+    # the slot of each factor per block; quadratic slot 5 is 0 here
     slots = [[1 + Coord.X, 1 + Coord.PX, 5], [1 + Coord.Y, 1 + Coord.PY, 0]]
     coeffs = np.stack([poly.slots for poly in polys])[:, slots]  # (k, block, factor, 2, 2)
-    blocks = np.tensordot(coeffs, np.stack([rep.x, rep.p, np.eye(rep.N)]), (2, 0))
-    return blocks.transpose(0, 1, 4, 2, 5, 3).reshape(len(polys), 2, 2 * rep.N, 2 * rep.N)
+    spin, eye = _PHASES[:2], np.eye(rep.N)
+    phases = _IMAGE_PHASES[[[1, 2, 0], [3, 4, 0]], None, None]  # of each factor
+    coeffs = spin.conj()[:, None] * coeffs * spin * phases
+    mats = np.stack([[*rep.coords[:2], eye], [*rep.coords[2:], eye]])  # (block, factor, N, N)
+    blocks = np.einsum("kbfst,bfmn->kbmsnt", coeffs, mats)
+    return blocks.reshape(len(polys), 2, 2 * rep.N, 2 * rep.N)
 
 
 def _block_action(blocks: np.ndarray, rep: FockRep) -> Callable[[np.ndarray], np.ndarray]:
     """v -> G v on one state (dim,) or a block (rows, dim) for the G with
     per-mode blocks (2, 2N, 2N): one product on the rows as stored (mode y)
     and one on the rows with the mode axes swapped (mode x). A complex state
-    takes a complex copy of real blocks, made once, and a real state under
-    complex blocks is cast: a product of mixed dtypes casts anew each time,
-    and takes about 1.8 times as long as the cast and a complex product (23
-    rows at fock_N=16, one BLAS thread)."""
+    takes a complex copy of real blocks, made once: a product of mixed dtypes
+    casts anew each time, and takes about 1.8 times as long as the cast and a
+    complex product (23 rows at fock_N=16, one BLAS thread)."""
     n, n2 = rep.N, 2 * rep.N
     right = blocks[0].T, blocks[1].T
-    right_complex = tuple(b.astype(complex) for b in right)
-    cast = np.iscomplexobj(blocks)
+    right_complex = tuple(b.astype(complex, copy=False) for b in right)
 
     def g(psi: np.ndarray) -> np.ndarray:
         if psi.shape[-1] != rep.dim:
             raise ValueError(f"state size {psi.shape[-1]} does not match dim {rep.dim}")
-        if cast:
-            psi = psi.astype(complex, copy=False)
         right_x, right_y = right_complex if psi.dtype.kind == "c" else right
         rows = psi.reshape(-1, n, n, 2)
         out = (psi.reshape(-1, n2) @ right_y).reshape(rows.shape)
@@ -165,23 +166,6 @@ def _block_action(blocks: np.ndarray, rep: FockRep) -> Callable[[np.ndarray], np
         return out.reshape(psi.shape)
 
     return g
-
-
-def _rotation(rep: FockRep) -> np.ndarray:
-    """The diagonal phases (2, 2N) of the rotated basis on (mode x, spinor)
-    and on (mode y, spinor): diag(1, i) on the spinor, and i^n on oscillator
-    level n of mode y only. There the matrices of x and p_y are real, those
-    of p_x and y imaginary, and sigma_1, sigma_2, sigma_3 become -sigma_2,
-    sigma_1, sigma_3. A block B rotates to conj(r)[:, None] * B * r[None, :],
-    and a state psi to phi with psi = R phi, R the mode-y phases tiled N times."""
-    spin = _PHASES[:2]
-    return np.stack([np.tile(spin, rep.N), np.kron(_PHASES[np.arange(rep.N) % 4], spin)])
-
-
-def _rotated_blocks(polys: Sequence[PhasePoly], rep: FockRep) -> np.ndarray:
-    """The per-mode blocks of ``_mode_blocks`` in the rotated basis."""
-    rotation = _rotation(rep)
-    return rotation.conj()[:, :, None] * _mode_blocks(polys, rep) * rotation[:, None, :]
 
 
 def coherent_state(
@@ -316,18 +300,19 @@ def _check_uniform(t_grid: np.ndarray) -> float:
 
 def _check_reachable(
     coeffs: np.ndarray, counts: np.ndarray, parts: np.ndarray, rep: FockRep, dt: float
-) -> float:
+) -> tuple[float, float]:
     """The step tau = dt/hbar of each exp(-i G tau) that a grid step dt takes,
-    as i hbar d(psi)/dt = H psi asks. Refuse a grid whose steps need more than
-    MAX_SUBSTEPS sub-steps in all. Row r of ``coeffs`` holds a generator's
-    coefficients on the blocks ``parts``, and ``counts[r]`` its step count.
-    KRYLOV_MAX vectors resolve exp(-i G tau) only for tau |G| up to about
-    KRYLOV_MAX (Hochbruck & Lubich 1997), and |G| is at most
-    sum_k |c_k| (|B_k,x| + |B_k,y|) over the blocks. A space spanning the
-    state space resolves any step."""
+    as i hbar d(psi)/dt = H psi asks, and the sub-steps a ``krylov_step`` run
+    may take. Refuse a grid whose steps need more than MAX_SUBSTEPS sub-steps
+    in all. Row r of ``coeffs`` holds a generator's coefficients on the
+    blocks ``parts``, and ``counts[r]`` its step count. KRYLOV_MAX vectors
+    resolve exp(-i G tau) only for tau |G| up to about KRYLOV_MAX (Hochbruck
+    & Lubich 1997), and |G| is at most sum_k |c_k| (|B_k,x| + |B_k,y|) over
+    the blocks. A space spanning the state space resolves any step, but for
+    rounding: there a run may take MAX_SUBSTEPS, counted as it takes them."""
     tau = dt / rep.hbar
     if rep.dim <= KRYLOV_MAX:
-        return tau
+        return tau, MAX_SUBSTEPS
     entries = np.abs(parts)  # |B| <= sqrt(max row sum * max column sum) of |B|
     norms = np.sqrt(entries.sum(axis=-1).max(axis=-1) * entries.sum(axis=-2).max(axis=-1))
     bound = np.abs(coeffs) @ norms.sum(axis=1)
@@ -339,7 +324,7 @@ def _check_reachable(
             f"more than the {MAX_SUBSTEPS} a run may take: the generator-norm bound reaches "
             f"{bound.max():.3g}, and a sub-step spans at most about {KRYLOV_MAX}/bound"
         )
-    return tau
+    return tau, math.inf
 
 
 #: one step of a Lanczos recurrence: the basis rows so far, the projected
@@ -450,6 +435,7 @@ def krylov_step(
     n: int,
     size: int,
     first: Sequence[LanczosStep] | None = None,
+    max_substeps: float = math.inf,
 ) -> Iterator[Segment]:
     """Yield exp(-i G k dt) psi, k = 1..n, as consecutive segments, for a
     Hermitian generator given as its action g: v -> G v, by Lanczos (Park &
@@ -463,10 +449,11 @@ def krylov_step(
     sub-steps, halving from dt/2 until each converges, so any dt is reached;
     its sample is yielded as a stored row. Each sub-step is handed the size
     of the last sub-step that converged (0 before the first), as the runs
-    are. ``first``, when given, is the recorded Lanczos recurrence of psi
-    under G, which the first run replays instead of applying G again.
+    are, and a sub-step that would leave more than ``max_substeps`` in all
+    raises ConfigError. ``first``, when given, is the recorded Lanczos
+    recurrence of psi under G, which the first run replays.
     """
-    done = 0
+    done = substeps = 0
     while done < n:
         recurrence = _lanczos(g, psi) if first is None else first
         first = None
@@ -476,9 +463,14 @@ def krylov_step(
             remaining, tau, sub_size = dt, 0.5 * dt, 0  # dt itself just failed
             while remaining > 0.0:
                 tau = min(tau, remaining)
+                if substeps + remaining / tau > max_substeps:
+                    raise ConfigError(
+                        f"a step of dt/hbar={dt:.6g} needs more than {max_substeps:g} Lanczos "
+                        f"sub-steps: at least {remaining / tau:.3g} more of {tau:.3g} or less")
                 sub = _krylov_run(_lanczos(g, psi), np.linalg.norm(psi), tau, 1, sub_size)
                 if sub.size:
                     psi, remaining, sub_size = sub.row(0), remaining - tau, len(sub.basis)
+                    substeps += 1
                 elif tau > dt * 2.0**-60:  # bounded, so a NaN estimate cannot loop forever
                     tau *= 0.5
                 else:
@@ -569,9 +561,9 @@ def evolve(
     Every step is unitary to machine precision; dt controls only the
     time-ordering error. One evaluation of H's coefficients at every midpoint
     splits the grid into runs: consecutive steps with equal coefficients form
-    a run of one generator, which ``krylov_step`` propagates from
-    the run's first state: a constant generator is one run over the grid, a
-    changing one a run per step. Each run is handed the Lanczos size of the
+    a run of one generator, which ``krylov_step`` propagates from the run's
+    first state: a constant generator is one run over the grid, a changing
+    one a run per step. Each run is handed the Lanczos size of the
     run before it, below which ``krylov_step`` skips its checks.
     ``EvolvedState.spectra`` holds the Ritz data of H(t0) on psi(t0) and of
     H(t1) on psi(t1). When a single run's generator is H at t0 and at t1, the
@@ -580,20 +572,20 @@ def evolve(
     propagation and the spectra share one recurrence of at most KRYLOV_MAX
     vectors; otherwise ``spectral_weights`` runs at each end after the
     propagation. A grid whose steps need more than MAX_SUBSTEPS sub-steps
-    raises ConfigError first. The per-mode blocks of H's fixed parts are
+    raises ConfigError first, or, on at most KRYLOV_MAX dimensions, a run
+    once it would take more. The per-mode blocks of H's fixed parts are
     built once and combined per run and at the two ends, each by one product
     of a coefficient row with the flattened blocks; no generator-sized
-    matrix is built or decomposed. A Lanczos
-    space that resolves more samples than it has vectors is kept as a segment
-    of coefficients on its basis; the samples of every other space are
-    stored as rows, consecutive stored rows joined into segments of at least
-    BLOCK_ROWS rows, so that joining never holds a second copy of more than
-    a block.
+    matrix is built or decomposed. A Lanczos space that resolves more
+    samples than it has vectors is kept as a segment of coefficients on its
+    basis; the samples of every other space are stored as rows, consecutive
+    stored rows joined into segments of at least BLOCK_ROWS rows, so that
+    joining never holds a second copy of more than a block.
 
-    The recurrences run in the basis rotated by ``_rotation``, where H's
-    blocks are real; a generator whose rotated blocks keep an imaginary part
+    The recurrences run in the rotated basis of ``FockRep``, where H's
+    blocks are real; a generator whose blocks keep an imaginary part there
     raises ValueError. psi0 is rotated in, and the history stays in the
-    rotated basis, with its phases as ``EvolvedState.frame``: a Lanczos
+    rotated basis, with ``rep.frame`` as ``EvolvedState.frame``: a Lanczos
     segment keeps the basis its recurrence built. A recurrence from a real
     state runs in float64: from the probe coherent(alpha_x) (x) |0>_y (x) up
     with real alpha_x, the shared recurrence of a constant generator, or the
@@ -611,7 +603,7 @@ def evolve(
     if abs(nrm - 1.0) > 1e-10:
         raise ValueError(f"initial state must be unit norm, got {nrm}")
 
-    parts = _rotated_blocks(h.polys, rep)
+    parts = _mode_blocks(h.polys, rep)
     if np.any(parts.imag):
         raise ValueError(
             "H is not real in the rotated Fock basis (i^n_y on mode y, diag(1, i) on the "
@@ -623,15 +615,14 @@ def evolve(
     # a run starts at the first midpoint and wherever the coefficients change
     starts = np.flatnonzero(np.r_[True, np.any(midpoints[1:] != midpoints[:-1], axis=1)])
     coeffs, counts = midpoints[starts], np.diff(np.r_[starts, len(midpoints)])
-    tau = _check_reachable(coeffs, counts, parts, rep, dt)
+    tau, max_substeps = _check_reachable(coeffs, counts, parts, rep, dt)
     ends = h.value(ts[[0, -1]])
     shared = len(starts) == 1 and bool(np.all(ends == coeffs[0]))
 
     def generator(c: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         return _block_action((c @ flat).reshape(parts.shape[1:]), rep)
 
-    frame = np.tile(_rotation(rep)[1], rep.N)  # psi = frame * phi
-    phi = frame.conj() * psi
+    phi = rep.frame.conj() * psi
     phi = start = phi if np.any(phi.imag) else phi.real.copy()
     segments, stored = [], [phi[None]]
     size, first = 0, None
@@ -640,7 +631,7 @@ def evolve(
         if shared:
             first = list(_lanczos(g, phi))
             spectra = (_ritz(first),) * 2
-        for segment in krylov_step(g, phi, tau, n, size, first):
+        for segment in krylov_step(g, phi, tau, n, size, first, max_substeps):
             if segment.coeffs is not None:
                 size = len(segment.basis)
             projected = segment.coeffs is not None and segment.size > len(segment.basis)
@@ -661,7 +652,7 @@ def evolve(
         spectra = tuple(
             spectral_weights(generator(c), _real_planes(end)) for c, end in zip(ends, (start, phi))
         )
-    return EvolvedState(ts, tuple(segments), spectra, frame)
+    return EvolvedState(ts, tuple(segments), spectra, rep.frame)
 
 
 @dataclass(frozen=True)
@@ -709,12 +700,13 @@ class Observables(NamedTuple):
 def _images(rep: FockRep, rows: np.ndarray) -> np.ndarray:
     """The images of rows (n, dim) in the rotated basis under x, p_x, y and
     p_y, each over its phase in _IMAGE_PHASES, stacked as (4, n, dim): one
-    product per mode, ``rep.pair_x`` on the left of the rows with mode x
-    leading, ``rep.pair_y`` on the right. Real rows have real images."""
+    product per mode, the (2N, N) stack [x; p_x] of ``rep.coords`` on the
+    left of the rows with mode x leading, ``rep.pair_y`` on the right. Real
+    rows have real images."""
     n, m = len(rows), rep.N
     out = np.empty((4, n, m, 2 * m), dtype=rows.dtype)
     rows = rows.reshape(n, m, 2 * m)
-    images = rep.pair_x @ rows.transpose(1, 0, 2).reshape(m, -1)
+    images = rep.coords[:2].reshape(2 * m, m) @ rows.transpose(1, 0, 2).reshape(m, -1)
     out[:2] = images.reshape(2, m, n, 2 * m).transpose(0, 2, 1, 3)
     del images
     images = rows.reshape(-1, 2 * m) @ rep.pair_y
@@ -737,54 +729,59 @@ def measure(
     basis ``evolve`` holds it in: a stored segment BLOCK_ROWS rows at a time,
     a Lanczos segment in its basis.
 
-    Each piece gives per-sample moments: <I> for the degree-<=1 invariant I,
-    from its own image (its rotated blocks are complex for a spinful I), the
-    means of x, px, y and py and the Gram entries of their images (one
-    ``_images`` product per mode), and the weight on the top oscillator
-    level n = N-1 of either mode, where the truncation defect lives. A stored
-    row gives them as inner products. A Lanczos segment gives them as
-    quadratic forms in its coefficients (``_forms``), with the coordinate
-    forms from the Gram matrices of the basis and of its images against its
-    images, real for a float64 basis. The moments give <I>(t) and its drift, the
-    Robertson data of (x, px) and (y, py), and, expanded, those of the Bopp
-    pair (x - s_theta(t) py, px + s_eta(t) y), where ``scales`` holds the
-    arrays (s_theta, s_eta) at the samples.
+    Each piece gives per-sample moments: the means of x, px, y and py and the
+    Gram entries of their images (one ``_images`` product per mode), and the
+    weight on the top oscillator level n = N-1 of either mode, where the
+    truncation defect lives. A stored row gives them as inner products. A
+    Lanczos segment gives them as quadratic forms in its coefficients
+    (``_forms``), from the Gram matrices of the basis and of its images
+    against its images, real for a float64 basis. The moments give
+    <I>(t) = c_1 + b_1 <x> + a_1 <px> + b_3 <y> + a_3 <py> and its drift for
+    the scalar degree-<=1 invariant I, the Robertson data of (x, px) and
+    (y, py), and, expanded, those of the Bopp pair (x - s_theta(t) py,
+    px + s_eta(t) y), where ``scales`` holds the arrays (s_theta, s_eta) at
+    the samples. A quadratic I raises DegreeError, a spinful one ValueError.
     """
-    i_psi = _block_action(_rotated_blocks([i_op], rep)[0], rep)
+    if i_op.degree() > 1:
+        raise DegreeError("only invariants of degree <= 1 are measured")
+    # the constant slot, then the coordinates in the order of _images
+    c = i_op.slots[[0, 1 + Coord.X, 1 + Coord.PX, 1 + Coord.Y, 1 + Coord.PY]]
+    if np.any(c != c[:, :1, :1] * np.eye(2)):
+        raise ValueError("only a scalar invariant is measured: I has a spinful coefficient")
     left, right = _FORMS
     top = np.zeros((rep.N, rep.N, 2), dtype=bool)
     top[-1] = top[:, -1] = True
     top = top.ravel()
-    moments = np.empty((2 + len(left), len(evolved.times)), dtype=complex)
+    moments = np.empty((1 + len(left), len(evolved.times)), dtype=complex)
     k = 0
     for segment in evolved.segments:
         basis = segment.basis
+        if basis.shape[-1] != rep.dim:
+            raise ValueError(f"state size {basis.shape[-1]} does not match dim {rep.dim}")
         if segment.coeffs is None:
             for lo in range(0, len(basis), BLOCK_ROWS):
                 rows = basis[lo : lo + BLOCK_ROWS]
                 out = moments[:, k + lo : k + lo + len(rows)]
-                out[0] = np.vecdot(rows, i_psi(rows))
                 images = (rows, *_images(rep, rows))
-                for row, a, b in zip(out[1:-1], left, right):
+                for row, a, b in zip(out[:-1], left, right):
                     row[:] = np.vecdot(images[a], images[b])
                 edge = rows[:, top]
                 out[-1] = np.vecdot(edge, edge)
                 del images  # not kept beside the next block's
         else:
             m = len(basis)
-            i_form = _gram(basis, i_psi(basis))
             images = _images(rep, basis).reshape(4 * m, -1)
             coords = np.concatenate([_gram(basis, images), _gram(images, images)])
             coords = coords.reshape(5, m, 4, m)[left, :, right - 1]
             edge = basis[:, top]
-            forms = np.concatenate([i_form[None], coords, _gram(edge, edge)[None]])
+            forms = np.concatenate([coords, _gram(edge, edge)[None]])
             _forms(segment.coeffs, forms, moments[:, k : k + segment.size])
             del images, coords, forms  # not kept beside the next segment's
         k += segment.size
-    moments[1:-1] *= (_IMAGE_PHASES.conj()[left] * _IMAGE_PHASES[right])[:, None]
-    # a copy: a row view would keep the whole (16, n_t) table alive with the result
-    values, mean, weight = moments[0].copy(), moments[1:5].real, moments[-1].real
-    gram = dict(zip(_GRAM, moments[5:-1]))
+    moments[:-1] *= (_IMAGE_PHASES.conj()[left] * _IMAGE_PHASES[right])[:, None]
+    mean, weight = moments[:4].real, moments[-1].real
+    gram = dict(zip(_GRAM, moments[4:-1]))
+    values = c[0, 0, 0] + c[1:, 0, 0] @ mean
     drift = values - values[0]
     rel = float(np.max(np.abs(drift)) / (abs(values[0]) + 1.0))
 

@@ -105,10 +105,40 @@ def test_dual_path_is_judged_relative_to_large_coefficients(tmp_path, argv):
     # absolutely, invariant ended in a RuntimeError traceback
     argv = (*argv, "--eta=0.7", "--B=1.7")
     assert run(tmp_path, "invariant", *argv) == 0
-    # the worst-commutator check is absolute and may fail on rounding here
-    assert run(tmp_path, "verify-algebra", "--grid_points=2", "--t1=1e-3", *argv) in (0, 1)
+    assert run(tmp_path, "verify-algebra", "--grid_points=2", "--t1=1e-3", *argv) == 0
     report = json.loads((tmp_path / "algebra_report.json").read_text())
     assert report["dual_path_deviation"] <= 1e-15
+
+
+LARGE_HBAR_EFF = [
+    ("--theta=1e6", "--eta=0.7", "--gamma=0.3", "--B=1.7"),
+    ("--theta=1.3", "--eta=0.7", "--B=1.7", "--hbar=3e-7"),
+]
+
+
+@pytest.mark.parametrize("argv", LARGE_HBAR_EFF, ids=["theta-1e6", "hbar-3e-7"])
+def test_commutators_are_judged_relative_to_their_expected_values(tmp_path, argv):
+    # [x_nc, px_nc] should be i hbar_eff, 1.75e5 i and 7.6e5 i here: it
+    # deviates by 4.1e-11 and 3.3e-10, a few ulps of that. The report keeps
+    # the absolute deviations; the check takes each over max(1, |expected|)
+    assert run(tmp_path, "verify-algebra", *argv) == 0
+    report = json.loads((tmp_path / "algebra_report.json").read_text())
+    assert report["pass"] is True
+    assert report["worst_commutator"]["pair"] == "[x_nc,px_nc]"
+    assert 1e-11 < report["deformed_algebra"]["max_deviation"] < 1e-9
+
+
+def test_a_misscaled_bopp_shift_fails_at_large_theta(tmp_path, monkeypatch, capsys):
+    # a shift wrong by 1e-9 of itself moves [x_nc, y_nc] = i theta(t) by 1e-9
+    # of it: relative to the expected value it stays far above 1e-12
+    real = ncmodel.bopp_scales
+
+    def misscaled(p, t):
+        return tuple((1.0 + 1e-9) * s for s in real(p, t))
+
+    monkeypatch.setattr(ncmodel, "bopp_scales", misscaled)
+    assert run(tmp_path, "verify-algebra", *LARGE_HBAR_EFF[0]) == 1
+    assert capsys.readouterr().err.startswith("check failed: worst commutator")
 
 
 @pytest.mark.parametrize(
@@ -1094,6 +1124,36 @@ def test_evolve_on_a_state_space_one_lanczos_space_spans_takes_any_dt(tmp_path):
     argv = ("--theta=0.1", "--eta=0.05", "--gamma=50", "--t1=1", "--dt=0.5", "--fock_N=4")
     assert run(tmp_path, "evolve", *argv) == 1
     assert (tmp_path / "evolution.csv").exists()
+
+
+def test_evolve_on_a_small_state_space_refuses_a_step_rounding_puts_out_of_reach(
+    tmp_path, monkeypatch, capsys
+):
+    # at hbar = 3.5e-25 a step of 0.01 is tau = dt/hbar = 2.9e22. The space
+    # of the probe ends on the invariance test at 6 vectors with beta 3.3e-12,
+    # so tau beta stays above KRYLOV_TOL down to sub-steps of about 3e12: some
+    # 9e9 of them. The generator-norm bound does not judge a state space of 32
+    # dimensions; the run refuses once its sub-steps would pass MAX_SUBSTEPS,
+    # after 35 Lanczos runs, instead of taking them
+    runs = []
+    krylov_run = fockevolve._krylov_run
+
+    def counted(*args):
+        runs.append(args[2])
+        if len(runs) > 200:
+            raise RuntimeError("evolve keeps sub-stepping")
+        return krylov_run(*args)
+
+    monkeypatch.setattr(fockevolve, "_krylov_run", counted)
+    argv = (
+        "--hbar=3.4839177266506073e-25", "--theta=-7.854065865638846e-11",
+        "--eta=1.7467661007058605e-36", "--B=1.8250886866238245",
+        "--m=0.00030730171904769915", "--fock_N=4", "--t1=0.05", "--dt=0.01",
+    )
+    assert run(tmp_path, "evolve", *argv) == 2
+    assert "needs more than 1024 Lanczos sub-steps" in capsys.readouterr().err
+    assert len(runs) < 50
+    assert not (tmp_path / "evolution.csv").exists()
 
 
 def test_emit_filter(tmp_path):

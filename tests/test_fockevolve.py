@@ -57,9 +57,8 @@ def history(rep, times, basis, coeffs=None):
     """An evolution history of one segment, given in the standard basis and
     held, as evolve holds it, in the rotated one: stored rows when coeffs is
     None, else coefficients on the rows of basis."""
-    frame = full_phase(rep)
-    segment = Segment(frame.conj() * np.asarray(basis), coeffs)
-    return EvolvedState(np.asarray(times, dtype=float), (segment,), NO_SPECTRA, frame)
+    segment = Segment(rep.frame.conj() * np.asarray(basis), coeffs)
+    return EvolvedState(np.asarray(times, dtype=float), (segment,), NO_SPECTRA, rep.frame)
 
 
 def dense(poly, rep):
@@ -67,8 +66,20 @@ def dense(poly, rep):
     return partial(np.matmul, represent(poly, rep))
 
 
+def frame_phases(n):
+    """The full-space phases R of the rotated basis, psi = R phi: i^n_y on
+    oscillator level n_y of mode y and diag(1, i) on the spinor."""
+    return np.tile(np.kron(1j ** np.arange(n), [1.0, 1j]), n)
+
+
+def rotated(poly, rep):
+    """The dense matrix of P in the rotated basis, R^dag P R."""
+    frame = frame_phases(rep.N)
+    return frame.conj()[:, None] * represent(poly, rep) * frame
+
+
 def apply(poly, rep):
-    """v -> P v by the per-mode blocks evolve and measure apply."""
+    """v -> P v in the rotated basis by the per-mode blocks evolve applies."""
     return fockevolve._block_action(fockevolve._mode_blocks([poly], rep)[0], rep)
 
 
@@ -135,8 +146,9 @@ def test_canonical_defect_confined_to_top_level():
 
 def test_represent_tensor_structure():
     rep = build_fock_rep(4, 1.0)
+    # mode x is not rotated, and x carries phase 1 there: coords[0] is x
     got = represent(PhasePoly.monomial(ID2, Coord.X), rep)
-    assert np.array_equal(got, np.kron(np.kron(rep.x, np.eye(rep.N)), ID2))
+    assert np.array_equal(got, np.kron(np.kron(rep.coords[0], np.eye(rep.N)), ID2))
     const = represent(PhasePoly.constant(2.5 * ID2), rep)
     assert np.array_equal(const, 2.5 * np.eye(rep.dim))
 
@@ -176,13 +188,14 @@ def random_linear_poly(rng):
 @pytest.mark.parametrize("rows", [None, 7], ids=["one-state", "block"])
 @pytest.mark.parametrize("n", [2, 5])
 def test_apply_matches_dense_oracle(n, rows):
+    # in the rotated basis: the dense matrix of P between the phases R
     rng = np.random.default_rng(11 * n)
     rep = build_fock_rep(n, 0.8, 1.3)
     shape = (rep.dim,) if rows is None else (rows, rep.dim)
     states = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     for _ in range(3):
         poly = random_linear_poly(rng)
-        want = states @ represent(poly, rep).T
+        want = states @ rotated(poly, rep).T
         got = apply(poly, rep)(states)
         assert got.shape == shape
         assert np.max(np.abs(got - want)) <= 1e-13
@@ -248,9 +261,9 @@ def count_calls(monkeypatch, rep):
 
         return wrapped
 
-    def counting_step(g, psi, dt, n, size, first=None):
+    def counting_step(g, psi, dt, n, *args):
         runs.append(n)
-        return step(g, psi, dt, n, size, first)
+        return step(g, psi, dt, n, *args)
 
     def counting_lanczos(g, psi):
         spaces.append(psi.size)
@@ -334,15 +347,21 @@ def test_constant_generator_matches_exact_propagator_across_restarts(monkeypatch
     assert np.max(np.abs(ev.states - exact)) <= 1e-13
 
 
-def rotated_blocks(polys, rep):
-    """The per-mode blocks of polys in the rotated basis, still complex."""
-    r = fockevolve._rotation(rep)
-    return r.conj()[:, :, None] * fockevolve._mode_blocks(polys, rep) * r[:, None, :]
-
-
-def full_phase(rep):
-    """The full-space phases R of the rotated basis: psi = R phi."""
-    return np.tile(fockevolve._rotation(rep)[1], rep.N)
+def rotate_after(polys, rep):
+    """The per-mode blocks of polys built in the standard basis from the
+    complex single-mode x and p, then rotated by the phases of each block:
+    diag(1, i) on the spinor of both, i^n on level n of mode y."""
+    n = rep.N
+    a = np.diag(np.sqrt(np.arange(1.0, n)), 1).astype(complex)
+    x = rep.ell * (a + a.T) / math.sqrt(2.0)
+    p = 1j * rep.hbar * (a.T - a) / (math.sqrt(2.0) * rep.ell)
+    slots = [[1 + Coord.X, 1 + Coord.PX, 5], [1 + Coord.Y, 1 + Coord.PY, 0]]
+    coeffs = np.stack([poly.slots for poly in polys])[:, slots]
+    blocks = np.tensordot(coeffs, np.stack([x, p, np.eye(n)]), (2, 0))
+    blocks = blocks.transpose(0, 1, 4, 2, 5, 3).reshape(len(polys), 2, 2 * n, 2 * n)
+    spin = np.array([1.0, 1j])
+    r = np.stack([np.tile(spin, n), np.kron(1j ** np.arange(n), spin)])
+    return r.conj()[:, :, None] * blocks * r[:, None, :]
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -361,14 +380,29 @@ def full_phase(rep):
 )
 def test_hamiltonians_are_real_in_the_rotated_basis(p, t, n):
     # the rotation multiplies by +-1 and +-i only: the fixed parts and H(t)
-    # of both Hamiltonians have an imaginary part of exactly 0.0 there
-    rep = build_fock_rep(n, 0.7)
-    r = fockevolve._rotation(rep)
-    levels = np.kron(1j ** np.arange(n), [1.0, 1j])
-    assert np.array_equal(r, [np.tile([1.0, 1j], n), levels])
+    # of both Hamiltonians have an imaginary part of exactly 0.0 there, and
+    # their blocks, built in the rotated basis, are those of the standard
+    # basis rotated afterwards, entry for entry
+    rep = build_fock_rep(n, 0.7, 1.3)
+    assert np.array_equal(rep.frame, frame_phases(n))
     for h in (ncmodel.build_h_nc(p), ncmodel.build_h_commutative(p)):
         for polys in (h.polys, [h.at(t)]):
-            assert np.all(rotated_blocks(polys, rep).imag == 0.0)
+            blocks = fockevolve._mode_blocks(polys, rep)
+            assert np.all(blocks.imag == 0.0)
+            assert np.array_equal(blocks, rotate_after(polys, rep))
+
+
+@pytest.mark.parametrize(
+    "build", [ncmodel.build_h_nc, ncmodel.build_h_commutative], ids=["deformed", "commutative"]
+)
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_mode_blocks_act_as_the_rotated_dense_oracle(build, n):
+    # the dense matrix of the block action, column j the image of e_j, is the
+    # oracle's matrix of H(t) between the frame's phases, entry for entry
+    rep = build_fock_rep(n, 0.8, 1.3)
+    poly = build(README).at(0.37)
+    got = apply(poly, rep)(np.eye(rep.dim, dtype=complex)).T
+    assert np.array_equal(got, rotated(poly, rep))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -378,7 +412,7 @@ def test_states_rotate_out_and_back_exactly(n, seed, alpha):
     # the displaced probe of cmd_evolve (real alpha_x, vacuum y, spin up) is
     # real in the rotated basis
     rep = build_fock_rep(n, 1.0)
-    phase = full_phase(rep)
+    phase = rep.frame
     rng = np.random.default_rng(seed)
     psi = rng.normal(size=rep.dim) + 1j * rng.normal(size=rep.dim)
     assert (phase * (phase.conj() * psi)).tobytes() == psi.tobytes()
@@ -391,7 +425,7 @@ def test_evolve_refuses_a_generator_that_is_not_real_in_the_rotated_basis():
     # block keeps the entries of x, up to sqrt(5/2) at fock_N=6
     rep = build_fock_rep(6, 1.0)
     h = AffineOp.time_constant(PhasePoly.monomial(SIGMA1, Coord.X))
-    assert np.max(np.abs(rotated_blocks(h.polys, rep).imag)) == pytest.approx(math.sqrt(2.5))
+    assert np.max(np.abs(fockevolve._mode_blocks(h.polys, rep).imag)) == pytest.approx(math.sqrt(2.5))
     with pytest.raises(ValueError, match="not real in the rotated Fock basis.* reaches 1.58"):
         evolve(h, rep, coherent_state(rep), np.linspace(0.0, 1.0, 3))
 
@@ -739,8 +773,8 @@ def test_lanczos_says_which_vector_is_last(case, vectors):
 def test_an_invariant_space_ends_alike_in_every_arithmetic():
     # the t1 state of the gamma = 50 one-step run at fock_N=6 spans a space
     # of 24 vectors invariant under H(t1). Its residual there is rounding,
-    # 0.87, 1.2 and 1.0 x 1e-14 of |G v_j| in complex arithmetic in the
-    # standard basis, complex in the rotated one and on the real planes;
+    # 1.0, 1.2 and 1.0 x 1e-14 of |G v_j| in complex arithmetic in the
+    # standard basis (dense H), complex in the rotated one and on the real planes;
     # the smallest ratio before it is 5.9e-9, at vector 12. All three end at
     # vector 24
     p = NCParams(theta=0.1, eta=0.05, gamma=50.0)
@@ -748,9 +782,9 @@ def test_an_invariant_space_ends_alike_in_every_arithmetic():
     h = ncmodel.build_h_nc(p)
     ev = evolve(h, rep, coherent_state(rep, alpha_x=1.0), np.array([0.0, 0.5]))
     psi = ev.states[-1]
-    phi = full_phase(rep).conj() * psi
-    rotated = fockevolve._block_action(rotated_blocks([h.at(0.5)], rep)[0].real.copy(), rep)
-    runs = [(apply(h.at(0.5), rep), psi), (rotated, phi), (rotated, np.stack([phi.real, phi.imag]))]
+    phi = rep.frame.conj() * psi
+    rotated = fockevolve._block_action(fockevolve._mode_blocks([h.at(0.5)], rep)[0].real.copy(), rep)
+    runs = [(dense(h.at(0.5), rep), psi), (rotated, phi), (rotated, np.stack([phi.real, phi.imag]))]
     for g, start in runs:
         assert [last for *_, last in fockevolve._lanczos(g, start)] == [False] * 23 + [True]
     assert len(ev.spectra[1].ritz) == 24
@@ -964,6 +998,23 @@ def test_measure_rejects_quadratic_invariant():
         observe(rep, ev, PhasePoly.monomial(ID2, Coord.X, Coord.PX))
 
 
+@pytest.mark.parametrize(
+    "i_op",
+    [
+        PhasePoly.constant(np.diag([1.0, 2.0])),
+        PhasePoly.monomial(SIGMA1, Coord.PY),
+        PhasePoly.constant(ID2) + PhasePoly.monomial(0.5j * SIGMA1, Coord.X),
+    ],
+    ids=["unequal-diagonal", "sigma1-py", "off-diagonal-x"],
+)
+def test_measure_rejects_spinful_invariant(i_op):
+    # <I> is read off the coordinate means, which holds for a scalar I only
+    rep = build_fock_rep(3, 1.0)
+    ev = history(rep, np.zeros(1), coherent_state(rep)[None])
+    with pytest.raises(ValueError, match="only a scalar invariant is measured"):
+        observe(rep, ev, i_op)
+
+
 def test_unconstrained_drift_matches_ehrenfest_rate():
     p = COMMUTATIVE
     rep = build_fock_rep(12, 1.0)
@@ -1056,12 +1107,12 @@ def test_truncation_scaling_of_constrained_drift():
         assert small <= max(1.1 * large, 1e-12)
 
 
-def random_hermitian_invariant(rng):
-    """A spinful Hermitian degree-1 I: a random Hermitian 2x2 coefficient,
-    sigma parts included, on the constant slot and on each linear slot."""
-    a = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
+def random_scalar_invariant(rng):
+    """A scalar degree-1 I, the ansatz of ``invariant.constant_invariant``:
+    a random real multiple of the identity on the constant slot and on each
+    linear slot."""
     slots = np.zeros((15, 2, 2), dtype=complex)
-    slots[:5] = a + a.conj().transpose(0, 2, 1)
+    slots[:5] = rng.normal(size=5)[:, None, None] * ID2
     return PhasePoly(slots)
 
 
@@ -1074,7 +1125,7 @@ def test_measure_matches_dense_oracle():
     psi0 = coherent_state(rep, alpha_x=0.8, alpha_y=0.3j, spinor=(1.0, 0.5j))
     times = np.linspace(0.0, 0.5, BLOCK_ROWS + 1)
     ev = evolve(h, rep, psi0, times)
-    i_op = random_hermitian_invariant(np.random.default_rng(5))
+    i_op = random_scalar_invariant(np.random.default_rng(5))
     obs = observe(rep, ev, i_op, p)
 
     values = np.array([np.vdot(s, represent(i_op, rep) @ s) for s in ev.states])
@@ -1122,7 +1173,7 @@ def test_measure_images_each_block_once(monkeypatch):
     rep = build_fock_rep(4, 1.0)
     n_t = 2 * BLOCK_ROWS + 1
     states = np.tile(coherent_state(rep, alpha_x=0.5), (n_t, 1))
-    i_op = random_hermitian_invariant(np.random.default_rng(1))
+    i_op = random_scalar_invariant(np.random.default_rng(1))
     observe(rep, history(rep, np.linspace(0.0, 1.0, n_t), states), i_op)
     assert sizes == [BLOCK_ROWS, BLOCK_ROWS, 1]
     # a Lanczos segment of 3 vectors is imaged once, however many samples
@@ -1211,7 +1262,7 @@ def test_constant_generator_across_restarts_measured_in_its_lanczos_spaces():
     exact = (np.exp(-1j * np.outer(times - times[0], w)) * (v.conj().T @ psi)) @ v.T
     assert np.max(np.abs(ev.states - exact)) <= 1e-12
     assert ev.norm_drift <= 1e-12
-    i_op = random_hermitian_invariant(np.random.default_rng(3))
+    i_op = random_scalar_invariant(np.random.default_rng(3))
     assert_measure_matches_dense(observe(rep, ev, i_op, p), exact, i_op, p, rep)
 
 
@@ -1246,7 +1297,7 @@ def test_piecewise_history_alternates_stored_and_projected_segments():
     assert np.max(np.abs(ev.states - want)) <= 1e-12
     for k in (0, 1, 50, 51, 60, 61, 120):
         assert np.max(np.abs(ev.states[k] - want[k])) <= 1e-12
-    i_op = random_hermitian_invariant(np.random.default_rng(4))
+    i_op = random_scalar_invariant(np.random.default_rng(4))
     assert_measure_matches_dense(observe(rep, ev, i_op, p), want, i_op, p, rep)
 
 
@@ -1282,7 +1333,7 @@ def test_a_constant_run_is_held_and_measured_in_its_real_frame(monkeypatch):
     ev = evolve(h, rep, psi, times)
     projected = [seg for seg in ev.segments if seg.coeffs is not None]
     assert projected and all(seg.basis.dtype == np.float64 for seg in projected)
-    frame = full_phase(rep)
+    frame = frame_phases(rep.N)
     assert np.array_equal(ev.frame, frame)
     assert np.array_equal(ev.states, frame * np.concatenate([seg.rows() for seg in ev.segments]))
     w, v = np.linalg.eigh(represent(h.at(0.0), rep))
@@ -1298,13 +1349,12 @@ def test_a_constant_run_is_held_and_measured_in_its_real_frame(monkeypatch):
         return out
 
     monkeypatch.setattr(fockevolve, "_gram", recording)
-    i_op = random_hermitian_invariant(np.random.default_rng(6))
+    i_op = random_scalar_invariant(np.random.default_rng(6))
     obs = observe(rep, ev, i_op, p)
-    real, cplx = np.dtype(float), np.dtype(complex)
-    # per basis: the spinful invariant's own complex image, the basis and
-    # its coordinate images against those images, the top-level rows
-    want = [(real, cplx, cplx)] + [(real, real, real)] * 3
-    assert products == want * len(projected)
+    real = np.dtype(float)
+    # per basis: the basis and its coordinate images against those images,
+    # the top-level rows; the invariant takes none of its own
+    assert products == [(real, real, real)] * 3 * len(projected)
     assert_measure_matches_dense(obs, exact, i_op, p, rep)
 
 
@@ -1312,8 +1362,8 @@ def test_measure_holds_no_temporary_of_every_sample():
     # a stationary history of 100 000 samples on one Lanczos space of 4
     # vectors: the coefficient stage takes BLOCK_ROWS samples at a time, so
     # the peak of measure stays within 4 MB of its moment table and the
-    # arrays it returns; one product over every sample would hold 16 forms
-    # of 4 complex entries per sample, 102 MB, at once
+    # arrays it returns; one product over every sample would hold 15 forms
+    # of 4 complex entries per sample, 96 MB, at once
     p = NCParams(theta=0.1, eta=0.05)
     rep = build_fock_rep(2, lrsolve.magnetic_length(p))
     times = np.linspace(0.0, 100.0, 100_000)
@@ -1325,7 +1375,7 @@ def test_measure_holds_no_temporary_of_every_sample():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    table = 16 * 16 * len(times)  # <I>, 4 means, 10 Gram entries, the edge weight
+    table = 15 * 16 * len(times)  # 4 means, 10 Gram entries, the edge weight
     returned = sum(a.nbytes for a in (obs.drift.values, obs.drift.drift, *obs.xp, *obs.yp, *obs.bopp))
     assert peak <= table + returned + 4 * 2**20
 
@@ -1344,5 +1394,5 @@ def test_segment_moments_use_the_gram_of_its_basis():
     ev = history(rep, np.linspace(0.0, 1.0, 7), basis, coeffs)
     assert ev.norm_drift <= 1e-13
     assert np.max(np.abs(ev.states - states)) == 0.0
-    i_op = random_hermitian_invariant(rng)
+    i_op = random_scalar_invariant(rng)
     assert_measure_matches_dense(observe(rep, ev, i_op, p), states, i_op, p, rep)
