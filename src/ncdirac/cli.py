@@ -64,13 +64,6 @@ class RunConfig(ncmodel.NCParams):
     def emit_formats(self) -> set[str]:
         return {s.strip() for s in self.emit.split(",") if s.strip()}
 
-    def canonical_hash(self) -> str:
-        """Hash of every key but output_dir: identical runs written to two
-        directories share it."""
-        import hashlib  # report alone takes it; it loads libcrypto
-        lines = [f"{key}={getattr(self, key)!r}" for key in _FIELD_TYPES if key != "output_dir"]
-        return hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest()
-
 
 _HINTS = typing.get_type_hints(RunConfig)
 #: config key -> type: the fields a RunConfig is built from, not the derived kappa
@@ -427,7 +420,6 @@ def cmd_report(cfg: RunConfig) -> Result:
             raise ConfigError(f"unreadable input for report: {path}: {exc}") from exc
     summary = {
         "version": __version__,
-        "config_hash": cfg.canonical_hash(),
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "sections": sections,
     }
@@ -502,6 +494,8 @@ def main(argv=None) -> int:
             print(USAGE)
             return 0
         cfg = load_config(args)
+        # looked up on each call: a tracer that replaces cli.cmd_* is then
+        # called, where a module-level table would keep the originals
         run = {"verify-algebra": cmd_verify_algebra, "invariant": cmd_invariant,
                "xi": cmd_xi, "evolve": cmd_evolve, "report": cmd_report}[args.command]
         # numpy overflow and inf - inf raise, like math.exp does, instead of

@@ -1,9 +1,11 @@
 """Linear dynamical invariants of the deformed Dirac system.
 
 An invariant candidate I(t) = A1(t) px + B1(t) x + A2(t) py + B2(t) y + C(t)
-is certified by the vanishing of the residual [I, H] + i dI/dt. This module
-evaluates that residual on the commutator slots, and the constant-coefficient
-solution family, its dimension exact from the profiles' rates.
+is certified by the vanishing of the residual [I, H] + i hbar dI/dt, which is
+i hbar times Lewis and Riesenfeld's total derivative dI/dt + [I, H]/(i hbar).
+This module evaluates that residual on the commutator slots, and the
+constant-coefficient solution family, its dimension exact from the profiles'
+rates.
 
 The paper's fifteen bracket relations 25a-25o are a fixed relabelling of the
 residual's slots (CONSTRAINT_SLOTS); their hand transcription is kept only as
@@ -54,7 +56,7 @@ def constant_invariant(
 def invariance_residual(
     ans: AffineOp, h: AffineOp, hbar: float, ts: Sequence[float]
 ) -> np.ndarray:
-    """Residual slots [I, H] + i dI/dt at each time of ts, (len(ts), 15, 2, 2),
+    """Residual slots [I, H] + i hbar dI/dt at each time of ts, (len(ts), 15, 2, 2),
     with the canonical commutator at ``hbar``; a zero row certifies I as a
     dynamical invariant at that time. One commutator call takes GRID_BLOCK
     grid times."""
@@ -64,7 +66,7 @@ def invariance_residual(
     for lo in range(0, len(ts), GRID_BLOCK):
         block = slice(lo, lo + GRID_BLOCK)
         comm = ps_commutator(ans.stack(values[block]), h.stack(h_values[block]), hbar)
-        out[block] = comm + 1j * ans.stack(rates[block])
+        out[block] = comm + 1j * hbar * ans.stack(rates[block])
     return out
 
 

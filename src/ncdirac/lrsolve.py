@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .ncmodel import F_ETA, F_THETA, NCParams, profiles, sample_times, step_count
+from .ncmodel import F_ETA, NCParams, build_h_nc, profiles, sample_times, step_count
 from .phasepoly import ExpSum
 
 
@@ -239,20 +239,20 @@ def trial_residual(
 ) -> np.ndarray:
     """Diagnostic: pointwise i hbar d(psi)/dt - H psi for the assembled solution.
 
-    All derivatives are analytic: momenta act as p_x psi = hbar (xi1 + 2 xi3 x) psi.
+    psi is the envelope times e^{iS}, so H(t) of ``build_h_nc`` acts on it as
+    its slots at the phase-space point (x, y, hbar dS/dx, hbar dS/dy), e.g.
+    p_x psi = hbar (xi1 + 2 xi3 x) psi; the time derivative is analytic too.
     The value is reported, not asserted; the first component vanishes
     identically when xi3 = xi4 = 0, the second generally does not.
     """
     x1, x2 = xi_closed(p, t)
     g1, g2 = f_closed(p, t)
-    ft, fe = profiles(p)[[F_THETA, F_ETA]](t)
     phase = cmath.exp(1j * (x1 * x + x2 * y + xi3 * x * x + xi4 * y * y))
-    # momenta applied to the exponential
-    u = ft * (p.hbar * (x1 + 2.0 * xi3 * x)) + fe * y
-    v = ft * (p.hbar * (x2 + 2.0 * xi4 * y)) - fe * x
-    h_psi = np.array([(u - 1j * v) * g2 + p.m * g1, (u + 1j * v) * g1 - p.m * g2]) * phase
+    h = build_h_nc(p).at(t).slots
+    point = (x, y, p.hbar * (x1 + 2.0 * xi3 * x), p.hbar * (x2 + 2.0 * xi4 * y))  # Coord order
+    h_psi = (h[0] + np.tensordot(point, h[1:5], 1)) @ np.array([g1, g2]) * phase
     # i hbar d/dt: envelope rotation plus the moving linear phase
-    dxi1, dxi2 = flow_rhs(fe / p.hbar, np.array([g1, g2]))
+    dxi1, dxi2 = flow_rhs(profiles(p)[F_ETA](t) / p.hbar, np.array([g1, g2]))
     phase_dot = dxi1 * x + dxi2 * y
     w = p.m / p.hbar
     dpsi_dt = np.array([(-1j * w * g1 + 1j * g1 * phase_dot) * phase,

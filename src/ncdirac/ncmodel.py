@@ -222,7 +222,8 @@ def build_h_commutative(p: NCParams) -> AffineOp:
     """Dirac Hamiltonian in the symmetric gauge with commutative coordinates.
 
     H = c a1 px + c a2 py + e a1 (B/2) y - e a2 (B/2) x + beta m c^2. The
-    parameter record carries no light speed, so c = 1.
+    parameter record carries no light speed, so c = 1. ``h_nc_via_bopp``
+    substitutes the Bopp-shifted operators into it.
     """
     h = (
         PhasePoly.monomial(ALPHA1, Coord.PX)
@@ -247,16 +248,14 @@ def _h_nc(p: NCParams) -> AffineOp:
 
 def h_nc_via_bopp(p: NCParams, ts: Sequence[float]) -> np.ndarray:
     """Slot arrays (len(ts), 15, 2, 2) of the deformed Hamiltonian built by
-    substituting the shifted operators into the commutative-form Hamiltonian
-    (c = 1) at each time of ts."""
+    substituting the shifted operators into the linear slots of
+    ``build_h_commutative``, its constant slot kept, at each time of ts."""
     ops = bopp_slots(*bopp_scales(p, np.asarray(ts, dtype=float)))
-    half_eb = 0.5 * p.e * p.B
+    h_comm = build_h_commutative(p).polys[0].slots
     acc = np.zeros((len(ts), N_SLOTS, 2, 2), dtype=complex)
-    terms = ((1.0, ALPHA1, Coord.PX), (1.0, ALPHA2, Coord.PY),
-             (-half_eb, ALPHA2, Coord.X), (half_eb, ALPHA1, Coord.Y))
-    for coeff, alpha, c in terms:
-        acc += coeff * (alpha @ ops[:, c])
-    acc[:, 0] += p.m * BETA
+    for c in (Coord.PX, Coord.PY, Coord.X, Coord.Y):  # the order fixes the rounding
+        acc += h_comm[1 + c] @ ops[:, c]
+    acc[:, 0] += h_comm[0]
     return acc
 
 

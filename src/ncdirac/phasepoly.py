@@ -95,17 +95,6 @@ class PhasePoly:
     def __add__(self, other: "PhasePoly") -> "PhasePoly":
         return PhasePoly(self.slots + other.slots)
 
-    def __sub__(self, other: "PhasePoly") -> "PhasePoly":
-        return PhasePoly(self.slots - other.slots)
-
-    def __neg__(self) -> "PhasePoly":
-        return PhasePoly(-self.slots)
-
-    def __mul__(self, scalar: complex) -> "PhasePoly":
-        return PhasePoly(self.slots * scalar)
-
-    __rmul__ = __mul__
-
 
 def residual_norms(slots: np.ndarray) -> np.ndarray:
     """Max Frobenius norm over the 15 coefficient slots of every polynomial of a

@@ -11,7 +11,8 @@ monomial strings and normal-orders them one swap at a time using
 [z_i, z_j] = i*Omega_ij, with its own canonical pairing Omega at hbar, then
 converts the sorted two-letter strings to the Weyl-symmetrized basis. It
 shares no code path with the slot-wise formula in the package. ``slot_norm``
-is the largest Frobenius norm over a polynomial's slots, summed entry by entry.
+is the largest Frobenius norm over a polynomial's slots, summed entry by entry,
+and ``slot_distance`` that norm of the difference of two polynomials' slots.
 
 ``rk4_reference`` is the step-by-step classical RK4 on the six-component
 phase/envelope state, one right-hand side call per stage and step, seeded by
@@ -91,10 +92,10 @@ def resolved_expm1(tau, lo, hi, lam, s, beta, tol, block):
 
 def ehrenfest_drift(residual: PhasePoly, rep, times: np.ndarray, states: np.ndarray) -> np.ndarray:
     """<I>(t) - <I>(t0) that Ehrenfest's theorem predicts from the residual
-    R = [I, H] + i dI/dt of a Hermitian I: the running trapezoid integral of
-    the rate -i<R>, with <R> taken from the dense matrix of R at every
+    R = [I, H] + i hbar dI/dt of a Hermitian I: the running trapezoid integral
+    of the rate -i<R>/hbar, with <R> taken from the dense matrix of R at every
     stored state (rows of ``states``)."""
-    rate = (-1j * np.vecdot(states, states @ represent(residual, rep).T)).real
+    rate = (-1j * np.vecdot(states, states @ represent(residual, rep).T)).real / rep.hbar
     steps = 0.5 * np.diff(times) * (rate[1:] + rate[:-1])
     return np.concatenate([[0.0], np.cumsum(steps)])
 
@@ -109,6 +110,11 @@ def _poly_to_terms(p: PhasePoly) -> list[tuple[np.ndarray, tuple[Coord, ...]]]:
 def slot_norm(p: PhasePoly) -> float:
     """Max over the 15 slots of the Frobenius norm; 0 iff p is the zero operator."""
     return max(math.sqrt(sum(abs(z) ** 2 for z in m.flat)) for m in p.slots)
+
+
+def slot_distance(p: PhasePoly, q: PhasePoly) -> float:
+    """slot_norm of P - Q, taken slot by slot; 0 iff P and Q are the same operator."""
+    return slot_norm(PhasePoly(p.slots - q.slots))
 
 
 def _canonical_omega(hbar: float) -> np.ndarray:
@@ -213,7 +219,8 @@ def scalar_residual_closed_form(p, a1, a3, b1, b3, ts) -> np.ndarray:
 def constraint_residuals(ans: AffineOp, p, ts) -> dict[str, np.ndarray]:
     """Label -> (len(ts), 2, 2) stack: the fifteen bracket relations that a
     linear ansatz I = A1 px + B1 x + A2 py + B2 y + C must satisfy, at each
-    time of ts, as the paper writes them.
+    time of ts, as the paper writes them: at hbar = 1, where every caller
+    takes them, so the rate terms read i dA/dt rather than i hbar dA/dt.
 
     Relations a-d kill the diagonal quadratic slots, e-h the linear slots,
     i-n the mixed quadratic slots, and o closes the constant slot.

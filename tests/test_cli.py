@@ -6,7 +6,6 @@ import json
 import math
 import os
 import re
-import shutil
 import subprocess
 import sys
 import tempfile
@@ -661,26 +660,14 @@ def test_full_pipeline_and_report_determinism(tmp_path):
     assert run(tmp_path, "evolve", *FAST) == 0
     assert run(tmp_path, "report") == 0
     first = json.loads((tmp_path / "run_summary.json").read_text())
+    # no config hash: report's own flags are not the merged runs' configs
+    assert set(first) == {"sections", "timestamp", "version"}
     assert set(first["sections"]) == {"algebra", "invariant", "xi", "evolution"}
     assert run(tmp_path, "report") == 0
     second = json.loads((tmp_path / "run_summary.json").read_text())
     first.pop("timestamp")
     second.pop("timestamp")
     assert first == second
-
-
-def test_report_hash_ignores_the_output_directory(tmp_path):
-    # identical inputs in two directories: one config hash
-    a, b = tmp_path / "a", tmp_path / "b"
-    for command in ("verify-algebra", "invariant", "xi"):
-        assert main([command, "--out", str(a)]) == 0
-    assert main(["evolve", *FAST, "--out", str(a)]) == 0
-    shutil.copytree(a, b)
-    hashes = set()
-    for out in (a, b):
-        assert main(["report", "--out", str(out)]) == 0
-        hashes.add(json.loads((out / "run_summary.json").read_text())["config_hash"])
-    assert len(hashes) == 1
 
 
 def test_evolve_rerun_is_byte_identical(tmp_path):
@@ -852,7 +839,7 @@ def test_each_command_loads_only_its_own_modules(tmp_path):
         "invariant": ["0", "ncdirac.invariant"],
         "xi": ["0", "ncdirac.lrsolve"],
         "evolve": ["0", "ncdirac.fockevolve", "ncdirac.invariant", "ncdirac.lrsolve"],
-        "report": ["0", "hashlib"],
+        "report": ["0"],
     }
 
 

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oracle import f_eta, f_theta, slot_norm, string_commutator
+from oracle import f_eta, f_theta, slot_distance, string_commutator
 
 from ncdirac import ncmodel
 from ncdirac.errors import ConfigError
@@ -72,21 +72,21 @@ def test_bopp_shift_commutative_limit():
     p = NCParams(theta=0.0, eta=0.0)
     ops = shifted(p, 1.3)
     for c in Coord:
-        assert slot_norm(ops[c] - PhasePoly.monomial(ID2, c)) == 0.0
+        assert slot_distance(ops[c], PhasePoly.monomial(ID2, c)) == 0.0
 
 
 def test_bopp_shift_values():
     p = NCParams(theta=0.1, gamma=0.0)
     x_nc = shifted(p, 7.0)[Coord.X]
-    expected = PhasePoly.monomial(ID2, Coord.X) - 0.05 * PhasePoly.monomial(ID2, Coord.PY)
-    assert slot_norm(x_nc - expected) == 0.0
+    expected = PhasePoly.monomial(ID2, Coord.X) + PhasePoly.monomial(-0.05 * ID2, Coord.PY)
+    assert slot_distance(x_nc, expected) == 0.0
 
     p2 = NCParams(eta=0.05, gamma=0.2)
     px_nc = shifted(p2, 1.0)[Coord.PX]
     coeff = 0.5 * 0.05 * math.exp(-0.2)
     assert coeff == pytest.approx(0.0204683, abs=1e-7)
-    expected2 = PhasePoly.monomial(ID2, Coord.PX) + coeff * PhasePoly.monomial(ID2, Coord.Y)
-    assert slot_norm(px_nc - expected2) <= 1e-16
+    expected2 = PhasePoly.monomial(ID2, Coord.PX) + PhasePoly.monomial(coeff * ID2, Coord.Y)
+    assert slot_distance(px_nc, expected2) <= 1e-16
 
 
 def test_bopp_scales_values():
@@ -146,7 +146,7 @@ def test_verify_nc_algebra_against_string_oracle():
         ]
         for a, b, expected in cases:
             brute = string_commutator(ops[a], ops[b], p.hbar)
-            assert slot_norm(brute - PhasePoly.constant(expected * ID2)) <= 1e-14
+            assert slot_distance(brute, PhasePoly.constant(expected * ID2)) <= 1e-14
 
 
 def test_nc_commutator_time_independent_for_xp_pair():
@@ -199,11 +199,11 @@ def test_h_commutative_slots():
     assert np.array_equal(h.slots[0], BETA)
 
     h_free = ncmodel.build_h_commutative(NCParams(B=0.0)).at(0.0)
-    assert slot_norm(
-        h_free
-        - PhasePoly.monomial(ALPHA1, Coord.PX)
-        - PhasePoly.monomial(ALPHA2, Coord.PY)
-        - PhasePoly.constant(BETA)
+    assert slot_distance(
+        h_free,
+        PhasePoly.monomial(ALPHA1, Coord.PX)
+        + PhasePoly.monomial(ALPHA2, Coord.PY)
+        + PhasePoly.constant(BETA),
     ) == 0.0
 
 
@@ -212,7 +212,7 @@ def test_h_nc_matches_commutative_limit():
     h_nc = ncmodel.build_h_nc(p)
     h_c = ncmodel.build_h_commutative(p)
     for t in GRID:
-        assert slot_norm(h_nc.at(t) - h_c.at(t)) == 0.0
+        assert slot_distance(h_nc.at(t), h_c.at(t)) == 0.0
 
 
 def test_h_nc_slot_values():

@@ -11,7 +11,6 @@ ORACLE = Path(__file__).resolve().parent / "oracle.py"
 
 #: functions that only tests call, each the oracle of a paper claim
 ORACLES = {
-    "build_h_commutative": "the commutative Hamiltonian the deformed one reduces to at theta = eta = 0",
     "hermitian_defect": "certifies that H(t) and the invariant I(t) are Hermitian",
     "theta_phase": "the closed-form coordinate part of the solution's accumulated phase",
     "lr_phase": "the Lewis-Riesenfeld phase alpha(t) = theta - integral of E dt",
@@ -83,6 +82,12 @@ def unreferenced() -> dict[str, str]:
 def test_every_function_is_reached_from_the_package():
     dead = {name: module for name, module in unreferenced().items() if name not in ORACLES}
     assert not dead, f"reached from no code in src/ (delete, or name as a paper-claim oracle): {dead}"
+
+
+def test_every_named_oracle_is_still_unreached():
+    # an oracle that gains a caller in src/ is reached code, and leaves ORACLES
+    reached = set(ORACLES) - set(unreferenced())
+    assert not reached, f"named as oracles but reached from src/: {sorted(reached)}"
 
 
 def test_every_named_oracle_exists():
