@@ -1,9 +1,10 @@
 """Truncated two-mode oscillator (x) spinor representation of the degree-<=1
 polynomial operators, unitary time evolution by Lanczos exponentials, the
 spectral weights of a state (Lanczos) and the closed-form Dirac-Landau level
-they pick, and one pass over the evolution history that measures invariant
-drift, uncertainty products and the weight the truncation edge reaches.
-Operators are only applied, never built as dense generator-sized matrices.
+they pick, one pass over the evolution history that takes the coordinate
+moments of every sample and the weight the truncation edge reaches, and the
+Robertson rule on those moments. Operators are only applied, never built as
+dense generator-sized matrices.
 
 Full-space convention: states live on mode_x (x) mode_y (x) spinor, of
 dimension 2*N^2, viewed as (rows, N, N, 2) arrays. A degree-<=1 operator is
@@ -23,11 +24,11 @@ it returns stays in that basis, with the phases that rotate it out.
 The history is a list of segments. A Lanczos run that resolves more samples
 than it has basis vectors is kept as its coefficients C on its basis V
 (sample k is C[k] @ V) and measured in that space; every other run is stored
-as rows. Every measured figure is a quadratic form in the state, <I> a sum
-of coordinate means, so a segment's figures come from C and small Gram
-matrices of the images of V. In the rotated basis x and p_y are real, and
-p_x and y are i times real matrices, so the images of a float64 basis and
-their Gram matrix are real.
+as rows. The moments are quadratic forms in the state, so a segment's
+moments come from C and small Gram matrices of the images of V. In the
+rotated basis x and p_y are real, and p_x and y are i times real matrices,
+so the images of a float64 basis and their Gram matrix are real.
+Coordinates are in the Coord order (x, y, p_x, p_y) throughout.
 """
 
 from __future__ import annotations
@@ -65,10 +66,13 @@ KRYLOV_INVARIANT = 1e-12
 #: low: a fock_N=16 step it puts at 903 takes 2048 (about 5 s, one thread, 2 vCPUs).
 #: On at most KRYLOV_MAX dimensions, where no bound is taken, most one run may take
 MAX_SUBSTEPS = 1024
+#: peak bytes an evolve run holds per sample beside its stored row, mostly
+#: the moments of ``measure`` (traced: 583 B at fock_N=2 and 3; peak RSS: 671 B)
+SAMPLE_BYTES = 768
 
 #: the phases i^k, k = 0..3, exact as complex numbers
 _PHASES = np.array([1.0, 1j, -1.0, -1j])
-#: the phases of a state and of its images under x, p_x, y and p_y in the
+#: the phases of a state and of its images under x, y, p_x and p_y in the
 #: rotated basis of ``FockRep``, each that phase times a real image
 _IMAGE_PHASES = np.array([1.0, 1.0, 1j, 1j, 1.0])
 
@@ -77,7 +81,7 @@ _IMAGE_PHASES = np.array([1.0, 1.0, 1j, 1j, 1.0])
 class FockRep:
     """Truncated representation in the basis rotated by diag(1, i) on the
     spinor and i^n on level n of mode y: N levels per mode, oscillator scale
-    ell, the real single-mode (N, N) matrices ``coords`` of x, p_x, y and
+    ell, the real single-mode (N, N) matrices ``coords`` of x, y, p_x and
     p_y, each over its phase in _IMAGE_PHASES, ``pair_y`` the (2N, 4N) right
     factor of kron([y; p_y], 1_2) on (mode y, spinor), and the (dim,) phases
     ``frame`` that rotate a state out: psi = frame * phi."""
@@ -96,14 +100,16 @@ def dense_bytes(N: int, n_t: int) -> int:
     truncation (dimension 2 N^2) over n_t samples holds at its peak, in the
     worst case that every sample is stored as a row: the stored states, the
     KRYLOV_MAX + 1 Lanczos basis vectors and BLOCK_IMAGES arrays the size of
-    a block of BLOCK_ROWS states in the observables pass. The basis is
-    charged as complex: a float64 one from a real state takes half that, one
-    on the two real planes of a complex state (an end spectrum) the same.
-    The worst case is reached by a generator that changes every step, and by
-    a constant one whenever each Lanczos space resolves no more samples than
-    it has vectors (a long dt): such spaces are stored as rows too. Only a
-    space that resolves more is kept as coefficients on its basis."""
-    return 16 * 2 * N * N * (n_t + KRYLOV_MAX + 1 + BLOCK_IMAGES * BLOCK_ROWS)
+    a block of BLOCK_ROWS states in the observables pass, and SAMPLE_BYTES
+    for each sample beside its row. The basis is charged as complex: a
+    float64 one from a real state takes half that, one on the two real planes
+    of a complex state (an end spectrum) the same. The worst case is reached
+    by a generator that changes every step, and by a constant one whenever
+    each Lanczos space resolves no more samples than it has vectors (a long
+    dt): such spaces are stored as rows too. Only a space that resolves more
+    is kept as coefficients on its basis."""
+    rows = n_t + KRYLOV_MAX + 1 + BLOCK_IMAGES * BLOCK_ROWS
+    return 16 * 2 * N * N * rows + SAMPLE_BYTES * n_t
 
 
 def build_fock_rep(N: int, ell: float, hbar: float = 1.0) -> FockRep:
@@ -119,8 +125,8 @@ def build_fock_rep(N: int, ell: float, hbar: float = 1.0) -> FockRep:
     p = 1j * hbar * (ad - a) / (math.sqrt(2.0) * ell)
     levels = _PHASES[np.arange(N) % 4]  # mode y's rotation; the spinor's cancels
     y, py = levels.conj()[:, None] * np.stack([x, p]) * levels
-    coords = (np.stack([x, p, y, py]) * _IMAGE_PHASES[1:, None, None].conj()).real
-    pair_y = np.kron(coords[2:], np.eye(2)).reshape(4 * N, 2 * N).T.copy()
+    coords = (np.stack([x, y, p, py]) * _IMAGE_PHASES[1:, None, None].conj()).real
+    pair_y = np.kron(coords[1::2], np.eye(2)).reshape(4 * N, 2 * N).T.copy()
     frame = np.tile(np.kron(levels, _PHASES[:2]), N)
     return FockRep(N, ell, hbar, 2 * N * N, coords, pair_y, frame)
 
@@ -137,9 +143,10 @@ def _mode_blocks(polys: Sequence[PhasePoly], rep: FockRep) -> np.ndarray:
     slots = [[1 + Coord.X, 1 + Coord.PX, 5], [1 + Coord.Y, 1 + Coord.PY, 0]]
     coeffs = np.stack([poly.slots for poly in polys])[:, slots]  # (k, block, factor, 2, 2)
     spin, eye = _PHASES[:2], np.eye(rep.N)
-    phases = _IMAGE_PHASES[[[1, 2, 0], [3, 4, 0]], None, None]  # of each factor
-    coeffs = spin.conj()[:, None] * coeffs * spin * phases
-    mats = np.stack([[*rep.coords[:2], eye], [*rep.coords[2:], eye]])  # (block, factor, N, N)
+    # the phase of each factor; the identity's is 1
+    phases = _IMAGE_PHASES[[[1 + Coord.X, 1 + Coord.PX, 0], [1 + Coord.Y, 1 + Coord.PY, 0]]]
+    coeffs = spin.conj()[:, None] * coeffs * spin * phases[..., None, None]
+    mats = np.stack([[*rep.coords[0::2], eye], [*rep.coords[1::2], eye]])  # (block, factor, N, N)
     blocks = np.einsum("kbfst,bfmn->kbmsnt", coeffs, mats)
     return blocks.reshape(len(polys), 2, 2 * rep.N, 2 * rep.N)
 
@@ -301,15 +308,15 @@ def _check_uniform(t_grid: np.ndarray) -> float:
 def _check_reachable(
     coeffs: np.ndarray, counts: np.ndarray, parts: np.ndarray, rep: FockRep, dt: float
 ) -> tuple[float, float]:
-    """The step tau = dt/hbar of each exp(-i G tau) that a grid step dt takes,
-    as i hbar d(psi)/dt = H psi asks, and the sub-steps a ``krylov_step`` run
-    may take. Refuse a grid whose steps need more than MAX_SUBSTEPS sub-steps
-    in all. Row r of ``coeffs`` holds a generator's coefficients on the
-    blocks ``parts``, and ``counts[r]`` its step count. KRYLOV_MAX vectors
-    resolve exp(-i G tau) only for tau |G| up to about KRYLOV_MAX (Hochbruck
-    & Lubich 1997), and |G| is at most sum_k |c_k| (|B_k,x| + |B_k,y|) over
-    the blocks. A space spanning the state space resolves any step, but for
-    rounding: there a run may take MAX_SUBSTEPS, counted as it takes them."""
+    """The step tau = dt/hbar of each exp(-i G tau) that a grid step dt
+    takes, as i hbar d(psi)/dt = H psi asks, and the sub-steps a run of one
+    generator may take. Refuse a grid whose steps need more than MAX_SUBSTEPS sub-steps in
+    all. Row r of ``coeffs`` holds a generator's coefficients on the blocks
+    ``parts``, and ``counts[r]`` its step count. KRYLOV_MAX vectors resolve
+    exp(-i G tau) only for tau |G| up to about KRYLOV_MAX (Hochbruck & Lubich
+    1997), and |G| is at most sum_k |c_k| (|B_k,x| + |B_k,y|) over the blocks.
+    A space spanning the state space resolves any step, but for rounding:
+    there a run may take MAX_SUBSTEPS, counted as it takes them."""
     tau = dt / rep.hbar
     if rep.dim <= KRYLOV_MAX:
         return tau, MAX_SUBSTEPS
@@ -428,58 +435,29 @@ def _krylov_run(
     return Segment(v, (beta0 * phase * s[0]) @ s.T)
 
 
-def krylov_step(
-    g: Callable[[np.ndarray], np.ndarray],
-    psi: np.ndarray,
-    dt: float,
-    n: int,
-    size: int,
-    first: Sequence[LanczosStep] | None = None,
-    max_substeps: float = math.inf,
-) -> Iterator[Segment]:
-    """Yield exp(-i G k dt) psi, k = 1..n, as consecutive segments, for a
-    Hermitian generator given as its action g: v -> G v, by Lanczos (Park &
-    Light, J. Chem. Phys. 85, 5870 (1986)). Each Lanczos space serves every
-    sample it resolves and the next starts from the last of them. ``size`` is
-    the number of vectors of the Lanczos space before the first (0 for
-    none); each run skips the checks of spaces more than one vector smaller
-    than its predecessor's, since consecutive runs need about the same space.
-    A yielded segment with coefficients carries its space as its basis. A
-    step that no space of KRYLOV_MAX vectors resolves is split into equal
-    sub-steps, halving from dt/2 until each converges, so any dt is reached;
-    its sample is yielded as a stored row. Each sub-step is handed the size
-    of the last sub-step that converged (0 before the first), as the runs
-    are, and a sub-step that would leave more than ``max_substeps`` in all
-    raises ConfigError. ``first``, when given, is the recorded Lanczos
-    recurrence of psi under G, which the first run replays.
-    """
-    done = substeps = 0
-    while done < n:
-        recurrence = _lanczos(g, psi) if first is None else first
-        first = None
-        segment = _krylov_run(recurrence, np.linalg.norm(psi), dt, n - done, size)
-        size = len(segment.basis)
-        if not segment.size:
-            remaining, tau, sub_size = dt, 0.5 * dt, 0  # dt itself just failed
-            while remaining > 0.0:
-                tau = min(tau, remaining)
-                if substeps + remaining / tau > max_substeps:
-                    raise ConfigError(
-                        f"a step of dt/hbar={dt:.6g} needs more than {max_substeps:g} Lanczos "
-                        f"sub-steps: at least {remaining / tau:.3g} more of {tau:.3g} or less")
-                sub = _krylov_run(_lanczos(g, psi), np.linalg.norm(psi), tau, 1, sub_size)
-                if sub.size:
-                    psi, remaining, sub_size = sub.row(0), remaining - tau, len(sub.basis)
-                    substeps += 1
-                elif tau > dt * 2.0**-60:  # bounded, so a NaN estimate cannot loop forever
-                    tau *= 0.5
-                else:
-                    raise FloatingPointError("Krylov step found no convergent sub-step")
-            segment = Segment(psi[None])
-        done += segment.size
-        if done < n:
-            psi = segment.row(-1)
-        yield segment
+def _substep(
+    g: Callable[[np.ndarray], np.ndarray], psi: np.ndarray, dt: float, budget: float
+) -> tuple[np.ndarray, float]:
+    """exp(-i G dt) psi, and the budget of sub-steps left, for a step no
+    Lanczos space resolves: equal sub-steps, halving from dt/2 until each
+    converges, each handed the size of the last that did. More sub-steps than
+    ``budget`` raise ConfigError; only a run that may take MAX_SUBSTEPS has
+    a finite budget."""
+    remaining, tau, size = dt, 0.5 * dt, 0
+    while remaining > 0.0:
+        tau = min(tau, remaining)
+        if remaining / tau > budget:
+            raise ConfigError(
+                f"a step of dt/hbar={dt:.6g} needs more than {MAX_SUBSTEPS} Lanczos "
+                f"sub-steps: at least {remaining / tau:.3g} more of {tau:.3g} or less")
+        sub = _krylov_run(_lanczos(g, psi), np.linalg.norm(psi), tau, 1, size)
+        if sub.size:
+            psi, remaining, size, budget = sub.row(0), remaining - tau, len(sub.basis), budget - 1
+        elif tau > dt * 2.0**-60:  # bounded, so a NaN estimate cannot loop forever
+            tau *= 0.5
+        else:
+            raise FloatingPointError("Krylov step found no convergent sub-step")
+    return psi, budget
 
 
 def _ritz(recurrence: Sequence[LanczosStep]) -> Spectrum:
@@ -559,28 +537,32 @@ def evolve(
     """Midpoint-sampled exponential stepping psi_{k+1} = exp(-i H(t_mid) dt/hbar) psi_k.
 
     Every step is unitary to machine precision; dt controls only the
-    time-ordering error. One evaluation of H's coefficients at every midpoint
-    splits the grid into runs: consecutive steps with equal coefficients form
-    a run of one generator, which ``krylov_step`` propagates from the run's
-    first state: a constant generator is one run over the grid, a changing
-    one a run per step. Each run is handed the Lanczos size of the
-    run before it, below which ``krylov_step`` skips its checks.
-    ``EvolvedState.spectra`` holds the Ritz data of H(t0) on psi(t0) and of
-    H(t1) on psi(t1). When a single run's generator is H at t0 and at t1, the
-    Lanczos recurrence of psi0 is run once to its end: its Ritz data serve
-    both ends, and the run's first Lanczos space replays its head, so the
-    propagation and the spectra share one recurrence of at most KRYLOV_MAX
-    vectors; otherwise ``spectral_weights`` runs at each end after the
-    propagation. A grid whose steps need more than MAX_SUBSTEPS sub-steps
-    raises ConfigError first, or, on at most KRYLOV_MAX dimensions, a run
-    once it would take more. The per-mode blocks of H's fixed parts are
-    built once and combined per run and at the two ends, each by one product
-    of a coefficient row with the flattened blocks; no generator-sized
-    matrix is built or decomposed. A Lanczos space that resolves more
-    samples than it has vectors is kept as a segment of coefficients on its
-    basis; the samples of every other space are stored as rows, consecutive
-    stored rows joined into segments of at least BLOCK_ROWS rows, so that
-    joining never holds a second copy of more than a block.
+    time-ordering error. One evaluation of H's coefficients at every midpoint splits the
+    grid into runs: consecutive steps with equal coefficients form a run of
+    one generator G: a constant generator is one run over the grid, a changing
+    one a run per step. A run is propagated by Lanczos (Park & Light, J. Chem.
+    Phys. 85, 5870 (1986)): each Lanczos space serves every sample it resolves
+    (``_krylov_run``), and the next starts from the last of them. Each space
+    is handed the size of the space before it, and skips the checks of spaces
+    more than one vector smaller, since consecutive spaces need about the same
+    size. A step that no space of KRYLOV_MAX vectors resolves is sub-stepped
+    (``_substep``) and its sample stored as a row; the sub-steps of a run of
+    one generator share one budget. ``EvolvedState.spectra`` holds the Ritz
+    data of H(t0) on psi(t0) and of H(t1) on psi(t1). When a single run's
+    generator is H at t0 and at t1, the Lanczos recurrence of psi0 is run once
+    to its end: its Ritz data serve both ends, and the run's first Lanczos
+    space replays its head, so the propagation and the spectra share one
+    recurrence of at most KRYLOV_MAX vectors; otherwise ``spectral_weights``
+    runs at each end after the propagation. A grid whose steps need more than
+    MAX_SUBSTEPS sub-steps raises ConfigError first, or, on at most KRYLOV_MAX
+    dimensions, a run once it would take more. The per-mode blocks of H's
+    fixed parts are built once and combined per run and at the two ends, each
+    by one product of a coefficient row with the flattened blocks; no
+    generator-sized matrix is built or decomposed. A Lanczos space that
+    resolves more samples than it has vectors is kept as a segment of
+    coefficients on its basis; the samples of every other space are stored as
+    rows, consecutive stored rows joined into segments of at least BLOCK_ROWS
+    rows, so that joining never holds a second copy of more than a block.
 
     The recurrences run in the rotated basis of ``FockRep``, where H's
     blocks are real; a generator whose blocks keep an imaginary part there
@@ -624,23 +606,23 @@ def evolve(
 
     phi = rep.frame.conj() * psi
     phi = start = phi if np.any(phi.imag) else phi.real.copy()
-    segments, stored = [], [phi[None]]
-    size, first = 0, None
+    segments, stored, size = [], [phi[None]], 0
     for c, n in zip(coeffs, counts.tolist()):
-        g = generator(c)
+        g, budget, recurrence = generator(c), max_substeps, None
         if shared:
-            first = list(_lanczos(g, phi))
-            spectra = (_ritz(first),) * 2
-        for segment in krylov_step(g, phi, tau, n, size, first, max_substeps):
-            if segment.coeffs is not None:
-                size = len(segment.basis)
-            projected = segment.coeffs is not None and segment.size > len(segment.basis)
-            if projected:
-                phi = segment.row(-1)
-            else:
-                rows = segment.rows()
-                phi = rows[-1]
-                stored.append(rows)
+            recurrence = list(_lanczos(g, phi))
+            spectra = (_ritz(recurrence),) * 2
+        while n:
+            segment = _krylov_run(recurrence or _lanczos(g, phi), np.linalg.norm(phi), tau, n, size)
+            recurrence, size = None, len(segment.basis)
+            if not segment.size:
+                phi, budget = _substep(g, phi, tau, budget)
+                segment = Segment(phi[None])
+            n -= segment.size
+            phi = segment.row(-1)
+            projected = segment.size > len(segment.basis)
+            if not projected:
+                stored.append(segment.rows())
             if stored and (projected or sum(map(len, stored)) >= BLOCK_ROWS):
                 segments.append(Segment(np.concatenate(stored)))
                 stored = []
@@ -655,14 +637,13 @@ def evolve(
     return EvolvedState(ts, tuple(segments), spectra, rep.frame)
 
 
-@dataclass(frozen=True)
-class DriftSeries:
-    """Expectation history of a candidate invariant along an evolution."""
+class Moments(NamedTuple):
+    """The coordinate moments of every sample of an evolution, z in the Coord
+    order, so slots 1-4 of a PhasePoly are a row of coefficients on them."""
 
-    times: np.ndarray
-    values: np.ndarray  # <I>(t), complex
-    drift: np.ndarray  # <I>(t) - <I>(0)
-    relative_max: float  # max |drift| / (|<I>(0)| + 1)
+    mean: np.ndarray  # (4, n_t) <z>, real
+    gram: np.ndarray  # (4, 4, n_t) <z psi|w psi>, Hermitian in (z, w)
+    edge: float  # largest weight of any sample on the top level of either mode
 
 
 class UncertaintyResult(NamedTuple):
@@ -673,32 +654,31 @@ class UncertaintyResult(NamedTuple):
     margin: np.ndarray  # product - bound
 
 
-def robertson(
-    ea: np.ndarray, eb: np.ndarray, aa: np.ndarray, bb: np.ndarray, ab: np.ndarray
-) -> UncertaintyResult:
-    """Robertson data of two Hermitian observables from the moments of each
-    state: the means <A> and <B>, the squared norms <A psi|A psi> and
-    <B psi|B psi>, and the overlap <A psi|B psi>. For Hermitian A and B,
-    <[A,B]> = 2i Im<A psi|B psi>, so the bound is |Im<A psi|B psi>| exactly."""
-    var_a = np.maximum(aa - ea * ea, 0.0)
-    var_b = np.maximum(bb - eb * eb, 0.0)
+def robertson(moments: Moments, a: np.ndarray, b: np.ndarray) -> UncertaintyResult:
+    """Robertson data of A = a.z and B = b.z, for real rows a and b of shape
+    (4,) or (n_t, 4), from the means a.<z>, the squared norms a^T G a and the
+    overlap a^T G b of the Gram matrix G: <[A,B]> = 2i Im a^T G b for
+    Hermitian A and B. The sums run over nonzero coefficients, so a unit row
+    takes its moments as they stand."""
+
+    def nonzero(row: np.ndarray) -> list:
+        row = np.asarray(row, dtype=float).T
+        return [(z, row[z]) for z in np.flatnonzero(np.any(row.reshape(4, -1), axis=1))]
+
+    def form(x: list, y: list, plane: np.ndarray) -> np.ndarray:
+        return sum(cz * cw * plane[z, w] for z, cz in x for w, cw in y)
+
+    a, b = nonzero(a), nonzero(b)
+    ea, eb = (sum(c * moments.mean[z] for z, c in row) for row in (a, b))
+    var_a = np.maximum(form(a, a, moments.gram.real) - ea * ea, 0.0)
+    var_b = np.maximum(form(b, b, moments.gram.real) - eb * eb, 0.0)
     product = np.sqrt(var_a) * np.sqrt(var_b)
-    bound = np.abs(ab.imag)
+    bound = np.abs(form(a, b, moments.gram.imag))
     return UncertaintyResult(product, bound, product - bound)
 
 
-class Observables(NamedTuple):
-    """What ``measure`` reads off the history of an evolution."""
-
-    drift: DriftSeries  # <I>(t) of the invariant and its drift
-    xp: UncertaintyResult  # (x, px)
-    yp: UncertaintyResult  # (y, py)
-    bopp: UncertaintyResult  # (x - s_theta py, px + s_eta y)
-    edge: float  # largest weight of any state on the top level of either mode
-
-
 def _images(rep: FockRep, rows: np.ndarray) -> np.ndarray:
-    """The images of rows (n, dim) in the rotated basis under x, p_x, y and
+    """The images of rows (n, dim) in the rotated basis under x, y, p_x and
     p_y, each over its phase in _IMAGE_PHASES, stacked as (4, n, dim): one
     product per mode, the (2N, N) stack [x; p_x] of ``rep.coords`` on the
     left of the rows with mode x leading, ``rep.pair_y`` on the right. Real
@@ -706,53 +686,43 @@ def _images(rep: FockRep, rows: np.ndarray) -> np.ndarray:
     n, m = len(rows), rep.N
     out = np.empty((4, n, m, 2 * m), dtype=rows.dtype)
     rows = rows.reshape(n, m, 2 * m)
-    images = rep.coords[:2].reshape(2 * m, m) @ rows.transpose(1, 0, 2).reshape(m, -1)
-    out[:2] = images.reshape(2, m, n, 2 * m).transpose(0, 2, 1, 3)
+    images = rep.coords[0::2].reshape(2 * m, m) @ rows.transpose(1, 0, 2).reshape(m, -1)
+    out[0::2] = images.reshape(2, m, n, 2 * m).transpose(0, 2, 1, 3)  # x, p_x
     del images
     images = rows.reshape(-1, 2 * m) @ rep.pair_y
-    out[2:] = images.reshape(n, m, 2, 2 * m).transpose(2, 0, 1, 3)
+    out[1::2] = images.reshape(n, m, 2, 2 * m).transpose(2, 0, 1, 3)  # y, p_y
     return out.reshape(4, n, rep.dim)
 
 
 #: the Gram entries <z psi|w psi> of the coordinate images that ``measure``
-#: takes, z before w in the order x, px, y, py
-_GRAM = tuple((i, j) for i in range(4) for j in range(i, 4))
+#: takes, z before w
+_UPPER = np.triu_indices(4)
 #: the forms <a|b> that ``measure`` takes, a and b numbering the state (0)
-#: and its ``_images`` (1-4): the means of x, px, y and py, then _GRAM
-_FORMS = np.array([(0, 1 + z) for z in range(4)] + [(1 + z, 1 + w) for z, w in _GRAM]).T
+#: and its ``_images`` (1-4): the coordinate means, then _UPPER
+_FORMS = np.array([(0, 1 + z) for z in range(4)] + [(1 + z, 1 + w) for z, w in zip(*_UPPER)]).T
 
 
-def measure(
-    i_op: PhasePoly, rep: FockRep, evolved: EvolvedState, scales: tuple[np.ndarray, np.ndarray]
-) -> Observables:
-    """Measure the history in one pass over its segments, in the rotated
-    basis ``evolve`` holds it in: a stored segment BLOCK_ROWS rows at a time,
-    a Lanczos segment in its basis.
+def measure(rep: FockRep, evolved: EvolvedState) -> Moments:
+    """The coordinate moments of the history, in one pass over its segments
+    in the rotated basis ``evolve`` holds it in: a stored segment BLOCK_ROWS
+    rows at a time, a Lanczos segment in its basis.
 
-    Each piece gives per-sample moments: the means of x, px, y and py and the
+    Each piece gives per-sample moments: the means of the coordinates and the
     Gram entries of their images (one ``_images`` product per mode), and the
     weight on the top oscillator level n = N-1 of either mode, where the
     truncation defect lives. A stored row gives them as inner products. A
     Lanczos segment gives them as quadratic forms in its coefficients
     (``_forms``), from the Gram matrices of the basis and of its images
-    against its images, real for a float64 basis. The moments give
-    <I>(t) = c_1 + b_1 <x> + a_1 <px> + b_3 <y> + a_3 <py> and its drift for
-    the scalar degree-<=1 invariant I, the Robertson data of (x, px) and
-    (y, py), and, expanded, those of the Bopp pair (x - s_theta(t) py,
-    px + s_eta(t) y), where ``scales`` holds the arrays (s_theta, s_eta) at
-    the samples. A quadratic I raises DegreeError, a spinful one ValueError.
+    against its images, real for a float64 basis. The images' phases are
+    applied to the moments, and the Gram entries below the diagonal are the
+    conjugates of those above.
     """
-    if i_op.degree() > 1:
-        raise DegreeError("only invariants of degree <= 1 are measured")
-    # the constant slot, then the coordinates in the order of _images
-    c = i_op.slots[[0, 1 + Coord.X, 1 + Coord.PX, 1 + Coord.Y, 1 + Coord.PY]]
-    if np.any(c != c[:, :1, :1] * np.eye(2)):
-        raise ValueError("only a scalar invariant is measured: I has a spinful coefficient")
     left, right = _FORMS
     top = np.zeros((rep.N, rep.N, 2), dtype=bool)
     top[-1] = top[:, -1] = True
     top = top.ravel()
-    moments = np.empty((1 + len(left), len(evolved.times)), dtype=complex)
+    n_t = len(evolved.times)
+    moments = np.empty((1 + len(left), n_t), dtype=complex)
     k = 0
     for segment in evolved.segments:
         basis = segment.basis
@@ -779,26 +749,9 @@ def measure(
             del images, coords, forms  # not kept beside the next segment's
         k += segment.size
     moments[:-1] *= (_IMAGE_PHASES.conj()[left] * _IMAGE_PHASES[right])[:, None]
-    mean, weight = moments[:4].real, moments[-1].real
-    gram = dict(zip(_GRAM, moments[4:-1]))
-    values = c[0, 0, 0] + c[1:, 0, 0] @ mean
-    drift = values - values[0]
-    rel = float(np.max(np.abs(drift)) / (abs(values[0]) + 1.0))
-
-    X, PX, Y, PY = range(4)
-
-    def pair(a: int, b: int) -> UncertaintyResult:
-        return robertson(mean[a], mean[b], gram[a, a].real, gram[b, b].real, gram[a, b])
-
-    st, se = scales
-    # <X psi|P psi> for X = x - st py, P = px + se y, with <w|z> = conj(<z|w>)
-    bopp = robertson(
-        mean[X] - st * mean[PY],
-        mean[PX] + se * mean[Y],
-        gram[X, X].real - 2.0 * st * gram[X, PY].real + st * st * gram[PY, PY].real,
-        gram[PX, PX].real + 2.0 * se * gram[PX, Y].real + se * se * gram[Y, Y].real,
-        gram[X, PX] + se * gram[X, Y] - st * gram[PX, PY].conj() - st * se * gram[Y, PY].conj(),
-    )
-    drift_series = DriftSeries(evolved.times, values, drift, rel)
-    return Observables(drift_series, pair(X, PX), pair(Y, PY), bopp, float(weight.max()))
-
+    gram, upper = np.empty((4, 4, n_t), dtype=complex), moments[4:-1]
+    np.conjugate(upper, out=upper)  # in place: a conjugate copy would be a second table
+    gram[_UPPER[::-1]] = upper
+    np.conjugate(upper, out=upper)
+    gram[_UPPER] = upper
+    return Moments(moments[:4].real.copy(), gram, float(moments[-1].real.max()))

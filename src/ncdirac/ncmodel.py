@@ -130,19 +130,27 @@ _BOPP = {
 }
 
 
-def bopp_slots(s_theta: np.ndarray, s_eta: np.ndarray) -> np.ndarray:
-    """Slot arrays (len(s_theta), 4, 15, 2, 2) of the four shifted operators,
-    in the Coord order, for the arrays of Bopp scales from ``bopp_scales``:
+def bopp_rows(s_theta: np.ndarray, s_eta: np.ndarray) -> np.ndarray:
+    """Real coefficient rows (len(s_theta), 4, 4) of the four shifted
+    operators on the coordinates, both in the Coord order, for the arrays of
+    Bopp scales from ``bopp_scales``:
 
     x_nc  = x  - s_theta py      px_nc = px + s_eta y
     y_nc  = y  + s_theta px      py_nc = py - s_eta x
     """
     scales = (s_theta, s_eta)
-    out = np.zeros((len(s_theta), 4, N_SLOTS, 2, 2), dtype=complex)
+    out = np.zeros((len(s_theta), 4, 4))
     for c, (partner, sign, which) in _BOPP.items():
-        for d in (0, 1):
-            out[:, c, 1 + c, d, d] = 1.0
-            out[:, c, 1 + partner, d, d] = sign * scales[which]
+        out[:, c, c] = 1.0
+        out[:, c, partner] = sign * scales[which]
+    return out
+
+
+def bopp_slots(s_theta: np.ndarray, s_eta: np.ndarray) -> np.ndarray:
+    """Slot arrays (len(s_theta), 4, 15, 2, 2) of the four shifted operators:
+    their ``bopp_rows`` on the linear slots, times the identity spinor."""
+    out = np.zeros((len(s_theta), 4, N_SLOTS, 2, 2), dtype=complex)
+    out[:, :, 1:5] = bopp_rows(s_theta, s_eta)[..., None, None] * ID2  # the linear slots
     return out
 
 
@@ -301,7 +309,7 @@ def landau_gap(p: NCParams, t):
 def landau_level(m: float, n: int, sign: int, gap):
     """Closed-form level sign * sqrt(m^2 + n |gap|) of the untruncated H(t) of
     mass m, n = 0, 1, 2, ..., for the ``landau_gap`` at one time or at each
-    time of an array."""
+    time of an array; an array of n broadcasts against the gaps."""
     with np.errstate(over="ignore"):  # an infinite level raises OverflowError below
         square = n * np.abs(gap)
         # exact scaling by 2^-k, k the larger term's exponent: m^2 cannot underflow
@@ -340,5 +348,5 @@ def nearest_landau_level(
     # nearest in energy squared, then the nearest of it and its neighbours
     guess = np.maximum(0.0, np.round((energies * energies - m * m) / gap))
     candidates = np.maximum(0.0, guess[:, None] + (-1.0, 0.0, 1.0))
-    distance = np.abs(np.abs(energies)[:, None] - np.sqrt(m * m + candidates * gap))
+    distance = np.abs(np.abs(energies)[:, None] - landau_level(m, candidates, 1, gap))
     return np.take_along_axis(candidates, np.argmin(distance, axis=1)[:, None], 1)[:, 0], sign

@@ -486,13 +486,23 @@ def test_evolve_warns_when_the_landau_levels_close(tmp_path, capsys):
     code = run(tmp_path, "evolve", *argv)
     assert code in (0, 1)
     err = capsys.readouterr().err
-    assert "changes sign" in err and "level-resolution ratio" not in err
+    assert "reaches 0" in err and "level-resolution ratio" not in err
     assert run(tmp_path, "evolve", "--eta=-0.5", "--gamma=1", *argv[2:]) == code
-    assert "changes sign" not in capsys.readouterr().err
+    assert "reaches 0" not in capsys.readouterr().err
     # at fock_N=6 the Ritz error at t1 (5.1e-2) exceeds half the level
     # spacing there (8.0e-2), as the levels near their closing: exit 1
     assert run(tmp_path, "evolve", *argv[:2], "--fock_N=6", *argv[3:]) == 1
     assert "check failed: level-resolution ratio of n=1" in capsys.readouterr().err
+
+
+def test_the_closed_levels_note_claims_no_sign_change(tmp_path, capsys):
+    # f_theta = 1 + e B theta/4 = 0 at every time: the gap is 0 throughout,
+    # and reaches 0 without changing sign
+    code = run(tmp_path, "evolve", "--theta=-4", "--eta=0.01", "--fock_N=4", "--t1=0.01")
+    assert code in (0, 1)
+    err = capsys.readouterr().err
+    assert "f_theta*f_eta reaches 0 over the time grid" in err
+    assert "changes sign" not in err
 
 
 def test_evolve_exits_1_when_the_level_pick_is_ambiguous(tmp_path, capsys):
@@ -962,11 +972,14 @@ def test_regime_notice_is_the_last_stderr_line(tmp_path, capsys, command):
 
 def test_dense_bytes_estimate():
     # the stored states, the KRYLOV_MAX + 1 Lanczos vectors and BLOCK_IMAGES
-    # block-sized arrays of the observables pass (the four coordinate images,
-    # the I or the two Bopp-pair images, temporaries), each block BLOCK_ROWS
-    # complex states of dimension 2 N^2
-    assert fockevolve.dense_bytes(16, 5) == 16 * 512 * (5 + 41 + 8 * 64)
-    assert fockevolve.dense_bytes(16, 1001) - fockevolve.dense_bytes(16, 1) == 16 * 512 * 1000
+    # block-sized arrays of the observables pass (the four coordinate images
+    # and temporaries), each block BLOCK_ROWS complex states of dimension
+    # 2 N^2, and SAMPLE_BYTES per sample beside its state
+    per_sample = fockevolve.SAMPLE_BYTES
+    assert fockevolve.dense_bytes(16, 5) == 16 * 512 * (5 + 41 + 8 * 64) + per_sample * 5
+    assert fockevolve.dense_bytes(16, 1001) - fockevolve.dense_bytes(16, 1) == (
+        (16 * 512 + per_sample) * 1000
+    )
     # a commutative fock_N=48 run over 500 steps peaks near 143 MB of RSS
     assert fockevolve.dense_bytes(48, 501) < 100 * 2**20
 
@@ -1032,6 +1045,24 @@ def test_grid_point_bytes_bounds_the_traced_peak(tmp_path, command, share):
     assert share * charged <= peak <= charged + 2**16
 
 
+@pytest.mark.parametrize("fock_N", [2, 3, 8, 16])
+def test_dense_bytes_bounds_the_traced_peak(tmp_path, fock_N):
+    # evolve's storage guard charges dense_bytes and the invariant grid; on
+    # the README deformation every sample is a stored row, and at small
+    # fock_N the arrays kept per sample beside the rows outweigh them
+    argv = ("--theta=0.1", "--eta=0.05", "--gamma=0.2", f"--fock_N={fock_N}")
+    cli.build_parser()  # built once per process, outside the traced run
+    run(tmp_path / "warm-up", "evolve", *argv, "--t1=0.01")  # numpy's first-call caches
+    tracemalloc.start()
+    try:
+        assert run(tmp_path, "evolve", *argv, "--t1=1") in (0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    charged = fockevolve.dense_bytes(fock_N, 1001) + cli.GRID_POINT_BYTES * 16
+    assert 0.6 * charged <= peak <= charged
+
+
 @pytest.mark.parametrize("command", ["verify-algebra", "invariant", "evolve"])
 def test_grid_beyond_physical_memory_exits_2(tmp_path, monkeypatch, capsys, command):
     # twice as many grid points as physical memory holds at GRID_POINT_BYTES each
@@ -1094,7 +1125,7 @@ def test_evolve_refuses_a_step_the_generator_norm_puts_out_of_reach(
     def no_stepping(*args, **kwargs):
         raise AssertionError("evolve stepped before checking that dt is reachable")
 
-    monkeypatch.setattr(fockevolve, "krylov_step", no_stepping)
+    monkeypatch.setattr(fockevolve, "_krylov_run", no_stepping)
     start = time.perf_counter()
     assert run(tmp_path, "evolve", "--theta=0.1", "--eta=0.05", *argv) == 2
     assert time.perf_counter() - start < 10.0

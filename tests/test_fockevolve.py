@@ -4,6 +4,7 @@ import cmath
 import math
 import tracemalloc
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -15,12 +16,13 @@ from ncdirac.fockevolve import (
     BLOCK_ROWS,
     KRYLOV_MAX,
     EvolvedState,
+    Moments,
     Segment,
     Spectrum,
+    UncertaintyResult,
     build_fock_rep,
     coherent_state,
     evolve,
-    krylov_step,
     measure,
     robertson,
     spectral_weights,
@@ -44,9 +46,37 @@ def bopp_op(p, c, t):
     return PhasePoly(ncmodel.bopp_slots(*ncmodel.bopp_scales(p, np.array([t])))[0, c])
 
 
+class Observed(NamedTuple):
+    """What ``cmd_evolve`` reads off the moments of a history."""
+
+    values: np.ndarray  # <I>(t)
+    drift: np.ndarray  # <I>(t) - <I>(0)
+    relative_max: float  # max |drift| / (|<I>(0)| + 1)
+    xp: UncertaintyResult  # (x, px)
+    yp: UncertaintyResult  # (y, py)
+    bopp: UncertaintyResult  # (x_nc, px_nc) of p
+    edge: float
+
+
 def observe(rep, ev, i_op=PhasePoly.constant(ID2), p=COMMUTATIVE):
-    """The observables pass with the Bopp scales of p."""
-    return measure(i_op, rep, ev, ncmodel.bopp_scales(p, ev.times))
+    """``measure``, then as ``cmd_evolve`` goes on: <I> of the scalar
+    degree-<=1 I from the coordinate means, and the Robertson data of unit
+    rows and of the Bopp rows of p."""
+    moments = measure(rep, ev)
+    c = i_op.slots[:5, 0, 0]
+    values = c[0] + c[1:] @ moments.mean
+    drift = values - values[0]
+    unit = np.eye(4)
+    bopp = ncmodel.bopp_rows(*ncmodel.bopp_scales(p, ev.times))
+    return Observed(
+        values,
+        drift,
+        float(np.max(np.abs(drift)) / (abs(values[0]) + 1.0)),
+        robertson(moments, unit[Coord.X], unit[Coord.PX]),
+        robertson(moments, unit[Coord.Y], unit[Coord.PY]),
+        robertson(moments, bopp[:, Coord.X], bopp[:, Coord.PX]),
+        moments.edge,
+    )
 
 
 #: the spectra of a history built by hand, which ``measure`` does not read
@@ -247,11 +277,13 @@ def test_evolve_zero_momentum_rest_phase():
 
 
 def count_calls(monkeypatch, rep):
-    """Record the full-size eigh and eigvalsh calls, the number of samples of
-    each krylov_step run and the Lanczos spaces grown."""
+    """Record the full-size eigh and eigvalsh calls, the number of samples
+    each Lanczos space is asked for (``_krylov_run``) and the Lanczos
+    recurrences started. A run of one generator asks its first space for all
+    its samples, and each later space for those left."""
     full_eigh, runs, spaces = [], [], []
     eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
-    step, lanczos = fockevolve.krylov_step, fockevolve._lanczos
+    krylov_run, lanczos = fockevolve._krylov_run, fockevolve._lanczos
 
     def counting(decompose):
         def wrapped(m):
@@ -261,9 +293,9 @@ def count_calls(monkeypatch, rep):
 
         return wrapped
 
-    def counting_step(g, psi, dt, n, *args):
+    def counting_run(recurrence, beta0, tau, n, size):
         runs.append(n)
-        return step(g, psi, dt, n, *args)
+        return krylov_run(recurrence, beta0, tau, n, size)
 
     def counting_lanczos(g, psi):
         spaces.append(psi.size)
@@ -271,7 +303,7 @@ def count_calls(monkeypatch, rep):
 
     monkeypatch.setattr(np.linalg, "eigh", counting(eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", counting(eigvalsh))
-    monkeypatch.setattr(fockevolve, "krylov_step", counting_step)
+    monkeypatch.setattr(fockevolve, "_krylov_run", counting_run)
     monkeypatch.setattr(fockevolve, "_lanczos", counting_lanczos)
     return full_eigh, runs, spaces
 
@@ -342,8 +374,8 @@ def test_constant_generator_matches_exact_propagator_across_restarts(monkeypatch
     ev = evolve(h, rep, psi, times)
     w, v = np.linalg.eigh(represent(h.at(0.0), rep))
     exact = (np.exp(-1j * np.outer(times - times[0], w)) * (v.conj().T @ psi)) @ v.T
-    assert runs == [1000]
-    assert len(spaces) >= 2
+    assert runs[0] == 1000 and all(a > b for a, b in zip(runs, runs[1:]))
+    assert len(spaces) == len(runs) >= 2
     assert np.max(np.abs(ev.states - exact)) <= 1e-13
 
 
@@ -535,10 +567,12 @@ def test_krylov_step_matches_dense_exponential(case, norm_dt):
     # so it exercises the sub-stepping
     g, psi = case()
     dt = norm_dt / np.linalg.norm(g, 2)
-    got = np.concatenate([seg.rows() for seg in krylov_step(partial(np.matmul, g), psi, dt, 1, 0)])
-    assert got.shape == (1, psi.size)
-    assert np.max(np.abs(got[0] - dense_exponential(g, psi, dt))) <= 1e-12
-    assert abs(np.linalg.norm(got[0]) - 1.0) <= 1e-13
+    apply_g = partial(np.matmul, g)
+    run = fockevolve._krylov_run(fockevolve._lanczos(apply_g, psi), np.linalg.norm(psi), dt, 1, 0)
+    assert (run.size == 0) == (case is random_hermitian)
+    got = run.row(0) if run.size else fockevolve._substep(apply_g, psi, dt, math.inf)[0]
+    assert np.max(np.abs(got - dense_exponential(g, psi, dt))) <= 1e-12
+    assert abs(np.linalg.norm(got) - 1.0) <= 1e-13
 
 
 def test_spectral_weights_match_dense_decomposition():
@@ -819,11 +853,12 @@ def test_a_run_that_ends_early_checks_its_last_vector(monkeypatch, case):
     sizes = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda m: sizes.append(len(m)) or eigh(m))
-    segments = list(krylov_step(partial(np.matmul, g), psi, dt, 20, KRYLOV_MAX + 1))
+    recurrence = fockevolve._lanczos(partial(np.matmul, g), psi)
+    segment = fockevolve._krylov_run(recurrence, np.linalg.norm(psi), dt, 20, KRYLOV_MAX + 1)
     monkeypatch.undo()
-    assert len(sizes) == 1 and [seg.size for seg in segments] == [20]
+    assert len(sizes) == 1 and segment.size == 20
     want = [dense_exponential(g, psi, k * dt) for k in range(1, 21)]
-    assert np.max(np.abs(segments[0].rows() - np.array(want))) <= 1e-12
+    assert np.max(np.abs(segment.rows() - np.array(want))) <= 1e-12
 
 
 def test_edge_weight_matches_interior_projector():
@@ -959,18 +994,16 @@ def test_invariant_drift_identity_is_zero():
     h = ncmodel.build_h_nc(COMMUTATIVE)
     psi0 = coherent_state(rep)
     ev = evolve(h, rep, psi0, np.linspace(0.0, 0.5, 51))
-    d = observe(rep, ev).drift
-    assert np.max(np.abs(d.drift)) <= 1e-12
+    assert np.max(np.abs(observe(rep, ev).drift)) <= 1e-12
 
 
 def test_measure_keeps_no_view_of_its_moment_table():
-    # a row view of the (16, n_t) moment table would keep the whole table
-    # alive as long as the result
+    # a view of the (15, n_t) moment table would keep the whole table alive
+    # as long as the result
     rep = build_fock_rep(4, 1.0)
     h = ncmodel.build_h_nc(COMMUTATIVE)
-    obs = observe(rep, evolve(h, rep, coherent_state(rep), np.linspace(0.0, 0.5, 51)))
-    arrays = [obs.drift.values, obs.drift.drift, *obs.xp, *obs.yp, *obs.bopp]
-    assert all(a.base is None for a in arrays)
+    moments = measure(rep, evolve(h, rep, coherent_state(rep), np.linspace(0.0, 0.5, 51)))
+    assert moments.mean.base is None and moments.gram.base is None
 
 
 def test_invariant_drift_constrained_small():
@@ -979,8 +1012,7 @@ def test_invariant_drift_constrained_small():
     psi0 = coherent_state(rep)
     ev = evolve(h, rep, psi0, np.linspace(0.0, 1.0, 501))
     ans = invariant.constant_invariant(1.0, 0.0, 0.0, -0.5, 0.0)
-    d = observe(rep, ev, ans.at(0.0)).drift
-    assert d.relative_max <= 1e-6
+    assert observe(rep, ev, ans.at(0.0)).relative_max <= 1e-6
 
 
 def test_invariant_drift_checks_dimension():
@@ -991,30 +1023,6 @@ def test_invariant_drift_checks_dimension():
         observe(build_fock_rep(4, 1.0), ev)
 
 
-def test_measure_rejects_quadratic_invariant():
-    rep = build_fock_rep(3, 1.0)
-    ev = history(rep, np.zeros(1), coherent_state(rep)[None])
-    with pytest.raises(DegreeError):
-        observe(rep, ev, PhasePoly.monomial(ID2, Coord.X, Coord.PX))
-
-
-@pytest.mark.parametrize(
-    "i_op",
-    [
-        PhasePoly.constant(np.diag([1.0, 2.0])),
-        PhasePoly.monomial(SIGMA1, Coord.PY),
-        PhasePoly.constant(ID2) + PhasePoly.monomial(0.5j * SIGMA1, Coord.X),
-    ],
-    ids=["unequal-diagonal", "sigma1-py", "off-diagonal-x"],
-)
-def test_measure_rejects_spinful_invariant(i_op):
-    # <I> is read off the coordinate means, which holds for a scalar I only
-    rep = build_fock_rep(3, 1.0)
-    ev = history(rep, np.zeros(1), coherent_state(rep)[None])
-    with pytest.raises(ValueError, match="only a scalar invariant is measured"):
-        observe(rep, ev, i_op)
-
-
 def test_unconstrained_drift_matches_ehrenfest_rate():
     p = COMMUTATIVE
     rep = build_fock_rep(12, 1.0)
@@ -1023,7 +1031,7 @@ def test_unconstrained_drift_matches_ehrenfest_rate():
     times = np.linspace(0.0, 1.0, 501)
     ev = evolve(h, rep, psi0, times)
     ans = invariant.constant_invariant(1.0, 0.0, 0.0, 0.0, 0.0)
-    measured = observe(rep, ev, ans.at(0.0)).drift.drift.real
+    measured = observe(rep, ev, ans.at(0.0)).drift.real
     res_poly = PhasePoly(invariant.invariance_residual(ans, h, p.hbar, [0.0])[0])
     predicted = ehrenfest_drift(res_poly, rep, times, ev.states)
     m_max = np.max(np.abs(measured))
@@ -1044,11 +1052,10 @@ def test_uncertainty_ground_state_saturation():
 def test_uncertainty_commuting_pair():
     rep = build_fock_rep(6, 1.0)
     psi = coherent_state(rep, alpha_x=0.3, alpha_y=0.4)
-    a, b = coordinate(Coord.X, rep) @ psi, coordinate(Coord.Y, rep) @ psi
-    r = robertson(
-        np.vdot(psi, a).real, np.vdot(psi, b).real, np.vdot(a, a).real, np.vdot(b, b).real,
-        np.vdot(a, b),
-    )
+    images = np.array([coordinate(c, rep) @ psi for c in Coord])
+    mean = (images @ psi.conj()).real
+    moments = Moments(mean[:, None], (images.conj() @ images.T)[:, :, None], 0.0)
+    r = robertson(moments, np.eye(4)[Coord.X], np.eye(4)[Coord.Y])
     assert r.bound <= 1e-13
     assert r.margin >= -1e-13
 
@@ -1101,8 +1108,7 @@ def test_truncation_scaling_of_constrained_drift():
         rep = build_fock_rep(n, 1.0)
         psi0 = coherent_state(rep)
         ev = evolve(h, rep, psi0, np.linspace(0.0, 1.0, 251))
-        d = observe(rep, ev, ans.at(0.0)).drift
-        drifts.append(d.relative_max)
+        drifts.append(observe(rep, ev, ans.at(0.0)).relative_max)
     for small, large in zip(drifts[1:], drifts[:-1]):
         assert small <= max(1.1 * large, 1e-12)
 
@@ -1130,12 +1136,11 @@ def test_measure_matches_dense_oracle():
 
     values = np.array([np.vdot(s, represent(i_op, rep) @ s) for s in ev.states])
     drift = values - values[0]
-    assert np.max(np.abs(obs.drift.values - values)) <= 1e-12
-    assert np.max(np.abs(obs.drift.drift - drift)) <= 1e-12
+    assert np.max(np.abs(obs.values - values)) <= 1e-12
+    assert np.max(np.abs(obs.drift - drift)) <= 1e-12
     assert np.max(np.abs(drift)) > 1e-3  # I is no invariant of H: the drift is seen
     relative = np.max(np.abs(drift)) / (abs(values[0]) + 1.0)
-    assert obs.drift.relative_max == pytest.approx(relative, abs=1e-12)
-    assert np.array_equal(obs.drift.times, times)
+    assert obs.relative_max == pytest.approx(relative, abs=1e-12)
 
     pi = interior_projector(rep)
     edge = max(1.0 - np.vdot(s, pi @ s).real for s in ev.states)
@@ -1229,8 +1234,8 @@ def assert_measure_matches_dense(obs, states, i_op, p, rep, tol=1e-12):
     whose Bopp pair is the same at every time."""
     assert p.gamma == 0.0
     values = expectation(states, represent(i_op, rep))
-    assert np.max(np.abs(obs.drift.values - values)) <= tol
-    assert np.max(np.abs(obs.drift.drift - (values - values[0]))) <= tol
+    assert np.max(np.abs(obs.values - values)) <= tol
+    assert np.max(np.abs(obs.drift - (values - values[0]))) <= tol
     pi = interior_projector(rep)
     assert abs(obs.edge - np.max(1.0 - expectation(states, pi).real)) <= tol
     dense_pairs = (
@@ -1371,13 +1376,12 @@ def test_measure_holds_no_temporary_of_every_sample():
     assert max(seg.size for seg in ev.segments) == len(times) - 1
     tracemalloc.start()
     try:
-        obs = observe(rep, ev, p=p)
+        moments = measure(rep, ev)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     table = 15 * 16 * len(times)  # 4 means, 10 Gram entries, the edge weight
-    returned = sum(a.nbytes for a in (obs.drift.values, obs.drift.drift, *obs.xp, *obs.yp, *obs.bopp))
-    assert peak <= table + returned + 4 * 2**20
+    assert peak <= table + moments.mean.nbytes + moments.gram.nbytes + 4 * 2**20
 
 
 def test_segment_moments_use_the_gram_of_its_basis():
