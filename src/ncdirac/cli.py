@@ -268,7 +268,7 @@ def cmd_invariant(cfg: RunConfig) -> Result:
     # the constant slot of a scalar ansatz is i*hbar*((row 2k) alpha_2 + (row 2k+1) alpha_1)
     r = (report.matrix @ vec)[:, None, None]
     closing = res[:, 0] - cfg.hbar * (1j * r[0::2] * mat2.ALPHA2 + 1j * r[1::2] * mat2.ALPHA1)
-    user_residuals = residual_norms(res)
+    user_residuals = norms.max(axis=1)
 
     gram = report.nullspace.T @ report.nullspace
     ortho_defect = float(np.max(np.abs(gram - np.eye(report.dimension)), initial=0.0))
@@ -315,12 +315,12 @@ def cmd_xi(cfg: RunConfig) -> Result:
 
 
 def cmd_evolve(cfg: RunConfig) -> Result:
-    from . import fockevolve, invariant, lrsolve
+    from . import fockevolve, invariant
     n_steps = ncmodel.step_count(cfg.t0, cfg.t1, cfg.dt)
     # the invariant verdict below takes invariant's constraint grid
     need = fockevolve.dense_bytes(cfg.fock_N, n_steps + 1) + GRID_POINT_BYTES * cfg.grid_points
     _check_memory(need, f"evolve at fock_N={cfg.fock_N} over {n_steps:.3g} steps")
-    rep = fockevolve.build_fock_rep(cfg.fock_N, lrsolve.magnetic_length(cfg), cfg.hbar)
+    rep = fockevolve.build_fock_rep(cfg.fock_N, ncmodel.magnetic_length(cfg), cfg.hbar)
     h = ncmodel.build_h_nc(cfg)
 
     times = ncmodel.sample_times(cfg.t0, cfg.t1, n_steps)

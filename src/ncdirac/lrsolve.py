@@ -16,30 +16,13 @@ RK4 stage of xi1, xi2 is one flow_rhs call over all steps.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError
 from .ncmodel import F_ETA, NCParams, build_h_nc, profiles, sample_times, step_count
 from .phasepoly import ExpSum
-
-
-def magnetic_length(p: NCParams) -> float:
-    """Landau length l_B = sqrt(hbar/(e*B)), the oscillator length evolve
-    builds its Fock basis on. It is not the chiral-ladder scale: the kinetic
-    momenta hold a single ladder at sqrt(hbar |f_theta/f_eta|), which is
-    sqrt(2) l_B undeformed, so a lowest-level state is not this oscillator's
-    ground state."""
-    eb = p.e * p.B
-    if eb <= 0:
-        raise ConfigError("magnetic length requires e*B > 0")
-    ell = math.sqrt(p.hbar / eb)
-    if not 0.0 < ell < math.inf:
-        raise OverflowError("the magnetic length sqrt(hbar/(e*B)) leaves the float range")
-    return ell
 
 
 def f_closed(p: NCParams, t):

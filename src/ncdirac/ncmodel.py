@@ -243,9 +243,13 @@ def build_h_commutative(p: NCParams) -> AffineOp:
     return AffineOp.time_constant(h)
 
 
-def _h_nc(p: NCParams) -> AffineOp:
-    """H(t) = f_theta(t) K + f_eta(t) L + m beta with K = a1 px + a2 py and
-    L = a1 y - a2 x; its coefficients and their derivatives are exponential sums."""
+def build_h_nc(p: NCParams) -> AffineOp:
+    """Time-dependent deformed Dirac Hamiltonian, at any hbar:
+
+    H(t) = f_theta(t) K + f_eta(t) L + m beta with K = a1 px + a2 py and
+    L = a1 y - a2 x; its coefficients and their derivatives are exponential
+    sums. ``dual_path_deviation`` compares it with ``h_nc_via_bopp``.
+    """
     k_op = PhasePoly.monomial(ALPHA1, Coord.PX) + PhasePoly.monomial(ALPHA2, Coord.PY)
     l_op = PhasePoly.monomial(ALPHA1, Coord.Y) + PhasePoly.monomial(-ALPHA2, Coord.X)
     prof = profiles(p)
@@ -272,26 +276,10 @@ def dual_path_deviation(p: NCParams, ts: Sequence[float] = (0.0, 0.5, 1.0, 2.0))
     substitution route over the sampled times, relative to H's largest slot
     there when that exceeds 1: the two routes round apart by a few ulps of
     H's coefficients, which 1/hbar can make large."""
-    ts, h = np.asarray(ts, dtype=float), _h_nc(p)
+    ts, h = np.asarray(ts, dtype=float), build_h_nc(p)
     affine = h.stack(h.value(ts))
     diff = affine - h_nc_via_bopp(p, ts)
     return float(np.max(residual_norms(diff)) / max(1.0, np.max(residual_norms(affine))))
-
-
-def build_h_nc(p: NCParams) -> AffineOp:
-    """Time-dependent deformed Dirac Hamiltonian, at any hbar.
-
-    H(t) = a1 f_theta(t) px - a2 f_eta(t) x + a2 f_theta(t) py
-           + a1 f_eta(t) y + beta m.
-
-    Construction cross-checks the affine coefficient form against the
-    substitution of the shifted operators and refuses to hand back an
-    inconsistent operator.
-    """
-    dev = dual_path_deviation(p)
-    if dev > 1e-13:
-        raise RuntimeError(f"Hamiltonian construction paths disagree: {dev:.3e}")
-    return _h_nc(p)
 
 
 # -- Dirac-Landau levels ---------------------------------------------------------
@@ -304,6 +292,21 @@ def landau_gap(p: NCParams, t):
     sign is that of the effective field. The ladder functions below take it."""
     prof = profiles(p)
     return 4.0 * p.hbar * prof[F_THETA](t) * prof[F_ETA](t)
+
+
+def magnetic_length(p: NCParams) -> float:
+    """Landau length l_B = sqrt(hbar/(e*B)), the oscillator length evolve
+    builds its Fock basis on. It is not the chiral-ladder scale: the kinetic
+    momenta hold a single ladder at sqrt(hbar |f_theta/f_eta|), which is
+    sqrt(2) l_B undeformed, so a lowest-level state is not this oscillator's
+    ground state."""
+    eb = p.e * p.B
+    if eb <= 0:
+        raise ConfigError("magnetic length requires e*B > 0")
+    ell = math.sqrt(p.hbar / eb)
+    if not 0.0 < ell < math.inf:
+        raise OverflowError("the magnetic length sqrt(hbar/(e*B)) leaves the float range")
+    return ell
 
 
 def landau_level(m: float, n: int, sign: int, gap):

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegreeError
-from .mat2 import Mat2
+from .mat2 import Mat2, fro
 
 
 class Coord(IntEnum):
@@ -97,16 +97,15 @@ class PhasePoly:
 
 
 def residual_norms(slots: np.ndarray) -> np.ndarray:
-    """Max Frobenius norm over the 15 coefficient slots of every polynomial of a
-    (..., 15, 2, 2) slot stack; 0 iff that polynomial is the zero operator."""
-    return np.max(np.linalg.norm(slots, axis=(-2, -1)), axis=-1)
+    """Max ``mat2.fro`` Frobenius norm over the 15 coefficient slots of every
+    polynomial of a (..., 15, 2, 2) slot stack; 0 iff that polynomial is the
+    zero operator."""
+    return np.max(fro(slots), axis=-1)
 
 
 def hermitian_defect(p: PhasePoly) -> float:
     """Max slot-wise ||C - C^dagger||; 0 certifies Hermiticity in Weyl ordering."""
-    return float(
-        np.max(np.linalg.norm(p.slots - p.slots.conj().transpose(0, 2, 1), axis=(1, 2)))
-    )
+    return float(residual_norms(p.slots - p.slots.conj().transpose(0, 2, 1)))
 
 
 #: grid times per commutator call of a grid pass: the kernel's temporaries

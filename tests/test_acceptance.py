@@ -58,7 +58,7 @@ def uncertainty_pairs(rep, evolved, p):
 @pytest.fixture(scope="module")
 def commutative_run():
     """Displaced coherent state under the commutative Hamiltonian, N = 16."""
-    rep = fockevolve.build_fock_rep(16, lrsolve.magnetic_length(COMMUTATIVE))
+    rep = fockevolve.build_fock_rep(16, ncmodel.magnetic_length(COMMUTATIVE))
     h = ncmodel.build_h_nc(COMMUTATIVE)
     psi0 = fockevolve.coherent_state(rep, alpha_x=1.0)
     evolved = fockevolve.evolve(h, rep, psi0, EVOLVE_TIMES)
@@ -68,7 +68,7 @@ def commutative_run():
 @pytest.fixture(scope="module")
 def nc_run():
     """Centered coherent state under the time-dependent Hamiltonian, N = 10."""
-    rep = fockevolve.build_fock_rep(10, lrsolve.magnetic_length(NC_DYNAMIC))
+    rep = fockevolve.build_fock_rep(10, ncmodel.magnetic_length(NC_DYNAMIC))
     h = ncmodel.build_h_nc(NC_DYNAMIC)
     psi0 = fockevolve.coherent_state(rep)
     evolved = fockevolve.evolve(h, rep, psi0, EVOLVE_TIMES)

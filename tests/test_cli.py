@@ -100,13 +100,31 @@ def test_verify_algebra_checks_the_dual_path_at_any_hbar(tmp_path, argv):
 )
 def test_dual_path_is_judged_relative_to_large_coefficients(tmp_path, argv):
     # f_theta reaches about 1e3 and 2e6: the two constructions of H round
-    # apart by an ulp of those coefficients, above 1e-13 absolute. Measured
-    # absolutely, invariant ended in a RuntimeError traceback
+    # apart by an ulp of those coefficients, above 1e-13 absolute
     argv = (*argv, "--eta=0.7", "--B=1.7")
     assert run(tmp_path, "invariant", *argv) == 0
     assert run(tmp_path, "verify-algebra", "--grid_points=2", "--t1=1e-3", *argv) == 0
     report = json.loads((tmp_path / "algebra_report.json").read_text())
     assert report["dual_path_deviation"] <= 1e-15
+
+
+def test_only_verify_algebra_builds_the_substituted_hamiltonian(tmp_path, monkeypatch):
+    # the dual-path claim is checked where it is reported: invariant and
+    # evolve take H(t) from build_h_nc alone
+    real, calls = ncmodel.h_nc_via_bopp, []
+
+    def counted(p, ts):
+        calls.append(len(ts))
+        return real(p, ts)
+
+    monkeypatch.setattr(ncmodel, "h_nc_via_bopp", counted)
+    small = ("--fock_N=8", "--t1=0.05", "--dt=0.01", "--grid_points=4")
+    counts = {}
+    for command in ("invariant", "evolve", "verify-algebra"):
+        calls.clear()
+        assert run(tmp_path / command, command, *DEFORMED, *small) == 0
+        counts[command] = len(calls)
+    assert counts == {"invariant": 0, "evolve": 0, "verify-algebra": 1}
 
 
 LARGE_HBAR_EFF = [
@@ -349,6 +367,39 @@ def test_invariant_machine_checks_pass_at_hbar_not_one(tmp_path, hbar):
     report = json.loads((tmp_path / "nullspace_report.json").read_text())
     assert report["machine_checks_pass"] is True
     assert report["dimension"] == 2
+
+
+def test_invariance_residual_is_the_max_of_its_relation_columns(tmp_path):
+    # the fifteen relation columns are the residual's slots under one norm, so
+    # each row's invariance_residual is the largest of them, to the bit
+    rng = np.random.default_rng(2019)
+    for k in range(40):
+        values = {
+            "theta": rng.uniform(-1.0, 1.0), "eta": rng.uniform(-1.0, 1.0),
+            "gamma": rng.uniform(-2.0, 2.0), "B": rng.uniform(0.1, 3.0),
+            "e": rng.uniform(-2.0, 2.0), "m": rng.uniform(0.1, 2.0),
+            "hbar": rng.uniform(0.3, 3.0),
+            **{key: rng.uniform(-1.0, 1.0) for key in ("a1", "a3", "b1", "b3", "c1")},
+        }
+        out = tmp_path / str(k)
+        assert run(out, "invariant", *(f"--{key}={value!r}" for key, value in values.items())) == 0
+        header, *rows = read_csv(out / "residuals.csv")
+        assert header[-1] == "invariance_residual" and len(header) == 17
+        for row in rows:
+            relations = [float(v) for v in row[1:-1]]
+            assert float(row[-1]) == max(relations), (values, row)
+        report = json.loads((out / "nullspace_report.json").read_text())
+        assert report["constants_max_invariance_residual"] == max(float(row[-1]) for row in rows)
+
+
+def test_invariant_at_gamma_800_stays_on_its_grid(tmp_path):
+    # the constraint grid is [0, 2/800]: the profiles grow by e^2 over it and
+    # nothing is evaluated beyond it, so the run ends in a verdict
+    assert run(tmp_path, "invariant", "--gamma=800", "--theta=0.1", "--eta=0.05") == 0
+    report = json.loads((tmp_path / "nullspace_report.json").read_text())
+    assert report["times"][-1] == 0.0025
+    assert report["dimension"] == 0
+    assert_finite_files(tmp_path)
 
 
 def test_xi_commutative(tmp_path):
@@ -848,7 +899,7 @@ def test_each_command_loads_only_its_own_modules(tmp_path):
         "verify-algebra": ["0"],
         "invariant": ["0", "ncdirac.invariant"],
         "xi": ["0", "ncdirac.lrsolve"],
-        "evolve": ["0", "ncdirac.fockevolve", "ncdirac.invariant", "ncdirac.lrsolve"],
+        "evolve": ["0", "ncdirac.fockevolve", "ncdirac.invariant"],
         "report": ["0"],
     }
 
@@ -862,7 +913,7 @@ def test_each_command_loads_only_its_own_modules(tmp_path):
         ("evolve", "--t1=nan"),
         ("xi", "--eta=inf"),
         # a time profile or kappa = exp(q2 - q1) beyond the float range
-        ("invariant", "--gamma=800", "--theta=0.1", "--eta=0.05"),
+        ("invariant", "--theta=1e308", "--gamma=1"),  # theta e^2 at the grid's end
         ("evolve", "--gamma=800", "--theta=0.1", "--eta=0.05"),
         ("verify-algebra", "--gamma=30", "--t1=30", "--theta=0.1", "--eta=0.05"),
         ("xi", "--q2=800"),

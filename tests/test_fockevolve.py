@@ -366,7 +366,7 @@ def test_constant_generator_matches_exact_propagator_across_restarts(monkeypatch
     # every sample against V exp(-i w (t_k - t0)) V^dag psi0; the grid is long
     # enough that one space of KRYLOV_MAX vectors does not cover it
     p = NCParams(theta=0.1, eta=0.05)
-    rep = build_fock_rep(8, lrsolve.magnetic_length(p))
+    rep = build_fock_rep(8, ncmodel.magnetic_length(p))
     h = ncmodel.build_h_nc(p)
     psi = coherent_state(rep, alpha_x=1.0)
     times = np.linspace(-1.0, 9.0, 1001)
@@ -483,7 +483,7 @@ def test_recurrences_from_real_states_run_in_float64(monkeypatch):
     starts = record_lanczos(monkeypatch)
 
     def run(p):
-        rep = build_fock_rep(8, lrsolve.magnetic_length(p))
+        rep = build_fock_rep(8, ncmodel.magnetic_length(p))
         probe = coherent_state(rep, alpha_x=1.0)
         evolve(ncmodel.build_h_nc(p), rep, probe, np.linspace(0.0, 0.5, 51))
         return rep.dim
@@ -501,7 +501,7 @@ def test_a_spectrum_on_real_planes_spans_no_more_than_the_state_space(n):
     # below KRYLOV_MAX dimensions the complex recurrence of psi(t1) ends once
     # it spans the state space; the recurrence of its real planes (Re, Im),
     # twice as long, ends there too and not on rounding noise past it
-    rep = build_fock_rep(n, lrsolve.magnetic_length(README))
+    rep = build_fock_rep(n, ncmodel.magnetic_length(README))
     h = ncmodel.build_h_nc(README)
     ev = evolve(h, rep, coherent_state(rep, alpha_x=1.0), np.linspace(0.0, 0.5, 51))
     want = spectral_weights(dense(h.at(0.5), rep), ev.states[-1])
@@ -547,7 +547,7 @@ def dense_exponential(g, psi, dt):
 
 def td_generator():
     p = NCParams(theta=0.1, eta=0.05, gamma=0.2)
-    rep = build_fock_rep(8, lrsolve.magnetic_length(p))
+    rep = build_fock_rep(8, ncmodel.magnetic_length(p))
     return represent(ncmodel.build_h_nc(p).at(0.37), rep), coherent_state(rep, alpha_x=1.0)
 
 
@@ -637,7 +637,7 @@ def test_track_level_reuses_the_t0_spectrum_for_a_constant_generator(monkeypatch
     # psi(t1) = exp(-i H (t1 - t0)) psi(t0) has psi(t0)'s spectral measure
     # under the one H: the Lanczos run evolve shares with the propagation
     # gives both ends' spectra, and evolve runs no spectral_weights
-    rep = build_fock_rep(8, lrsolve.magnetic_length(p))
+    rep = build_fock_rep(8, ncmodel.magnetic_length(p))
     runs = count_spectral_runs(monkeypatch)
     ev = evolve(h, rep, coherent_state(rep, alpha_x=1.0), np.linspace(t0, t0 + 0.5, 51))
     assert runs == []
@@ -655,7 +655,7 @@ def test_track_level_reuses_the_t0_spectrum_for_a_constant_generator(monkeypatch
 def test_one_generator_evolve_and_level_pick_share_one_lanczos_recurrence(monkeypatch, p, h, t0):
     # the propagation replays the head of the spectral run: one recurrence,
     # of at most KRYLOV_MAX applications of H, serves evolve and track_level
-    rep = build_fock_rep(8, lrsolve.magnetic_length(p))
+    rep = build_fock_rep(8, ncmodel.magnetic_length(p))
     psi0 = coherent_state(rep, alpha_x=1.0)
     _, runs, spaces = count_calls(monkeypatch, rep)
     ev = evolve(h, rep, psi0, np.linspace(t0, t0 + 0.5, 51))
@@ -695,7 +695,7 @@ def test_ritz_error_measures_the_lanczos_space_not_the_truncation(n):
     # Lanczos space is: the t0 Ritz error is the space's resolution of the
     # level's cluster (at fock_N=16: 1.4e-6 against 7.7e-13 dense)
     h = ncmodel.build_h_nc(README)
-    rep = build_fock_rep(n, lrsolve.magnetic_length(README))
+    rep = build_fock_rep(n, ncmodel.magnetic_length(README))
     ev = evolve(h, rep, coherent_state(rep, alpha_x=1.0), np.linspace(0.0, 0.01, 2))
     level = track(README, ev)
     dense = np.min(np.abs(np.linalg.eigvalsh(represent(h.at(0.0), rep)) - level.energy[0]))
@@ -716,7 +716,7 @@ def test_track_level_runs_at_both_ends_unless_one_generator_holds_throughout(mon
     # a changing generator, three runs whose ends agree, and one run whose
     # last grid point has other coefficients: evolve runs spectral_weights
     # at psi(t0) and at psi(t1), and track_level runs none
-    rep = build_fock_rep(8, lrsolve.magnetic_length(p))
+    rep = build_fock_rep(8, ncmodel.magnetic_length(p))
     runs = count_spectral_runs(monkeypatch)
     ev = evolve(h, rep, coherent_state(rep, alpha_x=1.0), np.linspace(0.0, 0.5, 51))
     assert len(runs) == 2
@@ -735,7 +735,7 @@ def test_changing_steps_check_from_the_previous_lanczos_size(monkeypatch):
     # the first step checks every vector; each later step starts checking one
     # vector below the previous step's size (6 of 6 or 7 here), and every
     # sample still matches the dense midpoint propagator
-    rep = build_fock_rep(8, lrsolve.magnetic_length(README))
+    rep = build_fock_rep(8, ncmodel.magnetic_length(README))
     h = ncmodel.build_h_nc(README)
     psi = coherent_state(rep, alpha_x=1.0)
     times = np.linspace(0.0, 0.5, 51)
@@ -761,7 +761,7 @@ def test_sub_steps_check_from_the_previous_sub_step_size(monkeypatch):
     # spectral runs at the two ends take KRYLOV_MAX vectors each. The
     # sample still matches the dense propagator
     p = NCParams(theta=0.1, eta=0.05, gamma=50.0)
-    rep = build_fock_rep(5, lrsolve.magnetic_length(p))
+    rep = build_fock_rep(5, ncmodel.magnetic_length(p))
     h = ncmodel.build_h_nc(p)
     psi = coherent_state(rep, alpha_x=1.0)
     sizes = []
@@ -783,7 +783,7 @@ def eigenstate():
 def fock_2():
     # dimension 8 < KRYLOV_MAX; H has four doubly degenerate levels, so the
     # Krylov space of a generic state is invariant after four vectors
-    rep = build_fock_rep(2, lrsolve.magnetic_length(README))
+    rep = build_fock_rep(2, ncmodel.magnetic_length(README))
     psi = np.array([1.0, 1j]) @ np.random.default_rng(3).normal(size=(2, rep.dim))
     return represent(ncmodel.build_h_nc(README).at(0.3), rep), psi / np.linalg.norm(psi)
 
@@ -812,7 +812,7 @@ def test_an_invariant_space_ends_alike_in_every_arithmetic():
     # the smallest ratio before it is 5.9e-9, at vector 12. All three end at
     # vector 24
     p = NCParams(theta=0.1, eta=0.05, gamma=50.0)
-    rep = build_fock_rep(6, lrsolve.magnetic_length(p))
+    rep = build_fock_rep(6, ncmodel.magnetic_length(p))
     h = ncmodel.build_h_nc(p)
     ev = evolve(h, rep, coherent_state(rep, alpha_x=1.0), np.array([0.0, 0.5]))
     psi = ev.states[-1]
@@ -878,7 +878,7 @@ def test_landau_length_puts_truncated_level_on_closed_form():
     # truncated H has an eigenvalue on E_0 = m to 1e-9 at fock_N=16; the
     # scale 1/sqrt(e B) left the nearest one 5.9e-5 away
     p = NCParams(hbar=2.0)
-    rep = build_fock_rep(16, lrsolve.magnetic_length(p), p.hbar)
+    rep = build_fock_rep(16, ncmodel.magnetic_length(p), p.hbar)
     w = np.linalg.eigvalsh(represent(ncmodel.build_h_nc(p).at(0.0), rep))
     assert np.min(np.abs(w - p.m)) <= 1e-9
 
@@ -908,7 +908,7 @@ def dense_level_pick(p, rep, h, psi):
     ids=["readme", "commutative", "gamma-0.3", "displacement-0.3", "spin-down", "hbar-2"],
 )
 def test_level_pick_matches_dense_overlap_rule(p, alpha, spinor, want, n):
-    rep = build_fock_rep(n, lrsolve.magnetic_length(p), p.hbar)
+    rep = build_fock_rep(n, ncmodel.magnetic_length(p), p.hbar)
     h = ncmodel.build_h_nc(p)
     psi = coherent_state(rep, alpha_x=alpha, spinor=spinor)
     ev = evolve(h, rep, psi, [0.0, 1e-3])
@@ -920,7 +920,7 @@ def test_time_dependent_evolve_matches_dense_reference():
     # oracle: dense V exp(-i w dt) V^dag at every midpoint and the
     # nearest-eigenvalue rule on full decompositions, written out here
     p = NCParams(theta=0.1, eta=0.05, gamma=0.2)
-    rep = build_fock_rep(8, lrsolve.magnetic_length(p))
+    rep = build_fock_rep(8, ncmodel.magnetic_length(p))
     h = ncmodel.build_h_nc(p)
     psi = coherent_state(rep, alpha_x=1.0)
     times = np.linspace(0.0, 1.0, 21)
@@ -1073,7 +1073,7 @@ def test_uncertainty_bopp_pair_bound_matches_hbar_eff():
     # the blocked image pass against the dense route, which shares no code
     # with it: represent each shifted operator on its own and take moments
     p = NCParams(theta=0.1, eta=0.05, gamma=0.2)
-    rep = build_fock_rep(10, lrsolve.magnetic_length(p))
+    rep = build_fock_rep(10, ncmodel.magnetic_length(p))
     h = ncmodel.build_h_nc(p)
     psi0 = coherent_state(rep)
     times = np.linspace(0.0, 1.0, 101)
@@ -1126,7 +1126,7 @@ def test_measure_matches_dense_oracle():
     # the one pass against dense matrices that share no code with it, over
     # BLOCK_ROWS + 1 samples, so the last sample sits in a second block
     p = NCParams(theta=0.1, eta=0.05, gamma=0.2)
-    rep = build_fock_rep(5, lrsolve.magnetic_length(p))
+    rep = build_fock_rep(5, ncmodel.magnetic_length(p))
     h = ncmodel.build_h_nc(p)
     psi0 = coherent_state(rep, alpha_x=0.8, alpha_y=0.3j, spinor=(1.0, 0.5j))
     times = np.linspace(0.0, 0.5, BLOCK_ROWS + 1)
@@ -1255,7 +1255,7 @@ def test_constant_generator_across_restarts_measured_in_its_lanczos_spaces():
     # BLOCK_ROWS and than it has vectors: kept as coefficients and measured in
     # their bases, against the dense propagator and dense observables
     p = NCParams(theta=0.1, eta=0.05)
-    rep = build_fock_rep(8, lrsolve.magnetic_length(p))
+    rep = build_fock_rep(8, ncmodel.magnetic_length(p))
     h = ncmodel.build_h_nc(p)
     psi = coherent_state(rep, alpha_x=1.0)
     times = np.linspace(-1.0, 9.0, 1001)
@@ -1310,7 +1310,7 @@ def test_constant_run_holds_coefficients_not_states():
     # 2000 samples at dimension 512: at most KRYLOV_MAX + 1 coefficients per
     # sample and one basis per Lanczos space, instead of 512 amplitudes each
     p = NCParams(theta=0.1, eta=0.05)
-    rep = build_fock_rep(16, lrsolve.magnetic_length(p))
+    rep = build_fock_rep(16, ncmodel.magnetic_length(p))
     n_t = 2000
     ev = evolve(ncmodel.build_h_nc(p), rep, coherent_state(rep, alpha_x=1.0),
                 np.linspace(0.0, 2.0, n_t))
@@ -1331,7 +1331,7 @@ def test_a_constant_run_is_held_and_measured_in_its_real_frame(monkeypatch):
     # phases, and measure takes the Gram entries of each basis and its
     # coordinate images in float64; states rotates out
     p = NCParams(theta=0.1, eta=0.05)
-    rep = build_fock_rep(8, lrsolve.magnetic_length(p))
+    rep = build_fock_rep(8, ncmodel.magnetic_length(p))
     h = ncmodel.build_h_nc(p)
     psi = coherent_state(rep, alpha_x=1.0)
     times = np.linspace(0.0, 2.0, 401)
@@ -1370,7 +1370,7 @@ def test_measure_holds_no_temporary_of_every_sample():
     # arrays it returns; one product over every sample would hold 15 forms
     # of 4 complex entries per sample, 96 MB, at once
     p = NCParams(theta=0.1, eta=0.05)
-    rep = build_fock_rep(2, lrsolve.magnetic_length(p))
+    rep = build_fock_rep(2, ncmodel.magnetic_length(p))
     times = np.linspace(0.0, 100.0, 100_000)
     ev = evolve(ncmodel.build_h_nc(p), rep, coherent_state(rep, alpha_x=1.0), times)
     assert max(seg.size for seg in ev.segments) == len(times) - 1

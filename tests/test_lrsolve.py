@@ -323,14 +323,3 @@ def test_trial_residual_first_component_vanishes():
     # the second component is generically nonzero and merely reported
     r = trial_residual(COMMUTATIVE, 1.0, 0.0, 0.0)
     assert abs(r[1]) == pytest.approx(abs(1j * 1.0 + 0.5), abs=1e-12)
-
-
-def test_magnetic_length():
-    assert lrsolve.magnetic_length(COMMUTATIVE) == 1.0
-    assert lrsolve.magnetic_length(NCParams(B=4.0)) == 0.5
-    # the Landau length sqrt(hbar/(e B)) carries hbar
-    assert lrsolve.magnetic_length(NCParams(hbar=2.0, B=0.5)) == 2.0
-    with pytest.raises(OverflowError):
-        lrsolve.magnetic_length(NCParams(hbar=1e-150, B=1e300))
-    with pytest.raises(ConfigError):
-        lrsolve.magnetic_length(NCParams(B=-1.0))

@@ -308,6 +308,17 @@ def test_nearest_landau_level_of_an_array_is_the_brute_force_nearest(p):
     assert (gap == 0.0) == (p.eta == -1.0) and n.max() < 200  # the scan's bound is not reached
 
 
+def test_magnetic_length():
+    assert ncmodel.magnetic_length(NCParams()) == 1.0
+    assert ncmodel.magnetic_length(NCParams(B=4.0)) == 0.5
+    # the Landau length sqrt(hbar/(e B)) carries hbar
+    assert ncmodel.magnetic_length(NCParams(hbar=2.0, B=0.5)) == 2.0
+    with pytest.raises(OverflowError):
+        ncmodel.magnetic_length(NCParams(hbar=1e-150, B=1e300))
+    with pytest.raises(ConfigError):
+        ncmodel.magnetic_length(NCParams(B=-1.0))
+
+
 def test_landau_levels_commutative_closed_form():
     # relativistic Landau levels +-sqrt(m^2 + 2 n hbar e B) of the commutative
     # Dirac Hamiltonian (c = 1)
