@@ -217,7 +217,8 @@ def cmd_verify_algebra(cfg: RunConfig) -> Result:
 
     dirac = mat2.verify_dirac_algebra()
     deformed = ncmodel.verify_nc_algebra(cfg, t_grid)
-    dual_dev = ncmodel.dual_path_deviation(cfg)
+    # three times certify an identity in the profiles' three rates (0, gamma, -gamma)
+    dual_dev = ncmodel.dual_path_deviation(cfg, np.linspace(cfg.t0, cfg.t1, 3))
 
     if cfg.theta == 0.0 and cfg.eta == 0.0:
         mode = "commutative"
@@ -340,8 +341,9 @@ def cmd_evolve(cfg: RunConfig) -> Result:
     unit = np.eye(4)
     r_xp = fockevolve.robertson(moments, unit[Coord.X], unit[Coord.PX])
     r_yp = fockevolve.robertson(moments, unit[Coord.Y], unit[Coord.PY])
-    bopp = ncmodel.bopp_rows(*ncmodel.bopp_scales(cfg, times))
-    r_nc = fockevolve.robertson(moments, bopp[:, Coord.X], bopp[:, Coord.PX])
+    bopp = ncmodel.bopp_shift(cfg)
+    r_nc = fockevolve.robertson(moments, bopp[Coord.X].coordinate_rows(times),
+                                bopp[Coord.PX].coordinate_rows(times))
     residual = invariant.invariance_residual(ans, h, cfg.hbar, np.linspace(cfg.t0, cfg.t1, 8))
     res_norm = float(np.max(residual_norms(residual)))
     # the verdict of invariant: exact, where the residual on 8 times is not

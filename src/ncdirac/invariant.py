@@ -23,8 +23,6 @@ import numpy as np
 from .mat2 import ID2
 from .ncmodel import F_ETA, F_THETA, NCParams, profiles
 from .phasepoly import (
-    GRID_BLOCK,
-    N_SLOTS,
     AffineOp,
     Coord,
     ExpSum,
@@ -58,16 +56,11 @@ def invariance_residual(
 ) -> np.ndarray:
     """Residual slots [I, H] + i hbar dI/dt at each time of ts, (len(ts), 15, 2, 2),
     with the canonical commutator at ``hbar``; a zero row certifies I as a
-    dynamical invariant at that time. One commutator call takes GRID_BLOCK
-    grid times."""
+    dynamical invariant at that time. The commutator of the fixed parts is
+    taken once, whatever the number of times."""
     ts = np.asarray(ts, dtype=float)
-    values, rates, h_values = ans.value(ts), ans.derivative(ts), h.value(ts)
-    out = np.empty((len(ts), N_SLOTS, 2, 2), dtype=complex)
-    for lo in range(0, len(ts), GRID_BLOCK):
-        block = slice(lo, lo + GRID_BLOCK)
-        comm = ps_commutator(ans.stack(values[block]), h.stack(h_values[block]), hbar)
-        out[block] = comm + 1j * hbar * ans.stack(rates[block])
-    return out
+    comm = ps_commutator(ans, h, hbar)
+    return comm.stack(comm.value(ts)) + 1j * hbar * ans.stack(ans.derivative(ts))
 
 
 def default_constraint_grid(p: NCParams, n: int = 16) -> np.ndarray:

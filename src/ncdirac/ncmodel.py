@@ -17,7 +17,6 @@ import numpy as np
 from .errors import ConfigError
 from .mat2 import ALPHA1, ALPHA2, BETA, ID2
 from .phasepoly import (
-    GRID_BLOCK,
     N_SLOTS,
     AffineOp,
     Coord,
@@ -114,13 +113,6 @@ def profiles(p: NCParams) -> ExpSum:
     return ExpSum(np.array([0.0, p.gamma, -p.gamma]), np.array(amps))
 
 
-def bopp_scales(p: NCParams, t):
-    """Mixing coefficients (s_theta, s_eta) = (theta(t)/2hbar, eta(t)/2hbar)
-    of the Bopp shift, two arrays at an array of times t, from one
-    two-column evaluation of the profiles."""
-    return tuple(0.5 * profiles(p)[[THETA, ETA]](t).T / p.hbar)
-
-
 # shifted coordinate -> (partner, sign, which of the two Bopp scales)
 _BOPP = {
     Coord.X: (Coord.PY, -1.0, 0),
@@ -130,28 +122,25 @@ _BOPP = {
 }
 
 
-def bopp_rows(s_theta: np.ndarray, s_eta: np.ndarray) -> np.ndarray:
-    """Real coefficient rows (len(s_theta), 4, 4) of the four shifted
-    operators on the coordinates, both in the Coord order, for the arrays of
-    Bopp scales from ``bopp_scales``:
+def bopp_shift(p: NCParams) -> tuple[AffineOp, ...]:
+    """The four shifted operators in the Coord order, each a coordinate and its
+    signed partner, times the identity spinor, with the coefficients
+    (1, s_theta(t)) or (1, s_eta(t)) for the Bopp scales s_theta = theta(t)/2hbar
+    and s_eta = eta(t)/2hbar, read from the THETA and ETA columns of the profiles:
 
     x_nc  = x  - s_theta py      px_nc = px + s_eta y
     y_nc  = y  + s_theta px      py_nc = py - s_eta x
     """
-    scales = (s_theta, s_eta)
-    out = np.zeros((len(s_theta), 4, 4))
-    for c, (partner, sign, which) in _BOPP.items():
-        out[:, c, c] = 1.0
-        out[:, c, partner] = sign * scales[which]
-    return out
+    scales = profiles(p)[[THETA, ETA]]
 
+    def rows(f, which, lead):
+        return lambda ts: np.column_stack([np.full(len(ts), lead), 0.5 * f(ts)[:, which] / p.hbar])
 
-def bopp_slots(s_theta: np.ndarray, s_eta: np.ndarray) -> np.ndarray:
-    """Slot arrays (len(s_theta), 4, 15, 2, 2) of the four shifted operators:
-    their ``bopp_rows`` on the linear slots, times the identity spinor."""
-    out = np.zeros((len(s_theta), 4, N_SLOTS, 2, 2), dtype=complex)
-    out[:, :, 1:5] = bopp_rows(s_theta, s_eta)[..., None, None] * ID2  # the linear slots
-    return out
+    return tuple(
+        AffineOp((PhasePoly.monomial(ID2, c), PhasePoly.monomial(sign * ID2, partner)),
+                 rows(scales, which, 1.0), rows(scales.derivative(), which, 0.0))
+        for c, (partner, sign, which) in _BOPP.items()
+    )
 
 
 # the six deformed commutators: label and the two shifted operators
@@ -204,25 +193,22 @@ def verify_nc_algebra(p: NCParams, t_grid: Sequence[float]) -> DeformedAlgebraRe
 
     At each grid time the commutators are computed through the polynomial
     algebra and compared against i*theta(t), i*eta(t), i*hbar_eff and 0. The
-    expected values and the Bopp scales are each one evaluation over the
-    grid; one commutator call fills the six columns of GRID_BLOCK rows of the
-    table.
+    expected values are one evaluation over the grid; each pair is one
+    commutator of the shifted operators, stacked at all grid times at once.
     """
     if len(t_grid) == 0:
         raise ValueError("t_grid must be nonempty")
-    _, left, right = zip(*_ALGEBRA_PAIRS)
     times = np.array(t_grid, dtype=float)
     expected = np.zeros((len(times), len(_ALGEBRA_PAIRS)), dtype=complex)
     expected[:, :2] = 1j * profiles(p)[[THETA, ETA]](times)
     expected[:, 2:4] = 1j * hbar_eff(p)
-    s_theta, s_eta = bopp_scales(p, times)
+    ops = bopp_shift(p)
     deviation = np.empty(expected.shape)
-    for lo in range(0, len(times), GRID_BLOCK):
-        block = slice(lo, lo + GRID_BLOCK)
-        ops = bopp_slots(s_theta[block], s_eta[block])
-        measured = ps_commutator(ops[:, left], ops[:, right], p.hbar)
-        measured[..., 0, :, :] -= expected[block, :, None, None] * ID2
-        deviation[block] = residual_norms(measured)
+    for j, (_, left, right) in enumerate(_ALGEBRA_PAIRS):
+        comm = ps_commutator(ops[left], ops[right], p.hbar)
+        measured = comm.stack(comm.value(times))
+        measured[:, 0] -= expected[:, j, None, None] * ID2
+        deviation[:, j] = residual_norms(measured)
     return DeformedAlgebraReport(times, expected, deviation)
 
 
@@ -262,16 +248,16 @@ def h_nc_via_bopp(p: NCParams, ts: Sequence[float]) -> np.ndarray:
     """Slot arrays (len(ts), 15, 2, 2) of the deformed Hamiltonian built by
     substituting the shifted operators into the linear slots of
     ``build_h_commutative``, its constant slot kept, at each time of ts."""
-    ops = bopp_slots(*bopp_scales(p, np.asarray(ts, dtype=float)))
+    ts, ops = np.asarray(ts, dtype=float), bopp_shift(p)
     h_comm = build_h_commutative(p).polys[0].slots
     acc = np.zeros((len(ts), N_SLOTS, 2, 2), dtype=complex)
     for c in (Coord.PX, Coord.PY, Coord.X, Coord.Y):  # the order fixes the rounding
-        acc += h_comm[1 + c] @ ops[:, c]
+        acc += h_comm[1 + c] @ ops[c].stack(ops[c].value(ts))
     acc[:, 0] += h_comm[0]
     return acc
 
 
-def dual_path_deviation(p: NCParams, ts: Sequence[float] = (0.0, 0.5, 1.0, 2.0)) -> float:
+def dual_path_deviation(p: NCParams, ts: Sequence[float]) -> float:
     """Max slot deviation between the affine deformed Hamiltonian and the
     substitution route over the sampled times, relative to H's largest slot
     there when that exceeds 1: the two routes round apart by a few ulps of

@@ -108,10 +108,6 @@ def hermitian_defect(p: PhasePoly) -> float:
     return float(residual_norms(p.slots - p.slots.conj().transpose(0, 2, 1)))
 
 
-#: grid times per commutator call of a grid pass: the kernel's temporaries
-#: then do not grow with the grid
-GRID_BLOCK = 16
-
 # the coordinate pair (i, j), i <= j, of each quadratic slot, in storage order
 _QI = np.array([int(i) for i, _ in _QUAD_KEYS])
 _QJ = np.array([int(j) for _, j in _QUAD_KEYS])
@@ -125,12 +121,19 @@ _CANONICAL = ((Coord.X, Coord.PX, 1.0), (Coord.Y, Coord.PY, 1.0),
 
 
 def commutator_slots(p: np.ndarray, q: np.ndarray, hbar: float) -> np.ndarray:
-    """Commutator kernel on stacks of degree-<=1 slot arrays.
+    """Commutator kernel on stacks of degree-<=1 slot arrays: the exact operator
+    commutator under the canonical relations [x, px] = [y, py] = i*hbar, all
+    other pairs commuting. For P = sum_i M_i z_i + M_0 and Q = sum_j N_j z_j + N_0,
 
-    ``p`` and ``q`` are (..., 5, 2, 2) arrays (constant and linear slots) whose
-    leading axes broadcast; the result is the (..., 15, 2, 2) slot array of
-    [P, Q] for every leading index. The matrix products are unoptimized
-    einsum sums (no BLAS), so [cI, M] cancels to exactly 0.
+        [P, Q] = sum_ij [M_i, N_j] * S(z_i z_j) + sum_i [M_i, N_0] z_i
+                 + sum_j [M_0, N_j] z_j + [M_0, N_0]
+                 + (i hbar/2) ({M_x, N_px} - {M_px, N_x} + {M_y, N_py} - {M_py, N_y}),
+
+    where S is the Weyl-symmetrized monomial. ``p`` and ``q`` are (..., 5, 2, 2)
+    arrays (constant and linear slots) whose leading axes broadcast; the result
+    is the (..., 15, 2, 2) slot array of [P, Q] for every leading index. The
+    matrix products are unoptimized einsum sums (no BLAS), so [cI, M] cancels
+    to exactly 0.
     """
     batch = np.broadcast_shapes(p.shape[:-3], q.shape[:-3])
 
@@ -151,26 +154,6 @@ def commutator_slots(p: np.ndarray, q: np.ndarray, hbar: float) -> np.ndarray:
     for i, j, sign in _CANONICAL:
         out[0] += (0.5j * (sign * hbar)) * (mn[1 + i, 1 + j] + nm[1 + i, 1 + j])
     return np.moveaxis(out, -1, 0).reshape(batch + (N_SLOTS, 2, 2))
-
-
-def commutator(ps: np.ndarray, qs: np.ndarray, hbar: float) -> np.ndarray:
-    """Exact operator commutator of degree-<=1 polynomials under the canonical
-    relations [x, px] = [y, py] = i*hbar, all other pairs commuting.
-
-    For P = sum_i M_i z_i + M_0 and Q = sum_j N_j z_j + N_0,
-
-        [P, Q] = sum_ij [M_i, N_j] * S(z_i z_j) + sum_i [M_i, N_0] z_i
-                 + sum_j [M_0, N_j] z_j + [M_0, N_0]
-                 + (i hbar/2) ({M_x, N_px} - {M_px, N_x} + {M_y, N_py} - {M_py, N_y}),
-
-    where S is the Weyl-symmetrized monomial. ``ps`` and ``qs`` are slot arrays
-    (..., 15, 2, 2) with broadcasting leading axes; the result is the slot
-    array of every commutator. Raises DegreeError when any input carries a
-    nonzero quadratic slot (the result would leave degree 2).
-    """
-    if np.any(ps[..., 5:, :, :] != 0) or np.any(qs[..., 5:, :, :] != 0):
-        raise DegreeError("commutator arguments must have degree <= 1")
-    return commutator_slots(ps[..., :5, :, :], qs[..., :5, :, :], hbar)
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,3 +200,33 @@ class AffineOp:
 
     def at(self, t: float) -> PhasePoly:
         return PhasePoly(self.stack(self.value(np.array([t], dtype=float)))[0])
+
+    def coordinate_rows(self, ts: np.ndarray) -> np.ndarray:
+        """Real coefficients (len(ts), 4) of the coordinates, in the Coord order,
+        of a scalar (identity-spinor) operator at each time of ts."""
+        return self.value(ts) @ np.array([poly.slots[1:5, 0, 0].real for poly in self.polys])
+
+
+def commutator(a: AffineOp, b: AffineOp, hbar: float) -> AffineOp:
+    """[A, B] of degree-<=1 operators A = sum_k a_k(t) P_k and B = sum_l b_l(t) Q_l:
+    the operator sum_kl a_k(t) b_l(t) [P_k, Q_l]. One ``commutator_slots`` call
+    takes the fixed parts; the coefficient rows are the products a_k b_l, and
+    their derivatives follow the product rule. It reads A and B only through
+    ``value`` and ``derivative``. Raises DegreeError when a fixed part carries a
+    nonzero quadratic slot (the result would leave degree 2).
+    """
+    ps, qs = (np.array([poly.slots for poly in op.polys]) for op in (a, b))
+    if np.any(ps[:, 5:] != 0) or np.any(qs[:, 5:] != 0):
+        raise DegreeError("commutator arguments must have degree <= 1")
+    fixed = commutator_slots(ps[:, None, :5], qs[None, :, :5], hbar)
+
+    def products(u, v):
+        return (u[:, :, None] * v[:, None, :]).reshape(len(u), -1)
+
+    def value(ts):
+        return products(a.value(ts), b.value(ts))
+
+    def derivative(ts):
+        return products(a.derivative(ts), b.value(ts)) + products(a.value(ts), b.derivative(ts))
+
+    return AffineOp(tuple(map(PhasePoly, fixed.reshape(-1, N_SLOTS, 2, 2))), value, derivative)

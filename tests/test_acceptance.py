@@ -47,11 +47,12 @@ def uncertainty_pairs(rep, evolved, p):
     """The Robertson data of (x, px), (y, py) and the Bopp pair of p."""
     moments = fockevolve.measure(rep, evolved)
     unit = np.eye(4)
-    bopp = ncmodel.bopp_rows(*ncmodel.bopp_scales(p, evolved.times))
+    bopp = ncmodel.bopp_shift(p)
+    x_nc, px_nc = (bopp[c].coordinate_rows(evolved.times) for c in (Coord.X, Coord.PX))
     return (
         fockevolve.robertson(moments, unit[Coord.X], unit[Coord.PX]),
         fockevolve.robertson(moments, unit[Coord.Y], unit[Coord.PY]),
-        fockevolve.robertson(moments, bopp[:, Coord.X], bopp[:, Coord.PX]),
+        fockevolve.robertson(moments, x_nc, px_nc),
     )
 
 

@@ -59,13 +59,22 @@ def test_verify_algebra_nc_mode_label(tmp_path):
     assert report["dual_path_deviation"] <= 1e-13
 
 
+def rescaled_bopp_shift(monkeypatch, factor):
+    """Patch ``ncmodel.bopp_shift`` so that each shifted operator's partner
+    term carries ``factor`` times its Bopp scale."""
+    real = ncmodel.bopp_shift
+
+    def rescaled(p):
+        return tuple(
+            dataclasses.replace(op, value=lambda ts, value=op.value: value(ts) * (1.0, factor))
+            for op in real(p)
+        )
+
+    monkeypatch.setattr(ncmodel, "bopp_shift", rescaled)
+
+
 def test_verify_algebra_corrupted_bopp_fails(tmp_path, monkeypatch):
-    real = ncmodel.bopp_slots
-
-    def flipped(s_theta, s_eta):  # deformation terms with the wrong sign
-        return real(-s_theta, -s_eta)
-
-    monkeypatch.setattr(ncmodel, "bopp_slots", flipped)
+    rescaled_bopp_shift(monkeypatch, -1.0)  # deformation terms with the wrong sign
     code = run(
         tmp_path, "verify-algebra", "--theta", "0.1", "--eta", "0.05", "--gamma", "0.2"
     )
@@ -108,6 +117,17 @@ def test_dual_path_is_judged_relative_to_large_coefficients(tmp_path, argv):
     assert report["dual_path_deviation"] <= 1e-15
 
 
+def test_dual_path_is_sampled_inside_the_window(tmp_path):
+    # at gamma = 400 the profiles reach e^800 at t = 2 but stay within e^0.4
+    # on [0, 1e-3]: the dual path is compared at times of the window only
+    argv = ("--gamma=400", "--theta=0.1", "--eta=0.05", "--t1=0.001")
+    assert run(tmp_path, "verify-algebra", *argv) == 0
+    report = json.loads((tmp_path / "algebra_report.json").read_text())
+    assert math.isfinite(report["dual_path_deviation"]) and report["dual_path_deviation"] <= 1e-12
+    assert report["pass"] is True
+    assert_finite_files(tmp_path)
+
+
 def test_only_verify_algebra_builds_the_substituted_hamiltonian(tmp_path, monkeypatch):
     # the dual-path claim is checked where it is reported: invariant and
     # evolve take H(t) from build_h_nc alone
@@ -148,14 +168,27 @@ def test_commutators_are_judged_relative_to_their_expected_values(tmp_path, argv
 def test_a_misscaled_bopp_shift_fails_at_large_theta(tmp_path, monkeypatch, capsys):
     # a shift wrong by 1e-9 of itself moves [x_nc, y_nc] = i theta(t) by 1e-9
     # of it: relative to the expected value it stays far above 1e-12
-    real = ncmodel.bopp_scales
-
-    def misscaled(p, t):
-        return tuple((1.0 + 1e-9) * s for s in real(p, t))
-
-    monkeypatch.setattr(ncmodel, "bopp_scales", misscaled)
+    rescaled_bopp_shift(monkeypatch, 1.0 + 1e-9)
     assert run(tmp_path, "verify-algebra", *LARGE_HBAR_EFF[0]) == 1
     assert capsys.readouterr().err.startswith("check failed: worst commutator")
+
+
+def nc_pair_bound_deviation(out: str) -> float:
+    """The figure of evolve's summary "nc-pair bound within <x> of hbar_eff/2"."""
+    return float(re.search(r"nc-pair bound within (\S+) of hbar_eff/2", out).group(1))
+
+
+def test_one_bopp_shift_feeds_verify_algebra_and_evolve(tmp_path, monkeypatch, capsys):
+    # evolve's (x_nc, px_nc) uncertainty pair reads the operators the algebra
+    # check certifies: one patch of bopp_shift fails the check and moves the bound
+    small = ("--fock_N=8", "--t1=0.05", "--dt=0.01")
+    assert run(tmp_path / "evolve", "evolve", *DEFORMED, *small) == 0
+    honest = nc_pair_bound_deviation(capsys.readouterr().out)
+    rescaled_bopp_shift(monkeypatch, 2.0)
+    assert run(tmp_path / "algebra", "verify-algebra", *DEFORMED) == 1
+    assert capsys.readouterr().err.startswith("check failed: worst commutator")
+    assert run(tmp_path / "evolve", "evolve", *DEFORMED, *small) == 0  # the bound is reported only
+    assert abs(nc_pair_bound_deviation(capsys.readouterr().out) - honest) > 1e-4
 
 
 @pytest.mark.parametrize(
@@ -178,7 +211,7 @@ def test_verify_algebra_failure_names_the_failing_check(tmp_path, monkeypatch, c
     broken = {
         "verify_dirac_algebra": lambda: real(beta=2.0 * mat2.BETA),
         "verify_nc_algebra": drifting,
-        "dual_path_deviation": lambda p: 1e-6,
+        "dual_path_deviation": lambda p, ts: 1e-6,
     }[attr]
     monkeypatch.setattr(owner, attr, broken)
     assert run(tmp_path, "verify-algebra", "--theta=0.1", "--eta=0.05", "--gamma=0.2") == 1

@@ -42,8 +42,8 @@ def coordinate(c, rep):
 
 
 def bopp_op(p, c, t):
-    """The shifted coordinate c at time t, a PhasePoly from ``bopp_slots``."""
-    return PhasePoly(ncmodel.bopp_slots(*ncmodel.bopp_scales(p, np.array([t])))[0, c])
+    """The shifted coordinate c at time t, a PhasePoly from ``bopp_shift``."""
+    return ncmodel.bopp_shift(p)[c].at(t)
 
 
 class Observed(NamedTuple):
@@ -67,14 +67,15 @@ def observe(rep, ev, i_op=PhasePoly.constant(ID2), p=COMMUTATIVE):
     values = c[0] + c[1:] @ moments.mean
     drift = values - values[0]
     unit = np.eye(4)
-    bopp = ncmodel.bopp_rows(*ncmodel.bopp_scales(p, ev.times))
+    bopp = ncmodel.bopp_shift(p)
+    x_nc, px_nc = (bopp[c].coordinate_rows(ev.times) for c in (Coord.X, Coord.PX))
     return Observed(
         values,
         drift,
         float(np.max(np.abs(drift)) / (abs(values[0]) + 1.0)),
         robertson(moments, unit[Coord.X], unit[Coord.PX]),
         robertson(moments, unit[Coord.Y], unit[Coord.PY]),
-        robertson(moments, bopp[:, Coord.X], bopp[:, Coord.PX]),
+        robertson(moments, x_nc, px_nc),
         moments.edge,
     )
 
@@ -194,7 +195,8 @@ def test_represent_is_homomorphism_on_interior():
     rep = build_fock_rep(6, 1.0)
     p = PhasePoly.monomial(ID2, Coord.X)
     q = PhasePoly.monomial(ID2, Coord.PX)
-    poly_comm = represent(PhasePoly(commutator(p.slots, q.slots, 1.0)), rep)
+    comm = commutator(AffineOp.time_constant(p), AffineOp.time_constant(q), 1.0)
+    poly_comm = represent(comm.at(0.0), rep)
     mat_comm = represent(p, rep) @ represent(q, rep) - represent(q, rep) @ represent(p, rep)
     pi = interior_projector(rep)
     assert np.max(np.abs(pi @ (poly_comm - mat_comm) @ pi)) <= 1e-13

@@ -20,9 +20,9 @@ PAIRS = ["[x_nc,y_nc]", "[px_nc,py_nc]", "[x_nc,px_nc]", "[y_nc,py_nc]", "[x_nc,
 
 
 def shifted(p, t):
-    """Coord -> the shifted operator at time t, a PhasePoly from ``bopp_slots``."""
-    ops = ncmodel.bopp_slots(*ncmodel.bopp_scales(p, np.array([t])))[0]
-    return {c: PhasePoly(ops[c]) for c in Coord}
+    """Coord -> the shifted operator at time t, a PhasePoly from ``bopp_shift``."""
+    ops = ncmodel.bopp_shift(p)
+    return {c: ops[c].at(t) for c in Coord}
 
 
 def test_param_validation():
@@ -91,11 +91,16 @@ def test_bopp_shift_values():
 
 def test_bopp_scales_values():
     # closed forms: theta e^{gamma t} / 2 hbar and eta e^{-gamma t} / 2 hbar
+    # and their rates gamma theta e^{gamma t} / 2 hbar, -gamma eta e^{-gamma t} / 2 hbar
     p = NCParams(theta=0.1, eta=0.05, gamma=0.2, hbar=2.0)
-    s_theta, s_eta = ncmodel.bopp_scales(p, 1.5)
-    assert s_theta == pytest.approx(0.1 * math.exp(0.3) / 4.0, rel=1e-15)
-    assert s_eta == pytest.approx(0.05 * math.exp(-0.3) / 4.0, rel=1e-15)
-    assert ncmodel.bopp_scales(NCParams(), 3.0) == (0.0, 0.0)
+    t = np.array([1.5])
+    for c, scale, gamma in ((Coord.X, 0.1 * math.exp(0.3) / 4.0, 0.2),
+                            (Coord.PY, 0.05 * math.exp(-0.3) / 4.0, -0.2)):
+        op = ncmodel.bopp_shift(p)[c]
+        np.testing.assert_allclose(op.value(t), [[1.0, scale]], rtol=1e-15)
+        np.testing.assert_allclose(op.derivative(t), [[0.0, gamma * scale]], rtol=1e-15)
+    for op in ncmodel.bopp_shift(NCParams()):
+        assert np.array_equal(op.value(np.array([3.0])), [[1.0, 0.0]])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -170,11 +175,12 @@ def test_commutative_limit_recovers_canonical_relations():
 
 def test_all_deformed_commutators_identity_proportional():
     p = NCParams(theta=0.1, eta=0.05, gamma=0.2)
-    ops = ncmodel.bopp_slots(*ncmodel.bopp_scales(p, np.array([0.0, 1.0])))
-    # every pair (a, b) at both times in one call: (2, 4, 4, 15, 2, 2)
-    res = commutator(ops[:, :, None], ops[:, None, :], p.hbar)
-    assert res.shape == (2, 4, 4, 15, 2, 2)
-    for slot in res.reshape(-1, 2, 2):
+    ops = ncmodel.bopp_shift(p)
+    # every pair (a, b) at both times
+    res = [commutator(a, b, p.hbar) for a in ops for b in ops]
+    slots = np.array([comm.stack(comm.value(np.array([0.0, 1.0]))) for comm in res])
+    assert slots.shape == (16, 2, 15, 2, 2)
+    for slot in slots.reshape(-1, 2, 2):
         # the sigma_k component of a 2x2 matrix is tr(sigma_k M)/2
         for sigma in (SIGMA1, SIGMA2, SIGMA3):
             assert abs(np.trace(sigma @ slot) / 2.0) <= 1e-15
@@ -257,8 +263,8 @@ def test_h_nc_dual_path_agreement():
 
 
 def test_verify_nc_algebra_evaluates_the_profiles_once_per_grid(monkeypatch):
-    # the expected values and the Bopp scales are one evaluation each over
-    # the whole grid, not one per GRID_BLOCK rows (514 records at 4096 points)
+    # the expected values and the Bopp shift build the profiles once each,
+    # whatever the grid length
     built = []
     profiles = ncmodel.profiles
     monkeypatch.setattr(ncmodel, "profiles", lambda p: built.append(p) or profiles(p))
@@ -355,9 +361,9 @@ def test_time_forms_accept_arrays():
     theta, eta = 0.1 * np.exp(0.2 * ts), 0.05 * np.exp(-0.2 * ts)
     gap = 4.0 * (1.0 + 0.25 * theta) * (0.5 + 0.5 * eta)
     np.testing.assert_allclose(ncmodel.profiles(p)[THETA](ts), theta, rtol=1e-15)
-    s_theta, s_eta = ncmodel.bopp_scales(p, ts)
-    np.testing.assert_allclose(s_theta, 0.5 * theta, rtol=1e-15)
-    np.testing.assert_allclose(s_eta, 0.5 * eta, rtol=1e-15)
+    shift = ncmodel.bopp_shift(p)
+    np.testing.assert_allclose(shift[Coord.Y].value(ts)[:, 1], 0.5 * theta, rtol=1e-15)
+    np.testing.assert_allclose(shift[Coord.PX].value(ts)[:, 1], 0.5 * eta, rtol=1e-15)
     np.testing.assert_allclose(ncmodel.landau_gap(p, ts), gap, rtol=1e-15)
     levels = ncmodel.landau_level(p.m, 2, -1, ncmodel.landau_gap(p, ts))
     np.testing.assert_allclose(levels, -np.sqrt(1.0 + 2 * gap), rtol=1e-15)

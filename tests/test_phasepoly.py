@@ -10,7 +10,6 @@ from ncdirac import invariant, ncmodel, phasepoly
 from ncdirac.errors import DegreeError
 from ncdirac.mat2 import ALPHA1, ALPHA2, BETA, ID2, SIGMA1, SIGMA2, SIGMA3
 from ncdirac.phasepoly import (
-    GRID_BLOCK,
     AffineOp,
     Coord,
     PhasePoly,
@@ -24,8 +23,8 @@ RNG = np.random.default_rng(42)
 
 
 def comm(p, q, hbar=1.0):
-    """[P, Q] of two PhasePolys through the slot-stack commutator."""
-    return PhasePoly(commutator(p.slots, q.slots, hbar))
+    """[P, Q] of two PhasePolys through the commutator of time-constant operators."""
+    return commutator(AffineOp.time_constant(p), AffineOp.time_constant(q), hbar).at(0.0)
 
 
 def combine(polys, coeffs):
@@ -154,37 +153,62 @@ def test_identity_coefficient_commutes_exactly_inside_a_batch():
     assert np.all(residual_norms(got[[0, 1, 3]]) > 0.1)
 
 
+def ones(ts):
+    """Coefficient rows of five operators, each 1 at every time."""
+    return np.ones((len(ts), 5))
+
+
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_quadratic_slot_in_any_batch_element_raises(side):
+    # the batch is the fixed parts of an operator: one quadratic slot in one of them
     lin = full(random_slots((5,)))
     quad = lin.copy()
-    quad[3, 7] = ID2  # one quadratic slot, in one batch element
-    args = (quad, lin) if side == "left" else (lin, quad)
+    quad[3, 7] = ID2
+    lin_op, quad_op = (AffineOp(tuple(map(PhasePoly, s)), ones, ones) for s in (lin, quad))
+    args = (quad_op, lin_op) if side == "left" else (lin_op, quad_op)
     with pytest.raises(DegreeError):
         commutator(*args, 1.0)
-    assert commutator(lin, lin, 1.0).shape == (5, 15, 2, 2)
+    assert len(commutator(lin_op, lin_op, 1.0).polys) == 25
 
 
-def test_grid_passes_call_the_kernel_one_block_at_a_time(monkeypatch):
-    seen = []
+def test_grid_passes_call_the_kernel_once_per_operator_pair(monkeypatch):
+    # the fixed parts are commuted once: the grid enters only the coefficient rows
+    calls = []
     real = phasepoly.commutator_slots
-
-    def counted(p, q, hbar):
-        seen.append(np.broadcast_shapes(p.shape[:-3], q.shape[:-3])[0])
-        return real(p, q, hbar)
-
-    monkeypatch.setattr(phasepoly, "commutator_slots", counted)
+    monkeypatch.setattr(phasepoly, "commutator_slots", lambda *args: calls.append(1) or real(*args))
     p = ncmodel.NCParams(theta=0.1, eta=0.05, gamma=0.2)
-    grid = np.linspace(0.0, 1.0, 4096)
-    report = ncmodel.verify_nc_algebra(p, grid)
-    assert report.deviation.size == 6 * 4096 and report.max_deviation <= 1e-13
-    assert max(seen) <= GRID_BLOCK and sum(seen) == 4096 and len(seen) == 4096 // GRID_BLOCK
-    seen.clear()
+    counts = []
+    for n in (16, 4096):
+        calls.clear()
+        report = ncmodel.verify_nc_algebra(p, np.linspace(0.0, 1.0, n))
+        assert report.deviation.size == 6 * n and report.max_deviation <= 1e-13
+        counts.append(len(calls))
+    assert counts == [6, 6]
+    calls.clear()
     ans = invariant.constant_invariant(1.0, 0.0, 0.0, -0.5, 0.0)
     h = ncmodel.build_h_nc(p)
-    res = invariant.invariance_residual(ans, h, p.hbar, grid[:100])
-    assert res.shape == (100, 15, 2, 2)
-    assert max(seen) <= GRID_BLOCK and sum(seen) == 100
+    res = invariant.invariance_residual(ans, h, p.hbar, np.linspace(0.0, 1.0, 100))
+    assert res.shape == (100, 15, 2, 2) and len(calls) == 1
+
+
+def test_commutator_of_affine_ops_is_the_commutator_at_each_time():
+    # [A(t), B(t)] against the kernel on the two operators stacked at each
+    # time, and its derivative against the product rule [A', B] + [A, B']
+    p = ncmodel.NCParams(theta=0.1, eta=0.05, gamma=0.3, B=1.3, m=0.7)
+    ans = invariant.constant_invariant(1.0, 0.3, -0.2, -0.5, 0.7)
+    ts = np.array([-0.4, 0.0, 1.3])
+
+    def kernel(a_rows, a, b_rows, b):
+        return commutator_slots(a.stack(a_rows)[:, :5], b.stack(b_rows)[:, :5], 0.7)
+
+    for a, b in ((ans, ncmodel.build_h_nc(p)), ncmodel.bopp_shift(p)[:2]):
+        got = commutator(a, b, 0.7)
+        value = kernel(a.value(ts), a, b.value(ts), b)
+        rate = (kernel(a.derivative(ts), a, b.value(ts), b)
+                + kernel(a.value(ts), a, b.derivative(ts), b))
+        assert np.max(residual_norms(got.stack(got.value(ts)) - value)) <= 1e-14
+        assert np.max(residual_norms(got.stack(got.derivative(ts)) - rate)) <= 1e-14
+        assert np.max(residual_norms(rate)) > 1e-3
 
 
 def test_residual_norms_equal_residual_norm_of_each_poly():
@@ -236,10 +260,11 @@ def test_left_mul_scales_all_slots():
     # each alpha multiplies every slot of its shifted operator on the left
     p = ncmodel.NCParams(theta=0.1, eta=0.05, gamma=0.2, B=0.0, m=0.7)
     ts = (0.0, 0.4, 1.3)
-    ops = ncmodel.bopp_slots(*ncmodel.bopp_scales(p, np.array(ts)))
+    ops = ncmodel.bopp_shift(p)
     got = ncmodel.h_nc_via_bopp(p, ts)
     for k, slot in np.ndindex(len(ts), 15):
-        want = ALPHA1 @ ops[k, Coord.PX, slot] + ALPHA2 @ ops[k, Coord.PY, slot]
+        px_nc, py_nc = (ops[c].at(ts[k]).slots[slot] for c in (Coord.PX, Coord.PY))
+        want = ALPHA1 @ px_nc + ALPHA2 @ py_nc
         if slot == 0:
             want = want + 0.7 * BETA
         assert np.allclose(got[k, slot], want, atol=1e-15)
