@@ -193,8 +193,9 @@ def _finish(cfg: RunConfig, result: Result) -> int:
 
 
 #: peak bytes verify-algebra holds per grid point, its six report records
-#: foremost (traced: 3.9 KB); invariant holds 2.3 KB per point, and evolve
-#: takes invariant's grid for its verdict on the constants
+#: foremost (traced: 3.8 KB at 2048 points, 3.7 KB at 4096); invariant holds
+#: 3.1 KB per point, and evolve takes invariant's grid for its verdict on the
+#: constants
 GRID_POINT_BYTES = 4096
 
 

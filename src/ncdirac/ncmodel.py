@@ -14,17 +14,10 @@ from typing import Sequence
 
 import numpy as np
 
+from . import phasepoly
 from .errors import ConfigError
 from .mat2 import ALPHA1, ALPHA2, BETA, ID2
-from .phasepoly import (
-    N_SLOTS,
-    AffineOp,
-    Coord,
-    ExpSum,
-    PhasePoly,
-    commutator as ps_commutator,
-    residual_norms,
-)
+from .phasepoly import N_SLOTS, AffineOp, Coord, ExpSum, PhasePoly, residual_norms
 
 #: consistency regime bound on |theta*eta/(4*hbar^2)|
 CONSISTENCY_WARN_THRESHOLD = 1e-2
@@ -192,9 +185,11 @@ def verify_nc_algebra(p: NCParams, t_grid: Sequence[float]) -> DeformedAlgebraRe
     """Check the six deformed commutators of the Bopp-shifted operators.
 
     At each grid time the commutators are computed through the polynomial
-    algebra and compared against i*theta(t), i*eta(t), i*hbar_eff and 0. The
-    expected values are one evaluation over the grid; each pair is one
-    commutator of the shifted operators, stacked at all grid times at once.
+    algebra and compared against i*theta(t), i*eta(t), i*hbar_eff and 0. One
+    ``commutator_slots`` call commutes the fixed parts of all six pairs; each
+    shifted operator's coefficients are one evaluation over the grid, and each
+    pair's products a_k(t) b_l(t) weigh its four fixed commutators, one pair
+    at a time.
     """
     if len(t_grid) == 0:
         raise ValueError("t_grid must be nonempty")
@@ -203,10 +198,15 @@ def verify_nc_algebra(p: NCParams, t_grid: Sequence[float]) -> DeformedAlgebraRe
     expected[:, :2] = 1j * profiles(p)[[THETA, ETA]](times)
     expected[:, 2:4] = 1j * hbar_eff(p)
     ops = bopp_shift(p)
+    fixed = np.array([[poly.slots[:5] for poly in op.polys] for op in ops])  # (4, 2, 5, 2, 2)
+    left, right = np.array([pair[1:] for pair in _ALGEBRA_PAIRS]).T
+    # through the module, so a patch of phasepoly.commutator_slots sees this call
+    comms = phasepoly.commutator_slots(fixed[left, :, None], fixed[right, None, :], p.hbar)
+    rows = [op.value(times) for op in ops]
     deviation = np.empty(expected.shape)
-    for j, (_, left, right) in enumerate(_ALGEBRA_PAIRS):
-        comm = ps_commutator(ops[left], ops[right], p.hbar)
-        measured = comm.stack(comm.value(times))
+    for j, (a, b) in enumerate(zip(left, right)):
+        products = phasepoly.row_products(rows[a], rows[b])
+        measured = phasepoly.combine_slots(products, comms[j].reshape(-1, N_SLOTS, 2, 2))
         measured[:, 0] -= expected[:, j, None, None] * ID2
         deviation[:, j] = residual_norms(measured)
     return DeformedAlgebraReport(times, expected, deviation)

@@ -156,6 +156,16 @@ def commutator_slots(p: np.ndarray, q: np.ndarray, hbar: float) -> np.ndarray:
     return np.moveaxis(out, -1, 0).reshape(batch + (N_SLOTS, 2, 2))
 
 
+def combine_slots(rows: np.ndarray, parts) -> np.ndarray:
+    """Slot arrays (len(rows), 15, 2, 2) of sum_k rows[:, k] parts[k] for the
+    (15, 2, 2) slot arrays ``parts``, added one part at a time in their order
+    with a multiply and an add each, so every caller rounds alike."""
+    acc = np.zeros((len(rows), N_SLOTS, 2, 2), dtype=complex)
+    for k, part in enumerate(parts):
+        acc += rows[:, k, None, None, None] * part
+    return acc
+
+
 @dataclass(frozen=True, eq=False)
 class ExpSum:
     """f(t) = sum_k a_k e^{rates_k t}, called on a time or an array of times, for
@@ -193,10 +203,7 @@ class AffineOp:
     def stack(self, rows: np.ndarray) -> np.ndarray:
         """Slot arrays (len(rows), 15, 2, 2) of the operators with the
         coefficient rows ``rows``, a (len(rows), len(polys)) array."""
-        acc = np.zeros((len(rows), N_SLOTS, 2, 2), dtype=complex)
-        for k, poly in enumerate(self.polys):
-            acc += rows[:, k, None, None, None] * poly.slots
-        return acc
+        return combine_slots(rows, [poly.slots for poly in self.polys])
 
     def at(self, t: float) -> PhasePoly:
         return PhasePoly(self.stack(self.value(np.array([t], dtype=float)))[0])
@@ -205,6 +212,13 @@ class AffineOp:
         """Real coefficients (len(ts), 4) of the coordinates, in the Coord order,
         of a scalar (identity-spinor) operator at each time of ts."""
         return self.value(ts) @ np.array([poly.slots[1:5, 0, 0].real for poly in self.polys])
+
+
+def row_products(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Coefficient rows (len(u), K*L) of the products u_k v_l of (len(u), K) and
+    (len(u), L) rows, k-major: the order of the fixed parts [P_k, Q_l] that
+    ``commutator_slots`` returns for a (K, 1) batch against a (1, L) batch."""
+    return (u[:, :, None] * v[:, None, :]).reshape(len(u), -1)
 
 
 def commutator(a: AffineOp, b: AffineOp, hbar: float) -> AffineOp:
@@ -220,13 +234,11 @@ def commutator(a: AffineOp, b: AffineOp, hbar: float) -> AffineOp:
         raise DegreeError("commutator arguments must have degree <= 1")
     fixed = commutator_slots(ps[:, None, :5], qs[None, :, :5], hbar)
 
-    def products(u, v):
-        return (u[:, :, None] * v[:, None, :]).reshape(len(u), -1)
-
     def value(ts):
-        return products(a.value(ts), b.value(ts))
+        return row_products(a.value(ts), b.value(ts))
 
     def derivative(ts):
-        return products(a.derivative(ts), b.value(ts)) + products(a.value(ts), b.derivative(ts))
+        rate = row_products(a.derivative(ts), b.value(ts))
+        return rate + row_products(a.value(ts), b.derivative(ts))
 
     return AffineOp(tuple(map(PhasePoly, fixed.reshape(-1, N_SLOTS, 2, 2))), value, derivative)

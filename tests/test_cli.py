@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ncdirac import cli, fockevolve, invariant, lrsolve, mat2, ncmodel
+from ncdirac import cli, fockevolve, invariant, lrsolve, mat2, ncmodel, phasepoly
 from ncdirac.cli import main
 
 FAST = [
@@ -1127,6 +1127,27 @@ def test_grid_point_bytes_bounds_the_traced_peak(tmp_path, command, share):
         tracemalloc.stop()
     charged = cli.GRID_POINT_BYTES * points
     assert share * charged <= peak <= charged + 2**16
+
+
+def test_each_command_calls_the_commutator_kernel_a_fixed_number_of_times(tmp_path, monkeypatch):
+    # fixed parts are commuted once per command, whatever the grid: the six
+    # algebra pairs in one batch, the invariance residual in one call
+    counted = []
+    real = phasepoly.commutator_slots
+    monkeypatch.setattr(phasepoly, "commutator_slots", lambda *args: counted.append(1) or real(*args))
+    session = {
+        "verify-algebra": (*DEFORMED, "--grid_points=64"),
+        "invariant": (*DEFORMED, "--grid_points=64"),
+        "xi": (*DEFORMED, "--t1=0.5"),
+        "evolve": (*DEFORMED, "--fock_N=4", "--t1=0.05", "--dt=0.01", "--grid_points=64"),
+        "report": (),
+    }
+    calls = {}
+    for command, argv in session.items():
+        counted.clear()
+        assert run(tmp_path, command, *argv) == 0
+        calls[command] = len(counted)
+    assert calls == {"verify-algebra": 1, "invariant": 1, "xi": 0, "evolve": 1, "report": 0}
 
 
 @pytest.mark.parametrize("fock_N", [2, 3, 8, 16])

@@ -12,11 +12,14 @@ from ncdirac import ncmodel
 from ncdirac.errors import ConfigError
 from ncdirac.mat2 import ALPHA1, ALPHA2, BETA, ID2, SIGMA1, SIGMA2, SIGMA3
 from ncdirac.ncmodel import ETA, F_ETA, F_THETA, THETA, NCParams
-from ncdirac.phasepoly import Coord, PhasePoly, commutator
+from ncdirac.phasepoly import Coord, PhasePoly, commutator, residual_norms
 
 GRID = np.linspace(0.0, 2.0, 8)
 # the columns of the deformed-algebra check table
 PAIRS = ["[x_nc,y_nc]", "[px_nc,py_nc]", "[x_nc,px_nc]", "[y_nc,py_nc]", "[x_nc,py_nc]", "[y_nc,px_nc]"]
+# the two shifted coordinates of each column
+PAIR_COORDS = [(Coord.X, Coord.Y), (Coord.PX, Coord.PY), (Coord.X, Coord.PX),
+               (Coord.Y, Coord.PY), (Coord.X, Coord.PY), (Coord.Y, Coord.PX)]
 
 
 def shifted(p, t):
@@ -272,6 +275,55 @@ def test_verify_nc_algebra_evaluates_the_profiles_once_per_grid(monkeypatch):
     report = ncmodel.verify_nc_algebra(p, np.linspace(0.0, 1.0, 4096))
     assert len(built) == 2
     assert report.max_deviation <= 1e-12
+
+
+def per_pair_algebra(p, times):
+    """(expected, deviation) of the deformed-algebra table, one ``commutator``
+    of two shifted operators per pair, stacked over the grid."""
+    expected = np.zeros((len(times), len(PAIRS)), dtype=complex)
+    expected[:, :2] = 1j * ncmodel.profiles(p)[[THETA, ETA]](times)
+    expected[:, 2:4] = 1j * ncmodel.hbar_eff(p)
+    ops = ncmodel.bopp_shift(p)
+    deviation = np.empty(expected.shape)
+    for j, (left, right) in enumerate(PAIR_COORDS):
+        comm = commutator(ops[left], ops[right], p.hbar)
+        measured = comm.stack(comm.value(times))
+        measured[:, 0] -= expected[:, j, None, None] * ID2
+        deviation[:, j] = residual_norms(measured)
+    return expected, deviation
+
+
+def algebra_sets(count, seed=2024):
+    """(NCParams, grid) pairs: theta and eta of either sign over 1e-6 to 1e3,
+    hbar over 1e-3 to 1e2, gamma 0 or of either sign over 0.05 to 3, a charge
+    of 1, -1 or 0.5, a field of either sign, t0 != 0 and 2 to 70 points;
+    then the physical-hbar set and two large deformations."""
+    rng = np.random.default_rng(seed)
+
+    def signed(lo, hi):
+        return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(math.log10(lo), math.log10(hi))
+
+    for _ in range(count):
+        p = NCParams(theta=signed(1e-6, 1e3), eta=signed(1e-6, 1e3), hbar=10.0 ** rng.uniform(-3, 2),
+                     gamma=0.0 if rng.random() < 0.25 else signed(0.05, 3.0),
+                     e=rng.choice((1.0, -1.0, 0.5)), B=signed(0.1, 3.0))
+        t0 = signed(0.01, 2.0)
+        yield p, np.linspace(t0, t0 + rng.uniform(0.1, 3.0), rng.integers(2, 71))
+    for kw in ({"theta": 1e-30, "eta": 1.76e-61, "hbar": 1.0546e-34},
+               {"theta": 1e6, "eta": 0.7, "gamma": 0.3, "B": 1.7},
+               {"theta": 1.3, "eta": 0.7, "B": 1.7, "hbar": 3e-7}):
+        yield NCParams(**kw), np.linspace(0.0, 1.0, 16)
+
+
+def test_verify_nc_algebra_is_bit_identical_to_one_commutator_per_pair():
+    # the batched fixed parts weigh the same products in the same order as
+    # one commutator per pair; a fused contraction moves bits at large
+    # theta or eta and small hbar
+    for p, times in algebra_sets(510):
+        expected, deviation = per_pair_algebra(p, times)
+        report = ncmodel.verify_nc_algebra(p, times)
+        assert np.array_equal(report.expected, expected), p
+        assert np.array_equal(report.deviation, deviation), p
 
 
 def test_sample_times_refuse_coincident_times():

@@ -171,8 +171,9 @@ def test_quadratic_slot_in_any_batch_element_raises(side):
     assert len(commutator(lin_op, lin_op, 1.0).polys) == 25
 
 
-def test_grid_passes_call_the_kernel_once_per_operator_pair(monkeypatch):
-    # the fixed parts are commuted once: the grid enters only the coefficient rows
+def test_grid_passes_call_the_kernel_once_per_command(monkeypatch):
+    # the fixed parts are commuted once, all six algebra pairs in one batch:
+    # the grid enters only the coefficient rows
     calls = []
     real = phasepoly.commutator_slots
     monkeypatch.setattr(phasepoly, "commutator_slots", lambda *args: calls.append(1) or real(*args))
@@ -183,7 +184,7 @@ def test_grid_passes_call_the_kernel_once_per_operator_pair(monkeypatch):
         report = ncmodel.verify_nc_algebra(p, np.linspace(0.0, 1.0, n))
         assert report.deviation.size == 6 * n and report.max_deviation <= 1e-13
         counts.append(len(calls))
-    assert counts == [6, 6]
+    assert counts == [1, 1]
     calls.clear()
     ans = invariant.constant_invariant(1.0, 0.0, 0.0, -0.5, 0.0)
     h = ncmodel.build_h_nc(p)
