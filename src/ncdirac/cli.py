@@ -194,8 +194,8 @@ def _finish(cfg: RunConfig, result: Result) -> int:
 
 #: peak bytes verify-algebra holds per grid point, its six report records
 #: foremost (traced: 3.8 KB at 2048 points, 3.7 KB at 4096); invariant holds
-#: 3.1 KB per point, and evolve takes invariant's grid for its verdict on the
-#: constants
+#: 3.1 KB per point. evolve takes no grid: its verdict on the constants is
+#: invariant.constant_family, read off the profiles' rates
 GRID_POINT_BYTES = 4096
 
 
@@ -280,7 +280,7 @@ def cmd_invariant(cfg: RunConfig) -> Result:
         ("nullspace orthonormality defect", ortho_defect, 1e-12),
         ("rise along the singular values", float(np.max(np.diff(report.singular_values))), 0.0),
     ]
-    in_null = report.contains(vec)
+    in_null = invariant.in_family(report.nullspace, vec)
 
     payload = report.as_dict() | {
         "constants": {"a1": cfg.a1, "a3": cfg.a3, "b1": cfg.b1, "b3": cfg.b3, "c1": cfg.c1},
@@ -319,8 +319,7 @@ def cmd_xi(cfg: RunConfig) -> Result:
 def cmd_evolve(cfg: RunConfig) -> Result:
     from . import fockevolve, invariant
     n_steps = ncmodel.step_count(cfg.t0, cfg.t1, cfg.dt)
-    # the invariant verdict below takes invariant's constraint grid
-    need = fockevolve.dense_bytes(cfg.fock_N, n_steps + 1) + GRID_POINT_BYTES * cfg.grid_points
+    need = fockevolve.dense_bytes(cfg.fock_N, n_steps + 1)
     _check_memory(need, f"evolve at fock_N={cfg.fock_N} over {n_steps:.3g} steps")
     rep = fockevolve.build_fock_rep(cfg.fock_N, ncmodel.magnetic_length(cfg), cfg.hbar)
     h = ncmodel.build_h_nc(cfg)
@@ -348,9 +347,8 @@ def cmd_evolve(cfg: RunConfig) -> Result:
     residual = invariant.invariance_residual(ans, h, cfg.hbar, np.linspace(cfg.t0, cfg.t1, 8))
     res_norm = float(np.max(residual_norms(residual)))
     # the verdict of invariant: exact, where the residual on 8 times is not
-    grid = invariant.default_constraint_grid(cfg, cfg.grid_points)
     vec = np.array([cfg.a1, cfg.a3, cfg.b1, cfg.b3])
-    constrained = invariant.solve_constant_invariant(cfg, grid).contains(vec)
+    constrained = invariant.in_family(invariant.constant_family(cfg), vec)
 
     margins = np.min([r_xp.margin, r_yp.margin, r_nc.margin], axis=0)
     nc_bound_dev = float(np.max(np.abs(r_nc.bound - 0.5 * ncmodel.hbar_eff(cfg))))

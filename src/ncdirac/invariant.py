@@ -4,8 +4,8 @@ An invariant candidate I(t) = A1(t) px + B1(t) x + A2(t) py + B2(t) y + C(t)
 is certified by the vanishing of the residual [I, H] + i hbar dI/dt, which is
 i hbar times Lewis and Riesenfeld's total derivative dI/dt + [I, H]/(i hbar).
 This module evaluates that residual on the commutator slots, and the
-constant-coefficient solution family, its dimension exact from the profiles'
-rates.
+constant-coefficient solution family: its basis, and so its dimension and
+membership, exact from the profiles' rate table, whatever the time grid.
 
 The paper's fifteen bracket relations 25a-25o are a fixed relabelling of the
 residual's slots (CONSTRAINT_SLOTS); their hand transcription is kept only as
@@ -25,7 +25,6 @@ from .ncmodel import F_ETA, F_THETA, NCParams, profiles
 from .phasepoly import (
     AffineOp,
     Coord,
-    ExpSum,
     PhasePoly,
     commutator as ps_commutator,
 )
@@ -63,8 +62,8 @@ def invariance_residual(
     return comm.stack(comm.value(ts)) + 1j * hbar * ans.stack(ans.derivative(ts))
 
 
-def default_constraint_grid(p: NCParams, n: int = 16) -> np.ndarray:
-    """Uniform grid on [0, 2/max(|gamma|, 1)]: resolves the exponential profile."""
+def default_constraint_grid(p: NCParams, n: int) -> np.ndarray:
+    """Uniform grid of n points on [0, 2/max(|gamma|, 1)]: resolves the exponential profile."""
     span = 2.0 / max(abs(p.gamma), 1.0)
     return np.linspace(0.0, span, n)
 
@@ -72,7 +71,7 @@ def default_constraint_grid(p: NCParams, n: int = 16) -> np.ndarray:
 @dataclass(frozen=True)
 class NullspaceReport:
     """The constant-coefficient constraints on (a1, a3, b1, b3): their grid
-    matrix and its singular values, and the exact nullspace."""
+    matrix and its singular values, and the exact nullspace, ``constant_family``."""
 
     times: np.ndarray
     matrix: np.ndarray
@@ -84,12 +83,6 @@ class NullspaceReport:
     @property
     def dimension(self) -> int:
         return self.nullspace.shape[1]
-
-    def contains(self, vec: np.ndarray) -> bool:
-        """Whether the constants vec = (a1, a3, b1, b3) lie in the nullspace:
-        their distance from its span is within 1e-10 of max(1, |vec|)."""
-        proj = self.nullspace @ (self.nullspace.T @ vec)  # 0 when the nullspace is empty
-        return bool(np.linalg.norm(vec - proj) <= 1e-10 * max(1.0, np.linalg.norm(vec)))
 
     def as_dict(self) -> dict:
         return {
@@ -109,35 +102,43 @@ def _constraint_rows(ft: np.ndarray, fe: np.ndarray) -> np.ndarray:
     return a.reshape(-1, 4)
 
 
-def _exact_rank(prof: ExpSum) -> int:
-    """Rank of the constraints at all times on the profiles ``prof`` = (f_theta,
-    f_eta): exponentials of distinct rates are independent, so it is the rank,
-    at rounding level, of the constraints on the two coefficients of each
-    distinct rate (a zero term adds only zero rows)."""
+def constant_family(p: NCParams) -> np.ndarray:
+    """Orthonormal basis, 4 x dimension, of the constants (a1, a3, b1, b3) whose
+    constraints vanish at all times. Exponentials of distinct rates are
+    independent, so it is the nullspace, at rounding level, of the constraints
+    on the two coefficients (f_theta, f_eta) of each distinct rate (a zero term
+    adds only zero rows); the rank is 4 minus its width."""
+    prof = profiles(p)[[F_THETA, F_ETA]]
     coeffs = np.array([prof.amps[prof.rates == r].sum(axis=0) for r in set(prof.rates.tolist())])
     rows = _constraint_rows(*coeffs.T)
+    _, s, vh = np.linalg.svd(rows)  # the full 4x4 V: a single rate gives two rows
     tol = max(rows.shape) * np.finfo(float).eps * np.abs(prof.amps).sum()
-    return int(np.linalg.matrix_rank(rows, tol))
+    return vh[np.count_nonzero(s > tol):].T
+
+
+def in_family(basis: np.ndarray, vec: np.ndarray) -> bool:
+    """Whether the constants vec = (a1, a3, b1, b3) lie in the span of the
+    orthonormal ``basis``: their distance from it is within 1e-10 of max(1, |vec|)."""
+    proj = basis @ (basis.T @ vec)  # 0 when the basis is empty
+    return bool(np.linalg.norm(vec - proj) <= 1e-10 * max(1.0, np.linalg.norm(vec)))
 
 
 def solve_constant_invariant(p: NCParams, t_grid: Sequence[float]) -> NullspaceReport:
     """Find all constant scalar coefficients admitting a linear invariant: the
     constraints ``_constraint_rows`` must vanish at all times, c1 is free.
 
-    Their rank is ``_exact_rank``, whatever the grid. The grid matrix, two
-    rows per grid time, gives the nullspace basis (its last right singular
-    vectors) and the margin its smallest singular value.
+    The nullspace is ``constant_family``, whatever the grid. The grid matrix,
+    two rows per grid time, serves the closing check, and its smallest
+    singular value is the margin.
     """
     ts = np.asarray(t_grid, dtype=float)
     if ts.size < 2:
         raise ValueError("constraint grid needs at least 2 points")
-    prof = profiles(p)[[F_THETA, F_ETA]]
-    ft, fe = prof(ts).T
+    ft, fe = profiles(p)[[F_THETA, F_ETA]](ts).T
     a = _constraint_rows(ft, fe)
-    # the 4x4 V holds the nullspace; full_matrices=True would also build a (2T)x(2T) U
-    _, s, vh = np.linalg.svd(a, full_matrices=False)
-    rank = _exact_rank(prof)
-    null_basis, dim = vh[rank:].T.conj(), 4 - rank
+    s = np.linalg.svd(a, full_matrices=False)[1]  # U and V unused; compute_uv=False moves s by ulps
+    null_basis = constant_family(p)
+    dim = null_basis.shape[1]
     if dim == 0:
         note = (
             "nullspace is empty: f_eta/f_theta varies in time, forcing "
@@ -162,4 +163,4 @@ def solve_constant_invariant(p: NCParams, t_grid: Sequence[float]) -> NullspaceR
             "over the grid, so the momentum/position coefficient pairs "
             "(a1, b3) and (a3, b1) each carry one free constant."
         )
-    return NullspaceReport(ts, a, s, rank, null_basis, note)
+    return NullspaceReport(ts, a, s, 4 - dim, null_basis, note)

@@ -9,8 +9,8 @@ over times. The envelope components are pure phase rotations
 F1 = e^{-i m t/hbar + q1}, F2 = e^{+i m t/hbar + q2}; xi1 = i*xi2. The
 quadratic coefficients xi3, xi4 of the trial phase are constants of the
 motion, so the system leaves them out; only the solution-form oracles below
-take them. RK4 steps only the envelope sequentially, in Python scalars; each
-RK4 stage of xi1, xi2 is one flow_rhs call over all steps.
+take them. RK4 steps only the envelope sequentially, in Python scalars; the
+four RK4 stages of xi1, xi2 are one flow_rhs call over all steps.
 """
 
 from __future__ import annotations
@@ -53,9 +53,9 @@ def xi_closed(p: NCParams, t):
 
 _IDX = {"xi1": 0, "xi2": 1, "F1": 2, "F2": 3}
 #: peak bytes integrate_rk4 holds per time sample: two 4-component complex
-#: states (closed, integrated), the 2-component stage envelope and flow_rhs
-#: rates, temporaries and slack (traced: 241 B over 200 001 samples)
-ROW_BYTES = 264
+#: states (closed, integrated), the weighted f_eta sum and flow_rhs rates,
+#: temporaries and slack (traced: 232 B over 200 001 samples)
+ROW_BYTES = 256
 
 
 def flow_rhs(fe, env: np.ndarray) -> np.ndarray:
@@ -105,10 +105,11 @@ def integrate_rk4(p: NCParams, t0: float, t1: float, dt: float) -> Trajectory:
     The autonomous, linear envelope (F1, F2) is stepped first, in one loop of
     Python scalars in a vector RK4's operation order (powers of the RK4
     amplification factor drift). A step's stage envelopes are F_k times fixed
-    factors, so flow_rhs evaluates each stage once over all steps, on the
-    f_eta column of one profiles record, and xi1, xi2 are running sums of the
-    weighted stages. One closed_state call gives the closed forms; the
-    deviations serve max_deviation and the CSV alike.
+    factors, so its stages share the ratio F2_k/F1_k: one flow_rhs call over
+    all steps, linear in fe, takes the stage-weighted sum of the f_eta column
+    of one profiles record, and xi1, xi2 are its running sums. One
+    closed_state call gives the closed forms; the deviations serve
+    max_deviation and the CSV alike.
     """
     n_steps = step_count(t0, t1, dt)
     h = (t1 - t0) / n_steps
@@ -129,14 +130,14 @@ def integrate_rk4(p: NCParams, t0: float, t1: float, dt: float) -> Trajectory:
     if not np.all(np.isfinite(states[2:])):
         raise OverflowError("the RK4 envelope leaves the float range")
     # stage j (time offset c_j steps, weight w_j) has the envelope F_k s_j,
-    # s_j = 1 + c_j h a s_{j-1} with s_0 = 1
-    stage = np.empty((2, n_steps), dtype=complex)
+    # s_j = 1 + c_j h a s_{j-1} with s_0 = 1: all stages share F2_k/F1_k
     f_eta = profiles(p)[F_ETA]
     factor = np.ones(2, dtype=complex)
+    fe = np.zeros(n_steps, dtype=complex)
     for offset, weight in ((0.0, 1.0), (0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
         factor = 1.0 + offset * h * rates * factor
-        np.multiply(states[2:, :-1], factor[:, None], out=stage)
-        states[:2, 1:] += weight * flow_rhs(f_eta(times[:-1] + offset * h) / p.hbar, stage)
+        fe += (weight * factor[1] / factor[0]) * f_eta(times[:-1] + offset * h)
+    states[:2, 1:] = flow_rhs(fe / p.hbar, states[2:, :-1])
     states[:2, 1:] *= h / 6.0
     states[:2, 0] = closed[:2, 0]
     np.cumsum(states[:2], axis=1, out=states[:2])

@@ -17,10 +17,11 @@ and ``slot_distance`` that norm of the difference of two polynomials' slots.
 ``rk4_reference`` is the step-by-step classical RK4 on the six-component
 phase/envelope state, one right-hand side call per stage and step, seeded by
 ``closed_state_scalar``, the paper's closed forms evaluated with ``cmath`` at
-one time. The package steps the envelope alone and evaluates each stage over
-all steps at once. Its right-hand side and the constraint oracles below read
-``f_theta`` and ``f_eta``, the paper's dressings written out with ``math`` at
-one time; the package evaluates them as one exponential sum over a time array.
+one time. The package steps the envelope alone and evaluates the four
+stages' weighted sum in one call over all steps. Its right-hand side and the
+constraint oracles below read ``f_theta`` and ``f_eta``, the paper's dressings
+written out with ``math`` at one time; the package evaluates them as one
+exponential sum over a time array.
 
 ``resolved_expm1`` is the Krylov error-estimate scan with phi1 evaluated in
 complex arithmetic, (e^z - 1)/z by ``expm1``; the package takes phi1(-i theta)
@@ -31,6 +32,11 @@ bracket relations 25a-25o that a linear invariant ansatz must satisfy, with
 its own 2x2 commutator; the package reads the same relations off the slots of
 ``invariance_residual`` (``CONSTRAINT_SLOTS``). ``scalar_residual_closed_form``
 is the constant slot of a scalar ansatz written out by hand.
+
+``grid_nullspace`` reads the constant family's basis off a time grid, as the
+last right singular vectors of the constraints at the grid times, and
+``in_span`` is the 1e-10 projection test on such a basis; the package takes
+the basis from one SVD of the per-rate constraint table instead.
 """
 
 from __future__ import annotations
@@ -214,6 +220,36 @@ def scalar_residual_closed_form(p, a1, a3, b1, b3, ts) -> np.ndarray:
     (len(ts), 2, 2): i*(a1 f_eta + b3 f_theta) alpha_2 + i*(b1 f_theta - a3 f_eta) alpha_1."""
     ft, fe = _profiles(p, [float(t) for t in ts])
     return 1j * (a1 * fe + b3 * ft) * ALPHA2 + 1j * (b1 * ft - a3 * fe) * ALPHA1
+
+
+def _constraint_rows(pairs) -> np.ndarray:
+    """Rows a1 f_eta + b3 f_theta and b1 f_theta - a3 f_eta on (a1, a3, b1, b3)
+    for each (f_theta, f_eta) pair."""
+    return np.array([row for ft, fe in pairs for row in ([fe, 0, 0, ft], [0, -fe, ft, 0])], dtype=float)
+
+
+def grid_nullspace(p, ts) -> np.ndarray:
+    """Orthonormal basis, 4 x dimension, of the constants (a1, a3, b1, b3)
+    whose constraint rows vanish at the times ts: the last right singular
+    vectors of the rows at those times. The dimension is that of the rows on
+    the summed (f_theta, f_eta) coefficients of each distinct rate, at
+    rounding level."""
+    eb = p.e * p.B
+    terms = {0.0: np.array([1.0, 0.5 * eb])}  # rate -> (f_theta, f_eta) coefficients
+    for rate, coeffs in ((p.gamma, [0.25 * eb * p.theta / p.hbar, 0.0]),
+                         (-p.gamma, [0.0, 0.5 * p.eta / p.hbar])):
+        terms[rate] = terms.get(rate, 0.0) + np.array(coeffs)
+    table = _constraint_rows(terms.values())
+    scale = 1.0 + abs(0.5 * eb) + abs(0.25 * eb * p.theta / p.hbar) + abs(0.5 * p.eta / p.hbar)
+    rank = np.linalg.matrix_rank(table, max(table.shape) * np.finfo(float).eps * scale)
+    _, _, vh = np.linalg.svd(_constraint_rows((f_theta(p, t), f_eta(p, t)) for t in ts), full_matrices=False)
+    return vh[rank:].T
+
+
+def in_span(basis: np.ndarray, vec: np.ndarray) -> bool:
+    """Whether vec is within 1e-10 max(1, |vec|) of the span of the orthonormal basis."""
+    proj = basis @ (basis.T @ vec)
+    return bool(np.linalg.norm(vec - proj) <= 1e-10 * max(1.0, np.linalg.norm(vec)))
 
 
 def constraint_residuals(ans: AffineOp, p, ts) -> dict[str, np.ndarray]:

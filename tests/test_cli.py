@@ -1152,9 +1152,9 @@ def test_each_command_calls_the_commutator_kernel_a_fixed_number_of_times(tmp_pa
 
 @pytest.mark.parametrize("fock_N", [2, 3, 8, 16])
 def test_dense_bytes_bounds_the_traced_peak(tmp_path, fock_N):
-    # evolve's storage guard charges dense_bytes and the invariant grid; on
-    # the README deformation every sample is a stored row, and at small
-    # fock_N the arrays kept per sample beside the rows outweigh them
+    # evolve's storage guard charges dense_bytes alone; on the README
+    # deformation every sample is a stored row, and at small fock_N the
+    # arrays kept per sample beside the rows outweigh them
     argv = ("--theta=0.1", "--eta=0.05", "--gamma=0.2", f"--fock_N={fock_N}")
     cli.build_parser()  # built once per process, outside the traced run
     run(tmp_path / "warm-up", "evolve", *argv, "--t1=0.01")  # numpy's first-call caches
@@ -1164,11 +1164,11 @@ def test_dense_bytes_bounds_the_traced_peak(tmp_path, fock_N):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    charged = fockevolve.dense_bytes(fock_N, 1001) + cli.GRID_POINT_BYTES * 16
+    charged = fockevolve.dense_bytes(fock_N, 1001)
     assert 0.6 * charged <= peak <= charged
 
 
-@pytest.mark.parametrize("command", ["verify-algebra", "invariant", "evolve"])
+@pytest.mark.parametrize("command", ["verify-algebra", "invariant"])
 def test_grid_beyond_physical_memory_exits_2(tmp_path, monkeypatch, capsys, command):
     # twice as many grid points as physical memory holds at GRID_POINT_BYTES each
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -1182,6 +1182,29 @@ def test_grid_beyond_physical_memory_exits_2(tmp_path, monkeypatch, capsys, comm
     assert run(tmp_path, command, f"--grid_points={points}") == 2
     assert "config error:" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [DEFORMED, ("--a1=1", "--b3=-0.5")])
+def test_evolve_takes_no_constraint_grid(tmp_path, monkeypatch, capsys, argv):
+    # evolve's verdict on the constants comes from the profiles' rates: its
+    # files and streams are the same at any grid_points, up to twice as many
+    # as physical memory holds at GRID_POINT_BYTES each
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("evolve built invariant's constraint grid")
+
+    monkeypatch.setattr(invariant, "default_constraint_grid", no_grid)
+    monkeypatch.setattr(invariant, "solve_constant_invariant", no_grid)
+    runs = set()
+    for points in (2, 16, 4096, 2 * memory // cli.GRID_POINT_BYTES):
+        out = tmp_path / str(points)
+        code = run(out, "evolve", *argv, *SMALL_RUN, f"--grid_points={points}")
+        streams = capsys.readouterr()
+        runs.add((code, (out / "evolution.csv").read_bytes(), streams.out, streams.err))
+    assert len(runs) == 1
+    code, _, out, _ = runs.pop()
+    assert code in (0, 1) and ("(constrained" in out) == (argv != DEFORMED)
 
 
 #: the files each computing command produces before the emit filter

@@ -27,6 +27,8 @@ from oracle import (
     constraint_residuals,
     f_eta,
     f_theta,
+    grid_nullspace,
+    in_span,
     mat_commutator,
     random_linear_poly,
     scalar_residual_closed_form,
@@ -259,6 +261,60 @@ def test_nullspace_grid_too_short():
         solve_constant_invariant(COMMUTATIVE, [0.0])
 
 
+def random_params(rng: np.random.Generator) -> NCParams:
+    """theta and eta of either sign from 1e-12 to 1e3, hbar from {0.5, 1, 2,
+    3e-7}, gamma = 0, uniform on [-2, 2] or of either sign from 1e-12 to 10."""
+    theta, eta = rng.choice([-1.0, 1.0], 2) * 10.0 ** rng.uniform(-12.0, 3.0, 2)
+    gamma = [0.0, rng.uniform(-2.0, 2.0), rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.0, 1.0)]
+    return NCParams(theta=theta, eta=eta, gamma=gamma[rng.integers(3)], hbar=rng.choice([0.5, 1.0, 2.0, 3e-7]))
+
+
+#: commutative, stationary, and vanishing f_theta and f_eta (dimensions 2, 2, 4)
+GRID_FREE_PARAMS = (COMMUTATIVE, NC_STATIC, NCParams(theta=-4.0, eta=-1.0))
+
+
+@pytest.mark.parametrize("p", GRID_FREE_PARAMS)
+def test_nullspace_basis_does_not_depend_on_the_grid(p):
+    bases = [solve_constant_invariant(p, np.linspace(0.0, 2.0, n)).nullspace for n in (2, 16, 64, 4096)]
+    assert bases[0].shape[1] > 0
+    assert all(np.array_equal(basis, bases[0]) for basis in bases)
+
+
+def test_nullspace_spans_the_grid_nullspace():
+    # the rate table's basis spans the subspace of the grid matrix's last
+    # right singular vectors; the grid's rounding grows with its size (up to
+    # 1e-15 at 64 points, 9e-15 at 4096), so the default 16 is the largest compared
+    rng = np.random.default_rng(20)
+    params = [random_params(rng) for _ in range(240)]
+    for p in (*params, *GRID_FREE_PARAMS, NCParams(theta=-4.0), NC_DYNAMIC):
+        basis = invariant.constant_family(p)
+        for n in (2, 16):
+            grid = grid_nullspace(p, invariant.default_constraint_grid(p, n))
+            assert grid.shape == basis.shape
+            assert np.max(np.abs(basis @ basis.T - grid @ grid.T), initial=0.0) <= 1e-15
+    assert sum(invariant.constant_family(p).shape[1] > 0 for p in params) >= 60
+
+
+def test_membership_matches_the_grid_verdict():
+    # constants on the family, slightly off it and far off it, judged on the
+    # rate table's basis and on the basis of a 16-point grid
+    rng = np.random.default_rng(21)
+    verdicts = []
+    for _ in range(2400):
+        p = random_params(rng)
+        grid = grid_nullspace(p, invariant.default_constraint_grid(p, 16))
+        vec = grid @ rng.standard_normal(grid.shape[1]) * 10.0 ** rng.uniform(-3.0, 3.0)
+        kind = rng.integers(3)
+        if kind == 1:
+            vec = vec + 1e-6 * max(1.0, np.linalg.norm(vec)) * rng.standard_normal(4)
+        elif kind == 2:
+            vec = rng.standard_normal(4) * 10.0 ** rng.uniform(-3.0, 3.0)
+        verdict = invariant.in_family(invariant.constant_family(p), vec)
+        assert verdict == in_span(grid, vec), (p, vec)
+        verdicts.append(verdict)
+    assert 500 <= sum(verdicts) <= 1900
+
+
 def test_nullspace_members_zero_residual_25o():
     # residual 25o vanishes exactly when the nullspace constraints hold
     report = solve_constant_invariant(NC_STATIC, np.linspace(0.0, 2.0, 16))
@@ -284,7 +340,7 @@ def test_hermiticity_for_real_constants():
 
 
 def test_default_constraint_grid_span():
-    g0 = invariant.default_constraint_grid(COMMUTATIVE)
+    g0 = invariant.default_constraint_grid(COMMUTATIVE, 16)
     assert g0[0] == 0.0 and g0[-1] == pytest.approx(2.0) and g0.size == 16
-    g1 = invariant.default_constraint_grid(NCParams(gamma=4.0))
+    g1 = invariant.default_constraint_grid(NCParams(gamma=4.0), 16)
     assert g1[-1] == pytest.approx(0.5)
