@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__, mat2, ncmodel
 from .csvout import write_csv
 from .errors import ConfigError
-from .phasepoly import Coord, residual_norms
+from .phasepoly import Coord
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,6 @@ class RunConfig(ncmodel.NCParams):
         ncmodel.check_window(self.t0, self.t1, self.dt)
         if self.fock_N < 2:
             raise ValueError("fock_N must be at least 2")
-        if self.grid_points < 2:
-            raise ValueError("grid_points must be at least 2")
         formats = self.emit_formats()
         if not formats or not formats <= {"csv", "json"}:
             raise ValueError("emit must be a nonempty subset of {csv, json}")
@@ -194,8 +192,7 @@ def _finish(cfg: RunConfig, result: Result) -> int:
 
 #: peak bytes verify-algebra holds per grid point, its six report records
 #: foremost (traced: 3.8 KB at 2048 points, 3.7 KB at 4096); invariant holds
-#: 3.1 KB per point. evolve takes no grid: its verdict on the constants is
-#: invariant.constant_family, read off the profiles' rates
+#: 3.1 KB per point
 GRID_POINT_BYTES = 4096
 
 
@@ -209,11 +206,20 @@ def _check_memory(need: int, run: str) -> None:
         )
 
 
+def _check_grid(cfg: RunConfig, run: str) -> None:
+    """Refuse a grid of fewer than 2 points, or one beyond physical memory:
+    verify-algebra and invariant build one; evolve's verdict on the constants
+    is read off the profiles' rates, so no other command reads grid_points."""
+    if cfg.grid_points < 2:
+        raise ConfigError("grid_points must be at least 2")
+    _check_memory(GRID_POINT_BYTES * cfg.grid_points, f"{run} on {cfg.grid_points} points")
+
+
 # -- verify-algebra ------------------------------------------------------------
 
 
 def cmd_verify_algebra(cfg: RunConfig) -> Result:
-    _check_memory(GRID_POINT_BYTES * cfg.grid_points, f"verify-algebra on {cfg.grid_points} points")
+    _check_grid(cfg, "verify-algebra")
     t_grid = np.linspace(cfg.t0, cfg.t1, cfg.grid_points)
 
     dirac = mat2.verify_dirac_algebra()
@@ -229,11 +235,11 @@ def cmd_verify_algebra(cfg: RunConfig) -> Result:
         mode = "time-dependent-deformation"
 
     tol = 1e-12
-    worst, judged = deformed.worst(), deformed.worst(relative=True)
+    worst = deformed.worst()
     bad = dirac.checks[int(np.argmax([c.deviation for c in dirac.checks]))]  # the first NaN, if any
     checks = [
         (f"Dirac identity {bad.name} deviation", dirac.max_deviation, tol),
-        (f"worst commutator {judged['pair']} at t={judged['t']}", judged["deviation"], tol),
+        (f"worst commutator {worst['pair']} at t={worst['t']}", worst["deviation"], tol),
         ("dual-path Hamiltonian deviation", dual_dev, tol),
     ]
     passed = not _failed(checks)
@@ -257,7 +263,7 @@ def cmd_verify_algebra(cfg: RunConfig) -> Result:
 
 def cmd_invariant(cfg: RunConfig) -> Result:
     from . import invariant
-    _check_memory(GRID_POINT_BYTES * cfg.grid_points, f"invariant on {cfg.grid_points} points")
+    _check_grid(cfg, "invariant")
     grid = invariant.default_constraint_grid(cfg, cfg.grid_points)
     ans = invariant.constant_invariant(cfg.a1, cfg.a3, cfg.b1, cfg.b3, cfg.c1)
     h = ncmodel.build_h_nc(cfg)
@@ -344,9 +350,7 @@ def cmd_evolve(cfg: RunConfig) -> Result:
     bopp = ncmodel.bopp_shift(cfg)
     r_nc = fockevolve.robertson(moments, bopp[Coord.X].coordinate_rows(times),
                                 bopp[Coord.PX].coordinate_rows(times))
-    residual = invariant.invariance_residual(ans, h, cfg.hbar, np.linspace(cfg.t0, cfg.t1, 8))
-    res_norm = float(np.max(residual_norms(residual)))
-    # the verdict of invariant: exact, where the residual on 8 times is not
+    # invariant's verdict, exact from the profiles' rates
     vec = np.array([cfg.a1, cfg.a3, cfg.b1, cfg.b3])
     constrained = invariant.in_family(invariant.constant_family(cfg), vec)
 
@@ -368,8 +372,8 @@ def cmd_evolve(cfg: RunConfig) -> Result:
     columns = [values.real, abs(drift), r_xp.product, r_xp.bound, margins, track.energy]
     summary = (
         f"relative invariant drift {relative_drift:.3e} "
-        f"({'constrained' if constrained else 'unconstrained'} constants, "
-        f"residual norm {res_norm:.3e}); min uncertainty margin {min_margin:.3e}; "
+        f"({'constrained' if constrained else 'unconstrained'} constants); "
+        f"min uncertainty margin {min_margin:.3e}; "
         f"nc-pair bound within {nc_bound_dev:.3e} of hbar_eff/2; "
         f"E_tracked on Landau level n={track.n} ({'+' if track.sign > 0 else '-'}): "
         f"Ritz error {track.error[0]:.3e} (residual {track.residual[0]:.1e}) at t0, "

@@ -291,20 +291,6 @@ def _forms(coeffs: np.ndarray, grams: np.ndarray, out: np.ndarray) -> None:
         out[:, lo : lo + len(c)] = (images @ c.conj()[:, :, None])[..., 0].T
 
 
-def _check_uniform(t_grid: np.ndarray) -> float:
-    """The first step of a uniform increasing grid. Its steps may differ by
-    1e-12 of max(1, dt), or by the few ulps of max |t| that rounding the
-    times leaves, whichever is larger."""
-    if t_grid.size < 2:
-        raise ValueError("evolution grid needs at least 2 points")
-    steps = np.diff(t_grid)
-    dt = steps[0]
-    tol = max(1e-12 * max(1.0, abs(dt)), 4.0 * np.spacing(np.max(np.abs(t_grid))))
-    if dt <= 0 or np.max(np.abs(steps - dt)) > tol:
-        raise ValueError("evolution grid must be uniform and increasing")
-    return float(dt)
-
-
 def _check_reachable(
     coeffs: np.ndarray, counts: np.ndarray, parts: np.ndarray, rep: FockRep, dt: float
 ) -> tuple[float, float]:
@@ -536,11 +522,13 @@ def evolve(
 ) -> EvolvedState:
     """Midpoint-sampled exponential stepping psi_{k+1} = exp(-i H(t_mid) dt/hbar) psi_k.
 
-    Every step is unitary to machine precision; dt controls only the
-    time-ordering error. One evaluation of H's coefficients at every midpoint splits the
-    grid into runs: consecutive steps with equal coefficients form a run of
-    one generator G: a constant generator is one run over the grid, a changing
-    one a run per step. A run is propagated by Lanczos (Park & Light, J. Chem.
+    ``t_grid`` is an axis ``ncmodel.sample_times`` builds, unchecked: at
+    least two increasing times, each step dt = t_grid[1] - t_grid[0] up to
+    the rounding of the times. Every step is unitary to machine precision;
+    dt controls only the time-ordering error. One evaluation of H's
+    coefficients at every midpoint splits the grid into runs: consecutive
+    steps with equal coefficients form a run of one generator G: a constant
+    generator is one run over the grid, a changing one a run per step. A run is propagated by Lanczos (Park & Light, J. Chem.
     Phys. 85, 5870 (1986)): each Lanczos space serves every sample it resolves
     (``_krylov_run``), and the next starts from the last of them. Each space
     is handed the size of the space before it, and skips the checks of spaces
@@ -577,7 +565,7 @@ def evolve(
     with i V, and stacked planes kept orthogonal to V drift from i V.
     """
     ts = np.asarray(t_grid, dtype=float)
-    dt = _check_uniform(ts)
+    dt = float(ts[1] - ts[0])
     psi = np.asarray(psi0, dtype=complex)
     if psi.size != rep.dim:
         raise ValueError(f"state size {psi.size} does not match representation dim {rep.dim}")

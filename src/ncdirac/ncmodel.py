@@ -161,11 +161,11 @@ class DeformedAlgebraReport:
         """Largest deviation; NaN when any deviation is NaN."""
         return float(np.max(self.deviation))
 
-    def worst(self, relative: bool = False) -> dict:
-        """The first NaN check, else the first largest deviation in time-major,
-        pair order, as {"pair", "t", "deviation"}; ``relative`` takes each over
-        max(1, |expected|), as a commutator of i hbar_eff = 1e5 i rounds at its ulp."""
-        deviation = self.deviation / (np.maximum(1.0, np.abs(self.expected)) if relative else 1.0)
+    def worst(self) -> dict:
+        """The first NaN check, else the first largest deviation over
+        max(1, |expected|) in time-major, pair order, as {"pair", "t",
+        "deviation"}: a commutator of i hbar_eff = 1e5 i rounds at its ulp."""
+        deviation = self.deviation / np.maximum(1.0, np.abs(self.expected))
         k, j = np.unravel_index(np.argmax(deviation), deviation.shape)
         dev = float(deviation[k, j])
         return {"pair": _ALGEBRA_PAIRS[j][0], "t": float(self.times[k]), "deviation": dev}

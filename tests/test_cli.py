@@ -153,16 +153,47 @@ LARGE_HBAR_EFF = [
 ]
 
 
+def judged_worst(report):
+    """The worst_commutator the check judges, from the report's absolute
+    checks table: the first largest deviation over max(1, |expected|)."""
+    checks = report["deformed_algebra"]["checks"]
+    judged = [c["deviation"] / max(1.0, abs(complex(c["expected_re"], c["expected_im"])))
+              for c in checks]
+    worst = checks[int(np.argmax(judged))]
+    return {"pair": worst["pair"], "t": worst["t"], "deviation": max(judged)}
+
+
 @pytest.mark.parametrize("argv", LARGE_HBAR_EFF, ids=["theta-1e6", "hbar-3e-7"])
 def test_commutators_are_judged_relative_to_their_expected_values(tmp_path, argv):
     # [x_nc, px_nc] should be i hbar_eff, 1.75e5 i and 7.6e5 i here: it
     # deviates by 4.1e-11 and 3.3e-10, a few ulps of that. The report keeps
-    # the absolute deviations; the check takes each over max(1, |expected|)
+    # the absolute deviations; the check, and worst_commutator, take each
+    # over max(1, |expected|)
     assert run(tmp_path, "verify-algebra", *argv) == 0
     report = json.loads((tmp_path / "algebra_report.json").read_text())
     assert report["pass"] is True
-    assert report["worst_commutator"]["pair"] == "[x_nc,px_nc]"
+    assert report["worst_commutator"] == judged_worst(report)
+    assert report["worst_commutator"]["deviation"] <= 1e-12
     assert 1e-11 < report["deformed_algebra"]["max_deviation"] < 1e-9
+
+
+def test_worst_commutator_names_the_judged_commutator(tmp_path, monkeypatch, capsys):
+    # 1e-11 on [x_nc, py_nc], which should be 0, fails the check; the absolute
+    # worst stays [x_nc, px_nc] at 4.1e-11 of i hbar_eff = 1.75e5 i, which passes
+    real = ncmodel.verify_nc_algebra
+
+    def off_by_1e11(p, ts):
+        report = real(p, ts)
+        report.deviation[:, 4] = 1e-11  # column 4: [x_nc,py_nc]
+        return report
+
+    monkeypatch.setattr(ncmodel, "verify_nc_algebra", off_by_1e11)
+    assert run(tmp_path, "verify-algebra", *LARGE_HBAR_EFF[0]) == 1
+    named = re.match(r"check failed: worst commutator (\S+) at t=", capsys.readouterr().err)
+    report = json.loads((tmp_path / "algebra_report.json").read_text())
+    assert named and named.group(1) == report["worst_commutator"]["pair"] == "[x_nc,py_nc]"
+    assert report["worst_commutator"] == judged_worst(report)
+    assert report["worst_commutator"]["deviation"] == 1e-11
 
 
 def test_a_misscaled_bopp_shift_fails_at_large_theta(tmp_path, monkeypatch, capsys):
@@ -517,9 +548,9 @@ def test_evolve_constrained_passes(tmp_path):
 @pytest.mark.parametrize("gamma", ["0", "1e-9"])
 def test_evolve_takes_the_invariant_verdict_on_the_constants(tmp_path, capsys, gamma):
     # b3 = -a1 f_eta/f_theta is admissible only for a static deformation. At
-    # gamma = 1e-9 the residual on evolve's 8 times (1.6e-11) is below 1e-10,
-    # yet no invariant exists: evolve says so, as invariant does, and does not
-    # hold the drift to an invariant's bound
+    # gamma = 1e-9 the invariance residual on 8 times of the window reads
+    # 1.6e-11, yet no invariant exists: evolve says so, as invariant does, and
+    # does not hold the drift to an invariant's bound
     argv = ("--theta=0.1", "--eta=0.05", f"--gamma={gamma}", "--a1=1", "--b3=-0.5121951219512195")
     assert run(tmp_path, "invariant", *argv) == 0
     in_null = json.loads((tmp_path / "nullspace_report.json").read_text())["constants_in_nullspace"]
@@ -1130,8 +1161,9 @@ def test_grid_point_bytes_bounds_the_traced_peak(tmp_path, command, share):
 
 
 def test_each_command_calls_the_commutator_kernel_a_fixed_number_of_times(tmp_path, monkeypatch):
-    # fixed parts are commuted once per command, whatever the grid: the six
-    # algebra pairs in one batch, the invariance residual in one call
+    # fixed parts are commuted once per command that builds a grid, whatever
+    # its size: the six algebra pairs in one batch, the invariance residual in
+    # one call. evolve takes invariant's verdict from the profiles' rates
     counted = []
     real = phasepoly.commutator_slots
     monkeypatch.setattr(phasepoly, "commutator_slots", lambda *args: counted.append(1) or real(*args))
@@ -1147,7 +1179,7 @@ def test_each_command_calls_the_commutator_kernel_a_fixed_number_of_times(tmp_pa
         counted.clear()
         assert run(tmp_path, command, *argv) == 0
         calls[command] = len(counted)
-    assert calls == {"verify-algebra": 1, "invariant": 1, "xi": 0, "evolve": 1, "report": 0}
+    assert calls == {"verify-algebra": 1, "invariant": 1, "xi": 0, "evolve": 0, "report": 0}
 
 
 @pytest.mark.parametrize("fock_N", [2, 3, 8, 16])
@@ -1197,7 +1229,7 @@ def test_evolve_takes_no_constraint_grid(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.setattr(invariant, "default_constraint_grid", no_grid)
     monkeypatch.setattr(invariant, "solve_constant_invariant", no_grid)
     runs = set()
-    for points in (2, 16, 4096, 2 * memory // cli.GRID_POINT_BYTES):
+    for points in (1, 2, 16, 4096, 2 * memory // cli.GRID_POINT_BYTES):
         out = tmp_path / str(points)
         code = run(out, "evolve", *argv, *SMALL_RUN, f"--grid_points={points}")
         streams = capsys.readouterr()
@@ -1205,6 +1237,31 @@ def test_evolve_takes_no_constraint_grid(tmp_path, monkeypatch, capsys, argv):
     assert len(runs) == 1
     code, _, out, _ = runs.pop()
     assert code in (0, 1) and ("(constrained" in out) == (argv != DEFORMED)
+
+
+@pytest.mark.parametrize("command", ["xi", "report", "verify-algebra", "invariant"])
+def test_only_the_grid_commands_read_grid_points(tmp_path, capsys, command):
+    # verify-algebra and invariant build a grid and refuse one of fewer than
+    # 2 points; xi and report never read the key, so it changes nothing there
+    if command == "report":
+        for producer in ("verify-algebra", "invariant", "xi", "evolve"):
+            assert run(tmp_path, producer, *SMALL_RUN) in (0, 1)
+        capsys.readouterr()
+    runs = []
+    for points in ("16", "1"):
+        out = tmp_path if command == "report" else tmp_path / points
+        code = run(out, command, *SMALL_RUN[:3], f"--grid_points={points}")
+        streams = capsys.readouterr()
+        files = {} if not out.is_dir() else {
+            f.name: f.read_bytes() for f in sorted(out.iterdir()) if f.name != "run_summary.json"
+        }
+        runs.append((code, streams.out, streams.err, files))
+    if command in ("xi", "report"):
+        assert runs[0] == runs[1] and runs[0][0] == 0
+    else:
+        code, out, err, files = runs[1]
+        assert (code, out, err) == (2, "", "config error: grid_points must be at least 2\n")
+        assert not files
 
 
 #: the files each computing command produces before the emit filter

@@ -964,10 +964,6 @@ def test_evolve_grid_and_state_validation():
     rep = build_fock_rep(3, 1.0)
     h = ncmodel.build_h_nc(COMMUTATIVE)
     psi0 = coherent_state(rep)
-    with pytest.raises(ValueError, match="evolution grid must be uniform and increasing"):
-        evolve(h, rep, psi0, [0.0, 0.1, 0.3])
-    with pytest.raises(ValueError, match="evolution grid needs at least 2 points"):
-        evolve(h, rep, psi0, [0.0])
     with pytest.raises(ValueError, match="state size 5 does not match representation dim 18"):
         evolve(h, rep, np.ones(5) / np.sqrt(5), [0.0, 0.1])
     with pytest.raises(ValueError):
@@ -986,9 +982,6 @@ def test_evolve_takes_the_sample_grid_at_large_t0():
     dt = times[1] - times[0]
     want = dense_exponential(represent(h.at(times[0] + 0.5 * dt), rep), psi0, dt)
     assert np.max(np.abs(ev.states[1] - want)) <= 1e-13
-    # a grid that is not uniform still raises there
-    with pytest.raises(ValueError, match="evolution grid must be uniform and increasing"):
-        evolve(h, rep, psi0, [1e4, 1e4 + 0.1, 1e4 + 0.3])
 
 
 def test_invariant_drift_identity_is_zero():
