@@ -7,19 +7,21 @@ Robertson rule on those moments. Operators are only applied, never built as
 dense generator-sized matrices.
 
 Full-space convention: states live on mode_x (x) mode_y (x) spinor, of
-dimension 2*N^2, viewed as (rows, N, N, 2) arrays. A degree-<=1 operator is
-compiled once into one (2N, 2N) block per mode, on (mode, spinor), so every
-application is two per-mode block products. The canonical pair defect of the
-truncation is confined to the top oscillator level n = N-1 of each mode.
+dimension 2*N^2. A degree-<=1 operator is compiled once into one (2N, 2N)
+block per mode, applied by two block products. The canonical pair defect of
+the truncation is confined to the top oscillator level n = N-1 of each mode.
 
 The Hamiltonians of ``ncmodel`` have real coefficients on sigma_1 p_x,
 sigma_2 p_y, sigma_1 y, sigma_2 x and sigma_3, so in the Fock basis rotated
 by i^{n_y} on mode y and by diag(1, i) on the spinor every matrix element of
-theirs is real. ``FockRep`` is built in that basis only. ``evolve`` runs there:
-a Lanczos recurrence from a real state (the displaced probe, at t0) runs in
-float64, a spectrum of a complex state a + ib on the real vector (a, b), and
-only a propagation from a complex state in complex arithmetic. The history
-it returns stays in that basis, with the phases that rotate it out.
+theirs is real. ``FockRep`` is built in that basis only, its axes ordered
+(mode x, spinor, mode y), so both blocks act on contiguous views of a state:
+(mode x, spinor) on the left of (rows, 2N, N), (spinor, mode y) on the right
+of (rows, N, 2N). ``evolve`` runs there: a Lanczos recurrence from a real
+state (the displaced probe, at t0) runs in float64, a spectrum of a complex
+state a + ib on the real vector (a, b), and only a propagation from a
+complex state in complex arithmetic. The history it returns stays in that
+basis, with the phases that, with the axis swap, rotate it out.
 
 The history is a list of segments. A Lanczos run that resolves more samples
 than it has basis vectors is kept as its coefficients C on its basis V
@@ -46,10 +48,9 @@ from .phasepoly import AffineOp, Coord, PhasePoly
 #: rows of the state history processed at once by the observables pass
 BLOCK_ROWS = 64
 #: block-sized arrays alive at once in the observables pass ``measure`` over
-#: stored rows: the four coordinate images, the mode-x product (two arrays)
-#: and the rows with mode x leading it came from (traced numpy peak 7.3 at
-#: fock_N=16, 7.1 at fock_N=32); a Lanczos segment's images are smaller,
-#: KRYLOV_MAX rows at most
+#: stored rows: the four coordinate images and the mode-y product (two arrays;
+#: traced numpy peak 6.0 at fock_N=16 and 32); a Lanczos segment's images are
+#: smaller, KRYLOV_MAX rows at most
 BLOCK_IMAGES = 8
 #: largest Lanczos space; a run needing more restarts, a step needing more is
 #: sub-stepped
@@ -80,11 +81,10 @@ _IMAGE_PHASES = np.array([1.0, 1.0, 1j, 1j, 1.0])
 @dataclass(frozen=True)
 class FockRep:
     """Truncated representation in the basis rotated by diag(1, i) on the
-    spinor and i^n on level n of mode y: N levels per mode, oscillator scale
-    ell, the real single-mode (N, N) matrices ``coords`` of x, y, p_x and
-    p_y, each over its phase in _IMAGE_PHASES, ``pair_y`` the (2N, 4N) right
-    factor of kron([y; p_y], 1_2) on (mode y, spinor), and the (dim,) phases
-    ``frame`` that rotate a state out: psi = frame * phi."""
+    spinor and i^n on level n of mode y, axes (mode x, spinor, mode y): N levels
+    per mode, oscillator scale ell, the real single-mode (N, N) matrices
+    ``coords`` of x, y, p_x and p_y, each over its phase in _IMAGE_PHASES,
+    ``pair_y`` = [y^T | p_y^T], and the basis's (dim,) phases ``frame``."""
 
     N: int
     ell: float
@@ -126,16 +126,28 @@ def build_fock_rep(N: int, ell: float, hbar: float = 1.0) -> FockRep:
     levels = _PHASES[np.arange(N) % 4]  # mode y's rotation; the spinor's cancels
     y, py = levels.conj()[:, None] * np.stack([x, p]) * levels
     coords = (np.stack([x, y, p, py]) * _IMAGE_PHASES[1:, None, None].conj()).real
-    pair_y = np.kron(coords[1::2], np.eye(2)).reshape(4 * N, 2 * N).T.copy()
-    frame = np.tile(np.kron(levels, _PHASES[:2]), N)
+    pair_y = np.concatenate(coords[1::2].transpose(0, 2, 1), axis=1)
+    frame = np.tile(np.kron(_PHASES[:2], levels), N)
     return FockRep(N, ell, hbar, 2 * N * N, coords, pair_y, frame)
+
+
+def _rotate_in(frame: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """The rotated rows of states (..., dim): spinor axis moved, phases undone."""
+    swapped = psi.reshape(-1, n := math.isqrt(frame.size // 2), n, 2).swapaxes(-1, -2)
+    return frame.conj() * swapped.reshape(psi.shape)
+
+
+def _rotate_out(frame: np.ndarray, phi: np.ndarray, out: np.ndarray) -> None:
+    """out = the states of rotated rows (rows, dim): phases applied, spinor last."""
+    swapped = out.reshape(-1, n := math.isqrt(frame.size // 2), n, 2).swapaxes(-1, -2)
+    np.multiply(frame.reshape(n, 2, n), phi.reshape(-1, n, 2, n), out=swapped)
 
 
 def _mode_blocks(polys: Sequence[PhasePoly], rep: FockRep) -> np.ndarray:
     """The rotated per-mode blocks (len(polys), 2, 2N, 2N) of degree-<=1
     polynomials with coefficients M_0 and M_c: on (mode x, spinor) kron(x, M_x)
-    + kron(p_x, M_px), on (mode y, spinor) kron(y, M_y) + kron(p_y, M_py) +
-    kron(1, M_0). Each M turns into diag(1, -i) M diag(1, i) times its
+    + kron(p_x, M_px), on (spinor, mode y) kron(M_y, y) + kron(M_py, p_y) +
+    kron(M_0, 1). Each M turns into diag(1, -i) M diag(1, i) times its
     factor's phase, contracted with the factor's real matrix in ``rep.coords``."""
     if any(poly.degree() > 1 for poly in polys):
         raise DegreeError("only polynomials of degree <= 1 are applied")
@@ -147,29 +159,28 @@ def _mode_blocks(polys: Sequence[PhasePoly], rep: FockRep) -> np.ndarray:
     phases = _IMAGE_PHASES[[[1 + Coord.X, 1 + Coord.PX, 0], [1 + Coord.Y, 1 + Coord.PY, 0]]]
     coeffs = spin.conj()[:, None] * coeffs * spin * phases[..., None, None]
     mats = np.stack([[*rep.coords[0::2], eye], [*rep.coords[1::2], eye]])  # (block, factor, N, N)
-    blocks = np.einsum("kbfst,bfmn->kbmsnt", coeffs, mats)
-    return blocks.reshape(len(polys), 2, 2 * rep.N, 2 * rep.N)
+    x = np.einsum("kfst,fmn->kmsnt", coeffs[:, 0], mats[0])  # on (mode x, spinor)
+    y = np.einsum("kfst,fmn->ksmtn", coeffs[:, 1], mats[1])  # on (spinor, mode y)
+    return np.stack([x, y.reshape(x.shape)], axis=1).reshape(len(polys), 2, 2 * rep.N, 2 * rep.N)
 
 
 def _block_action(blocks: np.ndarray, rep: FockRep) -> Callable[[np.ndarray], np.ndarray]:
     """v -> G v on one state (dim,) or a block (rows, dim) for the G with
-    per-mode blocks (2, 2N, 2N): one product on the rows as stored (mode y)
-    and one on the rows with the mode axes swapped (mode x). A complex state
-    takes a complex copy of real blocks, made once: a product of mixed dtypes
-    casts anew each time, and takes about 1.8 times as long as the cast and a
-    complex product (23 rows at fock_N=16, one BLAS thread)."""
+    per-mode blocks (2, 2N, 2N): one product on the left of each row viewed as
+    (2N, N), one on the right of it viewed as (N, 2N), and one add. A complex
+    state takes a complex copy of real blocks, made once: a product of mixed
+    dtypes casts anew each time, and takes about 1.8 times as long as the cast
+    and a complex product (23 rows at fock_N=16, one BLAS thread)."""
     n, n2 = rep.N, 2 * rep.N
-    right = blocks[0].T, blocks[1].T
-    right_complex = tuple(b.astype(complex, copy=False) for b in right)
+    factors = blocks[0], blocks[1].T
+    factors_complex = tuple(b.astype(complex, copy=False) for b in factors)
 
     def g(psi: np.ndarray) -> np.ndarray:
         if psi.shape[-1] != rep.dim:
             raise ValueError(f"state size {psi.shape[-1]} does not match dim {rep.dim}")
-        right_x, right_y = right_complex if psi.dtype.kind == "c" else right
-        rows = psi.reshape(-1, n, n, 2)
-        out = (psi.reshape(-1, n2) @ right_y).reshape(rows.shape)
-        swapped = rows.transpose(0, 2, 1, 3).reshape(-1, n2) @ right_x
-        out += swapped.reshape(rows.shape).transpose(0, 2, 1, 3)
+        left_x, right_y = factors_complex if psi.dtype.kind == "c" else factors
+        out = (psi.reshape(-1, n, n2) @ right_y).reshape(-1, n2, n)
+        out += left_x @ psi.reshape(-1, n2, n)
         return out.reshape(psi.shape)
 
     return g
@@ -230,8 +241,8 @@ class Spectrum(NamedTuple):
 
 @dataclass(frozen=True)
 class EvolvedState:
-    """A unitary evolution sampled on a uniform grid, held as segments in a
-    rotated basis: the state of a segment row phi is ``frame * phi``. With
+    """A unitary evolution sampled on a uniform grid, held as segments in the
+    rotated basis of ``FockRep``, whose phases are ``frame``. With
     ``spectra``: the Ritz data of H(t0) on the Lanczos space of psi(t0) and of
     H(t1) on that of psi(t1). When one generator served every step and is H
     at both ends, psi(t1) = exp(-i H (t1 - t0)) psi(t0) has the spectral
@@ -240,17 +251,19 @@ class EvolvedState:
     times: np.ndarray
     segments: tuple[Segment, ...]
     spectra: tuple[Spectrum, Spectrum]
-    frame: np.ndarray  # (dim,) unit phases, psi = frame * phi
+    frame: np.ndarray  # (dim,) unit phases of the rotated basis
 
     @property
     def states(self) -> np.ndarray:
-        """Every state as rows (n_t, dim) in the standard basis, materialized
+        """Every state as rows (n_t, dim) in the standard basis, rotated out
         on each access. The package reads the segments; the benchmark's
         tracer reads this until ROADMAP items 0 and 4 take its count into the
         package."""
-        rows = np.concatenate([segment.rows() for segment in self.segments], dtype=complex)
-        rows *= self.frame
-        return rows
+        states, k = np.empty((len(self.times), self.frame.size), dtype=complex), 0
+        for segment in self.segments:
+            _rotate_out(self.frame, segment.rows(), states[k : k + segment.size])
+            k += segment.size
+        return states
 
     @property
     def norm_drift(self) -> float:
@@ -592,7 +605,7 @@ def evolve(
     def generator(c: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         return _block_action((c @ flat).reshape(parts.shape[1:]), rep)
 
-    phi = rep.frame.conj() * psi
+    phi = _rotate_in(rep.frame, psi)
     phi = start = phi if np.any(phi.imag) else phi.real.copy()
     segments, stored, size = [], [phi[None]], 0
     for c, n in zip(coeffs, counts.tolist()):
@@ -667,18 +680,15 @@ def robertson(moments: Moments, a: np.ndarray, b: np.ndarray) -> UncertaintyResu
 
 def _images(rep: FockRep, rows: np.ndarray) -> np.ndarray:
     """The images of rows (n, dim) in the rotated basis under x, y, p_x and
-    p_y, each over its phase in _IMAGE_PHASES, stacked as (4, n, dim): one
-    product per mode, the (2N, N) stack [x; p_x] of ``rep.coords`` on the
-    left of the rows with mode x leading, ``rep.pair_y`` on the right. Real
-    rows have real images."""
+    p_y, each over its phase in _IMAGE_PHASES, stacked as (4, n, dim) and
+    written in place: x and p_x from ``rep.coords`` on the left of each row
+    viewed as (N, 2N), y and p_y from one product with ``rep.pair_y`` on the
+    trailing mode. Real rows have real images."""
     n, m = len(rows), rep.N
     out = np.empty((4, n, m, 2 * m), dtype=rows.dtype)
-    rows = rows.reshape(n, m, 2 * m)
-    images = rep.coords[0::2].reshape(2 * m, m) @ rows.transpose(1, 0, 2).reshape(m, -1)
-    out[0::2] = images.reshape(2, m, n, 2 * m).transpose(0, 2, 1, 3)  # x, p_x
-    del images
-    images = rows.reshape(-1, 2 * m) @ rep.pair_y
-    out[1::2] = images.reshape(n, m, 2, 2 * m).transpose(2, 0, 1, 3)  # y, p_y
+    np.matmul(rep.coords[0::2, None], rows.reshape(n, m, 2 * m), out=out[0::2])  # x, p_x
+    images = (rows.reshape(-1, m) @ rep.pair_y).reshape(n, m, 2, 2, m)
+    out.reshape(4, n, m, 2, m)[1::2] = images.transpose(3, 0, 1, 2, 4)  # y, p_y
     return out.reshape(4, n, rep.dim)
 
 
@@ -706,8 +716,8 @@ def measure(rep: FockRep, evolved: EvolvedState) -> Moments:
     conjugates of those above.
     """
     left, right = _FORMS
-    top = np.zeros((rep.N, rep.N, 2), dtype=bool)
-    top[-1] = top[:, -1] = True
+    top = np.zeros((rep.N, 2, rep.N), dtype=bool)
+    top[-1] = top[:, :, -1] = True
     top = top.ravel()
     n_t = len(evolved.times)
     moments = np.empty((1 + len(left), n_t), dtype=complex)

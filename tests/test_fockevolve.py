@@ -88,7 +88,7 @@ def history(rep, times, basis, coeffs=None):
     """An evolution history of one segment, given in the standard basis and
     held, as evolve holds it, in the rotated one: stored rows when coeffs is
     None, else coefficients on the rows of basis."""
-    segment = Segment(rep.frame.conj() * np.asarray(basis), coeffs)
+    segment = Segment(rotate_in(rep.N, np.asarray(basis)), coeffs)
     return EvolvedState(np.asarray(times, dtype=float), (segment,), NO_SPECTRA, rep.frame)
 
 
@@ -98,15 +98,35 @@ def dense(poly, rep):
 
 
 def frame_phases(n):
-    """The full-space phases R of the rotated basis, psi = R phi: i^n_y on
-    oscillator level n_y of mode y and diag(1, i) on the spinor."""
-    return np.tile(np.kron(1j ** np.arange(n), [1.0, 1j]), n)
+    """The full-space phases R of the rotated basis, in its axis order (mode
+    x, spinor, mode y): diag(1, i) on the spinor and i^n_y on oscillator
+    level n_y of mode y."""
+    return np.tile(np.kron([1.0, 1j], 1j ** np.arange(n)), n)
+
+
+def swap(n):
+    """The axis swap S of the rotated basis: entry j of a rotated row sits at
+    standard index swap(n)[j], the spinor moved from last to between the
+    modes."""
+    return np.arange(2 * n * n).reshape(n, n, 2).transpose(0, 2, 1).ravel()
+
+
+def rotate_in(n, psi):
+    """The rotated rows phi = R^dag S psi of standard-basis states psi (..., dim)."""
+    return frame_phases(n).conj() * psi[..., swap(n)]
+
+
+def rotate_out(n, phi):
+    """The standard-basis states psi = S^T R phi of rotated rows phi (..., dim)."""
+    psi = np.empty(phi.shape, dtype=complex)
+    psi[..., swap(n)] = frame_phases(n) * phi
+    return psi
 
 
 def rotated(poly, rep):
-    """The dense matrix of P in the rotated basis, R^dag P R."""
-    frame = frame_phases(rep.N)
-    return frame.conj()[:, None] * represent(poly, rep) * frame
+    """The dense matrix of P in the rotated basis, R^dag S P S^T R."""
+    frame, order = frame_phases(rep.N), swap(rep.N)
+    return frame.conj()[:, None] * represent(poly, rep)[np.ix_(order, order)] * frame
 
 
 def apply(poly, rep):
@@ -231,6 +251,27 @@ def test_apply_matches_dense_oracle(n, rows):
         got = apply(poly, rep)(states)
         assert got.shape == shape
         assert np.max(np.abs(got - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("shape", ["one-state", "real-planes", "block"])
+@pytest.mark.parametrize("n", [2, 5])
+def test_real_blocks_apply_to_float64_rows_as_the_dense_oracle(n, shape):
+    # the float64 path both end spectra run: H(t)'s real rotated blocks on
+    # float64 rows, one state, the two real planes of a complex state and 7
+    # rows, against the dense matrix of H(t) in the rotated basis
+    rng = np.random.default_rng(13 * n)
+    rep = build_fock_rep(n, 0.8, 1.3)
+    poly = ncmodel.build_h_nc(README).at(0.37)
+    blocks = fockevolve._mode_blocks([poly], rep)[0]
+    assert np.all(blocks.imag == 0.0)
+    g = fockevolve._block_action(blocks.real.copy(), rep)
+    if shape == "real-planes":
+        states = fockevolve._real_planes(rng.normal(size=rep.dim) + 1j * rng.normal(size=rep.dim))
+    else:
+        states = rng.normal(size=(rep.dim,) if shape == "one-state" else (7, rep.dim))
+    got = g(states)
+    assert got.dtype == np.float64 and got.shape == states.shape
+    assert np.max(np.abs(got - states @ rotated(poly, rep).T)) <= 1e-13
 
 
 def test_apply_rejects_quadratic_slot_and_wrong_size():
@@ -383,8 +424,9 @@ def test_constant_generator_matches_exact_propagator_across_restarts(monkeypatch
 
 def rotate_after(polys, rep):
     """The per-mode blocks of polys built in the standard basis from the
-    complex single-mode x and p, then rotated by the phases of each block:
-    diag(1, i) on the spinor of both, i^n on level n of mode y."""
+    complex single-mode x and p, both on (mode, spinor), then mode y's
+    reordered to (spinor, mode y) and each rotated by its phases: diag(1, i)
+    on the spinor of both, i^n on level n of mode y."""
     n = rep.N
     a = np.diag(np.sqrt(np.arange(1.0, n)), 1).astype(complex)
     x = rep.ell * (a + a.T) / math.sqrt(2.0)
@@ -393,8 +435,10 @@ def rotate_after(polys, rep):
     coeffs = np.stack([poly.slots for poly in polys])[:, slots]
     blocks = np.tensordot(coeffs, np.stack([x, p, np.eye(n)]), (2, 0))
     blocks = blocks.transpose(0, 1, 4, 2, 5, 3).reshape(len(polys), 2, 2 * n, 2 * n)
+    order = np.arange(2 * n).reshape(n, 2).T.ravel()
+    blocks[:, 1] = blocks[:, 1][:, order][:, :, order]
     spin = np.array([1.0, 1j])
-    r = np.stack([np.tile(spin, n), np.kron(1j ** np.arange(n), spin)])
+    r = np.stack([np.tile(spin, n), np.kron(spin, 1j ** np.arange(n))])
     return r.conj()[:, :, None] * blocks * r[:, None, :]
 
 
@@ -442,16 +486,22 @@ def test_mode_blocks_act_as_the_rotated_dense_oracle(build, n):
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(st.integers(2, 12), st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0))
 def test_states_rotate_out_and_back_exactly(n, seed, alpha):
-    # a random complex state rotated in and back out is the same bits, and
-    # the displaced probe of cmd_evolve (real alpha_x, vacuum y, spin up) is
-    # real in the rotated basis
+    # a random complex state rotated in (phases and axis swap) and back out
+    # is the same bits, both ways round, and the package's rotations are
+    # those written out here; the displaced probe of cmd_evolve (real
+    # alpha_x, vacuum y, spin up) is real in the rotated basis
     rep = build_fock_rep(n, 1.0)
-    phase = rep.frame
     rng = np.random.default_rng(seed)
-    psi = rng.normal(size=rep.dim) + 1j * rng.normal(size=rep.dim)
-    assert (phase * (phase.conj() * psi)).tobytes() == psi.tobytes()
-    assert (phase.conj() * (phase * psi)).tobytes() == psi.tobytes()
-    assert np.all((phase.conj() * coherent_state(rep, alpha_x=alpha)).imag == 0.0)
+    psi = rng.normal(size=(2, rep.dim)) + 1j * rng.normal(size=(2, rep.dim))
+    phi = fockevolve._rotate_in(rep.frame, psi)
+    assert phi.tobytes() == rotate_in(n, psi).tobytes()
+    assert rotate_out(n, phi).tobytes() == psi.tobytes()
+    out = np.empty_like(psi)
+    fockevolve._rotate_out(rep.frame, psi, out)
+    assert out.tobytes() == rotate_out(n, psi).tobytes()
+    assert fockevolve._rotate_in(rep.frame, out).tobytes() == psi.tobytes()
+    probe = fockevolve._rotate_in(rep.frame, coherent_state(rep, alpha_x=alpha))
+    assert np.all(probe.imag == 0.0)
 
 
 def test_evolve_refuses_a_generator_that_is_not_real_in_the_rotated_basis():
@@ -818,7 +868,7 @@ def test_an_invariant_space_ends_alike_in_every_arithmetic():
     h = ncmodel.build_h_nc(p)
     ev = evolve(h, rep, coherent_state(rep, alpha_x=1.0), np.array([0.0, 0.5]))
     psi = ev.states[-1]
-    phi = rep.frame.conj() * psi
+    phi = rotate_in(rep.N, psi)
     rotated = fockevolve._block_action(fockevolve._mode_blocks([h.at(0.5)], rep)[0].real.copy(), rep)
     runs = [(dense(h.at(0.5), rep), psi), (rotated, phi), (rotated, np.stack([phi.real, phi.imag]))]
     for g, start in runs:
@@ -1333,9 +1383,9 @@ def test_a_constant_run_is_held_and_measured_in_its_real_frame(monkeypatch):
     ev = evolve(h, rep, psi, times)
     projected = [seg for seg in ev.segments if seg.coeffs is not None]
     assert projected and all(seg.basis.dtype == np.float64 for seg in projected)
-    frame = frame_phases(rep.N)
-    assert np.array_equal(ev.frame, frame)
-    assert np.array_equal(ev.states, frame * np.concatenate([seg.rows() for seg in ev.segments]))
+    assert np.array_equal(ev.frame, frame_phases(rep.N))
+    rows = np.concatenate([seg.rows() for seg in ev.segments])
+    assert np.array_equal(ev.states, rotate_out(rep.N, rows))
     w, v = np.linalg.eigh(represent(h.at(0.0), rep))
     exact = (np.exp(-1j * np.outer(times, w)) * (v.conj().T @ psi)) @ v.T
     assert np.max(np.abs(ev.states - exact)) <= 1e-12
